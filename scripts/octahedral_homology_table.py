@@ -4,8 +4,9 @@
 The n-pair cross-polytope boundary (n-fold iterated suspension of two
 points) is homeomorphic to the sphere S^{n-1}, so its reduced homology
 should be Z in dimension n-1 and zero elsewhere, with no torsion.  This
-script computes the profile for n = 1..N over exact integer Smith normal
-forms and prints one row per n.
+script computes the profile for n = 1..N with exact integer homology (sparse
+unit-pivot elimination of the boundary matrices, Smith normal form on any
+residual core) and prints one row per n.
 
 Usage:
     python3 scripts/octahedral_homology_table.py [N]

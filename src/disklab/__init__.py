@@ -11,8 +11,9 @@ Public entry points live in the submodules:
 
 - :mod:`disklab.flagcomplex` -- flag complexes, clique enumeration, suspension,
   octahedral spheres, vertex maps, JSON (de)serialization.
-- :mod:`disklab.homology` -- exact Smith-normal-form homology over the integers
-  and the cycle-level retraction certificate.
+- :mod:`disklab.homology` -- exact integer homology (sparse unit-pivot
+  elimination, Smith normal form on the residual core) and the cycle-level
+  retraction certificate.
 - :mod:`disklab.surface` -- polygon models of punctured surfaces, arc codes,
   and the arc-intersection engine.
 - :mod:`disklab.disks` -- compressing-disk descriptors, side/type

@@ -147,6 +147,11 @@ def _write(out_dir: str, name: str, text: str) -> str:
     return path
 
 
+def _check_max_simplices(value: int) -> None:
+    if value < 0:
+        raise InvalidConfigError(f"--max-simplices must be >= 0, got {value}")
+
+
 def cmd_build(args) -> int:
     if args.tubes is None or args.tubes < 1:
         raise InvalidConfigError("build needs --tubes >= 1 (the literal tube count)")
@@ -164,6 +169,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    _check_max_simplices(args.max_simplices)
     if args.from_build is not None:
         for flag, name in (
             (args.genus, "--genus"),
@@ -195,6 +201,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    _check_max_simplices(args.max_simplices)
     obj = read_json_file(args.complex_json)
     complex_ = complex_from_json_obj(obj, source=args.complex_json)
     if args.d_max < 0:

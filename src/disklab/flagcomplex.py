@@ -30,7 +30,7 @@ class FlagComplex:
 
     def __init__(self) -> None:
         self._labels: dict[str, str] = {}
-        self._edges: set[tuple[str, str]] = set()
+        self._adjacency: dict[str, set[str]] = {}  # vertex -> neighbours; the only edge store
         self._frozen = False
 
     # -- construction -----------------------------------------------------
@@ -42,6 +42,7 @@ class FlagComplex:
         if vertex_id in self._labels:
             raise InvalidConfigError(f"duplicate vertex id {vertex_id!r}")
         self._labels[vertex_id] = label if label is not None else vertex_id
+        self._adjacency[vertex_id] = set()
 
     def add_edge(self, u: str, v: str) -> None:
         self._check_mutable()
@@ -50,7 +51,8 @@ class FlagComplex:
         for w in (u, v):
             if w not in self._labels:
                 raise InvalidConfigError(f"edge endpoint {w!r} is not a vertex")
-        self._edges.add((u, v) if u < v else (v, u))
+        self._adjacency[u].add(v)
+        self._adjacency[v].add(u)
 
     def freeze(self) -> "FlagComplex":
         self._frozen = True
@@ -74,35 +76,27 @@ class FlagComplex:
 
     @property
     def edges(self) -> list[tuple[str, str]]:
-        return sorted(self._edges)
+        return sorted((u, v) for u, ws in self._adjacency.items() for v in ws if u < v)
 
     def has_edge(self, u: str, v: str) -> bool:
-        if u == v:
-            return False
-        return ((u, v) if u < v else (v, u)) in self._edges
+        return v in self._adjacency.get(u, ())
 
     def neighbors(self, vertex_id: str) -> list[str]:
-        out = set()
-        for (u, v) in self._edges:
-            if u == vertex_id:
-                out.add(v)
-            elif v == vertex_id:
-                out.add(u)
-        return sorted(out)
+        return sorted(self._adjacency.get(vertex_id, ()))
 
     def vertex_count(self) -> int:
         return len(self._labels)
 
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._adjacency.values())) // 2
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlagComplex):
             return NotImplemented
-        return self._labels == other._labels and self._edges == other._edges
+        return self._labels == other._labels and self._adjacency == other._adjacency
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FlagComplex({len(self._labels)} vertices, {len(self._edges)} edges)"
+        return f"FlagComplex({len(self._labels)} vertices, {self.edge_count()} edges)"
 
 
 def copy_complex(c: FlagComplex) -> FlagComplex:
@@ -149,7 +143,8 @@ def flag_cliques(
     if d < 0:
         raise InvalidConfigError(f"dimension bound must be >= 0, got {d}")
     verts = c.vertex_ids
-    adj = {v: c.neighbors(v) for v in verts}
+    sorted_adj = {v: c.neighbors(v) for v in verts}
+    adj = {v: set(ws) for v, ws in sorted_adj.items()}
     out: dict[int, list[tuple[str, ...]]] = {k: [] for k in range(d + 1)}
     out[0] = [(v,) for v in verts]
     _cap_check(out[0], 0, max_per_dim)
@@ -161,8 +156,7 @@ def flag_cliques(
         for clique in prev:
             last = clique[-1]
             # Extend by ids > last that are adjacent to every clique member.
-            candidates = adj[last]
-            for w in sorted(candidates):
+            for w in sorted_adj[last]:
                 if w <= last:
                     continue
                 if all(w in adj[u] for u in clique[:-1]):

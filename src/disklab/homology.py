@@ -1,4 +1,4 @@
-"""Exact integer homology of flag complexes via Smith normal form.
+"""Exact integer homology of flag complexes by sparse unit-pivot elimination.
 
 Everything here runs over Python's unbounded integers: intermediate Smith
 normal form entries can grow far beyond machine words, and a silent overflow
@@ -13,6 +13,21 @@ Conventions:
 - Simplices are sorted tuples of vertex ids; the sign of a face is the usual
   (-1)^i for dropping the i-th vertex.  Since simplex tuples are sorted and
   vertex ids are canonical, boundary matrices are reproducible bit for bit.
+
+Ranks and torsion come from :func:`rank_and_torsion`, which works on sparse
+boundary columns (``{row: entry}`` maps) and never builds a dense matrix.
+It repeatedly picks an entry of absolute value 1 as pivot, preferring the
+pivot row with the fewest nonzeros to keep fill-in low, and clears that row
+from every other column by adding an integer multiple of the pivot column.
+Column additions are unimodular, and once the pivot row holds only the pivot,
+row additions clear the pivot column without touching any other column.  So
+a unit pivot splits ``A ~ [±1] ⊕ A'`` over ℤ, and ``SNF(A) = 1 ⊕ SNF(A')``
+exactly: each pivot adds 1 to the rank and nothing to the torsion.  Columns
+left without a unit entry form the residual core; only that core goes to the
+dense :func:`smith_normal_form`, and only its diagonal is read.  Boundary
+matrices of simplicial complexes have ±1 entries, and on the complexes this
+package meets the core is usually empty.  Dense Smith normal form with its
+transforms is still used where a cycle is needed (:func:`free_generator`).
 """
 
 from __future__ import annotations
@@ -170,10 +185,82 @@ def smith_normal_form(a: Matrix) -> SNFResult:
     return SNFResult(diag=diag, rank=rank, u=u, u_inv=u_inv, v=v, shape=(m, n))
 
 
+Column = dict[int, int]
+
+
+def rank_and_torsion(columns: list[Column]) -> tuple[int, tuple[int, ...]]:
+    """Rank and torsion coefficients of the integer matrix with these columns.
+
+    Each column maps a row index to its entry; zero entries are ignored.  The
+    torsion is the Smith normal form diagonal entries greater than 1, in
+    divisibility order.
+    Unit pivots are eliminated sparsely (see the module docstring); the dense
+    :func:`smith_normal_form` runs only on the columns left without one.
+    The input columns are not modified.
+    """
+    cols: dict[int, Column] = {}
+    rows: dict[int, set[int]] = {}  # row -> indices of the columns holding it
+    for j, col in enumerate(columns):
+        col = {i: x for i, x in col.items() if x}
+        if col:
+            cols[j] = col
+            for i in col:
+                rows.setdefault(i, set()).add(j)
+
+    rank = 0
+    progress = True
+    while progress:
+        progress = False
+        for j in sorted(cols):
+            col = cols.get(j)
+            if col is None:
+                continue  # emptied by an earlier elimination in this pass
+            pivot = None
+            fewest = 0
+            for i, x in col.items():
+                if (x == 1 or x == -1) and (pivot is None or len(rows[i]) < fewest):
+                    pivot, fewest = i, len(rows[i])
+            if pivot is None:
+                continue
+            del cols[j]
+            for i in col:
+                rows[i].discard(j)
+            sign = col[pivot]  # ±1 is its own inverse
+            for k in rows.pop(pivot):
+                other = cols[k]
+                factor = other.pop(pivot) * sign
+                for i, x in col.items():
+                    if i == pivot:
+                        continue
+                    y = other.get(i, 0) - factor * x
+                    if y:
+                        if i not in other:
+                            rows[i].add(k)
+                        other[i] = y
+                    else:
+                        del other[i]
+                        rows[i].discard(k)
+                if not other:
+                    del cols[k]
+            rank += 1
+            progress = True
+
+    if not cols:
+        return rank, ()
+    core_rows = sorted(i for i, held in rows.items() if held)
+    core = [[cols[j].get(i, 0) for j in sorted(cols)] for i in core_rows]
+    diag = smith_normal_form(core).diag
+    return rank + sum(1 for x in diag if x), tuple(x for x in diag if x > 1)
+
+
+def dense_columns(a: Matrix) -> list[Column]:
+    """The columns of a dense matrix as sparse ``{row: entry}`` maps."""
+    n = len(a[0]) if a else 0
+    return [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(n)]
+
+
 def matrix_rank(a: Matrix) -> int:
-    if not a or not a[0]:
-        return 0
-    return smith_normal_form(a).rank
+    return rank_and_torsion(dense_columns(a))[0]
 
 
 def kernel_basis(a: Matrix, n_cols: int | None = None) -> list[list[int]]:
@@ -284,48 +371,53 @@ class ChainComplex:
                     face = s[:i] + s[i + 1 :]
                     if face not in below:
                         raise InvalidConfigError(f"face {face} of {s} missing in dimension {k-1}")
-        self._boundary_cache: dict[int, Matrix] = {}
-        self._snf_cache: dict[int, SNFResult] = {}
+        self._rank_torsion_cache: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def n_cells(self, k: int) -> int:
         return len(self.simplices.get(k, []))
 
-    def boundary(self, k: int) -> Matrix:
-        """Boundary matrix C_k -> C_{k-1}; k = 0 gives the augmentation row."""
-        if k in self._boundary_cache:
-            return self._boundary_cache[k]
+    def boundary_columns(self, k: int) -> list[Column]:
+        """Sparse columns of the boundary C_k -> C_{k-1}, one ``{row: ±1}`` per k-simplex.
+
+        k = 0 gives the augmentation: every vertex maps to the single row 0.
+        """
         if k < 0 or k > self.top:
-            mat: Matrix = []
-        elif k == 0:
-            mat = [[1] * self.n_cells(0)] if self.n_cells(0) else []
-        else:
-            rows = self.n_cells(k - 1)
-            cols = self.n_cells(k)
-            idx = self._index[k - 1]
-            mat = [[0] * cols for _ in range(rows)]
-            for j, s in enumerate(self.simplices[k]):
-                sign = 1
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1 :]
-                    mat[idx[face]][j] += sign
-                    sign = -sign
-        self._boundary_cache[k] = mat
+            return []
+        if k == 0:
+            return [{0: 1} for _ in range(self.n_cells(0))]
+        idx = self._index[k - 1]
+        cols = []
+        for s in self.simplices[k]:
+            col = {}
+            sign = 1
+            for i in range(len(s)):
+                col[idx[s[:i] + s[i + 1 :]]] = sign
+                sign = -sign
+            cols.append(col)
+        return cols
+
+    def boundary(self, k: int) -> Matrix:
+        """Dense boundary matrix C_k -> C_{k-1}; k = 0 gives the augmentation row."""
+        if k < 0 or k > self.top:
+            return []
+        rows = 1 if k == 0 else self.n_cells(k - 1)
+        cols = self.boundary_columns(k)
+        if not cols:
+            return []
+        mat = [[0] * len(cols) for _ in range(rows)]
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                mat[i][j] = x
         return mat
 
-    def _boundary_snf(self, k: int) -> SNFResult | None:
-        if k in self._snf_cache:
-            return self._snf_cache[k]
-        mat = self.boundary(k)
-        if not mat or not mat[0]:
-            self._snf_cache[k] = None
-            return None
-        res = smith_normal_form(mat)
-        self._snf_cache[k] = res
-        return res
+    def _rank_torsion(self, k: int) -> tuple[int, tuple[int, ...]]:
+        """(rank, torsion) of the boundary in dimension k, computed once."""
+        if k not in self._rank_torsion_cache:
+            self._rank_torsion_cache[k] = rank_and_torsion(self.boundary_columns(k))
+        return self._rank_torsion_cache[k]
 
     def boundary_rank(self, k: int) -> int:
-        res = self._boundary_snf(k)
-        return res.rank if res else 0
+        return self._rank_torsion(k)[0]
 
     def betti_reduced(self, k: int) -> int:
         if k < 0 or k > self.top:
@@ -333,10 +425,7 @@ class ChainComplex:
         return self.n_cells(k) - self.boundary_rank(k) - self.boundary_rank(k + 1)
 
     def torsion(self, k: int) -> tuple[int, ...]:
-        res = self._boundary_snf(k + 1)
-        if res is None:
-            return ()
-        return tuple(x for x in res.diag if x > 1)
+        return self._rank_torsion(k + 1)[1]
 
     def profile(self, d_max: int) -> HomologyProfile:
         return HomologyProfile(

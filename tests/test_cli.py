@@ -7,6 +7,7 @@ module entry point.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from disklab.flagcomplex import (
 )
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "goldens.json")
 
 
 def run(argv, capsys):
@@ -123,6 +125,18 @@ def test_certify_certificates_are_byte_identical_across_runs_and_seeds(tmp_path,
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+@pytest.mark.parametrize("tubes", [4, 5])
+def test_certify_bytes_match_recorded_goldens(tubes, tmp_path, capsys):
+    """certificate.json and report.txt are byte-identical to the recorded sha256 sums."""
+    with open(GOLDENS, encoding="utf-8") as fh:
+        expected = json.load(fh)[f"certify-g1-n{tubes}"]
+    out = tmp_path / "c"
+    code, _, _ = run(["certify", "--genus", "1", "--tubes", str(tubes), "--out", str(out)], capsys)
+    assert code == EXIT_OK
+    for name in ("certificate.json", "report.txt"):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected[name], name
+
+
 def test_certify_from_build_matches_direct_run(tmp_path, capsys):
     build_dir = str(tmp_path / "build")
     code, _, _ = run(["build", "--genus", "1", "--tubes", "2", "--out", build_dir], capsys)
@@ -213,6 +227,16 @@ def test_certify_respects_simplex_cap(tmp_path, capsys):
     assert "max_simplices" in stderr
 
 
+def test_certify_rejects_negative_simplex_cap(tmp_path, capsys):
+    argv = ["certify", "--genus", "1", "--tubes", "1", "--out", str(tmp_path)]
+    code, _, stderr = run(argv + ["--max-simplices", "-1"], capsys)
+    assert code == EXIT_CONFIG
+    assert "--max-simplices" in stderr
+    # 0 is a legitimate (if useless) cap: it is enforced, not rejected.
+    code, _, stderr = run(argv + ["--max-simplices", "0"], capsys)
+    assert code == EXIT_CAP
+
+
 def test_certify_n0_still_passes(tmp_path, capsys):
     out = str(tmp_path / "c0")
     code, stdout, _ = run(
@@ -285,6 +309,12 @@ def test_homology_respects_simplex_cap(octa_file, capsys):
     code, _, stderr = run(["homology", octa_file, "2", "--max-simplices", "3"], capsys)
     assert code == EXIT_CAP
     assert "max_simplices" in stderr
+
+
+def test_homology_rejects_negative_simplex_cap(octa_file, capsys):
+    code, _, stderr = run(["homology", octa_file, "2", "--max-simplices", "-1"], capsys)
+    assert code == EXIT_CONFIG
+    assert "--max-simplices" in stderr
 
 
 # ---------------------------------------------------------------------------
