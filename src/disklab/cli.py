@@ -6,9 +6,7 @@ input file (the message names the location); 3 a configured resource cap was
 exceeded.
 
 Every artifact is rendered through canonical JSON, so two runs with the same
-options produce byte-identical files.  ``--seed`` is accepted on every
-subcommand for interface compatibility with stochastic tools, but nothing
-here is randomized and the flag never influences any output.
+options produce byte-identical files; nothing here is randomized.
 """
 
 from __future__ import annotations
@@ -52,12 +50,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--bandsum-depth", type=int, default=2, help="band-sum nesting depth, 0-2 (default 2)"
     )
     parser.add_argument("--out", default=".", help="output directory (default: current directory)")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="accepted for interface compatibility; all outputs are deterministic and seed-independent",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,9 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"cap on enumerated simplices per dimension (default {DEFAULT_MAX_SIMPLICES})",
     )
     p_hom.add_argument("--out", default=None, help="directory to write homology.json into (optional)")
-    p_hom.add_argument(
-        "--seed", type=int, default=None, help="accepted for interface compatibility; unused"
-    )
     p_hom.set_defaults(func=cmd_homology)
 
     return parser

@@ -24,104 +24,56 @@ row additions clear the pivot column without touching any other column.  So
 a unit pivot splits ``A ~ [±1] ⊕ A'`` over ℤ, and ``SNF(A) = 1 ⊕ SNF(A')``
 exactly: each pivot adds 1 to the rank and nothing to the torsion.  Columns
 left without a unit entry form the residual core; only that core goes to the
-dense :func:`smith_normal_form`, and only its diagonal is read.  Boundary
+dense :func:`smith_normal_form`, which returns only its diagonal.  Boundary
 matrices of simplicial complexes have ±1 entries, and on the complexes this
-package meets the core is usually empty.  Dense Smith normal form with its
-transforms is still used where a cycle is needed (:func:`free_generator`).
+package meets the core is usually empty.
+
+Generating cycles come from orientation, not from a kernel basis.  On a
+complex with no (k+1)-simplices H_k = ker ∂_k.  If every (k-1)-face (a
+*ridge*) lies in exactly two k-simplices, the coefficient of one k-simplex
+fixes that of its neighbour across each ridge, so :func:`free_generator`
+puts +1 on the lexicographically last k-simplex and propagates signs until
+every ridge cancels.  A consistent assignment that reaches every k-simplex
+is a cycle with ±1 entries; such a cycle is primitive in the rank-1,
+saturated lattice ker ∂_k, so it generates H_k = ℤ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from disklab.errors import InvalidConfigError
-from disklab.flagcomplex import DEFAULT_MAX_SIMPLICES, FlagComplex, VertexMap, flag_cliques
+from disklab.flagcomplex import (
+    DEFAULT_MAX_SIMPLICES,
+    FlagComplex,
+    VertexMap,
+    check_retraction,
+    flag_cliques,
+)
 
 Matrix = list[list[int]]
-
-
-# -- small exact matrix helpers ------------------------------------------------
-
-
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        rows = len(a)
-        cols = len(b[0]) if b else 0
-        return [[0] * cols for _ in range(rows)]
-    if len(a[0]) != len(b):
-        raise InvalidConfigError(f"matrix shape mismatch: {len(a[0])} vs {len(b)}")
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(a: Matrix, v: list[int]) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 # -- Smith normal form ---------------------------------------------------------
 
 
-@dataclass
-class SNFResult:
-    """Smith normal form ``U @ A @ V == D`` with unimodular U, V.
+def smith_normal_form(a: Matrix) -> list[int]:
+    """Diagonal of the Smith normal form of ``a``, of length ``min(m, n)``.
 
-    ``diag`` holds the diagonal of D (nonnegative, each dividing the next
-    among the nonzero entries); ``rank`` counts the nonzero entries.
-    ``u_inv`` satisfies ``U @ u_inv == I`` and is maintained exactly, so
-    quotient-group generators can be read off its columns.
+    The entries are nonnegative, each nonzero one divides the next, and the
+    zeros come last, so the rank is the number of nonzero entries.
     """
-
-    diag: list[int]
-    rank: int
-    u: Matrix
-    u_inv: Matrix
-    v: Matrix
-    shape: tuple[int, int]
-
-
-def smith_normal_form(a: Matrix) -> SNFResult:
     m = len(a)
     n = len(a[0]) if m else 0
     d = [[int(x) for x in row] for row in a]
-    u = identity_matrix(m)
-    u_inv = identity_matrix(m)
-    v = identity_matrix(n)
-
-    def row_swap(i: int, j: int) -> None:
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for r in u_inv:
-            r[i], r[j] = r[j], r[i]
-
-    def row_add(i: int, j: int, c: int) -> None:
-        # row_i += c * row_j ; inverse op on u_inv: col_j -= c * col_i
-        d[i] = [x + c * y for x, y in zip(d[i], d[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        for r in u_inv:
-            r[j] -= c * r[i]
-
-    def row_negate(i: int) -> None:
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in u_inv:
-            r[i] = -r[i]
 
     def col_swap(i: int, j: int) -> None:
         for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
             r[i], r[j] = r[j], r[i]
 
     def col_add(i: int, j: int, c: int) -> None:
         # col_i += c * col_j
         for r in d:
-            r[i] += c * r[j]
-        for r in v:
             r[i] += c * r[j]
 
     t = 0
@@ -138,7 +90,7 @@ def smith_normal_form(a: Matrix) -> SNFResult:
                     pivot = (i, j)
         if pivot is None:
             break
-        row_swap(t, pivot[0])
+        d[t], d[pivot[0]] = d[pivot[0]], d[t]
         col_swap(t, pivot[1])
         while True:
             redo = False
@@ -146,9 +98,9 @@ def smith_normal_form(a: Matrix) -> SNFResult:
                 if i == t or d[i][t] == 0:
                     continue
                 q = d[i][t] // d[t][t]
-                row_add(i, t, -q)
+                d[i] = [x - q * y for x, y in zip(d[i], d[t])]
                 if d[i][t] != 0:
-                    row_swap(t, i)
+                    d[t], d[i] = d[i], d[t]
                     redo = True
                     break
             if redo:
@@ -175,14 +127,12 @@ def smith_normal_form(a: Matrix) -> SNFResult:
                     break
             if offender is None:
                 break
-            row_add(t, offender, 1)
+            d[t] = [x + y for x, y in zip(d[t], d[offender])]
         if d[t][t] < 0:
-            row_negate(t)
+            d[t] = [-x for x in d[t]]
         t += 1
 
-    diag = [d[i][i] for i in range(limit)]
-    rank = sum(1 for x in diag if x != 0)
-    return SNFResult(diag=diag, rank=rank, u=u, u_inv=u_inv, v=v, shape=(m, n))
+    return [d[i][i] for i in range(limit)]
 
 
 Column = dict[int, int]
@@ -249,63 +199,8 @@ def rank_and_torsion(columns: list[Column]) -> tuple[int, tuple[int, ...]]:
         return rank, ()
     core_rows = sorted(i for i, held in rows.items() if held)
     core = [[cols[j].get(i, 0) for j in sorted(cols)] for i in core_rows]
-    diag = smith_normal_form(core).diag
+    diag = smith_normal_form(core)
     return rank + sum(1 for x in diag if x), tuple(x for x in diag if x > 1)
-
-
-def dense_columns(a: Matrix) -> list[Column]:
-    """The columns of a dense matrix as sparse ``{row: entry}`` maps."""
-    n = len(a[0]) if a else 0
-    return [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(n)]
-
-
-def matrix_rank(a: Matrix) -> int:
-    return rank_and_torsion(dense_columns(a))[0]
-
-
-def kernel_basis(a: Matrix, n_cols: int | None = None) -> list[list[int]]:
-    """Integer basis of ker(A) as a list of column vectors."""
-    m = len(a)
-    n = len(a[0]) if m else (n_cols or 0)
-    if n == 0:
-        return []
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    snf = smith_normal_form(a)
-    return [[snf.v[i][j] for i in range(n)] for j in range(snf.rank, n)]
-
-
-def solve_integer_columns(a: Matrix, b: Matrix) -> Matrix | None:
-    """Solve A @ X == B over the integers; None when no integral solution."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if not b:
-        return [[] for _ in range(n)]
-    k = len(b[0])
-    if k == 0:
-        return [[] for _ in range(n)]
-    if m != len(b):
-        raise InvalidConfigError("solve: row counts differ")
-    snf = smith_normal_form(a)
-    x_cols: list[list[int]] = []
-    for col in range(k):
-        rhs = [b[i][col] for i in range(m)]
-        ub = mat_vec(snf.u, rhs)
-        y = [0] * n
-        for i in range(min(m, n)):
-            di = snf.diag[i]
-            if di == 0:
-                if ub[i] != 0:
-                    return None
-            else:
-                if ub[i] % di != 0:
-                    return None
-                y[i] = ub[i] // di
-        for i in range(n, m):
-            if ub[i] != 0:
-                return None
-        x_cols.append(mat_vec(snf.v, y))
-    return [[x_cols[c][i] for c in range(k)] for i in range(n)]
 
 
 # -- chain complexes from clique data ------------------------------------------
@@ -396,20 +291,6 @@ class ChainComplex:
             cols.append(col)
         return cols
 
-    def boundary(self, k: int) -> Matrix:
-        """Dense boundary matrix C_k -> C_{k-1}; k = 0 gives the augmentation row."""
-        if k < 0 or k > self.top:
-            return []
-        rows = 1 if k == 0 else self.n_cells(k - 1)
-        cols = self.boundary_columns(k)
-        if not cols:
-            return []
-        mat = [[0] * len(cols) for _ in range(rows)]
-        for j, col in enumerate(cols):
-            for i, x in col.items():
-                mat[i][j] = x
-        return mat
-
     def _rank_torsion(self, k: int) -> tuple[int, tuple[int, ...]]:
         """(rank, torsion) of the boundary in dimension k, computed once."""
         if k not in self._rank_torsion_cache:
@@ -443,86 +324,60 @@ def reduced_homology(
     return ChainComplex(cliques).profile(d_max)
 
 
-def betti_numbers_rational(c: FlagComplex, d_max: int) -> list[int]:
-    """Independent rational-rank oracle (Gaussian elimination over Fraction).
-
-    Used by the test suite to cross-check the Smith-normal-form pipeline; it
-    shares no code with it beyond boundary-matrix assembly.
-    """
-    cliques = flag_cliques(c, d_max + 1)
-    cc = ChainComplex(cliques)
-
-    def frank(mat: Matrix) -> int:
-        if not mat or not mat[0]:
-            return 0
-        a = [[Fraction(x) for x in row] for row in mat]
-        rows, cols = len(a), len(a[0])
-        rank = 0
-        r = 0
-        for jcol in range(cols):
-            pivot = next((i for i in range(r, rows) if a[i][jcol] != 0), None)
-            if pivot is None:
-                continue
-            a[r], a[pivot] = a[pivot], a[r]
-            pv = a[r][jcol]
-            a[r] = [x / pv for x in a[r]]
-            for i in range(rows):
-                if i != r and a[i][jcol] != 0:
-                    factor = a[i][jcol]
-                    a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
-            r += 1
-            rank += 1
-            if r == rows:
-                break
-        return rank
-
-    return [
-        cc.n_cells(k) - frank(cc.boundary(k)) - frank(cc.boundary(k + 1))
-        for k in range(d_max + 1)
-    ]
-
-
 # -- generating cycles and induced chain maps ----------------------------------
 
 
 def free_generator(cc: ChainComplex, k: int) -> dict[tuple[str, ...], int]:
-    """A cycle generating the free part of reduced H_k, which must be Z.
+    """A cycle generating reduced H_k, which must be Z, with +1 on the last k-simplex.
 
-    Strategy: take an integer kernel basis K of the boundary in dimension k,
-    express the (k+1)-boundaries in K-coordinates (always possible since
-    boundaries are cycles), and read the quotient's free generator off the
-    Smith normal form of that coordinate matrix.
+    ``cc`` must have no simplices above dimension k, and every (k-1)-face of
+    a k-simplex must lie in exactly two k-simplices: a closed, connected,
+    orientable pseudomanifold of dimension k.  Signs are propagated across
+    ridges as the module docstring describes; any other input raises.
     """
     if cc.betti_reduced(k) != 1 or cc.torsion(k):
         raise InvalidConfigError(
             f"free_generator requires reduced homology Z in dimension {k}; "
             f"found rank {cc.betti_reduced(k)}, torsion {list(cc.torsion(k))}"
         )
-    n_k = cc.n_cells(k)
-    kernel = kernel_basis(cc.boundary(k), n_cols=n_k)
-    z = len(kernel)
-    kmat = [[kernel[j][i] for j in range(z)] for i in range(n_k)]
-    bnd = cc.boundary(k + 1)
-    n_up = cc.n_cells(k + 1)
-    if n_up:
-        x = solve_integer_columns(kmat, bnd)
-        if x is None:
-            raise InvalidConfigError("boundaries failed to lie in the cycle lattice")
-        snf = smith_normal_form(x)
-        free_indices = [i for i in range(z) if i >= snf.rank]
-        if len(free_indices) != 1:
+    if cc.n_cells(k + 1):
+        raise InvalidConfigError(
+            f"free_generator requires no simplices above dimension {k}; "
+            f"found {cc.n_cells(k + 1)} in dimension {k + 1}"
+        )
+    facets = cc.simplices[k]
+    ridges: dict[tuple[str, ...], list[tuple[int, int]]] = {}
+    for j, s in enumerate(facets):
+        for i in range(len(s)):
+            ridges.setdefault(s[:i] + s[i + 1 :], []).append((j, -1 if i % 2 else 1))
+    for ridge, held in ridges.items():
+        if len(held) != 2:
             raise InvalidConfigError(
-                f"expected exactly one free quotient factor, found {len(free_indices)}"
+                f"ridge {ridge} lies in {len(held)} simplices of dimension {k}, not 2"
             )
-        gen_idx = free_indices[0]
-        coords = [snf.u_inv[i][gen_idx] for i in range(z)]
-    else:
-        if z != 1:
-            raise InvalidConfigError(f"expected a rank-1 cycle lattice, found rank {z}")
-        coords = [1]
-    vec = mat_vec(kmat, coords)
-    simplices = cc.simplices.get(k, [])
-    return {s: c for s, c in zip(simplices, vec) if c != 0}
+    # The cycle's boundary cancels on a ridge in facets a and b with face signs
+    # e_a and e_b iff c_a * e_a + c_b * e_b == 0, i.e. c_b == -c_a * e_a * e_b.
+    coeff = {len(facets) - 1: 1}
+    stack = [len(facets) - 1]
+    while stack:
+        j = stack.pop()
+        s = facets[j]
+        for i in range(len(s)):
+            (a, e_a), (b, e_b) = ridges[s[:i] + s[i + 1 :]]
+            other = b if a == j else a
+            c = -coeff[j] * e_a * e_b
+            if other not in coeff:
+                coeff[other] = c
+                stack.append(other)
+            elif coeff[other] != c:
+                raise InvalidConfigError(
+                    f"simplices of dimension {k} admit no coherent orientation"
+                )
+    if len(coeff) != len(facets):
+        raise InvalidConfigError(
+            f"{len(facets) - len(coeff)} simplices of dimension {k} are not reached across ridges"
+        )
+    return {facets[j]: c for j, c in sorted(coeff.items())}
 
 
 def permutation_sign(values: list[str]) -> int:
@@ -572,8 +427,6 @@ def certify_homology_retraction(
     composite acts as the identity on the generator.  The returned document
     records the cycle and its image so the check can be replayed.
     """
-    from disklab.flagcomplex import check_retraction  # local import to avoid cycle noise
-
     ok, report = check_retraction(f, s)
     if not ok:
         raise InvalidConfigError(

@@ -104,13 +104,6 @@ class SuspensionSphere:
     def key_for(self, vertex: SphereVertex) -> str:
         return self.disk_for(vertex).key
 
-    def vertex_keys(self) -> list:
-        out = []
-        for i in range(self.index + 1):
-            out.append(self.d_disks[i].key)
-            out.append(self.e_disks[i].key)
-        return out
-
     def sub_sphere_keys(self, i: int) -> list:
         """Vertex keys of the suspension sub-sphere on pairs ``0..i``."""
         if not (0 <= i <= self.index):

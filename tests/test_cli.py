@@ -62,14 +62,11 @@ def test_build_tubes_is_the_literal_tube_count(tmp_path, capsys):
     assert len(disks["disks"]) == 7
 
 
-def test_build_is_deterministic_across_runs_and_seeds(tmp_path, capsys):
+def test_build_is_deterministic_across_runs(tmp_path, capsys):
     texts = []
-    for sub, seed in (("x", "0"), ("y", "0"), ("z", "12345")):
+    for sub in ("x", "y", "z"):
         out = str(tmp_path / sub)
-        code, _, _ = run(
-            ["build", "--genus", "2", "--tubes", "2", "--seed", seed, "--out", out],
-            capsys,
-        )
+        code, _, _ = run(["build", "--genus", "2", "--tubes", "2", "--out", out], capsys)
         assert code == EXIT_OK
         texts.append((tmp_path / sub / "disks.json").read_bytes())
     assert texts[0] == texts[1] == texts[2]
@@ -112,26 +109,39 @@ def test_certify_passes_and_writes_artifacts(tmp_path, capsys):
     assert "Result: PASSED" in report
 
 
-def test_certify_certificates_are_byte_identical_across_runs_and_seeds(tmp_path, capsys):
+def test_certify_certificates_are_byte_identical_across_runs(tmp_path, capsys):
     blobs = []
-    for sub, seed in (("a", "0"), ("b", "0"), ("c", "777")):
+    for sub in ("a", "b", "c"):
         out = str(tmp_path / sub)
-        code, _, _ = run(
-            ["certify", "--genus", "1", "--tubes", "2", "--seed", seed, "--out", out],
-            capsys,
-        )
+        code, _, _ = run(["certify", "--genus", "1", "--tubes", "2", "--out", out], capsys)
         assert code == EXIT_OK
         blobs.append((tmp_path / sub / "certificate.json").read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-@pytest.mark.parametrize("tubes", [4, 5])
-def test_certify_bytes_match_recorded_goldens(tubes, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--genus", "1", "--tubes", "1"],
+        ["certify", "--genus", "1", "--tubes", "1"],
+        ["homology", "x.json", "1"],
+    ],
+)
+def test_seed_flag_is_rejected(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "0", "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("genus", "tubes"), [(1, 4), (1, 5), (2, 4), (3, 4)])
+def test_certify_bytes_match_recorded_goldens(genus, tubes, tmp_path, capsys):
     """certificate.json and report.txt are byte-identical to the recorded sha256 sums."""
     with open(GOLDENS, encoding="utf-8") as fh:
-        expected = json.load(fh)[f"certify-g1-n{tubes}"]
+        expected = json.load(fh)[f"certify-g{genus}-n{tubes}"]
     out = tmp_path / "c"
-    code, _, _ = run(["certify", "--genus", "1", "--tubes", str(tubes), "--out", str(out)], capsys)
+    argv = ["certify", "--genus", str(genus), "--tubes", str(tubes), "--out", str(out)]
+    code, _, _ = run(argv, capsys)
     assert code == EXIT_OK
     for name in ("certificate.json", "report.txt"):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected[name], name

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from disklab.flagcomplex import (
     FlagComplex,
     VertexMap,
     check_retraction,
+    copy_complex,
     flag_cliques,
     induced_subcomplex,
     octahedral_sphere,
@@ -21,32 +24,101 @@ from disklab.flagcomplex import (
 )
 from disklab.homology import (
     ChainComplex,
+    Column,
+    Matrix,
     apply_chain_map,
-    betti_numbers_rational,
     certify_homology_retraction,
-    dense_columns,
     free_generator,
-    identity_matrix,
-    kernel_basis,
-    mat_mul,
-    mat_vec,
-    matrix_rank,
     permutation_sign,
     rank_and_torsion,
     reduced_homology,
     smith_normal_form,
-    solve_integer_columns,
 )
 
 # -- helpers ---------------------------------------------------------------------
 
 
-def diag_matrix(diag: list[int], shape: tuple[int, int]) -> list[list[int]]:
-    m, n = shape
-    out = [[0] * n for _ in range(m)]
-    for i, d in enumerate(diag):
-        out[i][i] = d
-    return out
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    if not a or not b:
+        rows = len(a)
+        cols = len(b[0]) if b else 0
+        return [[0] * cols for _ in range(rows)]
+    assert len(a[0]) == len(b), f"matrix shape mismatch: {len(a[0])} vs {len(b)}"
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def dense_columns(a: Matrix) -> list[Column]:
+    """The columns of a dense matrix as sparse ``{row: entry}`` maps."""
+    n = len(a[0]) if a else 0
+    return [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(n)]
+
+
+def matrix_rank(a: Matrix) -> int:
+    return rank_and_torsion(dense_columns(a))[0]
+
+
+def dense_boundary(cc: ChainComplex, k: int) -> Matrix:
+    """Dense boundary matrix C_k -> C_{k-1}; k = 0 gives the augmentation row."""
+    if k < 0 or k > cc.top:
+        return []
+    rows = 1 if k == 0 else cc.n_cells(k - 1)
+    cols = cc.boundary_columns(k)
+    if not cols:
+        return []
+    mat = [[0] * len(cols) for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            mat[i][j] = x
+    return mat
+
+
+def chain_boundary(cc: ChainComplex, k: int, chain: dict[tuple[str, ...], int]) -> dict[int, int]:
+    """Nonzero entries of the boundary of a k-chain, by (k-1)-simplex index."""
+    out: dict[int, int] = {}
+    for s, col in zip(cc.simplices[k], cc.boundary_columns(k)):
+        for i, x in col.items():
+            out[i] = out.get(i, 0) + chain.get(s, 0) * x
+    return {i: x for i, x in out.items() if x}
+
+
+def betti_numbers_rational(c: FlagComplex, d_max: int) -> list[int]:
+    """Independent rational-rank oracle (Gaussian elimination over Fraction).
+
+    Cross-checks the integer pipeline; it shares no code with it beyond
+    boundary-matrix assembly.
+    """
+    cliques = flag_cliques(c, d_max + 1)
+    cc = ChainComplex(cliques)
+
+    def frank(mat: Matrix) -> int:
+        if not mat or not mat[0]:
+            return 0
+        a = [[Fraction(x) for x in row] for row in mat]
+        rows, cols = len(a), len(a[0])
+        rank = 0
+        r = 0
+        for jcol in range(cols):
+            pivot = next((i for i in range(r, rows) if a[i][jcol] != 0), None)
+            if pivot is None:
+                continue
+            a[r], a[pivot] = a[pivot], a[r]
+            pv = a[r][jcol]
+            a[r] = [x / pv for x in a[r]]
+            for i in range(rows):
+                if i != r and a[i][jcol] != 0:
+                    factor = a[i][jcol]
+                    a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+            r += 1
+            rank += 1
+            if r == rows:
+                break
+        return rank
+
+    return [
+        cc.n_cells(k) - frank(dense_boundary(cc, k)) - frank(dense_boundary(cc, k + 1))
+        for k in range(d_max + 1)
+    ]
 
 
 def random_flag_complex(rng: random.Random, n_vertices: int, p: float) -> FlagComplex:
@@ -60,22 +132,39 @@ def random_flag_complex(rng: random.Random, n_vertices: int, p: float) -> FlagCo
     return c.freeze()
 
 
+def determinant(a: Matrix) -> int:
+    """Exact determinant by Laplace expansion along the first row."""
+    if not a:
+        return 1
+    return sum(
+        (-1) ** j * x * determinant([row[:j] + row[j + 1 :] for row in a[1:]])
+        for j, x in enumerate(a[0])
+        if x
+    )
+
+
+def determinantal_divisor(a: Matrix, k: int) -> int:
+    """gcd of all k x k minors of ``a`` (0 when every minor vanishes)."""
+    g = 0
+    for rows in itertools.combinations(range(len(a)), k):
+        for cols in itertools.combinations(range(len(a[0])), k):
+            g = math.gcd(g, determinant([[a[i][j] for j in cols] for i in rows]))
+    return g
+
+
 def snf_postconditions(a: list[list[int]]) -> None:
-    res = smith_normal_form(a)
-    m, n = res.shape
-    assert (m, n) == (len(a), len(a[0]) if a else 0)
-    # U A V == D
-    d = mat_mul(mat_mul(res.u, a), res.v)
-    assert d == diag_matrix(res.diag, (m, n))
-    # U u_inv == I
-    assert mat_mul(res.u, res.u_inv) == identity_matrix(m)
-    # diagonal: nonnegative, divisibility chain on nonzero prefix
-    assert all(x >= 0 for x in res.diag)
-    nz = [x for x in res.diag if x != 0]
-    assert res.rank == len(nz)
-    assert all(res.diag[i] == 0 for i in range(res.rank, len(res.diag)))
+    diag = smith_normal_form(a)
+    m, n = len(a), len(a[0]) if a else 0
+    assert len(diag) == min(m, n)
+    # diagonal: nonnegative, zeros last, divisibility chain on the nonzero prefix
+    assert all(x >= 0 for x in diag)
+    nz = [x for x in diag if x != 0]
+    assert diag[len(nz) :] == [0] * (len(diag) - len(nz))
     for x, y in zip(nz, nz[1:]):
         assert y % x == 0
+    # d_1 * ... * d_k is the gcd of all k x k minors, computed independently
+    for k in range(1, len(diag) + 1):
+        assert math.prod(diag[:k]) == determinantal_divisor(a, k), k
 
 
 # -- Smith normal form ------------------------------------------------------------
@@ -83,11 +172,11 @@ def snf_postconditions(a: list[list[int]]) -> None:
 
 class TestSmithNormalForm:
     def test_frozen_small_cases(self):
-        assert smith_normal_form([[2, 0], [0, 3]]).diag == [1, 6]
-        assert smith_normal_form([[2, 4], [6, 8]]).diag == [2, 4]
-        assert smith_normal_form([[0, 0], [0, 0]]).diag == [0, 0]
-        assert smith_normal_form([[5]]).diag == [5]
-        assert smith_normal_form([[-5]]).diag == [5]
+        assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
+        assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
+        assert smith_normal_form([[0, 0], [0, 0]]) == [0, 0]
+        assert smith_normal_form([[5]]) == [5]
+        assert smith_normal_form([[-5]]) == [5]
 
     def test_postconditions_on_fixed_matrices(self):
         cases = [
@@ -134,7 +223,7 @@ class TestRankAndTorsion:
             [data.draw(st.integers(min_value=-3, max_value=3)) for _ in range(n)]
             for _ in range(m)
         ]
-        diag = smith_normal_form(a).diag
+        diag = smith_normal_form(a)
         expected = (sum(1 for x in diag if x), tuple(x for x in diag if x > 1))
         assert rank_and_torsion(dense_columns(a)) == expected
 
@@ -156,35 +245,6 @@ class TestRankAndTorsion:
         cols = [{0: 1, 1: 1}, {0: 1, 1: -1}]
         rank_and_torsion(cols)
         assert cols == [{0: 1, 1: 1}, {0: 1, 1: -1}]
-
-
-class TestKernelAndSolve:
-    def test_kernel_vectors_annihilate(self):
-        rng = random.Random(7)
-        for _ in range(30):
-            m, n = rng.randint(1, 4), rng.randint(1, 5)
-            a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-            kern = kernel_basis(a)
-            assert len(kern) == n - matrix_rank(a)
-            for vec in kern:
-                assert mat_vec(a, vec) == [0] * m
-
-    def test_solve_exact(self):
-        a = [[2, 0], [0, 3]]
-        x = solve_integer_columns(a, [[4], [9]])
-        assert x == [[2], [3]]
-        assert solve_integer_columns(a, [[1], [0]]) is None
-
-    def test_solve_random_consistency(self):
-        rng = random.Random(11)
-        for _ in range(30):
-            m, n, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
-            a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-            x_true = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)]
-            b = mat_mul(a, x_true)
-            x = solve_integer_columns(a, b)
-            assert x is not None
-            assert mat_mul(a, x) == b
 
 
 # -- chain complexes ---------------------------------------------------------------
@@ -243,8 +303,8 @@ class TestChainComplex:
             c = random_flag_complex(rng, rng.randint(2, 8), 0.5)
             cc = ChainComplex(flag_cliques(c, 4))
             for k in range(1, 5):
-                lower = cc.boundary(k - 1)
-                upper = cc.boundary(k)
+                lower = dense_boundary(cc, k - 1)
+                upper = dense_boundary(cc, k)
                 prod = mat_mul(lower, upper)
                 assert all(all(x == 0 for x in row) for row in prod)
 
@@ -332,27 +392,84 @@ class TestSuspensionShift:
 # -- generators and chain maps -------------------------------------------------------
 
 
+def octahedron_with_vertex(n: int, neighbours: list[str]) -> FlagComplex:
+    """``octahedral_sphere(n)`` plus a vertex ``x`` adjacent to ``neighbours`` only."""
+    c = copy_complex(octahedral_sphere(n))
+    c.add_vertex("x")
+    for v in neighbours:
+        c.add_edge(v, "x")
+    return c.freeze()
+
+
+def octahedron_and_projective_plane(prefix: str) -> ChainComplex:
+    """Disjoint union of the octahedron and RP^2, whose vertices are ``prefix1..prefix6``.
+
+    Reduced H_2 is Z (from the octahedron) with no torsion in dimension 2.
+    """
+    simplices = flag_cliques(octahedral_sphere(3), 2)
+    rp2 = projective_plane_complex()
+    for k, bucket in rp2.simplices.items():
+        simplices[k] = simplices.get(k, []) + [
+            tuple(v.replace("v", prefix) for v in s) for s in bucket
+        ]
+    return ChainComplex(simplices)
+
+
 class TestFreeGenerator:
     def test_circle_generator(self):
         cc = ChainComplex(flag_cliques(octahedral_sphere(2), 2))
         gen = free_generator(cc, 1)
         assert len(gen) == 4  # the full square
         assert all(abs(c) == 1 for c in gen.values())
-        vec = [gen.get(s, 0) for s in cc.simplices[1]]
-        assert mat_vec(cc.boundary(1), vec) == [0] * cc.n_cells(0)
+        assert chain_boundary(cc, 1, gen) == {}
 
     def test_sphere_generator_uses_all_facets(self):
         cc = ChainComplex(flag_cliques(octahedral_sphere(3), 3))
         gen = free_generator(cc, 2)
         assert len(gen) == 8
         assert all(abs(c) == 1 for c in gen.values())
-        vec = [gen.get(s, 0) for s in cc.simplices[2]]
-        assert mat_vec(cc.boundary(2), vec) == [0] * cc.n_cells(1)
+        assert chain_boundary(cc, 2, gen) == {}
+
+    def test_eight_pair_sphere_generator(self):
+        cc = ChainComplex(flag_cliques(octahedral_sphere(8), 8))
+        gen = free_generator(cc, 7)
+        assert len(gen) == 256 == cc.n_cells(7)
+        assert all(abs(c) == 1 for c in gen.values())
+        assert gen[cc.simplices[7][-1]] == 1
+        assert chain_boundary(cc, 7, gen) == {}
 
     def test_rejects_wrong_homology(self):
         cc = ChainComplex(flag_cliques(complete_graph(4), 3))
         with pytest.raises(InvalidConfigError):
             free_generator(cc, 1)
+
+    def test_rejects_ridge_in_three_facets(self):
+        # A fin on the edge p0-p1 keeps H_2 = Z, but that edge lies in 3 triangles.
+        cc = ChainComplex(flag_cliques(octahedron_with_vertex(3, ["p0", "p1"]), 3))
+        assert cc.profile(2).betti(2) == 1 and cc.n_cells(3) == 0
+        with pytest.raises(InvalidConfigError, match="lies in 3"):
+            free_generator(cc, 2)
+
+    def test_rejects_incoherent_orientation(self):
+        # The last triangle lies in RP^2, which admits no orientation.
+        cc = octahedron_and_projective_plane("x")
+        assert (cc.betti_reduced(2), cc.torsion(2)) == (1, ())
+        with pytest.raises(InvalidConfigError, match="no coherent orientation"):
+            free_generator(cc, 2)
+
+    def test_rejects_unreached_facets(self):
+        # The last triangle lies in the octahedron; RP^2 is never reached from it.
+        cc = octahedron_and_projective_plane("a")
+        assert (cc.betti_reduced(2), cc.torsion(2)) == (1, ())
+        with pytest.raises(InvalidConfigError, match="10 simplices of dimension 2 are not reached"):
+            free_generator(cc, 2)
+
+    def test_rejects_higher_simplices(self):
+        # A cone on the triangle p0 p1 p2 keeps H_2 = Z but adds a 3-simplex.
+        cc = ChainComplex(flag_cliques(octahedron_with_vertex(3, ["p0", "p1", "p2"]), 3))
+        assert cc.profile(2).betti(2) == 1 and cc.n_cells(3) == 1
+        with pytest.raises(InvalidConfigError, match="no simplices above dimension 2"):
+            free_generator(cc, 2)
 
 
 class TestChainMaps:
@@ -388,6 +505,14 @@ class TestCertifyHomologyRetraction:
         assert doc["composite_is_identity"] is True
         assert doc["generating_cycle"] == doc["image_cycle"]
         assert len(doc["generating_cycle"]) == 8
+
+    def test_identity_on_eight_pair_sphere(self):
+        s = octahedral_sphere(8)
+        f = VertexMap(s, s, {v: v for v in s.vertex_ids})
+        doc = certify_homology_retraction(f, s, 7)
+        assert doc["passed"] is True
+        assert len(doc["generating_cycle"]) == 256
+        assert doc["generating_cycle"][-1][1] == 1
 
     def test_rejects_non_retraction(self):
         s = octahedral_sphere(2)
