@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Tabulate arc enumeration: candidate codes, embeddable classes and time.
+
+For each (genus, arc bound k) this counts the canonical reduced codes of
+length 1..k (the candidates that ``enumerate_arcs`` tests), runs
+``enumerate_arcs``, and prints the number of embeddable classes it returns
+and the seconds it took.  The default grid is genus 1 at k = 5..8 and genus
+2 at k = 3..5; rows whose class counts are frozen in the tests are checked
+against those values.
+
+Usage:
+    python3 scripts/arc_enumeration_table.py [--genus1-max K] [--genus2-max K]
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+
+from disklab.surface import build_punctured_model, enumerate_arcs
+
+# Embeddable class counts frozen in tests/test_surface.py.
+EXPECTED = {(1, 7): 84, (1, 8): 106, (2, 3): 54, (2, 5): 449}
+
+
+def candidate_count(genus: int, k: int) -> int:
+    """Canonical reduced codes of length 1..k, up to traversal reversal.
+
+    There are ``4g * (4g - 1)^(L-1)`` reduced codes of length L.  None is its
+    own reversal (its middle entry would be 0, or its two middle entries
+    would cancel), so reversal pairs them all up.
+    """
+    letters = 4 * genus
+    return sum(letters * (letters - 1) ** (length - 1) // 2 for length in range(1, k + 1))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--genus1-max", type=int, default=8)
+    parser.add_argument("--genus2-max", type=int, default=5)
+    args = parser.parse_args(argv)
+
+    grid = [(1, k) for k in range(5, args.genus1_max + 1)]
+    grid += [(2, k) for k in range(3, args.genus2_max + 1)]
+    header = f"{'g':>2} {'k':>2} {'candidates':>10} {'embeddable':>10} {'time':>8}"
+    print(header)
+    print("-" * len(header))
+    ok = True
+    for genus, k in grid:
+        t0 = time.monotonic()
+        classes = enumerate_arcs(build_punctured_model(genus), k)
+        elapsed = time.monotonic() - t0
+        expected = EXPECTED.get((genus, k))
+        row_ok = expected is None or len(classes) == expected
+        ok = ok and row_ok
+        mark = "" if row_ok else f"   <-- expected {expected}"
+        print(f"{genus:>2} {k:>2} {candidate_count(genus, k):>10} {len(classes):>10} {elapsed:>7.3f}s{mark}")
+    print("\nall frozen counts match" if ok else "\nMISMATCH: see rows above")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

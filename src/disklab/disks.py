@@ -34,6 +34,7 @@ from .surface import (
     ArcCode,
     TubedSurface,
     arc_intersection,
+    build_punctured_model,
     build_tubed_surface,
     canonical_code,
     enumerate_arcs,
@@ -223,7 +224,8 @@ def _band_vs_disk(region: int, arc: ArcCode, d: Disk, surface: TubedSurface, bud
     return _band_vs_disk(region, arc, resolve_partner(d), surface, budget)
 
 
-def _disjoint(a: Disk, b: Disk, surface: TubedSurface, budget) -> bool:
+def disks_disjoint_unvalidated(a: Disk, b: Disk, surface: TubedSurface, budget) -> bool:
+    """:func:`disks_disjoint` for descriptors already validated on ``surface``."""
     if a.key == b.key:
         # Identical descriptors denote parallel pushed copies.
         return True
@@ -240,18 +242,18 @@ def _disjoint(a: Disk, b: Disk, surface: TubedSurface, budget) -> bool:
                 return True
             return _arcs_disjoint(a.arc, b.arc, a.region, surface, budget)
         return (
-            _disjoint(Meridian(b.base), a, surface, budget)
-            and _disjoint(resolve_partner(b), a, surface, budget)
+            disks_disjoint_unvalidated(Meridian(b.base), a, surface, budget)
+            and disks_disjoint_unvalidated(resolve_partner(b), a, surface, budget)
             and _band_vs_disk(b.base, b.band, a, surface, budget)
         )
     # Both band sums.  Bases are parallel pushed copies of meridians and stay
     # disjoint from each other even when the index coincides (nesting).
     pa, pb = resolve_partner(a), resolve_partner(b)
-    if not _disjoint(Meridian(a.base), pb, surface, budget):
+    if not disks_disjoint_unvalidated(Meridian(a.base), pb, surface, budget):
         return False
-    if not _disjoint(Meridian(b.base), pa, surface, budget):
+    if not disks_disjoint_unvalidated(Meridian(b.base), pa, surface, budget):
         return False
-    if not _disjoint(pa, pb, surface, budget):
+    if not disks_disjoint_unvalidated(pa, pb, surface, budget):
         return False
     if not _band_vs_disk(a.base, a.band, pb, surface, budget):
         return False
@@ -266,7 +268,7 @@ def disks_disjoint(a: Disk, b: Disk, surface: TubedSurface, budget=DEFAULT_MERGE
     """``True`` iff the calculus certifies disjoint representatives of a and b."""
     validate_disk(a, surface)
     validate_disk(b, surface)
-    return _disjoint(a, b, surface, budget)
+    return disks_disjoint_unvalidated(a, b, surface, budget)
 
 
 # -- classification and projection ----------------------------------------------
@@ -291,7 +293,7 @@ def classify_type(d: Disk, surface: TubedSurface, budget=DEFAULT_MERGE_BUDGET) -
         return "T1"
     if disk_side(d) == surface.w_side:
         return "T2"
-    if _disjoint(d, e, surface, budget):
+    if disks_disjoint_unvalidated(d, e, surface, budget):
         return "T4"
     return "T3"
 
@@ -299,7 +301,7 @@ def classify_type(d: Disk, surface: TubedSurface, budget=DEFAULT_MERGE_BUDGET) -
 def meets_distinguished(d: Disk, surface: TubedSurface, budget=DEFAULT_MERGE_BUDGET) -> bool:
     """Whether the disk's footprint forces intersection with the top meridian."""
     validate_disk(d, surface)
-    return not _disjoint(d, distinguished_disk(surface), surface, budget)
+    return not disks_disjoint_unvalidated(d, distinguished_disk(surface), surface, budget)
 
 
 def project_disk(d: Disk, surface: TubedSurface, budget=DEFAULT_MERGE_BUDGET) -> Disk:
@@ -409,10 +411,13 @@ def build_disk_catalog(surface: TubedSurface, config: CatalogConfig) -> DiskCata
     self-band-sum as a partner.
     """
     m = surface.tubes
-    arc_classes = {
-        r: tuple(enumerate_arcs(surface.region_model(r), config.arc_bound, max_classes=config.max_arc_classes))
-        for r in range(1, m + 1)
-    }
+    # Feet never enter the arc search, so every region shares one enumeration.
+    arcs = tuple(
+        enumerate_arcs(
+            build_punctured_model(surface.genus_base), config.arc_bound, max_classes=config.max_arc_classes
+        )
+    )
+    arc_classes = {r: arcs for r in range(1, m + 1)}
     disks = [Meridian(i) for i in range(1, m + 1)]
     for r in range(1, m + 1):
         for arc in arc_classes[r][: config.max_vd_arcs_per_region]:

@@ -173,18 +173,6 @@ def _cap_check(bucket: list, dim: int, max_per_dim: int | None) -> None:
         )
 
 
-def top_dimension(c: FlagComplex, max_per_dim: int | None = DEFAULT_MAX_SIMPLICES) -> int:
-    """Dimension of the largest clique (-1 for the empty complex)."""
-    if c.vertex_count() == 0:
-        return -1
-    d = 0
-    while True:
-        cliques = flag_cliques(c, d + 1, max_per_dim)
-        if not cliques[d + 1]:
-            return d
-        d += 1
-
-
 # -- constructions ----------------------------------------------------------
 
 

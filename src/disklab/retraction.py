@@ -46,6 +46,7 @@ from .disks import (
     disk_side,
     disk_to_json_obj,
     disks_disjoint,
+    disks_disjoint_unvalidated,
     meets_distinguished,
     project_disk,
     resolve_partner,
@@ -153,7 +154,7 @@ def build_suspension_sphere(surface: TubedSurface, catalog: DiskCatalog) -> Susp
             if cand.region != region:
                 continue
             if all(
-                disks_disjoint(cand, Meridian(j + 1), surface, budget)
+                disks_disjoint_unvalidated(cand, Meridian(j + 1), surface, budget)
                 for j in range(m)
                 if j != i
             ):
@@ -414,7 +415,7 @@ def verify_claim_cases(engine: RetractionEngine, disjoint_pairs=None) -> dict:
         disjoint_pairs = [
             (a, b)
             for a, b in combinations(catalog.disks, 2)
-            if disks_disjoint(a, b, surface, engine.budget)
+            if disks_disjoint_unvalidated(a, b, surface, engine.budget)
         ]
     per_case = Counter()
     violations = []
@@ -514,7 +515,7 @@ def certify_minimality(
     disjoint_pairs = [
         (a, b)
         for a, b in combinations(catalog.disks, 2)
-        if disks_disjoint(a, b, surface, config.merge_budget)
+        if disks_disjoint_unvalidated(a, b, surface, config.merge_budget)
     ]
 
     if first_violation is None:

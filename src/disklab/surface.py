@@ -12,10 +12,21 @@ side ``(p, -)`` at parameter 1-t, so the minus side lists its slots in the
 reverse of the plus-side order.
 
 An arc class is a reduced code: a tuple of signed crossings, entry ``x``
-crossing pair ``|x|-1`` arriving on the sign(x) side.  Crossing numbers are
-computed by exhaustive search over drawings: endpoint orderings at the
-station, slot orderings on each side (one order chosen on the plus side,
-mirrored on the minus side), and chord interleaving counts.
+crossing pair ``|x|-1`` arriving on the sign(x) side.  A drawing chooses
+endpoint orderings at the station and slot orderings on each side (one order
+chosen on the plus side, mirrored on the minus side); two chords cross when
+their endpoints interleave.
+
+Embedded drawings of one arc are found by a pruned but still exhaustive
+backtracking search.  It fixes the slot order of one pair per level, then
+the station order.  Points on different sides (or the station) are already
+ordered by the side word, so each pair of chords has a first level at which
+the cyclic order of its four endpoints is fixed; only those pairs are checked
+there, and a branch is cut as soon as one of them interleaves.  This is
+exact: the crossing found persists whatever later levels choose, so a cut
+subtree contains no zero-crossing drawing, and the drawings that remain come
+out in the order of the full product search.  Crossing numbers between two
+arcs are minimized over merges of their embedded drawings.
 """
 
 from __future__ import annotations
@@ -199,6 +210,87 @@ def _crossings(
     return count
 
 
+def _embedded_drawings(genus: int, code: ArcCode):
+    """Yield every drawing of a single arc with zero self-crossings, in order.
+
+    Level ``i`` ranks the slot tokens of the ``i``-th crossed pair (plus-side
+    order, pairs increasing); the last level ranks the two endpoint tokens at
+    the station.  Each level tries its orders in ``permutations`` order, so
+    the drawings come out as a product search over all levels would list
+    them.  Boundary points are ``(block, token, reversed)``: block 0 is the
+    station, block ``i + 1`` is side ``i``, and a minus side lists its slots
+    in reverse rank order.  Chords ``(a, b)`` and ``(c, d)`` interleave when
+    an odd number of ``a<c, b<c, a<d, b<d`` hold; comparisons across blocks
+    are constant, so each chord pair is checked at the level that ranks its
+    last same-block tokens.
+    """
+    validate_code(code, genus)
+    entries = _entries(code)
+    n = len(entries)
+    sidx = _side_index(genus)
+    # Tokens 0..n-1 are the crossings' slots; n and n + 1 are the endpoints.
+    groups: dict[int, list[int]] = {}
+    for idx, (p, _s) in enumerate(entries):
+        groups.setdefault(p, []).append(idx)
+    pair_ids = sorted(groups)
+    level_tokens = [groups[p] for p in pair_ids] + [[n, n + 1]]
+    level_of = {t: lvl for lvl, tokens in enumerate(level_tokens, 1) for t in tokens}
+
+    chords = []
+    prev = (0, n, False)
+    for idx, (p, s) in enumerate(entries):
+        chords.append((prev, (sidx[(p, s)] + 1, idx, s < 0)))
+        prev = (sidx[(p, -s)] + 1, idx, s > 0)
+    chords.append((prev, (0, n + 1, False)))
+
+    # checks[lvl]: (constant parity, rank comparisons (x, y) meaning x < y).
+    checks: list[list[tuple[bool, tuple[tuple[int, int], ...]]]] = [
+        [] for _ in range(len(level_tokens) + 1)
+    ]
+    for (a, b), (c, d) in combinations(chords, 2):
+        parity = False
+        compares = []
+        level = 0
+        for u, v in ((a, c), (b, c), (a, d), (b, d)):
+            if u[0] != v[0]:
+                parity ^= u[0] < v[0]
+            else:
+                compares.append((v[1], u[1]) if u[2] else (u[1], v[1]))
+                level = max(level, level_of[u[1]])
+        if compares:
+            checks[level].append((parity, tuple(compares)))
+        elif parity:
+            return  # the side word alone forces this crossing
+
+    rank = [0] * (n + 2)
+    chosen: list[tuple[int, ...]] = []
+
+    def search(lvl: int):
+        if lvl == len(level_tokens):
+            orders = dict(zip(pair_ids, chosen))
+            yield (
+                tuple((0, t - n) for t in chosen[-1]),
+                tuple(tuple((0, t) for t in orders.get(p, ())) for p in range(2 * genus)),
+            )
+            return
+        due = checks[lvl + 1]
+        for perm in permutations(level_tokens[lvl]):
+            for r, t in enumerate(perm):
+                rank[t] = r
+            for parity, compares in due:
+                for x, y in compares:
+                    if rank[x] < rank[y]:
+                        parity = not parity
+                if parity:
+                    break
+            else:
+                chosen.append(perm)
+                yield from search(lvl + 1)
+                chosen.pop()
+
+    yield from search(0)
+
+
 @lru_cache(maxsize=None)
 def solo_drawings(
     genus: int, code: ArcCode
@@ -208,37 +300,16 @@ def solo_drawings(
     Each drawing is (station_order, per_pair_orders) where per_pair_orders
     lists, for pair p in 0..2g-1, the plus-side slot order of this arc's
     pair-p crossings.  An empty result means the code admits no embedded
-    representative.
+    representative.  Drawings come in a fixed order (see
+    :func:`_embedded_drawings`), which a budgeted :func:`arc_intersection`
+    depends on.
     """
-    validate_code(code, genus)
-    entries = _entries(code)
-    by_pair: dict[int, list[tuple[int, int]]] = {}
-    for idx, (p, _s) in enumerate(entries):
-        by_pair.setdefault(p, []).append((0, idx))
-    chords = _chord_endpoints(genus, {0: code})[0]
-    out = []
-    endpoint_orders = [((0, 0), (0, 1)), ((0, 1), (0, 0))]
-    pair_ids = sorted(by_pair)
-    pair_perm_lists = [list(permutations(by_pair[p])) for p in pair_ids]
-
-    def rec(i: int, chosen: dict[int, tuple]) -> None:
-        if i == len(pair_ids):
-            for st in endpoint_orders:
-                pos = _positions(genus, st, chosen)
-                if _crossings(pos, chords, chords, stop_at=1) == 0:
-                    out.append((st, tuple(chosen.get(p, ()) for p in range(2 * genus))))
-            return
-        for perm in pair_perm_lists[i]:
-            chosen[pair_ids[i]] = perm
-            rec(i + 1, chosen)
-        del chosen[pair_ids[i]]
-
-    rec(0, {})
-    return tuple(out)
+    return tuple(_embedded_drawings(genus, code))
 
 
 def is_embeddable(genus: int, code: ArcCode) -> bool:
-    return bool(solo_drawings(genus, canonical_code(code)))
+    """Whether the code admits an embedded drawing; stops at the first one."""
+    return next(_embedded_drawings(genus, canonical_code(code)), None) is not None
 
 
 def _shuffles(xs: tuple, ys: tuple):
@@ -344,11 +415,6 @@ def arc_intersection(
     assert best is not None
     _PAIR_CACHE[key] = best
     return best
-
-
-def min_crossings_exact(genus: int, a: ArcCode, b: ArcCode) -> int:
-    """Exhaustive (budget-free) minimum; intended for small test codes."""
-    return arc_intersection(a, b, build_punctured_model(genus), budget=None)
 
 
 # -- arc enumeration ----------------------------------------------------------
@@ -542,44 +608,3 @@ def surface_from_json_obj(obj, source: str = "surface") -> TubedSurface:
         if got != expect:
             raise MalformedFileError(loc, f"inconsistent region data; expected {expect}")
     return built
-
-
-def arcs_to_json_obj(genus: int, k: int, arcs: list[ArcCode]) -> dict:
-    return {
-        "kind": "arc_catalog",
-        "genus": genus,
-        "arc_bound": k,
-        "classes": [list(code) for code in arcs],
-    }
-
-
-def arcs_from_json_obj(obj, source: str = "arcs") -> tuple[int, int, list[ArcCode]]:
-    if not isinstance(obj, dict):
-        raise MalformedFileError(source, "expected an object")
-    if obj.get("kind") != "arc_catalog":
-        raise MalformedFileError(f"{source}.kind", "expected 'arc_catalog'")
-    genus = obj.get("genus")
-    k = obj.get("arc_bound")
-    if not isinstance(genus, int) or genus < 1:
-        raise MalformedFileError(f"{source}.genus", "expected an int >= 1")
-    if not isinstance(k, int) or k < 0:
-        raise MalformedFileError(f"{source}.arc_bound", "expected an int >= 0")
-    raw = obj.get("classes")
-    if not isinstance(raw, list):
-        raise MalformedFileError(f"{source}.classes", "expected a list")
-    out: list[ArcCode] = []
-    for i, entry in enumerate(raw):
-        loc = f"{source}.classes[{i}]"
-        if not isinstance(entry, list) or not all(isinstance(x, int) for x in entry):
-            raise MalformedFileError(loc, "expected a list of ints")
-        code = tuple(entry)
-        try:
-            validate_code(code, genus)
-        except InvalidConfigError as exc:
-            raise MalformedFileError(loc, str(exc)) from exc
-        if canonical_code(code) != code:
-            raise MalformedFileError(loc, f"code {code!r} is not canonical")
-        out.append(code)
-    if out != sorted(out, key=lambda c: (len(c), c)):
-        raise MalformedFileError(f"{source}.classes", "classes are not in catalog order")
-    return genus, k, out

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from disklab import disks
 from disklab.disks import (
     SELF_PARTNER,
     BandSum,
@@ -332,6 +333,22 @@ def test_catalog_arc_classes_full_enumeration(cat2):
     # the catalog caps vertical disks at 6 per region but keeps all 13 classes
     assert len(cat2.arc_classes[1]) == 13
     assert len([d for d in cat2.vertical_disks() if d.region == 1]) == 6
+
+
+def test_catalog_enumerates_arcs_once(monkeypatch, f3):
+    # Feet never enter the arc search, so all regions share one enumeration.
+    calls = []
+    enumerate_arcs = disks.enumerate_arcs
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_arcs(*args, **kwargs)
+
+    monkeypatch.setattr(disks, "enumerate_arcs", counting)
+    catalog = build_disk_catalog(f3, CatalogConfig(arc_bound=3))
+    assert len(calls) == 1
+    assert catalog.arc_classes[1] == catalog.arc_classes[2] == catalog.arc_classes[3]
+    assert len(catalog.arc_classes[2]) == 13
 
 
 def test_catalog_deterministic(f2):

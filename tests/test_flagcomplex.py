@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from disklab.errors import InvalidConfigError, MalformedFileError, ResourceCapError
 from disklab.flagcomplex import (
+    DEFAULT_MAX_SIMPLICES,
     FlagComplex,
     VertexMap,
     canonical_json,
@@ -25,7 +26,6 @@ from disklab.flagcomplex import (
     map_to_json_obj,
     octahedral_sphere,
     suspend,
-    top_dimension,
 )
 
 
@@ -43,6 +43,18 @@ def brute_force_cliques(c: FlagComplex, d: int) -> dict[int, list[tuple[str, ...
                 found.append(tuple(combo))
         out[k] = sorted(found)
     return out
+
+
+def top_dimension(c: FlagComplex, max_per_dim: int | None = DEFAULT_MAX_SIMPLICES) -> int:
+    """Dimension of the largest clique (-1 for the empty complex)."""
+    if c.vertex_count() == 0:
+        return -1
+    d = 0
+    while True:
+        cliques = flag_cliques(c, d + 1, max_per_dim)
+        if not cliques[d + 1]:
+            return d
+        d += 1
 
 
 def random_flag_complex(rng: random.Random, n_vertices: int, p: float) -> FlagComplex:

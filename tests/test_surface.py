@@ -13,19 +13,22 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from disklab import surface
 from disklab.errors import InvalidConfigError, MalformedFileError, ResourceCapError
 from disklab.surface import (
     SIDE_A,
     SIDE_B,
+    ArcCode,
+    _chord_endpoints,
+    _crossings,
+    _entries,
+    _positions,
     arc_intersection,
-    arcs_from_json_obj,
-    arcs_to_json_obj,
     build_punctured_model,
     build_tubed_surface,
     canonical_code,
     enumerate_arcs,
     is_embeddable,
-    min_crossings_exact,
     opposite_side,
     reverse_code,
     side_word,
@@ -35,6 +38,100 @@ from disklab.surface import (
     tube_side,
     validate_code,
 )
+
+
+# -- test-only helpers --------------------------------------------------------
+
+
+def exhaustive_solo_drawings(genus: int, code: ArcCode) -> tuple:
+    """Reference for ``solo_drawings``: every combination of orders, then a check.
+
+    Tries every plus-side slot order of every crossed pair (pairs in
+    increasing order, each in ``permutations`` order) and both station orders,
+    and keeps the drawings with zero self-crossings.  No pruning.
+    """
+    validate_code(code, genus)
+    entries = _entries(code)
+    by_pair: dict[int, list[tuple[int, int]]] = {}
+    for idx, (p, _s) in enumerate(entries):
+        by_pair.setdefault(p, []).append((0, idx))
+    chords = _chord_endpoints(genus, {0: code})[0]
+    out = []
+    endpoint_orders = [((0, 0), (0, 1)), ((0, 1), (0, 0))]
+    pair_ids = sorted(by_pair)
+    pair_perm_lists = [list(itertools.permutations(by_pair[p])) for p in pair_ids]
+
+    def rec(i: int, chosen: dict[int, tuple]) -> None:
+        if i == len(pair_ids):
+            for station in endpoint_orders:
+                pos = _positions(genus, station, chosen)
+                if _crossings(pos, chords, chords, stop_at=1) == 0:
+                    out.append((station, tuple(chosen.get(p, ()) for p in range(2 * genus))))
+            return
+        for perm in pair_perm_lists[i]:
+            chosen[pair_ids[i]] = perm
+            rec(i + 1, chosen)
+        del chosen[pair_ids[i]]
+
+    rec(0, {})
+    return tuple(out)
+
+
+def canonical_reduced_codes(genus: int, k: int) -> list[ArcCode]:
+    """Every canonical reduced code of length 1..k, in catalog order."""
+    letters = [x for x in range(-2 * genus, 2 * genus + 1) if x != 0]
+    codes = set()
+    for length in range(1, k + 1):
+        for code in itertools.product(letters, repeat=length):
+            if all(a != -b for a, b in zip(code, code[1:])):
+                codes.add(canonical_code(code))
+    return sorted(codes, key=lambda c: (len(c), c))
+
+
+def min_crossings_exact(genus: int, a: ArcCode, b: ArcCode) -> int:
+    """Exhaustive (budget-free) minimum; intended for small test codes."""
+    return arc_intersection(a, b, build_punctured_model(genus), budget=None)
+
+
+def arcs_to_json_obj(genus: int, k: int, arcs: list[ArcCode]) -> dict:
+    return {
+        "kind": "arc_catalog",
+        "genus": genus,
+        "arc_bound": k,
+        "classes": [list(code) for code in arcs],
+    }
+
+
+def arcs_from_json_obj(obj, source: str = "arcs") -> tuple[int, int, list[ArcCode]]:
+    if not isinstance(obj, dict):
+        raise MalformedFileError(source, "expected an object")
+    if obj.get("kind") != "arc_catalog":
+        raise MalformedFileError(f"{source}.kind", "expected 'arc_catalog'")
+    genus = obj.get("genus")
+    k = obj.get("arc_bound")
+    if not isinstance(genus, int) or genus < 1:
+        raise MalformedFileError(f"{source}.genus", "expected an int >= 1")
+    if not isinstance(k, int) or k < 0:
+        raise MalformedFileError(f"{source}.arc_bound", "expected an int >= 0")
+    raw = obj.get("classes")
+    if not isinstance(raw, list):
+        raise MalformedFileError(f"{source}.classes", "expected a list")
+    out: list[ArcCode] = []
+    for i, entry in enumerate(raw):
+        loc = f"{source}.classes[{i}]"
+        if not isinstance(entry, list) or not all(isinstance(x, int) for x in entry):
+            raise MalformedFileError(loc, "expected a list of ints")
+        code = tuple(entry)
+        try:
+            validate_code(code, genus)
+        except InvalidConfigError as exc:
+            raise MalformedFileError(loc, str(exc)) from exc
+        if canonical_code(code) != code:
+            raise MalformedFileError(loc, f"code {code!r} is not canonical")
+        out.append(code)
+    if out != sorted(out, key=lambda c: (len(c), c)):
+        raise MalformedFileError(f"{source}.classes", "classes are not in catalog order")
+    return genus, k, out
 
 
 # -- punctured model ----------------------------------------------------------
@@ -130,6 +227,11 @@ def test_enumerate_monotone_and_canonical():
     assert k3 == sorted(k3, key=lambda c: (len(c), c))
 
 
+@pytest.mark.parametrize("genus, k, count", [(1, 7, 84), (2, 5, 449), (1, 8, 106)])
+def test_enumerate_embeddable_counts(genus, k, count):
+    assert len(enumerate_arcs(build_punctured_model(genus), k)) == count
+
+
 def test_enumerate_resource_cap():
     with pytest.raises(ResourceCapError) as exc:
         enumerate_arcs(build_punctured_model(2), 4, max_classes=10)
@@ -163,6 +265,41 @@ def test_embeddability_frozen(code, expected):
 def test_solo_drawings_nonempty_for_embeddable():
     assert solo_drawings(1, (-2, -1))
     assert solo_drawings(1, (1, 1)) == ()
+
+
+@pytest.mark.parametrize("code", [(3,), (1, -1), (), (0,)])
+def test_drawing_search_rejects_invalid_codes(code):
+    with pytest.raises(InvalidConfigError):
+        is_embeddable(1, code)
+    with pytest.raises(InvalidConfigError):
+        solo_drawings(1, code)
+
+
+@pytest.mark.parametrize("genus, k", [(1, 6), (2, 4)])
+def test_solo_drawings_match_exhaustive_oracle(genus, k):
+    # Same drawings in the same order: a budgeted arc_intersection returns
+    # the smallest count among the drawings it reaches first.
+    for code in canonical_reduced_codes(genus, k):
+        assert solo_drawings(genus, code) == exhaustive_solo_drawings(genus, code), code
+
+
+@pytest.mark.parametrize(
+    "code, rejected_early",
+    [((-1, -2), True), ((-1, -2, -1), True), ((1, 1), False)],
+    ids=["(-1,-2)", "(-1,-2,-1)", "(1,1)"],
+)
+def test_side_word_alone_rejects_some_codes(monkeypatch, code, rejected_early):
+    # A crossing between chords whose endpoints lie on different sides is
+    # fixed before any slot order is chosen.
+    tried = []
+
+    def recording_permutations(tokens):
+        tried.append(tuple(tokens))
+        return itertools.permutations(tokens)
+
+    monkeypatch.setattr(surface, "permutations", recording_permutations)
+    assert not is_embeddable(1, code)
+    assert (tried == []) is rejected_early
 
 
 # -- intersection numbers (frozen oracle table) ---------------------------------
