@@ -35,7 +35,7 @@ from .flagcomplex import (
     write_text_file,
 )
 from .homology import reduced_homology
-from .retraction import certify_minimality, render_report
+from .retraction import certify_catalog, certify_minimality, render_report
 from .surface import build_tubed_surface, surface_to_json_obj
 
 EXIT_OK = 0
@@ -169,16 +169,12 @@ def cmd_certify(args) -> int:
         disks_path = os.path.join(args.from_build, "disks.json")
         obj = read_json_file(disks_path)
         catalog = catalog_from_json_obj(obj, source=disks_path)
-        genus = catalog.surface.genus_base
-        n = catalog.surface.tubes - 1
-        config = catalog.config
+        certificate = certify_catalog(catalog, max_simplices=args.max_simplices)
     else:
         if args.genus is None or args.tubes is None:
             raise InvalidConfigError("certify needs --genus and --tubes (or --from-build)")
-        genus = args.genus
-        n = args.tubes
         config = CatalogConfig(arc_bound=args.arc_bound, bandsum_depth=args.bandsum_depth)
-    certificate = certify_minimality(genus, n, config, max_simplices=args.max_simplices)
+        certificate = certify_minimality(args.genus, args.tubes, config, max_simplices=args.max_simplices)
     _write(args.out, "certificate.json", canonical_json(certificate))
     _write(args.out, "report.txt", render_report(certificate))
     if certificate["passed"]:

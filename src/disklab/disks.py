@@ -20,6 +20,17 @@ strata (distinct regions, bands versus meridians, parallel pushed copies)
 separate everything else.  ``disks_disjoint`` returns ``True`` only when
 this calculus certifies disjoint representatives; a ``True`` is therefore
 a proof of disjointness while a ``False`` may be conservative.
+
+Footprint rule: two disks whose tube footprints (``disk_tubes``) and region
+footprints (``disk_regions``) are both disjoint are disjoint.  Every branch
+of the calculus returns ``True`` on such a pair, since each meridian,
+vertical arc and band it compares lies in a tube or region of one
+footprint only.  A disk's region footprint lies inside its tube footprint,
+so disjoint tube footprints already suffice; pair scans use this to skip
+the calculus on most pairs.
+
+Each descriptor computes its ``key`` once, when it is built; the key takes
+no part in equality or hashing.
 """
 
 from __future__ import annotations
@@ -64,14 +75,12 @@ class Meridian:
     """Meridian disk of solid tube ``index``."""
 
     index: int
+    key: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.index, int) or self.index < 1:
             raise InvalidConfigError(f"meridian index must be a positive integer, got {self.index!r}")
-
-    @property
-    def key(self) -> str:
-        return f"M({self.index})"
+        object.__setattr__(self, "key", f"M({self.index})")
 
 
 @dataclass(frozen=True)
@@ -80,15 +89,13 @@ class VerticalDisk:
 
     region: int
     arc: ArcCode
+    key: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.region, int) or self.region < 1:
             raise InvalidConfigError(f"region index must be a positive integer, got {self.region!r}")
         object.__setattr__(self, "arc", _clean_arc(self.arc))
-
-    @property
-    def key(self) -> str:
-        return f"V({self.region};{','.join(map(str, self.arc))})"
+        object.__setattr__(self, "key", f"V({self.region};{','.join(map(str, self.arc))})")
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,7 @@ class BandSum:
     partner: Union[str, "Disk"]
     band: ArcCode
     copies: int
+    key: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.base, int) or self.base < 1:
@@ -110,11 +118,9 @@ class BandSum:
                 f"band-sum partner must be {SELF_PARTNER!r} or a disk descriptor, got {self.partner!r}"
             )
         object.__setattr__(self, "band", _clean_arc(self.band))
-
-    @property
-    def key(self) -> str:
         partner_key = SELF_PARTNER if self.partner == SELF_PARTNER else self.partner.key
-        return f"B({self.base};{partner_key};{','.join(map(str, self.band))};{self.copies})"
+        band = ",".join(map(str, self.band))
+        object.__setattr__(self, "key", f"B({self.base};{partner_key};{band};{self.copies})")
 
 
 Disk = Union[Meridian, VerticalDisk, BandSum]
@@ -224,34 +230,40 @@ def _band_vs_disk(region: int, arc: ArcCode, d: Disk, surface: TubedSurface, bud
     return _band_vs_disk(region, arc, resolve_partner(d), surface, budget)
 
 
+def _meridian_misses(index: int, d: Disk) -> bool:
+    # The calculus on (Meridian(index), d), without building the meridian: a
+    # meridian misses every other meridian and every disk off its tube.
+    return isinstance(d, Meridian) or index not in disk_tubes(d)
+
+
+_VARIANT_RANK = {Meridian: 0, VerticalDisk: 1, BandSum: 2}
+
+
 def disks_disjoint_unvalidated(a: Disk, b: Disk, surface: TubedSurface, budget) -> bool:
     """:func:`disks_disjoint` for descriptors already validated on ``surface``."""
     if a.key == b.key:
         # Identical descriptors denote parallel pushed copies.
         return True
-    rank = {"meridian": 0, "vertical": 1, "bandsum": 2}
-    if rank[disk_variant(a)] > rank[disk_variant(b)]:
+    if _VARIANT_RANK[type(a)] > _VARIANT_RANK[type(b)]:
         a, b = b, a
     if isinstance(a, Meridian):
-        if isinstance(b, Meridian):
-            return True
-        return a.index not in disk_tubes(b)
+        return _meridian_misses(a.index, b)
     if isinstance(a, VerticalDisk):
         if isinstance(b, VerticalDisk):
             if a.region != b.region:
                 return True
             return _arcs_disjoint(a.arc, b.arc, a.region, surface, budget)
         return (
-            disks_disjoint_unvalidated(Meridian(b.base), a, surface, budget)
+            _meridian_misses(b.base, a)
             and disks_disjoint_unvalidated(resolve_partner(b), a, surface, budget)
             and _band_vs_disk(b.base, b.band, a, surface, budget)
         )
     # Both band sums.  Bases are parallel pushed copies of meridians and stay
     # disjoint from each other even when the index coincides (nesting).
     pa, pb = resolve_partner(a), resolve_partner(b)
-    if not disks_disjoint_unvalidated(Meridian(a.base), pb, surface, budget):
+    if not _meridian_misses(a.base, pb):
         return False
-    if not disks_disjoint_unvalidated(Meridian(b.base), pa, surface, budget):
+    if not _meridian_misses(b.base, pa):
         return False
     if not disks_disjoint_unvalidated(pa, pb, surface, budget):
         return False

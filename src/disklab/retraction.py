@@ -22,21 +22,26 @@ over tube count:
   outermost arcs must agree on the result; a disagreement raises
   :class:`WellDefinednessError` rather than being resolved silently.
 
-``certify_minimality`` runs the full pipeline and emits a machine-checkable
-certificate: sphere invariants, per-disk images, well-definedness statistics,
-the simplicial/retraction check on the cataloged complex, and an exact
-homology certificate that the composite fixes a generating ``n``-cycle.
+``certify_catalog`` runs the full pipeline on a catalog and emits a
+machine-checkable certificate: sphere invariants, per-disk images,
+well-definedness statistics, the claim tally, the simplicial/retraction check
+on the cataloged complex, and an exact homology certificate that the
+composite fixes a generating ``n``-cycle; ``certify_minimality`` builds the
+catalog first.  Each catalog disk gets one record (top-level type, image,
+side, tube footprint), and a single pass over pairs of records yields the
+certified-disjoint pairs, the claim tally and the V/W witness.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from typing import NamedTuple, Optional
 
 from .disks import (
     BandSum,
     CatalogConfig,
+    Disk,
     DiskCatalog,
     Meridian,
     VerticalDisk,
@@ -45,6 +50,7 @@ from .disks import (
     config_to_json_obj,
     disk_side,
     disk_to_json_obj,
+    disk_tubes,
     disks_disjoint,
     disks_disjoint_unvalidated,
     meets_distinguished,
@@ -301,6 +307,7 @@ class RetractionEngine:
             for level in range(1, surface.tubes + 1)
         }
         self._images: dict = {}
+        self._branches: dict = {}
         self._types: dict = {}
         self._surgeries: dict = {}
 
@@ -313,6 +320,16 @@ class RetractionEngine:
 
     def image_key(self, d) -> str:
         return self.sphere.key_for(self.image(d))
+
+    def branch(self, d) -> str:
+        """Which rule gave the disk its top-level image, once :meth:`image` has run.
+
+        One of ``top_meridian`` (sent to the top ``E``), ``top_vertical`` (sent
+        to the top ``D``), ``surgered`` or ``projected``.  On the one-tube base
+        surface, disks on the tube's side count as top meridian and the others
+        as top vertical.
+        """
+        return self._branches[(self.surface.tubes, d.key)]
 
     def type_at(self, d, level: int) -> str:
         key = (level, d.key)
@@ -336,20 +353,22 @@ class RetractionEngine:
             # side compress the same handlebody as the meridian; the others
             # compress the opposite one.
             if disk_side(d) == tube_side(1):
-                vertex = SphereVertex(0, "E")
+                vertex, branch = SphereVertex(0, "E"), "top_meridian"
             else:
-                vertex = SphereVertex(0, "D")
+                vertex, branch = SphereVertex(0, "D"), "top_vertical"
         else:
             t = self.type_at(d, level)
             if t == "T1":
-                vertex = SphereVertex(level - 1, "E")
+                vertex, branch = SphereVertex(level - 1, "E"), "top_meridian"
             elif t == "T3":
-                vertex = SphereVertex(level - 1, "D")
+                vertex, branch = SphereVertex(level - 1, "D"), "top_vertical"
             elif t == "T2" and meets_distinguished(d, surface, self.budget):
-                vertex = self._surgery_image(d, level)
+                vertex, branch = self._surgery_image(d, level), "surgered"
             else:
-                vertex = self._image(project_disk(d, surface, self.budget), level - 1)
+                projected = project_disk(d, surface, self.budget)
+                vertex, branch = self._image(projected, level - 1), "projected"
         self._images[memo_key] = vertex
+        self._branches[memo_key] = branch
         return vertex
 
     def _surgery_image(self, d, level: int) -> SphereVertex:
@@ -400,7 +419,87 @@ CASE_OF_TYPES = {
 }
 
 
-def verify_claim_cases(engine: RetractionEngine, disjoint_pairs=None) -> dict:
+class _DiskRecord(NamedTuple):
+    """What the pair scan needs of one catalog disk, computed once per disk."""
+
+    disk: Disk
+    type: str  # at the top level
+    image: Optional[SphereVertex]  # None when the retraction stopped before this disk
+    side: str
+    tubes: int  # tube footprint as a bit mask; it contains the region footprint
+
+
+def _disk_records(engine: RetractionEngine, images: dict) -> list:
+    m = engine.surface.tubes
+    return [
+        _DiskRecord(
+            d,
+            engine.type_at(d, m),
+            images.get(d.key),
+            disk_side(d),
+            sum(1 << t for t in disk_tubes(d)),
+        )
+        for d in engine.catalog.disks
+    ]
+
+
+_CASE_OF_ORDERED_TYPES = {
+    **CASE_OF_TYPES,
+    **{(tb, ta): case for (ta, tb), case in CASE_OF_TYPES.items()},
+}
+
+
+def _scan_pairs(records: list, surface: TubedSurface, budget, tally: bool):
+    """One pass over all catalog pairs: (disjoint pairs, claim tally, V/W witness).
+
+    Pairs with disjoint tube footprints are disjoint by the footprint rule
+    (see :mod:`disklab.disks`); only the others reach the calculus.  The claim
+    tally needs every image and is ``None`` when ``tally`` is false.  The
+    witness is the first disjoint pair with one disk on each side, as
+    ``(v_disk, w_disk)``.
+    """
+    pairs = []
+    per_case = Counter()
+    violations = []
+    witness = None
+    for i, (a, ta, xa, sa, fa) in enumerate(records):
+        for b, tb, xb, sb, fb in records[i + 1 :]:
+            if fa & fb and not disks_disjoint_unvalidated(a, b, surface, budget):
+                continue
+            pairs.append((a, b))
+            if witness is None and sa != sb:
+                witness = (a, b) if sa == surface.v_side else (b, a)
+            if not tally:
+                continue
+            case = _CASE_OF_ORDERED_TYPES.get((ta, tb))
+            if case is None:
+                lo, hi = sorted((ta, tb))
+                raise InvalidConfigError(
+                    f"disks {a.key} (type {lo}) and {b.key} (type {hi}) are certified disjoint, "
+                    "which contradicts the type definitions"
+                )
+            per_case[case] += 1
+            if xa.pair_index == xb.pair_index and xa.letter != xb.letter:
+                violations.append(
+                    {
+                        "case": case,
+                        "disks": [a.key, b.key],
+                        "types": sorted((ta, tb)),
+                        "images": [xa.name, xb.name],
+                    }
+                )
+    claims = None
+    if tally:
+        claims = {
+            "pairs_checked": len(pairs),
+            "per_case": {str(c): per_case.get(c, 0) for c in range(1, 7)},
+            "violations": violations,
+            "passed": not violations,
+        }
+    return pairs, claims, witness
+
+
+def verify_claim_cases(engine: RetractionEngine) -> dict:
     """Check every certified-disjoint catalog pair maps to equal or adjacent vertices.
 
     Images violate the octahedron only when they form an antipodal pair: same
@@ -408,43 +507,9 @@ def verify_claim_cases(engine: RetractionEngine, disjoint_pairs=None) -> dict:
     disk types; a disjoint pair involving the top meridian and a disk that
     meets it is impossible by construction and treated as an internal error.
     """
-    surface = engine.surface
-    catalog = engine.catalog
-    m = surface.tubes
-    if disjoint_pairs is None:
-        disjoint_pairs = [
-            (a, b)
-            for a, b in combinations(catalog.disks, 2)
-            if disks_disjoint_unvalidated(a, b, surface, engine.budget)
-        ]
-    per_case = Counter()
-    violations = []
-    for a, b in disjoint_pairs:
-        ta, tb = sorted((engine.type_at(a, m), engine.type_at(b, m)))
-        if (ta, tb) not in CASE_OF_TYPES:
-            raise InvalidConfigError(
-                f"disks {a.key} (type {ta}) and {b.key} (type {tb}) are certified disjoint, "
-                "which contradicts the type definitions"
-            )
-        case = CASE_OF_TYPES[(ta, tb)]
-        per_case[case] += 1
-        xa, xb = engine.image(a), engine.image(b)
-        antipodal = xa.pair_index == xb.pair_index and xa.letter != xb.letter
-        if antipodal:
-            violations.append(
-                {
-                    "case": case,
-                    "disks": [a.key, b.key],
-                    "types": [ta, tb],
-                    "images": [xa.name, xb.name],
-                }
-            )
-    return {
-        "pairs_checked": len(disjoint_pairs),
-        "per_case": {str(c): per_case.get(c, 0) for c in range(1, 7)},
-        "violations": violations,
-        "passed": not violations,
-    }
+    images = {d.key: engine.image(d) for d in engine.catalog.disks}
+    records = _disk_records(engine, images)
+    return _scan_pairs(records, engine.surface, engine.budget, tally=True)[1]
 
 
 # -- the full certificate pipeline ------------------------------------------------------
@@ -481,28 +546,36 @@ def certify_minimality(
     config: CatalogConfig,
     max_simplices: int = DEFAULT_MAX_SIMPLICES,
 ) -> dict:
-    """Build the surface with ``n + 1`` tubes and certify its minimality bound.
-
-    Runs the whole pipeline: catalog, sphere realization and verification,
-    per-disk retraction images, well-definedness of every surgery, claim
-    verification over all certified-disjoint pairs, the simplicial retraction
-    check on the cataloged complex, and the exact homology certificate in
-    dimension ``n``.  Returns a JSON-ready certificate; ``passed`` is False
-    (with ``first_violation`` set) rather than raising when a verification
-    step finds a counterexample.
-    """
+    """Build the surface with ``n + 1`` tubes and its catalog, then :func:`certify_catalog`."""
     if not isinstance(n, int) or n < 0:
         raise InvalidConfigError(f"suspension index must be a nonnegative integer, got {n!r}")
-    m = n + 1
-    surface = build_tubed_surface(genus, m)
-    catalog = build_disk_catalog(surface, config)
+    surface = build_tubed_surface(genus, n + 1)
+    return certify_catalog(build_disk_catalog(surface, config), max_simplices=max_simplices)
+
+
+def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPLICES) -> dict:
+    """Certify the minimality bound of a catalog's surface, ``n`` = tubes - 1.
+
+    Runs the whole pipeline: sphere realization and verification, per-disk
+    retraction images, well-definedness of every surgery, one pass over all
+    catalog pairs that yields the certified-disjoint pairs, the claim tally
+    and the V/W witness, the simplicial retraction check on the cataloged
+    complex, and the exact homology certificate in dimension ``n``.  Returns
+    a JSON-ready certificate; ``passed`` is False (with ``first_violation``
+    set) rather than raising when a verification step finds a
+    counterexample.
+    """
+    surface = catalog.surface
+    config = catalog.config
+    genus = surface.genus_base
+    m = surface.tubes
+    n = m - 1
     sphere = build_suspension_sphere(surface, catalog)
     sphere_invariants = verify_sphere(sphere, budget=config.merge_budget)
 
     engine = RetractionEngine(surface, catalog, sphere)
     first_violation = None
     images = {}
-    claims = None
     retraction_ok = False
     retraction_report = []
     homology_doc = None
@@ -512,23 +585,19 @@ def certify_minimality(
     except WellDefinednessError as exc:
         first_violation = {"kind": "well_definedness", "detail": str(exc)}
 
-    disjoint_pairs = [
-        (a, b)
-        for a, b in combinations(catalog.disks, 2)
-        if disks_disjoint_unvalidated(a, b, surface, config.merge_budget)
-    ]
-
-    if first_violation is None:
-        claims = verify_claim_cases(engine, disjoint_pairs)
-        if not claims["passed"]:
-            v = claims["violations"][0]
-            first_violation = {
-                "kind": "claim",
-                "detail": (
-                    f"disjoint disks {v['disks'][0]} and {v['disks'][1]} map to antipodal "
-                    f"vertices {v['images'][0]} and {v['images'][1]} (case {v['case']})"
-                ),
-            }
+    records = _disk_records(engine, images)
+    disjoint_pairs, claims, witness_pair = _scan_pairs(
+        records, surface, config.merge_budget, tally=first_violation is None
+    )
+    if claims is not None and not claims["passed"]:
+        v = claims["violations"][0]
+        first_violation = {
+            "kind": "claim",
+            "detail": (
+                f"disjoint disks {v['disks'][0]} and {v['disks'][1]} map to antipodal "
+                f"vertices {v['images'][0]} and {v['images'][1]} (case {v['case']})"
+            ),
+        }
 
     if first_violation is None:
         complex_k = catalog_complex(catalog, disjoint_pairs)
@@ -549,29 +618,12 @@ def certify_minimality(
                 }
 
     witness = None
-    if n >= 2:
-        for a, b in disjoint_pairs:
-            sides = {disk_side(a), disk_side(b)}
-            if sides == {surface.v_side, surface.w_side}:
-                v_disk, w_disk = (a, b) if disk_side(a) == surface.v_side else (b, a)
-                witness = {"v_disk": v_disk.key, "w_disk": w_disk.key}
-                break
+    if n >= 2 and witness_pair is not None:
+        witness = {"v_disk": witness_pair[0].key, "w_disk": witness_pair[1].key}
 
     outcomes = engine.surgery_outcomes()
     multi_arc = [o for o in outcomes if len(o.outermost) >= 2]
-    provenance = Counter()
-    for d in catalog.disks:
-        if d.key not in images:
-            continue
-        t = engine.type_at(d, m)
-        if t == "T1":
-            provenance["top_meridian"] += 1
-        elif t == "T3":
-            provenance["top_vertical"] += 1
-        elif t == "T2" and meets_distinguished(d, surface, config.merge_budget):
-            provenance["surgered"] += 1
-        else:
-            provenance["projected"] += 1
+    provenance = Counter(engine.branch(d) for d in catalog.disks if d.key in images)
 
     passed = (
         first_violation is None
@@ -597,7 +649,7 @@ def certify_minimality(
             "meridians": len(catalog.meridians()),
             "vertical_disks": len(catalog.vertical_disks()),
             "band_sums": len(catalog.band_sums()),
-            "types": dict(sorted(Counter(engine.type_at(d, m) for d in catalog.disks).items())),
+            "types": dict(sorted(Counter(r.type for r in records).items())),
             "arc_classes_per_region": {str(r): len(v) for r, v in sorted(catalog.arc_classes.items())},
         },
         "sphere": {

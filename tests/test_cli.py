@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from disklab import cli, disks, retraction
 from disklab.cli import EXIT_CAP, EXIT_CONFIG, EXIT_FAILED, EXIT_OK, main
 from disklab.flagcomplex import (
     canonical_json,
@@ -145,6 +146,42 @@ def test_certify_bytes_match_recorded_goldens(genus, tubes, tmp_path, capsys):
     assert code == EXIT_OK
     for name in ("certificate.json", "report.txt"):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected[name], name
+
+
+@pytest.mark.parametrize(("genus", "arc_bound"), [(1, 7), (2, 5)])
+def test_from_build_chain_bytes_match_recorded_goldens(genus, arc_bound, tmp_path, capsys):
+    """build then certify --from-build write byte-identical files to the recorded sha256 sums."""
+    with open(GOLDENS, encoding="utf-8") as fh:
+        goldens = json.load(fh)
+    build_dir = tmp_path / "build"
+    argv = ["build", "--genus", str(genus), "--tubes", "2", "--arc-bound", str(arc_bound)]
+    assert run(argv + ["--out", str(build_dir)], capsys)[0] == EXIT_OK
+    cert_dir = tmp_path / "certify"
+    assert run(["certify", "--from-build", str(build_dir), "--out", str(cert_dir)], capsys)[0] == EXIT_OK
+    for job, out in (
+        (f"build-g{genus}-m2-k{arc_bound}", build_dir),
+        (f"certify-from-build-g{genus}-k{arc_bound}", cert_dir),
+    ):
+        for name, digest in goldens[job].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (job, name)
+
+
+def test_certify_from_build_builds_the_catalog_once(monkeypatch, tmp_path, capsys):
+    # The catalog that checks disks.json is the one certified.
+    build_dir = str(tmp_path / "build")
+    assert run(["build", "--genus", "1", "--tubes", "3", "--out", build_dir], capsys)[0] == EXIT_OK
+    calls = []
+    build_disk_catalog = disks.build_disk_catalog
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_disk_catalog(*args, **kwargs)
+
+    for module in (disks, retraction, cli):
+        monkeypatch.setattr(module, "build_disk_catalog", counting)
+    code, _, _ = run(["certify", "--from-build", build_dir, "--out", str(tmp_path / "out")], capsys)
+    assert code == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_certify_from_build_matches_direct_run(tmp_path, capsys):

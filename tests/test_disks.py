@@ -1,6 +1,7 @@
 """Tests for disk descriptors, the disjointness calculus, and catalogs."""
 
 import copy
+import dataclasses
 import itertools
 
 import pytest
@@ -27,6 +28,7 @@ from disklab.disks import (
     disk_tubes,
     disk_variant,
     disks_disjoint,
+    disks_disjoint_unvalidated,
     distinguished_disk,
     meets_distinguished,
     project_disk,
@@ -121,6 +123,55 @@ def test_footprints():
     assert disk_regions(b) == frozenset({1, 2})
     nested = BandSum(3, BandSum(3, SELF_PARTNER, (-1,), 1), (-2,), 2)
     assert disk_tubes(nested) == frozenset({3})
+
+
+def fresh_key(d) -> str:
+    """The descriptor key, formatted from scratch."""
+    if isinstance(d, Meridian):
+        return f"M({d.index})"
+    if isinstance(d, VerticalDisk):
+        return "V({};{})".format(d.region, ",".join(map(str, d.arc)))
+    partner = SELF_PARTNER if d.partner == SELF_PARTNER else fresh_key(d.partner)
+    return "B({};{};{};{})".format(d.base, partner, ",".join(map(str, d.band)), d.copies)
+
+
+DESCRIPTOR_FIELDS = {
+    Meridian: ("index",),
+    VerticalDisk: ("region", "arc"),
+    BandSum: ("base", "partner", "band", "copies"),
+}
+
+
+@pytest.mark.parametrize(("genus", "tubes"), [(1, 5), (2, 3)])
+def test_stored_key_matches_fresh_key_and_leaves_equality_alone(genus, tubes):
+    catalog = build_disk_catalog(build_tubed_surface(genus, tubes), CatalogConfig(arc_bound=3))
+    for d in catalog.disks:
+        assert d.key == fresh_key(d)
+        assert "key" not in repr(d)
+        # equality and hashing see only the descriptor fields
+        assert hash(d) == hash(tuple(getattr(d, name) for name in DESCRIPTOR_FIELDS[type(d)]))
+        back = disk_from_json_obj(disk_to_json_obj(d))
+        assert back == d and hash(back) == hash(d) and back.key == d.key
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Meridian(1).key = "M(2)"
+    with pytest.raises(TypeError):
+        Meridian(1, key="M(2)")
+
+
+@pytest.mark.parametrize(("genus", "n"), [(1, 5), (2, 4), (3, 4)])
+def test_footprint_rule_agrees_with_the_calculus(genus, n):
+    """Disjoint tube and region footprints imply disjoint disks, on every catalog pair."""
+    surface = build_tubed_surface(genus, n + 1)
+    catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
+    budget = catalog.config.merge_budget
+    for d in catalog.disks:
+        assert disk_regions(d) <= disk_tubes(d)
+    skipped = 0
+    for a, b in itertools.combinations(catalog.disks, 2):
+        if disk_tubes(a).isdisjoint(disk_tubes(b)) and disk_regions(a).isdisjoint(disk_regions(b)):
+            skipped += 1
+            assert disks_disjoint_unvalidated(a, b, surface, budget), (a.key, b.key)
+    assert skipped > 0
 
 
 def test_sides():

@@ -22,11 +22,42 @@ from disklab.flagcomplex import (
     complex_to_json_obj,
     flag_cliques,
     induced_subcomplex,
-    map_from_json_obj,
-    map_to_json_obj,
     octahedral_sphere,
     suspend,
 )
+
+
+# -- test-only vertex-map JSON ---------------------------------------------------
+
+
+def map_to_json_obj(f: VertexMap) -> dict:
+    return {"map": [[src, f(src)] for src in f.domain.vertex_ids]}
+
+
+def map_from_json_obj(
+    obj, domain: FlagComplex, codomain: FlagComplex, source: str = "map"
+) -> VertexMap:
+    if not isinstance(obj, dict) or "map" not in obj:
+        raise MalformedFileError(source, "expected an object with a 'map' key")
+    if not isinstance(obj["map"], list):
+        raise MalformedFileError(f"{source}: map", "expected a list of [from, to] pairs")
+    assignment: dict[str, str] = {}
+    for i, entry in enumerate(obj["map"]):
+        loc = f"{source}: map[{i}]"
+        if (
+            not isinstance(entry, list)
+            or len(entry) != 2
+            or not all(isinstance(x, str) for x in entry)
+        ):
+            raise MalformedFileError(loc, "expected a pair [from, to] of strings")
+        src, dst = entry
+        if src in assignment:
+            raise MalformedFileError(loc, f"duplicate source vertex {src!r}")
+        assignment[src] = dst
+    try:
+        return VertexMap(domain, codomain, assignment)
+    except InvalidConfigError as exc:
+        raise MalformedFileError(source, str(exc)) from exc
 
 
 # -- independent oracle ---------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for sphere realization, the retraction engine, and certification."""
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
 import disklab.retraction as retraction_module
@@ -10,6 +13,8 @@ from disklab.disks import (
     Meridian,
     VerticalDisk,
     build_disk_catalog,
+    disks_disjoint_unvalidated,
+    meets_distinguished,
 )
 from disklab.errors import InvalidConfigError, WellDefinednessError
 from disklab.flagcomplex import canonical_json
@@ -227,6 +232,23 @@ def test_minimal_pair_index_rule(setup_f3):
     assert engine.image(BandSum(3, Meridian(1), (-2,), 2)).name == "E0"
 
 
+@pytest.mark.parametrize("tubes", [1, 3])
+def test_image_still_validates_its_argument(tubes):
+    # With one tube the recursion classifies nothing, so only image() can reject.
+    surface = build_tubed_surface(1, tubes)
+    catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
+    engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
+    invalid = (
+        Meridian(tubes + 1),  # tube index beyond the surface
+        VerticalDisk(tubes + 1, (-2,)),
+        VerticalDisk(1, (-5,)),  # arc letter beyond genus 1
+        BandSum(1, Meridian(2), (-2,), 1),  # partner on the opposite side
+    )
+    for bad in invalid:
+        with pytest.raises(InvalidConfigError):
+            engine.image(bad)
+
+
 def test_forced_disagreement_raises(monkeypatch):
     surface = build_tubed_surface(1, 2)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
@@ -267,6 +289,84 @@ def test_claim_cases_f3(setup_f3):
     assert claims["passed"]
     assert claims["pairs_checked"] == 1909
     assert claims["per_case"] == {"1": 46, "2": 492, "3": 82, "4": 385, "5": 730, "6": 174}
+
+
+@pytest.mark.parametrize(("genus", "n"), [(1, 5), (2, 4), (3, 4)])
+def test_pair_scan_matches_the_calculus_on_every_pair(genus, n):
+    surface = build_tubed_surface(genus, n + 1)
+    catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
+    engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
+    budget = catalog.config.merge_budget
+    records = retraction_module._disk_records(engine, {})
+    pairs, claims, _ = retraction_module._scan_pairs(records, surface, budget, tally=False)
+    assert claims is None
+    expected = [
+        (a, b) for a, b in combinations(catalog.disks, 2) if disks_disjoint_unvalidated(a, b, surface, budget)
+    ]
+    assert pairs == expected
+
+
+def per_pair_claims(engine, image):
+    """The claim tally as it was first written: two images per disjoint pair."""
+    surface, catalog, m = engine.surface, engine.catalog, engine.surface.tubes
+    per_case, violations, checked = Counter(), [], 0
+    for a, b in combinations(catalog.disks, 2):
+        if not disks_disjoint_unvalidated(a, b, surface, engine.budget):
+            continue
+        checked += 1
+        ta, tb = sorted((engine.type_at(a, m), engine.type_at(b, m)))
+        case = CASE_OF_TYPES[(ta, tb)]
+        per_case[case] += 1
+        xa, xb = image(a), image(b)
+        if xa.pair_index == xb.pair_index and xa.letter != xb.letter:
+            violations.append(
+                {"case": case, "disks": [a.key, b.key], "types": [ta, tb], "images": [xa.name, xb.name]}
+            )
+    return {
+        "pairs_checked": checked,
+        "per_case": {str(c): per_case.get(c, 0) for c in range(1, 7)},
+        "violations": violations,
+        "passed": not violations,
+    }
+
+
+def test_single_pass_tally_matches_per_pair_images():
+    cert = certify_minimality(1, 4, CatalogConfig(arc_bound=3))
+    surface = build_tubed_surface(1, 5)
+    catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
+    engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
+    expected = per_pair_claims(engine, engine.image)
+    assert expected["pairs_checked"] > 0
+    assert cert["claims"] == expected
+    assert verify_claim_cases(engine) == expected
+    # Rigged images that put many disjoint pairs on antipodal vertices.
+    rigged = {d.key: SphereVertex(i % 3, "DE"[i % 2]) for i, d in enumerate(catalog.disks)}
+    records = retraction_module._disk_records(engine, rigged)
+    _, claims, _ = retraction_module._scan_pairs(records, surface, engine.budget, tally=True)
+    expected = per_pair_claims(engine, lambda d: rigged[d.key])
+    assert len(expected["violations"]) > 0
+    assert claims == expected
+
+
+@pytest.mark.parametrize("n", [0, 2, 4])
+def test_provenance_matches_the_type_rules(n):
+    """Provenance read from the engine's branches equals the per-disk type rules."""
+    cert = certify_minimality(1, n, CatalogConfig(arc_bound=3))
+    surface = build_tubed_surface(1, n + 1)
+    catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
+    engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
+    provenance = dict.fromkeys(("top_meridian", "top_vertical", "projected", "surgered"), 0)
+    for d in catalog.disks:
+        t = engine.type_at(d, surface.tubes)
+        if t == "T1":
+            provenance["top_meridian"] += 1
+        elif t == "T3":
+            provenance["top_vertical"] += 1
+        elif t == "T2" and meets_distinguished(d, surface):
+            provenance["surgered"] += 1
+        else:
+            provenance["projected"] += 1
+    assert cert["retraction"]["provenance"] == provenance
 
 
 def test_case_table_is_total():
