@@ -10,7 +10,7 @@ simplicial retraction -- that those spheres are homologically essential.
 Public entry points live in the submodules:
 
 - :mod:`disklab.flagcomplex` -- flag complexes, clique enumeration, suspension,
-  octahedral spheres, vertex maps, JSON (de)serialization.
+  octahedral spheres, JSON (de)serialization.
 - :mod:`disklab.homology` -- exact integer homology (sparse unit-pivot
   elimination, Smith normal form on the residual core) and the cycle-level
   retraction certificate.

@@ -120,7 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-simplices",
         type=int,
         default=DEFAULT_MAX_SIMPLICES,
-        help=f"cap on enumerated simplices per dimension (default {DEFAULT_MAX_SIMPLICES})",
+        help=(
+            "cap on enumerated simplices per dimension and on D_MAX + 1 "
+            f"(default {DEFAULT_MAX_SIMPLICES})"
+        ),
     )
     p_hom.add_argument("--out", default=None, help="directory to write homology.json into (optional)")
     p_hom.set_defaults(func=cmd_homology)
@@ -191,6 +194,12 @@ def cmd_homology(args) -> int:
     complex_ = complex_from_json_obj(obj, source=args.complex_json)
     if args.d_max < 0:
         raise InvalidConfigError(f"d_max must be >= 0, got {args.d_max}")
+    # The profile has one entry per dimension 0..d_max whatever the complex,
+    # so the cap bounds the number of dimensions as well.
+    if args.d_max + 1 > args.max_simplices:
+        raise ResourceCapError(
+            "max_simplices", f"d_max {args.d_max} asks for {args.d_max + 1} dimensions", args.max_simplices
+        )
     profile = reduced_homology(complex_, args.d_max, max_per_dim=args.max_simplices)
     for k in range(args.d_max + 1):
         print(f"reduced H_{k} = {profile.describe(k)}")

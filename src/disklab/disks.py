@@ -29,8 +29,12 @@ footprint only.  A disk's region footprint lies inside its tube footprint,
 so disjoint tube footprints already suffice; pair scans use this to skip
 the calculus on most pairs.
 
-Each descriptor computes its ``key`` once, when it is built; the key takes
-no part in equality or hashing.
+Each descriptor computes its ``key`` and its tube footprint
+(``tube_footprint``) once, when it is built, and a band sum also its
+resolved partner (``resolved_partner``: the partner, with ``'self'``
+replaced by the base meridian).  These stored fields take no part in
+equality, hashing or repr, and the pair scans read them instead of
+deriving them again.
 """
 
 from __future__ import annotations
@@ -76,11 +80,13 @@ class Meridian:
 
     index: int
     key: str = field(init=False, compare=False, repr=False)
+    tube_footprint: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.index, int) or self.index < 1:
             raise InvalidConfigError(f"meridian index must be a positive integer, got {self.index!r}")
         object.__setattr__(self, "key", f"M({self.index})")
+        object.__setattr__(self, "tube_footprint", frozenset({self.index}))
 
 
 @dataclass(frozen=True)
@@ -90,12 +96,14 @@ class VerticalDisk:
     region: int
     arc: ArcCode
     key: str = field(init=False, compare=False, repr=False)
+    tube_footprint: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.region, int) or self.region < 1:
             raise InvalidConfigError(f"region index must be a positive integer, got {self.region!r}")
         object.__setattr__(self, "arc", _clean_arc(self.arc))
         object.__setattr__(self, "key", f"V({self.region};{','.join(map(str, self.arc))})")
+        object.__setattr__(self, "tube_footprint", frozenset({self.region}))
 
 
 @dataclass(frozen=True)
@@ -107,6 +115,8 @@ class BandSum:
     band: ArcCode
     copies: int
     key: str = field(init=False, compare=False, repr=False)
+    resolved_partner: "Disk" = field(init=False, compare=False, repr=False)
+    tube_footprint: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.base, int) or self.base < 1:
@@ -121,6 +131,9 @@ class BandSum:
         partner_key = SELF_PARTNER if self.partner == SELF_PARTNER else self.partner.key
         band = ",".join(map(str, self.band))
         object.__setattr__(self, "key", f"B({self.base};{partner_key};{band};{self.copies})")
+        partner = Meridian(self.base) if self.partner == SELF_PARTNER else self.partner
+        object.__setattr__(self, "resolved_partner", partner)
+        object.__setattr__(self, "tube_footprint", frozenset({self.base}) | partner.tube_footprint)
 
 
 Disk = Union[Meridian, VerticalDisk, BandSum]
@@ -142,9 +155,7 @@ def disk_variant(d: Disk) -> str:
 
 def resolve_partner(bs: BandSum) -> Disk:
     """The partner descriptor, with ``'self'`` resolved to the base meridian."""
-    if bs.partner == SELF_PARTNER:
-        return Meridian(bs.base)
-    return bs.partner
+    return bs.resolved_partner
 
 
 def disk_side(d: Disk) -> str:
@@ -161,12 +172,8 @@ def disk_side(d: Disk) -> str:
 
 def disk_tubes(d: Disk) -> frozenset:
     """Indices of solid tubes the disk's boundary runs over."""
-    if isinstance(d, Meridian):
-        return frozenset({d.index})
-    if isinstance(d, VerticalDisk):
-        return frozenset({d.region})
-    if isinstance(d, BandSum):
-        return frozenset({d.base}) | disk_tubes(resolve_partner(d))
+    if isinstance(d, (Meridian, VerticalDisk, BandSum)):
+        return d.tube_footprint
     raise InvalidConfigError(f"not a disk descriptor: {d!r}")
 
 
@@ -177,7 +184,7 @@ def disk_regions(d: Disk) -> frozenset:
     if isinstance(d, VerticalDisk):
         return frozenset({d.region})
     if isinstance(d, BandSum):
-        return frozenset({d.base}) | disk_regions(resolve_partner(d))
+        return frozenset({d.base}) | disk_regions(d.resolved_partner)
     raise InvalidConfigError(f"not a disk descriptor: {d!r}")
 
 
@@ -198,7 +205,7 @@ def validate_disk(d: Disk, surface: TubedSurface) -> None:
         if d.base > m:
             raise InvalidConfigError(f"band-sum base {d.base} exceeds tube count {m}")
         validate_code(d.band, g)
-        partner = resolve_partner(d)
+        partner = d.resolved_partner
         validate_disk(partner, surface)
         if disk_side(partner) != disk_side(d):
             raise InvalidConfigError(
@@ -227,13 +234,13 @@ def _band_vs_disk(region: int, arc: ArcCode, d: Disk, surface: TubedSurface, bud
         return _arcs_disjoint(arc, d.arc, region, surface, budget)
     if d.base == region and not _arcs_disjoint(arc, d.band, region, surface, budget):
         return False
-    return _band_vs_disk(region, arc, resolve_partner(d), surface, budget)
+    return _band_vs_disk(region, arc, d.resolved_partner, surface, budget)
 
 
 def _meridian_misses(index: int, d: Disk) -> bool:
     # The calculus on (Meridian(index), d), without building the meridian: a
     # meridian misses every other meridian and every disk off its tube.
-    return isinstance(d, Meridian) or index not in disk_tubes(d)
+    return isinstance(d, Meridian) or index not in d.tube_footprint
 
 
 _VARIANT_RANK = {Meridian: 0, VerticalDisk: 1, BandSum: 2}
@@ -255,12 +262,12 @@ def disks_disjoint_unvalidated(a: Disk, b: Disk, surface: TubedSurface, budget) 
             return _arcs_disjoint(a.arc, b.arc, a.region, surface, budget)
         return (
             _meridian_misses(b.base, a)
-            and disks_disjoint_unvalidated(resolve_partner(b), a, surface, budget)
+            and disks_disjoint_unvalidated(b.resolved_partner, a, surface, budget)
             and _band_vs_disk(b.base, b.band, a, surface, budget)
         )
     # Both band sums.  Bases are parallel pushed copies of meridians and stay
     # disjoint from each other even when the index coincides (nesting).
-    pa, pb = resolve_partner(a), resolve_partner(b)
+    pa, pb = a.resolved_partner, b.resolved_partner
     if not _meridian_misses(a.base, pb):
         return False
     if not _meridian_misses(b.base, pa):

@@ -43,13 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from disklab.errors import InvalidConfigError
-from disklab.flagcomplex import (
-    DEFAULT_MAX_SIMPLICES,
-    FlagComplex,
-    VertexMap,
-    check_retraction,
-    flag_cliques,
-)
+from disklab.flagcomplex import DEFAULT_MAX_SIMPLICES, FlagComplex, flag_cliques
 
 Matrix = list[list[int]]
 
@@ -413,26 +407,30 @@ def apply_chain_map(
 
 
 def certify_homology_retraction(
-    f: VertexMap,
+    assignment: dict[str, str],
     s: FlagComplex,
     n: int,
     max_per_dim: int | None = DEFAULT_MAX_SIMPLICES,
 ) -> dict:
     """Cycle-level retraction certificate in dimension ``n``.
 
-    Requires ``check_retraction(f, s)`` to hold (the caller's obligation;
-    re-verified here).  Computes the reduced homology of ``s``, demands it is
-    Z in dimension ``n``, extracts a generating cycle, pushes it through the
-    composite (include into the domain, then apply ``f``), and verifies the
-    composite acts as the identity on the generator.  The returned document
-    records the cycle and its image so the check can be replayed.
+    ``assignment`` maps the vertices of a complex containing ``s`` to
+    vertices of ``s`` and must already be checked as a simplicial retraction
+    onto ``s`` (the caller's obligation, not repeated here).  Only what the
+    cycle argument uses is re-verified: the assignment fixes every vertex of
+    ``s``.  Computes the reduced homology of ``s``, demands it is Z in
+    dimension ``n``, extracts a generating cycle, pushes it through the
+    composite (include into the domain, then apply the assignment), and
+    verifies the composite acts as the identity on the generator.  The
+    returned document records the cycle and its image so the check can be
+    replayed.
     """
-    ok, report = check_retraction(f, s)
-    if not ok:
-        raise InvalidConfigError(
-            "certify_homology_retraction requires a verified retraction; "
-            f"first failure: {report[0]}"
-        )
+    for vid in s.vertex_ids:
+        if assignment.get(vid) != vid:
+            raise InvalidConfigError(
+                "certify_homology_retraction requires a verified retraction; first failure: "
+                f"subcomplex vertex {vid!r} is not fixed (maps to {assignment.get(vid)!r})"
+            )
     cliques = flag_cliques(s, n + 1, max_per_dim)
     cc = ChainComplex(cliques)
     profile = cc.profile(n)
@@ -441,7 +439,7 @@ def certify_homology_retraction(
             f"subcomplex homology in dimension {n} is {profile.describe(n)}, not Z"
         )
     cycle = free_generator(cc, n)
-    image = apply_chain_map(f.assignment, cycle)
+    image = apply_chain_map(assignment, cycle)
     identity = image == cycle
     return {
         "dimension": n,

@@ -24,12 +24,17 @@ over tube count:
 
 ``certify_catalog`` runs the full pipeline on a catalog and emits a
 machine-checkable certificate: sphere invariants, per-disk images,
-well-definedness statistics, the claim tally, the simplicial/retraction check
-on the cataloged complex, and an exact homology certificate that the
-composite fixes a generating ``n``-cycle; ``certify_minimality`` builds the
-catalog first.  Each catalog disk gets one record (top-level type, image,
-side, tube footprint), and a single pass over pairs of records yields the
-certified-disjoint pairs, the claim tally and the V/W witness.
+well-definedness statistics, the claim tally, the retraction check on the
+cataloged complex, and an exact homology certificate that the composite
+fixes a generating ``n``-cycle; ``certify_minimality`` builds the catalog
+first.  Each catalog disk gets one record (top-level type, image, side, tube
+footprint), and a single pass over pairs of records yields the
+certified-disjoint pairs, the claim tally and the V/W witness.  That pass is
+also the only simpliciality check: on the octahedron two images span a
+non-edge exactly when they are antipodal, which is what the claim tally
+tests on every edge of the cataloged complex.  The retraction check that
+follows is on vertices only: the sphere lies in the cataloged complex, every
+image lies in the sphere, and the sphere is fixed.
 """
 
 from __future__ import annotations
@@ -44,27 +49,19 @@ from .disks import (
     Disk,
     DiskCatalog,
     Meridian,
-    VerticalDisk,
     build_disk_catalog,
     classify_type,
     config_to_json_obj,
     disk_side,
     disk_to_json_obj,
-    disk_tubes,
     disks_disjoint,
     disks_disjoint_unvalidated,
     meets_distinguished,
     project_disk,
-    resolve_partner,
     validate_disk,
 )
 from .errors import InvalidConfigError, WellDefinednessError
-from .flagcomplex import (
-    DEFAULT_MAX_SIMPLICES,
-    FlagComplex,
-    VertexMap,
-    check_retraction,
-)
+from .flagcomplex import DEFAULT_MAX_SIMPLICES, FlagComplex
 from .homology import certify_homology_retraction
 from .surface import TubedSurface, build_tubed_surface, surface_to_json_obj, tube_side
 
@@ -281,7 +278,7 @@ def surgery_candidates(d: BandSum, arc_index: int):
     """
     if arc_index not in (0, d.copies - 1):
         raise InvalidConfigError(f"arc {arc_index} of {d.key} is not outermost")
-    partner = resolve_partner(d)
+    partner = d.resolved_partner
     if d.copies == 1:
         return [partner]
     return [partner, BandSum(d.base, d.partner, d.band, d.copies - 1)]
@@ -437,7 +434,7 @@ def _disk_records(engine: RetractionEngine, images: dict) -> list:
             engine.type_at(d, m),
             images.get(d.key),
             disk_side(d),
-            sum(1 << t for t in disk_tubes(d)),
+            sum(1 << t for t in d.tube_footprint),
         )
         for d in engine.catalog.disks
     ]
@@ -449,24 +446,30 @@ _CASE_OF_ORDERED_TYPES = {
 }
 
 
-def _scan_pairs(records: list, surface: TubedSurface, budget, tally: bool):
-    """One pass over all catalog pairs: (disjoint pairs, claim tally, V/W witness).
+def _scan_pairs(records: list, surface: TubedSurface, budget, tally: bool, keep=frozenset()):
+    """One pass over all catalog pairs: (kept disjoint pairs, claim tally, V/W witness).
 
     Pairs with disjoint tube footprints are disjoint by the footprint rule
-    (see :mod:`disklab.disks`); only the others reach the calculus.  The claim
+    (see :mod:`disklab.disks`); only the others reach the calculus.  Of the
+    certified-disjoint pairs, only those of two disks with keys in ``keep``
+    are returned, in catalog order; the others are only counted.  The claim
     tally needs every image and is ``None`` when ``tally`` is false.  The
     witness is the first disjoint pair with one disk on each side, as
     ``(v_disk, w_disk)``.
     """
-    pairs = []
+    kept = []
+    checked = 0
     per_case = Counter()
     violations = []
     witness = None
     for i, (a, ta, xa, sa, fa) in enumerate(records):
+        keep_a = a.key in keep
         for b, tb, xb, sb, fb in records[i + 1 :]:
             if fa & fb and not disks_disjoint_unvalidated(a, b, surface, budget):
                 continue
-            pairs.append((a, b))
+            checked += 1
+            if keep_a and b.key in keep:
+                kept.append((a, b))
             if witness is None and sa != sb:
                 witness = (a, b) if sa == surface.v_side else (b, a)
             if not tally:
@@ -491,12 +494,12 @@ def _scan_pairs(records: list, surface: TubedSurface, budget, tally: bool):
     claims = None
     if tally:
         claims = {
-            "pairs_checked": len(pairs),
+            "pairs_checked": checked,
             "per_case": {str(c): per_case.get(c, 0) for c in range(1, 7)},
             "violations": violations,
             "passed": not violations,
         }
-    return pairs, claims, witness
+    return kept, claims, witness
 
 
 def verify_claim_cases(engine: RetractionEngine) -> dict:
@@ -530,14 +533,38 @@ CAVEATS = (
 )
 
 
-def catalog_complex(catalog: DiskCatalog, disjoint_pairs) -> FlagComplex:
-    """The cataloged disk complex: disks as vertices, certified-disjoint pairs as edges."""
-    fc = FlagComplex()
-    for d in catalog.disks:
-        fc.add_vertex(d.key, d.key)
-    for a, b in disjoint_pairs:
-        fc.add_edge(a.key, b.key)
-    return fc.freeze()
+def _retraction_report(assignment: dict, s: FlagComplex, sphere_pairs) -> list:
+    """Vertex-level violations of ``assignment`` as a retraction onto ``s``.
+
+    The domain is the cataloged complex: the assignment's keys as vertices,
+    the certified-disjoint pairs as edges, of which ``sphere_pairs`` must
+    hold at least those between two vertices of ``s``.  Lists, in this order,
+    vertices of ``s`` that are not domain vertices, edges of ``s`` that are
+    not domain edges, images outside ``s``, and vertices of ``s`` that are
+    not fixed.  Domain edges are not checked here: the pair pass has already
+    ruled out every edge whose images are antipodal, the octahedron's only
+    non-edges (the assignment names each sphere vertex by its own disk's
+    key, so antipodal vertices have antipodal keys).
+    """
+    sub = set(s.vertex_ids)
+    domain_edges = {tuple(sorted((a.key, b.key))) for a, b in sphere_pairs}
+    report = [f"subcomplex vertex {v!r} is not a domain vertex" for v in s.vertex_ids if v not in assignment]
+    report += [
+        f"subcomplex edge ({u!r}, {v!r}) is not a domain edge"
+        for u, v in s.edges
+        if (u, v) not in domain_edges
+    ]
+    report += [
+        f"image of {v!r} is {assignment[v]!r}, outside the subcomplex"
+        for v in sorted(assignment)
+        if assignment[v] not in sub
+    ]
+    report += [
+        f"subcomplex vertex {v!r} is not fixed (maps to {assignment[v]!r})"
+        for v in s.vertex_ids
+        if v in assignment and assignment[v] != v
+    ]
+    return report
 
 
 def certify_minimality(
@@ -559,11 +586,13 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
     Runs the whole pipeline: sphere realization and verification, per-disk
     retraction images, well-definedness of every surgery, one pass over all
     catalog pairs that yields the certified-disjoint pairs, the claim tally
-    and the V/W witness, the simplicial retraction check on the cataloged
-    complex, and the exact homology certificate in dimension ``n``.  Returns
-    a JSON-ready certificate; ``passed`` is False (with ``first_violation``
-    set) rather than raising when a verification step finds a
-    counterexample.
+    (which is also the simpliciality check: no edge maps to an antipodal
+    pair) and the V/W witness, the vertex-level retraction check on the
+    cataloged complex, and the exact homology certificate in dimension
+    ``n``.  The cataloged complex is never built as a :class:`FlagComplex`.
+    Returns a JSON-ready certificate; ``passed`` is False (with
+    ``first_violation`` set) rather than raising when a verification step
+    finds a counterexample.
     """
     surface = catalog.surface
     config = catalog.config
@@ -586,8 +615,9 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
         first_violation = {"kind": "well_definedness", "detail": str(exc)}
 
     records = _disk_records(engine, images)
-    disjoint_pairs, claims, witness_pair = _scan_pairs(
-        records, surface, config.merge_budget, tally=first_violation is None
+    sphere_keys = frozenset(sphere.sub_sphere_keys(n))
+    sphere_pairs, claims, witness_pair = _scan_pairs(
+        records, surface, config.merge_budget, tally=first_violation is None, keep=sphere_keys
     )
     if claims is not None and not claims["passed"]:
         v = claims["violations"][0]
@@ -600,16 +630,15 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
         }
 
     if first_violation is None:
-        complex_k = catalog_complex(catalog, disjoint_pairs)
         sphere_complex = sphere.complex()
         assignment = {key: sphere.key_for(img) for key, img in images.items()}
-        vertex_map = VertexMap(domain=complex_k, codomain=complex_k, assignment=assignment)
-        retraction_ok, retraction_report = check_retraction(vertex_map, sphere_complex)
+        retraction_report = _retraction_report(assignment, sphere_complex, sphere_pairs)
+        retraction_ok = not retraction_report
         if not retraction_ok:
             first_violation = {"kind": "retraction", "detail": retraction_report[0]}
         else:
             homology_doc = certify_homology_retraction(
-                vertex_map, sphere_complex, n, max_per_dim=max_simplices
+                assignment, sphere_complex, n, max_per_dim=max_simplices
             )
             if not homology_doc["passed"]:
                 first_violation = {

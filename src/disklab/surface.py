@@ -31,7 +31,7 @@ arcs are minimized over merges of their embedded drawings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -502,6 +502,12 @@ class TubedSurface:
     genus_base: int
     tubes: int
     regions: tuple[Region, ...]
+    # One arc model per region, built with the surface; not part of equality.
+    region_models: tuple[PuncturedSurfaceModel, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        models = tuple(build_punctured_model(self.genus_base, r.feet_count) for r in self.regions)
+        object.__setattr__(self, "region_models", models)
 
     @property
     def genus_total(self) -> int:
@@ -524,7 +530,8 @@ class TubedSurface:
         return self.regions[index - 1]
 
     def region_model(self, index: int) -> PuncturedSurfaceModel:
-        return build_punctured_model(self.genus_base, self.region(index).feet_count)
+        self.region(index)  # range check
+        return self.region_models[index - 1]
 
 
 def build_tubed_surface(genus: int, tubes: int) -> TubedSurface:

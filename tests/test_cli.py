@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -356,6 +357,40 @@ def test_homology_respects_simplex_cap(octa_file, capsys):
     code, _, stderr = run(["homology", octa_file, "2", "--max-simplices", "3"], capsys)
     assert code == EXIT_CAP
     assert "max_simplices" in stderr
+
+
+@pytest.fixture()
+def two_points_file(tmp_path):
+    path = tmp_path / "two.json"
+    path.write_text('{"vertices": [{"id": "a"}, {"id": "b"}], "edges": []}')
+    return str(path)
+
+
+def test_homology_caps_the_dimension_count_before_enumerating(two_points_file, capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("cliques enumerated before the dimension cap was checked")
+
+    monkeypatch.setattr(cli, "reduced_homology", no_enumeration)
+    start = time.perf_counter()
+    code, stdout, stderr = run(["homology", two_points_file, str(10**20)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CAP
+    assert stdout == ""
+    assert f"d_max {10**20}" in stderr
+    assert "max_simplices (1000000)" in stderr
+    code, _, stderr = run(["homology", two_points_file, "3", "--max-simplices", "3"], capsys)
+    assert code == EXIT_CAP
+    assert "d_max 3 asks for 4 dimensions" in stderr and "max_simplices (3)" in stderr
+
+
+def test_homology_dimension_count_at_the_cap_still_runs(two_points_file, capsys):
+    code, stdout, _ = run(["homology", two_points_file, "2", "--max-simplices", "3"], capsys)
+    assert code == EXIT_OK
+    assert [line for line in stdout.splitlines() if line.startswith("reduced H_")] == [
+        "reduced H_0 = Z",
+        "reduced H_1 = 0",
+        "reduced H_2 = 0",
+    ]
 
 
 def test_homology_rejects_negative_simplex_cap(octa_file, capsys):

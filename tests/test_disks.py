@@ -158,6 +158,50 @@ def test_stored_key_matches_fresh_key_and_leaves_equality_alone(genus, tubes):
         Meridian(1, key="M(2)")
 
 
+def fresh_partner(d: BandSum):
+    """The partner with 'self' resolved, built from scratch."""
+    return Meridian(d.base) if d.partner == SELF_PARTNER else d.partner
+
+
+def fresh_tubes(d) -> frozenset:
+    """The tube footprint, derived recursively from the descriptor fields."""
+    if isinstance(d, Meridian):
+        return frozenset({d.index})
+    if isinstance(d, VerticalDisk):
+        return frozenset({d.region})
+    return frozenset({d.base}) | fresh_tubes(fresh_partner(d))
+
+
+STORED_FIELDS = ("key", "tube_footprint", "resolved_partner")
+
+
+@pytest.mark.parametrize(("genus", "n"), [(1, 5), (2, 4), (3, 4)])
+def test_stored_partner_and_footprint_match_a_fresh_derivation(genus, n):
+    catalog = build_disk_catalog(build_tubed_surface(genus, n + 1), CatalogConfig(arc_bound=3))
+    partners = 0
+    for d in catalog.disks:
+        assert d.tube_footprint == fresh_tubes(d) == disk_tubes(d)
+        if isinstance(d, BandSum):
+            partners += 1
+            assert d.resolved_partner == fresh_partner(d) == resolve_partner(d)
+            if d.partner != SELF_PARTNER:
+                assert d.resolved_partner is d.partner
+        else:
+            assert not hasattr(d, "resolved_partner")
+        # equality, hashing and repr see only the descriptor fields
+        values = tuple(getattr(d, name) for name in DESCRIPTOR_FIELDS[type(d)])
+        assert hash(d) == hash(values)
+        assert type(d)(*values) == d
+        assert not any(name in repr(d) for name in STORED_FIELDS)
+        stored = [f for f in dataclasses.fields(d) if f.name in STORED_FIELDS]
+        assert stored and all(not (f.init or f.compare or f.repr) for f in stored)
+    assert partners > 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        BandSum(1, SELF_PARTNER, (-1,), 1).tube_footprint = frozenset({2})
+    with pytest.raises(TypeError):
+        VerticalDisk(1, (-1,), tube_footprint=frozenset({2}))
+
+
 @pytest.mark.parametrize(("genus", "n"), [(1, 5), (2, 4), (3, 4)])
 def test_footprint_rule_agrees_with_the_calculus(genus, n):
     """Disjoint tube and region footprints imply disjoint disks, on every catalog pair."""

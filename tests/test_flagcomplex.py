@@ -14,17 +14,14 @@ from disklab.errors import InvalidConfigError, MalformedFileError, ResourceCapEr
 from disklab.flagcomplex import (
     DEFAULT_MAX_SIMPLICES,
     FlagComplex,
-    VertexMap,
     canonical_json,
-    check_retraction,
-    check_simplicial,
     complex_from_json_obj,
     complex_to_json_obj,
     flag_cliques,
-    induced_subcomplex,
     octahedral_sphere,
     suspend,
 )
+from oracles import VertexMap, check_retraction, check_simplicial, induced_subcomplex
 
 
 # -- test-only vertex-map JSON ---------------------------------------------------

@@ -1,11 +1,15 @@
 """Tests for sphere realization, the retraction engine, and certification."""
 
+import importlib
+import random
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
+import disklab.disks as disks_module
 import disklab.retraction as retraction_module
+import disklab.surface as surface_module
 from disklab.disks import (
     SELF_PARTNER,
     BandSum,
@@ -17,13 +21,14 @@ from disklab.disks import (
     meets_distinguished,
 )
 from disklab.errors import InvalidConfigError, WellDefinednessError
-from disklab.flagcomplex import canonical_json
+from disklab.flagcomplex import FlagComplex, canonical_json
 from disklab.retraction import (
     CASE_OF_TYPES,
     RetractionEngine,
     SphereVertex,
+    SuspensionSphere,
     build_suspension_sphere,
-    catalog_complex,
+    certify_catalog,
     certify_minimality,
     outermost_arcs,
     render_report,
@@ -32,6 +37,7 @@ from disklab.retraction import (
     verify_sphere,
 )
 from disklab.surface import build_tubed_surface
+from oracles import VertexMap, catalog_complex, check_retraction, check_simplicial
 
 
 @pytest.fixture(scope="module")
@@ -298,7 +304,8 @@ def test_pair_scan_matches_the_calculus_on_every_pair(genus, n):
     engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
     budget = catalog.config.merge_budget
     records = retraction_module._disk_records(engine, {})
-    pairs, claims, _ = retraction_module._scan_pairs(records, surface, budget, tally=False)
+    keys = frozenset(d.key for d in catalog.disks)
+    pairs, claims, _ = retraction_module._scan_pairs(records, surface, budget, tally=False, keep=keys)
     assert claims is None
     expected = [
         (a, b) for a, b in combinations(catalog.disks, 2) if disks_disjoint_unvalidated(a, b, surface, budget)
@@ -462,3 +469,175 @@ def test_render_report():
     assert "Disjoint witness pair" in report
     # deterministic rendering
     assert report == render_report(certify_minimality(1, 2, CatalogConfig(arc_bound=3)))
+
+
+# -- the certify path: one simpliciality check, vertex-level retraction check -------
+
+
+@pytest.fixture(scope="module")
+def setup_g1n4():
+    """The g1 n4 pipeline, plus every certified-disjoint pair (the oracle's edges)."""
+    surface = build_tubed_surface(1, 5)
+    catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
+    sphere = build_suspension_sphere(surface, catalog)
+    engine = RetractionEngine(surface, catalog, sphere)
+    keys = frozenset(d.key for d in catalog.disks)
+    records = retraction_module._disk_records(engine, {})
+    pairs, _, _ = retraction_module._scan_pairs(records, surface, engine.budget, tally=False, keep=keys)
+    return surface, catalog, sphere, engine, pairs
+
+
+def oracle_report(cert, catalog, pairs, sphere):
+    """``check_retraction`` on the certificate's image table over the catalog complex."""
+    assignment = {key: entry["key"] for key, entry in cert["retraction"]["images"].items()}
+    k = catalog_complex(catalog, pairs)
+    return check_retraction(VertexMap(k, k, assignment), sphere.complex())[1]
+
+
+def rig_key_for(monkeypatch, substitute):
+    """Make the sphere name some of its vertices by other disks' keys."""
+    real = SuspensionSphere.key_for
+
+    def key_for(self, vertex):
+        key = real(self, vertex)
+        return substitute.get(key, key)
+
+    monkeypatch.setattr(SuspensionSphere, "key_for", key_for)
+
+
+def test_certify_flags_an_image_outside_the_sphere(setup_g1n4, monkeypatch):
+    _, catalog, sphere, _, pairs = setup_g1n4
+    d0 = sphere.d_disks[0]
+    # Another vertical disk of region 1: it meets E0 and misses every other
+    # sphere vertex, like D0, so every pair still maps to an edge.
+    other = next(d for d in catalog.vertical_disks() if d.region == 1 and d != d0)
+    rig_key_for(monkeypatch, {d0.key: other.key})
+    cert = certify_catalog(catalog)
+    report = cert["retraction"]["check"]["report"]
+    assert not cert["passed"] and cert["claims"]["passed"] and cert["homology"] is None
+    assert cert["first_violation"] == {"kind": "retraction", "detail": report[0]}
+    assert report == oracle_report(cert, catalog, pairs, sphere)
+    assert report[0].startswith("image of ") and report[-1] == (
+        f"subcomplex vertex {d0.key!r} is not fixed (maps to {other.key!r})"
+    )
+    assert sum(line.startswith("image of ") for line in report) == sum(
+        entry["vertex"] == "D0" for entry in cert["retraction"]["images"].values()
+    )
+
+
+def test_certify_flags_a_sphere_vertex_that_is_not_fixed(setup_g1n4, monkeypatch):
+    _, catalog, sphere, _, pairs = setup_g1n4
+    d0, e0 = sphere.pair(0)
+    # Swapping one antipodal pair is an automorphism of the octahedron, so
+    # only the fixed-point check can see it.
+    rig_key_for(monkeypatch, {d0.key: e0.key, e0.key: d0.key})
+    cert = certify_catalog(catalog)
+    report = cert["retraction"]["check"]["report"]
+    assert not cert["passed"] and cert["claims"]["passed"]
+    assert cert["first_violation"] == {"kind": "retraction", "detail": report[0]}
+    assert report == oracle_report(cert, catalog, pairs, sphere)
+    assert report == [
+        f"subcomplex vertex {e0.key!r} is not fixed (maps to {d0.key!r})",
+        f"subcomplex vertex {d0.key!r} is not fixed (maps to {e0.key!r})",
+    ]
+
+
+def test_certify_flags_a_sphere_edge_missing_from_the_pair_list(setup_g1n4, monkeypatch):
+    _, catalog, sphere, _, pairs = setup_g1n4
+    missing = {sphere.d_disks[0].key, sphere.e_disks[1].key}
+    real = retraction_module._scan_pairs
+
+    def scan(*args, **kwargs):
+        kept, claims, witness = real(*args, **kwargs)
+        return [p for p in kept if {p[0].key, p[1].key} != missing], claims, witness
+
+    monkeypatch.setattr(retraction_module, "_scan_pairs", scan)
+    cert = certify_catalog(catalog)
+    report = cert["retraction"]["check"]["report"]
+    assert not cert["passed"] and cert["claims"]["passed"]
+    assert cert["first_violation"] == {"kind": "retraction", "detail": report[0]}
+    u, v = sorted(missing)
+    assert report == [f"subcomplex edge ({u!r}, {v!r}) is not a domain edge"]
+    # The oracle, on the catalog complex without that edge, reports the same
+    # vertex-level line and then every catalog edge mapped onto the missing
+    # edge; the certificate stops at the vertex-level lines.
+    expected = oracle_report(cert, catalog, [p for p in pairs if {p[0].key, p[1].key} != missing], sphere)
+    assert report == [line for line in expected if not line.startswith("edge (")]
+    tail = expected[len(report) :]
+    onto_missing = (f"maps to non-edge ({u!r}, {v!r})", f"maps to non-edge ({v!r}, {u!r})")
+    assert tail and all(line.endswith(onto_missing) for line in tail)
+
+
+def test_pair_pass_flags_exactly_the_edges_the_oracle_finds(setup_g1n4):
+    surface, catalog, sphere, engine, pairs = setup_g1n4
+    k = catalog_complex(catalog, pairs)
+    real = {d.key: engine.image(d) for d in catalog.disks}
+    vertices = [SphereVertex(i, letter) for i in range(sphere.index + 1) for letter in "DE"]
+    tables = [real, {d.key: SphereVertex(i % 3, "DE"[i % 2]) for i, d in enumerate(catalog.disks)}]
+    for seed in range(4):
+        rng = random.Random(seed)
+        tables.append({key: rng.choice(vertices) if rng.random() < 0.05 else x for key, x in real.items()})
+    flagged_per_table = []
+    for table in tables:
+        records = retraction_module._disk_records(engine, table)
+        _, claims, _ = retraction_module._scan_pairs(records, surface, engine.budget, tally=True)
+        flagged = {frozenset(v["disks"]) for v in claims["violations"]}
+        assignment = {key: sphere.key_for(x) for key, x in table.items()}
+        bad = {frozenset(edge) for edge in check_simplicial(VertexMap(k, k, assignment))}
+        assert flagged == bad
+        assert claims["passed"] == (not bad)
+        flagged_per_table.append(flagged)
+    # The real images are simplicial; every rigged table breaks some edge.
+    assert flagged_per_table[0] == set() and all(flagged_per_table[1:])
+
+
+def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
+    _, catalog, sphere, _, _ = setup_g1n4
+    n = sphere.index
+    vertices, edges = [], []
+    add_vertex, add_edge = FlagComplex.add_vertex, FlagComplex.add_edge
+
+    def counting_vertex(self, vertex_id, label=None):
+        vertices.append(vertex_id)
+        return add_vertex(self, vertex_id, label)
+
+    def counting_edge(self, u, v):
+        edges.append((u, v))
+        return add_edge(self, u, v)
+
+    monkeypatch.setattr(FlagComplex, "add_vertex", counting_vertex)
+    monkeypatch.setattr(FlagComplex, "add_edge", counting_edge)
+    cert = certify_catalog(catalog)
+    assert cert["passed"]
+    sphere_keys = set(sphere.sub_sphere_keys(n))
+    # Only the octahedron is ever built: 2(n + 1) vertices and 2n(n + 1) edges.
+    assert vertices and set(vertices) == sphere_keys and len(vertices) == 2 * (n + 1)
+    assert len(edges) == 2 * n * (n + 1)
+    # Nothing in the package can check simpliciality edge by edge.
+    for name in ("errors", "surface", "flagcomplex", "homology", "disks", "retraction", "cli"):
+        module = importlib.import_module(f"disklab.{name}")
+        for helper in ("check_simplicial", "check_retraction", "VertexMap", "catalog_complex"):
+            assert not hasattr(module, helper), (name, helper)
+
+
+def test_pair_scan_derives_nothing_again(setup_g1n4, monkeypatch):
+    """The pass reads stored partners, footprints and region models."""
+    surface, _, _, engine, _ = setup_g1n4
+    records = retraction_module._disk_records(engine, {})
+    built = Counter()
+    meridian_init = disks_module.Meridian.__post_init__
+    punctured_model = surface_module.build_punctured_model
+
+    def counting_meridian(self):
+        built["meridian"] += 1
+        meridian_init(self)
+
+    def counting_model(*args, **kwargs):
+        built["model"] += 1
+        return punctured_model(*args, **kwargs)
+
+    monkeypatch.setattr(disks_module.Meridian, "__post_init__", counting_meridian)
+    monkeypatch.setattr(surface_module, "build_punctured_model", counting_model)
+    monkeypatch.setattr(disks_module, "build_punctured_model", counting_model)
+    kept, _, _ = retraction_module._scan_pairs(records, surface, engine.budget, tally=False)
+    assert kept == [] and built == Counter()

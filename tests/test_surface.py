@@ -410,6 +410,22 @@ def test_build_tubed_surface_f2():
     assert s.region_model(1).feet == 1
 
 
+@pytest.mark.parametrize(("genus", "tubes"), [(1, 1), (1, 6), (3, 5)])
+def test_region_models_are_built_once_with_the_surface(genus, tubes):
+    s = build_tubed_surface(genus, tubes)
+    for r in s.regions:
+        model = s.region_model(r.index)
+        assert model is s.region_model(r.index)
+        assert model == surface.build_punctured_model(genus, r.feet_count)
+    with pytest.raises(InvalidConfigError):
+        s.region_model(tubes + 1)
+    with pytest.raises(InvalidConfigError):
+        s.region_model(0)
+    # the stored models take no part in equality, hashing or repr
+    assert s == build_tubed_surface(genus, tubes) and hash(s) == hash(build_tubed_surface(genus, tubes))
+    assert "region_models" not in repr(s)
+
+
 def test_build_tubed_surface_f3_interior_region():
     s = build_tubed_surface(2, 3)
     assert s.genus_total == 8
