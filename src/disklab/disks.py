@@ -290,7 +290,7 @@ def disks_disjoint(a: Disk, b: Disk, surface: TubedSurface, budget=DEFAULT_MERGE
     return disks_disjoint_unvalidated(a, b, surface, budget)
 
 
-# -- classification and projection ----------------------------------------------
+# -- classification --------------------------------------------------------------
 
 
 def distinguished_disk(surface: TubedSurface) -> Meridian:
@@ -321,29 +321,6 @@ def meets_distinguished(d: Disk, surface: TubedSurface, budget=DEFAULT_MERGE_BUD
     """Whether the disk's footprint forces intersection with the top meridian."""
     validate_disk(d, surface)
     return not disks_disjoint_unvalidated(d, distinguished_disk(surface), surface, budget)
-
-
-def project_disk(d: Disk, surface: TubedSurface, budget=DEFAULT_MERGE_BUDGET) -> Disk:
-    """Re-home a disk that avoids the top tube onto the one-tube-smaller surface.
-
-    Valid only for disks of type T4, or type T2 disjoint from the top
-    meridian.  Such a disk's footprint avoids tube and region ``m``, so the
-    same descriptor denotes an isotopic disk on the surface with ``m - 1``
-    tubes.
-    """
-    if surface.tubes < 2:
-        raise InvalidConfigError("projection needs at least two tubes")
-    t = classify_type(d, surface, budget)
-    if t == "T1" or t == "T3":
-        raise InvalidConfigError(f"disk {d.key} of type {t} meets the top tube and cannot be projected")
-    if t == "T2" and meets_distinguished(d, surface, budget):
-        raise InvalidConfigError(
-            f"disk {d.key} of type T2 meets the top meridian; surgery is required before projection"
-        )
-    m = surface.tubes
-    assert m not in disk_tubes(d), d.key
-    assert m not in disk_regions(d), d.key
-    return d
 
 
 # -- catalogs --------------------------------------------------------------------

@@ -52,12 +52,13 @@ from .disks import (
     build_disk_catalog,
     classify_type,
     config_to_json_obj,
+    disk_regions,
     disk_side,
     disk_to_json_obj,
+    disk_tubes,
     disks_disjoint,
     disks_disjoint_unvalidated,
     meets_distinguished,
-    project_disk,
     validate_disk,
 )
 from .errors import InvalidConfigError, WellDefinednessError
@@ -362,8 +363,12 @@ class RetractionEngine:
             elif t == "T2" and meets_distinguished(d, surface, self.budget):
                 vertex, branch = self._surgery_image(d, level), "surgered"
             else:
-                projected = project_disk(d, surface, self.budget)
-                vertex, branch = self._image(projected, level - 1), "projected"
+                # T4, or T2 missing the top meridian: the footprint avoids
+                # tube and region ``level``, so the same descriptor denotes an
+                # isotopic disk on the surface with one tube fewer.
+                assert level not in disk_tubes(d), d.key
+                assert level not in disk_regions(d), d.key
+                vertex, branch = self._image(d, level - 1), "projected"
         self._images[memo_key] = vertex
         self._branches[memo_key] = branch
         return vertex

@@ -17,15 +17,19 @@ endpoint orderings at the station and slot orderings on each side (one order
 chosen on the plus side, mirrored on the minus side); two chords cross when
 their endpoints interleave.
 
-Embedded drawings of one arc are found by a pruned but still exhaustive
-backtracking search.  It fixes the slot order of one pair per level, then
-the station order.  Points on different sides (or the station) are already
-ordered by the side word, so each pair of chords has a first level at which
-the cyclic order of its four endpoints is fixed; only those pairs are checked
-there, and a branch is cut as soon as one of them interleaves.  This is
-exact: the crossing found persists whatever later levels choose, so a cut
-subtree contains no zero-crossing drawing, and the drawings that remain come
-out in the order of the full product search.  Crossing numbers between two
+Embedded drawings of one arc are grown letter by letter.  A word's open
+chords are all of its chords but the last, which goes back to the station.
+Extending the word by a letter inserts the letter's slot token somewhere in
+the plus-side order of its pair and adds one chord, from the previous
+letter's exit to the new arrival; the extension is kept only if that chord
+crosses no earlier chord.  Inserting a token keeps the relative order of the
+tokens already placed, so earlier chord pairs never need checking again.  A
+word embeds if, in one of its open drawings and under one of the two station
+orders, its last chord crosses nothing.  This is exact: the open chords of a
+word are among the open chords of every extension, so a word with no
+crossing-free open drawing has no embeddable extension.  Reversing a code
+gives the same chords with the two station endpoints swapped, so
+embeddability does not depend on orientation.  Crossing numbers between two
 arcs are minimized over merges of their embedded drawings.
 """
 
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 from disklab.errors import InvalidConfigError, MalformedFileError, ResourceCapError
 
@@ -210,85 +214,72 @@ def _crossings(
     return count
 
 
-def _embedded_drawings(genus: int, code: ArcCode):
-    """Yield every drawing of a single arc with zero self-crossings, in order.
+# -- embeddability: incremental insertion search -----------------------------
+#
+# An open drawing of a word is its plus-side slot order on each pair: a tuple
+# of 2g tuples of entry indices.  Its open chords are every chord but the one
+# back to the station.  A boundary point is (block, rank): block 0 is the
+# station, block i + 1 is side i, and a minus side negates the rank so that it
+# runs backwards; points of different blocks compare by block alone.
 
-    Level ``i`` ranks the slot tokens of the ``i``-th crossed pair (plus-side
-    order, pairs increasing); the last level ranks the two endpoint tokens at
-    the station.  Each level tries its orders in ``permutations`` order, so
-    the drawings come out as a product search over all levels would list
-    them.  Boundary points are ``(block, token, reversed)``: block 0 is the
-    station, block ``i + 1`` is side ``i``, and a minus side lists its slots
-    in reverse rank order.  Chords ``(a, b)`` and ``(c, d)`` interleave when
-    an odd number of ``a<c, b<c, a<d, b<d`` hold; comparisons across blocks
-    are constant, so each chord pair is checked at the level that ranks its
-    last same-block tokens.
-    """
-    validate_code(code, genus)
-    entries = _entries(code)
-    n = len(entries)
-    sidx = _side_index(genus)
-    # Tokens 0..n-1 are the crossings' slots; n and n + 1 are the endpoints.
-    groups: dict[int, list[int]] = {}
-    for idx, (p, _s) in enumerate(entries):
-        groups.setdefault(p, []).append(idx)
-    pair_ids = sorted(groups)
-    level_tokens = [groups[p] for p in pair_ids] + [[n, n + 1]]
-    level_of = {t: lvl for lvl, tokens in enumerate(level_tokens, 1) for t in tokens}
+_START = (0, 0)
+# Each station order with the point of the end token: after the start for
+# ((0, 0), (0, 1)), before it for ((0, 1), (0, 0)).
+_STATIONS = ((((0, 0), (0, 1)), (0, 1)), (((0, 1), (0, 0)), (0, -1)))
 
+
+def _point(sidx: dict, p: int, s: int, rank: float) -> tuple:
+    return (sidx[(p, s)] + 1, rank if s > 0 else -rank)
+
+
+def _open_drawing(sidx: dict, word: ArcCode, orders: tuple) -> tuple:
+    """(orders, open chords as sorted endpoint pairs, free end of the last chord)."""
+    rank = {t: r for order in orders for r, t in enumerate(order)}
     chords = []
-    prev = (0, n, False)
-    for idx, (p, s) in enumerate(entries):
-        chords.append((prev, (sidx[(p, s)] + 1, idx, s < 0)))
-        prev = (sidx[(p, -s)] + 1, idx, s > 0)
-    chords.append((prev, (0, n + 1, False)))
+    prev = _START
+    for i, (p, s) in enumerate(_entries(word)):
+        arrive = _point(sidx, p, s, rank[i])
+        chords.append((prev, arrive) if prev < arrive else (arrive, prev))
+        prev = _point(sidx, p, -s, rank[i])
+    return orders, chords, prev
 
-    # checks[lvl]: (constant parity, rank comparisons (x, y) meaning x < y).
-    checks: list[list[tuple[bool, tuple[tuple[int, int], ...]]]] = [
-        [] for _ in range(len(level_tokens) + 1)
-    ]
-    for (a, b), (c, d) in combinations(chords, 2):
-        parity = False
-        compares = []
-        level = 0
-        for u, v in ((a, c), (b, c), (a, d), (b, d)):
-            if u[0] != v[0]:
-                parity ^= u[0] < v[0]
-            else:
-                compares.append((v[1], u[1]) if u[2] else (u[1], v[1]))
-                level = max(level, level_of[u[1]])
-        if compares:
-            checks[level].append((parity, tuple(compares)))
-        elif parity:
-            return  # the side word alone forces this crossing
 
-    rank = [0] * (n + 2)
-    chosen: list[tuple[int, ...]] = []
+def _crosses(chords: list, a: tuple, b: tuple) -> bool:
+    return any((lo < a < hi) != (lo < b < hi) for lo, hi in chords)
 
-    def search(lvl: int):
-        if lvl == len(level_tokens):
-            orders = dict(zip(pair_ids, chosen))
-            yield (
-                tuple((0, t - n) for t in chosen[-1]),
-                tuple(tuple((0, t) for t in orders.get(p, ())) for p in range(2 * genus)),
-            )
-            return
-        due = checks[lvl + 1]
-        for perm in permutations(level_tokens[lvl]):
-            for r, t in enumerate(perm):
-                rank[t] = r
-            for parity, compares in due:
-                for x, y in compares:
-                    if rank[x] < rank[y]:
-                        parity = not parity
-                if parity:
-                    break
-            else:
-                chosen.append(perm)
-                yield from search(lvl + 1)
-                chosen.pop()
 
-    yield from search(0)
+def _extend(sidx: dict, word: ArcCode, drawings: list, x: int) -> list:
+    """Open drawings of ``word + (x,)`` grown from those of ``word``.
+
+    x's slot token is inserted at every place in its pair's plus-side order
+    (rank j - 1/2 falls between the tokens ranked j - 1 and j), and a place
+    is kept when the chord it closes crosses no open chord.
+    """
+    ((p, s),) = _entries((x,))
+    out = []
+    for orders, chords, free in drawings:
+        order = orders[p]
+        for j in range(len(order) + 1):
+            if not _crosses(chords, free, _point(sidx, p, s, j - 0.5)):
+                grown = orders[:p] + (order[:j] + (len(word),) + order[j:],) + orders[p + 1:]
+                out.append(_open_drawing(sidx, word + (x,), grown))
+    return out
+
+
+def _closings(drawing: tuple) -> list:
+    """Station orders under which the last chord, back to the station, crosses nothing."""
+    _orders, chords, free = drawing
+    return [station for station, end in _STATIONS if not _crosses(chords, free, end)]
+
+
+def _drawings_of(genus: int, code: ArcCode) -> list:
+    """Every crossing-free open drawing of ``code``, grown letter by letter."""
+    validate_code(code, genus)
+    sidx = _side_index(genus)
+    drawings = [_open_drawing(sidx, (), ((),) * (2 * genus))]
+    for i, x in enumerate(code):
+        drawings = _extend(sidx, code[:i], drawings, x)
+    return drawings
 
 
 @lru_cache(maxsize=None)
@@ -300,16 +291,27 @@ def solo_drawings(
     Each drawing is (station_order, per_pair_orders) where per_pair_orders
     lists, for pair p in 0..2g-1, the plus-side slot order of this arc's
     pair-p crossings.  An empty result means the code admits no embedded
-    representative.  Drawings come in a fixed order (see
-    :func:`_embedded_drawings`), which a budgeted :func:`arc_intersection`
-    depends on.
+    representative.  The drawings are the code's crossing-free open
+    drawings, each closed under every station order that leaves its last
+    chord uncrossed.  They come sorted by per-pair orders (pairs
+    increasing), then station order: the order a product search over all
+    orders lists them in, which a budgeted :func:`arc_intersection` depends
+    on.
     """
-    return tuple(_embedded_drawings(genus, code))
+    closed = []
+    for drawing in _drawings_of(genus, code):
+        per_pair = tuple(tuple((0, t) for t in order) for order in drawing[0])
+        closed.extend((station, per_pair) for station in _closings(drawing))
+    return tuple(sorted(closed, key=lambda d: (d[1], d[0])))
 
 
 def is_embeddable(genus: int, code: ArcCode) -> bool:
-    """Whether the code admits an embedded drawing; stops at the first one."""
-    return next(_embedded_drawings(genus, canonical_code(code)), None) is not None
+    """Whether some crossing-free open drawing of the code closes under a station order.
+
+    Reversal swaps only the two station endpoints, so a code and its reverse
+    get the same answer.
+    """
+    return any(_closings(d) for d in _drawings_of(genus, code))
 
 
 def _shuffles(xs: tuple, ys: tuple):
@@ -420,6 +422,17 @@ def arc_intersection(
 # -- arc enumeration ----------------------------------------------------------
 
 
+def candidate_count(genus: int, k: int) -> int:
+    """Canonical reduced codes of length 1..k, up to traversal reversal.
+
+    There are ``4g * (4g - 1)^(L-1)`` reduced codes of length L.  None is its
+    own reversal (its middle entry would be 0, or its two middle entries
+    would cancel), so reversal pairs them all up.
+    """
+    letters = 4 * genus
+    return sum(letters * (letters - 1) ** (length - 1) // 2 for length in range(1, k + 1))
+
+
 def enumerate_arcs(
     m: PuncturedSurfaceModel,
     k: int,
@@ -427,38 +440,38 @@ def enumerate_arcs(
 ) -> list[ArcCode]:
     """Canonical embeddable arc classes of code length <= k.
 
-    Reduced codes over the 4g signed letters, deduplicated under traversal
-    reversal, filtered to codes admitting an embedded drawing, in
+    A depth-first search over reduced words over the 4g signed letters
+    carries each word's crossing-free open drawings and never extends a
+    word that has none: its open chords are among those of every
+    extension, so no pruned word leads to an embeddable code.  The
+    canonical form of every embeddable word is collected; the result is in
     deterministic (length, lexicographic) order.  Raises the resource-cap
-    error if the canonical candidate count exceeds ``max_classes``.
+    error, before any search, if the :func:`candidate_count` of canonical
+    codes exceeds ``max_classes``.
     """
     if k < 0:
         raise InvalidConfigError(f"arc bound must be >= 0, got {k}")
     g = m.genus
+    if candidate_count(g, k) > max_classes:
+        raise ResourceCapError("max_arc_classes", f"genus {g}, length bound {k}", max_classes)
+    sidx = _side_index(g)
     letters = [x for x in range(-2 * g, 2 * g + 1) if x != 0]
-    seen: set[ArcCode] = set()
+    found: set[ArcCode] = set()
 
-    def grow(prefix: tuple[int, ...]) -> None:
-        if prefix:
-            canon = canonical_code(prefix)
-            if canon not in seen:
-                seen.add(canon)
-                if len(seen) > max_classes:
-                    raise ResourceCapError(
-                        "max_arc_classes",
-                        f"genus {g}, length bound {k}",
-                        max_classes,
-                    )
-        if len(prefix) == k:
+    def grow(word: ArcCode, drawings: list) -> None:
+        if word and any(_closings(d) for d in drawings):
+            found.add(canonical_code(word))
+        if len(word) == k:
             return
         for x in letters:
-            if prefix and prefix[-1] == -x:
+            if word and word[-1] == -x:
                 continue
-            grow(prefix + (x,))
+            grown = _extend(sidx, word, drawings, x)
+            if grown:
+                grow(word + (x,), grown)
 
-    grow(())
-    embeddable = [c for c in sorted(seen, key=lambda c: (len(c), c)) if is_embeddable(g, c)]
-    return embeddable
+    grow((), [_open_drawing(sidx, (), ((),) * (2 * g))])
+    return sorted(found, key=lambda c: (len(c), c))
 
 
 # -- tubed surfaces -----------------------------------------------------------

@@ -1,18 +1,36 @@
-"""Test-only complex helpers and the edge-by-edge retraction oracle.
+"""Test-only oracles: older, direct formulations that the tests compare against.
 
 ``certify`` checks simpliciality in its pair pass and the retraction on
 vertices only; the tests keep the old, direct formulation here as an oracle:
 the cataloged complex as a :class:`FlagComplex`, total vertex maps between
 flag complexes, and ``check_retraction``, which also walks every domain edge.
+
+Arc enumeration grows words letter by letter and prunes; the oracle here
+generates every canonical candidate code and filters each one with a
+separate level-by-level search over slot permutations.  ``project_disk``
+re-decides a disk's type before re-homing it one tube level down, which the
+retraction engine does inline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, permutations, product
 from typing import Iterable
 
+from disklab.disks import Disk, classify_type, disk_regions, disk_tubes, meets_distinguished
 from disklab.errors import InvalidConfigError
 from disklab.flagcomplex import FlagComplex
+from disklab.surface import (
+    DEFAULT_MERGE_BUDGET,
+    ArcCode,
+    PuncturedSurfaceModel,
+    TubedSurface,
+    _entries,
+    _side_index,
+    canonical_code,
+    validate_code,
+)
 
 
 def induced_subcomplex(c: FlagComplex, vertex_ids: Iterable[str]) -> FlagComplex:
@@ -103,3 +121,133 @@ def check_retraction(f: VertexMap, s: FlagComplex) -> tuple[bool, list[str]]:
     for (u, v) in check_simplicial(f):
         report.append(f"edge ({u!r}, {v!r}) maps to non-edge ({f(u)!r}, {f(v)!r})")
     return (not report, report)
+
+
+# -- arc enumeration -------------------------------------------------------------
+
+
+def level_search_drawings(genus: int, code: ArcCode):
+    """Yield every drawing of a single arc with zero self-crossings, in order.
+
+    Level ``i`` ranks the slot tokens of the ``i``-th crossed pair (plus-side
+    order, pairs increasing); the last level ranks the two endpoint tokens at
+    the station.  Each level tries its orders in ``permutations`` order, so
+    the drawings come out as a product search over all levels would list
+    them.  Boundary points are ``(block, token, reversed)``: block 0 is the
+    station, block ``i + 1`` is side ``i``, and a minus side lists its slots
+    in reverse rank order.  Chords ``(a, b)`` and ``(c, d)`` interleave when
+    an odd number of ``a<c, b<c, a<d, b<d`` hold; comparisons across blocks
+    are constant, so each chord pair is checked at the level that ranks its
+    last same-block tokens.
+    """
+    validate_code(code, genus)
+    entries = _entries(code)
+    n = len(entries)
+    sidx = _side_index(genus)
+    # Tokens 0..n-1 are the crossings' slots; n and n + 1 are the endpoints.
+    groups: dict[int, list[int]] = {}
+    for idx, (p, _s) in enumerate(entries):
+        groups.setdefault(p, []).append(idx)
+    pair_ids = sorted(groups)
+    level_tokens = [groups[p] for p in pair_ids] + [[n, n + 1]]
+    level_of = {t: lvl for lvl, tokens in enumerate(level_tokens, 1) for t in tokens}
+
+    chords = []
+    prev = (0, n, False)
+    for idx, (p, s) in enumerate(entries):
+        chords.append((prev, (sidx[(p, s)] + 1, idx, s < 0)))
+        prev = (sidx[(p, -s)] + 1, idx, s > 0)
+    chords.append((prev, (0, n + 1, False)))
+
+    # checks[lvl]: (constant parity, rank comparisons (x, y) meaning x < y).
+    checks: list[list[tuple[bool, tuple[tuple[int, int], ...]]]] = [
+        [] for _ in range(len(level_tokens) + 1)
+    ]
+    for (a, b), (c, d) in combinations(chords, 2):
+        parity = False
+        compares = []
+        level = 0
+        for u, v in ((a, c), (b, c), (a, d), (b, d)):
+            if u[0] != v[0]:
+                parity ^= u[0] < v[0]
+            else:
+                compares.append((v[1], u[1]) if u[2] else (u[1], v[1]))
+                level = max(level, level_of[u[1]])
+        if compares:
+            checks[level].append((parity, tuple(compares)))
+        elif parity:
+            return  # the side word alone forces this crossing
+
+    rank = [0] * (n + 2)
+    chosen: list[tuple[int, ...]] = []
+
+    def search(lvl: int):
+        if lvl == len(level_tokens):
+            orders = dict(zip(pair_ids, chosen))
+            yield (
+                tuple((0, t - n) for t in chosen[-1]),
+                tuple(tuple((0, t) for t in orders.get(p, ())) for p in range(2 * genus)),
+            )
+            return
+        due = checks[lvl + 1]
+        for perm in permutations(level_tokens[lvl]):
+            for r, t in enumerate(perm):
+                rank[t] = r
+            for parity, compares in due:
+                for x, y in compares:
+                    if rank[x] < rank[y]:
+                        parity = not parity
+                if parity:
+                    break
+            else:
+                chosen.append(perm)
+                yield from search(lvl + 1)
+                chosen.pop()
+
+    yield from search(0)
+
+
+def all_reduced_codes(genus: int, k: int):
+    """Yield every reduced code of length 1..k."""
+    letters = [x for x in range(-2 * genus, 2 * genus + 1) if x != 0]
+    for length in range(1, k + 1):
+        for code in product(letters, repeat=length):
+            if all(a != -b for a, b in zip(code, code[1:])):
+                yield code
+
+
+def canonical_reduced_codes(genus: int, k: int) -> list[ArcCode]:
+    """Every canonical reduced code of length 1..k, in catalog order."""
+    return sorted({canonical_code(c) for c in all_reduced_codes(genus, k)}, key=lambda c: (len(c), c))
+
+
+def enumerate_arcs_by_filtering(m: PuncturedSurfaceModel, k: int) -> list[ArcCode]:
+    """Every canonical reduced code of length <= k that the level search embeds."""
+    codes = canonical_reduced_codes(m.genus, k)
+    return [c for c in codes if next(level_search_drawings(m.genus, c), None) is not None]
+
+
+# -- projection ------------------------------------------------------------------
+
+
+def project_disk(d: Disk, surface: TubedSurface, budget=DEFAULT_MERGE_BUDGET) -> Disk:
+    """Re-home a disk that avoids the top tube onto the one-tube-smaller surface.
+
+    Valid only for disks of type T4, or type T2 disjoint from the top
+    meridian.  Such a disk's footprint avoids tube and region ``m``, so the
+    same descriptor denotes an isotopic disk on the surface with ``m - 1``
+    tubes.
+    """
+    if surface.tubes < 2:
+        raise InvalidConfigError("projection needs at least two tubes")
+    t = classify_type(d, surface, budget)
+    if t == "T1" or t == "T3":
+        raise InvalidConfigError(f"disk {d.key} of type {t} meets the top tube and cannot be projected")
+    if t == "T2" and meets_distinguished(d, surface, budget):
+        raise InvalidConfigError(
+            f"disk {d.key} of type T2 meets the top meridian; surgery is required before projection"
+        )
+    m = surface.tubes
+    assert m not in disk_tubes(d), d.key
+    assert m not in disk_regions(d), d.key
+    return d

@@ -31,13 +31,13 @@ from disklab.disks import (
     disks_disjoint_unvalidated,
     distinguished_disk,
     meets_distinguished,
-    project_disk,
     resolve_partner,
     validate_disk,
 )
 from disklab.errors import InvalidConfigError, MalformedFileError
 from disklab.flagcomplex import canonical_json
 from disklab.surface import SIDE_A, SIDE_B, build_tubed_surface
+from oracles import project_disk
 
 
 @pytest.fixture(scope="module")

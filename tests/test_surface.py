@@ -26,6 +26,7 @@ from disklab.surface import (
     arc_intersection,
     build_punctured_model,
     build_tubed_surface,
+    candidate_count,
     canonical_code,
     enumerate_arcs,
     is_embeddable,
@@ -38,6 +39,7 @@ from disklab.surface import (
     tube_side,
     validate_code,
 )
+from oracles import all_reduced_codes, canonical_reduced_codes, enumerate_arcs_by_filtering
 
 
 # -- test-only helpers --------------------------------------------------------
@@ -75,17 +77,6 @@ def exhaustive_solo_drawings(genus: int, code: ArcCode) -> tuple:
 
     rec(0, {})
     return tuple(out)
-
-
-def canonical_reduced_codes(genus: int, k: int) -> list[ArcCode]:
-    """Every canonical reduced code of length 1..k, in catalog order."""
-    letters = [x for x in range(-2 * genus, 2 * genus + 1) if x != 0]
-    codes = set()
-    for length in range(1, k + 1):
-        for code in itertools.product(letters, repeat=length):
-            if all(a != -b for a, b in zip(code, code[1:])):
-                codes.add(canonical_code(code))
-    return sorted(codes, key=lambda c: (len(c), c))
 
 
 def min_crossings_exact(genus: int, a: ArcCode, b: ArcCode) -> int:
@@ -227,9 +218,18 @@ def test_enumerate_monotone_and_canonical():
     assert k3 == sorted(k3, key=lambda c: (len(c), c))
 
 
-@pytest.mark.parametrize("genus, k, count", [(1, 7, 84), (2, 5, 449), (1, 8, 106)])
+@pytest.mark.parametrize(
+    "genus, k, count",
+    [(1, 7, 84), (2, 5, 449), (1, 8, 106), (1, 9, 150), (2, 6, 1093), (3, 4, 527)],
+)
 def test_enumerate_embeddable_counts(genus, k, count):
     assert len(enumerate_arcs(build_punctured_model(genus), k)) == count
+
+
+@pytest.mark.parametrize("genus, k", [(1, k) for k in range(1, 8)] + [(2, 4), (2, 5), (3, 3)])
+def test_enumerate_matches_filtering_oracle(genus, k):
+    m = build_punctured_model(genus)
+    assert enumerate_arcs(m, k) == enumerate_arcs_by_filtering(m, k)
 
 
 def test_enumerate_resource_cap():
@@ -237,6 +237,27 @@ def test_enumerate_resource_cap():
         enumerate_arcs(build_punctured_model(2), 4, max_classes=10)
     assert exc.value.cap_name == "max_arc_classes"
     assert exc.value.limit == 10
+
+
+def test_candidate_count_matches_canonical_codes():
+    for genus, k in [(1, 1), (1, 5), (2, 3)]:
+        assert candidate_count(genus, k) == len(canonical_reduced_codes(genus, k))
+    assert candidate_count(1, 0) == 0
+    assert candidate_count(1, 9) == 19682 and candidate_count(2, 6) == 78432
+
+
+def test_enumerate_resource_cap_boundary_is_decided_before_search(monkeypatch):
+    m = build_punctured_model(2)
+    count = candidate_count(2, 4)
+    assert len(enumerate_arcs(m, 4, max_classes=count)) == 159
+
+    def no_search(*args):
+        raise AssertionError("the search ran although the cap was exceeded")
+
+    monkeypatch.setattr(surface, "_extend", no_search)
+    with pytest.raises(ResourceCapError) as exc:
+        enumerate_arcs(m, 4, max_classes=count - 1)
+    assert exc.value.limit == count - 1
 
 
 # -- embeddability (frozen values) ---------------------------------------------
@@ -283,6 +304,12 @@ def test_solo_drawings_match_exhaustive_oracle(genus, k):
         assert solo_drawings(genus, code) == exhaustive_solo_drawings(genus, code), code
 
 
+@pytest.mark.parametrize("genus, k", [(1, 6), (2, 4)])
+def test_embeddability_ignores_orientation(genus, k):
+    for code in all_reduced_codes(genus, k):
+        assert is_embeddable(genus, code) == is_embeddable(genus, reverse_code(code)), code
+
+
 @pytest.mark.parametrize(
     "code, rejected_early",
     [((-1, -2), True), ((-1, -2, -1), True), ((1, 1), False)],
@@ -290,16 +317,26 @@ def test_solo_drawings_match_exhaustive_oracle(genus, k):
 )
 def test_side_word_alone_rejects_some_codes(monkeypatch, code, rejected_early):
     # A crossing between chords whose endpoints lie on different sides is
-    # fixed before any slot order is chosen.
-    tried = []
+    # fixed before any slot order is chosen.  In (-1, -2), chord 0 runs from
+    # the station to side 2 and chord 1 from side 0 to side 3, so the prefix
+    # (-1, -2) has no crossing-free open drawing, and enumeration never
+    # visits a word that extends it.  (1, 1) keeps an open drawing and fails
+    # only when its last chord is closed at the station.
+    visited = []
+    extend = surface._extend
 
-    def recording_permutations(tokens):
-        tried.append(tuple(tokens))
-        return itertools.permutations(tokens)
+    def recording_extend(sidx, word, drawings, x):
+        visited.append((word, len(drawings)))
+        return extend(sidx, word, drawings, x)
 
-    monkeypatch.setattr(surface, "permutations", recording_permutations)
-    assert not is_embeddable(1, code)
-    assert (tried == []) is rejected_early
+    monkeypatch.setattr(surface, "_extend", recording_extend)
+    arcs = enumerate_arcs(build_punctured_model(1), len(code) + 1)
+    words = {w for w, _ in visited}
+    assert all(n > 0 for _, n in visited)  # every visited word has an open drawing
+    assert (code in words) is not rejected_early
+    assert any(w[: len(code)] == code for w in words) is not rejected_early
+    assert not is_embeddable(1, code) and canonical_code(code) not in arcs
+    assert (surface._drawings_of(1, code) == []) is rejected_early
 
 
 # -- intersection numbers (frozen oracle table) ---------------------------------
