@@ -1,9 +1,9 @@
 """Command-line interface: build catalogs, certify minimality, compute homology.
 
 Exit codes: 0 success (certificate passed, when one is produced); 1 a
-certificate was produced but FAILED; 2 invalid parameters or a malformed
-input file (the message names the location); 3 a configured resource cap was
-exceeded.
+certificate was produced but FAILED; 2 invalid parameters, a malformed input
+file or an unwritable output path (the message names the location); 3 a
+configured resource cap was exceeded.
 
 Every artifact is rendered through canonical JSON, so two runs with the same
 options produce byte-identical files; nothing here is randomized.
@@ -131,12 +131,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(out_dir: str, name: str, text: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
+def _make_out_dir(out_dir: str) -> None:
+    """Create the output directory before any work, so an unusable one fails fast."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InvalidConfigError(f"--out {out_dir}: cannot create directory ({exc.strerror})") from exc
+
+
+def _write(out_dir: str, name: str, text: str) -> None:
     path = os.path.join(out_dir, name)
-    write_text_file(path, text)
+    try:
+        write_text_file(path, text)
+    except OSError as exc:
+        raise InvalidConfigError(f"{path}: cannot write ({exc.strerror})") from exc
     print(f"wrote {path}")
-    return path
 
 
 def _check_max_simplices(value: int) -> None:
@@ -147,6 +156,7 @@ def _check_max_simplices(value: int) -> None:
 def cmd_build(args) -> int:
     if args.tubes is None or args.tubes < 1:
         raise InvalidConfigError("build needs --tubes >= 1 (the literal tube count)")
+    _make_out_dir(args.out)
     config = CatalogConfig(arc_bound=args.arc_bound, bandsum_depth=args.bandsum_depth)
     surface = build_tubed_surface(args.genus, args.tubes)
     catalog = build_disk_catalog(surface, config)
@@ -163,12 +173,10 @@ def cmd_build(args) -> int:
 def cmd_certify(args) -> int:
     _check_max_simplices(args.max_simplices)
     if args.from_build is not None:
-        for flag, name in (
-            (args.genus, "--genus"),
-            (args.tubes, "--tubes"),
-        ):
+        for flag, name in ((args.genus, "--genus"), (args.tubes, "--tubes")):
             if flag is not None:
                 raise InvalidConfigError(f"{name} conflicts with --from-build; pass one or the other")
+        _make_out_dir(args.out)
         disks_path = os.path.join(args.from_build, "disks.json")
         obj = read_json_file(disks_path)
         catalog = catalog_from_json_obj(obj, source=disks_path)
@@ -176,6 +184,7 @@ def cmd_certify(args) -> int:
     else:
         if args.genus is None or args.tubes is None:
             raise InvalidConfigError("certify needs --genus and --tubes (or --from-build)")
+        _make_out_dir(args.out)
         config = CatalogConfig(arc_bound=args.arc_bound, bandsum_depth=args.bandsum_depth)
         certificate = certify_minimality(args.genus, args.tubes, config, max_simplices=args.max_simplices)
     _write(args.out, "certificate.json", canonical_json(certificate))
@@ -190,8 +199,6 @@ def cmd_certify(args) -> int:
 
 def cmd_homology(args) -> int:
     _check_max_simplices(args.max_simplices)
-    obj = read_json_file(args.complex_json)
-    complex_ = complex_from_json_obj(obj, source=args.complex_json)
     if args.d_max < 0:
         raise InvalidConfigError(f"d_max must be >= 0, got {args.d_max}")
     # The profile has one entry per dimension 0..d_max whatever the complex,
@@ -200,6 +207,10 @@ def cmd_homology(args) -> int:
         raise ResourceCapError(
             "max_simplices", f"d_max {args.d_max} asks for {args.d_max + 1} dimensions", args.max_simplices
         )
+    if args.out is not None:
+        _make_out_dir(args.out)
+    obj = read_json_file(args.complex_json)
+    complex_ = complex_from_json_obj(obj, source=args.complex_json)
     profile = reduced_homology(complex_, args.d_max, max_per_dim=args.max_simplices)
     for k in range(args.d_max + 1):
         print(f"reduced H_{k} = {profile.describe(k)}")
@@ -222,10 +233,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MalformedFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvalidConfigError as exc:
+    except (MalformedFileError, InvalidConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResourceCapError as exc:

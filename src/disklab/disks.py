@@ -26,8 +26,9 @@ footprints (``disk_regions``) are both disjoint are disjoint.  Every branch
 of the calculus returns ``True`` on such a pair, since each meridian,
 vertical arc and band it compares lies in a tube or region of one
 footprint only.  A disk's region footprint lies inside its tube footprint,
-so disjoint tube footprints already suffice; pair scans use this to skip
-the calculus on most pairs.
+so disjoint tube footprints already suffice: the pair pass takes such pairs
+in as whole bitset masks.  The calculus reads a band sum's ``copies`` only
+through ``key`` equality, so the pass asks it once per disk shape.
 
 Each descriptor computes its ``key`` and its tube footprint
 (``tube_footprint``) once, when it is built, and a band sum also its

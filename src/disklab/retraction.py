@@ -25,16 +25,18 @@ over tube count:
 ``certify_catalog`` runs the full pipeline on a catalog and emits a
 machine-checkable certificate: sphere invariants, per-disk images,
 well-definedness statistics, the claim tally, the retraction check on the
-cataloged complex, and an exact homology certificate that the composite
-fixes a generating ``n``-cycle; ``certify_minimality`` builds the catalog
-first.  Each catalog disk gets one record (top-level type, image, side, tube
-footprint), and a single pass over pairs of records yields the
-certified-disjoint pairs, the claim tally and the V/W witness.  That pass is
-also the only simpliciality check: on the octahedron two images span a
-non-edge exactly when they are antipodal, which is what the claim tally
-tests on every edge of the cataloged complex.  The retraction check that
-follows is on vertices only: the sphere lies in the cataloged complex, every
-image lies in the sphere, and the sphere is fixed.
+cataloged complex, and an exact homology certificate that the composite fixes
+a generating ``n``-cycle; ``certify_minimality`` builds the catalog first.
+Each catalog disk gets one record (top-level type, image, side, tube
+footprint).  The pair pass turns the records into one bitset row per disk,
+of the disks certified disjoint from it, deciding disjointness once per disk
+shape (a band sum's copies dropped), and reads the certified-disjoint pairs,
+the claim tally and the V/W witness off the rows.  That pass is also the
+only simpliciality check: on the octahedron two images span a non-edge
+exactly when they are antipodal, which is what the claim tally tests on every
+edge of the cataloged complex.  The retraction check that follows is on
+vertices only: the sphere lies in the cataloged complex, every image lies in
+the sphere, and the sphere is fixed.
 """
 
 from __future__ import annotations
@@ -113,11 +115,7 @@ class SuspensionSphere:
         """Vertex keys of the suspension sub-sphere on pairs ``0..i``."""
         if not (0 <= i <= self.index):
             raise InvalidConfigError(f"sub-sphere index {i} out of range 0..{self.index}")
-        out = []
-        for j in range(i + 1):
-            out.append(self.d_disks[j].key)
-            out.append(self.e_disks[j].key)
-        return out
+        return [d.key for j in range(i + 1) for d in self.pair(j)]
 
     def complex(self) -> FlagComplex:
         """The octahedron as a flag complex on disk keys."""
@@ -316,9 +314,6 @@ class RetractionEngine:
         validate_disk(d, self.surface)
         return self._image(d, self.surface.tubes)
 
-    def image_key(self, d) -> str:
-        return self.sphere.key_for(self.image(d))
-
     def branch(self, d) -> str:
         """Which rule gave the disk its top-level image, once :meth:`image` has run.
 
@@ -451,73 +446,116 @@ _CASE_OF_ORDERED_TYPES = {
 }
 
 
-def _scan_pairs(records: list, surface: TubedSurface, budget, tally: bool, keep=frozenset()):
-    """One pass over all catalog pairs: (kept disjoint pairs, claim tally, V/W witness).
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Pairs with disjoint tube footprints are disjoint by the footprint rule
-    (see :mod:`disklab.disks`); only the others reach the calculus.  Of the
-    certified-disjoint pairs, only those of two disks with keys in ``keep``
-    are returned, in catalog order; the others are only counted.  The claim
-    tally needs every image and is ``None`` when ``tally`` is false.  The
-    witness is the first disjoint pair with one disk on each side, as
-    ``(v_disk, w_disk)``.
+
+def _masks(values) -> dict:
+    """Each value, in order of first appearance, to the bitset of its positions (so disjoint)."""
+    out = {}
+    for i, v in enumerate(values):
+        out[v] = out.get(v, 0) | 1 << i
+    return out
+
+
+def _shape(d: Disk) -> str:
+    # A band sum's key without its copy count; any other disk's key.
+    return d.key.rpartition(";")[0] if isinstance(d, BandSum) else d.key
+
+
+def _disjointness_rows(records: list, surface: TubedSurface, budget) -> list:
+    """Per catalog disk, the bitset of the other catalog disks certified disjoint from it."""
+    shapes = _masks(_shape(r.disk) for r in records)
+    by_footprint = _masks(r.tubes for r in records)
+    misses = {f: sum(mask for g, mask in by_footprint.items() if not f & g) for f in by_footprint}
+    reps = [(records[next(_bits(copies))], copies) for copies in shapes.values()]
+    rows = [misses[r.tubes] for r, _ in reps]
+    for s, (a, copies) in enumerate(reps):
+        for t in range(s + 1, len(reps)):
+            b, b_copies = reps[t]
+            if a.tubes & b.tubes and disks_disjoint_unvalidated(a.disk, b.disk, surface, budget):
+                rows[s] |= b_copies
+                rows[t] |= copies
+        others = copies & (copies - 1)  # every copy but the first
+        if others and disks_disjoint_unvalidated(a.disk, records[next(_bits(others))].disk, surface, budget):
+            rows[s] |= copies
+    row_of = dict(zip(shapes, rows))
+    return [row_of[_shape(r.disk)] & ~(1 << i) for i, r in enumerate(records)]
+
+
+def _scan_pairs(records: list, surface: TubedSurface, budget, tally: bool, keep=frozenset()):
+    """The pair pass: (kept disjoint pairs, claim tally, V/W witness).
+
+    Each disk gets one row: the bitset over catalog indices of the other
+    disks certified disjoint from it.  Rows are filled once per *shape*, a
+    descriptor with a band sum's ``copies`` dropped.  A row starts as the
+    mask of every disk whose tube footprint misses the shape's (disjoint by
+    the footprint rule of :mod:`disklab.disks`); the calculus is asked only
+    about overlapping pairs of distinct shapes, and once per shape with
+    several copies.  This is exact: the calculus reads ``copies`` only
+    through ``key`` equality, so all copies of a shape get the same verdict
+    against every other disk, and any two of them the same verdict against
+    each other.  Results are read off the rows in catalog order, lowest bit
+    first, which is the order of a loop over pairs ``i < j``.
+
+    Only disjoint pairs of two disks with keys in ``keep`` are returned; the
+    others are counted.  The tally needs every image and is ``None`` unless
+    ``tally``.  The witness is the first disjoint pair with one disk on each
+    side, as ``(v_disk, w_disk)``.
     """
-    kept = []
-    checked = 0
+    # Row i restricted to the disks after i: each pair is read once.
+    later = [row & -(2 << i) for i, row in enumerate(_disjointness_rows(records, surface, budget))]
+    keep_mask = sum(1 << i for i, r in enumerate(records) if r.disk.key in keep)
+    kept = [(records[i].disk, records[j].disk) for i in _bits(keep_mask) for j in _bits(later[i] & keep_mask)]
+    on_side = _masks(r.side for r in records)
+    witness = None
+    for i, r in enumerate(records):
+        across = later[i] & ~on_side[r.side]
+        if across:
+            b = records[next(_bits(across))].disk
+            witness = (r.disk, b) if r.side == surface.v_side else (b, r.disk)
+            break
+    if not tally:
+        return kept, None, witness
+
+    of_type = _masks(r.type for r in records)
+    of_image = _masks(r.image for r in records)
+    forbidden = {
+        ta: sum(mask for tb, mask in of_type.items() if (ta, tb) not in _CASE_OF_ORDERED_TYPES)
+        for ta in of_type
+    }
     per_case = Counter()
     violations = []
-    witness = None
-    for i, (a, ta, xa, sa, fa) in enumerate(records):
-        keep_a = a.key in keep
-        for b, tb, xb, sb, fb in records[i + 1 :]:
-            if fa & fb and not disks_disjoint_unvalidated(a, b, surface, budget):
-                continue
-            checked += 1
-            if keep_a and b.key in keep:
-                kept.append((a, b))
-            if witness is None and sa != sb:
-                witness = (a, b) if sa == surface.v_side else (b, a)
-            if not tally:
-                continue
-            case = _CASE_OF_ORDERED_TYPES.get((ta, tb))
-            if case is None:
-                lo, hi = sorted((ta, tb))
-                raise InvalidConfigError(
-                    f"disks {a.key} (type {lo}) and {b.key} (type {hi}) are certified disjoint, "
-                    "which contradicts the type definitions"
-                )
-            per_case[case] += 1
-            if xa.pair_index == xb.pair_index and xa.letter != xb.letter:
-                violations.append(
-                    {
-                        "case": case,
-                        "disks": [a.key, b.key],
-                        "types": sorted((ta, tb)),
-                        "images": [xa.name, xb.name],
-                    }
-                )
-    claims = None
-    if tally:
-        claims = {
-            "pairs_checked": checked,
-            "per_case": {str(c): per_case.get(c, 0) for c in range(1, 7)},
-            "violations": violations,
-            "passed": not violations,
-        }
+    for i, (a, ta, xa, _, _) in enumerate(records):
+        row = later[i]
+        if row & forbidden[ta]:
+            b = records[next(_bits(row & forbidden[ta]))]
+            lo, hi = sorted((ta, b.type))
+            raise InvalidConfigError(
+                f"disks {a.key} (type {lo}) and {b.disk.key} (type {hi}) are certified disjoint, "
+                "which contradicts the type definitions"
+            )
+        for tb, mask in of_type.items():
+            if row & mask:
+                per_case[_CASE_OF_ORDERED_TYPES[(ta, tb)]] += (row & mask).bit_count()
+        antipode = SphereVertex(xa.pair_index, "E" if xa.letter == "D" else "D")
+        for j in _bits(row & of_image.get(antipode, 0)):
+            b, tb, xb, _, _ = records[j]
+            case = _CASE_OF_ORDERED_TYPES[(ta, tb)]
+            violations.append(
+                {"case": case, "disks": [a.key, b.key], "types": sorted((ta, tb)), "images": [xa.name, xb.name]}
+            )
+    claims = {
+        "pairs_checked": sum(row.bit_count() for row in later),
+        "per_case": {str(c): per_case.get(c, 0) for c in range(1, 7)},
+        "violations": violations,
+        "passed": not violations,
+    }
     return kept, claims, witness
-
-
-def verify_claim_cases(engine: RetractionEngine) -> dict:
-    """Check every certified-disjoint catalog pair maps to equal or adjacent vertices.
-
-    Images violate the octahedron only when they form an antipodal pair: same
-    pair index, different letters.  Pairs are tallied by the case table on
-    disk types; a disjoint pair involving the top meridian and a disk that
-    meets it is impossible by construction and treated as an internal error.
-    """
-    images = {d.key: engine.image(d) for d in engine.catalog.disks}
-    records = _disk_records(engine, images)
-    return _scan_pairs(records, engine.surface, engine.budget, tally=True)[1]
 
 
 # -- the full certificate pipeline ------------------------------------------------------

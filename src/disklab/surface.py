@@ -364,6 +364,9 @@ def arc_intersection(
     upper bound, so callers asserting disjointness must require 0.
     """
     g = m.genus
+    raw = (g, a, b, budget)  # catalog arcs come canonical: most calls hit here
+    if raw in _PAIR_CACHE:
+        return _PAIR_CACHE[raw]
     ca, cb = canonical_code(a), canonical_code(b)
     if ca == cb:
         return 0
@@ -371,6 +374,7 @@ def arc_intersection(
         ca, cb = cb, ca
     key = (g, ca, cb, budget)
     if key in _PAIR_CACHE:
+        _PAIR_CACHE[raw] = _PAIR_CACHE[key]
         return _PAIR_CACHE[key]
 
     solos_a = [_relabel(d, 0) for d in solo_drawings(g, ca)]
@@ -412,10 +416,10 @@ def arc_intersection(
 
                 if walk(0, []):
                     if best == 0 or (budget is not None and examined >= budget):
-                        _PAIR_CACHE[key] = best
+                        _PAIR_CACHE[key] = _PAIR_CACHE[raw] = best
                         return best
     assert best is not None
-    _PAIR_CACHE[key] = best
+    _PAIR_CACHE[key] = _PAIR_CACHE[raw] = best
     return best
 
 

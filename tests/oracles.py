@@ -10,17 +10,31 @@ generates every canonical candidate code and filters each one with a
 separate level-by-level search over slot permutations.  ``project_disk``
 re-decides a disk's type before re-homing it one tube level down, which the
 retraction engine does inline.
+
+The pair pass reads its results off per-disk bitset rows filled once per disk
+shape; ``scan_pairs_by_loop`` is the loop it replaced, one calculus call per
+pair whose tube footprints overlap.  ``verify_claim_cases`` runs the claim
+tally on an engine alone, computing every image first.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 from typing import Iterable
 
-from disklab.disks import Disk, classify_type, disk_regions, disk_tubes, meets_distinguished
+from disklab.disks import (
+    Disk,
+    classify_type,
+    disk_regions,
+    disk_tubes,
+    disks_disjoint_unvalidated,
+    meets_distinguished,
+)
 from disklab.errors import InvalidConfigError
 from disklab.flagcomplex import FlagComplex
+from disklab.retraction import CASE_OF_TYPES, RetractionEngine, _disk_records, _scan_pairs
 from disklab.surface import (
     DEFAULT_MERGE_BUDGET,
     ArcCode,
@@ -251,3 +265,73 @@ def project_disk(d: Disk, surface: TubedSurface, budget=DEFAULT_MERGE_BUDGET) ->
     assert m not in disk_tubes(d), d.key
     assert m not in disk_regions(d), d.key
     return d
+
+
+# -- the pair pass ----------------------------------------------------------------
+
+
+def scan_pairs_by_loop(records: list, surface: TubedSurface, budget, tally: bool, keep=frozenset()):
+    """The pair pass as a loop over all pairs ``i < j`` of catalog records.
+
+    Same arguments and results as ``retraction._scan_pairs``: (kept disjoint
+    pairs, claim tally or ``None``, V/W witness).  Pairs with disjoint tube
+    footprints are disjoint by the footprint rule; every other pair asks the
+    calculus.
+    """
+    case_of = {**CASE_OF_TYPES, **{(tb, ta): case for (ta, tb), case in CASE_OF_TYPES.items()}}
+    kept = []
+    checked = 0
+    per_case = Counter()
+    violations = []
+    witness = None
+    for i, (a, ta, xa, sa, fa) in enumerate(records):
+        keep_a = a.key in keep
+        for b, tb, xb, sb, fb in records[i + 1 :]:
+            if fa & fb and not disks_disjoint_unvalidated(a, b, surface, budget):
+                continue
+            checked += 1
+            if keep_a and b.key in keep:
+                kept.append((a, b))
+            if witness is None and sa != sb:
+                witness = (a, b) if sa == surface.v_side else (b, a)
+            if not tally:
+                continue
+            case = case_of.get((ta, tb))
+            if case is None:
+                lo, hi = sorted((ta, tb))
+                raise InvalidConfigError(
+                    f"disks {a.key} (type {lo}) and {b.key} (type {hi}) are certified disjoint, "
+                    "which contradicts the type definitions"
+                )
+            per_case[case] += 1
+            if xa.pair_index == xb.pair_index and xa.letter != xb.letter:
+                violations.append(
+                    {
+                        "case": case,
+                        "disks": [a.key, b.key],
+                        "types": sorted((ta, tb)),
+                        "images": [xa.name, xb.name],
+                    }
+                )
+    claims = None
+    if tally:
+        claims = {
+            "pairs_checked": checked,
+            "per_case": {str(c): per_case.get(c, 0) for c in range(1, 7)},
+            "violations": violations,
+            "passed": not violations,
+        }
+    return kept, claims, witness
+
+
+def verify_claim_cases(engine: RetractionEngine) -> dict:
+    """Check every certified-disjoint catalog pair maps to equal or adjacent vertices.
+
+    Images violate the octahedron only when they form an antipodal pair: same
+    pair index, different letters.  Pairs are tallied by the case table on
+    disk types; a disjoint pair involving the top meridian and a disk that
+    meets it is impossible by construction and treated as an internal error.
+    """
+    images = {d.key: engine.image(d) for d in engine.catalog.disks}
+    records = _disk_records(engine, images)
+    return _scan_pairs(records, engine.surface, engine.budget, tally=True)[1]

@@ -400,6 +400,81 @@ def test_homology_rejects_negative_simplex_cap(octa_file, capsys):
 
 
 # ---------------------------------------------------------------------------
+# unwritable output
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def regular_file(tmp_path):
+    path = tmp_path / "F"
+    path.write_text("not a directory")
+    return str(path)
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("the pipeline ran before the output directory was checked")
+
+
+@pytest.mark.parametrize("sub", [None, "sub"])
+def test_build_rejects_an_unusable_out_before_any_work(regular_file, sub, capsys, monkeypatch):
+    out = regular_file if sub is None else os.path.join(regular_file, sub)
+    monkeypatch.setattr(cli, "build_disk_catalog", no_work)
+    code, stdout, stderr = run(["build", "--genus", "1", "--tubes", "1", "--out", out], capsys)
+    assert code == EXIT_CONFIG
+    assert out in stderr and "Traceback" not in stderr
+    assert stdout == ""
+
+
+def test_certify_rejects_an_unusable_out_before_any_work(regular_file, capsys, monkeypatch):
+    out = os.path.join(regular_file, "sub")
+    monkeypatch.setattr(cli, "certify_minimality", no_work)
+    code, stdout, stderr = run(["certify", "--genus", "1", "--tubes", "1", "--out", out], capsys)
+    assert code == EXIT_CONFIG
+    assert out in stderr and "Traceback" not in stderr
+    assert stdout == ""
+
+
+def test_certify_from_build_rejects_an_unusable_out_before_any_work(regular_file, tmp_path, capsys, monkeypatch):
+    build_dir = str(tmp_path / "b")
+    assert run(["build", "--genus", "1", "--tubes", "2", "--out", build_dir], capsys)[0] == EXIT_OK
+    monkeypatch.setattr(cli, "certify_catalog", no_work)
+    monkeypatch.setattr(cli, "catalog_from_json_obj", no_work)
+    code, _, stderr = run(["certify", "--from-build", build_dir, "--out", regular_file], capsys)
+    assert code == EXIT_CONFIG
+    assert regular_file in stderr and "Traceback" not in stderr
+
+
+def test_homology_rejects_an_unusable_out_before_any_work(octa_file, regular_file, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "reduced_homology", no_work)
+    code, stdout, stderr = run(["homology", octa_file, "1", "--out", regular_file], capsys)
+    assert code == EXIT_CONFIG
+    assert regular_file in stderr and "Traceback" not in stderr
+    assert stdout == ""
+
+
+def test_an_unwritable_artifact_exits_2_naming_its_path(tmp_path, capsys):
+    out = tmp_path / "c"
+    (out / "report.txt").mkdir(parents=True)  # a directory where the report should go
+    code, _, stderr = run(["certify", "--genus", "1", "--tubes", "1", "--out", str(out)], capsys)
+    assert code == EXIT_CONFIG
+    assert str(out / "report.txt") in stderr and "Traceback" not in stderr
+
+
+def test_unusable_out_exits_2_without_traceback_as_a_subprocess(regular_file):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    out = os.path.join(regular_file, "sub")
+    result = subprocess.run(
+        [sys.executable, "-m", "disklab", "certify", "--genus", "1", "--tubes", "1", "--out", out],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == EXIT_CONFIG
+    assert out in result.stderr and "Traceback" not in result.stderr
+
+
+# ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
 

@@ -218,6 +218,35 @@ def test_footprint_rule_agrees_with_the_calculus(genus, n):
     assert skipped > 0
 
 
+@pytest.mark.parametrize(("genus", "n"), [(1, 4), (2, 4)])
+def test_copies_never_change_a_verdict_but_by_key(genus, n):
+    """A band sum's copy count reaches the calculus only through key equality.
+
+    The pair pass relies on this to decide disjointness once per disk shape.
+    """
+    surface = build_tubed_surface(genus, n + 1)
+    catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
+    budget = catalog.config.merge_budget
+    checked = 0
+    for d in catalog.band_sums():
+        for copies in {1, 2, d.copies + 2} - {d.copies}:
+            twin = BandSum(d.base, d.partner, d.band, copies)
+            validate_disk(twin, surface)
+            for e in catalog.disks:
+                if e.key in (d.key, twin.key):
+                    continue
+                verdict = disks_disjoint_unvalidated(d, e, surface, budget)
+                assert disks_disjoint_unvalidated(twin, e, surface, budget) == verdict, (twin.key, e.key)
+                assert disks_disjoint_unvalidated(e, twin, surface, budget) == verdict, (e.key, twin.key)
+                checked += 1
+            # Any two distinct copies of one shape: the same verdict as each other.
+            third = BandSum(d.base, d.partner, d.band, copies + d.copies + 2)
+            assert disks_disjoint_unvalidated(d, twin, surface, budget) == disks_disjoint_unvalidated(
+                twin, third, surface, budget
+            ), twin.key
+    assert checked > 0
+
+
 def test_sides():
     # odd tubes on side B, even on side A; vertical disks opposite their tube
     assert disk_side(Meridian(1)) == SIDE_B

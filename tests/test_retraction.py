@@ -33,11 +33,17 @@ from disklab.retraction import (
     outermost_arcs,
     render_report,
     surgery_candidates,
-    verify_claim_cases,
     verify_sphere,
 )
 from disklab.surface import build_tubed_surface
-from oracles import VertexMap, catalog_complex, check_retraction, check_simplicial
+from oracles import (
+    VertexMap,
+    catalog_complex,
+    check_retraction,
+    check_simplicial,
+    scan_pairs_by_loop,
+    verify_claim_cases,
+)
 
 
 @pytest.fixture(scope="module")
@@ -566,6 +572,84 @@ def test_certify_flags_a_sphere_edge_missing_from_the_pair_list(setup_g1n4, monk
     tail = expected[len(report) :]
     onto_missing = (f"maps to non-edge ({u!r}, {v!r})", f"maps to non-edge ({v!r}, {u!r})")
     assert tail and all(line.endswith(onto_missing) for line in tail)
+
+
+def assert_scan_matches_the_loop(records, surface, budget, tally, keep):
+    expected = scan_pairs_by_loop(records, surface, budget, tally=tally, keep=keep)
+    assert retraction_module._scan_pairs(records, surface, budget, tally=tally, keep=keep) == expected
+    return expected
+
+
+CATALOG_GRID = [(1, n) for n in range(7)] + [(2, n) for n in range(5)] + [(3, n) for n in range(4)]
+
+
+@pytest.mark.parametrize(("genus", "n"), CATALOG_GRID)
+def test_pair_pass_matches_the_loop_oracle(genus, n):
+    surface = build_tubed_surface(genus, n + 1)
+    catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
+    sphere = build_suspension_sphere(surface, catalog)
+    engine = RetractionEngine(surface, catalog, sphere)
+    budget = catalog.config.merge_budget
+    images = {d.key: engine.image(d) for d in catalog.disks}
+    records = retraction_module._disk_records(engine, images)
+    # As certify calls it: real images, the sphere's keys kept.
+    kept, claims, witness = assert_scan_matches_the_loop(
+        records, surface, budget, True, frozenset(sphere.sub_sphere_keys(n))
+    )
+    assert claims["passed"] and len(kept) == 2 * n * (n + 1)
+    assert (witness is None) == (n == 0)
+    # No tally, every pair kept.
+    keys = frozenset(catalog.keys())
+    kept, claims, _ = assert_scan_matches_the_loop(records, surface, budget, False, keys)
+    assert claims is None and len(kept) == verify_claim_cases(engine)["pairs_checked"]
+
+
+def test_pair_pass_matches_the_loop_oracle_on_a_raised_knob_catalog():
+    surface = build_tubed_surface(1, 3)
+    catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=5, max_vd_arcs_per_region=40))
+    engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
+    images = {d.key: engine.image(d) for d in catalog.disks}
+    records = retraction_module._disk_records(engine, images)
+    budget = catalog.config.merge_budget
+    _, claims, witness = assert_scan_matches_the_loop(records, surface, budget, True, frozenset(catalog.keys()))
+    assert len(catalog.vertical_disks()) > 3 * 6 and claims["pairs_checked"] > 0 and witness is not None
+
+
+def test_pair_pass_matches_the_loop_oracle_on_rigged_images(setup_g1n4):
+    surface, catalog, sphere, engine, _ = setup_g1n4
+    real = {d.key: engine.image(d) for d in catalog.disks}
+    vertices = [SphereVertex(i, letter) for i in range(sphere.index + 1) for letter in "DE"]
+    tables = [{d.key: SphereVertex(i % 3, "DE"[i % 2]) for i, d in enumerate(catalog.disks)}]
+    for seed in range(4):
+        rng = random.Random(seed)
+        tables.append({key: rng.choice(vertices) if rng.random() < 0.05 else x for key, x in real.items()})
+    keys = frozenset(catalog.keys())
+    for table in tables:
+        records = retraction_module._disk_records(engine, table)
+        _, claims, _ = assert_scan_matches_the_loop(records, surface, engine.budget, True, keys)
+        assert len(claims["violations"]) > 0
+
+
+def test_pair_pass_raises_on_the_oracle_first_forbidden_pair(setup_g1n4):
+    surface, catalog, _, engine, _ = setup_g1n4
+    real = retraction_module._disk_records(engine, {d.key: engine.image(d) for d in catalog.disks})
+    rng = random.Random(7)
+    tables = [
+        # T4 disks relabeled T3 make them disjoint from the top meridian (T1).
+        [r._replace(type="T3") if r.type == "T4" else r for r in real],
+        [r._replace(type="T1") for r in real],
+        [r._replace(type=rng.choice(["T1", "T2", "T3", "T4"])) for r in real],
+    ]
+    messages = set()
+    for records in tables:
+        with pytest.raises(InvalidConfigError) as oracle_exc:
+            scan_pairs_by_loop(records, surface, engine.budget, tally=True)
+        with pytest.raises(InvalidConfigError) as exc:
+            retraction_module._scan_pairs(records, surface, engine.budget, tally=True)
+        assert str(exc.value) == str(oracle_exc.value)
+        assert "contradicts the type definitions" in str(exc.value)
+        messages.add(str(exc.value))
+    assert len(messages) == len(tables)
 
 
 def test_pair_pass_flags_exactly_the_edges_the_oracle_finds(setup_g1n4):

@@ -394,6 +394,22 @@ def test_intersection_diagonal_and_symmetry_k4():
         assert arc_intersection(a, b, m) == arc_intersection(b, a, m)
 
 
+def test_intersection_memo_answers_a_repeated_pair_before_canonicalizing(monkeypatch):
+    m = build_punctured_model(1)
+    a, b = (-2, -1), (-2, 1)
+    flipped = surface.reverse_code(a)
+    assert flipped != a and surface.canonical_code(flipped) == a
+    monkeypatch.setattr(surface, "_PAIR_CACHE", {})
+    expected = arc_intersection(a, b, m)
+    canonicalized = []
+    real = surface.canonical_code
+    monkeypatch.setattr(surface, "canonical_code", lambda code: canonicalized.append(code) or real(code))
+    assert arc_intersection(a, b, m) == expected and canonicalized == []
+    # A new spelling of a known pair is canonicalized once, then found by its own key.
+    assert arc_intersection(flipped, b, m) == expected and canonicalized == [flipped, b]
+    assert arc_intersection(flipped, b, m) == expected and canonicalized == [flipped, b]
+
+
 def test_intersection_budget_is_upper_bound():
     m = build_punctured_model(1)
     exact = min_crossings_exact(1, (-2, -1), (-2, 1))
