@@ -20,7 +20,11 @@ Public entry points live in the submodules:
   classification, disjointness, and catalog generation.
 - :mod:`disklab.retraction` -- suspension spheres, outermost surgery, the
   recursive retraction, and minimality certificates.
-- :mod:`disklab.cli` -- the ``disklab`` command-line interface.
+- :mod:`disklab.cli` -- the ``disklab`` command-line interface.  It imports
+  only ``errors`` and ``flagcomplex`` at start, and each subcommand imports
+  the layers it runs (``build``: ``surface`` and ``disks``; ``certify``: all
+  of them; ``homology``: ``homology`` only), because every run is a fresh
+  interpreter that pays for each module it compiles.
 """
 
 from disklab.errors import (

@@ -7,6 +7,19 @@ configured resource cap was exceeded.
 
 Every artifact is rendered through canonical JSON, so two runs with the same
 options produce byte-identical files; nothing here is randomized.
+
+Each process loads only the layers its subcommand runs.  At module level
+this file imports what argument parsing and error handling need (``errors``
+and the JSON helpers of ``flagcomplex``); each ``cmd_*`` imports its own
+layers at the top of its body:
+
+- ``build`` loads ``surface`` and ``disks``;
+- ``certify`` loads ``disks`` and ``retraction``, which bring ``surface``
+  and ``homology``;
+- ``homology`` loads ``homology`` only, which needs no ``dataclasses``.
+
+Every ``disklab`` run is a fresh interpreter that often compiles the package
+from source, so each module it does not import is startup time saved.
 """
 
 from __future__ import annotations
@@ -15,28 +28,13 @@ import argparse
 import os
 import sys
 
-from .disks import (
-    CatalogConfig,
-    build_disk_catalog,
-    catalog_from_json_obj,
-    catalog_to_json_obj,
-)
 from .errors import (
     InvalidConfigError,
     MalformedFileError,
     ResourceCapError,
     WellDefinednessError,
 )
-from .flagcomplex import (
-    DEFAULT_MAX_SIMPLICES,
-    canonical_json,
-    complex_from_json_obj,
-    read_json_file,
-    write_text_file,
-)
-from .homology import reduced_homology
-from .retraction import certify_catalog, certify_minimality, render_report
-from .surface import build_tubed_surface, surface_to_json_obj
+from .flagcomplex import DEFAULT_MAX_SIMPLICES, canonical_json, read_json_file, write_text_file
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -154,6 +152,9 @@ def _check_max_simplices(value: int) -> None:
 
 
 def cmd_build(args) -> int:
+    from .disks import CatalogConfig, build_disk_catalog, catalog_to_json_obj
+    from .surface import build_tubed_surface, surface_to_json_obj
+
     if args.tubes is None or args.tubes < 1:
         raise InvalidConfigError("build needs --tubes >= 1 (the literal tube count)")
     _make_out_dir(args.out)
@@ -171,6 +172,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .disks import CatalogConfig, catalog_from_json_obj
+    from .retraction import certify_catalog, certify_minimality, render_report
+
     _check_max_simplices(args.max_simplices)
     if args.from_build is not None:
         for flag, name in ((args.genus, "--genus"), (args.tubes, "--tubes")):
@@ -198,6 +202,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    from .flagcomplex import complex_from_json_obj
+    from .homology import reduced_homology
+
     _check_max_simplices(args.max_simplices)
     if args.d_max < 0:
         raise InvalidConfigError(f"d_max must be >= 0, got {args.d_max}")

@@ -308,6 +308,11 @@ def classify_type(d: Disk, surface: TubedSurface, budget=DEFAULT_MERGE_BUDGET) -
     from it.
     """
     validate_disk(d, surface)
+    return classify_type_unvalidated(d, surface, budget)
+
+
+def classify_type_unvalidated(d: Disk, surface: TubedSurface, budget) -> str:
+    """:func:`classify_type` for a descriptor already validated on ``surface``."""
     e = distinguished_disk(surface)
     if d.key == e.key:
         return "T1"
@@ -321,6 +326,11 @@ def classify_type(d: Disk, surface: TubedSurface, budget=DEFAULT_MERGE_BUDGET) -
 def meets_distinguished(d: Disk, surface: TubedSurface, budget=DEFAULT_MERGE_BUDGET) -> bool:
     """Whether the disk's footprint forces intersection with the top meridian."""
     validate_disk(d, surface)
+    return meets_distinguished_unvalidated(d, surface, budget)
+
+
+def meets_distinguished_unvalidated(d: Disk, surface: TubedSurface, budget) -> bool:
+    """:func:`meets_distinguished` for a descriptor already validated on ``surface``."""
     return not disks_disjoint_unvalidated(d, distinguished_disk(surface), surface, budget)
 
 
@@ -571,7 +581,12 @@ def catalog_from_json_obj(obj, source: str = "disks") -> DiskCatalog:
         )
     for i, (raw, expected) in enumerate(zip(raw_disks, rebuilt.disks)):
         loc = f"{source}.disks[{i}]"
-        parsed = disk_from_json_obj(raw, source=loc)
+        try:
+            parsed = disk_from_json_obj(raw, source=loc)
+        except RecursionError as exc:
+            # Partners nest one level per band sum; a chain that parsed as
+            # JSON can still be too deep to rebuild.
+            raise MalformedFileError(loc, "disk descriptor nested too deeply") from exc
         if parsed.key != expected.key:
             raise MalformedFileError(loc, f"expected disk {expected.key}, got {parsed.key}")
         if isinstance(raw, dict):

@@ -266,18 +266,27 @@ def complex_from_json_obj(obj, source: str = "complex") -> FlagComplex:
 
 
 def read_json_file(path: str):
-    """Parse a JSON file, converting failures to MalformedFileError with location."""
+    """Parse a JSON file, converting failures to MalformedFileError with location.
+
+    Bytes that are not UTF-8 are reported at their byte offset, and nesting
+    deeper than the parser's recursion limit by the path alone.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise MalformedFileError(path, f"cannot read file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # One read() from the start decodes the whole file, so offsets are the file's.
+        raise MalformedFileError(f"{path}: byte {exc.start}", f"not valid UTF-8 ({exc.reason})") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedFileError(
             f"{path}: line {exc.lineno} column {exc.colno}", exc.msg
         ) from exc
+    except RecursionError as exc:
+        raise MalformedFileError(path, "JSON nested too deeply to parse") from exc
 
 
 def write_text_file(path: str, text: str) -> None:

@@ -40,7 +40,7 @@ saturated lattice ker ∂_k, so it generates H_k = ℤ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from disklab.errors import InvalidConfigError
 from disklab.flagcomplex import DEFAULT_MAX_SIMPLICES, FlagComplex, flag_cliques
@@ -200,11 +200,15 @@ def rank_and_torsion(columns: list[Column]) -> tuple[int, tuple[int, ...]]:
 # -- chain complexes from clique data ------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
-    """Per-dimension reduced homology: (betti rank, torsion coefficients)."""
+class HomologyProfile(namedtuple("HomologyProfile", ["entries"])):
+    """Per-dimension reduced homology: (betti rank, torsion coefficients).
 
-    entries: tuple[tuple[int, tuple[int, ...]], ...]
+    ``entries`` is a tuple of ``(rank, torsion)`` pairs, one per dimension.
+    A named tuple rather than a dataclass: ``dataclasses`` imports
+    ``inspect``, and the ``homology`` subcommand needs neither.
+    """
+
+    __slots__ = ()
 
     def betti(self, k: int) -> int:
         return self.entries[k][0]

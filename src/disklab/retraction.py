@@ -53,6 +53,7 @@ from .disks import (
     Meridian,
     build_disk_catalog,
     classify_type,
+    classify_type_unvalidated,
     config_to_json_obj,
     disk_regions,
     disk_side,
@@ -61,6 +62,7 @@ from .disks import (
     disks_disjoint,
     disks_disjoint_unvalidated,
     meets_distinguished,
+    meets_distinguished_unvalidated,
     validate_disk,
 )
 from .errors import InvalidConfigError, WellDefinednessError
@@ -242,7 +244,7 @@ class SurgeryOutcome:
     image: SphereVertex
 
 
-def outermost_arcs(d, surface: TubedSurface) -> tuple:
+def outermost_arcs(d, surface: TubedSurface, disk_type=None, meets=None) -> tuple:
     """Indices of the outermost arcs of the disk's intersection with the top meridian.
 
     Valid only for same-side disks crossing the top meridian, whose
@@ -250,10 +252,17 @@ def outermost_arcs(d, surface: TubedSurface) -> tuple:
     A single copy has one outermost arc; otherwise the two extremes of the
     stack are outermost.  Anything else (no intersection, an opposite-side
     disk, or a pattern with closed components) is rejected.
+
+    ``disk_type`` and ``meets`` are the disk's type on ``surface`` and whether
+    it meets the top meridian there.  A caller that already knows them (the
+    retraction engine) passes them in; otherwise they are computed here,
+    which validates the disk.
     """
     m = surface.tubes
-    t = classify_type(d, surface)
-    if t != "T2" or not meets_distinguished(d, surface):
+    t = classify_type(d, surface) if disk_type is None else disk_type
+    if meets is None:
+        meets = t == "T2" and meets_distinguished(d, surface)
+    if t != "T2" or not meets:
         raise InvalidConfigError(
             f"disk {d.key} (type {t}) has no band-arc intersection pattern with the top "
             "meridian; outermost surgery is undefined"
@@ -287,7 +296,26 @@ def surgery_candidates(d: BandSum, arc_index: int):
 
 
 class RetractionEngine:
-    """Computes sphere images of disk descriptors by recursion over tube count."""
+    """Computes sphere images of disk descriptors by recursion over tube count.
+
+    :meth:`image` validates its argument on the top surface; the recursion
+    below it does not validate again, because every disk it builds is valid
+    on the surface of the level it reaches by construction:
+
+    * a surgery candidate is either the resolved partner of a band sum, which
+      :func:`~disklab.disks.validate_disk` has checked recursively along with
+      the band sum itself, or the remainder band sum with ``copies - 1 >= 1``
+      copies and the same base, partner and band, so the same checks hold;
+    * a projected disk keeps its descriptor, and the two footprint asserts
+      show that its tube and region indices all lie below ``level``, so they
+      are in range on the surface with ``level - 1`` tubes; arc codes depend
+      only on the genus and sides only on the tube index, so every other
+      check carries over unchanged.
+
+    Types and top-meridian tests inside the recursion therefore use the
+    unvalidated cores of :func:`~disklab.disks.classify_type` and
+    :func:`~disklab.disks.meets_distinguished`.
+    """
 
     def __init__(self, surface: TubedSurface, catalog: DiskCatalog, sphere: SuspensionSphere):
         if sphere.index != surface.tubes - 1:
@@ -325,9 +353,14 @@ class RetractionEngine:
         return self._branches[(self.surface.tubes, d.key)]
 
     def type_at(self, d, level: int) -> str:
+        """The disk's type on the surface with ``level`` tubes, computed once.
+
+        Does not validate: ``d`` must be valid on that surface, as catalog
+        disks and the disks the recursion builds are.
+        """
         key = (level, d.key)
         if key not in self._types:
-            self._types[key] = classify_type(d, self._surfaces[level], self.budget)
+            self._types[key] = classify_type_unvalidated(d, self._surfaces[level], self.budget)
         return self._types[key]
 
     def surgery_outcomes(self) -> list:
@@ -355,7 +388,7 @@ class RetractionEngine:
                 vertex, branch = SphereVertex(level - 1, "E"), "top_meridian"
             elif t == "T3":
                 vertex, branch = SphereVertex(level - 1, "D"), "top_vertical"
-            elif t == "T2" and meets_distinguished(d, surface, self.budget):
+            elif t == "T2" and meets_distinguished_unvalidated(d, surface, self.budget):
                 vertex, branch = self._surgery_image(d, level), "surgered"
             else:
                 # T4, or T2 missing the top meridian: the footprint avoids
@@ -370,7 +403,7 @@ class RetractionEngine:
 
     def _surgery_image(self, d, level: int) -> SphereVertex:
         surface = self._surfaces[level]
-        arcs = outermost_arcs(d, surface)
+        arcs = outermost_arcs(d, surface, disk_type="T2", meets=True)
         arc_records = []
         for arc_index in arcs:
             candidates = []

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from disklab import cli, disks, retraction
+from disklab import disks, homology, retraction
 from disklab.cli import EXIT_CAP, EXIT_CONFIG, EXIT_FAILED, EXIT_OK, main
 from disklab.flagcomplex import (
     canonical_json,
@@ -178,7 +178,7 @@ def test_certify_from_build_builds_the_catalog_once(monkeypatch, tmp_path, capsy
         calls.append(args)
         return build_disk_catalog(*args, **kwargs)
 
-    for module in (disks, retraction, cli):
+    for module in (disks, retraction):
         monkeypatch.setattr(module, "build_disk_catalog", counting)
     code, _, _ = run(["certify", "--from-build", build_dir, "--out", str(tmp_path / "out")], capsys)
     assert code == EXIT_OK
@@ -240,6 +240,34 @@ def test_certify_from_build_reports_json_parse_location(tmp_path, capsys):
     )
     assert code == EXIT_CONFIG
     assert "line 1 column" in stderr
+
+
+def run_python(args, cwd):
+    """``python3 ARGS`` in a fresh interpreter on the sources: (exit code, stdout, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd)
+    return result.returncode, result.stdout, result.stderr
+
+
+NOT_UTF8 = b'{"vertices": [' + b"\xff\xfe"  # the bad byte sits at offset 14
+TOO_DEEP = b"[" * 200000 + b"]" * 200000
+
+
+@pytest.mark.parametrize(
+    "content, where", [(NOT_UTF8, "byte 14"), (TOO_DEEP, "nested too deeply")], ids=["not-utf8", "too-deep"]
+)
+def test_certify_from_build_rejects_unparseable_bytes(content, where, tmp_path):
+    build_dir = tmp_path / "build"
+    build_dir.mkdir()
+    (build_dir / "disks.json").write_bytes(content)
+    code, stdout, stderr = run_python(
+        ["-m", "disklab", "certify", "--from-build", str(build_dir), "--out", "out"], tmp_path
+    )
+    assert code == EXIT_CONFIG
+    assert str(build_dir / "disks.json") in stderr and where in stderr
+    assert "Traceback" not in stderr
+    assert stdout == ""
 
 
 def test_certify_requires_genus_and_tubes_without_from_build(tmp_path, capsys):
@@ -338,6 +366,21 @@ def test_homology_rejects_malformed_json_with_location(tmp_path, capsys):
     assert "line 1 column" in stderr
 
 
+@pytest.mark.parametrize(
+    "content, where",
+    [(NOT_UTF8, "byte 14"), (b" " * 10000 + b"\xc3(", "byte 10000"), (TOO_DEEP, "nested too deeply")],
+    ids=["not-utf8", "not-utf8-far", "too-deep"],
+)
+def test_homology_rejects_unparseable_bytes(content, where, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_bytes(content)
+    code, stdout, stderr = run_python(["-m", "disklab", "homology", str(path), "2"], tmp_path)
+    assert code == EXIT_CONFIG
+    assert f"{path}: " in stderr and where in stderr
+    assert "Traceback" not in stderr
+    assert stdout == ""
+
+
 def test_homology_rejects_misordered_edge(tmp_path, capsys):
     path = tmp_path / "asym.json"
     path.write_text('{"vertices": [{"id": "a"}, {"id": "b"}], "edges": [["b", "a"]]}')
@@ -370,7 +413,7 @@ def test_homology_caps_the_dimension_count_before_enumerating(two_points_file, c
     def no_enumeration(*args, **kwargs):
         raise AssertionError("cliques enumerated before the dimension cap was checked")
 
-    monkeypatch.setattr(cli, "reduced_homology", no_enumeration)
+    monkeypatch.setattr(homology, "reduced_homology", no_enumeration)
     start = time.perf_counter()
     code, stdout, stderr = run(["homology", two_points_file, str(10**20)], capsys)
     assert time.perf_counter() - start < 1.0
@@ -418,7 +461,7 @@ def no_work(*args, **kwargs):
 @pytest.mark.parametrize("sub", [None, "sub"])
 def test_build_rejects_an_unusable_out_before_any_work(regular_file, sub, capsys, monkeypatch):
     out = regular_file if sub is None else os.path.join(regular_file, sub)
-    monkeypatch.setattr(cli, "build_disk_catalog", no_work)
+    monkeypatch.setattr(disks, "build_disk_catalog", no_work)
     code, stdout, stderr = run(["build", "--genus", "1", "--tubes", "1", "--out", out], capsys)
     assert code == EXIT_CONFIG
     assert out in stderr and "Traceback" not in stderr
@@ -427,7 +470,7 @@ def test_build_rejects_an_unusable_out_before_any_work(regular_file, sub, capsys
 
 def test_certify_rejects_an_unusable_out_before_any_work(regular_file, capsys, monkeypatch):
     out = os.path.join(regular_file, "sub")
-    monkeypatch.setattr(cli, "certify_minimality", no_work)
+    monkeypatch.setattr(retraction, "certify_minimality", no_work)
     code, stdout, stderr = run(["certify", "--genus", "1", "--tubes", "1", "--out", out], capsys)
     assert code == EXIT_CONFIG
     assert out in stderr and "Traceback" not in stderr
@@ -437,15 +480,15 @@ def test_certify_rejects_an_unusable_out_before_any_work(regular_file, capsys, m
 def test_certify_from_build_rejects_an_unusable_out_before_any_work(regular_file, tmp_path, capsys, monkeypatch):
     build_dir = str(tmp_path / "b")
     assert run(["build", "--genus", "1", "--tubes", "2", "--out", build_dir], capsys)[0] == EXIT_OK
-    monkeypatch.setattr(cli, "certify_catalog", no_work)
-    monkeypatch.setattr(cli, "catalog_from_json_obj", no_work)
+    monkeypatch.setattr(retraction, "certify_catalog", no_work)
+    monkeypatch.setattr(disks, "catalog_from_json_obj", no_work)
     code, _, stderr = run(["certify", "--from-build", build_dir, "--out", regular_file], capsys)
     assert code == EXIT_CONFIG
     assert regular_file in stderr and "Traceback" not in stderr
 
 
 def test_homology_rejects_an_unusable_out_before_any_work(octa_file, regular_file, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "reduced_homology", no_work)
+    monkeypatch.setattr(homology, "reduced_homology", no_work)
     code, stdout, stderr = run(["homology", octa_file, "1", "--out", regular_file], capsys)
     assert code == EXIT_CONFIG
     assert regular_file in stderr and "Traceback" not in stderr
@@ -502,6 +545,50 @@ def test_module_entry_point_runs_as_subprocess(tmp_path):
     assert result.returncode == EXIT_OK
     assert "PASSED" in result.stdout
     assert (tmp_path / "certificate.json").exists()
+
+
+# Run ARGV through cli.main (or only import cli, without ARGV), then print the
+# names of every module loaded.
+LIST_MODULES = (
+    "import json, sys\n"
+    "import disklab.cli\n"
+    "code = disklab.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(json.dumps(sorted(sys.modules)))\n"
+    "sys.exit(code)\n"
+)
+LAYERS = ("disklab.surface", "disklab.disks", "disklab.retraction", "disklab.homology")
+
+
+def modules_loaded_by(argv, cwd):
+    code, stdout, stderr = run_python(["-c", LIST_MODULES, *argv], cwd)
+    assert code == EXIT_OK, stderr
+    return set(json.loads(stdout.splitlines()[-1]))
+
+
+def test_importing_cli_loads_no_layer(tmp_path):
+    loaded = modules_loaded_by([], tmp_path)
+    assert "disklab.cli" in loaded
+    assert not loaded & {*LAYERS, "dataclasses"}
+
+
+def test_homology_loads_only_the_homology_layer(octa_file, tmp_path):
+    loaded = modules_loaded_by(["homology", octa_file, "2", "--out", "h"], tmp_path)
+    assert (tmp_path / "h" / "homology.json").exists()
+    assert "disklab.homology" in loaded
+    assert not loaded & {"disklab.surface", "disklab.disks", "disklab.retraction", "dataclasses"}
+
+
+def test_build_loads_no_retraction_or_homology(tmp_path):
+    loaded = modules_loaded_by(["build", "--genus", "1", "--tubes", "1", "--out", "b"], tmp_path)
+    assert (tmp_path / "b" / "disks.json").exists()
+    assert {"disklab.surface", "disklab.disks"} <= loaded
+    assert not loaded & {"disklab.retraction", "disklab.homology"}
+
+
+def test_certify_loads_every_layer(tmp_path):
+    loaded = modules_loaded_by(["certify", "--genus", "1", "--tubes", "1", "--out", "c"], tmp_path)
+    assert (tmp_path / "c" / "certificate.json").exists()
+    assert set(LAYERS) <= loaded
 
 
 def test_failed_certificate_exit_code_is_distinct():

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import itertools
+import sys
 
 import pytest
 
@@ -528,6 +529,18 @@ def test_catalog_json_roundtrip(cat2):
     rebuilt = catalog_from_json_obj(obj)
     assert rebuilt.keys() == cat2.keys()
     assert canonical_json(catalog_to_json_obj(rebuilt)) == canonical_json(obj)
+
+
+def test_catalog_json_rejects_a_partner_chain_too_deep_to_rebuild(cat2):
+    obj = catalog_to_json_obj(cat2)
+    i = next(i for i, d in enumerate(obj["disks"]) if d["variant"] == "bandsum")
+    partner = {"variant": "meridian", "index": 1}
+    for _ in range(sys.getrecursionlimit()):
+        partner = {"variant": "bandsum", "base": 1, "partner": partner, "band": [-2], "copies": 1}
+    obj["disks"][i]["partner"] = partner
+    with pytest.raises(MalformedFileError) as exc:
+        catalog_from_json_obj(obj)
+    assert exc.value.location == f"disks.disks[{i}]"
 
 
 def test_catalog_json_tamper_detection(cat2):

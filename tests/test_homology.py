@@ -22,6 +22,7 @@ from disklab.flagcomplex import (
 from disklab.homology import (
     ChainComplex,
     Column,
+    HomologyProfile,
     Matrix,
     apply_chain_map,
     certify_homology_retraction,
@@ -340,6 +341,18 @@ class TestChainComplex:
         assert prof.entries == ((0, ()), (0, (2,)), (0, ()))
         assert prof.describe(1) == "Z/2"
         assert prof.describe(0) == "0"
+
+    def test_profile_is_an_immutable_value(self):
+        prof = projective_plane_complex().profile(2)
+        assert prof == HomologyProfile(((0, ()), (0, (2,)), (0, ())))
+        assert prof != HomologyProfile(((0, ()), (0, ()), (0, ())))
+        assert hash(prof) == hash(HomologyProfile(prof.entries))
+        assert prof.d_max == 2 and prof.torsion(1) == (2,) and prof.betti(1) == 0
+        assert prof.to_json_obj()[1] == {"dimension": 1, "betti": 0, "torsion": [2]}
+        with pytest.raises(AttributeError):
+            prof.entries = ()
+        with pytest.raises(AttributeError):
+            prof.extra = 1
 
     def test_octahedral_sphere_homology(self):
         for n in range(1, 9):

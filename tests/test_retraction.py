@@ -19,6 +19,7 @@ from disklab.disks import (
     build_disk_catalog,
     disks_disjoint_unvalidated,
     meets_distinguished,
+    validate_disk,
 )
 from disklab.errors import InvalidConfigError, WellDefinednessError
 from disklab.flagcomplex import FlagComplex, canonical_json
@@ -259,6 +260,53 @@ def test_image_still_validates_its_argument(tubes):
     for bad in invalid:
         with pytest.raises(InvalidConfigError):
             engine.image(bad)
+
+
+def test_certify_validates_each_disk_only_at_the_entries(monkeypatch):
+    # validate_disk runs once per catalog disk in image() (recursing through
+    # its partners) and once per disk of each sphere disjointness check; the
+    # recursion, its type and top-meridian tests and the pair pass never do.
+    surface = build_tubed_surface(1, 6)
+    catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
+    calls = []
+    validate = disks_module.validate_disk
+
+    def counting(d, s):
+        calls.append(d.key)
+        return validate(d, s)
+
+    monkeypatch.setattr(disks_module, "validate_disk", counting)
+    monkeypatch.setattr(retraction_module, "validate_disk", counting)
+    assert certify_catalog(catalog)["passed"]
+
+    def chain(d):  # descriptors that validate_disk visits: the disk, then its partners
+        return 1 + (chain(d.resolved_partner) if isinstance(d, BandSum) else 0)
+
+    m = surface.tubes
+    sphere_checks = m + 4 * m * (m - 1) // 2  # antipodal pairs, then octahedron edges
+    assert len(calls) == sum(chain(d) for d in catalog.disks) + 2 * sphere_checks == 630
+
+
+@pytest.mark.parametrize("genus, tubes", [(1, 6), (2, 4)])
+def test_every_disk_the_recursion_reaches_is_valid_at_its_level(genus, tubes, monkeypatch):
+    surface = build_tubed_surface(genus, tubes)
+    catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
+    engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
+    reached = {}
+    recurse = RetractionEngine._image
+
+    def recording(self, d, level):
+        reached[(level, d.key)] = d
+        return recurse(self, d, level)
+
+    monkeypatch.setattr(RetractionEngine, "_image", recording)
+    for d in catalog.disks:
+        engine.image(d)
+    assert set(reached) == set(engine._images)
+    assert set(engine._types) <= set(reached) and set(engine._surgeries) <= set(reached)
+    assert any(level < tubes for level, _ in reached)
+    for (level, _), d in reached.items():
+        validate_disk(d, engine._surfaces[level])
 
 
 def test_forced_disagreement_raises(monkeypatch):
