@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Tabulate arc enumeration: candidate codes, embeddable classes and time.
+"""Tabulate arc enumeration and disjointness: classes, disjoint pairs and times.
 
 For each (genus, arc bound k) this prints ``candidate_count``, the number
 of canonical reduced codes of length 1..k (the figure the arc-class cap is
 checked against), runs ``enumerate_arcs``, and prints the number of
-embeddable classes it returns and the seconds it took.  The default grid is
-genus 1 at k = 5..9 and genus 2 at k = 3..6; rows whose class counts are
-frozen in the tests are checked against those values.
+embeddable classes it returns and the seconds it took.  It then decides
+``arcs_disjoint`` on every pair of distinct classes, with the drawing and
+pair memos cleared first, and prints the number of disjoint pairs and the
+seconds that took.  The default grid is genus 1 at k = 5..9 and genus 2 at
+k = 3..5 (genus 2 at k = 6 has about 600,000 pairs); rows whose class counts are frozen in the tests are checked
+against those values.
 
 Usage:
     python3 scripts/arc_enumeration_table.py [--genus1-max K] [--genus2-max K]
@@ -17,8 +20,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from itertools import combinations
 
-from disklab.surface import build_punctured_model, candidate_count, enumerate_arcs
+from disklab.surface import arcs_disjoint, build_punctured_model, candidate_count, enumerate_arcs, solo_drawings
 
 # Embeddable class counts frozen in tests/test_surface.py.
 EXPECTED = {(1, 7): 84, (1, 8): 106, (1, 9): 150, (2, 3): 54, (2, 5): 449, (2, 6): 1093}
@@ -27,12 +31,15 @@ EXPECTED = {(1, 7): 84, (1, 8): 106, (1, 9): 150, (2, 3): 54, (2, 5): 449, (2, 6
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--genus1-max", type=int, default=9)
-    parser.add_argument("--genus2-max", type=int, default=6)
+    parser.add_argument("--genus2-max", type=int, default=5)
     args = parser.parse_args(argv)
 
     grid = [(1, k) for k in range(5, args.genus1_max + 1)]
     grid += [(2, k) for k in range(3, args.genus2_max + 1)]
-    header = f"{'g':>2} {'k':>2} {'candidates':>10} {'embeddable':>10} {'time':>8}"
+    header = (
+        f"{'g':>2} {'k':>2} {'candidates':>10} {'embeddable':>10} {'time':>8}"
+        f" {'pairs':>8} {'disjoint':>8} {'time':>8}"
+    )
     print(header)
     print("-" * len(header))
     ok = True
@@ -44,7 +51,16 @@ def main(argv=None) -> int:
         row_ok = expected is None or len(classes) == expected
         ok = ok and row_ok
         mark = "" if row_ok else f"   <-- expected {expected}"
-        print(f"{genus:>2} {k:>2} {candidate_count(genus, k):>10} {len(classes):>10} {elapsed:>7.3f}s{mark}")
+        solo_drawings.cache_clear()
+        arcs_disjoint.cache_clear()
+        t0 = time.monotonic()
+        pairs = list(combinations(classes, 2))
+        disjoint = sum(arcs_disjoint(genus, a, b) for a, b in pairs)
+        pair_time = time.monotonic() - t0
+        print(
+            f"{genus:>2} {k:>2} {candidate_count(genus, k):>10} {len(classes):>10} {elapsed:>7.3f}s"
+            f" {len(pairs):>8} {disjoint:>8} {pair_time:>7.3f}s{mark}"
+        )
     print("\nall frozen counts match" if ok else "\nMISMATCH: see rows above")
     return 0 if ok else 1
 

@@ -15,7 +15,7 @@ Public entry points live in the submodules:
   elimination, Smith normal form on the residual core) and the cycle-level
   retraction certificate.
 - :mod:`disklab.surface` -- polygon models of punctured surfaces, arc codes,
-  and the arc-intersection engine.
+  and the exact arc-disjointness search.
 - :mod:`disklab.disks` -- compressing-disk descriptors, side/type
   classification, disjointness, and catalog generation.
 - :mod:`disklab.retraction` -- suspension spheres, outermost surgery, the

@@ -15,9 +15,10 @@ finite combinatorial descriptors:
 
 Disjointness is decided conservatively at the footprint level: a meridian
 meets exactly the disks whose tube footprint contains its index, arcs in a
-common region are compared by exact chord crossing numbers, and disjoint
-strata (distinct regions, bands versus meridians, parallel pushed copies)
-separate everything else.  ``disks_disjoint`` returns ``True`` only when
+common region are compared by the exact search
+:func:`~disklab.surface.arcs_disjoint`, and disjoint strata (distinct
+regions, bands versus meridians, parallel pushed copies) separate
+everything else.  ``disks_disjoint`` returns ``True`` only when
 this calculus certifies disjoint representatives; a ``True`` is therefore
 a proof of disjointness while a ``False`` may be conservative.
 
@@ -46,10 +47,9 @@ from typing import Union
 from .errors import InvalidConfigError, MalformedFileError
 from .surface import (
     DEFAULT_MAX_ARC_CLASSES,
-    DEFAULT_MERGE_BUDGET,
     ArcCode,
     TubedSurface,
-    arc_intersection,
+    arcs_disjoint,
     build_punctured_model,
     build_tubed_surface,
     canonical_code,
@@ -62,6 +62,11 @@ from .surface import (
 SELF_PARTNER = "self"
 
 TYPE_LABELS = ("T1", "T2", "T3", "T4")
+
+# The catalog config in ``disks.json`` and certificates keeps the key of the
+# retired bounded arc search, always at this value, so recorded bytes stay
+# the same; the exact search reads no such setting.
+RECORDED_MERGE_BUDGET = 20_000
 
 
 def _clean_arc(arc) -> ArcCode:
@@ -219,12 +224,7 @@ def validate_disk(d: Disk, surface: TubedSurface) -> None:
 # -- disjointness calculus -----------------------------------------------------
 
 
-def _arcs_disjoint(x: ArcCode, y: ArcCode, region: int, surface: TubedSurface, budget) -> bool:
-    model = surface.region_model(region)
-    return arc_intersection(x, y, model, budget=budget) == 0
-
-
-def _band_vs_disk(region: int, arc: ArcCode, d: Disk, surface: TubedSurface, budget) -> bool:
+def _band_vs_disk(region: int, arc: ArcCode, d: Disk, surface: TubedSurface) -> bool:
     # Parallel band arcs in `region` against the constituents of `d`.  Bands
     # stay in the block of their region, so they never meet a meridian.
     if isinstance(d, Meridian):
@@ -232,10 +232,10 @@ def _band_vs_disk(region: int, arc: ArcCode, d: Disk, surface: TubedSurface, bud
     if isinstance(d, VerticalDisk):
         if d.region != region:
             return True
-        return _arcs_disjoint(arc, d.arc, region, surface, budget)
-    if d.base == region and not _arcs_disjoint(arc, d.band, region, surface, budget):
+        return arcs_disjoint(surface.genus_base, arc, d.arc)
+    if d.base == region and not arcs_disjoint(surface.genus_base, arc, d.band):
         return False
-    return _band_vs_disk(region, arc, d.resolved_partner, surface, budget)
+    return _band_vs_disk(region, arc, d.resolved_partner, surface)
 
 
 def _meridian_misses(index: int, d: Disk) -> bool:
@@ -247,7 +247,7 @@ def _meridian_misses(index: int, d: Disk) -> bool:
 _VARIANT_RANK = {Meridian: 0, VerticalDisk: 1, BandSum: 2}
 
 
-def disks_disjoint_unvalidated(a: Disk, b: Disk, surface: TubedSurface, budget) -> bool:
+def disks_disjoint_unvalidated(a: Disk, b: Disk, surface: TubedSurface) -> bool:
     """:func:`disks_disjoint` for descriptors already validated on ``surface``."""
     if a.key == b.key:
         # Identical descriptors denote parallel pushed copies.
@@ -260,11 +260,11 @@ def disks_disjoint_unvalidated(a: Disk, b: Disk, surface: TubedSurface, budget) 
         if isinstance(b, VerticalDisk):
             if a.region != b.region:
                 return True
-            return _arcs_disjoint(a.arc, b.arc, a.region, surface, budget)
+            return arcs_disjoint(surface.genus_base, a.arc, b.arc)
         return (
             _meridian_misses(b.base, a)
-            and disks_disjoint_unvalidated(b.resolved_partner, a, surface, budget)
-            and _band_vs_disk(b.base, b.band, a, surface, budget)
+            and disks_disjoint_unvalidated(b.resolved_partner, a, surface)
+            and _band_vs_disk(b.base, b.band, a, surface)
         )
     # Both band sums.  Bases are parallel pushed copies of meridians and stay
     # disjoint from each other even when the index coincides (nesting).
@@ -273,22 +273,22 @@ def disks_disjoint_unvalidated(a: Disk, b: Disk, surface: TubedSurface, budget) 
         return False
     if not _meridian_misses(b.base, pa):
         return False
-    if not disks_disjoint_unvalidated(pa, pb, surface, budget):
+    if not disks_disjoint_unvalidated(pa, pb, surface):
         return False
-    if not _band_vs_disk(a.base, a.band, pb, surface, budget):
+    if not _band_vs_disk(a.base, a.band, pb, surface):
         return False
-    if not _band_vs_disk(b.base, b.band, pa, surface, budget):
+    if not _band_vs_disk(b.base, b.band, pa, surface):
         return False
-    if a.base == b.base and not _arcs_disjoint(a.band, b.band, a.base, surface, budget):
+    if a.base == b.base and not arcs_disjoint(surface.genus_base, a.band, b.band):
         return False
     return True
 
 
-def disks_disjoint(a: Disk, b: Disk, surface: TubedSurface, budget=DEFAULT_MERGE_BUDGET) -> bool:
+def disks_disjoint(a: Disk, b: Disk, surface: TubedSurface) -> bool:
     """``True`` iff the calculus certifies disjoint representatives of a and b."""
     validate_disk(a, surface)
     validate_disk(b, surface)
-    return disks_disjoint_unvalidated(a, b, surface, budget)
+    return disks_disjoint_unvalidated(a, b, surface)
 
 
 # -- classification --------------------------------------------------------------
@@ -299,7 +299,7 @@ def distinguished_disk(surface: TubedSurface) -> Meridian:
     return Meridian(surface.tubes)
 
 
-def classify_type(d: Disk, surface: TubedSurface, budget=DEFAULT_MERGE_BUDGET) -> str:
+def classify_type(d: Disk, surface: TubedSurface) -> str:
     """Partition disks into T1-T4 by side and incidence with the top meridian.
 
     T1: the top meridian itself.  T2: any other disk on the same side as the
@@ -308,30 +308,30 @@ def classify_type(d: Disk, surface: TubedSurface, budget=DEFAULT_MERGE_BUDGET) -
     from it.
     """
     validate_disk(d, surface)
-    return classify_type_unvalidated(d, surface, budget)
+    return classify_type_unvalidated(d, surface)
 
 
-def classify_type_unvalidated(d: Disk, surface: TubedSurface, budget) -> str:
+def classify_type_unvalidated(d: Disk, surface: TubedSurface) -> str:
     """:func:`classify_type` for a descriptor already validated on ``surface``."""
     e = distinguished_disk(surface)
     if d.key == e.key:
         return "T1"
     if disk_side(d) == surface.w_side:
         return "T2"
-    if disks_disjoint_unvalidated(d, e, surface, budget):
+    if disks_disjoint_unvalidated(d, e, surface):
         return "T4"
     return "T3"
 
 
-def meets_distinguished(d: Disk, surface: TubedSurface, budget=DEFAULT_MERGE_BUDGET) -> bool:
+def meets_distinguished(d: Disk, surface: TubedSurface) -> bool:
     """Whether the disk's footprint forces intersection with the top meridian."""
     validate_disk(d, surface)
-    return meets_distinguished_unvalidated(d, surface, budget)
+    return meets_distinguished_unvalidated(d, surface)
 
 
-def meets_distinguished_unvalidated(d: Disk, surface: TubedSurface, budget) -> bool:
+def meets_distinguished_unvalidated(d: Disk, surface: TubedSurface) -> bool:
     """:func:`meets_distinguished` for a descriptor already validated on ``surface``."""
-    return not disks_disjoint_unvalidated(d, distinguished_disk(surface), surface, budget)
+    return not disks_disjoint_unvalidated(d, distinguished_disk(surface), surface)
 
 
 # -- catalogs --------------------------------------------------------------------
@@ -352,7 +352,6 @@ class CatalogConfig:
     max_band_arcs: int = 2
     max_partner_arcs: int = 2
     copies: tuple = (1, 2)
-    merge_budget: int = DEFAULT_MERGE_BUDGET
     max_arc_classes: int = DEFAULT_MAX_ARC_CLASSES
 
     def __post_init__(self):
@@ -465,9 +464,14 @@ def config_to_json_obj(config: CatalogConfig) -> dict:
         "max_band_arcs": config.max_band_arcs,
         "max_partner_arcs": config.max_partner_arcs,
         "copies": list(config.copies),
-        "merge_budget": config.merge_budget,
+        "merge_budget": RECORDED_MERGE_BUDGET,
         "max_arc_classes": config.max_arc_classes,
     }
+
+
+def _clip(text: str, limit: int = 80) -> str:
+    """``text`` cut to ``limit`` characters, so a hostile file cannot flood an error line."""
+    return text if len(text) <= limit else text[:limit] + "…"
 
 
 def config_from_json_obj(obj, source: str = "config") -> CatalogConfig:
@@ -485,6 +489,11 @@ def config_from_json_obj(obj, source: str = "config") -> CatalogConfig:
     if not isinstance(kwargs["copies"], list):
         raise MalformedFileError(f"{source}.copies", "copies must be a list")
     kwargs["copies"] = tuple(kwargs["copies"])
+    recorded = kwargs.pop("merge_budget")
+    if type(recorded) is not int or recorded != RECORDED_MERGE_BUDGET:
+        raise MalformedFileError(
+            f"{source}.merge_budget", f"expected {RECORDED_MERGE_BUDGET}, got {_clip(repr(recorded))}"
+        )
     try:
         return CatalogConfig(**kwargs)
     except InvalidConfigError as exc:
@@ -542,7 +551,7 @@ def catalog_to_json_obj(catalog: DiskCatalog) -> dict:
         obj = disk_to_json_obj(d)
         obj["key"] = d.key
         obj["side"] = disk_side(d)
-        obj["type"] = classify_type(d, surface, catalog.config.merge_budget)
+        obj["type"] = classify_type(d, surface)
         entries.append(obj)
     return {
         "kind": "disk_catalog",
@@ -588,15 +597,18 @@ def catalog_from_json_obj(obj, source: str = "disks") -> DiskCatalog:
             # JSON can still be too deep to rebuild.
             raise MalformedFileError(loc, "disk descriptor nested too deeply") from exc
         if parsed.key != expected.key:
-            raise MalformedFileError(loc, f"expected disk {expected.key}, got {parsed.key}")
+            raise MalformedFileError(loc, f"expected disk {expected.key}, got {_clip(parsed.key)}")
         if isinstance(raw, dict):
             if "key" in raw and raw["key"] != expected.key:
-                raise MalformedFileError(f"{loc}.key", f"key {raw['key']!r} does not match descriptor {expected.key}")
+                got = _clip(repr(raw["key"]))
+                raise MalformedFileError(f"{loc}.key", f"key {got} does not match descriptor {expected.key}")
             if "side" in raw and raw["side"] != disk_side(expected):
-                raise MalformedFileError(f"{loc}.side", f"side {raw['side']!r} does not match {disk_side(expected)}")
-            expected_type = classify_type(expected, surface, config.merge_budget)
+                got = _clip(repr(raw["side"]))
+                raise MalformedFileError(f"{loc}.side", f"side {got} does not match {disk_side(expected)}")
+            expected_type = classify_type(expected, surface)
             if "type" in raw and raw["type"] != expected_type:
-                raise MalformedFileError(f"{loc}.type", f"type {raw['type']!r} does not match {expected_type}")
+                got = _clip(repr(raw["type"]))
+                raise MalformedFileError(f"{loc}.type", f"type {got} does not match {expected_type}")
     raw_arcs = obj.get("arc_classes")
     if not isinstance(raw_arcs, dict):
         raise MalformedFileError(f"{source}.arc_classes", "arc_classes must be an object")

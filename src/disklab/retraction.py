@@ -142,7 +142,6 @@ def build_suspension_sphere(surface: TubedSurface, catalog: DiskCatalog) -> Susp
     no cataloged disk qualifies.
     """
     m = surface.tubes
-    budget = catalog.config.merge_budget
     by_key = catalog.by_key()
     verticals = catalog.vertical_disks()
     d_disks, e_disks = [], []
@@ -158,7 +157,7 @@ def build_suspension_sphere(surface: TubedSurface, catalog: DiskCatalog) -> Susp
             if cand.region != region:
                 continue
             if all(
-                disks_disjoint_unvalidated(cand, Meridian(j + 1), surface, budget)
+                disks_disjoint_unvalidated(cand, Meridian(j + 1), surface)
                 for j in range(m)
                 if j != i
             ):
@@ -174,7 +173,7 @@ def build_suspension_sphere(surface: TubedSurface, catalog: DiskCatalog) -> Susp
     return SuspensionSphere(surface=surface, d_disks=tuple(d_disks), e_disks=tuple(e_disks))
 
 
-def verify_sphere(sphere: SuspensionSphere, budget=None) -> dict:
+def verify_sphere(sphere: SuspensionSphere) -> dict:
     """Certify every octahedral invariant of the sphere; raise on any failure.
 
     Checks, via the disjointness calculus: vertices of distinct pairs bound
@@ -187,7 +186,7 @@ def verify_sphere(sphere: SuspensionSphere, budget=None) -> dict:
     edges = 0
     for i in range(n + 1):
         d, e = sphere.pair(i)
-        if disks_disjoint(d, e, surface, budget):
+        if disks_disjoint(d, e, surface):
             raise InvalidConfigError(
                 f"sphere pair {i}: D{i}={d.key} and E{i}={e.key} are disjoint; "
                 "an octahedral antipodal pair must intersect"
@@ -196,7 +195,7 @@ def verify_sphere(sphere: SuspensionSphere, budget=None) -> dict:
         for j in range(i + 1, n + 1):
             for name_a, a in (("D" + str(i), sphere.d_disks[i]), ("E" + str(i), sphere.e_disks[i])):
                 for name_b, b in (("D" + str(j), sphere.d_disks[j]), ("E" + str(j), sphere.e_disks[j])):
-                    if not disks_disjoint(a, b, surface, budget):
+                    if not disks_disjoint(a, b, surface):
                         raise InvalidConfigError(
                             f"sphere edge {name_a}={a.key} vs {name_b}={b.key} is not certified "
                             "disjoint; the octahedron is not realized"
@@ -325,7 +324,6 @@ class RetractionEngine:
         self.surface = surface
         self.catalog = catalog
         self.sphere = sphere
-        self.budget = catalog.config.merge_budget
         self._surfaces = {
             level: build_tubed_surface(surface.genus_base, level)
             for level in range(1, surface.tubes + 1)
@@ -360,7 +358,7 @@ class RetractionEngine:
         """
         key = (level, d.key)
         if key not in self._types:
-            self._types[key] = classify_type_unvalidated(d, self._surfaces[level], self.budget)
+            self._types[key] = classify_type_unvalidated(d, self._surfaces[level])
         return self._types[key]
 
     def surgery_outcomes(self) -> list:
@@ -388,7 +386,7 @@ class RetractionEngine:
                 vertex, branch = SphereVertex(level - 1, "E"), "top_meridian"
             elif t == "T3":
                 vertex, branch = SphereVertex(level - 1, "D"), "top_vertical"
-            elif t == "T2" and meets_distinguished_unvalidated(d, surface, self.budget):
+            elif t == "T2" and meets_distinguished_unvalidated(d, surface):
                 vertex, branch = self._surgery_image(d, level), "surgered"
             else:
                 # T4, or T2 missing the top meridian: the footprint avoids
@@ -500,7 +498,7 @@ def _shape(d: Disk) -> str:
     return d.key.rpartition(";")[0] if isinstance(d, BandSum) else d.key
 
 
-def _disjointness_rows(records: list, surface: TubedSurface, budget) -> list:
+def _disjointness_rows(records: list, surface: TubedSurface) -> list:
     """Per catalog disk, the bitset of the other catalog disks certified disjoint from it."""
     shapes = _masks(_shape(r.disk) for r in records)
     by_footprint = _masks(r.tubes for r in records)
@@ -510,17 +508,17 @@ def _disjointness_rows(records: list, surface: TubedSurface, budget) -> list:
     for s, (a, copies) in enumerate(reps):
         for t in range(s + 1, len(reps)):
             b, b_copies = reps[t]
-            if a.tubes & b.tubes and disks_disjoint_unvalidated(a.disk, b.disk, surface, budget):
+            if a.tubes & b.tubes and disks_disjoint_unvalidated(a.disk, b.disk, surface):
                 rows[s] |= b_copies
                 rows[t] |= copies
         others = copies & (copies - 1)  # every copy but the first
-        if others and disks_disjoint_unvalidated(a.disk, records[next(_bits(others))].disk, surface, budget):
+        if others and disks_disjoint_unvalidated(a.disk, records[next(_bits(others))].disk, surface):
             rows[s] |= copies
     row_of = dict(zip(shapes, rows))
     return [row_of[_shape(r.disk)] & ~(1 << i) for i, r in enumerate(records)]
 
 
-def _scan_pairs(records: list, surface: TubedSurface, budget, tally: bool, keep=frozenset()):
+def _scan_pairs(records: list, surface: TubedSurface, tally: bool, keep=frozenset()):
     """The pair pass: (kept disjoint pairs, claim tally, V/W witness).
 
     Each disk gets one row: the bitset over catalog indices of the other
@@ -541,7 +539,7 @@ def _scan_pairs(records: list, surface: TubedSurface, budget, tally: bool, keep=
     side, as ``(v_disk, w_disk)``.
     """
     # Row i restricted to the disks after i: each pair is read once.
-    later = [row & -(2 << i) for i, row in enumerate(_disjointness_rows(records, surface, budget))]
+    later = [row & -(2 << i) for i, row in enumerate(_disjointness_rows(records, surface))]
     keep_mask = sum(1 << i for i, r in enumerate(records) if r.disk.key in keep)
     kept = [(records[i].disk, records[j].disk) for i in _bits(keep_mask) for j in _bits(later[i] & keep_mask)]
     on_side = _masks(r.side for r in records)
@@ -597,6 +595,7 @@ def _scan_pairs(records: list, surface: TubedSurface, budget, tally: bool, keep=
 CAVEATS = (
     "All conclusions are relative to the finite cataloged subcomplex of the disk "
     "complex; compressing disks outside the catalog are not examined.",
+    # Recorded wording, kept so certificate bytes stay the same; the arc search is now exact.
     "Disjointness is certified conservatively: a pair reported as intersecting may "
     "be an artifact of the crossing-search budget.  That can only shrink the "
     "verified subcomplex, never add an edge, so certified claims stay sound.",
@@ -676,7 +675,7 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
     m = surface.tubes
     n = m - 1
     sphere = build_suspension_sphere(surface, catalog)
-    sphere_invariants = verify_sphere(sphere, budget=config.merge_budget)
+    sphere_invariants = verify_sphere(sphere)
 
     engine = RetractionEngine(surface, catalog, sphere)
     first_violation = None
@@ -693,7 +692,7 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
     records = _disk_records(engine, images)
     sphere_keys = frozenset(sphere.sub_sphere_keys(n))
     sphere_pairs, claims, witness_pair = _scan_pairs(
-        records, surface, config.merge_budget, tally=first_violation is None, keep=sphere_keys
+        records, surface, tally=first_violation is None, keep=sphere_keys
     )
     if claims is not None and not claims["passed"]:
         v = claims["violations"][0]

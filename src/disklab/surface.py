@@ -29,15 +29,15 @@ orders, its last chord crosses nothing.  This is exact: the open chords of a
 word are among the open chords of every extension, so a word with no
 crossing-free open drawing has no embeddable extension.  Reversing a code
 gives the same chords with the two station endpoints swapped, so
-embeddability does not depend on orientation.  Crossing numbers between two
-arcs are minimized over merges of their embedded drawings.
+embeddability does not depend on orientation.  Two arcs are disjoint when one
+grows, by the same insertions, inside a closed drawing of the other without
+a crossing (:func:`arcs_disjoint`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from disklab.errors import InvalidConfigError, MalformedFileError, ResourceCapError
 
@@ -47,7 +47,6 @@ SIDE_A = "A"
 SIDE_B = "B"
 
 DEFAULT_MAX_ARC_CLASSES = 100_000
-DEFAULT_MERGE_BUDGET = 20_000
 
 
 def opposite_side(side: str) -> str:
@@ -150,70 +149,6 @@ def _side_index(genus: int) -> dict[tuple[int, int], int]:
     return {ps: i for i, ps in enumerate(side_word(genus))}
 
 
-def _chord_endpoints(
-    genus: int, codes: dict[int, ArcCode]
-) -> dict[int, list[tuple[tuple, tuple]]]:
-    """Chords of each arc as pairs of abstract boundary points.
-
-    Points are ("st", (arc, 0|1)) for endpoints and (side_index, (arc, entry))
-    for crossing slots.
-    """
-    sidx = _side_index(genus)
-    chords: dict[int, list[tuple[tuple, tuple]]] = {}
-    for j, code in codes.items():
-        pts: list[tuple[tuple, tuple]] = []
-        prev: tuple = ("st", (j, 0))
-        for idx, (p, s) in enumerate(_entries(code)):
-            arrive = (sidx[(p, s)], (j, idx))
-            pts.append((prev, arrive))
-            prev = (sidx[(p, -s)], (j, idx))
-        pts.append((prev, ("st", (j, 1))))
-        chords[j] = pts
-    return chords
-
-
-def _positions(
-    genus: int,
-    station_order: tuple[tuple[int, int], ...],
-    plus_orders: dict[int, tuple[tuple[int, int], ...]],
-) -> dict[tuple, int]:
-    """Assign cyclic positions to every boundary point of a drawing."""
-    pos: dict[tuple, int] = {}
-    counter = 0
-    for token in station_order:
-        pos[("st", token)] = counter
-        counter += 1
-    for side_i, (p, s) in enumerate(side_word(genus)):
-        slots = plus_orders.get(p, ())
-        ordered = slots if s == 1 else tuple(reversed(slots))
-        for crossing in ordered:
-            pos[(side_i, crossing)] = counter
-            counter += 1
-    return pos
-
-
-def _crossings(
-    pos: dict[tuple, int],
-    chords_a: list[tuple[tuple, tuple]],
-    chords_b: list[tuple[tuple, tuple]],
-    stop_at: int | None = None,
-) -> int:
-    """Count interleaving chord pairs between the two lists."""
-    spans_a = []
-    for u, v in chords_a:
-        x, y = pos[u], pos[v]
-        spans_a.append((x, y) if x < y else (y, x))
-    count = 0
-    for u, v in chords_b:
-        p, q = pos[u], pos[v]
-        for x, y in spans_a:
-            if (x < p < y) != (x < q < y):
-                count += 1
-                if stop_at is not None and count >= stop_at:
-                    return count
-    return count
-
-
 # -- embeddability: incremental insertion search -----------------------------
 #
 # An open drawing of a word is its plus-side slot order on each pair: a tuple
@@ -232,6 +167,10 @@ def _point(sidx: dict, p: int, s: int, rank: float) -> tuple:
     return (sidx[(p, s)] + 1, rank if s > 0 else -rank)
 
 
+def _chord(u: tuple, v: tuple) -> tuple:
+    return (u, v) if u < v else (v, u)
+
+
 def _open_drawing(sidx: dict, word: ArcCode, orders: tuple) -> tuple:
     """(orders, open chords as sorted endpoint pairs, free end of the last chord)."""
     rank = {t: r for order in orders for r, t in enumerate(order)}
@@ -239,7 +178,7 @@ def _open_drawing(sidx: dict, word: ArcCode, orders: tuple) -> tuple:
     prev = _START
     for i, (p, s) in enumerate(_entries(word)):
         arrive = _point(sidx, p, s, rank[i])
-        chords.append((prev, arrive) if prev < arrive else (arrive, prev))
+        chords.append(_chord(prev, arrive))
         prev = _point(sidx, p, -s, rank[i])
     return orders, chords, prev
 
@@ -295,8 +234,7 @@ def solo_drawings(
     drawings, each closed under every station order that leaves its last
     chord uncrossed.  They come sorted by per-pair orders (pairs
     increasing), then station order: the order a product search over all
-    orders lists them in, which a budgeted :func:`arc_intersection` depends
-    on.
+    orders lists them in.
     """
     closed = []
     for drawing in _drawings_of(genus, code):
@@ -314,113 +252,81 @@ def is_embeddable(genus: int, code: ArcCode) -> bool:
     return any(_closings(d) for d in _drawings_of(genus, code))
 
 
-def _shuffles(xs: tuple, ys: tuple):
-    """All interleavings of xs and ys preserving each sequence's order."""
-    n, m = len(xs), len(ys)
-    if n == 0:
-        yield tuple(ys)
-        return
-    if m == 0:
-        yield tuple(xs)
-        return
-    for picks in combinations(range(n + m), n):
-        merged: list = []
-        xi = 0
-        yi = 0
-        pickset = set(picks)
-        for i in range(n + m):
-            if i in pickset:
-                merged.append(xs[xi])
-                xi += 1
-            else:
-                merged.append(ys[yi])
-                yi += 1
-        yield tuple(merged)
+# -- disjointness: the same insertions, two arcs ------------------------------
+#
+# Ranks inserted into a gap are midpoints (or one past an end), so every
+# boundary point keeps the (block, rank) form above and earlier points keep
+# their relative order.
 
 
-_PAIR_CACHE: dict[tuple, int] = {}
+def _gaps(ranks: list) -> list:
+    """One new rank in each gap of the sorted ``ranks``, both ends included."""
+    if not ranks:
+        return [0]
+    return [ranks[0] - 1, *((x + y) / 2 for x, y in zip(ranks, ranks[1:])), ranks[-1] + 1]
 
 
-def _relabel(drawing, arc_id: int):
-    """Re-tag a solo drawing's tokens with a fresh arc id."""
-    st, orders = drawing
-    st2 = tuple((arc_id, e) for (_j, e) in st)
-    orders2 = tuple(tuple((arc_id, idx) for (_j, idx) in per) for per in orders)
-    return st2, orders2
+def _joint_drawing(genus: int, a: ArcCode, b: ArcCode) -> list | None:
+    """The chords of the first zero-crossing drawing of two arcs the search reaches, or ``None``.
 
-
-def arc_intersection(
-    a: ArcCode,
-    b: ArcCode,
-    m: PuncturedSurfaceModel,
-    budget: int | None = DEFAULT_MERGE_BUDGET,
-) -> int:
-    """Minimal crossing number between straightened representatives.
-
-    Exhaustive search over endpoint orderings on the boundary and slot
-    orderings of identified chords, minimizing cross-arc interleavings.
-    Symmetric; zero on the diagonal.  With a finite ``budget`` the search
-    stops after that many drawings and returns the smallest count seen — an
-    upper bound, so callers asserting disjointness must require 0.
+    Each crossing-free closed drawing of ``a`` is fixed, and ``b`` grows
+    inside it letter by letter: its start token goes in each gap of the
+    station, each letter's slot token in each gap of its pair's merged
+    plus-side order, and its end token in each gap of the station.  A branch
+    is cut as soon as its new chord crosses a chord already drawn, of either
+    arc.  A crossing persists under further insertions, so the search is
+    exact: ``None`` means every drawing of the two arcs has a crossing.
     """
-    g = m.genus
-    raw = (g, a, b, budget)  # catalog arcs come canonical: most calls hit here
-    if raw in _PAIR_CACHE:
-        return _PAIR_CACHE[raw]
-    ca, cb = canonical_code(a), canonical_code(b)
-    if ca == cb:
-        return 0
-    if ca > cb:
-        ca, cb = cb, ca
-    key = (g, ca, cb, budget)
-    if key in _PAIR_CACHE:
-        _PAIR_CACHE[raw] = _PAIR_CACHE[key]
-        return _PAIR_CACHE[key]
+    sidx = _side_index(genus)
+    letters = _entries(b)
 
-    solos_a = [_relabel(d, 0) for d in solo_drawings(g, ca)]
-    solos_b = [_relabel(d, 1) for d in solo_drawings(g, cb)]
-    if not solos_a or not solos_b:
+    def grow(i: int, chords: list, ranks: tuple, station_ranks: tuple, free: tuple) -> list | None:
+        if i == len(letters):
+            for r in _gaps(sorted(station_ranks)):
+                if not _crosses(chords, free, (0, r)):
+                    return chords + [_chord(free, (0, r))]
+            return None
+        p, s = letters[i]
+        for r in _gaps(ranks[p]):
+            arrive = _point(sidx, p, s, r)
+            if not _crosses(chords, free, arrive):
+                grown = ranks[:p] + (sorted((*ranks[p], r)),) + ranks[p + 1:]
+                drawing = grow(i + 1, chords + [_chord(free, arrive)], grown, station_ranks, _point(sidx, p, -s, r))
+                if drawing:
+                    return drawing
+        return None
+
+    for station, per_pair in solo_drawings(genus, a):
+        orders = tuple(tuple(t for _arc, t in order) for order in per_pair)
+        _orders, chords, free = _open_drawing(sidx, a, orders)
+        end = dict(_STATIONS)[station]
+        chords = chords + [_chord(free, end)]
+        ranks = tuple(list(range(len(order))) for order in orders)
+        for start in _gaps(sorted((0, end[1]))):
+            drawing = grow(0, chords, ranks, (0, end[1], start), (0, start))
+            if drawing:
+                return drawing
+    return None
+
+
+@lru_cache(maxsize=None)
+def arcs_disjoint(genus: int, a: ArcCode, b: ArcCode) -> bool:
+    """Whether two arc classes have disjoint embedded representatives.
+
+    Exact, and ``True`` is backed by a zero-crossing drawing of both arcs
+    (:func:`_joint_drawing`, which fixes the smaller canonical code).  Equal
+    classes are parallel copies; a non-embeddable code raises.
+    """
+    ca, cb = sorted((canonical_code(a), canonical_code(b)))
+    if (ca, cb) != (a, b):
+        return arcs_disjoint(genus, ca, cb)
+    if ca == cb:
+        return True
+    if not solo_drawings(genus, ca) or not solo_drawings(genus, cb):
         raise InvalidConfigError(
             f"arc codes must be embeddable; got {ca!r} / {cb!r} with no embedded drawing"
         )
-    chords = _chord_endpoints(g, {0: ca, 1: cb})
-    best: int | None = None
-    examined = 0
-    for sa, orders_a in solos_a:
-        for sb, orders_b in solos_b:
-            for st in _shuffles(sa, sb):
-                pair_merge_lists = [
-                    list(_shuffles(orders_a[p], orders_b[p])) for p in range(2 * g)
-                ]
-
-                def walk(p: int, chosen: list) -> bool:
-                    nonlocal best, examined
-                    if p == 2 * g:
-                        examined += 1
-                        plus = {i: chosen[i] for i in range(2 * g)}
-                        pos = _positions(g, st, plus)
-                        stop = best if best is not None else None
-                        n = _crossings(pos, chords[0], chords[1], stop_at=stop)
-                        if best is None or n < best:
-                            best = n
-                        if best == 0:
-                            return True
-                        return budget is not None and examined >= budget
-                    for merged in pair_merge_lists[p]:
-                        chosen.append(merged)
-                        done = walk(p + 1, chosen)
-                        chosen.pop()
-                        if done:
-                            return True
-                    return False
-
-                if walk(0, []):
-                    if best == 0 or (budget is not None and examined >= budget):
-                        _PAIR_CACHE[key] = _PAIR_CACHE[raw] = best
-                        return best
-    assert best is not None
-    _PAIR_CACHE[key] = _PAIR_CACHE[raw] = best
-    return best
+    return _joint_drawing(genus, ca, cb) is not None
 
 
 # -- arc enumeration ----------------------------------------------------------
@@ -519,12 +425,6 @@ class TubedSurface:
     genus_base: int
     tubes: int
     regions: tuple[Region, ...]
-    # One arc model per region, built with the surface; not part of equality.
-    region_models: tuple[PuncturedSurfaceModel, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        models = tuple(build_punctured_model(self.genus_base, r.feet_count) for r in self.regions)
-        object.__setattr__(self, "region_models", models)
 
     @property
     def genus_total(self) -> int:
@@ -545,10 +445,6 @@ class TubedSurface:
                 f"region index {index} out of range 1..{self.tubes}"
             )
         return self.regions[index - 1]
-
-    def region_model(self, index: int) -> PuncturedSurfaceModel:
-        self.region(index)  # range check
-        return self.region_models[index - 1]
 
 
 def build_tubed_surface(genus: int, tubes: int) -> TubedSurface:

@@ -7,7 +7,10 @@ flag complexes, and ``check_retraction``, which also walks every domain edge.
 
 Arc enumeration grows words letter by letter and prunes; the oracle here
 generates every canonical candidate code and filters each one with a
-separate level-by-level search over slot permutations.  ``project_disk``
+separate level-by-level search over slot permutations.  Arc disjointness
+grows one arc inside a drawing of the other; ``min_crossings`` is the
+exhaustive engine it replaced, which minimizes the crossing number over
+every merge of two embedded solo drawings.  ``project_disk``
 re-decides a disk's type before re-homing it one tube level down, which the
 retraction engine does inline.
 
@@ -36,13 +39,14 @@ from disklab.errors import InvalidConfigError
 from disklab.flagcomplex import FlagComplex
 from disklab.retraction import CASE_OF_TYPES, RetractionEngine, _disk_records, _scan_pairs
 from disklab.surface import (
-    DEFAULT_MERGE_BUDGET,
     ArcCode,
     PuncturedSurfaceModel,
     TubedSurface,
     _entries,
     _side_index,
     canonical_code,
+    side_word,
+    solo_drawings,
     validate_code,
 )
 
@@ -241,10 +245,110 @@ def enumerate_arcs_by_filtering(m: PuncturedSurfaceModel, k: int) -> list[ArcCod
     return [c for c in codes if next(level_search_drawings(m.genus, c), None) is not None]
 
 
+# -- crossing numbers --------------------------------------------------------------
+#
+# A drawing of a set of arcs assigns an order of endpoint tokens inside the
+# station block and, for each pair p, an order of the plus-side slots (one
+# per crossing of pair p, across all arcs).  Positions on the boundary cycle
+# are then fixed, and chords cross exactly when their endpoints interleave.
+
+
+def chord_endpoints(genus: int, codes: dict[int, ArcCode]) -> dict[int, list[tuple[tuple, tuple]]]:
+    """Chords of each arc as pairs of abstract boundary points.
+
+    Points are ("st", (arc, 0|1)) for endpoints and (side_index, (arc, entry))
+    for crossing slots.
+    """
+    sidx = _side_index(genus)
+    chords: dict[int, list[tuple[tuple, tuple]]] = {}
+    for j, code in codes.items():
+        pts: list[tuple[tuple, tuple]] = []
+        prev: tuple = ("st", (j, 0))
+        for idx, (p, s) in enumerate(_entries(code)):
+            pts.append((prev, (sidx[(p, s)], (j, idx))))
+            prev = (sidx[(p, -s)], (j, idx))
+        pts.append((prev, ("st", (j, 1))))
+        chords[j] = pts
+    return chords
+
+
+def positions(genus: int, station_order: tuple, plus_orders: dict[int, tuple]) -> dict[tuple, int]:
+    """Assign cyclic positions to every boundary point of a drawing."""
+    pos = {("st", token): i for i, token in enumerate(station_order)}
+    counter = len(pos)
+    for side_i, (p, s) in enumerate(side_word(genus)):
+        slots = plus_orders.get(p, ())
+        for crossing in slots if s == 1 else reversed(slots):
+            pos[(side_i, crossing)] = counter
+            counter += 1
+    return pos
+
+
+def crossings(pos: dict[tuple, int], chords_a: list, chords_b: list, stop_at: int | None = None) -> int:
+    """Count interleaving chord pairs between the two lists, stopping at ``stop_at``."""
+    spans_a = []
+    for u, v in chords_a:
+        x, y = pos[u], pos[v]
+        spans_a.append((x, y) if x < y else (y, x))
+    count = 0
+    for u, v in chords_b:
+        p, q = pos[u], pos[v]
+        for x, y in spans_a:
+            if (x < p < y) != (x < q < y):
+                count += 1
+                if count == stop_at:
+                    return count
+    return count
+
+
+def shuffles(xs: tuple, ys: tuple):
+    """All interleavings of xs and ys preserving each sequence's order."""
+    n = len(xs) + len(ys)
+    for picks in combinations(range(n), len(xs)):
+        it_x, it_y = iter(xs), iter(ys)
+        yield tuple(next(it_x) if i in picks else next(it_y) for i in range(n))
+
+
+def min_crossings(genus: int, a: ArcCode, b: ArcCode) -> int:
+    """Minimal crossing number of two arc classes over all merges of their solo drawings.
+
+    Every pair of embedded solo drawings, every shuffle of their station
+    tokens and of their slot tokens on each pair is drawn, and the smallest
+    count of cross-arc interleavings wins; the search stops early at 0.
+    Zero on the diagonal; a non-embeddable code raises.
+    """
+    ca, cb = sorted((canonical_code(a), canonical_code(b)))
+    if ca == cb:
+        return 0
+
+    def relabel(drawing, arc_id):
+        station, orders = drawing
+        return tuple((arc_id, e) for _j, e in station), tuple(tuple((arc_id, t) for _j, t in o) for o in orders)
+
+    solos_a = [relabel(d, 0) for d in solo_drawings(genus, ca)]
+    solos_b = [relabel(d, 1) for d in solo_drawings(genus, cb)]
+    if not solos_a or not solos_b:
+        raise InvalidConfigError(f"arc codes must be embeddable; got {ca!r} / {cb!r} with no embedded drawing")
+    chords = chord_endpoints(genus, {0: ca, 1: cb})
+    best = None
+    for sa, orders_a in solos_a:
+        for sb, orders_b in solos_b:
+            merges = [list(shuffles(orders_a[p], orders_b[p])) for p in range(2 * genus)]
+            for station in shuffles(sa, sb):
+                for plus in product(*merges):
+                    pos = positions(genus, station, dict(enumerate(plus)))
+                    n = crossings(pos, chords[0], chords[1], stop_at=best)
+                    if best is None or n < best:
+                        best = n
+                    if best == 0:
+                        return 0
+    return best
+
+
 # -- projection ------------------------------------------------------------------
 
 
-def project_disk(d: Disk, surface: TubedSurface, budget=DEFAULT_MERGE_BUDGET) -> Disk:
+def project_disk(d: Disk, surface: TubedSurface) -> Disk:
     """Re-home a disk that avoids the top tube onto the one-tube-smaller surface.
 
     Valid only for disks of type T4, or type T2 disjoint from the top
@@ -254,10 +358,10 @@ def project_disk(d: Disk, surface: TubedSurface, budget=DEFAULT_MERGE_BUDGET) ->
     """
     if surface.tubes < 2:
         raise InvalidConfigError("projection needs at least two tubes")
-    t = classify_type(d, surface, budget)
+    t = classify_type(d, surface)
     if t == "T1" or t == "T3":
         raise InvalidConfigError(f"disk {d.key} of type {t} meets the top tube and cannot be projected")
-    if t == "T2" and meets_distinguished(d, surface, budget):
+    if t == "T2" and meets_distinguished(d, surface):
         raise InvalidConfigError(
             f"disk {d.key} of type T2 meets the top meridian; surgery is required before projection"
         )
@@ -270,7 +374,7 @@ def project_disk(d: Disk, surface: TubedSurface, budget=DEFAULT_MERGE_BUDGET) ->
 # -- the pair pass ----------------------------------------------------------------
 
 
-def scan_pairs_by_loop(records: list, surface: TubedSurface, budget, tally: bool, keep=frozenset()):
+def scan_pairs_by_loop(records: list, surface: TubedSurface, tally: bool, keep=frozenset()):
     """The pair pass as a loop over all pairs ``i < j`` of catalog records.
 
     Same arguments and results as ``retraction._scan_pairs``: (kept disjoint
@@ -287,7 +391,7 @@ def scan_pairs_by_loop(records: list, surface: TubedSurface, budget, tally: bool
     for i, (a, ta, xa, sa, fa) in enumerate(records):
         keep_a = a.key in keep
         for b, tb, xb, sb, fb in records[i + 1 :]:
-            if fa & fb and not disks_disjoint_unvalidated(a, b, surface, budget):
+            if fa & fb and not disks_disjoint_unvalidated(a, b, surface):
                 continue
             checked += 1
             if keep_a and b.key in keep:
@@ -334,4 +438,4 @@ def verify_claim_cases(engine: RetractionEngine) -> dict:
     """
     images = {d.key: engine.image(d) for d in engine.catalog.disks}
     records = _disk_records(engine, images)
-    return _scan_pairs(records, engine.surface, engine.budget, tally=True)[1]
+    return _scan_pairs(records, engine.surface, tally=True)[1]

@@ -270,6 +270,25 @@ def test_certify_from_build_rejects_unparseable_bytes(content, where, tmp_path):
     assert stdout == ""
 
 
+@pytest.mark.parametrize("value", ["abc", None, 1], ids=["string", "null", "one"])
+def test_certify_from_build_rejects_any_other_merge_budget(value, tmp_path, capsys):
+    # The catalog config keeps the key at its one recorded value; nothing reads another.
+    build_dir = tmp_path / "build"
+    run(["build", "--genus", "1", "--tubes", "2", "--out", str(build_dir)], capsys)
+    disks_path = build_dir / "disks.json"
+    obj = json.loads(disks_path.read_text())
+    assert obj["config"]["merge_budget"] == disks.RECORDED_MERGE_BUDGET
+    obj["config"]["merge_budget"] = value
+    disks_path.write_text(json.dumps(obj))
+    code, stdout, stderr = run_python(
+        ["-m", "disklab", "certify", "--from-build", str(build_dir), "--out", "out"], tmp_path
+    )
+    assert code == EXIT_CONFIG
+    assert f"{disks_path}.config.merge_budget: " in stderr
+    assert "Traceback" not in stderr
+    assert stdout == ""
+
+
 def test_certify_requires_genus_and_tubes_without_from_build(tmp_path, capsys):
     code, _, stderr = run(["certify", "--genus", "1", "--out", str(tmp_path)], capsys)
     assert code == EXIT_CONFIG

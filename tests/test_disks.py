@@ -208,14 +208,13 @@ def test_footprint_rule_agrees_with_the_calculus(genus, n):
     """Disjoint tube and region footprints imply disjoint disks, on every catalog pair."""
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    budget = catalog.config.merge_budget
     for d in catalog.disks:
         assert disk_regions(d) <= disk_tubes(d)
     skipped = 0
     for a, b in itertools.combinations(catalog.disks, 2):
         if disk_tubes(a).isdisjoint(disk_tubes(b)) and disk_regions(a).isdisjoint(disk_regions(b)):
             skipped += 1
-            assert disks_disjoint_unvalidated(a, b, surface, budget), (a.key, b.key)
+            assert disks_disjoint_unvalidated(a, b, surface), (a.key, b.key)
     assert skipped > 0
 
 
@@ -227,7 +226,6 @@ def test_copies_never_change_a_verdict_but_by_key(genus, n):
     """
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    budget = catalog.config.merge_budget
     checked = 0
     for d in catalog.band_sums():
         for copies in {1, 2, d.copies + 2} - {d.copies}:
@@ -236,14 +234,14 @@ def test_copies_never_change_a_verdict_but_by_key(genus, n):
             for e in catalog.disks:
                 if e.key in (d.key, twin.key):
                     continue
-                verdict = disks_disjoint_unvalidated(d, e, surface, budget)
-                assert disks_disjoint_unvalidated(twin, e, surface, budget) == verdict, (twin.key, e.key)
-                assert disks_disjoint_unvalidated(e, twin, surface, budget) == verdict, (e.key, twin.key)
+                verdict = disks_disjoint_unvalidated(d, e, surface)
+                assert disks_disjoint_unvalidated(twin, e, surface) == verdict, (twin.key, e.key)
+                assert disks_disjoint_unvalidated(e, twin, surface) == verdict, (e.key, twin.key)
                 checked += 1
             # Any two distinct copies of one shape: the same verdict as each other.
             third = BandSum(d.base, d.partner, d.band, copies + d.copies + 2)
-            assert disks_disjoint_unvalidated(d, twin, surface, budget) == disks_disjoint_unvalidated(
-                twin, third, surface, budget
+            assert disks_disjoint_unvalidated(d, twin, surface) == disks_disjoint_unvalidated(
+                twin, third, surface
             ), twin.key
     assert checked > 0
 
@@ -522,6 +520,11 @@ def test_config_json_roundtrip():
     assert config_from_json_obj(config_to_json_obj(cfg)) == cfg
     with pytest.raises(MalformedFileError):
         config_from_json_obj({"arc_bound": 3})
+    without_key = config_to_json_obj(cfg)
+    del without_key["merge_budget"]
+    with pytest.raises(MalformedFileError) as exc:
+        config_from_json_obj(without_key)
+    assert exc.value.location == "config.merge_budget"
 
 
 def test_catalog_json_roundtrip(cat2):
@@ -541,6 +544,25 @@ def test_catalog_json_rejects_a_partner_chain_too_deep_to_rebuild(cat2):
     with pytest.raises(MalformedFileError) as exc:
         catalog_from_json_obj(obj)
     assert exc.value.location == f"disks.disks[{i}]"
+
+
+def test_catalog_json_key_mismatch_message_is_bounded(cat2):
+    obj = catalog_to_json_obj(cat2)
+    i = next(i for i, d in enumerate(obj["disks"]) if d["variant"] == "bandsum")
+    partner = {"variant": "meridian", "index": 1}
+    for _ in range(300):
+        partner = {"variant": "bandsum", "base": 1, "partner": partner, "band": [-2], "copies": 1}
+    obj["disks"][i]["partner"] = partner
+    with pytest.raises(MalformedFileError) as exc:
+        catalog_from_json_obj(obj)
+    assert exc.value.location == f"disks.disks[{i}]"
+    assert "expected disk" in str(exc.value) and len(str(exc.value).encode()) < 300
+    for field in ("key", "side", "type"):
+        bad = catalog_to_json_obj(cat2)
+        bad["disks"][i][field] = "x" * 10_000
+        with pytest.raises(MalformedFileError) as exc:
+            catalog_from_json_obj(bad)
+        assert exc.value.location == f"disks.disks[{i}].{field}" and len(str(exc.value).encode()) < 300
 
 
 def test_catalog_json_tamper_detection(cat2):

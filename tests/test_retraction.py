@@ -356,13 +356,12 @@ def test_pair_scan_matches_the_calculus_on_every_pair(genus, n):
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
     engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
-    budget = catalog.config.merge_budget
     records = retraction_module._disk_records(engine, {})
     keys = frozenset(d.key for d in catalog.disks)
-    pairs, claims, _ = retraction_module._scan_pairs(records, surface, budget, tally=False, keep=keys)
+    pairs, claims, _ = retraction_module._scan_pairs(records, surface, tally=False, keep=keys)
     assert claims is None
     expected = [
-        (a, b) for a, b in combinations(catalog.disks, 2) if disks_disjoint_unvalidated(a, b, surface, budget)
+        (a, b) for a, b in combinations(catalog.disks, 2) if disks_disjoint_unvalidated(a, b, surface)
     ]
     assert pairs == expected
 
@@ -372,7 +371,7 @@ def per_pair_claims(engine, image):
     surface, catalog, m = engine.surface, engine.catalog, engine.surface.tubes
     per_case, violations, checked = Counter(), [], 0
     for a, b in combinations(catalog.disks, 2):
-        if not disks_disjoint_unvalidated(a, b, surface, engine.budget):
+        if not disks_disjoint_unvalidated(a, b, surface):
             continue
         checked += 1
         ta, tb = sorted((engine.type_at(a, m), engine.type_at(b, m)))
@@ -403,7 +402,7 @@ def test_single_pass_tally_matches_per_pair_images():
     # Rigged images that put many disjoint pairs on antipodal vertices.
     rigged = {d.key: SphereVertex(i % 3, "DE"[i % 2]) for i, d in enumerate(catalog.disks)}
     records = retraction_module._disk_records(engine, rigged)
-    _, claims, _ = retraction_module._scan_pairs(records, surface, engine.budget, tally=True)
+    _, claims, _ = retraction_module._scan_pairs(records, surface, tally=True)
     expected = per_pair_claims(engine, lambda d: rigged[d.key])
     assert len(expected["violations"]) > 0
     assert claims == expected
@@ -506,7 +505,7 @@ def test_catalog_complex_edges_match_disjointness(setup_f2):
     pairs = [
         (a, b)
         for a, b in combinations(catalog.disks, 2)
-        if disks_disjoint(a, b, surface, catalog.config.merge_budget)
+        if disks_disjoint(a, b, surface)
     ]
     fc = catalog_complex(catalog, pairs)
     assert fc.vertex_count() == len(catalog.disks)
@@ -537,7 +536,7 @@ def setup_g1n4():
     engine = RetractionEngine(surface, catalog, sphere)
     keys = frozenset(d.key for d in catalog.disks)
     records = retraction_module._disk_records(engine, {})
-    pairs, _, _ = retraction_module._scan_pairs(records, surface, engine.budget, tally=False, keep=keys)
+    pairs, _, _ = retraction_module._scan_pairs(records, surface, tally=False, keep=keys)
     return surface, catalog, sphere, engine, pairs
 
 
@@ -622,9 +621,9 @@ def test_certify_flags_a_sphere_edge_missing_from_the_pair_list(setup_g1n4, monk
     assert tail and all(line.endswith(onto_missing) for line in tail)
 
 
-def assert_scan_matches_the_loop(records, surface, budget, tally, keep):
-    expected = scan_pairs_by_loop(records, surface, budget, tally=tally, keep=keep)
-    assert retraction_module._scan_pairs(records, surface, budget, tally=tally, keep=keep) == expected
+def assert_scan_matches_the_loop(records, surface, tally, keep):
+    expected = scan_pairs_by_loop(records, surface, tally=tally, keep=keep)
+    assert retraction_module._scan_pairs(records, surface, tally=tally, keep=keep) == expected
     return expected
 
 
@@ -637,18 +636,17 @@ def test_pair_pass_matches_the_loop_oracle(genus, n):
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
     sphere = build_suspension_sphere(surface, catalog)
     engine = RetractionEngine(surface, catalog, sphere)
-    budget = catalog.config.merge_budget
     images = {d.key: engine.image(d) for d in catalog.disks}
     records = retraction_module._disk_records(engine, images)
     # As certify calls it: real images, the sphere's keys kept.
     kept, claims, witness = assert_scan_matches_the_loop(
-        records, surface, budget, True, frozenset(sphere.sub_sphere_keys(n))
+        records, surface, True, frozenset(sphere.sub_sphere_keys(n))
     )
     assert claims["passed"] and len(kept) == 2 * n * (n + 1)
     assert (witness is None) == (n == 0)
     # No tally, every pair kept.
     keys = frozenset(catalog.keys())
-    kept, claims, _ = assert_scan_matches_the_loop(records, surface, budget, False, keys)
+    kept, claims, _ = assert_scan_matches_the_loop(records, surface, False, keys)
     assert claims is None and len(kept) == verify_claim_cases(engine)["pairs_checked"]
 
 
@@ -658,8 +656,7 @@ def test_pair_pass_matches_the_loop_oracle_on_a_raised_knob_catalog():
     engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
     images = {d.key: engine.image(d) for d in catalog.disks}
     records = retraction_module._disk_records(engine, images)
-    budget = catalog.config.merge_budget
-    _, claims, witness = assert_scan_matches_the_loop(records, surface, budget, True, frozenset(catalog.keys()))
+    _, claims, witness = assert_scan_matches_the_loop(records, surface, True, frozenset(catalog.keys()))
     assert len(catalog.vertical_disks()) > 3 * 6 and claims["pairs_checked"] > 0 and witness is not None
 
 
@@ -674,7 +671,7 @@ def test_pair_pass_matches_the_loop_oracle_on_rigged_images(setup_g1n4):
     keys = frozenset(catalog.keys())
     for table in tables:
         records = retraction_module._disk_records(engine, table)
-        _, claims, _ = assert_scan_matches_the_loop(records, surface, engine.budget, True, keys)
+        _, claims, _ = assert_scan_matches_the_loop(records, surface, True, keys)
         assert len(claims["violations"]) > 0
 
 
@@ -691,9 +688,9 @@ def test_pair_pass_raises_on_the_oracle_first_forbidden_pair(setup_g1n4):
     messages = set()
     for records in tables:
         with pytest.raises(InvalidConfigError) as oracle_exc:
-            scan_pairs_by_loop(records, surface, engine.budget, tally=True)
+            scan_pairs_by_loop(records, surface, tally=True)
         with pytest.raises(InvalidConfigError) as exc:
-            retraction_module._scan_pairs(records, surface, engine.budget, tally=True)
+            retraction_module._scan_pairs(records, surface, tally=True)
         assert str(exc.value) == str(oracle_exc.value)
         assert "contradicts the type definitions" in str(exc.value)
         messages.add(str(exc.value))
@@ -712,7 +709,7 @@ def test_pair_pass_flags_exactly_the_edges_the_oracle_finds(setup_g1n4):
     flagged_per_table = []
     for table in tables:
         records = retraction_module._disk_records(engine, table)
-        _, claims, _ = retraction_module._scan_pairs(records, surface, engine.budget, tally=True)
+        _, claims, _ = retraction_module._scan_pairs(records, surface, tally=True)
         flagged = {frozenset(v["disks"]) for v in claims["violations"]}
         assignment = {key: sphere.key_for(x) for key, x in table.items()}
         bad = {frozenset(edge) for edge in check_simplicial(VertexMap(k, k, assignment))}
@@ -771,5 +768,5 @@ def test_pair_scan_derives_nothing_again(setup_g1n4, monkeypatch):
     monkeypatch.setattr(disks_module.Meridian, "__post_init__", counting_meridian)
     monkeypatch.setattr(surface_module, "build_punctured_model", counting_model)
     monkeypatch.setattr(disks_module, "build_punctured_model", counting_model)
-    kept, _, _ = retraction_module._scan_pairs(records, surface, engine.budget, tally=False)
+    kept, _, _ = retraction_module._scan_pairs(records, surface, tally=False)
     assert kept == [] and built == Counter()

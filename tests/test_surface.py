@@ -19,11 +19,8 @@ from disklab.surface import (
     SIDE_A,
     SIDE_B,
     ArcCode,
-    _chord_endpoints,
-    _crossings,
     _entries,
-    _positions,
-    arc_intersection,
+    arcs_disjoint,
     build_punctured_model,
     build_tubed_surface,
     candidate_count,
@@ -39,7 +36,15 @@ from disklab.surface import (
     tube_side,
     validate_code,
 )
-from oracles import all_reduced_codes, canonical_reduced_codes, enumerate_arcs_by_filtering
+from oracles import (
+    all_reduced_codes,
+    canonical_reduced_codes,
+    chord_endpoints,
+    crossings,
+    enumerate_arcs_by_filtering,
+    min_crossings,
+    positions,
+)
 
 
 # -- test-only helpers --------------------------------------------------------
@@ -57,7 +62,7 @@ def exhaustive_solo_drawings(genus: int, code: ArcCode) -> tuple:
     by_pair: dict[int, list[tuple[int, int]]] = {}
     for idx, (p, _s) in enumerate(entries):
         by_pair.setdefault(p, []).append((0, idx))
-    chords = _chord_endpoints(genus, {0: code})[0]
+    chords = chord_endpoints(genus, {0: code})[0]
     out = []
     endpoint_orders = [((0, 0), (0, 1)), ((0, 1), (0, 0))]
     pair_ids = sorted(by_pair)
@@ -66,8 +71,8 @@ def exhaustive_solo_drawings(genus: int, code: ArcCode) -> tuple:
     def rec(i: int, chosen: dict[int, tuple]) -> None:
         if i == len(pair_ids):
             for station in endpoint_orders:
-                pos = _positions(genus, station, chosen)
-                if _crossings(pos, chords, chords, stop_at=1) == 0:
+                pos = positions(genus, station, chosen)
+                if crossings(pos, chords, chords, stop_at=1) == 0:
                     out.append((station, tuple(chosen.get(p, ()) for p in range(2 * genus))))
             return
         for perm in pair_perm_lists[i]:
@@ -79,9 +84,9 @@ def exhaustive_solo_drawings(genus: int, code: ArcCode) -> tuple:
     return tuple(out)
 
 
-def min_crossings_exact(genus: int, a: ArcCode, b: ArcCode) -> int:
-    """Exhaustive (budget-free) minimum; intended for small test codes."""
-    return arc_intersection(a, b, build_punctured_model(genus), budget=None)
+# Each engine with its value for disjoint arcs: the exhaustive crossing
+# number, and the exact disjointness search that replaced it.
+ENGINES = ((min_crossings, 0), (arcs_disjoint, True))
 
 
 def arcs_to_json_obj(genus: int, k: int, arcs: list[ArcCode]) -> dict:
@@ -298,8 +303,8 @@ def test_drawing_search_rejects_invalid_codes(code):
 
 @pytest.mark.parametrize("genus, k", [(1, 6), (2, 4)])
 def test_solo_drawings_match_exhaustive_oracle(genus, k):
-    # Same drawings in the same order: a budgeted arc_intersection returns
-    # the smallest count among the drawings it reaches first.
+    # Same drawings in the same order: the insertion search lists them as a
+    # product search over all orders would.
     for code in canonical_reduced_codes(genus, k):
         assert solo_drawings(genus, code) == exhaustive_solo_drawings(genus, code), code
 
@@ -361,73 +366,84 @@ FAREY_TABLE = [
 
 @pytest.mark.parametrize("a, b, expected", FAREY_TABLE)
 def test_intersection_farey_oracle(a, b, expected):
-    assert min_crossings_exact(1, a, b) == expected
-    assert min_crossings_exact(1, b, a) == expected
+    assert min_crossings(1, a, b) == expected
+    assert min_crossings(1, b, a) == expected
+
+
+@pytest.mark.parametrize("genus, k", [(1, 6), (2, 4)])
+def test_disjointness_search_matches_crossing_oracle(genus, k):
+    arcs = enumerate_arcs(build_punctured_model(genus), k)
+    for a, b in itertools.combinations(arcs, 2):
+        expected = min_crossings(genus, a, b) == 0
+        assert arcs_disjoint(genus, a, b) is expected, (a, b)
+        assert arcs_disjoint(genus, b, a) is expected, (b, a)
+
+
+@pytest.mark.parametrize("genus, k", [(1, 5), (2, 3)])
+def test_every_disjoint_verdict_has_a_zero_crossing_drawing(genus, k):
+    # The search's witness holds one chord per step of each arc, on the
+    # blocks the codes visit, and no two of its chords interleave.
+    sidx = surface._side_index(genus)
+
+    def blocks(code):
+        ends = [0] + [sidx[e] + 1 for p, s in _entries(code) for e in ((p, s), (p, -s))] + [0]
+        return sorted(tuple(sorted(ends[i : i + 2])) for i in range(0, len(ends), 2))
+
+    arcs = enumerate_arcs(build_punctured_model(genus), k)
+    for a, b in itertools.combinations(arcs, 2):
+        drawing = surface._joint_drawing(genus, a, b)
+        assert (drawing is not None) is arcs_disjoint(genus, a, b), (a, b)
+        if drawing is None:
+            continue
+        assert sorted((u[0], v[0]) for u, v in drawing) == sorted(blocks(a) + blocks(b)), (a, b)
+        assert len({x for chord in drawing for x in chord}) == 2 * len(drawing), (a, b)
+        for (w, x), (y, z) in itertools.combinations(drawing, 2):
+            assert (w < y < x) == (w < z < x), (a, b, (w, x), (y, z))
 
 
 def test_intersection_diagonal_zero():
-    m = build_punctured_model(1)
-    for code in enumerate_arcs(m, 3):
-        assert arc_intersection(code, code, m) == 0
+    arcs = enumerate_arcs(build_punctured_model(1), 3)
+    for engine, disjoint in ENGINES:
+        for code in arcs:
+            assert engine(1, code, code) == disjoint
 
 
 def test_intersection_parallel_copies_any_form():
     # The same class handed in as a non-canonical code still reads as parallel.
-    m = build_punctured_model(1)
-    assert arc_intersection((1,), (-1,), m) == 0
-    assert arc_intersection((1, 2), (-2, -1), m) == 0
+    for engine, disjoint in ENGINES:
+        assert engine(1, (1,), (-1,)) == disjoint
+        assert engine(1, (1, 2), (-2, -1)) == disjoint
 
 
 def test_intersection_symmetric_over_catalog():
-    m = build_punctured_model(1)
-    arcs = enumerate_arcs(m, 3)
-    for a, b in itertools.combinations(arcs, 2):
-        assert arc_intersection(a, b, m) == arc_intersection(b, a, m)
+    arcs = enumerate_arcs(build_punctured_model(1), 3)
+    for engine, _ in ENGINES:
+        for a, b in itertools.combinations(arcs, 2):
+            assert engine(1, a, b) == engine(1, b, a)
 
 
 def test_intersection_diagonal_and_symmetry_k4():
-    m = build_punctured_model(1)
-    arcs = enumerate_arcs(m, 4)
-    for code in arcs:
-        assert arc_intersection(code, code, m) == 0
-    for a, b in list(itertools.combinations(arcs, 2))[:60]:
-        assert arc_intersection(a, b, m) == arc_intersection(b, a, m)
-
-
-def test_intersection_memo_answers_a_repeated_pair_before_canonicalizing(monkeypatch):
-    m = build_punctured_model(1)
-    a, b = (-2, -1), (-2, 1)
-    flipped = surface.reverse_code(a)
-    assert flipped != a and surface.canonical_code(flipped) == a
-    monkeypatch.setattr(surface, "_PAIR_CACHE", {})
-    expected = arc_intersection(a, b, m)
-    canonicalized = []
-    real = surface.canonical_code
-    monkeypatch.setattr(surface, "canonical_code", lambda code: canonicalized.append(code) or real(code))
-    assert arc_intersection(a, b, m) == expected and canonicalized == []
-    # A new spelling of a known pair is canonicalized once, then found by its own key.
-    assert arc_intersection(flipped, b, m) == expected and canonicalized == [flipped, b]
-    assert arc_intersection(flipped, b, m) == expected and canonicalized == [flipped, b]
-
-
-def test_intersection_budget_is_upper_bound():
-    m = build_punctured_model(1)
-    exact = min_crossings_exact(1, (-2, -1), (-2, 1))
-    budgeted = arc_intersection((-2, -1), (-2, 1), m, budget=1)
-    assert budgeted >= exact
+    arcs = enumerate_arcs(build_punctured_model(1), 4)
+    for engine, disjoint in ENGINES:
+        for code in arcs:
+            assert engine(1, code, code) == disjoint
+        for a, b in list(itertools.combinations(arcs, 2))[:60]:
+            assert engine(1, a, b) == engine(1, b, a)
 
 
 def test_intersection_rejects_non_embeddable():
-    m = build_punctured_model(1)
-    with pytest.raises(InvalidConfigError):
-        arc_intersection((1, 1), (-1,), m)
+    for engine, _ in ENGINES:
+        with pytest.raises(InvalidConfigError):
+            engine(1, (1, 1), (-1,))
+        with pytest.raises(InvalidConfigError):
+            engine(1, (-1,), (1, 1))
 
 
 def test_intersection_genus2_cross_handle():
-    m = build_punctured_model(2)
-    assert arc_intersection((-1,), (-3,), m) == 0
-    assert arc_intersection((-1,), (-4,), m) == 0
-    assert arc_intersection((-1,), (-2,), m) == 0
+    for engine, disjoint in ENGINES:
+        assert engine(2, (-1,), (-3,)) == disjoint
+        assert engine(2, (-1,), (-4,)) == disjoint
+        assert engine(2, (-1,), (-2,)) == disjoint
 
 
 # -- tubed surfaces -------------------------------------------------------------
@@ -449,7 +465,7 @@ def test_build_tubed_surface_f1():
     assert r.block_side == SIDE_A
     assert r.own_tube_side == SIDE_B
     assert r.feet_bottom == () and r.feet_top == ()
-    assert s.region_model(1).feet == 0
+    assert r.feet_count == 0
 
 
 def test_build_tubed_surface_f2():
@@ -460,23 +476,7 @@ def test_build_tubed_surface_f2():
     assert r1.feet_top == (2,) and r1.feet_bottom == ()
     assert r2.feet_bottom == (1,) and r2.feet_top == ()
     assert r1.block_side == SIDE_A and r2.block_side == SIDE_B
-    assert s.region_model(1).feet == 1
-
-
-@pytest.mark.parametrize(("genus", "tubes"), [(1, 1), (1, 6), (3, 5)])
-def test_region_models_are_built_once_with_the_surface(genus, tubes):
-    s = build_tubed_surface(genus, tubes)
-    for r in s.regions:
-        model = s.region_model(r.index)
-        assert model is s.region_model(r.index)
-        assert model == surface.build_punctured_model(genus, r.feet_count)
-    with pytest.raises(InvalidConfigError):
-        s.region_model(tubes + 1)
-    with pytest.raises(InvalidConfigError):
-        s.region_model(0)
-    # the stored models take no part in equality, hashing or repr
-    assert s == build_tubed_surface(genus, tubes) and hash(s) == hash(build_tubed_surface(genus, tubes))
-    assert "region_models" not in repr(s)
+    assert r1.feet_count == 1
 
 
 def test_build_tubed_surface_f3_interior_region():
@@ -486,7 +486,6 @@ def test_build_tubed_surface_f3_interior_region():
     r2 = s.region(2)
     assert r2.feet_bottom == (1,) and r2.feet_top == (3,)
     assert r2.feet_count == 2
-    assert s.region_model(2).feet == 2
     # block and own tube on opposite sides; consecutive regions alternate
     for r in s.regions:
         assert r.block_side == opposite_side(r.own_tube_side)
@@ -575,7 +574,7 @@ def test_canonical_involution_property(code):
 @given(reduced_codes(max_len=2), reduced_codes(max_len=2))
 @settings(max_examples=40, deadline=None)
 def test_intersection_symmetry_property(a, b):
-    m = build_punctured_model(1)
     if not is_embeddable(1, a) or not is_embeddable(1, b):
         return
-    assert arc_intersection(a, b, m) == arc_intersection(b, a, m)
+    for engine, _ in ENGINES:
+        assert engine(1, a, b) == engine(1, b, a)
