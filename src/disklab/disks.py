@@ -355,17 +355,21 @@ class CatalogConfig:
     max_arc_classes: int = DEFAULT_MAX_ARC_CLASSES
 
     def __post_init__(self):
-        if not isinstance(self.arc_bound, int) or self.arc_bound < 0:
-            raise InvalidConfigError(f"arc_bound must be a nonnegative integer, got {self.arc_bound!r}")
-        if self.bandsum_depth not in (0, 1, 2):
-            raise InvalidConfigError(f"bandsum_depth must be 0, 1, or 2, got {self.bandsum_depth!r}")
-        for name in ("max_vd_arcs_per_region", "max_band_arcs", "max_partner_arcs"):
+        # Booleans are ints to isinstance; a config field is never one.
+        for name in (
+            "arc_bound", "bandsum_depth", "max_vd_arcs_per_region", "max_band_arcs",
+            "max_partner_arcs", "max_arc_classes",
+        ):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise InvalidConfigError(f"{name} must be a nonnegative integer, got {v!r}")
+            if type(v) is not int or v < 0:
+                raise InvalidConfigError(f"{name} must be a nonnegative integer, got {_clip(repr(v))}", name)
+        if self.bandsum_depth > 2:
+            raise InvalidConfigError(f"bandsum_depth must be 0, 1, or 2, got {self.bandsum_depth!r}", "bandsum_depth")
         object.__setattr__(self, "copies", tuple(self.copies))
-        if not self.copies or any(not isinstance(c, int) or c < 1 for c in self.copies):
-            raise InvalidConfigError(f"copies must be a nonempty tuple of positive integers, got {self.copies!r}")
+        if not self.copies or any(type(c) is not int or c < 1 for c in self.copies):
+            raise InvalidConfigError(
+                f"copies must be a nonempty tuple of positive integers, got {_clip(repr(self.copies))}", "copies"
+            )
 
 
 def _disk_sort_key(d: Disk):
@@ -497,7 +501,7 @@ def config_from_json_obj(obj, source: str = "config") -> CatalogConfig:
     try:
         return CatalogConfig(**kwargs)
     except InvalidConfigError as exc:
-        raise MalformedFileError(source, str(exc)) from exc
+        raise MalformedFileError(f"{source}.{exc.field}", str(exc)) from exc
 
 
 def disk_to_json_obj(d: Disk) -> dict:

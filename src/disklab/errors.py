@@ -22,7 +22,15 @@ class DisklabError(Exception):
 
 
 class InvalidConfigError(DisklabError):
-    """Raised for invalid build/certify parameters (e.g. genus < 1)."""
+    """Raised for invalid build/certify parameters (e.g. genus < 1).
+
+    ``field`` names the offending parameter when there is one, so that a
+    reader of a config file can give its location.
+    """
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        self.field = field
+        super().__init__(message)
 
 
 class MalformedFileError(DisklabError):

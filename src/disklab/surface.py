@@ -17,21 +17,23 @@ endpoint orderings at the station and slot orderings on each side (one order
 chosen on the plus side, mirrored on the minus side); two chords cross when
 their endpoints interleave.
 
-Embedded drawings of one arc are grown letter by letter.  A word's open
-chords are all of its chords but the last, which goes back to the station.
-Extending the word by a letter inserts the letter's slot token somewhere in
-the plus-side order of its pair and adds one chord, from the previous
-letter's exit to the new arrival; the extension is kept only if that chord
-crosses no earlier chord.  Inserting a token keeps the relative order of the
-tokens already placed, so earlier chord pairs never need checking again.  A
-word embeds if, in one of its open drawings and under one of the two station
-orders, its last chord crosses nothing.  This is exact: the open chords of a
-word are among the open chords of every extension, so a word with no
+Embedded drawings of one arc are grown letter by letter, by one insertion
+step (:func:`_step`).  A word's open chords are all of its chords but the
+last, which goes back to the station.  Extending the word by a letter gives
+the letter's slot token a new rank in each gap of its pair's plus-side
+ranks, a midpoint of two neighbours or one past an end, and adds one chord,
+from the previous letter's exit to the new arrival; the extension is kept
+only if that chord crosses no earlier chord.  No earlier point moves, so no
+earlier chord is recomputed or checked against another again.  A word embeds
+if, in one of its open drawings and under one of the two station orders,
+its last chord crosses nothing.  This is exact: the open chords of a word
+are among the open chords of every extension, so a word with no
 crossing-free open drawing has no embeddable extension.  Reversing a code
 gives the same chords with the two station endpoints swapped, so
-embeddability does not depend on orientation.  Two arcs are disjoint when one
-grows, by the same insertions, inside a closed drawing of the other without
-a crossing (:func:`arcs_disjoint`).
+embeddability does not depend on orientation, and enumeration tries only one
+orientation of each word of the bound's length (:func:`enumerate_arcs`).
+Two arcs are disjoint when one grows, by the same step, inside a closed
+drawing of the other without a crossing (:func:`arcs_disjoint`).
 """
 
 from __future__ import annotations
@@ -133,12 +135,20 @@ def canonical_code(code: ArcCode) -> ArcCode:
     return min(tuple(code), reverse_code(code))
 
 
-# -- drawings and crossings ---------------------------------------------------
+# -- drawings: one insertion step ---------------------------------------------
 #
-# A drawing of a set of arcs assigns: an order of endpoint tokens inside the
-# station block, and for each pair p an order of the plus-side slots (one per
-# crossing of pair p, across all arcs).  Positions on the boundary cycle are
-# then fixed and chords cross exactly when their endpoints interleave.
+# A drawing of a set of arcs orders the endpoint tokens inside the station
+# block and, for each pair p, the plus-side slots (one per crossing of pair
+# p, across all arcs); chords cross exactly when their endpoints interleave.
+# An order is held as ranks.  An open drawing is (ranks, chords, free): for
+# each pair, the sorted ranks of its slot tokens; the chords drawn, as sorted
+# endpoint pairs; and the free end of the last chord.  A boundary point is
+# (block, rank): block 0 is the station, block i + 1 is side i, and a minus
+# side negates the rank so that it runs backwards; points of different blocks
+# compare by block alone.  A new token takes a midpoint rank in a gap, or one
+# past an end (:func:`_gaps`), so no earlier point ever moves and no chord is
+# recomputed.  The start token has station rank 0 and the end token -1 or 1,
+# before or after it.
 
 
 def _entries(code: ArcCode) -> list[tuple[int, int]]:
@@ -149,79 +159,84 @@ def _side_index(genus: int) -> dict[tuple[int, int], int]:
     return {ps: i for i, ps in enumerate(side_word(genus))}
 
 
-# -- embeddability: incremental insertion search -----------------------------
-#
-# An open drawing of a word is its plus-side slot order on each pair: a tuple
-# of 2g tuples of entry indices.  Its open chords are every chord but the one
-# back to the station.  A boundary point is (block, rank): block 0 is the
-# station, block i + 1 is side i, and a minus side negates the rank so that it
-# runs backwards; points of different blocks compare by block alone.
-
-_START = (0, 0)
-# Each station order with the point of the end token: after the start for
-# ((0, 0), (0, 1)), before it for ((0, 1), (0, 0)).
-_STATIONS = ((((0, 0), (0, 1)), (0, 1)), (((0, 1), (0, 0)), (0, -1)))
-
-
-def _point(sidx: dict, p: int, s: int, rank: float) -> tuple:
-    return (sidx[(p, s)] + 1, rank if s > 0 else -rank)
+# The station order of each end-token rank.
+_STATION_ORDERS = {1: ((0, 0), (0, 1)), -1: ((0, 1), (0, 0))}
 
 
 def _chord(u: tuple, v: tuple) -> tuple:
     return (u, v) if u < v else (v, u)
 
 
-def _open_drawing(sidx: dict, word: ArcCode, orders: tuple) -> tuple:
-    """(orders, open chords as sorted endpoint pairs, free end of the last chord)."""
-    rank = {t: r for order in orders for r, t in enumerate(order)}
-    chords = []
-    prev = _START
-    for i, (p, s) in enumerate(_entries(word)):
-        arrive = _point(sidx, p, s, rank[i])
-        chords.append(_chord(prev, arrive))
-        prev = _point(sidx, p, -s, rank[i])
-    return orders, chords, prev
-
-
 def _crosses(chords: list, a: tuple, b: tuple) -> bool:
-    return any((lo < a < hi) != (lo < b < hi) for lo, hi in chords)
+    for lo, hi in chords:
+        if (lo < a < hi) != (lo < b < hi):
+            return True
+    return False
 
 
-def _extend(sidx: dict, word: ArcCode, drawings: list, x: int) -> list:
-    """Open drawings of ``word + (x,)`` grown from those of ``word``.
+def _gaps(ranks) -> list:
+    """One new rank in each gap of the sorted ``ranks``, both ends included."""
+    if not ranks:
+        return [0]
+    gaps = [ranks[0] - 1]
+    for x, y in zip(ranks, ranks[1:]):
+        gaps.append((x + y) / 2)
+    gaps.append(ranks[-1] + 1)
+    return gaps
 
-    x's slot token is inserted at every place in its pair's plus-side order
-    (rank j - 1/2 falls between the tokens ranked j - 1 and j), and a place
-    is kept when the chord it closes crosses no open chord.
+
+def _blank(genus: int) -> tuple:
+    """The open drawing of the empty word: no tokens, no chords, free at the start token."""
+    return ((),) * (2 * genus), [], (0, 0)
+
+
+def _step(sidx: dict, drawing: tuple, p: int, s: int):
+    """Each child of an open drawing by one letter, arriving on side ``(p, s)``.
+
+    The letter's slot token takes each rank of :func:`_gaps` on pair p; a
+    child is yielded when its new chord, from the free end to the arrival,
+    crosses no chord drawn, and its free end is the exit on side ``(p, -s)``.
     """
-    ((p, s),) = _entries((x,))
-    out = []
-    for orders, chords, free in drawings:
-        order = orders[p]
-        for j in range(len(order) + 1):
-            if not _crosses(chords, free, _point(sidx, p, s, j - 0.5)):
-                grown = orders[:p] + (order[:j] + (len(word),) + order[j:],) + orders[p + 1:]
-                out.append(_open_drawing(sidx, word + (x,), grown))
-    return out
+    ranks, chords, free = drawing
+    order = ranks[p]
+    arrive_block, exit_block = sidx[(p, s)] + 1, sidx[(p, -s)] + 1
+    for j, r in enumerate(_gaps(order)):
+        arrive = (arrive_block, r if s > 0 else -r)
+        if not _crosses(chords, free, arrive):
+            grown = ranks[:p] + (order[:j] + (r,) + order[j:],) + ranks[p + 1:]
+            yield grown, chords + [_chord(free, arrive)], (exit_block, -arrive[1])
 
 
-def _closings(drawing: tuple) -> list:
-    """Station orders under which the last chord, back to the station, crosses nothing."""
-    _orders, chords, free = drawing
-    return [station for station, end in _STATIONS if not _crosses(chords, free, end)]
-
-
-def _drawings_of(genus: int, code: ArcCode) -> list:
-    """Every crossing-free open drawing of ``code``, grown letter by letter."""
-    validate_code(code, genus)
-    sidx = _side_index(genus)
-    drawings = [_open_drawing(sidx, (), ((),) * (2 * genus))]
-    for i, x in enumerate(code):
-        drawings = _extend(sidx, code[:i], drawings, x)
-    return drawings
+def _closings(drawing: tuple, ends=(-1, 1)) -> list:
+    """The station ranks in ``ends`` (by default either side of the start) whose chord crosses nothing."""
+    _ranks, chords, free = drawing
+    return [r for r in ends if not _crosses(chords, free, (0, r))]
 
 
 @lru_cache(maxsize=None)
+def _closed_drawings(genus: int, code: ArcCode) -> tuple:
+    """Every crossing-free closed drawing of ``code``: (token orders, end rank, open drawing).
+
+    The open drawings grow by :func:`_step`, carrying each token's rank, and
+    close under every end rank :func:`_closings` allows.  The token orders
+    list each pair's entry indices in plus-side order; the drawings are
+    sorted as :func:`solo_drawings` returns them.
+    """
+    validate_code(code, genus)
+    sidx = _side_index(genus)
+    letters = _entries(code)
+    level = [(_blank(genus), ())]
+    for p, s in letters:
+        # A child's free end is its new token's exit point, (block, -s * rank).
+        level = [(c, tokens + (-s * c[2][1],)) for d, tokens in level for c in _step(sidx, d, p, s)]
+    closed = []
+    for drawing, tokens in level:
+        by_rank = sorted(range(len(code)), key=tokens.__getitem__)
+        orders = tuple(tuple(i for i in by_rank if letters[i][0] == p) for p in range(2 * genus))
+        closed.extend((orders, end, drawing) for end in _closings(drawing))
+    return tuple(sorted(closed, key=lambda d: (d[0], _STATION_ORDERS[d[1]])))
+
+
 def solo_drawings(
     genus: int, code: ArcCode
 ) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[tuple[tuple[int, int], ...], ...]], ...]:
@@ -236,76 +251,55 @@ def solo_drawings(
     increasing), then station order: the order a product search over all
     orders lists them in.
     """
-    closed = []
-    for drawing in _drawings_of(genus, code):
-        per_pair = tuple(tuple((0, t) for t in order) for order in drawing[0])
-        closed.extend((station, per_pair) for station in _closings(drawing))
-    return tuple(sorted(closed, key=lambda d: (d[1], d[0])))
+    return tuple(
+        (_STATION_ORDERS[end], tuple(tuple((0, t) for t in order) for order in orders))
+        for orders, end, _drawing in _closed_drawings(genus, code)
+    )
 
 
 def is_embeddable(genus: int, code: ArcCode) -> bool:
     """Whether some crossing-free open drawing of the code closes under a station order.
 
-    Reversal swaps only the two station endpoints, so a code and its reverse
-    get the same answer.
+    Reversal swaps only the two station endpoints, so a code and its reverse get the same answer.
     """
-    return any(_closings(d) for d in _drawings_of(genus, code))
+    return bool(_closed_drawings(genus, code))
 
 
-# -- disjointness: the same insertions, two arcs ------------------------------
-#
-# Ranks inserted into a gap are midpoints (or one past an end), so every
-# boundary point keeps the (block, rank) form above and earlier points keep
-# their relative order.
-
-
-def _gaps(ranks: list) -> list:
-    """One new rank in each gap of the sorted ``ranks``, both ends included."""
-    if not ranks:
-        return [0]
-    return [ranks[0] - 1, *((x + y) / 2 for x, y in zip(ranks, ranks[1:])), ranks[-1] + 1]
+# -- disjointness: the same step, two arcs ------------------------------------
 
 
 def _joint_drawing(genus: int, a: ArcCode, b: ArcCode) -> list | None:
     """The chords of the first zero-crossing drawing of two arcs the search reaches, or ``None``.
 
     Each crossing-free closed drawing of ``a`` is fixed, and ``b`` grows
-    inside it letter by letter: its start token goes in each gap of the
-    station, each letter's slot token in each gap of its pair's merged
-    plus-side order, and its end token in each gap of the station.  A branch
-    is cut as soon as its new chord crosses a chord already drawn, of either
-    arc.  A crossing persists under further insertions, so the search is
-    exact: ``None`` means every drawing of the two arcs has a crossing.
+    inside it by :func:`_step`: its start token goes in each station gap,
+    each letter's slot token in each gap of its pair's merged plus-side
+    ranks, and its end token in the first station gap :func:`_closings`
+    allows.  A branch is cut as soon as its new chord crosses a chord
+    already drawn, of either arc.  A crossing persists under further
+    insertions, so the search is exact: ``None`` means every drawing of the
+    two arcs has a crossing.
     """
     sidx = _side_index(genus)
     letters = _entries(b)
 
-    def grow(i: int, chords: list, ranks: tuple, station_ranks: tuple, free: tuple) -> list | None:
+    def grow(i: int, drawing: tuple, ends: list) -> list | None:
         if i == len(letters):
-            for r in _gaps(sorted(station_ranks)):
-                if not _crosses(chords, free, (0, r)):
-                    return chords + [_chord(free, (0, r))]
-            return None
+            closings = _closings(drawing, ends)
+            return drawing[1] + [_chord(drawing[2], (0, closings[0]))] if closings else None
         p, s = letters[i]
-        for r in _gaps(ranks[p]):
-            arrive = _point(sidx, p, s, r)
-            if not _crosses(chords, free, arrive):
-                grown = ranks[:p] + (sorted((*ranks[p], r)),) + ranks[p + 1:]
-                drawing = grow(i + 1, chords + [_chord(free, arrive)], grown, station_ranks, _point(sidx, p, -s, r))
-                if drawing:
-                    return drawing
+        for child in _step(sidx, drawing, p, s):
+            joint = grow(i + 1, child, ends)
+            if joint:
+                return joint
         return None
 
-    for station, per_pair in solo_drawings(genus, a):
-        orders = tuple(tuple(t for _arc, t in order) for order in per_pair)
-        _orders, chords, free = _open_drawing(sidx, a, orders)
-        end = dict(_STATIONS)[station]
-        chords = chords + [_chord(free, end)]
-        ranks = tuple(list(range(len(order))) for order in orders)
-        for start in _gaps(sorted((0, end[1]))):
-            drawing = grow(0, chords, ranks, (0, end[1], start), (0, start))
-            if drawing:
-                return drawing
+    for _orders, end, (ranks, chords, free) in _closed_drawings(genus, a):
+        closed = chords + [_chord(free, (0, end))]
+        for start in _gaps(sorted((0, end))):
+            joint = grow(0, (ranks, closed, (0, start)), _gaps(sorted((0, end, start))))
+            if joint:
+                return joint
     return None
 
 
@@ -322,7 +316,7 @@ def arcs_disjoint(genus: int, a: ArcCode, b: ArcCode) -> bool:
         return arcs_disjoint(genus, ca, cb)
     if ca == cb:
         return True
-    if not solo_drawings(genus, ca) or not solo_drawings(genus, cb):
+    if not _closed_drawings(genus, ca) or not _closed_drawings(genus, cb):
         raise InvalidConfigError(
             f"arc codes must be embeddable; got {ca!r} / {cb!r} with no embedded drawing"
         )
@@ -355,9 +349,13 @@ def enumerate_arcs(
     word that has none: its open chords are among those of every
     extension, so no pruned word leads to an embeddable code.  The
     canonical form of every embeddable word is collected; the result is in
-    deterministic (length, lexicographic) order.  Raises the resource-cap
-    error, before any search, if the :func:`candidate_count` of canonical
-    codes exceeds ``max_classes``.
+    deterministic (length, lexicographic) order.  A word of length k is
+    tried only with a last letter x <= -word[0], and only until one drawing
+    closes.  Any other such word has a reversal with the same class that
+    is tried: every prefix of an embeddable word keeps a crossing-free open
+    drawing, so the search reaches it on its own path.  Raises the
+    resource-cap error, before any search, if the :func:`candidate_count`
+    of canonical codes exceeds ``max_classes``.
     """
     if k < 0:
         raise InvalidConfigError(f"arc bound must be >= 0, got {k}")
@@ -365,22 +363,24 @@ def enumerate_arcs(
     if candidate_count(g, k) > max_classes:
         raise ResourceCapError("max_arc_classes", f"genus {g}, length bound {k}", max_classes)
     sidx = _side_index(g)
-    letters = [x for x in range(-2 * g, 2 * g + 1) if x != 0]
+    letters = [(x, *_entries((x,))[0]) for x in range(-2 * g, 2 * g + 1) if x != 0]
     found: set[ArcCode] = set()
 
     def grow(word: ArcCode, drawings: list) -> None:
-        if word and any(_closings(d) for d in drawings):
-            found.add(canonical_code(word))
-        if len(word) == k:
-            return
-        for x in letters:
-            if word and word[-1] == -x:
+        leaf = len(word) + 1 == k
+        for x, p, s in letters:
+            if word and (word[-1] == -x or leaf and x > -word[0]):
                 continue
-            grown = _extend(sidx, word, drawings, x)
-            if grown:
-                grow(word + (x,), grown)
+            children = (child for drawing in drawings for child in _step(sidx, drawing, p, s))
+            if not leaf:
+                children = list(children)
+                if children:
+                    grow(word + (x,), children)
+            if any(map(_closings, children)):
+                found.add(canonical_code(word + (x,)))
 
-    grow((), [_open_drawing(sidx, (), ((),) * (2 * g))])
+    if k:
+        grow((), [_blank(g)])
     return sorted(found, key=lambda c: (len(c), c))
 
 

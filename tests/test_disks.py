@@ -490,6 +490,12 @@ def test_config_validation():
         CatalogConfig(arc_bound=3, copies=())
     with pytest.raises(InvalidConfigError):
         CatalogConfig(arc_bound=3, copies=(0,))
+    with pytest.raises(InvalidConfigError) as exc:
+        CatalogConfig(arc_bound=True)
+    assert exc.value.field == "arc_bound"
+    with pytest.raises(InvalidConfigError) as exc:
+        CatalogConfig(arc_bound=3, max_arc_classes="abc")
+    assert exc.value.field == "max_arc_classes"
 
 
 # -- JSON -------------------------------------------------------------------------------

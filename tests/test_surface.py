@@ -84,6 +84,26 @@ def exhaustive_solo_drawings(genus: int, code: ArcCode) -> tuple:
     return tuple(out)
 
 
+def word_of(genus: int, drawing: tuple) -> ArcCode:
+    """The word an open drawing was grown by, read off the blocks its chords join.
+
+    Chord i runs from the exit side of letter i - 1 (the station for i = 0)
+    to the arrival side of letter i.
+    """
+    side = side_word(genus)
+    word, prev = [], 0
+    for u, v in drawing[1]:
+        arrive = v[0] if u[0] == prev else u[0]
+        p, s = side[arrive - 1]
+        word.append(s * (p + 1))
+        prev = side.index((p, -s)) + 1
+    return tuple(word)
+
+
+def crossing_free(chords: list) -> bool:
+    return not any((w < y < x) != (w < z < x) for (w, x), (y, z) in itertools.combinations(chords, 2))
+
+
 # Each engine with its value for disjoint arcs: the exhaustive crossing
 # number, and the exact disjointness search that replaced it.
 ENGINES = ((min_crossings, 0), (arcs_disjoint, True))
@@ -231,7 +251,9 @@ def test_enumerate_embeddable_counts(genus, k, count):
     assert len(enumerate_arcs(build_punctured_model(genus), k)) == count
 
 
-@pytest.mark.parametrize("genus, k", [(1, k) for k in range(1, 8)] + [(2, 4), (2, 5), (3, 3)])
+@pytest.mark.parametrize(
+    "genus, k", [(1, k) for k in range(1, 8)] + [(1, 9), (2, 4), (2, 5), (3, 3), (3, 4)]
+)
 def test_enumerate_matches_filtering_oracle(genus, k):
     m = build_punctured_model(genus)
     assert enumerate_arcs(m, k) == enumerate_arcs_by_filtering(m, k)
@@ -259,7 +281,7 @@ def test_enumerate_resource_cap_boundary_is_decided_before_search(monkeypatch):
     def no_search(*args):
         raise AssertionError("the search ran although the cap was exceeded")
 
-    monkeypatch.setattr(surface, "_extend", no_search)
+    monkeypatch.setattr(surface, "_step", no_search)
     with pytest.raises(ResourceCapError) as exc:
         enumerate_arcs(m, 4, max_classes=count - 1)
     assert exc.value.limit == count - 1
@@ -328,20 +350,46 @@ def test_side_word_alone_rejects_some_codes(monkeypatch, code, rejected_early):
     # visits a word that extends it.  (1, 1) keeps an open drawing and fails
     # only when its last chord is closed at the station.
     visited = []
-    extend = surface._extend
+    step = surface._step
 
-    def recording_extend(sidx, word, drawings, x):
-        visited.append((word, len(drawings)))
-        return extend(sidx, word, drawings, x)
+    def recording_step(sidx, drawing, p, s):
+        visited.append(drawing)
+        return step(sidx, drawing, p, s)
 
-    monkeypatch.setattr(surface, "_extend", recording_extend)
+    monkeypatch.setattr(surface, "_step", recording_step)
     arcs = enumerate_arcs(build_punctured_model(1), len(code) + 1)
-    words = {w for w, _ in visited}
-    assert all(n > 0 for _, n in visited)  # every visited word has an open drawing
+    words = {word_of(1, d) for d in visited}
+    assert all(crossing_free(d[1]) for d in visited)  # every visited word has an open drawing
     assert (code in words) is not rejected_early
     assert any(w[: len(code)] == code for w in words) is not rejected_early
     assert not is_embeddable(1, code) and canonical_code(code) not in arcs
-    assert (surface._drawings_of(1, code) == []) is rejected_early
+    sidx = surface._side_index(1)
+    drawings = [surface._blank(1)]
+    for p, s in _entries(code):
+        drawings = [child for d in drawings for child in step(sidx, d, p, s)]
+    assert (drawings == []) is rejected_early
+
+
+def test_enumerate_tries_one_orientation_of_each_longest_word(monkeypatch):
+    # A word of the bound's length and its reversal have the same canonical
+    # code and embed together, so the last letter x of such a word is only
+    # tried with x <= -word[0]; both orientations are tried only when
+    # x == -word[0].
+    genus, k = 1, 4
+    last_letters = []
+    step = surface._step
+
+    def recording_step(sidx, drawing, p, s):
+        word = word_of(genus, drawing)
+        if len(word) == k - 1:
+            last_letters.append((word, s * (p + 1)))
+        return step(sidx, drawing, p, s)
+
+    monkeypatch.setattr(surface, "_step", recording_step)
+    arcs = enumerate_arcs(build_punctured_model(genus), k)
+    assert arcs == enumerate_arcs_by_filtering(build_punctured_model(genus), k)
+    assert last_letters and all(x <= -word[0] for word, x in last_letters)
+    assert {x for word, x in last_letters if word == (-1, 2, -1)} == {-2, -1}
 
 
 # -- intersection numbers (frozen oracle table) ---------------------------------
