@@ -3,7 +3,7 @@
 
 For each (genus, arc bound k) this prints ``candidate_count``, the number
 of canonical reduced codes of length 1..k (the figure the arc-class cap is
-checked against), runs ``enumerate_arcs``, and prints the number of
+checked against), runs ``enumerate_arcs(genus, k)``, and prints the number of
 embeddable classes it returns and the median seconds of five runs (one run
 takes milliseconds, so a single timing is mostly noise).  It then decides
 ``arcs_disjoint`` on every pair of distinct classes, with the drawing and
@@ -26,7 +26,7 @@ import time
 from itertools import combinations
 
 from disklab import surface
-from disklab.surface import arcs_disjoint, build_punctured_model, candidate_count, enumerate_arcs
+from disklab.surface import arcs_disjoint, candidate_count, enumerate_arcs
 
 ENUMERATION_RUNS = 5
 
@@ -55,7 +55,7 @@ def main(argv=None) -> int:
         times = []
         for _ in range(ENUMERATION_RUNS):
             t0 = time.monotonic()
-            classes = enumerate_arcs(build_punctured_model(genus), k)
+            classes = enumerate_arcs(genus, k)
             times.append(time.monotonic() - t0)
         elapsed = statistics.median(times)
         expected = EXPECTED.get((genus, k))

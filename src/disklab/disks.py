@@ -50,7 +50,6 @@ from .surface import (
     ArcCode,
     TubedSurface,
     arcs_disjoint,
-    build_punctured_model,
     build_tubed_surface,
     canonical_code,
     enumerate_arcs,
@@ -145,10 +144,6 @@ class BandSum:
 Disk = Union[Meridian, VerticalDisk, BandSum]
 
 
-def disk_key(d: Disk) -> str:
-    return d.key
-
-
 def disk_variant(d: Disk) -> str:
     if isinstance(d, Meridian):
         return "meridian"
@@ -157,11 +152,6 @@ def disk_variant(d: Disk) -> str:
     if isinstance(d, BandSum):
         return "bandsum"
     raise InvalidConfigError(f"not a disk descriptor: {d!r}")
-
-
-def resolve_partner(bs: BandSum) -> Disk:
-    """The partner descriptor, with ``'self'`` resolved to the base meridian."""
-    return bs.resolved_partner
 
 
 def disk_side(d: Disk) -> str:
@@ -422,11 +412,7 @@ def build_disk_catalog(surface: TubedSurface, config: CatalogConfig) -> DiskCata
     """
     m = surface.tubes
     # Feet never enter the arc search, so every region shares one enumeration.
-    arcs = tuple(
-        enumerate_arcs(
-            build_punctured_model(surface.genus_base), config.arc_bound, max_classes=config.max_arc_classes
-        )
-    )
+    arcs = tuple(enumerate_arcs(surface.genus_base, config.arc_bound, max_classes=config.max_arc_classes))
     arc_classes = {r: arcs for r in range(1, m + 1)}
     disks = [Meridian(i) for i in range(1, m + 1)]
     for r in range(1, m + 1):
@@ -574,10 +560,10 @@ def catalog_from_json_obj(obj, source: str = "disks") -> DiskCatalog:
         raise MalformedFileError(f"{source}.kind", f"expected 'disk_catalog', got {obj.get('kind')!r}")
     genus = obj.get("genus")
     tubes = obj.get("tubes")
-    if not isinstance(genus, int) or genus < 1:
-        raise MalformedFileError(f"{source}.genus", f"genus must be a positive integer, got {genus!r}")
-    if not isinstance(tubes, int) or tubes < 1:
-        raise MalformedFileError(f"{source}.tubes", f"tubes must be a positive integer, got {tubes!r}")
+    if type(genus) is not int or genus < 1:
+        raise MalformedFileError(f"{source}.genus", f"genus must be a positive integer, got {_clip(repr(genus))}")
+    if type(tubes) is not int or tubes < 1:
+        raise MalformedFileError(f"{source}.tubes", f"tubes must be a positive integer, got {_clip(repr(tubes))}")
     config = config_from_json_obj(obj.get("config"), source=f"{source}.config")
     try:
         surface = build_tubed_surface(genus, tubes)

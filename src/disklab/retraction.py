@@ -220,29 +220,6 @@ def verify_sphere(sphere: SuspensionSphere) -> dict:
 # -- outermost surgery -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurgeryCandidate:
-    key: str
-    image: SphereVertex
-
-
-@dataclass(frozen=True)
-class ArcSurgery:
-    arc_index: int
-    candidates: tuple
-    chosen: SphereVertex
-
-
-@dataclass(frozen=True)
-class SurgeryOutcome:
-    disk_key: str
-    level: int
-    copies: int
-    outermost: tuple
-    arcs: tuple
-    image: SphereVertex
-
-
 def outermost_arcs(d, surface: TubedSurface, disk_type=None, meets=None) -> tuple:
     """Indices of the outermost arcs of the disk's intersection with the top meridian.
 
@@ -331,7 +308,7 @@ class RetractionEngine:
         self._images: dict = {}
         self._branches: dict = {}
         self._types: dict = {}
-        self._surgeries: dict = {}
+        self._surgeries: dict = {}  # (level, key) of each surgered disk -> its outermost arc count
 
     # -- queries ------------------------------------------------------------
 
@@ -361,9 +338,9 @@ class RetractionEngine:
             self._types[key] = classify_type_unvalidated(d, self._surfaces[level])
         return self._types[key]
 
-    def surgery_outcomes(self) -> list:
-        """All recorded surgery outcomes, in deterministic (level, key) order."""
-        return [self._surgeries[k] for k in sorted(self._surgeries)]
+    def surgery_counts(self) -> tuple[int, int]:
+        """Surgeries recorded so far, and how many of them cut along two outermost arcs."""
+        return len(self._surgeries), sum(arcs >= 2 for arcs in self._surgeries.values())
 
     # -- recursion ------------------------------------------------------------
 
@@ -400,35 +377,16 @@ class RetractionEngine:
         return vertex
 
     def _surgery_image(self, d, level: int) -> SphereVertex:
-        surface = self._surfaces[level]
-        arcs = outermost_arcs(d, surface, disk_type="T2", meets=True)
-        arc_records = []
-        for arc_index in arcs:
-            candidates = []
-            for cand in surgery_candidates(d, arc_index):
-                candidates.append(SurgeryCandidate(key=cand.key, image=self._image(cand, level)))
-            chosen = min(c.image for c in candidates)
-            arc_records.append(
-                ArcSurgery(arc_index=arc_index, candidates=tuple(candidates), chosen=chosen)
-            )
-        images = {rec.chosen for rec in arc_records}
-        if len(images) > 1:
-            first, second = arc_records[0], arc_records[-1]
+        """The image every outermost arc gives: its candidates' minimal image, which must agree."""
+        arcs = outermost_arcs(d, self._surfaces[level], disk_type="T2", meets=True)
+        chosen = [min(self._image(cand, level) for cand in surgery_candidates(d, arc)) for arc in arcs]
+        if len(set(chosen)) > 1:
             raise WellDefinednessError(
                 f"outermost surgery on {d.key} at tube count {level} is not well defined: "
-                f"arc {first.arc_index} gives {first.chosen.name} but arc {second.arc_index} "
-                f"gives {second.chosen.name}"
+                f"arc {arcs[0]} gives {chosen[0].name} but arc {arcs[-1]} gives {chosen[-1].name}"
             )
-        outcome = SurgeryOutcome(
-            disk_key=d.key,
-            level=level,
-            copies=d.copies,
-            outermost=arcs,
-            arcs=tuple(arc_records),
-            image=arc_records[0].chosen,
-        )
-        self._surgeries[(level, d.key)] = outcome
-        return outcome.image
+        self._surgeries[(level, d.key)] = len(arcs)
+        return chosen[0]
 
 
 # -- claim verification --------------------------------------------------------------
@@ -725,8 +683,7 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
     if n >= 2 and witness_pair is not None:
         witness = {"v_disk": witness_pair[0].key, "w_disk": witness_pair[1].key}
 
-    outcomes = engine.surgery_outcomes()
-    multi_arc = [o for o in outcomes if len(o.outermost) >= 2]
+    surgeries, multi_arc = engine.surgery_counts()
     provenance = Counter(engine.branch(d) for d in catalog.disks if d.key in images)
 
     passed = (
@@ -774,9 +731,9 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
             "images": {key: {"vertex": img.name, "key": sphere.key_for(img)} for key, img in sorted(images.items())},
             "provenance": {k: provenance.get(k, 0) for k in ("top_meridian", "top_vertical", "projected", "surgered")},
             "well_definedness": {
-                "surgeries": len(outcomes),
-                "multi_arc_surgeries": len(multi_arc),
-                "agreements": len(multi_arc),
+                "surgeries": surgeries,
+                "multi_arc_surgeries": multi_arc,
+                "agreements": multi_arc,
                 "disagreements": 0 if first_violation is None or first_violation["kind"] != "well_definedness" else 1,
             },
             "check": {"ok": retraction_ok, "report": retraction_report},

@@ -34,6 +34,12 @@ embeddability does not depend on orientation, and enumeration tries only one
 orientation of each word of the bound's length (:func:`enumerate_arcs`).
 Two arcs are disjoint when one grows, by the same step, inside a closed
 drawing of the other without a crossing (:func:`arcs_disjoint`).
+
+The arc layer takes the genus and codes and nothing else:
+``enumerate_arcs(genus, k)``, ``arcs_disjoint(genus, a, b)``.  The feet
+that adjacent tubes leave on a region (:class:`Region`) are not part of it:
+arcs are based at the puncture and their chords never route through a
+foot, so every region of a tubed surface shares one arc enumeration.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ def opposite_side(side: str) -> str:
     raise InvalidConfigError(f"unknown side {side!r}")
 
 
-# -- punctured block model ----------------------------------------------------
+# -- the punctured block -----------------------------------------------------
 
 
 def side_word(genus: int) -> tuple[tuple[int, int], ...]:
@@ -68,44 +74,6 @@ def side_word(genus: int) -> tuple[tuple[int, int], ...]:
     for h in range(genus):
         word.extend([(2 * h, 1), (2 * h + 1, 1), (2 * h, -1), (2 * h + 1, -1)])
     return tuple(word)
-
-
-@dataclass(frozen=True)
-class PuncturedSurfaceModel:
-    """A once-punctured genus-g block with 0, 1, or 2 marked feet.
-
-    Feet are marked boundary disks at fixed reference positions adjacent to
-    side 0, disjoint from the polygon corners.  Arcs are based at the
-    puncture (the station segment) and avoid all feet by construction:
-    chord representatives never route through the reference positions, so
-    feet are bookkeeping and never enter the crossing search.
-    """
-
-    genus: int
-    feet: int
-
-    def __post_init__(self) -> None:
-        if self.genus < 1:
-            raise InvalidConfigError(f"genus must be >= 1, got {self.genus}")
-        if self.feet not in (0, 1, 2):
-            raise InvalidConfigError(f"feet must be 0, 1, or 2, got {self.feet}")
-
-    @property
-    def word(self) -> tuple[tuple[int, int], ...]:
-        return side_word(self.genus)
-
-    @property
-    def foot_positions(self) -> tuple[str, ...]:
-        """Reference positions, distinct and disjoint from polygon corners."""
-        return tuple(f"adjacent_to_side_0_slot_{i}" for i in range(self.feet))
-
-    @property
-    def pairs(self) -> int:
-        return 2 * self.genus
-
-
-def build_punctured_model(genus: int, feet: int = 0) -> PuncturedSurfaceModel:
-    return PuncturedSurfaceModel(genus=genus, feet=feet)
 
 
 # -- arc codes ----------------------------------------------------------------
@@ -157,10 +125,6 @@ def _entries(code: ArcCode) -> list[tuple[int, int]]:
 
 def _side_index(genus: int) -> dict[tuple[int, int], int]:
     return {ps: i for i, ps in enumerate(side_word(genus))}
-
-
-# The station order of each end-token rank.
-_STATION_ORDERS = {1: ((0, 0), (0, 1)), -1: ((0, 1), (0, 0))}
 
 
 def _chord(u: tuple, v: tuple) -> tuple:
@@ -215,54 +179,17 @@ def _closings(drawing: tuple, ends=(-1, 1)) -> list:
 
 @lru_cache(maxsize=None)
 def _closed_drawings(genus: int, code: ArcCode) -> tuple:
-    """Every crossing-free closed drawing of ``code``: (token orders, end rank, open drawing).
+    """Every crossing-free closed drawing of ``code``, as (end rank, open drawing) in growth order.
 
-    The open drawings grow by :func:`_step`, carrying each token's rank, and
-    close under every end rank :func:`_closings` allows.  The token orders
-    list each pair's entry indices in plus-side order; the drawings are
-    sorted as :func:`solo_drawings` returns them.
+    The open drawings grow by :func:`_step` and close under every end rank
+    :func:`_closings` allows; an empty result means the code does not embed.
     """
     validate_code(code, genus)
     sidx = _side_index(genus)
-    letters = _entries(code)
-    level = [(_blank(genus), ())]
-    for p, s in letters:
-        # A child's free end is its new token's exit point, (block, -s * rank).
-        level = [(c, tokens + (-s * c[2][1],)) for d, tokens in level for c in _step(sidx, d, p, s)]
-    closed = []
-    for drawing, tokens in level:
-        by_rank = sorted(range(len(code)), key=tokens.__getitem__)
-        orders = tuple(tuple(i for i in by_rank if letters[i][0] == p) for p in range(2 * genus))
-        closed.extend((orders, end, drawing) for end in _closings(drawing))
-    return tuple(sorted(closed, key=lambda d: (d[0], _STATION_ORDERS[d[1]])))
-
-
-def solo_drawings(
-    genus: int, code: ArcCode
-) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[tuple[tuple[int, int], ...], ...]], ...]:
-    """All drawings of a single arc with zero self-crossings.
-
-    Each drawing is (station_order, per_pair_orders) where per_pair_orders
-    lists, for pair p in 0..2g-1, the plus-side slot order of this arc's
-    pair-p crossings.  An empty result means the code admits no embedded
-    representative.  The drawings are the code's crossing-free open
-    drawings, each closed under every station order that leaves its last
-    chord uncrossed.  They come sorted by per-pair orders (pairs
-    increasing), then station order: the order a product search over all
-    orders lists them in.
-    """
-    return tuple(
-        (_STATION_ORDERS[end], tuple(tuple((0, t) for t in order) for order in orders))
-        for orders, end, _drawing in _closed_drawings(genus, code)
-    )
-
-
-def is_embeddable(genus: int, code: ArcCode) -> bool:
-    """Whether some crossing-free open drawing of the code closes under a station order.
-
-    Reversal swaps only the two station endpoints, so a code and its reverse get the same answer.
-    """
-    return bool(_closed_drawings(genus, code))
+    level = [_blank(genus)]
+    for p, s in _entries(code):
+        level = [child for drawing in level for child in _step(sidx, drawing, p, s)]
+    return tuple((end, drawing) for drawing in level for end in _closings(drawing))
 
 
 # -- disjointness: the same step, two arcs ------------------------------------
@@ -294,7 +221,7 @@ def _joint_drawing(genus: int, a: ArcCode, b: ArcCode) -> list | None:
                 return joint
         return None
 
-    for _orders, end, (ranks, chords, free) in _closed_drawings(genus, a):
+    for end, (ranks, chords, free) in _closed_drawings(genus, a):
         closed = chords + [_chord(free, (0, end))]
         for start in _gaps(sorted((0, end))):
             joint = grow(0, (ranks, closed, (0, start)), _gaps(sorted((0, end, start))))
@@ -337,12 +264,8 @@ def candidate_count(genus: int, k: int) -> int:
     return sum(letters * (letters - 1) ** (length - 1) // 2 for length in range(1, k + 1))
 
 
-def enumerate_arcs(
-    m: PuncturedSurfaceModel,
-    k: int,
-    max_classes: int = DEFAULT_MAX_ARC_CLASSES,
-) -> list[ArcCode]:
-    """Canonical embeddable arc classes of code length <= k.
+def enumerate_arcs(genus: int, k: int, max_classes: int = DEFAULT_MAX_ARC_CLASSES) -> list[ArcCode]:
+    """Canonical embeddable arc classes of code length <= k on the once-punctured genus-g surface.
 
     A depth-first search over reduced words over the 4g signed letters
     carries each word's crossing-free open drawings and never extends a
@@ -357,13 +280,14 @@ def enumerate_arcs(
     resource-cap error, before any search, if the :func:`candidate_count`
     of canonical codes exceeds ``max_classes``.
     """
+    if genus < 1:
+        raise InvalidConfigError(f"genus must be >= 1, got {genus}")
     if k < 0:
         raise InvalidConfigError(f"arc bound must be >= 0, got {k}")
-    g = m.genus
-    if candidate_count(g, k) > max_classes:
-        raise ResourceCapError("max_arc_classes", f"genus {g}, length bound {k}", max_classes)
-    sidx = _side_index(g)
-    letters = [(x, *_entries((x,))[0]) for x in range(-2 * g, 2 * g + 1) if x != 0]
+    if candidate_count(genus, k) > max_classes:
+        raise ResourceCapError("max_arc_classes", f"genus {genus}, length bound {k}", max_classes)
+    sidx = _side_index(genus)
+    letters = [(x, *_entries((x,))[0]) for x in range(-2 * genus, 2 * genus + 1) if x != 0]
     found: set[ArcCode] = set()
 
     def grow(word: ArcCode, drawings: list) -> None:
@@ -380,7 +304,7 @@ def enumerate_arcs(
                 found.add(canonical_code(word + (x,)))
 
     if k:
-        grow((), [_blank(g)])
+        grow((), [_blank(genus)])
     return sorted(found, key=lambda c: (len(c), c))
 
 
@@ -407,10 +331,6 @@ class Region:
     own_tube_side: str
     feet_bottom: tuple[int, ...]
     feet_top: tuple[int, ...]
-
-    @property
-    def feet_count(self) -> int:
-        return len(self.feet_bottom) + len(self.feet_top)
 
 
 @dataclass(frozen=True)
@@ -498,9 +418,9 @@ def surface_from_json_obj(obj, source: str = "surface") -> TubedSurface:
         raise MalformedFileError(f"{source}.kind", "expected 'tubed_surface'")
     genus = obj.get("genus_base")
     tubes = obj.get("tubes")
-    if not isinstance(genus, int) or genus < 1:
+    if type(genus) is not int or genus < 1:
         raise MalformedFileError(f"{source}.genus_base", "expected an int >= 1")
-    if not isinstance(tubes, int) or tubes < 1:
+    if type(tubes) is not int or tubes < 1:
         raise MalformedFileError(f"{source}.tubes", "expected an int >= 1")
     built = build_tubed_surface(genus, tubes)
     regions = obj.get("regions")

@@ -10,7 +10,9 @@ generates every canonical candidate code and filters each one with a
 separate level-by-level search over slot permutations.  Arc disjointness
 grows one arc inside a drawing of the other; ``min_crossings`` is the
 exhaustive engine it replaced, which minimizes the crossing number over
-every merge of two embedded solo drawings.  ``project_disk``
+every merge of two embedded solo drawings.  It draws those from
+``level_search_drawings``, the oracle's own search, never from the
+insertion step it is compared against.  ``project_disk``
 re-decides a disk's type before re-homing it one tube level down, which the
 retraction engine does inline.
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable
 
@@ -40,13 +43,11 @@ from disklab.flagcomplex import FlagComplex
 from disklab.retraction import CASE_OF_TYPES, RetractionEngine, _disk_records, _scan_pairs
 from disklab.surface import (
     ArcCode,
-    PuncturedSurfaceModel,
     TubedSurface,
     _entries,
     _side_index,
     canonical_code,
     side_word,
-    solo_drawings,
     validate_code,
 )
 
@@ -239,10 +240,10 @@ def canonical_reduced_codes(genus: int, k: int) -> list[ArcCode]:
     return sorted({canonical_code(c) for c in all_reduced_codes(genus, k)}, key=lambda c: (len(c), c))
 
 
-def enumerate_arcs_by_filtering(m: PuncturedSurfaceModel, k: int) -> list[ArcCode]:
+def enumerate_arcs_by_filtering(genus: int, k: int) -> list[ArcCode]:
     """Every canonical reduced code of length <= k that the level search embeds."""
-    codes = canonical_reduced_codes(m.genus, k)
-    return [c for c in codes if next(level_search_drawings(m.genus, c), None) is not None]
+    codes = canonical_reduced_codes(genus, k)
+    return [c for c in codes if next(level_search_drawings(genus, c), None) is not None]
 
 
 # -- crossing numbers --------------------------------------------------------------
@@ -309,10 +310,17 @@ def shuffles(xs: tuple, ys: tuple):
         yield tuple(next(it_x) if i in picks else next(it_y) for i in range(n))
 
 
+@lru_cache(maxsize=None)
+def _solo_drawings(genus: int, code: ArcCode) -> tuple:
+    return tuple(level_search_drawings(genus, code))
+
+
 def min_crossings(genus: int, a: ArcCode, b: ArcCode) -> int:
     """Minimal crossing number of two arc classes over all merges of their solo drawings.
 
-    Every pair of embedded solo drawings, every shuffle of their station
+    The solo drawings come from :func:`level_search_drawings`, so nothing
+    here shares code with the insertion search it checks.  Every pair of
+    embedded solo drawings, every shuffle of their station
     tokens and of their slot tokens on each pair is drawn, and the smallest
     count of cross-arc interleavings wins; the search stops early at 0.
     Zero on the diagonal; a non-embeddable code raises.
@@ -325,8 +333,8 @@ def min_crossings(genus: int, a: ArcCode, b: ArcCode) -> int:
         station, orders = drawing
         return tuple((arc_id, e) for _j, e in station), tuple(tuple((arc_id, t) for _j, t in o) for o in orders)
 
-    solos_a = [relabel(d, 0) for d in solo_drawings(genus, ca)]
-    solos_b = [relabel(d, 1) for d in solo_drawings(genus, cb)]
+    solos_a = [relabel(d, 0) for d in _solo_drawings(genus, ca)]
+    solos_b = [relabel(d, 1) for d in _solo_drawings(genus, cb)]
     if not solos_a or not solos_b:
         raise InvalidConfigError(f"arc codes must be embeddable; got {ca!r} / {cb!r} with no embedded drawing")
     chords = chord_endpoints(genus, {0: ca, 1: cb})

@@ -273,38 +273,47 @@ def test_certify_from_build_rejects_unparseable_bytes(content, where, tmp_path):
 @pytest.mark.parametrize(
     "field, value",
     [
-        pytest.param("merge_budget", "abc", id="string"),
-        pytest.param("merge_budget", None, id="null"),
-        pytest.param("merge_budget", 1, id="one"),
-        pytest.param("max_arc_classes", "abc", id="max_arc_classes-string"),
-        pytest.param("max_arc_classes", None, id="max_arc_classes-null"),
-        pytest.param("max_arc_classes", -1, id="max_arc_classes-negative"),
-        pytest.param("max_arc_classes", 1.5, id="max_arc_classes-float"),
-        pytest.param("max_arc_classes", True, id="max_arc_classes-bool"),
-        pytest.param("arc_bound", True, id="arc_bound-bool"),
-        pytest.param("bandsum_depth", False, id="bandsum_depth-bool"),
-        pytest.param("max_band_arcs", 2.0, id="max_band_arcs-float"),
-        pytest.param("copies", [1, True], id="copies-bool-entry"),
+        pytest.param("config.merge_budget", "abc", id="string"),
+        pytest.param("config.merge_budget", None, id="null"),
+        pytest.param("config.merge_budget", 1, id="one"),
+        pytest.param("config.max_arc_classes", "abc", id="max_arc_classes-string"),
+        pytest.param("config.max_arc_classes", None, id="max_arc_classes-null"),
+        pytest.param("config.max_arc_classes", -1, id="max_arc_classes-negative"),
+        pytest.param("config.max_arc_classes", 1.5, id="max_arc_classes-float"),
+        pytest.param("config.max_arc_classes", True, id="max_arc_classes-bool"),
+        pytest.param("config.arc_bound", True, id="arc_bound-bool"),
+        pytest.param("config.bandsum_depth", False, id="bandsum_depth-bool"),
+        pytest.param("config.max_band_arcs", 2.0, id="max_band_arcs-float"),
+        pytest.param("config.copies", [1, True], id="copies-bool-entry"),
+        pytest.param("genus", True, id="genus-bool"),
+        pytest.param("tubes", True, id="tubes-bool"),
+        pytest.param("genus", 1.0, id="genus-float"),
     ],
 )
 def test_certify_from_build_rejects_any_other_merge_budget(field, value, tmp_path, capsys):
     # The catalog config keeps merge_budget at its one recorded value, and
-    # every other field at an int of its range (a bool is not one); any
-    # other value is bad input at the field's location, not a crash or a cap.
+    # genus, tubes and every other config field at an int of its range (a
+    # bool is not one); any other value is bad input at the field's
+    # location, not a crash, a cap or a value echoed into the certificate.
     build_dir = tmp_path / "build"
     run(["build", "--genus", "1", "--tubes", "2", "--out", str(build_dir)], capsys)
     disks_path = build_dir / "disks.json"
     obj = json.loads(disks_path.read_text())
     assert obj["config"]["merge_budget"] == disks.RECORDED_MERGE_BUDGET
-    obj["config"][field] = value
+    *parents, name = field.split(".")
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[name] = value
     disks_path.write_text(json.dumps(obj))
     code, stdout, stderr = run_python(
         ["-m", "disklab", "certify", "--from-build", str(build_dir), "--out", "out"], tmp_path
     )
     assert code == EXIT_CONFIG
-    assert f"{disks_path}.config.{field}: " in stderr
+    assert f"{disks_path}.{field}: " in stderr
     assert "Traceback" not in stderr
     assert stdout == ""
+    assert not (tmp_path / "out" / "certificate.json").exists()
 
 
 def test_certify_requires_genus_and_tubes_without_from_build(tmp_path, capsys):

@@ -22,7 +22,6 @@ from disklab.disks import (
     config_from_json_obj,
     config_to_json_obj,
     disk_from_json_obj,
-    disk_key,
     disk_regions,
     disk_side,
     disk_to_json_obj,
@@ -32,7 +31,6 @@ from disklab.disks import (
     disks_disjoint_unvalidated,
     distinguished_disk,
     meets_distinguished,
-    resolve_partner,
     validate_disk,
 )
 from disklab.errors import InvalidConfigError, MalformedFileError
@@ -74,7 +72,6 @@ def test_keys_and_variants():
     assert disk_variant(m) == "meridian"
     assert disk_variant(v) == "vertical"
     assert disk_variant(b) == "bandsum"
-    assert disk_key(b) == b.key
 
 
 def test_arc_canonicalized_on_construction():
@@ -109,9 +106,9 @@ def test_validate_disk_against_surface(f2):
 
 
 def test_resolve_partner():
-    assert resolve_partner(BandSum(2, SELF_PARTNER, (-1,), 1)) == Meridian(2)
+    assert BandSum(2, SELF_PARTNER, (-1,), 1).resolved_partner == Meridian(2)
     v = VerticalDisk(2, (-2,))
-    assert resolve_partner(BandSum(1, v, (-1,), 1)) is v
+    assert BandSum(1, v, (-1,), 1).resolved_partner is v
 
 
 def test_footprints():
@@ -184,7 +181,7 @@ def test_stored_partner_and_footprint_match_a_fresh_derivation(genus, n):
         assert d.tube_footprint == fresh_tubes(d) == disk_tubes(d)
         if isinstance(d, BandSum):
             partners += 1
-            assert d.resolved_partner == fresh_partner(d) == resolve_partner(d)
+            assert d.resolved_partner == fresh_partner(d)
             if d.partner != SELF_PARTNER:
                 assert d.resolved_partner is d.partner
         else:

@@ -222,20 +222,28 @@ def test_surgery_candidates():
         surgery_candidates(d2, 5)
 
 
-def test_surgery_outcomes_recorded(setup_f3):
+def test_surgery_outcomes_recorded(setup_f3, monkeypatch):
     surface, catalog, sphere, _ = setup_f3
     engine = RetractionEngine(surface, catalog, sphere)
+    surgered = {}
+    surgery_image = RetractionEngine._surgery_image
+
+    def recording(self, d, level):
+        surgered[(level, d.key)] = d
+        return surgery_image(self, d, level)
+
+    monkeypatch.setattr(RetractionEngine, "_surgery_image", recording)
     for d in catalog.disks:
         engine.image(d)
-    outcomes = engine.surgery_outcomes()
-    assert outcomes, "the catalog contains disks requiring surgery"
-    multi = [o for o in outcomes if len(o.outermost) >= 2]
-    assert multi, "the catalog contains multi-copy band sums"
-    for o in outcomes:
-        for arc in o.arcs:
-            assert arc.chosen == min(c.image for c in arc.candidates)
-        assert len({arc.chosen for arc in o.arcs}) == 1
-        assert o.image == o.arcs[0].chosen
+    surgeries, multi = engine.surgery_counts()
+    assert surgeries == len(surgered) > 0, "the catalog contains disks requiring surgery"
+    assert multi == sum(d.copies >= 2 for d in surgered.values()) > 0, "the catalog contains multi-copy band sums"
+    assert surgeries == sum(branch == "surgered" for branch in engine._branches.values())
+    for (level, key), d in surgered.items():
+        # Every outermost arc's minimal candidate image is the recorded image.
+        arcs = outermost_arcs(d, engine._surfaces[level])
+        chosen = {min(engine._image(c, level) for c in surgery_candidates(d, arc)) for arc in arcs}
+        assert chosen == {engine._images[(level, key)]}, key
 
 
 def test_minimal_pair_index_rule(setup_f3):
@@ -742,31 +750,38 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
     # Only the octahedron is ever built: 2(n + 1) vertices and 2n(n + 1) edges.
     assert vertices and set(vertices) == sphere_keys and len(vertices) == 2 * (n + 1)
     assert len(edges) == 2 * n * (n + 1)
-    # Nothing in the package can check simpliciality edge by edge.
+    # Nothing in the package can check simpliciality edge by edge, and none of
+    # the removed arc-layer model, drawing views, surgery transcripts or
+    # pass-through accessors is left for the tests alone.
+    removed = (
+        "check_simplicial", "check_retraction", "VertexMap", "catalog_complex",
+        "PuncturedSurfaceModel", "build_punctured_model", "solo_drawings", "is_embeddable",
+        "SurgeryOutcome", "SurgeryCandidate", "ArcSurgery", "disk_key", "resolve_partner",
+    )
     for name in ("errors", "surface", "flagcomplex", "homology", "disks", "retraction", "cli"):
         module = importlib.import_module(f"disklab.{name}")
-        for helper in ("check_simplicial", "check_retraction", "VertexMap", "catalog_complex"):
+        for helper in removed:
             assert not hasattr(module, helper), (name, helper)
 
 
 def test_pair_scan_derives_nothing_again(setup_g1n4, monkeypatch):
-    """The pass reads stored partners, footprints and region models."""
+    """The pass reads stored partners and footprints, and enumerates no arcs."""
     surface, _, _, engine, _ = setup_g1n4
     records = retraction_module._disk_records(engine, {})
     built = Counter()
     meridian_init = disks_module.Meridian.__post_init__
-    punctured_model = surface_module.build_punctured_model
+    enumerate_arcs = surface_module.enumerate_arcs
 
     def counting_meridian(self):
         built["meridian"] += 1
         meridian_init(self)
 
-    def counting_model(*args, **kwargs):
-        built["model"] += 1
-        return punctured_model(*args, **kwargs)
+    def counting_enumeration(*args, **kwargs):
+        built["enumerate_arcs"] += 1
+        return enumerate_arcs(*args, **kwargs)
 
     monkeypatch.setattr(disks_module.Meridian, "__post_init__", counting_meridian)
-    monkeypatch.setattr(surface_module, "build_punctured_model", counting_model)
-    monkeypatch.setattr(disks_module, "build_punctured_model", counting_model)
+    monkeypatch.setattr(surface_module, "enumerate_arcs", counting_enumeration)
+    monkeypatch.setattr(disks_module, "enumerate_arcs", counting_enumeration)
     kept, _, _ = retraction_module._scan_pairs(records, surface, tally=False)
     assert kept == [] and built == Counter()

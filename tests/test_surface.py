@@ -21,16 +21,13 @@ from disklab.surface import (
     ArcCode,
     _entries,
     arcs_disjoint,
-    build_punctured_model,
     build_tubed_surface,
     candidate_count,
     canonical_code,
     enumerate_arcs,
-    is_embeddable,
     opposite_side,
     reverse_code,
     side_word,
-    solo_drawings,
     surface_from_json_obj,
     surface_to_json_obj,
     tube_side,
@@ -100,6 +97,32 @@ def word_of(genus: int, drawing: tuple) -> ArcCode:
     return tuple(word)
 
 
+def solo_drawings(genus: int, code: ArcCode) -> tuple:
+    """The closed drawings of ``surface._closed_drawings`` as token orders.
+
+    Each drawing becomes (station order, per-pair plus-side orders), the form
+    of ``exhaustive_solo_drawings``: chord i ends at letter i's arrival, whose
+    rank, signed back to the plus side, orders that letter's slot token.  End
+    rank 1 puts the end token after the start token at the station.
+    """
+    sidx = surface._side_index(genus)
+    letters = _entries(code)
+    out = []
+    for end, (_ranks, chords, _free) in surface._closed_drawings(genus, code):
+        ranks = []
+        for (u, v), (p, s) in zip(chords, letters):
+            arrive = u if u[0] == sidx[(p, s)] + 1 else v
+            ranks.append(s * arrive[1])
+        by_rank = sorted(range(len(code)), key=ranks.__getitem__)
+        orders = tuple(tuple((0, i) for i in by_rank if letters[i][0] == p) for p in range(2 * genus))
+        out.append((((0, 0), (0, 1)) if end > 0 else ((0, 1), (0, 0)), orders))
+    return tuple(out)
+
+
+def is_embeddable(genus: int, code: ArcCode) -> bool:
+    return bool(surface._closed_drawings(genus, code))
+
+
 def crossing_free(chords: list) -> bool:
     return not any((w < y < x) != (w < z < x) for (w, x), (y, z) in itertools.combinations(chords, 2))
 
@@ -150,30 +173,23 @@ def arcs_from_json_obj(obj, source: str = "arcs") -> tuple[int, int, list[ArcCod
     return genus, k, out
 
 
-# -- punctured model ----------------------------------------------------------
+# -- punctured block ----------------------------------------------------------
 
 
 def test_model_word_structure():
-    m = build_punctured_model(2)
-    assert m.word == (
+    assert side_word(2) == (
         (0, 1), (1, 1), (0, -1), (1, -1),
         (2, 1), (3, 1), (2, -1), (3, -1),
     )
-    assert m.pairs == 4
 
 
 def test_model_validation():
     with pytest.raises(InvalidConfigError):
-        build_punctured_model(0)
+        enumerate_arcs(0, 1)
     with pytest.raises(InvalidConfigError):
-        build_punctured_model(1, feet=3)
+        enumerate_arcs(0, 0)
     with pytest.raises(InvalidConfigError):
-        build_punctured_model(1, feet=-1)
-
-
-def test_foot_positions_distinct():
-    m = build_punctured_model(1, feet=2)
-    assert len(set(m.foot_positions)) == 2
+        enumerate_arcs(-1, 3)
 
 
 # -- codes --------------------------------------------------------------------
@@ -206,37 +222,36 @@ def test_reverse_and_canonical():
 
 
 def test_enumerate_empty_at_zero():
-    assert enumerate_arcs(build_punctured_model(1), 0) == []
+    assert enumerate_arcs(1, 0) == []
 
 
 def test_enumerate_genus1_k1_exactly_two_classes():
-    assert enumerate_arcs(build_punctured_model(1), 1) == [(-2,), (-1,)]
+    assert enumerate_arcs(1, 1) == [(-2,), (-1,)]
 
 
 def test_enumerate_genus1_k2_frozen():
     # Hand enumeration: six canonical reduced length-2 codes, of which
     # (-1,-1)/(-2,-2) (non-primitive wrap) and (-1,-2) (kinked crossing
     # order) admit no embedded drawing.
-    assert enumerate_arcs(build_punctured_model(1), 2) == [
+    assert enumerate_arcs(1, 2) == [
         (-2,), (-1,), (-2, -1), (-2, 1), (1, -2),
     ]
 
 
 def test_enumerate_genus2_k1():
-    assert enumerate_arcs(build_punctured_model(2), 1) == [(-4,), (-3,), (-2,), (-1,)]
+    assert enumerate_arcs(2, 1) == [(-4,), (-3,), (-2,), (-1,)]
 
 
 def test_enumerate_regression_counts():
-    assert len(enumerate_arcs(build_punctured_model(1), 3)) == 13
-    assert len(enumerate_arcs(build_punctured_model(1), 4)) == 22
-    assert len(enumerate_arcs(build_punctured_model(2), 3)) == 54
+    assert len(enumerate_arcs(1, 3)) == 13
+    assert len(enumerate_arcs(1, 4)) == 22
+    assert len(enumerate_arcs(2, 3)) == 54
 
 
 def test_enumerate_monotone_and_canonical():
-    m = build_punctured_model(1)
-    k1 = enumerate_arcs(m, 1)
-    k2 = enumerate_arcs(m, 2)
-    k3 = enumerate_arcs(m, 3)
+    k1 = enumerate_arcs(1, 1)
+    k2 = enumerate_arcs(1, 2)
+    k3 = enumerate_arcs(1, 3)
     assert set(k1) <= set(k2) <= set(k3)
     for code in k3:
         assert canonical_code(code) == code
@@ -248,20 +263,19 @@ def test_enumerate_monotone_and_canonical():
     [(1, 7, 84), (2, 5, 449), (1, 8, 106), (1, 9, 150), (2, 6, 1093), (3, 4, 527)],
 )
 def test_enumerate_embeddable_counts(genus, k, count):
-    assert len(enumerate_arcs(build_punctured_model(genus), k)) == count
+    assert len(enumerate_arcs(genus, k)) == count
 
 
 @pytest.mark.parametrize(
     "genus, k", [(1, k) for k in range(1, 8)] + [(1, 9), (2, 4), (2, 5), (3, 3), (3, 4)]
 )
 def test_enumerate_matches_filtering_oracle(genus, k):
-    m = build_punctured_model(genus)
-    assert enumerate_arcs(m, k) == enumerate_arcs_by_filtering(m, k)
+    assert enumerate_arcs(genus, k) == enumerate_arcs_by_filtering(genus, k)
 
 
 def test_enumerate_resource_cap():
     with pytest.raises(ResourceCapError) as exc:
-        enumerate_arcs(build_punctured_model(2), 4, max_classes=10)
+        enumerate_arcs(2, 4, max_classes=10)
     assert exc.value.cap_name == "max_arc_classes"
     assert exc.value.limit == 10
 
@@ -274,16 +288,15 @@ def test_candidate_count_matches_canonical_codes():
 
 
 def test_enumerate_resource_cap_boundary_is_decided_before_search(monkeypatch):
-    m = build_punctured_model(2)
     count = candidate_count(2, 4)
-    assert len(enumerate_arcs(m, 4, max_classes=count)) == 159
+    assert len(enumerate_arcs(2, 4, max_classes=count)) == 159
 
     def no_search(*args):
         raise AssertionError("the search ran although the cap was exceeded")
 
     monkeypatch.setattr(surface, "_step", no_search)
     with pytest.raises(ResourceCapError) as exc:
-        enumerate_arcs(m, 4, max_classes=count - 1)
+        enumerate_arcs(2, 4, max_classes=count - 1)
     assert exc.value.limit == count - 1
 
 
@@ -325,10 +338,9 @@ def test_drawing_search_rejects_invalid_codes(code):
 
 @pytest.mark.parametrize("genus, k", [(1, 6), (2, 4)])
 def test_solo_drawings_match_exhaustive_oracle(genus, k):
-    # Same drawings in the same order: the insertion search lists them as a
-    # product search over all orders would.
+    # The same drawings, in whatever order the insertion search grows them.
     for code in canonical_reduced_codes(genus, k):
-        assert solo_drawings(genus, code) == exhaustive_solo_drawings(genus, code), code
+        assert sorted(solo_drawings(genus, code)) == sorted(exhaustive_solo_drawings(genus, code)), code
 
 
 @pytest.mark.parametrize("genus, k", [(1, 6), (2, 4)])
@@ -357,7 +369,7 @@ def test_side_word_alone_rejects_some_codes(monkeypatch, code, rejected_early):
         return step(sidx, drawing, p, s)
 
     monkeypatch.setattr(surface, "_step", recording_step)
-    arcs = enumerate_arcs(build_punctured_model(1), len(code) + 1)
+    arcs = enumerate_arcs(1, len(code) + 1)
     words = {word_of(1, d) for d in visited}
     assert all(crossing_free(d[1]) for d in visited)  # every visited word has an open drawing
     assert (code in words) is not rejected_early
@@ -386,8 +398,8 @@ def test_enumerate_tries_one_orientation_of_each_longest_word(monkeypatch):
         return step(sidx, drawing, p, s)
 
     monkeypatch.setattr(surface, "_step", recording_step)
-    arcs = enumerate_arcs(build_punctured_model(genus), k)
-    assert arcs == enumerate_arcs_by_filtering(build_punctured_model(genus), k)
+    arcs = enumerate_arcs(genus, k)
+    assert arcs == enumerate_arcs_by_filtering(genus, k)
     assert last_letters and all(x <= -word[0] for word, x in last_letters)
     assert {x for word, x in last_letters if word == (-1, 2, -1)} == {-2, -1}
 
@@ -420,7 +432,7 @@ def test_intersection_farey_oracle(a, b, expected):
 
 @pytest.mark.parametrize("genus, k", [(1, 6), (2, 4)])
 def test_disjointness_search_matches_crossing_oracle(genus, k):
-    arcs = enumerate_arcs(build_punctured_model(genus), k)
+    arcs = enumerate_arcs(genus, k)
     for a, b in itertools.combinations(arcs, 2):
         expected = min_crossings(genus, a, b) == 0
         assert arcs_disjoint(genus, a, b) is expected, (a, b)
@@ -437,7 +449,7 @@ def test_every_disjoint_verdict_has_a_zero_crossing_drawing(genus, k):
         ends = [0] + [sidx[e] + 1 for p, s in _entries(code) for e in ((p, s), (p, -s))] + [0]
         return sorted(tuple(sorted(ends[i : i + 2])) for i in range(0, len(ends), 2))
 
-    arcs = enumerate_arcs(build_punctured_model(genus), k)
+    arcs = enumerate_arcs(genus, k)
     for a, b in itertools.combinations(arcs, 2):
         drawing = surface._joint_drawing(genus, a, b)
         assert (drawing is not None) is arcs_disjoint(genus, a, b), (a, b)
@@ -450,7 +462,7 @@ def test_every_disjoint_verdict_has_a_zero_crossing_drawing(genus, k):
 
 
 def test_intersection_diagonal_zero():
-    arcs = enumerate_arcs(build_punctured_model(1), 3)
+    arcs = enumerate_arcs(1, 3)
     for engine, disjoint in ENGINES:
         for code in arcs:
             assert engine(1, code, code) == disjoint
@@ -464,14 +476,14 @@ def test_intersection_parallel_copies_any_form():
 
 
 def test_intersection_symmetric_over_catalog():
-    arcs = enumerate_arcs(build_punctured_model(1), 3)
+    arcs = enumerate_arcs(1, 3)
     for engine, _ in ENGINES:
         for a, b in itertools.combinations(arcs, 2):
             assert engine(1, a, b) == engine(1, b, a)
 
 
 def test_intersection_diagonal_and_symmetry_k4():
-    arcs = enumerate_arcs(build_punctured_model(1), 4)
+    arcs = enumerate_arcs(1, 4)
     for engine, disjoint in ENGINES:
         for code in arcs:
             assert engine(1, code, code) == disjoint
@@ -513,7 +525,6 @@ def test_build_tubed_surface_f1():
     assert r.block_side == SIDE_A
     assert r.own_tube_side == SIDE_B
     assert r.feet_bottom == () and r.feet_top == ()
-    assert r.feet_count == 0
 
 
 def test_build_tubed_surface_f2():
@@ -524,7 +535,6 @@ def test_build_tubed_surface_f2():
     assert r1.feet_top == (2,) and r1.feet_bottom == ()
     assert r2.feet_bottom == (1,) and r2.feet_top == ()
     assert r1.block_side == SIDE_A and r2.block_side == SIDE_B
-    assert r1.feet_count == 1
 
 
 def test_build_tubed_surface_f3_interior_region():
@@ -533,7 +543,6 @@ def test_build_tubed_surface_f3_interior_region():
     assert s.w_side == SIDE_B
     r2 = s.region(2)
     assert r2.feet_bottom == (1,) and r2.feet_top == (3,)
-    assert r2.feet_count == 2
     # block and own tube on opposite sides; consecutive regions alternate
     for r in s.regions:
         assert r.block_side == opposite_side(r.own_tube_side)
@@ -573,9 +582,18 @@ def test_surface_json_rejects_bad_kind():
         surface_from_json_obj({"kind": "nope"})
 
 
+@pytest.mark.parametrize("field, value", [("genus_base", True), ("tubes", True), ("genus_base", 1.0)])
+def test_surface_json_rejects_non_int_counts(field, value):
+    # A bool is an int to isinstance, but not a genus or a tube count.
+    obj = surface_to_json_obj(build_tubed_surface(1, 1))
+    obj[field] = value
+    with pytest.raises(MalformedFileError) as exc:
+        surface_from_json_obj(obj)
+    assert exc.value.location == f"surface.{field}"
+
+
 def test_arcs_json_roundtrip():
-    m = build_punctured_model(1)
-    arcs = enumerate_arcs(m, 2)
+    arcs = enumerate_arcs(1, 2)
     obj = arcs_to_json_obj(1, 2, arcs)
     assert arcs_from_json_obj(obj) == (1, 2, arcs)
 
