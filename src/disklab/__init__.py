@@ -14,8 +14,9 @@ Public entry points live in the submodules:
 - :mod:`disklab.homology` -- exact integer homology (sparse unit-pivot
   elimination, Smith normal form on the residual core) and the cycle-level
   retraction certificate.
-- :mod:`disklab.surface` -- polygon models of punctured surfaces, arc codes,
-  and the exact arc-disjointness search.
+- :mod:`disklab.surface` -- tubed surfaces, arc codes on the once-punctured
+  genus-g block, arc enumeration and the exact arc-disjointness search, and
+  the frozen-record base of every descriptor class.
 - :mod:`disklab.disks` -- compressing-disk descriptors, side/type
   classification, disjointness, and catalog generation.
 - :mod:`disklab.retraction` -- suspension spheres, outermost surgery, the

@@ -16,10 +16,16 @@ layers at the top of its body:
 - ``build`` loads ``surface`` and ``disks``;
 - ``certify`` loads ``disks`` and ``retraction``, which bring ``surface``
   and ``homology``;
-- ``homology`` loads ``homology`` only, which needs no ``dataclasses``.
+- ``homology`` loads ``homology`` only.
 
-Every ``disklab`` run is a fresh interpreter that often compiles the package
-from source, so each module it does not import is startup time saved.
+No subcommand loads ``dataclasses``, and with it ``inspect``: the
+descriptor classes are plain slotted records
+(:class:`~disklab.surface.FrozenRecord`).  Every ``disklab`` run is a fresh
+interpreter that often compiles the package from source, so each module it
+does not import is startup time saved.  Compiling from source on Python
+3.11, the layers of ``build`` took 41 ms to import with ``dataclasses`` and
+take 18 ms without it, and those of ``certify`` 66 and 42 ms (medians of 21
+runs of ``scripts/startup_table.py`` on a 2-vCPU host).
 """
 
 from __future__ import annotations

@@ -41,13 +41,13 @@ deriving them again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import InvalidConfigError, MalformedFileError
 from .surface import (
     DEFAULT_MAX_ARC_CLASSES,
     ArcCode,
+    FrozenRecord,
     TubedSurface,
     arcs_disjoint,
     build_tubed_surface,
@@ -79,66 +79,55 @@ def _clean_arc(arc) -> ArcCode:
     return canonical_code(tuple(out))
 
 
-@dataclass(frozen=True)
-class Meridian:
+class Meridian(FrozenRecord):
     """Meridian disk of solid tube ``index``."""
 
-    index: int
-    key: str = field(init=False, compare=False, repr=False)
-    tube_footprint: frozenset = field(init=False, compare=False, repr=False)
+    _fields = ("index",)
+    __slots__ = (*_fields, "key", "tube_footprint")
 
-    def __post_init__(self):
-        if not isinstance(self.index, int) or self.index < 1:
-            raise InvalidConfigError(f"meridian index must be a positive integer, got {self.index!r}")
-        object.__setattr__(self, "key", f"M({self.index})")
-        object.__setattr__(self, "tube_footprint", frozenset({self.index}))
+    def __init__(self, index: int):
+        if not isinstance(index, int) or index < 1:
+            raise InvalidConfigError(f"meridian index must be a positive integer, got {index!r}")
+        self._init(index, key=f"M({index})", tube_footprint=frozenset({index}))
 
 
-@dataclass(frozen=True)
-class VerticalDisk:
+class VerticalDisk(FrozenRecord):
     """Vertical disk over an embedded essential arc in one region."""
 
-    region: int
-    arc: ArcCode
-    key: str = field(init=False, compare=False, repr=False)
-    tube_footprint: frozenset = field(init=False, compare=False, repr=False)
+    _fields = ("region", "arc")
+    __slots__ = (*_fields, "key", "tube_footprint")
 
-    def __post_init__(self):
-        if not isinstance(self.region, int) or self.region < 1:
-            raise InvalidConfigError(f"region index must be a positive integer, got {self.region!r}")
-        object.__setattr__(self, "arc", _clean_arc(self.arc))
-        object.__setattr__(self, "key", f"V({self.region};{','.join(map(str, self.arc))})")
-        object.__setattr__(self, "tube_footprint", frozenset({self.region}))
+    def __init__(self, region: int, arc: ArcCode):
+        if not isinstance(region, int) or region < 1:
+            raise InvalidConfigError(f"region index must be a positive integer, got {region!r}")
+        arc = _clean_arc(arc)
+        self._init(region, arc, key=f"V({region};{','.join(map(str, arc))})", tube_footprint=frozenset({region}))
 
 
-@dataclass(frozen=True)
-class BandSum:
+class BandSum(FrozenRecord):
     """Pushed copies of meridian ``base`` band-summed to a partner disk."""
 
-    base: int
-    partner: Union[str, "Disk"]
-    band: ArcCode
-    copies: int
-    key: str = field(init=False, compare=False, repr=False)
-    resolved_partner: "Disk" = field(init=False, compare=False, repr=False)
-    tube_footprint: frozenset = field(init=False, compare=False, repr=False)
+    _fields = ("base", "partner", "band", "copies")
+    __slots__ = (*_fields, "key", "resolved_partner", "tube_footprint")
 
-    def __post_init__(self):
-        if not isinstance(self.base, int) or self.base < 1:
-            raise InvalidConfigError(f"band-sum base must be a positive integer, got {self.base!r}")
-        if not isinstance(self.copies, int) or self.copies < 1:
-            raise InvalidConfigError(f"band-sum copies must be a positive integer, got {self.copies!r}")
-        if self.partner != SELF_PARTNER and not isinstance(self.partner, (Meridian, VerticalDisk, BandSum)):
+    def __init__(self, base: int, partner: Union[str, "Disk"], band: ArcCode, copies: int):
+        if not isinstance(base, int) or base < 1:
+            raise InvalidConfigError(f"band-sum base must be a positive integer, got {base!r}")
+        if not isinstance(copies, int) or copies < 1:
+            raise InvalidConfigError(f"band-sum copies must be a positive integer, got {copies!r}")
+        if partner != SELF_PARTNER and not isinstance(partner, (Meridian, VerticalDisk, BandSum)):
             raise InvalidConfigError(
-                f"band-sum partner must be {SELF_PARTNER!r} or a disk descriptor, got {self.partner!r}"
+                f"band-sum partner must be {SELF_PARTNER!r} or a disk descriptor, got {partner!r}"
             )
-        object.__setattr__(self, "band", _clean_arc(self.band))
-        partner_key = SELF_PARTNER if self.partner == SELF_PARTNER else self.partner.key
-        band = ",".join(map(str, self.band))
-        object.__setattr__(self, "key", f"B({self.base};{partner_key};{band};{self.copies})")
-        partner = Meridian(self.base) if self.partner == SELF_PARTNER else self.partner
-        object.__setattr__(self, "resolved_partner", partner)
-        object.__setattr__(self, "tube_footprint", frozenset({self.base}) | partner.tube_footprint)
+        band = _clean_arc(band)
+        partner_key = SELF_PARTNER if partner == SELF_PARTNER else partner.key
+        resolved = Meridian(base) if partner == SELF_PARTNER else partner
+        self._init(
+            base, partner, band, copies,
+            key=f"B({base};{partner_key};{','.join(map(str, band))};{copies})",
+            resolved_partner=resolved,
+            tube_footprint=frozenset({base}) | resolved.tube_footprint,
+        )
 
 
 Disk = Union[Meridian, VerticalDisk, BandSum]
@@ -327,8 +316,7 @@ def meets_distinguished_unvalidated(d: Disk, surface: TubedSurface) -> bool:
 # -- catalogs --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogConfig:
+class CatalogConfig(FrozenRecord):
     """Finite truncation knobs for the disk catalog.
 
     ``arc_bound`` caps arc-code length; the remaining knobs bound how many
@@ -336,30 +324,43 @@ class CatalogConfig:
     are preserved separately on the catalog).
     """
 
-    arc_bound: int
-    bandsum_depth: int = 2
-    max_vd_arcs_per_region: int = 6
-    max_band_arcs: int = 2
-    max_partner_arcs: int = 2
-    copies: tuple = (1, 2)
-    max_arc_classes: int = DEFAULT_MAX_ARC_CLASSES
+    __slots__ = _fields = (
+        "arc_bound", "bandsum_depth", "max_vd_arcs_per_region", "max_band_arcs", "max_partner_arcs", "copies",
+        "max_arc_classes",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        arc_bound: int,
+        bandsum_depth: int = 2,
+        max_vd_arcs_per_region: int = 6,
+        max_band_arcs: int = 2,
+        max_partner_arcs: int = 2,
+        copies: tuple = (1, 2),
+        max_arc_classes: int = DEFAULT_MAX_ARC_CLASSES,
+    ):
         # Booleans are ints to isinstance; a config field is never one.
-        for name in (
-            "arc_bound", "bandsum_depth", "max_vd_arcs_per_region", "max_band_arcs",
-            "max_partner_arcs", "max_arc_classes",
-        ):
-            v = getattr(self, name)
+        counts = {
+            "arc_bound": arc_bound,
+            "bandsum_depth": bandsum_depth,
+            "max_vd_arcs_per_region": max_vd_arcs_per_region,
+            "max_band_arcs": max_band_arcs,
+            "max_partner_arcs": max_partner_arcs,
+            "max_arc_classes": max_arc_classes,
+        }
+        for name, v in counts.items():
             if type(v) is not int or v < 0:
                 raise InvalidConfigError(f"{name} must be a nonnegative integer, got {_clip(repr(v))}", name)
-        if self.bandsum_depth > 2:
-            raise InvalidConfigError(f"bandsum_depth must be 0, 1, or 2, got {self.bandsum_depth!r}", "bandsum_depth")
-        object.__setattr__(self, "copies", tuple(self.copies))
-        if not self.copies or any(type(c) is not int or c < 1 for c in self.copies):
+        if bandsum_depth > 2:
+            raise InvalidConfigError(f"bandsum_depth must be 0, 1, or 2, got {bandsum_depth!r}", "bandsum_depth")
+        copies = tuple(copies)
+        if not copies or any(type(c) is not int or c < 1 for c in copies):
             raise InvalidConfigError(
-                f"copies must be a nonempty tuple of positive integers, got {_clip(repr(self.copies))}", "copies"
+                f"copies must be a nonempty tuple of positive integers, got {_clip(repr(copies))}", "copies"
             )
+        self._init(
+            arc_bound, bandsum_depth, max_vd_arcs_per_region, max_band_arcs, max_partner_arcs, copies, max_arc_classes
+        )
 
 
 def _disk_sort_key(d: Disk):
@@ -376,12 +377,13 @@ def _disk_sort_key(d: Disk):
     return (2, d.base, partner_rank[pk], partner_key, len(d.band), d.band, d.copies)
 
 
-@dataclass(frozen=True)
-class DiskCatalog:
-    surface: TubedSurface
-    config: CatalogConfig
-    disks: tuple
-    arc_classes: dict = field(compare=False)
+class DiskCatalog(FrozenRecord):
+    _fields = ("surface", "config", "disks")
+    _uncompared = ("arc_classes",)
+    __slots__ = _fields + _uncompared
+
+    def __init__(self, surface: TubedSurface, config: CatalogConfig, disks: tuple, arc_classes: dict):
+        self._init(surface, config, disks, arc_classes=arc_classes)
 
     def keys(self):
         return [d.key for d in self.disks]

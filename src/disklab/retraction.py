@@ -42,7 +42,7 @@ the sphere, and the sphere is fixed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import NamedTuple, Optional
 
 from .disks import (
@@ -68,34 +68,42 @@ from .disks import (
 from .errors import InvalidConfigError, WellDefinednessError
 from .flagcomplex import DEFAULT_MAX_SIMPLICES, FlagComplex
 from .homology import certify_homology_retraction
-from .surface import TubedSurface, build_tubed_surface, surface_to_json_obj, tube_side
+from .surface import FrozenRecord, TubedSurface, build_tubed_surface, surface_to_json_obj, tube_side
 
 
-@dataclass(frozen=True, order=True)
-class SphereVertex:
-    """One vertex of the octahedral sphere: pair index plus letter D or E."""
+@total_ordering
+class SphereVertex(FrozenRecord):
+    """One vertex of the octahedral sphere: pair index plus letter D or E.
 
-    pair_index: int
-    letter: str
+    Vertices sort as ``(pair_index, letter)``.
+    """
 
-    def __post_init__(self):
-        if self.letter not in ("D", "E"):
-            raise InvalidConfigError(f"sphere vertex letter must be 'D' or 'E', got {self.letter!r}")
-        if not isinstance(self.pair_index, int) or self.pair_index < 0:
-            raise InvalidConfigError(f"sphere pair index must be >= 0, got {self.pair_index!r}")
+    __slots__ = _fields = ("pair_index", "letter")
+
+    def __init__(self, pair_index: int, letter: str):
+        if letter not in ("D", "E"):
+            raise InvalidConfigError(f"sphere vertex letter must be 'D' or 'E', got {letter!r}")
+        if not isinstance(pair_index, int) or pair_index < 0:
+            raise InvalidConfigError(f"sphere pair index must be >= 0, got {pair_index!r}")
+        self._init(pair_index, letter)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values < other._values
+        return NotImplemented
 
     @property
     def name(self) -> str:
         return f"{self.letter}{self.pair_index}"
 
 
-@dataclass(frozen=True)
-class SuspensionSphere:
+class SuspensionSphere(FrozenRecord):
     """Antipodal disk pairs realizing an iterated-suspension sphere."""
 
-    surface: TubedSurface
-    d_disks: tuple
-    e_disks: tuple
+    __slots__ = _fields = ("surface", "d_disks", "e_disks")
+
+    def __init__(self, surface: TubedSurface, d_disks: tuple, e_disks: tuple):
+        self._init(surface, d_disks, e_disks)
 
     @property
     def index(self) -> int:

@@ -40,14 +40,17 @@ The arc layer takes the genus and codes and nothing else:
 that adjacent tubes leave on a region (:class:`Region`) are not part of it:
 arcs are based at the puncture and their chords never route through a
 foot, so every region of a tubed surface shares one arc enumeration.
+
+:class:`FrozenRecord` is the immutable slotted base of the surface, disk
+and sphere descriptor classes, here because this is the lowest layer that
+``disks`` and ``retraction`` both import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from disklab.errors import InvalidConfigError, MalformedFileError, ResourceCapError
+from disklab.errors import InvalidConfigError, ResourceCapError
 
 ArcCode = tuple[int, ...]
 
@@ -308,6 +311,62 @@ def enumerate_arcs(genus: int, k: int, max_classes: int = DEFAULT_MAX_ARC_CLASSE
     return sorted(found, key=lambda c: (len(c), c))
 
 
+# -- frozen records ------------------------------------------------------------
+
+_set = object.__setattr__
+
+
+class FrozenRecord:
+    """An immutable record with slots; the base of every descriptor class.
+
+    A subclass names in ``_fields``, in constructor order, the fields that
+    take part in equality, hashing and the repr, and in ``_uncompared`` any
+    later constructor fields that only appear in the repr; its
+    ``__slots__`` lists them and any stored fields, and its ``__init__``
+    sets them all once through :meth:`_init`.  Equality holds only between
+    instances of the same class, the hash is that of the tuple of compared
+    fields, the repr reads ``Cls(field=value, ...)``, and every later
+    assignment raises ``AttributeError``.  That is what
+    ``@dataclass(frozen=True)`` gives, but ``dataclasses`` imports
+    ``inspect`` and ``ast`` and ``exec``s the methods of each class, which
+    every cold ``build`` and ``certify`` process would pay for.
+    """
+
+    # The compared fields' values, kept as one tuple for equality and hashing.
+    __slots__ = ("_values",)
+    _fields: tuple[str, ...] = ()
+    _uncompared: tuple[str, ...] = ()
+
+    def _init(self, *values, **named) -> None:
+        """Set ``_fields`` from ``values``, in order, and every other slot by name."""
+        _set(self, "_values", values)
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+        for name, value in named.items():
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields + self._uncompared)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, self._values + tuple([getattr(self, name) for name in self._uncompared])
+
+
 # -- tubed surfaces -----------------------------------------------------------
 
 
@@ -318,23 +377,22 @@ def tube_side(i: int) -> str:
     return SIDE_B if i % 2 == 1 else SIDE_A
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(FrozenRecord):
     """The product block between copies index-1 and index, containing tube index.
 
     The block is punctured by its own tube; feet mark where *adjacent*
     tubes attach to the block's horizontal boundary copies.
     """
 
-    index: int
-    block_side: str
-    own_tube_side: str
-    feet_bottom: tuple[int, ...]
-    feet_top: tuple[int, ...]
+    __slots__ = _fields = ("index", "block_side", "own_tube_side", "feet_bottom", "feet_top")
+
+    def __init__(
+        self, index: int, block_side: str, own_tube_side: str, feet_bottom: tuple[int, ...], feet_top: tuple[int, ...]
+    ):
+        self._init(index, block_side, own_tube_side, feet_bottom, feet_top)
 
 
-@dataclass(frozen=True)
-class TubedSurface:
+class TubedSurface(FrozenRecord):
     """m+1 parallel copies of a genus-g surface joined by m unknotted tubes.
 
     Region i (1-based) sits between copies i-1 and i and contains solid
@@ -342,9 +400,10 @@ class TubedSurface:
     consecutive regions alternate.
     """
 
-    genus_base: int
-    tubes: int
-    regions: tuple[Region, ...]
+    __slots__ = _fields = ("genus_base", "tubes", "regions")
+
+    def __init__(self, genus_base: int, tubes: int, regions: tuple[Region, ...]):
+        self._init(genus_base, tubes, regions)
 
     @property
     def genus_total(self) -> int:
@@ -410,41 +469,3 @@ def surface_to_json_obj(s: TubedSurface) -> dict:
         ],
     }
 
-
-def surface_from_json_obj(obj, source: str = "surface") -> TubedSurface:
-    if not isinstance(obj, dict):
-        raise MalformedFileError(source, "expected an object")
-    if obj.get("kind") != "tubed_surface":
-        raise MalformedFileError(f"{source}.kind", "expected 'tubed_surface'")
-    genus = obj.get("genus_base")
-    tubes = obj.get("tubes")
-    if type(genus) is not int or genus < 1:
-        raise MalformedFileError(f"{source}.genus_base", "expected an int >= 1")
-    if type(tubes) is not int or tubes < 1:
-        raise MalformedFileError(f"{source}.tubes", "expected an int >= 1")
-    built = build_tubed_surface(genus, tubes)
-    regions = obj.get("regions")
-    if not isinstance(regions, list) or len(regions) != tubes:
-        raise MalformedFileError(f"{source}.regions", f"expected a list of {tubes} regions")
-    for i, entry in enumerate(regions):
-        loc = f"{source}.regions[{i}]"
-        if not isinstance(entry, dict):
-            raise MalformedFileError(loc, "expected an object")
-        want = built.regions[i]
-        got = (
-            entry.get("index"),
-            entry.get("block_side"),
-            entry.get("own_tube_side"),
-            entry.get("feet_bottom"),
-            entry.get("feet_top"),
-        )
-        expect = (
-            want.index,
-            want.block_side,
-            want.own_tube_side,
-            list(want.feet_bottom),
-            list(want.feet_top),
-        )
-        if got != expect:
-            raise MalformedFileError(loc, f"inconsistent region data; expected {expect}")
-    return built

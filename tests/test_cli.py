@@ -624,17 +624,31 @@ def test_homology_loads_only_the_homology_layer(octa_file, tmp_path):
     assert not loaded & {"disklab.surface", "disklab.disks", "disklab.retraction", "dataclasses"}
 
 
+# The descriptor records are plain classes: ``dataclasses`` would bring
+# ``inspect``, ``ast`` and ``dis`` into every build and certify process.
+RECORD_MACHINERY = {"dataclasses", "inspect"}
+
+
 def test_build_loads_no_retraction_or_homology(tmp_path):
     loaded = modules_loaded_by(["build", "--genus", "1", "--tubes", "1", "--out", "b"], tmp_path)
     assert (tmp_path / "b" / "disks.json").exists()
     assert {"disklab.surface", "disklab.disks"} <= loaded
-    assert not loaded & {"disklab.retraction", "disklab.homology"}
+    assert not loaded & {"disklab.retraction", "disklab.homology", *RECORD_MACHINERY}
 
 
 def test_certify_loads_every_layer(tmp_path):
     loaded = modules_loaded_by(["certify", "--genus", "1", "--tubes", "1", "--out", "c"], tmp_path)
     assert (tmp_path / "c" / "certificate.json").exists()
     assert set(LAYERS) <= loaded
+    assert not loaded & RECORD_MACHINERY
+
+
+def test_certify_from_build_loads_no_record_machinery(tmp_path):
+    modules_loaded_by(["build", "--genus", "1", "--tubes", "1", "--out", "b"], tmp_path)
+    loaded = modules_loaded_by(["certify", "--from-build", "b", "--out", "c"], tmp_path)
+    assert (tmp_path / "c" / "certificate.json").exists()
+    assert set(LAYERS) <= loaded
+    assert not loaded & RECORD_MACHINERY
 
 
 def test_failed_certificate_exit_code_is_distinct():

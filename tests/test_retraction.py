@@ -769,18 +769,18 @@ def test_pair_scan_derives_nothing_again(setup_g1n4, monkeypatch):
     surface, _, _, engine, _ = setup_g1n4
     records = retraction_module._disk_records(engine, {})
     built = Counter()
-    meridian_init = disks_module.Meridian.__post_init__
+    meridian_init = disks_module.Meridian.__init__
     enumerate_arcs = surface_module.enumerate_arcs
 
-    def counting_meridian(self):
+    def counting_meridian(self, *args, **kwargs):
         built["meridian"] += 1
-        meridian_init(self)
+        meridian_init(self, *args, **kwargs)
 
     def counting_enumeration(*args, **kwargs):
         built["enumerate_arcs"] += 1
         return enumerate_arcs(*args, **kwargs)
 
-    monkeypatch.setattr(disks_module.Meridian, "__post_init__", counting_meridian)
+    monkeypatch.setattr(disks_module.Meridian, "__init__", counting_meridian)
     monkeypatch.setattr(surface_module, "enumerate_arcs", counting_enumeration)
     monkeypatch.setattr(disks_module, "enumerate_arcs", counting_enumeration)
     kept, _, _ = retraction_module._scan_pairs(records, surface, tally=False)

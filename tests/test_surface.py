@@ -19,6 +19,7 @@ from disklab.surface import (
     SIDE_A,
     SIDE_B,
     ArcCode,
+    TubedSurface,
     _entries,
     arcs_disjoint,
     build_tubed_surface,
@@ -28,7 +29,6 @@ from disklab.surface import (
     opposite_side,
     reverse_code,
     side_word,
-    surface_from_json_obj,
     surface_to_json_obj,
     tube_side,
     validate_code,
@@ -561,6 +561,46 @@ def test_build_tubed_surface_validation():
 
 
 # -- JSON -----------------------------------------------------------------------
+
+
+def surface_from_json_obj(obj, source: str = "surface") -> TubedSurface:
+    """Read back what ``surface_to_json_obj`` writes, checking every region against a rebuilt surface."""
+    if not isinstance(obj, dict):
+        raise MalformedFileError(source, "expected an object")
+    if obj.get("kind") != "tubed_surface":
+        raise MalformedFileError(f"{source}.kind", "expected 'tubed_surface'")
+    genus = obj.get("genus_base")
+    tubes = obj.get("tubes")
+    if type(genus) is not int or genus < 1:
+        raise MalformedFileError(f"{source}.genus_base", "expected an int >= 1")
+    if type(tubes) is not int or tubes < 1:
+        raise MalformedFileError(f"{source}.tubes", "expected an int >= 1")
+    built = build_tubed_surface(genus, tubes)
+    regions = obj.get("regions")
+    if not isinstance(regions, list) or len(regions) != tubes:
+        raise MalformedFileError(f"{source}.regions", f"expected a list of {tubes} regions")
+    for i, entry in enumerate(regions):
+        loc = f"{source}.regions[{i}]"
+        if not isinstance(entry, dict):
+            raise MalformedFileError(loc, "expected an object")
+        want = built.regions[i]
+        got = (
+            entry.get("index"),
+            entry.get("block_side"),
+            entry.get("own_tube_side"),
+            entry.get("feet_bottom"),
+            entry.get("feet_top"),
+        )
+        expect = (
+            want.index,
+            want.block_side,
+            want.own_tube_side,
+            list(want.feet_bottom),
+            list(want.feet_top),
+        )
+        if got != expect:
+            raise MalformedFileError(loc, f"inconsistent region data; expected {expect}")
+    return built
 
 
 def test_surface_json_roundtrip():
