@@ -6,7 +6,8 @@ points) is homeomorphic to the sphere S^{n-1}, so its reduced homology
 should be Z in dimension n-1 and zero elsewhere, with no torsion.  This
 script computes the profile for n = 1..N with exact integer homology (sparse
 unit-pivot elimination of the boundary matrices, Smith normal form on any
-residual core) and prints one row per n.
+residual core) and prints one row per n.  The spheres come from
+``tests/oracles.py``, where the tests build them too.
 
 Usage:
     python3 scripts/octahedral_homology_table.py [N]
@@ -15,11 +16,15 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
-from disklab.flagcomplex import flag_cliques, octahedral_sphere
+from disklab.flagcomplex import flag_cliques
 from disklab.homology import reduced_homology
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from oracles import octahedral_sphere  # noqa: E402
 
 
 def main(argv=None) -> int:

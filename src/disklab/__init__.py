@@ -9,8 +9,8 @@ simplicial retraction -- that those spheres are homologically essential.
 
 Public entry points live in the submodules:
 
-- :mod:`disklab.flagcomplex` -- flag complexes, clique enumeration, suspension,
-  octahedral spheres, JSON (de)serialization.
+- :mod:`disklab.flagcomplex` -- flag complexes, clique enumeration, JSON
+  (de)serialization.
 - :mod:`disklab.homology` -- exact integer homology (sparse unit-pivot
   elimination, Smith normal form on the residual core) and the cycle-level
   retraction certificate.

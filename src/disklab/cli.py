@@ -47,11 +47,18 @@ EXIT_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_CAP = 3
 
+DEFAULT_ARC_BOUND = 3
+DEFAULT_BANDSUM_DEPTH = 2
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--arc-bound", type=int, default=3, help="maximum arc-code length (default 3)")
+    # The catalog options parse to None when absent, so that `certify
+    # --from-build` can reject them; `_catalog_config` fills in the defaults.
     parser.add_argument(
-        "--bandsum-depth", type=int, default=2, help="band-sum nesting depth, 0-2 (default 2)"
+        "--arc-bound", type=int, help=f"maximum arc-code length (default {DEFAULT_ARC_BOUND})"
+    )
+    parser.add_argument(
+        "--bandsum-depth", type=int, help=f"band-sum nesting depth, 0-2 (default {DEFAULT_BANDSUM_DEPTH})"
     )
     parser.add_argument("--out", default=".", help="output directory (default: current directory)")
 
@@ -157,14 +164,23 @@ def _check_max_simplices(value: int) -> None:
         raise InvalidConfigError(f"--max-simplices must be >= 0, got {value}")
 
 
+def _catalog_config(args):
+    from .disks import CatalogConfig
+
+    return CatalogConfig(
+        arc_bound=DEFAULT_ARC_BOUND if args.arc_bound is None else args.arc_bound,
+        bandsum_depth=DEFAULT_BANDSUM_DEPTH if args.bandsum_depth is None else args.bandsum_depth,
+    )
+
+
 def cmd_build(args) -> int:
-    from .disks import CatalogConfig, build_disk_catalog, catalog_to_json_obj
+    from .disks import build_disk_catalog, catalog_to_json_obj
     from .surface import build_tubed_surface, surface_to_json_obj
 
     if args.tubes is None or args.tubes < 1:
         raise InvalidConfigError("build needs --tubes >= 1 (the literal tube count)")
     _make_out_dir(args.out)
-    config = CatalogConfig(arc_bound=args.arc_bound, bandsum_depth=args.bandsum_depth)
+    config = _catalog_config(args)
     surface = build_tubed_surface(args.genus, args.tubes)
     catalog = build_disk_catalog(surface, config)
     _write(args.out, "surface.json", canonical_json(surface_to_json_obj(surface)))
@@ -178,12 +194,19 @@ def cmd_build(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    from .disks import CatalogConfig, catalog_from_json_obj
+    from .disks import catalog_from_json_obj
     from .retraction import certify_catalog, certify_minimality, render_report
 
     _check_max_simplices(args.max_simplices)
     if args.from_build is not None:
-        for flag, name in ((args.genus, "--genus"), (args.tubes, "--tubes")):
+        # disks.json fixes the surface and the catalog options.
+        given = (
+            (args.genus, "--genus"),
+            (args.tubes, "--tubes"),
+            (args.arc_bound, "--arc-bound"),
+            (args.bandsum_depth, "--bandsum-depth"),
+        )
+        for flag, name in given:
             if flag is not None:
                 raise InvalidConfigError(f"{name} conflicts with --from-build; pass one or the other")
         _make_out_dir(args.out)
@@ -195,7 +218,7 @@ def cmd_certify(args) -> int:
         if args.genus is None or args.tubes is None:
             raise InvalidConfigError("certify needs --genus and --tubes (or --from-build)")
         _make_out_dir(args.out)
-        config = CatalogConfig(arc_bound=args.arc_bound, bandsum_depth=args.bandsum_depth)
+        config = _catalog_config(args)
         certificate = certify_minimality(args.genus, args.tubes, config, max_simplices=args.max_simplices)
     _write(args.out, "certificate.json", canonical_json(certificate))
     _write(args.out, "report.txt", render_report(certificate))

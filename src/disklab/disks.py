@@ -22,14 +22,36 @@ everything else.  ``disks_disjoint`` returns ``True`` only when
 this calculus certifies disjoint representatives; a ``True`` is therefore
 a proof of disjointness while a ``False`` may be conservative.
 
-Footprint rule: two disks whose tube footprints (``disk_tubes``) and region
-footprints (``disk_regions``) are both disjoint are disjoint.  Every branch
-of the calculus returns ``True`` on such a pair, since each meridian,
-vertical arc and band it compares lies in a tube or region of one
-footprint only.  A disk's region footprint lies inside its tube footprint,
-so disjoint tube footprints already suffice: the pair pass takes such pairs
-in as whole bitset masks.  The calculus reads a band sum's ``copies`` only
-through ``key`` equality, so the pass asks it once per disk shape.
+The calculus, for two descriptors with distinct keys (equal keys are
+parallel copies, hence disjoint).  Write ``m(i, x)`` for "the meridian of
+tube ``i`` misses ``x``": ``x`` is a meridian or ``i`` is not in its tube
+footprint.  For band sums ``B`` with base ``i``, band ``β`` and resolved
+partner ``R``, and ``B'`` with ``i'``, ``β'``, ``R'``:
+
+* ``M(j)`` against ``x``: ``m(j, x)``;
+* ``V(r, α)`` against ``V(r', α')``: ``r != r'``, or ``α`` and ``α'`` are
+  disjoint arcs;
+* ``V`` against ``B``: ``m(i, V)`` and ``R`` against ``V``;
+* ``B`` against ``B'``: ``m(i, R')``, ``m(i', R)``, ``R`` against ``R'``,
+  and, if ``i == i'``, ``β`` and ``β'`` disjoint arcs.
+
+A band's arcs lie in the region of its base.  A partner with arcs in that
+region has the base in its tube footprint, so the meridian term on that
+partner already fails, and a meridian partner has no arcs: no band meets a
+partner that the meridian terms have not already refuted, and the calculus
+has no band-versus-partner term.  Each term reads one part of each disk, so
+the verdict factorises.  :func:`disjointness_rows` masks the disks by
+footprint, by base, by (base, band) and by resolved partner, and builds
+every row as an AND of ORs over those masks; it asks the recursive calculus
+only for the small table of partners and vertical disks against each other.
+That table keeps the equal-key rule, so two band sums with the same partner,
+such as a shared ``B(i;self;β;1)``, have disjoint partners, as above.
+
+Footprint rule: two disks whose tube footprints (``disk_tubes``) are
+disjoint are disjoint.  The regions in which a disk carries arcs lie inside
+its tube footprint, and every term above holds on such a pair, so the table
+takes whole groups of disks with a footprint that misses the other's
+without asking the calculus.
 
 Each descriptor computes its ``key`` and its tube footprint
 (``tube_footprint``) once, when it is built, and a band sum also its
@@ -162,17 +184,6 @@ def disk_tubes(d: Disk) -> frozenset:
     raise InvalidConfigError(f"not a disk descriptor: {d!r}")
 
 
-def disk_regions(d: Disk) -> frozenset:
-    """Indices of regions in which the disk's boundary carries arcs."""
-    if isinstance(d, Meridian):
-        return frozenset()
-    if isinstance(d, VerticalDisk):
-        return frozenset({d.region})
-    if isinstance(d, BandSum):
-        return frozenset({d.base}) | disk_regions(d.resolved_partner)
-    raise InvalidConfigError(f"not a disk descriptor: {d!r}")
-
-
 def validate_disk(d: Disk, surface: TubedSurface) -> None:
     """Check that a descriptor is well formed on the given surface."""
     m = surface.tubes
@@ -203,20 +214,6 @@ def validate_disk(d: Disk, surface: TubedSurface) -> None:
 # -- disjointness calculus -----------------------------------------------------
 
 
-def _band_vs_disk(region: int, arc: ArcCode, d: Disk, surface: TubedSurface) -> bool:
-    # Parallel band arcs in `region` against the constituents of `d`.  Bands
-    # stay in the block of their region, so they never meet a meridian.
-    if isinstance(d, Meridian):
-        return True
-    if isinstance(d, VerticalDisk):
-        if d.region != region:
-            return True
-        return arcs_disjoint(surface.genus_base, arc, d.arc)
-    if d.base == region and not arcs_disjoint(surface.genus_base, arc, d.band):
-        return False
-    return _band_vs_disk(region, arc, d.resolved_partner, surface)
-
-
 def _meridian_misses(index: int, d: Disk) -> bool:
     # The calculus on (Meridian(index), d), without building the meridian: a
     # meridian misses every other meridian and every disk off its tube.
@@ -240,27 +237,16 @@ def disks_disjoint_unvalidated(a: Disk, b: Disk, surface: TubedSurface) -> bool:
             if a.region != b.region:
                 return True
             return arcs_disjoint(surface.genus_base, a.arc, b.arc)
-        return (
-            _meridian_misses(b.base, a)
-            and disks_disjoint_unvalidated(b.resolved_partner, a, surface)
-            and _band_vs_disk(b.base, b.band, a, surface)
-        )
+        return _meridian_misses(b.base, a) and disks_disjoint_unvalidated(b.resolved_partner, a, surface)
     # Both band sums.  Bases are parallel pushed copies of meridians and stay
     # disjoint from each other even when the index coincides (nesting).
     pa, pb = a.resolved_partner, b.resolved_partner
-    if not _meridian_misses(a.base, pb):
-        return False
-    if not _meridian_misses(b.base, pa):
-        return False
-    if not disks_disjoint_unvalidated(pa, pb, surface):
-        return False
-    if not _band_vs_disk(a.base, a.band, pb, surface):
-        return False
-    if not _band_vs_disk(b.base, b.band, pa, surface):
-        return False
-    if a.base == b.base and not arcs_disjoint(surface.genus_base, a.band, b.band):
-        return False
-    return True
+    return (
+        _meridian_misses(a.base, pb)
+        and _meridian_misses(b.base, pa)
+        and disks_disjoint_unvalidated(pa, pb, surface)
+        and (a.base != b.base or arcs_disjoint(surface.genus_base, a.band, b.band))
+    )
 
 
 def disks_disjoint(a: Disk, b: Disk, surface: TubedSurface) -> bool:
@@ -270,12 +256,123 @@ def disks_disjoint(a: Disk, b: Disk, surface: TubedSurface) -> bool:
     return disks_disjoint_unvalidated(a, b, surface)
 
 
+def _footprint_bits(d: Disk) -> int:
+    return sum(1 << t for t in d.tube_footprint)
+
+
+def _masks(values) -> dict:
+    """Each value, in order of first appearance, to the bitset of its positions (so disjoint)."""
+    out = {}
+    for i, v in enumerate(values):
+        out[v] = out.get(v, 0) | 1 << i
+    return out
+
+
+def disjointness_rows(disks, surface: TubedSurface) -> list:
+    """Per disk of ``disks``, the bitset of the other disks certified disjoint from it.
+
+    Bit ``j`` of row ``i`` is :func:`disks_disjoint_unvalidated` on disks
+    ``i`` and ``j``, for every ``j != i``, read off the factorised calculus
+    of the module docstring.  Each term of a pair's verdict reads one part
+    of each disk: a footprint, a base, a (base, band) or a resolved partner.
+    Each of those parts partitions the disks, so a row is an AND of a few
+    masks, each an OR over one partition.  The calculus itself is asked only
+    about pairs of partners and vertical disks whose footprints overlap, once
+    per pair.
+    """
+    genus = surface.genus_base
+    fps = [_footprint_bits(d) for d in disks]
+    by_footprint = _masks(fps)
+    misses = {f: sum(mask for g, mask in by_footprint.items() if not f & g) for f in by_footprint}
+    same_key = _masks(d.key for d in disks)
+    meridians = verticals = 0
+    # Footprint bits -> [union mask, {key: [disk, mask]}]: the vertical disks
+    # by themselves, and the band sums by resolved partner.
+    vertical_family, partner_family = {}, {}
+    bands_at = {}  # base -> band -> mask of band sums
+    for k, d in enumerate(disks):
+        bit = 1 << k
+        if isinstance(d, Meridian):
+            meridians |= bit
+            continue
+        if isinstance(d, VerticalDisk):
+            family, member = vertical_family, d
+        else:
+            at_base = bands_at.setdefault(d.base, {})
+            at_base[d.band] = at_base.get(d.band, 0) | bit
+            family, member = partner_family, d.resolved_partner
+        group = family.setdefault(_footprint_bits(member), [0, {}])
+        group[0] |= bit
+        group[1].setdefault(member.key, [member, 0])[1] |= bit
+    of_base = {i: sum(at_base.values()) for i, at_base in bands_at.items()}
+    bands = sum(of_base.values())
+    verdicts = {}
+
+    def toward(x: Disk, family: dict) -> int:
+        # The family's disks that the calculus puts disjoint from x: whole
+        # footprint groups that miss x's footprint, one verdict per member of
+        # the others.
+        fx = _footprint_bits(x)
+        out = 0
+        for f, (union, members) in family.items():
+            if not f & fx:
+                out |= union
+                continue
+            for y, mask in members.values():
+                pair = (x.key, y.key) if x.key < y.key else (y.key, x.key)
+                if pair not in verdicts:
+                    verdicts[pair] = disks_disjoint_unvalidated(x, y, surface)
+                if verdicts[pair]:
+                    out |= mask
+        return out
+
+    atoms = {
+        y.key: y for family in (vertical_family, partner_family) for _, ys in family.values() for y, _ in ys.values()
+    }
+    # Per vertical disk or partner x: the vertical disks disjoint from it, and
+    # the band sums whose base meridian misses x and whose partner is
+    # disjoint from x.
+    to_verticals = {key: toward(x, vertical_family) for key, x in atoms.items()}
+    to_bands = {
+        key: toward(x, partner_family) & sum(mask for i, mask in of_base.items() if _meridian_misses(i, x))
+        for key, x in atoms.items()
+    }
+    # Per base i: the vertical disks off tube i, and the band sums whose
+    # partner the meridian of tube i misses.
+    off_base = {
+        i: (
+            sum(union for f, (union, _) in vertical_family.items() if not f >> i & 1),
+            sum(mask for _, ys in partner_family.values() for y, mask in ys.values() if _meridian_misses(i, y)),
+        )
+        for i in of_base
+    }
+    # Per (base, band): the band sums on another base or with a disjoint band.
+    band_ok = {
+        (i, band): bands & ~of_base[i]
+        | sum(mask for other, mask in at_base.items() if arcs_disjoint(genus, band, other))
+        for i, at_base in bands_at.items()
+        for band in at_base
+    }
+    rows = []
+    for k, d in enumerate(disks):
+        f = fps[k]
+        if isinstance(d, Meridian):
+            row = meridians | misses[f]
+        elif isinstance(d, VerticalDisk):
+            row = meridians & misses[f] | to_verticals[d.key] | to_bands[d.key]
+        else:
+            p = d.resolved_partner.key
+            vertical_ok, partner_ok = off_base[d.base]
+            row = (
+                meridians & misses[f]
+                | vertical_ok & to_verticals[p]
+                | partner_ok & band_ok[(d.base, d.band)] & to_bands[p]
+            )
+        rows.append((row | same_key[d.key]) & ~(1 << k))
+    return rows
+
+
 # -- classification --------------------------------------------------------------
-
-
-def distinguished_disk(surface: TubedSurface) -> Meridian:
-    """The top meridian: the unique cataloged disk of type T1."""
-    return Meridian(surface.tubes)
 
 
 def classify_type(d: Disk, surface: TubedSurface) -> str:
@@ -292,14 +389,12 @@ def classify_type(d: Disk, surface: TubedSurface) -> str:
 
 def classify_type_unvalidated(d: Disk, surface: TubedSurface) -> str:
     """:func:`classify_type` for a descriptor already validated on ``surface``."""
-    e = distinguished_disk(surface)
-    if d.key == e.key:
+    top = surface.tubes
+    if isinstance(d, Meridian) and d.index == top:
         return "T1"
     if disk_side(d) == surface.w_side:
         return "T2"
-    if disks_disjoint_unvalidated(d, e, surface):
-        return "T4"
-    return "T3"
+    return "T4" if _meridian_misses(top, d) else "T3"
 
 
 def meets_distinguished(d: Disk, surface: TubedSurface) -> bool:
@@ -310,7 +405,7 @@ def meets_distinguished(d: Disk, surface: TubedSurface) -> bool:
 
 def meets_distinguished_unvalidated(d: Disk, surface: TubedSurface) -> bool:
     """:func:`meets_distinguished` for a descriptor already validated on ``surface``."""
-    return not disks_disjoint_unvalidated(d, distinguished_disk(surface), surface)
+    return not _meridian_misses(surface.tubes, d)
 
 
 # -- catalogs --------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Flag complexes, suspension, octahedral spheres, JSON formats.
+"""Flag complexes, clique enumeration, JSON formats.
 
 A :class:`FlagComplex` stores only vertices (opaque string ids with display
 labels) and a symmetric, irreflexive adjacency relation.  Simplices are never
@@ -96,15 +96,6 @@ class FlagComplex:
         return f"FlagComplex({len(self._labels)} vertices, {self.edge_count()} edges)"
 
 
-def copy_complex(c: FlagComplex) -> FlagComplex:
-    out = FlagComplex()
-    for vid in c.vertex_ids:
-        out.add_vertex(vid, c.label(vid))
-    for (u, v) in c.edges:
-        out.add_edge(u, v)
-    return out
-
-
 # -- clique enumeration ----------------------------------------------------
 
 
@@ -154,53 +145,6 @@ def _cap_check(bucket: list, dim: int, max_per_dim: int | None) -> None:
         raise ResourceCapError(
             "max_simplices", f"more than {max_per_dim} simplices in dimension {dim}", max_per_dim
         )
-
-
-# -- constructions ----------------------------------------------------------
-
-
-def suspend(
-    c: FlagComplex,
-    a: str,
-    b: str,
-    label_a: str | None = None,
-    label_b: str | None = None,
-) -> FlagComplex:
-    """Suspension: two new mutually non-adjacent vertices coned over ``c``."""
-    if c.has_vertex(a):
-        raise InvalidConfigError(f"suspension vertex id {a!r} already present")
-    if c.has_vertex(b):
-        raise InvalidConfigError(f"suspension vertex id {b!r} already present")
-    if a == b:
-        raise InvalidConfigError("suspension vertices must be distinct")
-    out = copy_complex(c)
-    out.add_vertex(a, label_a)
-    out.add_vertex(b, label_b)
-    for vid in c.vertex_ids:
-        out.add_edge(a, vid)
-        out.add_edge(b, vid)
-    return out.freeze()
-
-
-def octahedral_sphere(n: int) -> FlagComplex:
-    """Boundary of the n-dimensional cross-polytope as a flag complex.
-
-    ``n`` antipodal pairs ``p{i}``/``q{i}``; two vertices are adjacent iff
-    they belong to different pairs.  Equals ``suspend`` applied ``n - 1``
-    times to the two-point complex; homeomorphic to the sphere S^{n-1}.
-    """
-    if n < 1:
-        raise InvalidConfigError(f"octahedral_sphere needs n >= 1, got {n}")
-    out = FlagComplex()
-    for i in range(n):
-        out.add_vertex(f"p{i}", f"antipodal pair {i} (+)")
-        out.add_vertex(f"q{i}", f"antipodal pair {i} (-)")
-    for i in range(n):
-        for j in range(i + 1, n):
-            for u in (f"p{i}", f"q{i}"):
-                for v in (f"p{j}", f"q{j}"):
-                    out.add_edge(u, v)
-    return out.freeze()
 
 
 # -- JSON ---------------------------------------------------------------------

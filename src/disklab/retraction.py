@@ -29,14 +29,14 @@ cataloged complex, and an exact homology certificate that the composite fixes
 a generating ``n``-cycle; ``certify_minimality`` builds the catalog first.
 Each catalog disk gets one record (top-level type, image, side, tube
 footprint).  The pair pass turns the records into one bitset row per disk,
-of the disks certified disjoint from it, deciding disjointness once per disk
-shape (a band sum's copies dropped), and reads the certified-disjoint pairs,
-the claim tally and the V/W witness off the rows.  That pass is also the
-only simpliciality check: on the octahedron two images span a non-edge
-exactly when they are antipodal, which is what the claim tally tests on every
-edge of the cataloged complex.  The retraction check that follows is on
-vertices only: the sphere lies in the cataloged complex, every image lies in
-the sphere, and the sphere is fixed.
+of the disks certified disjoint from it, each an AND of a few precomputed
+masks (:func:`~disklab.disks.disjointness_rows`), and reads the
+certified-disjoint pairs, the claim tally and the V/W witness off the rows.
+That pass is also the only simpliciality check: on the octahedron two images
+span a non-edge exactly when they are antipodal, which is what the claim
+tally tests on every edge of the cataloged complex.  The retraction check
+that follows is on vertices only: the sphere lies in the cataloged complex,
+every image lies in the sphere, and the sphere is fixed.
 """
 
 from __future__ import annotations
@@ -51,14 +51,15 @@ from .disks import (
     Disk,
     DiskCatalog,
     Meridian,
+    _footprint_bits,
+    _masks,
     build_disk_catalog,
     classify_type,
     classify_type_unvalidated,
     config_to_json_obj,
-    disk_regions,
+    disjointness_rows,
     disk_side,
     disk_to_json_obj,
-    disk_tubes,
     disks_disjoint,
     disks_disjoint_unvalidated,
     meets_distinguished,
@@ -290,15 +291,20 @@ class RetractionEngine:
       :func:`~disklab.disks.validate_disk` has checked recursively along with
       the band sum itself, or the remainder band sum with ``copies - 1 >= 1``
       copies and the same base, partner and band, so the same checks hold;
-    * a projected disk keeps its descriptor, and the two footprint asserts
-      show that its tube and region indices all lie below ``level``, so they
-      are in range on the surface with ``level - 1`` tubes; arc codes depend
-      only on the genus and sides only on the tube index, so every other
-      check carries over unchanged.
+    * a projected disk keeps its descriptor, and the footprint assert shows
+      that its tube indices, and so its region indices, all lie below
+      ``level``, so they are in range on the surface with ``level - 1``
+      tubes; arc codes depend only on the genus and sides only on the tube
+      index, so every other check carries over unchanged.
 
     Types and top-meridian tests inside the recursion therefore use the
     unvalidated cores of :func:`~disklab.disks.classify_type` and
-    :func:`~disklab.disks.meets_distinguished`.
+    :func:`~disklab.disks.meets_distinguished`.  Both follow from the
+    footprint alone and build no disk: at ``level`` tubes, T1 is
+    ``M(level)``, T2 any other disk on ``tube_side(level)``, T4 a meridian
+    or a disk whose footprint misses ``level``, and T3 the rest; a disk
+    meets the top meridian when it is not a meridian and its footprint
+    contains ``level``.
     """
 
     def __init__(self, surface: TubedSurface, catalog: DiskCatalog, sphere: SuspensionSphere):
@@ -375,10 +381,10 @@ class RetractionEngine:
                 vertex, branch = self._surgery_image(d, level), "surgered"
             else:
                 # T4, or T2 missing the top meridian: the footprint avoids
-                # tube and region ``level``, so the same descriptor denotes an
-                # isotopic disk on the surface with one tube fewer.
-                assert level not in disk_tubes(d), d.key
-                assert level not in disk_regions(d), d.key
+                # tube ``level``, and so region ``level``, which lies inside
+                # it.  The same descriptor denotes an isotopic disk on the
+                # surface with one tube fewer.
+                assert level not in d.tube_footprint, d.key
                 vertex, branch = self._image(d, level - 1), "projected"
         self._images[memo_key] = vertex
         self._branches[memo_key] = branch
@@ -431,7 +437,7 @@ def _disk_records(engine: RetractionEngine, images: dict) -> list:
             engine.type_at(d, m),
             images.get(d.key),
             disk_side(d),
-            sum(1 << t for t in d.tube_footprint),
+            _footprint_bits(d),
         )
         for d in engine.catalog.disks
     ]
@@ -451,53 +457,17 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _masks(values) -> dict:
-    """Each value, in order of first appearance, to the bitset of its positions (so disjoint)."""
-    out = {}
-    for i, v in enumerate(values):
-        out[v] = out.get(v, 0) | 1 << i
-    return out
-
-
-def _shape(d: Disk) -> str:
-    # A band sum's key without its copy count; any other disk's key.
-    return d.key.rpartition(";")[0] if isinstance(d, BandSum) else d.key
-
-
-def _disjointness_rows(records: list, surface: TubedSurface) -> list:
-    """Per catalog disk, the bitset of the other catalog disks certified disjoint from it."""
-    shapes = _masks(_shape(r.disk) for r in records)
-    by_footprint = _masks(r.tubes for r in records)
-    misses = {f: sum(mask for g, mask in by_footprint.items() if not f & g) for f in by_footprint}
-    reps = [(records[next(_bits(copies))], copies) for copies in shapes.values()]
-    rows = [misses[r.tubes] for r, _ in reps]
-    for s, (a, copies) in enumerate(reps):
-        for t in range(s + 1, len(reps)):
-            b, b_copies = reps[t]
-            if a.tubes & b.tubes and disks_disjoint_unvalidated(a.disk, b.disk, surface):
-                rows[s] |= b_copies
-                rows[t] |= copies
-        others = copies & (copies - 1)  # every copy but the first
-        if others and disks_disjoint_unvalidated(a.disk, records[next(_bits(others))].disk, surface):
-            rows[s] |= copies
-    row_of = dict(zip(shapes, rows))
-    return [row_of[_shape(r.disk)] & ~(1 << i) for i, r in enumerate(records)]
-
-
 def _scan_pairs(records: list, surface: TubedSurface, tally: bool, keep=frozenset()):
     """The pair pass: (kept disjoint pairs, claim tally, V/W witness).
 
     Each disk gets one row: the bitset over catalog indices of the other
-    disks certified disjoint from it.  Rows are filled once per *shape*, a
-    descriptor with a band sum's ``copies`` dropped.  A row starts as the
-    mask of every disk whose tube footprint misses the shape's (disjoint by
-    the footprint rule of :mod:`disklab.disks`); the calculus is asked only
-    about overlapping pairs of distinct shapes, and once per shape with
-    several copies.  This is exact: the calculus reads ``copies`` only
-    through ``key`` equality, so all copies of a shape get the same verdict
-    against every other disk, and any two of them the same verdict against
-    each other.  Results are read off the rows in catalog order, lowest bit
-    first, which is the order of a loop over pairs ``i < j``.
+    disks certified disjoint from it, from
+    :func:`~disklab.disks.disjointness_rows`.  A row is an AND of masks over
+    the catalog's footprints, bases, (base, band) pairs and resolved
+    partners, so the calculus is asked only about pairs of partners and
+    vertical disks, not about pairs of catalog disks.  Results are read off
+    the rows in catalog order, lowest bit first, which is the order of a loop
+    over pairs ``i < j``.
 
     Only disjoint pairs of two disks with keys in ``keep`` are returned; the
     others are counted.  The tally needs every image and is ``None`` unless
@@ -505,7 +475,7 @@ def _scan_pairs(records: list, surface: TubedSurface, tally: bool, keep=frozense
     side, as ``(v_disk, w_disk)``.
     """
     # Row i restricted to the disks after i: each pair is read once.
-    later = [row & -(2 << i) for i, row in enumerate(_disjointness_rows(records, surface))]
+    later = [row & -(2 << i) for i, row in enumerate(disjointness_rows([r.disk for r in records], surface))]
     keep_mask = sum(1 << i for i, r in enumerate(records) if r.disk.key in keep)
     kept = [(records[i].disk, records[j].disk) for i in _bits(keep_mask) for j in _bits(later[i] & keep_mask)]
     on_side = _masks(r.side for r in records)
@@ -521,6 +491,8 @@ def _scan_pairs(records: list, surface: TubedSurface, tally: bool, keep=frozense
 
     of_type = _masks(r.type for r in records)
     of_image = _masks(r.image for r in records)
+    # Per image, the disks whose images are antipodal to it.
+    antipodal = {x: of_image.get(SphereVertex(x.pair_index, "E" if x.letter == "D" else "D"), 0) for x in of_image}
     forbidden = {
         ta: sum(mask for tb, mask in of_type.items() if (ta, tb) not in _CASE_OF_ORDERED_TYPES)
         for ta in of_type
@@ -539,8 +511,7 @@ def _scan_pairs(records: list, surface: TubedSurface, tally: bool, keep=frozense
         for tb, mask in of_type.items():
             if row & mask:
                 per_case[_CASE_OF_ORDERED_TYPES[(ta, tb)]] += (row & mask).bit_count()
-        antipode = SphereVertex(xa.pair_index, "E" if xa.letter == "D" else "D")
-        for j in _bits(row & of_image.get(antipode, 0)):
+        for j in _bits(row & antipodal[xa]):
             b, tb, xb, _, _ = records[j]
             case = _CASE_OF_ORDERED_TYPES[(ta, tb)]
             violations.append(

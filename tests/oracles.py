@@ -14,12 +14,20 @@ every merge of two embedded solo drawings.  It draws those from
 ``level_search_drawings``, the oracle's own search, never from the
 insertion step it is compared against.  ``project_disk``
 re-decides a disk's type before re-homing it one tube level down, which the
-retraction engine does inline.
+retraction engine does inline; it checks the region footprint
+(``disk_regions``) as well as the tube footprint, which contains it.
 
-The pair pass reads its results off per-disk bitset rows filled once per disk
-shape; ``scan_pairs_by_loop`` is the loop it replaced, one calculus call per
-pair whose tube footprints overlap.  ``verify_claim_cases`` runs the claim
-tally on an engine alone, computing every image first.
+The pair pass reads its results off per-disk bitset rows, each an AND of
+masks; ``scan_pairs_by_loop`` is the loop it replaced, one calculus call per
+pair whose tube footprints overlap.  ``disks_disjoint_with_band_terms`` is
+the disk calculus with the band-versus-partner terms that the meridian
+terms imply, and with every meridian term asked of a built meridian.
+``verify_claim_cases`` runs the claim tally on an engine alone, computing
+every image first.
+
+``copy_complex``, ``suspend`` and ``octahedral_sphere`` build the flag
+complexes that the homology and flag-complex tests start from; no
+subcommand needs them.
 """
 
 from __future__ import annotations
@@ -31,9 +39,11 @@ from itertools import combinations, permutations, product
 from typing import Iterable
 
 from disklab.disks import (
+    BandSum,
     Disk,
+    Meridian,
+    VerticalDisk,
     classify_type,
-    disk_regions,
     disk_tubes,
     disks_disjoint_unvalidated,
     meets_distinguished,
@@ -46,10 +56,64 @@ from disklab.surface import (
     TubedSurface,
     _entries,
     _side_index,
+    arcs_disjoint,
     canonical_code,
     side_word,
     validate_code,
 )
+
+
+def copy_complex(c: FlagComplex) -> FlagComplex:
+    out = FlagComplex()
+    for vid in c.vertex_ids:
+        out.add_vertex(vid, c.label(vid))
+    for (u, v) in c.edges:
+        out.add_edge(u, v)
+    return out
+
+
+def suspend(
+    c: FlagComplex,
+    a: str,
+    b: str,
+    label_a: str | None = None,
+    label_b: str | None = None,
+) -> FlagComplex:
+    """Suspension: two new mutually non-adjacent vertices coned over ``c``."""
+    if c.has_vertex(a):
+        raise InvalidConfigError(f"suspension vertex id {a!r} already present")
+    if c.has_vertex(b):
+        raise InvalidConfigError(f"suspension vertex id {b!r} already present")
+    if a == b:
+        raise InvalidConfigError("suspension vertices must be distinct")
+    out = copy_complex(c)
+    out.add_vertex(a, label_a)
+    out.add_vertex(b, label_b)
+    for vid in c.vertex_ids:
+        out.add_edge(a, vid)
+        out.add_edge(b, vid)
+    return out.freeze()
+
+
+def octahedral_sphere(n: int) -> FlagComplex:
+    """Boundary of the n-dimensional cross-polytope as a flag complex.
+
+    ``n`` antipodal pairs ``p{i}``/``q{i}``; two vertices are adjacent iff
+    they belong to different pairs.  Equals ``suspend`` applied ``n - 1``
+    times to the two-point complex; homeomorphic to the sphere S^{n-1}.
+    """
+    if n < 1:
+        raise InvalidConfigError(f"octahedral_sphere needs n >= 1, got {n}")
+    out = FlagComplex()
+    for i in range(n):
+        out.add_vertex(f"p{i}", f"antipodal pair {i} (+)")
+        out.add_vertex(f"q{i}", f"antipodal pair {i} (-)")
+    for i in range(n):
+        for j in range(i + 1, n):
+            for u in (f"p{i}", f"q{i}"):
+                for v in (f"p{j}", f"q{j}"):
+                    out.add_edge(u, v)
+    return out.freeze()
 
 
 def induced_subcomplex(c: FlagComplex, vertex_ids: Iterable[str]) -> FlagComplex:
@@ -353,7 +417,65 @@ def min_crossings(genus: int, a: ArcCode, b: ArcCode) -> int:
     return best
 
 
+# -- the disk calculus ------------------------------------------------------------
+
+
+def _band_misses(region: int, arc: ArcCode, d: Disk, surface: TubedSurface) -> bool:
+    # Parallel band arcs in ``region`` against every vertical arc and band of ``d``.
+    if isinstance(d, Meridian):
+        return True
+    if isinstance(d, VerticalDisk):
+        return d.region != region or arcs_disjoint(surface.genus_base, arc, d.arc)
+    if d.base == region and not arcs_disjoint(surface.genus_base, arc, d.band):
+        return False
+    return _band_misses(region, arc, d.resolved_partner, surface)
+
+
+def disks_disjoint_with_band_terms(a: Disk, b: Disk, surface: TubedSurface) -> bool:
+    """The disk calculus with its band-versus-partner terms spelled out.
+
+    ``disks.disks_disjoint_unvalidated`` leaves these terms out because the
+    meridian terms imply them; this version checks every band against every
+    arc and band of the other side's partner as well.
+    """
+    if a.key == b.key:
+        return True
+    rank = {Meridian: 0, VerticalDisk: 1, BandSum: 2}
+    if rank[type(a)] > rank[type(b)]:
+        a, b = b, a
+    if isinstance(a, Meridian):
+        return isinstance(b, Meridian) or a.index not in b.tube_footprint
+    if isinstance(a, VerticalDisk):
+        if isinstance(b, VerticalDisk):
+            return a.region != b.region or arcs_disjoint(surface.genus_base, a.arc, b.arc)
+        return (
+            disks_disjoint_with_band_terms(Meridian(b.base), a, surface)
+            and disks_disjoint_with_band_terms(b.resolved_partner, a, surface)
+            and _band_misses(b.base, b.band, a, surface)
+        )
+    pa, pb = a.resolved_partner, b.resolved_partner
+    return (
+        disks_disjoint_with_band_terms(Meridian(a.base), pb, surface)
+        and disks_disjoint_with_band_terms(Meridian(b.base), pa, surface)
+        and disks_disjoint_with_band_terms(pa, pb, surface)
+        and _band_misses(a.base, a.band, pb, surface)
+        and _band_misses(b.base, b.band, pa, surface)
+        and (a.base != b.base or arcs_disjoint(surface.genus_base, a.band, b.band))
+    )
+
+
 # -- projection ------------------------------------------------------------------
+
+
+def disk_regions(d: Disk) -> frozenset:
+    """Indices of regions in which the disk's boundary carries arcs."""
+    if isinstance(d, Meridian):
+        return frozenset()
+    if isinstance(d, VerticalDisk):
+        return frozenset({d.region})
+    if isinstance(d, BandSum):
+        return frozenset({d.base}) | disk_regions(d.resolved_partner)
+    raise InvalidConfigError(f"not a disk descriptor: {d!r}")
 
 
 def project_disk(d: Disk, surface: TubedSurface) -> Disk:

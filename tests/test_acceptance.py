@@ -39,10 +39,11 @@ from disklab.disks import (
     disk_side,
     disks_disjoint,
 )
-from disklab.flagcomplex import FlagComplex, canonical_json, octahedral_sphere, suspend
+from disklab.flagcomplex import FlagComplex, canonical_json
 from disklab.homology import reduced_homology
 from disklab.retraction import RetractionEngine, build_suspension_sphere, certify_minimality
 from disklab.surface import build_tubed_surface, opposite_side, tube_side
+from oracles import octahedral_sphere, suspend
 
 INSTANCES = ((1, 1), (1, 2), (2, 1), (2, 2))
 CONFIG = CatalogConfig(arc_bound=3, bandsum_depth=2)

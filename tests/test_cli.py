@@ -18,12 +18,8 @@ import pytest
 
 from disklab import disks, homology, retraction
 from disklab.cli import EXIT_CAP, EXIT_CONFIG, EXIT_FAILED, EXIT_OK, main
-from disklab.flagcomplex import (
-    canonical_json,
-    complex_to_json_obj,
-    octahedral_sphere,
-    write_text_file,
-)
+from disklab.flagcomplex import canonical_json, complex_to_json_obj, write_text_file
+from oracles import octahedral_sphere
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "goldens.json")
@@ -212,6 +208,32 @@ def test_certify_from_build_rejects_conflicting_flags(tmp_path, capsys):
     )
     assert code == EXIT_CONFIG
     assert "conflicts with --from-build" in stderr
+
+
+@pytest.mark.parametrize(
+    ("flag", "value"),
+    [("--arc-bound", "7"), ("--bandsum-depth", "0"), ("--arc-bound", "3"), ("--bandsum-depth", "2")],
+)
+def test_certify_from_build_rejects_catalog_flags(flag, value, tmp_path, capsys):
+    """disks.json fixes the catalog options, so an explicit one is an error, even at its default."""
+    build_dir = str(tmp_path / "build")
+    run(["build", "--genus", "1", "--tubes", "2", "--out", build_dir], capsys)
+    out = tmp_path / "out"
+    code, stdout, stderr = run(["certify", "--from-build", build_dir, flag, value, "--out", str(out)], capsys)
+    assert code == EXIT_CONFIG
+    assert stderr == f"error: {flag} conflicts with --from-build; pass one or the other\n"
+    assert stdout == "" and not out.exists()
+
+
+def test_catalog_flags_keep_their_defaults(tmp_path, capsys):
+    """Without the flags, build and certify use arc bound 3 and band-sum depth 2."""
+    assert run(["build", "--genus", "1", "--tubes", "2", "--out", str(tmp_path / "b")], capsys)[0] == EXIT_OK
+    config = json.loads((tmp_path / "b" / "disks.json").read_text())["config"]
+    assert (config["arc_bound"], config["bandsum_depth"]) == (3, 2)
+    assert run(["certify", "--genus", "1", "--tubes", "1", "--out", str(tmp_path / "c")], capsys)[0] == EXIT_OK
+    cert = json.loads((tmp_path / "c" / "certificate.json").read_text())
+    config = cert["parameters"]["catalog_config"]
+    assert (config["arc_bound"], config["bandsum_depth"]) == (3, 2)
 
 
 def test_certify_from_build_rejects_tampered_catalog(tmp_path, capsys):

@@ -21,21 +21,19 @@ from disklab.disks import (
     config_from_json_obj,
     config_to_json_obj,
     disk_from_json_obj,
-    disk_regions,
     disk_side,
     disk_to_json_obj,
     disk_tubes,
     disk_variant,
     disks_disjoint,
     disks_disjoint_unvalidated,
-    distinguished_disk,
     meets_distinguished,
     validate_disk,
 )
 from disklab.errors import InvalidConfigError, MalformedFileError
 from disklab.flagcomplex import canonical_json
 from disklab.surface import SIDE_A, SIDE_B, build_tubed_surface
-from oracles import project_disk
+from oracles import disk_regions, disks_disjoint_with_band_terms, project_disk
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +220,8 @@ def test_footprint_rule_agrees_with_the_calculus(genus, n):
 def test_copies_never_change_a_verdict_but_by_key(genus, n):
     """A band sum's copy count reaches the calculus only through key equality.
 
-    The pair pass relies on this to decide disjointness once per disk shape.
+    The pair pass relies on this: its rows read a band sum's base, band and
+    partner, never its copies.
     """
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
@@ -244,6 +243,61 @@ def test_copies_never_change_a_verdict_but_by_key(genus, n):
                 twin, third, surface
             ), twin.key
     assert checked > 0
+
+
+RAISED_KNOBS = {"arc_bound": 4, "max_vd_arcs_per_region": 20, "max_band_arcs": 6, "max_partner_arcs": 6}
+
+
+@pytest.mark.parametrize(
+    ("genus", "n", "knobs"),
+    [(1, 4, {}), (2, 3, {}), (1, 2, RAISED_KNOBS), (1, 3, {"bandsum_depth": 1, "copies": (1, 2, 3)})],
+    ids=["g1n4", "g2n3", "g1n2-raised", "g1n3-depth1"],
+)
+def test_calculus_without_band_terms_keeps_every_verdict(genus, n, knobs):
+    """The meridian terms imply the band-versus-partner terms, on every catalog pair."""
+    surface = build_tubed_surface(genus, n + 1)
+    catalog = build_disk_catalog(surface, CatalogConfig(**{"arc_bound": 3, **knobs}))
+    disjoint = 0
+    for a, b in itertools.combinations(catalog.disks, 2):
+        verdict = disks_disjoint_unvalidated(a, b, surface)
+        assert verdict == disks_disjoint_with_band_terms(a, b, surface), (a.key, b.key)
+        disjoint += verdict
+    assert 0 < disjoint < len(catalog.disks) * (len(catalog.disks) - 1) // 2
+
+
+def test_rows_on_band_sums_that_share_a_partner(f3):
+    """Band sums sharing a meridian partner, or the depth-2 partner B(3;self;-1;1); one disk twice."""
+    shared = BandSum(3, SELF_PARTNER, (-1,), 1)
+    hand = [
+        BandSum(3, Meridian(1), (-1,), 1),
+        BandSum(3, Meridian(1), (-1,), 2),
+        BandSum(3, Meridian(1), (-2, -2, -1), 1),  # its band meets (-1,)
+        BandSum(3, Meridian(1), (-2,), 1),
+        BandSum(3, shared, (-1,), 1),
+        BandSum(3, shared, (-1,), 2),
+        BandSum(1, shared, (-1,), 1),
+        BandSum(1, shared, (-2,), 1),
+        Meridian(1),
+        shared,
+        VerticalDisk(2, (-1,)),
+        BandSum(3, shared, (-1,), 1),  # listed twice: equal keys are parallel copies
+    ]
+    rows = disks.disjointness_rows(hand, f3)
+    found = set()
+    for (i, a), (j, b) in itertools.combinations(enumerate(hand), 2):
+        verdict = disks_disjoint(a, b, f3)
+        assert bool(rows[i] >> j & 1) == bool(rows[j] >> i & 1) == verdict, (a.key, b.key)
+        if verdict:
+            found.add((i, j))
+    # Base 3 with partner M(1), or B(3;self;-1;1) itself: disjoint when the
+    # bands are.  The meridian of tube 3 meets the partner B(3;self;-1;1), so
+    # no band sum carrying it is disjoint from one based at 3, not even its
+    # own copy; two based at 1 have equal partners, which are parallel copies.
+    # M(1) misses the disks off tube 1, and V(2;-1) every disk here.
+    banded = {(0, 1), (0, 3), (1, 3), (2, 3), (0, 9), (1, 9), (3, 9), (6, 7)}
+    others = {(4, 8), (5, 8), (8, 9), (8, 11), (4, 11)} | {(i, 10) for i in range(10)} | {(10, 11)}
+    assert found == banded | others
+    assert all(rows[i] >> i & 1 == 0 for i in range(len(hand)))
 
 
 def test_sides():
@@ -300,7 +354,7 @@ def test_partition_exactly_one_type(f2, cat2, f3, cat3):
         types = [classify_type(d, surface) for d in catalog.disks]
         assert all(t in ("T1", "T2", "T3", "T4") for t in types)
         assert types.count("T1") == 1
-        top = distinguished_disk(surface)
+        top = Meridian(surface.tubes)
         assert classify_type(top, surface) == "T1"
 
 

@@ -18,10 +18,15 @@ from disklab.flagcomplex import (
     complex_from_json_obj,
     complex_to_json_obj,
     flag_cliques,
+)
+from oracles import (
+    VertexMap,
+    check_retraction,
+    check_simplicial,
+    induced_subcomplex,
     octahedral_sphere,
     suspend,
 )
-from oracles import VertexMap, check_retraction, check_simplicial, induced_subcomplex
 
 
 # -- test-only vertex-map JSON ---------------------------------------------------

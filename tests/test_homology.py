@@ -12,13 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disklab.errors import InvalidConfigError
-from disklab.flagcomplex import (
-    FlagComplex,
-    copy_complex,
-    flag_cliques,
-    octahedral_sphere,
-    suspend,
-)
+from disklab.flagcomplex import FlagComplex, flag_cliques
 from disklab.homology import (
     ChainComplex,
     Column,
@@ -32,7 +26,14 @@ from disklab.homology import (
     reduced_homology,
     smith_normal_form,
 )
-from oracles import VertexMap, check_retraction, induced_subcomplex
+from oracles import (
+    VertexMap,
+    check_retraction,
+    copy_complex,
+    induced_subcomplex,
+    octahedral_sphere,
+    suspend,
+)
 
 # -- helpers ---------------------------------------------------------------------
 

@@ -17,8 +17,10 @@ from disklab.disks import (
     Meridian,
     VerticalDisk,
     build_disk_catalog,
+    disk_side,
     disks_disjoint_unvalidated,
     meets_distinguished,
+    meets_distinguished_unvalidated,
     validate_disk,
 )
 from disklab.errors import InvalidConfigError, WellDefinednessError
@@ -757,6 +759,7 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
         "check_simplicial", "check_retraction", "VertexMap", "catalog_complex",
         "PuncturedSurfaceModel", "build_punctured_model", "solo_drawings", "is_embeddable",
         "SurgeryOutcome", "SurgeryCandidate", "ArcSurgery", "disk_key", "resolve_partner",
+        "distinguished_disk", "disk_regions", "copy_complex", "suspend", "octahedral_sphere",
     )
     for name in ("errors", "surface", "flagcomplex", "homology", "disks", "retraction", "cli"):
         module = importlib.import_module(f"disklab.{name}")
@@ -785,3 +788,74 @@ def test_pair_scan_derives_nothing_again(setup_g1n4, monkeypatch):
     monkeypatch.setattr(disks_module, "enumerate_arcs", counting_enumeration)
     kept, _, _ = retraction_module._scan_pairs(records, surface, tally=False)
     assert kept == [] and built == Counter()
+
+
+@pytest.mark.parametrize(
+    ("genus", "n", "knobs"),
+    [
+        (1, 2, {"arc_bound": 4, "max_vd_arcs_per_region": 20, "max_band_arcs": 6, "max_partner_arcs": 6}),
+        (2, 2, {"arc_bound": 3, "max_vd_arcs_per_region": 10**6, "max_band_arcs": 4, "max_partner_arcs": 4}),
+    ],
+    ids=["g1-k4-v20-b6-p6", "g2-k3-all-b4-p4"],
+)
+def test_pair_pass_matches_the_loop_oracle_on_raised_band_and_partner_arcs(genus, n, knobs):
+    surface = build_tubed_surface(genus, n + 1)
+    catalog = build_disk_catalog(surface, CatalogConfig(**knobs))
+    engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
+    images = {d.key: engine.image(d) for d in catalog.disks}
+    records = retraction_module._disk_records(engine, images)
+    _, claims, _ = assert_scan_matches_the_loop(records, surface, True, frozenset(catalog.keys()))
+    assert claims["passed"] and len({d.resolved_partner.key for d in catalog.band_sums()}) > 10
+
+
+def test_pair_pass_asks_the_calculus_about_partners_only(setup_g1n4, monkeypatch):
+    """Fewer calculus calls, recursion included, than there are catalog disks."""
+    surface, catalog, _, engine, _ = setup_g1n4
+    records = retraction_module._disk_records(engine, {})
+    calls = Counter()
+    calculus = disks_module.disks_disjoint_unvalidated
+
+    def counting(a, b, surface):
+        calls[a.key, b.key] += 1
+        return calculus(a, b, surface)
+
+    monkeypatch.setattr(disks_module, "disks_disjoint_unvalidated", counting)
+    retraction_module._scan_pairs(records, surface, tally=False)
+    assert 0 < sum(calls.values()) < len(catalog.disks)
+
+
+@pytest.mark.parametrize(("genus", "n"), [(1, 4), (2, 3)])
+def test_types_and_top_meridian_tests_follow_the_footprint(genus, n, monkeypatch):
+    """The engine's types and surgery tests, against the calculus on a built top meridian, at every level."""
+    surface = build_tubed_surface(genus, n + 1)
+    catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
+    engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
+    expected = {}
+    for level in range(1, n + 2):
+        sub = build_tubed_surface(genus, level)
+        top = Meridian(level)
+        for d in catalog.disks:
+            if max(d.tube_footprint) > level:
+                continue  # not a disk of this surface
+            meets = not disks_disjoint_unvalidated(d, top, sub)
+            if d.key == top.key:
+                t = "T1"
+            elif disk_side(d) == sub.w_side:
+                t = "T2"
+            else:
+                t = "T3" if meets else "T4"
+            expected[level, d.key] = (t, meets)
+    built = Counter()
+    meridian_init = disks_module.Meridian.__init__
+
+    def counting_meridian(self, *args, **kwargs):
+        built["meridian"] += 1
+        meridian_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(disks_module.Meridian, "__init__", counting_meridian)
+    by_key = catalog.by_key()
+    for (level, key), (t, meets) in expected.items():
+        d = by_key[key]
+        assert engine.type_at(d, level) == t, (level, key)
+        assert meets_distinguished_unvalidated(d, engine._surfaces[level]) == meets, (level, key)
+    assert built == Counter() and {t for t, _ in expected.values()} == {"T1", "T2", "T3", "T4"}
