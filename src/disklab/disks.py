@@ -47,7 +47,7 @@ only for the small table of partners and vertical disks against each other.
 That table keeps the equal-key rule, so two band sums with the same partner,
 such as a shared ``B(i;self;β;1)``, have disjoint partners, as above.
 
-Footprint rule: two disks whose tube footprints (``disk_tubes``) are
+Footprint rule: two disks whose tube footprints (``tube_footprint``) are
 disjoint are disjoint.  The regions in which a disk carries arcs lie inside
 its tube footprint, and every term above holds on such a pair, so the table
 takes whole groups of disks with a footprint that misses the other's
@@ -81,8 +81,6 @@ from .surface import (
 )
 
 SELF_PARTNER = "self"
-
-TYPE_LABELS = ("T1", "T2", "T3", "T4")
 
 # The catalog config in ``disks.json`` and certificates keeps the key of the
 # retired bounded arc search, always at this value, so recorded bytes stay
@@ -174,13 +172,6 @@ def disk_side(d: Disk) -> str:
         return opposite_side(tube_side(d.region))
     if isinstance(d, BandSum):
         return tube_side(d.base)
-    raise InvalidConfigError(f"not a disk descriptor: {d!r}")
-
-
-def disk_tubes(d: Disk) -> frozenset:
-    """Indices of solid tubes the disk's boundary runs over."""
-    if isinstance(d, (Meridian, VerticalDisk, BandSum)):
-        return d.tube_footprint
     raise InvalidConfigError(f"not a disk descriptor: {d!r}")
 
 
@@ -384,28 +375,21 @@ def classify_type(d: Disk, surface: TubedSurface) -> str:
     from it.
     """
     validate_disk(d, surface)
-    return classify_type_unvalidated(d, surface)
+    return type_at(d, surface.tubes)
 
 
-def classify_type_unvalidated(d: Disk, surface: TubedSurface) -> str:
-    """:func:`classify_type` for a descriptor already validated on ``surface``."""
-    top = surface.tubes
-    if isinstance(d, Meridian) and d.index == top:
+def type_at(d: Disk, level: int) -> str:
+    """:func:`classify_type` on the surface with ``level`` tubes, for a disk valid there.
+
+    The type reads only the disk's side and tube footprint and the tube
+    level, and builds no disk.  A disk that is not T1 meets the top meridian
+    exactly when ``level`` is in its footprint.
+    """
+    if isinstance(d, Meridian) and d.index == level:
         return "T1"
-    if disk_side(d) == surface.w_side:
+    if disk_side(d) == tube_side(level):
         return "T2"
-    return "T4" if _meridian_misses(top, d) else "T3"
-
-
-def meets_distinguished(d: Disk, surface: TubedSurface) -> bool:
-    """Whether the disk's footprint forces intersection with the top meridian."""
-    validate_disk(d, surface)
-    return meets_distinguished_unvalidated(d, surface)
-
-
-def meets_distinguished_unvalidated(d: Disk, surface: TubedSurface) -> bool:
-    """:func:`meets_distinguished` for a descriptor already validated on ``surface``."""
-    return not _meridian_misses(surface.tubes, d)
+    return "T4" if _meridian_misses(level, d) else "T3"
 
 
 # -- catalogs --------------------------------------------------------------------
@@ -453,6 +437,9 @@ class CatalogConfig(FrozenRecord):
             raise InvalidConfigError(
                 f"copies must be a nonempty tuple of positive integers, got {_clip(repr(copies))}", "copies"
             )
+        # A repeated count would list each of its band sums twice.
+        if len(set(copies)) != len(copies):
+            raise InvalidConfigError(f"copies must not repeat an entry, got {_clip(repr(copies))}", "copies")
         self._init(
             arc_bound, bandsum_depth, max_vd_arcs_per_region, max_band_arcs, max_partner_arcs, copies, max_arc_classes
         )
@@ -523,7 +510,7 @@ def build_disk_catalog(surface: TubedSurface, config: CatalogConfig) -> DiskCata
             partners = [SELF_PARTNER]
             side = tube_side(i)
             for r in range(1, m + 1):
-                if surface.region(r).block_side == side:
+                if tube_side(r) != side:  # region r's block is on the other side from its tube
                     for arc in arc_classes[r][: config.max_partner_arcs]:
                         partners.append(VerticalDisk(r, arc))
             for j in range(i - 2, 0, -2):
@@ -699,6 +686,9 @@ def catalog_from_json_obj(obj, source: str = "disks") -> DiskCatalog:
     raw_arcs = obj.get("arc_classes")
     if not isinstance(raw_arcs, dict):
         raise MalformedFileError(f"{source}.arc_classes", "arc_classes must be an object")
+    if set(raw_arcs) != {str(r) for r in rebuilt.arc_classes}:
+        got = _clip(repr(sorted(raw_arcs)))
+        raise MalformedFileError(f"{source}.arc_classes", f"expected regions 1..{tubes}, got {got}")
     for r, codes in rebuilt.arc_classes.items():
         raw_codes = raw_arcs.get(str(r))
         if raw_codes != [list(c) for c in codes]:

@@ -68,15 +68,9 @@ class FlagComplex:
     def label(self, vertex_id: str) -> str:
         return self._labels[vertex_id]
 
-    def has_vertex(self, vertex_id: str) -> bool:
-        return vertex_id in self._labels
-
     @property
     def edges(self) -> list[tuple[str, str]]:
         return sorted((u, v) for u, ws in self._adjacency.items() for v in ws if u < v)
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return v in self._adjacency.get(u, ())
 
     def neighbors(self, vertex_id: str) -> list[str]:
         return sorted(self._adjacency.get(vertex_id, ()))

@@ -13,25 +13,30 @@ over tube count:
 
 * the top meridian maps to ``E_n``; disks meeting the top tube from the other
   side map to ``D_n``;
-* disks missing the top tube entirely keep their descriptor and recurse on
-  the surface with one tube fewer;
-* same-side disks crossing the top meridian are surgered along an outermost
+* other disks whose tube footprint contains the top tube cross the top
+  meridian from its own side, and are surgered along an outermost
   intersection arc; each outermost arc yields candidate disks, each candidate
   recursively receives an image, and the arc's result is the candidate image
   lying in the smallest suspension sub-sphere (minimal pair index).  All
   outermost arcs must agree on the result; a disagreement raises
-  :class:`WellDefinednessError` rather than being resolved silently.
+  :class:`WellDefinednessError` rather than being resolved silently;
+* disks missing the top tube entirely keep their descriptor and recurse on
+  the surface with one tube fewer.
+
+At each level the rule reads only the tube level, a plain int, and the
+disk's side and tube footprint (:func:`~disklab.disks.type_at`); no surface
+is built for a level below the top.
 
 ``certify_catalog`` runs the full pipeline on a catalog and emits a
 machine-checkable certificate: sphere invariants, per-disk images,
 well-definedness statistics, the claim tally, the retraction check on the
 cataloged complex, and an exact homology certificate that the composite fixes
 a generating ``n``-cycle; ``certify_minimality`` builds the catalog first.
-Each catalog disk gets one record (top-level type, image, side, tube
-footprint).  The pair pass turns the records into one bitset row per disk,
-of the disks certified disjoint from it, each an AND of a few precomputed
-masks (:func:`~disklab.disks.disjointness_rows`), and reads the
-certified-disjoint pairs, the claim tally and the V/W witness off the rows.
+Each catalog disk gets one record (top-level type, image, side).  The pair
+pass turns the records into one bitset row per disk, of the disks certified
+disjoint from it, each an AND of a few precomputed masks
+(:func:`~disklab.disks.disjointness_rows`), and reads the certified-disjoint
+pairs, the claim tally and the V/W witness off the rows.
 That pass is also the only simpliciality check: on the octahedron two images
 span a non-edge exactly when they are antipodal, which is what the claim
 tally tests on every edge of the cataloged complex.  The retraction check
@@ -51,19 +56,15 @@ from .disks import (
     Disk,
     DiskCatalog,
     Meridian,
-    _footprint_bits,
     _masks,
     build_disk_catalog,
-    classify_type,
-    classify_type_unvalidated,
     config_to_json_obj,
     disjointness_rows,
     disk_side,
     disk_to_json_obj,
     disks_disjoint,
     disks_disjoint_unvalidated,
-    meets_distinguished,
-    meets_distinguished_unvalidated,
+    type_at,
     validate_disk,
 )
 from .errors import InvalidConfigError, WellDefinednessError
@@ -229,33 +230,21 @@ def verify_sphere(sphere: SuspensionSphere) -> dict:
 # -- outermost surgery -----------------------------------------------------------
 
 
-def outermost_arcs(d, surface: TubedSurface, disk_type=None, meets=None) -> tuple:
+def outermost_arcs(d, level: int) -> tuple:
     """Indices of the outermost arcs of the disk's intersection with the top meridian.
 
-    Valid only for same-side disks crossing the top meridian, whose
-    intersection pattern is a stack of parallel band arcs: one per band copy.
-    A single copy has one outermost arc; otherwise the two extremes of the
-    stack are outermost.  Anything else (no intersection, an opposite-side
-    disk, or a pattern with closed components) is rejected.
-
-    ``disk_type`` and ``meets`` are the disk's type on ``surface`` and whether
-    it meets the top meridian there.  A caller that already knows them (the
-    retraction engine) passes them in; otherwise they are computed here,
-    which validates the disk.
+    ``level`` is the tube count, so the top meridian is ``M(level)``.  Valid
+    only for a band sum on base ``level``: a same-side disk crossing the top
+    meridian in a stack of parallel band arcs, one per band copy.  A single
+    copy has one outermost arc; otherwise the two extremes of the stack are
+    outermost.  Anything else (the top meridian, an opposite-side disk, a
+    disk missing the top meridian, or a pattern with closed components) is
+    rejected.
     """
-    m = surface.tubes
-    t = classify_type(d, surface) if disk_type is None else disk_type
-    if meets is None:
-        meets = t == "T2" and meets_distinguished(d, surface)
-    if t != "T2" or not meets:
+    if not isinstance(d, BandSum) or d.base != level:
         raise InvalidConfigError(
-            f"disk {d.key} (type {t}) has no band-arc intersection pattern with the top "
-            "meridian; outermost surgery is undefined"
-        )
-    if not isinstance(d, BandSum) or d.base != m:
-        raise InvalidConfigError(
-            f"disk {d.key} meets the top meridian but not in a stack of parallel band arcs "
-            "(closed intersection components are rejected); outermost surgery is undefined"
+            f"disk {d.key} does not meet the top meridian M({level}) in a stack of parallel band "
+            "arcs (closed intersection components are rejected); outermost surgery is undefined"
         )
     if d.copies == 1:
         return (0,)
@@ -281,47 +270,34 @@ def surgery_candidates(d: BandSum, arc_index: int):
 
 
 class RetractionEngine:
-    """Computes sphere images of disk descriptors by recursion over tube count.
+    """Computes sphere images of a catalog's disk descriptors by recursion over tube count.
 
-    :meth:`image` validates its argument on the top surface; the recursion
-    below it does not validate again, because every disk it builds is valid
-    on the surface of the level it reaches by construction:
+    :meth:`image` validates its argument on the catalog's surface; the
+    recursion below it does not validate again, because every disk it
+    builds is valid on the surface of the level it reaches by construction:
 
     * a surgery candidate is either the resolved partner of a band sum, which
       :func:`~disklab.disks.validate_disk` has checked recursively along with
       the band sum itself, or the remainder band sum with ``copies - 1 >= 1``
       copies and the same base, partner and band, so the same checks hold;
-    * a projected disk keeps its descriptor, and the footprint assert shows
-      that its tube indices, and so its region indices, all lie below
-      ``level``, so they are in range on the surface with ``level - 1``
-      tubes; arc codes depend only on the genus and sides only on the tube
-      index, so every other check carries over unchanged.
+    * a projected disk keeps its descriptor, and its footprint holds tube
+      indices of at most ``level`` but not ``level`` itself, so its tube
+      indices, and so its region indices, are in range on the surface with
+      ``level - 1`` tubes; arc codes depend only on the genus and sides only
+      on the tube index, so every other check carries over unchanged.
 
-    Types and top-meridian tests inside the recursion therefore use the
-    unvalidated cores of :func:`~disklab.disks.classify_type` and
-    :func:`~disklab.disks.meets_distinguished`.  Both follow from the
-    footprint alone and build no disk: at ``level`` tubes, T1 is
-    ``M(level)``, T2 any other disk on ``tube_side(level)``, T4 a meridian
-    or a disk whose footprint misses ``level``, and T3 the rest; a disk
-    meets the top meridian when it is not a meridian and its footprint
-    contains ``level``.
+    Each level is a plain tube count.  The rule there is
+    :func:`~disklab.disks.type_at`, then the footprint: T1 (``M(level)``)
+    and T3 (opposite-side disks whose footprint contains ``level``) map to
+    the top pair, any other disk whose footprint contains ``level`` crosses
+    the top meridian and is surgered, and the rest are projected.
     """
 
-    def __init__(self, surface: TubedSurface, catalog: DiskCatalog, sphere: SuspensionSphere):
-        if sphere.index != surface.tubes - 1:
-            raise InvalidConfigError(
-                f"sphere index {sphere.index} does not match surface with {surface.tubes} tubes"
-            )
-        self.surface = surface
+    def __init__(self, catalog: DiskCatalog):
+        self.surface = catalog.surface
         self.catalog = catalog
-        self.sphere = sphere
-        self._surfaces = {
-            level: build_tubed_surface(surface.genus_base, level)
-            for level in range(1, surface.tubes + 1)
-        }
         self._images: dict = {}
         self._branches: dict = {}
-        self._types: dict = {}
         self._surgeries: dict = {}  # (level, key) of each surgered disk -> its outermost arc count
 
     # -- queries ------------------------------------------------------------
@@ -341,17 +317,6 @@ class RetractionEngine:
         """
         return self._branches[(self.surface.tubes, d.key)]
 
-    def type_at(self, d, level: int) -> str:
-        """The disk's type on the surface with ``level`` tubes, computed once.
-
-        Does not validate: ``d`` must be valid on that surface, as catalog
-        disks and the disks the recursion builds are.
-        """
-        key = (level, d.key)
-        if key not in self._types:
-            self._types[key] = classify_type_unvalidated(d, self._surfaces[level])
-        return self._types[key]
-
     def surgery_counts(self) -> tuple[int, int]:
         """Surgeries recorded so far, and how many of them cut along two outermost arcs."""
         return len(self._surgeries), sum(arcs >= 2 for arcs in self._surgeries.values())
@@ -362,7 +327,6 @@ class RetractionEngine:
         memo_key = (level, d.key)
         if memo_key in self._images:
             return self._images[memo_key]
-        surface = self._surfaces[level]
         if level == 1:
             # Base surface: one tube, one antipodal pair.  Disks on the tube's
             # side compress the same handlebody as the meridian; the others
@@ -372,19 +336,19 @@ class RetractionEngine:
             else:
                 vertex, branch = SphereVertex(0, "D"), "top_vertical"
         else:
-            t = self.type_at(d, level)
+            t = type_at(d, level)
             if t == "T1":
                 vertex, branch = SphereVertex(level - 1, "E"), "top_meridian"
             elif t == "T3":
                 vertex, branch = SphereVertex(level - 1, "D"), "top_vertical"
-            elif t == "T2" and meets_distinguished_unvalidated(d, surface):
+            elif level in d.tube_footprint:
+                # T2, and not the top meridian: a same-side disk crossing it.
                 vertex, branch = self._surgery_image(d, level), "surgered"
             else:
                 # T4, or T2 missing the top meridian: the footprint avoids
                 # tube ``level``, and so region ``level``, which lies inside
                 # it.  The same descriptor denotes an isotopic disk on the
                 # surface with one tube fewer.
-                assert level not in d.tube_footprint, d.key
                 vertex, branch = self._image(d, level - 1), "projected"
         self._images[memo_key] = vertex
         self._branches[memo_key] = branch
@@ -392,7 +356,7 @@ class RetractionEngine:
 
     def _surgery_image(self, d, level: int) -> SphereVertex:
         """The image every outermost arc gives: its candidates' minimal image, which must agree."""
-        arcs = outermost_arcs(d, self._surfaces[level], disk_type="T2", meets=True)
+        arcs = outermost_arcs(d, level)
         chosen = [min(self._image(cand, level) for cand in surgery_candidates(d, arc)) for arc in arcs]
         if len(set(chosen)) > 1:
             raise WellDefinednessError(
@@ -426,19 +390,12 @@ class _DiskRecord(NamedTuple):
     type: str  # at the top level
     image: Optional[SphereVertex]  # None when the retraction stopped before this disk
     side: str
-    tubes: int  # tube footprint as a bit mask; it contains the region footprint
 
 
 def _disk_records(engine: RetractionEngine, images: dict) -> list:
     m = engine.surface.tubes
     return [
-        _DiskRecord(
-            d,
-            engine.type_at(d, m),
-            images.get(d.key),
-            disk_side(d),
-            _footprint_bits(d),
-        )
+        _DiskRecord(d, type_at(d, m), images.get(d.key), disk_side(d))
         for d in engine.catalog.disks
     ]
 
@@ -499,7 +456,7 @@ def _scan_pairs(records: list, surface: TubedSurface, tally: bool, keep=frozense
     }
     per_case = Counter()
     violations = []
-    for i, (a, ta, xa, _, _) in enumerate(records):
+    for i, (a, ta, xa, _) in enumerate(records):
         row = later[i]
         if row & forbidden[ta]:
             b = records[next(_bits(row & forbidden[ta]))]
@@ -512,7 +469,7 @@ def _scan_pairs(records: list, surface: TubedSurface, tally: bool, keep=frozense
             if row & mask:
                 per_case[_CASE_OF_ORDERED_TYPES[(ta, tb)]] += (row & mask).bit_count()
         for j in _bits(row & antipodal[xa]):
-            b, tb, xb, _, _ = records[j]
+            b, tb, xb, _ = records[j]
             case = _CASE_OF_ORDERED_TYPES[(ta, tb)]
             violations.append(
                 {"case": case, "disks": [a.key, b.key], "types": sorted((ta, tb)), "images": [xa.name, xb.name]}
@@ -614,7 +571,7 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
     sphere = build_suspension_sphere(surface, catalog)
     sphere_invariants = verify_sphere(sphere)
 
-    engine = RetractionEngine(surface, catalog, sphere)
+    engine = RetractionEngine(catalog)
     first_violation = None
     images = {}
     retraction_ok = False

@@ -37,9 +37,9 @@ drawing of the other without a crossing (:func:`arcs_disjoint`).
 
 The arc layer takes the genus and codes and nothing else:
 ``enumerate_arcs(genus, k)``, ``arcs_disjoint(genus, a, b)``.  The feet
-that adjacent tubes leave on a region (:class:`Region`) are not part of it:
-arcs are based at the puncture and their chords never route through a
-foot, so every region of a tubed surface shares one arc enumeration.
+that adjacent tubes leave on a region are not part of it: arcs are based at
+the puncture and their chords never route through a foot, so every region
+of a tubed surface shares one arc enumeration.
 
 :class:`FrozenRecord` is the immutable slotted base of the surface, disk
 and sphere descriptor classes, here because this is the lowest layer that
@@ -377,33 +377,21 @@ def tube_side(i: int) -> str:
     return SIDE_B if i % 2 == 1 else SIDE_A
 
 
-class Region(FrozenRecord):
-    """The product block between copies index-1 and index, containing tube index.
-
-    The block is punctured by its own tube; feet mark where *adjacent*
-    tubes attach to the block's horizontal boundary copies.
-    """
-
-    __slots__ = _fields = ("index", "block_side", "own_tube_side", "feet_bottom", "feet_top")
-
-    def __init__(
-        self, index: int, block_side: str, own_tube_side: str, feet_bottom: tuple[int, ...], feet_top: tuple[int, ...]
-    ):
-        self._init(index, block_side, own_tube_side, feet_bottom, feet_top)
-
-
 class TubedSurface(FrozenRecord):
     """m+1 parallel copies of a genus-g surface joined by m unknotted tubes.
 
-    Region i (1-based) sits between copies i-1 and i and contains solid
-    tube i; the block and its own tube lie on opposite sides, and
-    consecutive regions alternate.
+    Region i (1-based) is the product block between copies i-1 and i; it
+    contains solid tube i and is punctured by it.  The block and its own
+    tube lie on opposite sides, and consecutive regions alternate.  Feet
+    mark where the adjacent tubes i-1 and i+1 attach to the block's
+    horizontal boundary copies.  All of it follows from the tube index, so
+    the surface stores only the genus and the tube count.
     """
 
-    __slots__ = _fields = ("genus_base", "tubes", "regions")
+    __slots__ = _fields = ("genus_base", "tubes")
 
-    def __init__(self, genus_base: int, tubes: int, regions: tuple[Region, ...]):
-        self._init(genus_base, tubes, regions)
+    def __init__(self, genus_base: int, tubes: int):
+        self._init(genus_base, tubes)
 
     @property
     def genus_total(self) -> int:
@@ -418,32 +406,13 @@ class TubedSurface(FrozenRecord):
     def v_side(self) -> str:
         return opposite_side(self.w_side)
 
-    def region(self, index: int) -> Region:
-        if not 1 <= index <= self.tubes:
-            raise InvalidConfigError(
-                f"region index {index} out of range 1..{self.tubes}"
-            )
-        return self.regions[index - 1]
-
 
 def build_tubed_surface(genus: int, tubes: int) -> TubedSurface:
     if genus < 1:
         raise InvalidConfigError(f"genus must be >= 1, got {genus}")
     if tubes < 1:
         raise InvalidConfigError(f"tube count must be >= 1, got {tubes}")
-    regions = []
-    for r in range(1, tubes + 1):
-        own = tube_side(r)
-        regions.append(
-            Region(
-                index=r,
-                block_side=opposite_side(own),
-                own_tube_side=own,
-                feet_bottom=(r - 1,) if r >= 2 else (),
-                feet_top=(r + 1,) if r + 1 <= tubes else (),
-            )
-        )
-    return TubedSurface(genus_base=genus, tubes=tubes, regions=tuple(regions))
+    return TubedSurface(genus_base=genus, tubes=tubes)
 
 
 # -- JSON ---------------------------------------------------------------------
@@ -459,13 +428,13 @@ def surface_to_json_obj(s: TubedSurface) -> dict:
         "v_side": s.v_side,
         "regions": [
             {
-                "index": r.index,
-                "block_side": r.block_side,
-                "own_tube_side": r.own_tube_side,
-                "feet_bottom": list(r.feet_bottom),
-                "feet_top": list(r.feet_top),
+                "index": r,
+                "block_side": opposite_side(tube_side(r)),
+                "own_tube_side": tube_side(r),
+                "feet_bottom": [r - 1] if r >= 2 else [],
+                "feet_top": [r + 1] if r < s.tubes else [],
             }
-            for r in s.regions
+            for r in range(1, s.tubes + 1)
         ],
     }
 

@@ -15,7 +15,10 @@ every merge of two embedded solo drawings.  It draws those from
 insertion step it is compared against.  ``project_disk``
 re-decides a disk's type before re-homing it one tube level down, which the
 retraction engine does inline; it checks the region footprint
-(``disk_regions``) as well as the tube footprint, which contains it.
+(``disk_regions``) as well as the tube footprint, which contains it, and
+asks ``meets_distinguished``, which decides whether a disk meets the top
+meridian by the disjointness calculus on a built meridian, where the engine
+reads the footprint.
 
 The pair pass reads its results off per-disk bitset rows, each an AND of
 masks; ``scan_pairs_by_loop`` is the loop it replaced, one calculus call per
@@ -26,8 +29,8 @@ terms imply, and with every meridian term asked of a built meridian.
 every image first.
 
 ``copy_complex``, ``suspend`` and ``octahedral_sphere`` build the flag
-complexes that the homology and flag-complex tests start from; no
-subcommand needs them.
+complexes that the homology and flag-complex tests start from, and
+``has_vertex`` and ``has_edge`` query them; no subcommand needs them.
 """
 
 from __future__ import annotations
@@ -44,9 +47,8 @@ from disklab.disks import (
     Meridian,
     VerticalDisk,
     classify_type,
-    disk_tubes,
     disks_disjoint_unvalidated,
-    meets_distinguished,
+    validate_disk,
 )
 from disklab.errors import InvalidConfigError
 from disklab.flagcomplex import FlagComplex
@@ -61,6 +63,14 @@ from disklab.surface import (
     side_word,
     validate_code,
 )
+
+
+def has_vertex(c: FlagComplex, vertex_id: str) -> bool:
+    return vertex_id in c._labels
+
+
+def has_edge(c: FlagComplex, u: str, v: str) -> bool:
+    return v in c._adjacency.get(u, ())
 
 
 def copy_complex(c: FlagComplex) -> FlagComplex:
@@ -80,9 +90,9 @@ def suspend(
     label_b: str | None = None,
 ) -> FlagComplex:
     """Suspension: two new mutually non-adjacent vertices coned over ``c``."""
-    if c.has_vertex(a):
+    if has_vertex(c, a):
         raise InvalidConfigError(f"suspension vertex id {a!r} already present")
-    if c.has_vertex(b):
+    if has_vertex(c, b):
         raise InvalidConfigError(f"suspension vertex id {b!r} already present")
     if a == b:
         raise InvalidConfigError("suspension vertices must be distinct")
@@ -156,7 +166,7 @@ class VertexMap:
         extra = sorted(set(self.assignment) - dom)
         if extra:
             raise InvalidConfigError(f"assignment has non-domain keys {extra[:5]}")
-        bad = sorted(v for v in self.assignment.values() if not self.codomain.has_vertex(v))
+        bad = sorted(v for v in self.assignment.values() if not has_vertex(self.codomain, v))
         if bad:
             raise InvalidConfigError(f"assignment images not in codomain: {bad[:5]}")
 
@@ -173,7 +183,7 @@ def check_simplicial(f: VertexMap) -> list[tuple[str, str]]:
     bad = []
     for (u, v) in f.domain.edges:
         fu, fv = f(u), f(v)
-        if fu != fv and not f.codomain.has_edge(fu, fv):
+        if fu != fv and not has_edge(f.codomain, fu, fv):
             bad.append((u, v))
     return bad
 
@@ -191,7 +201,7 @@ def check_retraction(f: VertexMap, s: FlagComplex) -> tuple[bool, list[str]]:
         if vid not in dom_vertices:
             report.append(f"subcomplex vertex {vid!r} is not a domain vertex")
     for (u, v) in s.edges:
-        if not f.domain.has_edge(u, v):
+        if not has_edge(f.domain, u, v):
             report.append(f"subcomplex edge ({u!r}, {v!r}) is not a domain edge")
     sub = set(s.vertex_ids)
     for vid in f.domain.vertex_ids:
@@ -478,6 +488,12 @@ def disk_regions(d: Disk) -> frozenset:
     raise InvalidConfigError(f"not a disk descriptor: {d!r}")
 
 
+def meets_distinguished(d: Disk, surface: TubedSurface) -> bool:
+    """Whether the calculus puts the disk against the top meridian, which is built for it."""
+    validate_disk(d, surface)
+    return not disks_disjoint_unvalidated(d, Meridian(surface.tubes), surface)
+
+
 def project_disk(d: Disk, surface: TubedSurface) -> Disk:
     """Re-home a disk that avoids the top tube onto the one-tube-smaller surface.
 
@@ -496,7 +512,7 @@ def project_disk(d: Disk, surface: TubedSurface) -> Disk:
             f"disk {d.key} of type T2 meets the top meridian; surgery is required before projection"
         )
     m = surface.tubes
-    assert m not in disk_tubes(d), d.key
+    assert m not in d.tube_footprint, d.key
     assert m not in disk_regions(d), d.key
     return d
 
@@ -518,10 +534,10 @@ def scan_pairs_by_loop(records: list, surface: TubedSurface, tally: bool, keep=f
     per_case = Counter()
     violations = []
     witness = None
-    for i, (a, ta, xa, sa, fa) in enumerate(records):
+    for i, (a, ta, xa, sa) in enumerate(records):
         keep_a = a.key in keep
-        for b, tb, xb, sb, fb in records[i + 1 :]:
-            if fa & fb and not disks_disjoint_unvalidated(a, b, surface):
+        for b, tb, xb, sb in records[i + 1 :]:
+            if a.tube_footprint & b.tube_footprint and not disks_disjoint_unvalidated(a, b, surface):
                 continue
             checked += 1
             if keep_a and b.key in keep:

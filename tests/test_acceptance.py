@@ -36,12 +36,13 @@ from disklab.disks import (
     CatalogConfig,
     Meridian,
     build_disk_catalog,
+    classify_type,
     disk_side,
     disks_disjoint,
 )
 from disklab.flagcomplex import FlagComplex, canonical_json
 from disklab.homology import reduced_homology
-from disklab.retraction import RetractionEngine, build_suspension_sphere, certify_minimality
+from disklab.retraction import certify_minimality
 from disklab.surface import build_tubed_surface, opposite_side, tube_side
 from oracles import octahedral_sphere, suspend
 
@@ -162,10 +163,9 @@ def test_criterion_6_type_partition_with_unique_top_type():
     for genus, n in INSTANCES:
         surface = build_tubed_surface(genus, n + 1)
         catalog = build_disk_catalog(surface, CONFIG)
-        engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
         counts = {"T1": 0, "T2": 0, "T3": 0, "T4": 0}
         for disk in catalog.disks:
-            t = engine.type_at(disk, surface.tubes)
+            t = classify_type(disk, surface)
             assert t in counts, (disk.key, t)
             counts[t] += 1
         assert sum(counts.values()) == len(catalog.disks)

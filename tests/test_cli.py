@@ -307,6 +307,7 @@ def test_certify_from_build_rejects_unparseable_bytes(content, where, tmp_path):
         pytest.param("config.bandsum_depth", False, id="bandsum_depth-bool"),
         pytest.param("config.max_band_arcs", 2.0, id="max_band_arcs-float"),
         pytest.param("config.copies", [1, True], id="copies-bool-entry"),
+        pytest.param("config.copies", [1, 1], id="copies-repeated"),
         pytest.param("genus", True, id="genus-bool"),
         pytest.param("tubes", True, id="tubes-bool"),
         pytest.param("genus", 1.0, id="genus-float"),
@@ -335,6 +336,19 @@ def test_certify_from_build_rejects_any_other_merge_budget(field, value, tmp_pat
     assert f"{disks_path}.{field}: " in stderr
     assert "Traceback" not in stderr
     assert stdout == ""
+    assert not (tmp_path / "out" / "certificate.json").exists()
+
+
+def test_certify_from_build_rejects_an_extra_arc_class_region(tmp_path, capsys):
+    build_dir = tmp_path / "build"
+    run(["build", "--genus", "1", "--tubes", "2", "--out", str(build_dir)], capsys)
+    disks_path = build_dir / "disks.json"
+    obj = json.loads(disks_path.read_text())
+    obj["arc_classes"]["7"] = [[9, 9]]
+    disks_path.write_text(json.dumps(obj))
+    code, stdout, stderr = run(["certify", "--from-build", str(build_dir), "--out", str(tmp_path / "out")], capsys)
+    assert code == EXIT_CONFIG
+    assert f"{disks_path}.arc_classes: " in stderr
     assert not (tmp_path / "out" / "certificate.json").exists()
 
 

@@ -23,17 +23,15 @@ from disklab.disks import (
     disk_from_json_obj,
     disk_side,
     disk_to_json_obj,
-    disk_tubes,
     disk_variant,
     disks_disjoint,
     disks_disjoint_unvalidated,
-    meets_distinguished,
     validate_disk,
 )
 from disklab.errors import InvalidConfigError, MalformedFileError
 from disklab.flagcomplex import canonical_json
 from disklab.surface import SIDE_A, SIDE_B, build_tubed_surface
-from oracles import disk_regions, disks_disjoint_with_band_terms, project_disk
+from oracles import disk_regions, disks_disjoint_with_band_terms, meets_distinguished, project_disk
 
 
 @pytest.fixture(scope="module")
@@ -109,15 +107,15 @@ def test_resolve_partner():
 
 
 def test_footprints():
-    assert disk_tubes(Meridian(3)) == frozenset({3})
+    assert Meridian(3).tube_footprint == frozenset({3})
     assert disk_regions(Meridian(3)) == frozenset()
-    assert disk_tubes(VerticalDisk(2, (-2,))) == frozenset({2})
+    assert VerticalDisk(2, (-2,)).tube_footprint == frozenset({2})
     assert disk_regions(VerticalDisk(2, (-2,))) == frozenset({2})
     b = BandSum(1, VerticalDisk(2, (-2,)), (-2,), 1)
-    assert disk_tubes(b) == frozenset({1, 2})
+    assert b.tube_footprint == frozenset({1, 2})
     assert disk_regions(b) == frozenset({1, 2})
     nested = BandSum(3, BandSum(3, SELF_PARTNER, (-1,), 1), (-2,), 2)
-    assert disk_tubes(nested) == frozenset({3})
+    assert nested.tube_footprint == frozenset({3})
 
 
 def fresh_key(d) -> str:
@@ -175,7 +173,7 @@ def test_stored_partner_and_footprint_match_a_fresh_derivation(genus, n):
     catalog = build_disk_catalog(build_tubed_surface(genus, n + 1), CatalogConfig(arc_bound=3))
     partners = 0
     for d in catalog.disks:
-        assert d.tube_footprint == fresh_tubes(d) == disk_tubes(d)
+        assert d.tube_footprint == fresh_tubes(d)
         if isinstance(d, BandSum):
             partners += 1
             assert d.resolved_partner == fresh_partner(d)
@@ -207,10 +205,10 @@ def test_footprint_rule_agrees_with_the_calculus(genus, n):
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
     for d in catalog.disks:
-        assert disk_regions(d) <= disk_tubes(d)
+        assert disk_regions(d) <= d.tube_footprint
     skipped = 0
     for a, b in itertools.combinations(catalog.disks, 2):
-        if disk_tubes(a).isdisjoint(disk_tubes(b)) and disk_regions(a).isdisjoint(disk_regions(b)):
+        if a.tube_footprint.isdisjoint(b.tube_footprint) and disk_regions(a).isdisjoint(disk_regions(b)):
             skipped += 1
             assert disks_disjoint_unvalidated(a, b, surface), (a.key, b.key)
     assert skipped > 0
@@ -545,6 +543,11 @@ def test_config_validation():
     with pytest.raises(InvalidConfigError):
         CatalogConfig(arc_bound=3, copies=(0,))
     with pytest.raises(InvalidConfigError) as exc:
+        CatalogConfig(arc_bound=3, copies=(1, 1))
+    assert exc.value.field == "copies"
+    with pytest.raises(InvalidConfigError):
+        CatalogConfig(arc_bound=3, copies=(2, 1, 2))
+    with pytest.raises(InvalidConfigError) as exc:
         CatalogConfig(arc_bound=True)
     assert exc.value.field == "arc_bound"
     with pytest.raises(InvalidConfigError) as exc:
@@ -640,3 +643,6 @@ def test_catalog_json_tamper_detection(cat2):
     expect(lambda o: o["disks"][3].__setitem__("type", "T1"), "disks[3]")
     expect(lambda o: o["disks"][0].__setitem__("index", 5), "disks[0]")
     expect(lambda o: o["arc_classes"]["1"].pop(0), "arc_classes")
+    # A region the rebuilt catalog does not have is tampering too.
+    expect(lambda o: o["arc_classes"].__setitem__("7", [[9, 9]]), "arc_classes")
+

@@ -23,6 +23,7 @@ from oracles import (
     VertexMap,
     check_retraction,
     check_simplicial,
+    has_edge,
     induced_subcomplex,
     octahedral_sphere,
     suspend,
@@ -72,7 +73,7 @@ def brute_force_cliques(c: FlagComplex, d: int) -> dict[int, list[tuple[str, ...
     for k in range(d + 1):
         found = []
         for combo in itertools.combinations(ids, k + 1):
-            if all(c.has_edge(u, v) for u, v in itertools.combinations(combo, 2)):
+            if all(has_edge(c, u, v) for u, v in itertools.combinations(combo, 2)):
                 found.append(tuple(combo))
         out[k] = sorted(found)
     return out
@@ -134,8 +135,8 @@ class TestFlagComplexConstruction:
         assert c.vertex_ids == ["a", "b"]
         assert c.label("b") == "second"
         assert c.edges == [("a", "b")]
-        assert c.has_edge("a", "b") and c.has_edge("b", "a")
-        assert not c.has_edge("a", "a")
+        assert has_edge(c, "a", "b") and has_edge(c, "b", "a")
+        assert not has_edge(c, "a", "a")
         assert c.neighbors("a") == ["b"]
 
     def test_duplicate_vertex_rejected(self):
@@ -218,8 +219,8 @@ class TestOctahedralSphere:
         assert c.vertex_count() == 6
         assert c.edge_count() == 12
         assert len(flag_cliques(c, 2)[2]) == 8
-        assert not c.has_edge("p0", "q0")
-        assert c.has_edge("p0", "q1")
+        assert not has_edge(c, "p0", "q0")
+        assert has_edge(c, "p0", "q1")
 
     def test_octa4_euler(self):
         c = octahedral_sphere(4)
@@ -248,10 +249,10 @@ class TestOctahedralSphere:
     def test_suspension_points_not_adjacent(self):
         c = cycle_graph(5)
         s = suspend(c, "north", "south")
-        assert not s.has_edge("north", "south")
+        assert not has_edge(s, "north", "south")
         for vid in c.vertex_ids:
-            assert s.has_edge("north", vid)
-            assert s.has_edge("south", vid)
+            assert has_edge(s, "north", vid)
+            assert has_edge(s, "south", vid)
 
 
 # -- vertex maps ------------------------------------------------------------------

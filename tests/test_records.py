@@ -23,7 +23,7 @@ from disklab.disks import (
     build_disk_catalog,
 )
 from disklab.retraction import SphereVertex, SuspensionSphere, build_suspension_sphere
-from disklab.surface import Region, TubedSurface, build_tubed_surface
+from disklab.surface import TubedSurface, build_tubed_surface
 
 SURFACE = build_tubed_surface(1, 2)
 CATALOG = build_disk_catalog(SURFACE, CatalogConfig(arc_bound=2))
@@ -62,13 +62,7 @@ CASES = {
         ("arc_classes",),
         ("disks", CATALOG.disks[:-1]),
     ),
-    "Region": (
-        Region,
-        {"index": 2, "block_side": "A", "own_tube_side": "B", "feet_bottom": (1,), "feet_top": ()},
-        (),
-        ("feet_top", (3,)),
-    ),
-    "TubedSurface": (TubedSurface, {"genus_base": 1, "tubes": 2, "regions": SURFACE.regions}, (), ("genus_base", 2)),
+    "TubedSurface": (TubedSurface, {"genus_base": 1, "tubes": 2}, (), ("genus_base", 2)),
     "SphereVertex": (SphereVertex, {"pair_index": 1, "letter": "D"}, (), ("letter", "E")),
     "SuspensionSphere": (
         SuspensionSphere,

@@ -17,10 +17,10 @@ from disklab.disks import (
     Meridian,
     VerticalDisk,
     build_disk_catalog,
+    classify_type,
     disk_side,
     disks_disjoint_unvalidated,
-    meets_distinguished,
-    meets_distinguished_unvalidated,
+    type_at,
     validate_disk,
 )
 from disklab.errors import InvalidConfigError, WellDefinednessError
@@ -44,6 +44,8 @@ from oracles import (
     catalog_complex,
     check_retraction,
     check_simplicial,
+    has_edge,
+    meets_distinguished,
     scan_pairs_by_loop,
     verify_claim_cases,
 )
@@ -54,7 +56,7 @@ def setup_f2():
     surface = build_tubed_surface(1, 2)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
     sphere = build_suspension_sphere(surface, catalog)
-    engine = RetractionEngine(surface, catalog, sphere)
+    engine = RetractionEngine(catalog)
     return surface, catalog, sphere, engine
 
 
@@ -63,7 +65,7 @@ def setup_f3():
     surface = build_tubed_surface(1, 3)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
     sphere = build_suspension_sphere(surface, catalog)
-    engine = RetractionEngine(surface, catalog, sphere)
+    engine = RetractionEngine(catalog)
     return surface, catalog, sphere, engine
 
 
@@ -103,7 +105,7 @@ def test_sphere_complex_is_octahedron(setup_f3):
     assert fc.edge_count() == 12
     for i in range(3):
         d, e = sphere.pair(i)
-        assert not fc.has_edge(d.key, e.key)
+        assert not has_edge(fc, d.key, e.key)
 
 
 def test_sphere_needs_vertical_disks():
@@ -174,10 +176,8 @@ def test_sphere_vertices_are_fixed(setup_f3):
 
 
 def test_base_level_is_total():
-    surface = build_tubed_surface(1, 1)
-    catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    sphere = build_suspension_sphere(surface, catalog)
-    engine = RetractionEngine(surface, catalog, sphere)
+    catalog = build_disk_catalog(build_tubed_surface(1, 1), CatalogConfig(arc_bound=3))
+    engine = RetractionEngine(catalog)
     assert engine.image(Meridian(1)).name == "E0"
     assert engine.image(VerticalDisk(1, (-1,))).name == "D0"
     # band-sum descriptors projected down from higher levels still get images
@@ -195,15 +195,13 @@ def test_same_region_vertical_disks_share_images(setup_f3):
 # -- surgery -----------------------------------------------------------------------
 
 
-def test_outermost_arcs(setup_f3):
-    surface, _, _, _ = setup_f3
-    assert outermost_arcs(BandSum(3, SELF_PARTNER, (-2,), 1), surface) == (0,)
-    assert outermost_arcs(BandSum(3, SELF_PARTNER, (-2,), 2), surface) == (0, 1)
-    assert outermost_arcs(BandSum(3, Meridian(1), (-2,), 5), surface) == (0, 4)
+def test_outermost_arcs():
+    assert outermost_arcs(BandSum(3, SELF_PARTNER, (-2,), 1), 3) == (0,)
+    assert outermost_arcs(BandSum(3, SELF_PARTNER, (-2,), 2), 3) == (0, 1)
+    assert outermost_arcs(BandSum(3, Meridian(1), (-2,), 5), 3) == (0, 4)
 
 
-def test_outermost_arcs_rejections(setup_f3):
-    surface, _, _, _ = setup_f3
+def test_outermost_arcs_rejections():
     for d in [
         Meridian(3),                      # T1: is the top meridian
         Meridian(2),                      # T4: opposite side
@@ -211,7 +209,7 @@ def test_outermost_arcs_rejections(setup_f3):
         BandSum(1, SELF_PARTNER, (-2,), 1),  # T2 but disjoint from the top meridian
     ]:
         with pytest.raises(InvalidConfigError):
-            outermost_arcs(d, surface)
+            outermost_arcs(d, 3)
 
 
 def test_surgery_candidates():
@@ -226,7 +224,7 @@ def test_surgery_candidates():
 
 def test_surgery_outcomes_recorded(setup_f3, monkeypatch):
     surface, catalog, sphere, _ = setup_f3
-    engine = RetractionEngine(surface, catalog, sphere)
+    engine = RetractionEngine(catalog)
     surgered = {}
     surgery_image = RetractionEngine._surgery_image
 
@@ -243,7 +241,7 @@ def test_surgery_outcomes_recorded(setup_f3, monkeypatch):
     assert surgeries == sum(branch == "surgered" for branch in engine._branches.values())
     for (level, key), d in surgered.items():
         # Every outermost arc's minimal candidate image is the recorded image.
-        arcs = outermost_arcs(d, engine._surfaces[level])
+        arcs = outermost_arcs(d, level)
         chosen = {min(engine._image(c, level) for c in surgery_candidates(d, arc)) for arc in arcs}
         assert chosen == {engine._images[(level, key)]}, key
 
@@ -260,7 +258,7 @@ def test_image_still_validates_its_argument(tubes):
     # With one tube the recursion classifies nothing, so only image() can reject.
     surface = build_tubed_surface(1, tubes)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
+    engine = RetractionEngine(catalog)
     invalid = (
         Meridian(tubes + 1),  # tube index beyond the surface
         VerticalDisk(tubes + 1, (-2,)),
@@ -301,7 +299,7 @@ def test_certify_validates_each_disk_only_at_the_entries(monkeypatch):
 def test_every_disk_the_recursion_reaches_is_valid_at_its_level(genus, tubes, monkeypatch):
     surface = build_tubed_surface(genus, tubes)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
+    engine = RetractionEngine(catalog)
     reached = {}
     recurse = RetractionEngine._image
 
@@ -313,17 +311,15 @@ def test_every_disk_the_recursion_reaches_is_valid_at_its_level(genus, tubes, mo
     for d in catalog.disks:
         engine.image(d)
     assert set(reached) == set(engine._images)
-    assert set(engine._types) <= set(reached) and set(engine._surgeries) <= set(reached)
+    assert set(engine._surgeries) <= set(reached)
     assert any(level < tubes for level, _ in reached)
     for (level, _), d in reached.items():
-        validate_disk(d, engine._surfaces[level])
+        validate_disk(d, build_tubed_surface(genus, level))
 
 
 def test_forced_disagreement_raises(monkeypatch):
-    surface = build_tubed_surface(1, 2)
-    catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    sphere = build_suspension_sphere(surface, catalog)
-    engine = RetractionEngine(surface, catalog, sphere)
+    catalog = build_disk_catalog(build_tubed_surface(1, 2), CatalogConfig(arc_bound=3))
+    engine = RetractionEngine(catalog)
 
     def rigged(d, arc_index):
         # Simulate a geometry where the two outermost arcs split off
@@ -365,7 +361,7 @@ def test_claim_cases_f3(setup_f3):
 def test_pair_scan_matches_the_calculus_on_every_pair(genus, n):
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
+    engine = RetractionEngine(catalog)
     records = retraction_module._disk_records(engine, {})
     keys = frozenset(d.key for d in catalog.disks)
     pairs, claims, _ = retraction_module._scan_pairs(records, surface, tally=False, keep=keys)
@@ -384,7 +380,7 @@ def per_pair_claims(engine, image):
         if not disks_disjoint_unvalidated(a, b, surface):
             continue
         checked += 1
-        ta, tb = sorted((engine.type_at(a, m), engine.type_at(b, m)))
+        ta, tb = sorted((type_at(a, m), type_at(b, m)))
         case = CASE_OF_TYPES[(ta, tb)]
         per_case[case] += 1
         xa, xb = image(a), image(b)
@@ -404,7 +400,7 @@ def test_single_pass_tally_matches_per_pair_images():
     cert = certify_minimality(1, 4, CatalogConfig(arc_bound=3))
     surface = build_tubed_surface(1, 5)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
+    engine = RetractionEngine(catalog)
     expected = per_pair_claims(engine, engine.image)
     assert expected["pairs_checked"] > 0
     assert cert["claims"] == expected
@@ -424,10 +420,10 @@ def test_provenance_matches_the_type_rules(n):
     cert = certify_minimality(1, n, CatalogConfig(arc_bound=3))
     surface = build_tubed_surface(1, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
+    engine = RetractionEngine(catalog)
     provenance = dict.fromkeys(("top_meridian", "top_vertical", "projected", "surgered"), 0)
     for d in catalog.disks:
-        t = engine.type_at(d, surface.tubes)
+        t = classify_type(d, surface)
         if t == "T1":
             provenance["top_meridian"] += 1
         elif t == "T3":
@@ -543,7 +539,7 @@ def setup_g1n4():
     surface = build_tubed_surface(1, 5)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
     sphere = build_suspension_sphere(surface, catalog)
-    engine = RetractionEngine(surface, catalog, sphere)
+    engine = RetractionEngine(catalog)
     keys = frozenset(d.key for d in catalog.disks)
     records = retraction_module._disk_records(engine, {})
     pairs, _, _ = retraction_module._scan_pairs(records, surface, tally=False, keep=keys)
@@ -645,7 +641,7 @@ def test_pair_pass_matches_the_loop_oracle(genus, n):
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
     sphere = build_suspension_sphere(surface, catalog)
-    engine = RetractionEngine(surface, catalog, sphere)
+    engine = RetractionEngine(catalog)
     images = {d.key: engine.image(d) for d in catalog.disks}
     records = retraction_module._disk_records(engine, images)
     # As certify calls it: real images, the sphere's keys kept.
@@ -663,7 +659,7 @@ def test_pair_pass_matches_the_loop_oracle(genus, n):
 def test_pair_pass_matches_the_loop_oracle_on_a_raised_knob_catalog():
     surface = build_tubed_surface(1, 3)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=5, max_vd_arcs_per_region=40))
-    engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
+    engine = RetractionEngine(catalog)
     images = {d.key: engine.image(d) for d in catalog.disks}
     records = retraction_module._disk_records(engine, images)
     _, claims, witness = assert_scan_matches_the_loop(records, surface, True, frozenset(catalog.keys()))
@@ -753,18 +749,32 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
     assert vertices and set(vertices) == sphere_keys and len(vertices) == 2 * (n + 1)
     assert len(edges) == 2 * n * (n + 1)
     # Nothing in the package can check simpliciality edge by edge, and none of
-    # the removed arc-layer model, drawing views, surgery transcripts or
-    # pass-through accessors is left for the tests alone.
+    # the removed arc-layer model, drawing views, surgery transcripts,
+    # pass-through accessors, region records or validated/unvalidated type
+    # twins is left for the tests alone.
     removed = (
         "check_simplicial", "check_retraction", "VertexMap", "catalog_complex",
         "PuncturedSurfaceModel", "build_punctured_model", "solo_drawings", "is_embeddable",
         "SurgeryOutcome", "SurgeryCandidate", "ArcSurgery", "disk_key", "resolve_partner",
         "distinguished_disk", "disk_regions", "copy_complex", "suspend", "octahedral_sphere",
+        "Region", "classify_type_unvalidated", "meets_distinguished", "meets_distinguished_unvalidated",
+        "TYPE_LABELS", "disk_tubes", "has_vertex", "has_edge",
     )
     for name in ("errors", "surface", "flagcomplex", "homology", "disks", "retraction", "cli"):
         module = importlib.import_module(f"disklab.{name}")
         for helper in removed:
             assert not hasattr(module, helper), (name, helper)
+    removed_members = {
+        surface_module.TubedSurface: ("regions", "region"),
+        RetractionEngine: ("type_at", "_surfaces", "_types", "sphere"),
+        FlagComplex: ("has_vertex", "has_edge"),
+    }
+    for cls, names in removed_members.items():
+        for member in names:
+            assert not hasattr(cls, member), (cls.__name__, member)
+    engine = RetractionEngine(catalog)
+    assert not any(hasattr(engine, member) for member in removed_members[RetractionEngine])
+    assert not any(hasattr(catalog.surface, member) for member in removed_members[surface_module.TubedSurface])
 
 
 def test_pair_scan_derives_nothing_again(setup_g1n4, monkeypatch):
@@ -801,7 +811,7 @@ def test_pair_scan_derives_nothing_again(setup_g1n4, monkeypatch):
 def test_pair_pass_matches_the_loop_oracle_on_raised_band_and_partner_arcs(genus, n, knobs):
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(**knobs))
-    engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
+    engine = RetractionEngine(catalog)
     images = {d.key: engine.image(d) for d in catalog.disks}
     records = retraction_module._disk_records(engine, images)
     _, claims, _ = assert_scan_matches_the_loop(records, surface, True, frozenset(catalog.keys()))
@@ -826,25 +836,42 @@ def test_pair_pass_asks_the_calculus_about_partners_only(setup_g1n4, monkeypatch
 
 @pytest.mark.parametrize(("genus", "n"), [(1, 4), (2, 3)])
 def test_types_and_top_meridian_tests_follow_the_footprint(genus, n, monkeypatch):
-    """The engine's types and surgery tests, against the calculus on a built top meridian, at every level."""
+    """The engine's types and surgery tests, against the calculus on a built top meridian.
+
+    Checked for every catalog disk at every level it fits, and for every
+    (level, key) the recursion reaches.
+    """
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    engine = RetractionEngine(surface, catalog, build_suspension_sphere(surface, catalog))
-    expected = {}
+    engine = RetractionEngine(catalog)
+    reached = {}
+    recurse = RetractionEngine._image
+
+    def recording(self, d, level):
+        reached[(level, d.key)] = d
+        return recurse(self, d, level)
+
+    monkeypatch.setattr(RetractionEngine, "_image", recording)
+    for d in catalog.disks:
+        engine.image(d)
+    assert any(level < n + 1 for level, _ in reached)
+    cases = dict(reached)
     for level in range(1, n + 2):
-        sub = build_tubed_surface(genus, level)
-        top = Meridian(level)
-        for d in catalog.disks:
-            if max(d.tube_footprint) > level:
-                continue  # not a disk of this surface
-            meets = not disks_disjoint_unvalidated(d, top, sub)
-            if d.key == top.key:
-                t = "T1"
-            elif disk_side(d) == sub.w_side:
-                t = "T2"
-            else:
-                t = "T3" if meets else "T4"
-            expected[level, d.key] = (t, meets)
+        # Catalog disks that are disks of this surface.
+        cases.update({(level, d.key): d for d in catalog.disks if max(d.tube_footprint) <= level})
+    subs = {level: build_tubed_surface(genus, level) for level in range(1, n + 2)}
+    expected = {}
+    for (level, key), d in cases.items():
+        sub = subs[level]
+        meets = meets_distinguished(d, sub)
+        if d.key == Meridian(level).key:
+            t = "T1"
+        elif disk_side(d) == sub.w_side:
+            t = "T2"
+        else:
+            t = "T3" if meets else "T4"
+        assert classify_type(d, sub) == t, (level, key)
+        expected[level, key] = (d, t, meets)
     built = Counter()
     meridian_init = disks_module.Meridian.__init__
 
@@ -853,9 +880,8 @@ def test_types_and_top_meridian_tests_follow_the_footprint(genus, n, monkeypatch
         meridian_init(self, *args, **kwargs)
 
     monkeypatch.setattr(disks_module.Meridian, "__init__", counting_meridian)
-    by_key = catalog.by_key()
-    for (level, key), (t, meets) in expected.items():
-        d = by_key[key]
-        assert engine.type_at(d, level) == t, (level, key)
-        assert meets_distinguished_unvalidated(d, engine._surfaces[level]) == meets, (level, key)
-    assert built == Counter() and {t for t, _ in expected.values()} == {"T1", "T2", "T3", "T4"}
+    for (level, key), (d, t, meets) in expected.items():
+        assert type_at(d, level) == t, (level, key)
+        if t != "T1":
+            assert (level in d.tube_footprint) == meets, (level, key)
+    assert built == Counter() and {t for _, t, _ in expected.values()} == {"T1", "T2", "T3", "T4"}

@@ -521,32 +521,34 @@ def test_build_tubed_surface_f1():
     assert s.genus_total == 2
     assert s.w_side == SIDE_B
     assert s.v_side == SIDE_A
-    r = s.region(1)
-    assert r.block_side == SIDE_A
-    assert r.own_tube_side == SIDE_B
-    assert r.feet_bottom == () and r.feet_top == ()
+    (r,) = surface_to_json_obj(s)["regions"]
+    assert r["index"] == 1
+    assert r["block_side"] == SIDE_A
+    assert r["own_tube_side"] == SIDE_B
+    assert r["feet_bottom"] == [] and r["feet_top"] == []
 
 
 def test_build_tubed_surface_f2():
     s = build_tubed_surface(1, 2)
     assert s.genus_total == 3
     assert s.w_side == SIDE_A
-    r1, r2 = s.region(1), s.region(2)
-    assert r1.feet_top == (2,) and r1.feet_bottom == ()
-    assert r2.feet_bottom == (1,) and r2.feet_top == ()
-    assert r1.block_side == SIDE_A and r2.block_side == SIDE_B
+    r1, r2 = surface_to_json_obj(s)["regions"]
+    assert r1["feet_top"] == [2] and r1["feet_bottom"] == []
+    assert r2["feet_bottom"] == [1] and r2["feet_top"] == []
+    assert r1["block_side"] == SIDE_A and r2["block_side"] == SIDE_B
 
 
 def test_build_tubed_surface_f3_interior_region():
     s = build_tubed_surface(2, 3)
     assert s.genus_total == 8
     assert s.w_side == SIDE_B
-    r2 = s.region(2)
-    assert r2.feet_bottom == (1,) and r2.feet_top == (3,)
+    regions = surface_to_json_obj(s)["regions"]
+    assert [r["index"] for r in regions] == [1, 2, 3]
+    assert regions[1]["feet_bottom"] == [1] and regions[1]["feet_top"] == [3]
     # block and own tube on opposite sides; consecutive regions alternate
-    for r in s.regions:
-        assert r.block_side == opposite_side(r.own_tube_side)
-    sides = [r.block_side for r in s.regions]
+    for r in regions:
+        assert r["block_side"] == opposite_side(r["own_tube_side"])
+    sides = [r["block_side"] for r in regions]
     assert all(x != y for x, y in zip(sides, sides[1:]))
 
 
@@ -555,9 +557,6 @@ def test_build_tubed_surface_validation():
         build_tubed_surface(0, 1)
     with pytest.raises(InvalidConfigError):
         build_tubed_surface(1, 0)
-    s = build_tubed_surface(1, 2)
-    with pytest.raises(InvalidConfigError):
-        s.region(3)
 
 
 # -- JSON -----------------------------------------------------------------------
@@ -576,6 +575,7 @@ def surface_from_json_obj(obj, source: str = "surface") -> TubedSurface:
     if type(tubes) is not int or tubes < 1:
         raise MalformedFileError(f"{source}.tubes", "expected an int >= 1")
     built = build_tubed_surface(genus, tubes)
+    built_regions = surface_to_json_obj(built)["regions"]
     regions = obj.get("regions")
     if not isinstance(regions, list) or len(regions) != tubes:
         raise MalformedFileError(f"{source}.regions", f"expected a list of {tubes} regions")
@@ -583,21 +583,9 @@ def surface_from_json_obj(obj, source: str = "surface") -> TubedSurface:
         loc = f"{source}.regions[{i}]"
         if not isinstance(entry, dict):
             raise MalformedFileError(loc, "expected an object")
-        want = built.regions[i]
-        got = (
-            entry.get("index"),
-            entry.get("block_side"),
-            entry.get("own_tube_side"),
-            entry.get("feet_bottom"),
-            entry.get("feet_top"),
-        )
-        expect = (
-            want.index,
-            want.block_side,
-            want.own_tube_side,
-            list(want.feet_bottom),
-            list(want.feet_top),
-        )
+        fields = ("index", "block_side", "own_tube_side", "feet_bottom", "feet_top")
+        got = tuple(entry.get(name) for name in fields)
+        expect = tuple(built_regions[i][name] for name in fields)
         if got != expect:
             raise MalformedFileError(loc, f"inconsistent region data; expected {expect}")
     return built
