@@ -4,23 +4,26 @@ The package builds explicit finite models of a family of surfaces obtained by
 joining parallel copies of a closed orientable surface with unknotted tubes,
 enumerates a catalog of compressing-disk descriptors for each model, realizes
 octahedral suspension spheres inside the flag complex spanned by the catalog,
-and certifies -- via exact integer homology and an explicitly verified
-simplicial retraction -- that those spheres are homologically essential.
+and certifies -- via an explicitly verified simplicial retraction that fixes
+the sphere's fundamental cycle, written in closed form -- that those spheres
+are homologically essential.
 
 Public entry points live in the submodules:
 
 - :mod:`disklab.flagcomplex` -- flag complexes, clique enumeration, JSON
   (de)serialization.
-- :mod:`disklab.homology` -- exact integer homology (sparse unit-pivot
-  elimination, Smith normal form on the residual core) and the cycle-level
-  retraction certificate.
+- :mod:`disklab.homology` -- exact integer homology of flag complexes (sparse
+  unit-pivot elimination, Smith normal form on the residual core), for the
+  ``homology`` subcommand, and the octahedral sphere's join cycle in closed
+  form, for ``certify``.
 - :mod:`disklab.surface` -- tubed surfaces, arc codes on the once-punctured
   genus-g block, arc enumeration and the exact arc-disjointness search, and
   the frozen-record base of every descriptor class.
 - :mod:`disklab.disks` -- compressing-disk descriptors, side/type
   classification, disjointness, and catalog generation.
 - :mod:`disklab.retraction` -- suspension spheres, outermost surgery, the
-  recursive retraction, and minimality certificates.
+  recursive retraction, and minimality certificates with the sphere's
+  fundamental cycle in closed form.
 - :mod:`disklab.cli` -- the ``disklab`` command-line interface.  It imports
   only ``errors`` and ``flagcomplex`` at start, and each subcommand imports
   the layers it runs (``build``: ``surface`` and ``disks``; ``certify``: all

@@ -15,7 +15,8 @@ layers at the top of its body:
 
 - ``build`` loads ``surface`` and ``disks``;
 - ``certify`` loads ``disks`` and ``retraction``, which bring ``surface``
-  and ``homology``;
+  and ``homology`` (for the sphere's cycle in closed form only: certify
+  builds no chain complex);
 - ``homology`` loads ``homology`` only.
 
 No subcommand loads ``dataclasses``, and with it ``inspect``: the
@@ -24,7 +25,7 @@ descriptor classes are plain slotted records
 interpreter that often compiles the package from source, so each module it
 does not import is startup time saved.  Compiling from source on Python
 3.11, the layers of ``build`` took 41 ms to import with ``dataclasses`` and
-take 18 ms without it, and those of ``certify`` 66 and 42 ms (medians of 21
+take 18 ms without it, and those of ``certify`` 66 and 35 ms (medians of 21
 runs of ``scripts/startup_table.py`` on a 2-vCPU host).
 """
 
@@ -111,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-simplices",
         type=int,
         default=DEFAULT_MAX_SIMPLICES,
-        help=f"cap on enumerated simplices per dimension (default {DEFAULT_MAX_SIMPLICES})",
+        help=f"cap on the sphere's simplices per dimension (default {DEFAULT_MAX_SIMPLICES})",
     )
     _add_common(p_cert)
     p_cert.set_defaults(func=cmd_certify)

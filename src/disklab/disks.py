@@ -366,24 +366,15 @@ def disjointness_rows(disks, surface: TubedSurface) -> list:
 # -- classification --------------------------------------------------------------
 
 
-def classify_type(d: Disk, surface: TubedSurface) -> str:
-    """Partition disks into T1-T4 by side and incidence with the top meridian.
+def type_at(d: Disk, level: int) -> str:
+    """Type T1-T4 of a disk valid on the surface with ``level`` tubes.
 
     T1: the top meridian itself.  T2: any other disk on the same side as the
     top meridian.  T3: opposite-side disks meeting the top meridian (their
     tube footprint reaches the top tube).  T4: opposite-side disks disjoint
-    from it.
-    """
-    validate_disk(d, surface)
-    return type_at(d, surface.tubes)
-
-
-def type_at(d: Disk, level: int) -> str:
-    """:func:`classify_type` on the surface with ``level`` tubes, for a disk valid there.
-
-    The type reads only the disk's side and tube footprint and the tube
-    level, and builds no disk.  A disk that is not T1 meets the top meridian
-    exactly when ``level`` is in its footprint.
+    from it.  The type reads only the disk's side and tube footprint and the
+    tube level, and builds no disk.  A disk that is not T1 meets the top
+    meridian exactly when ``level`` is in its footprint.
     """
     if isinstance(d, Meridian) and d.index == level:
         return "T1"
@@ -625,7 +616,7 @@ def catalog_to_json_obj(catalog: DiskCatalog) -> dict:
         obj = disk_to_json_obj(d)
         obj["key"] = d.key
         obj["side"] = disk_side(d)
-        obj["type"] = classify_type(d, surface)
+        obj["type"] = type_at(d, surface.tubes)
         entries.append(obj)
     return {
         "kind": "disk_catalog",
@@ -679,7 +670,7 @@ def catalog_from_json_obj(obj, source: str = "disks") -> DiskCatalog:
             if "side" in raw and raw["side"] != disk_side(expected):
                 got = _clip(repr(raw["side"]))
                 raise MalformedFileError(f"{loc}.side", f"side {got} does not match {disk_side(expected)}")
-            expected_type = classify_type(expected, surface)
+            expected_type = type_at(expected, tubes)
             if "type" in raw and raw["type"] != expected_type:
                 got = _clip(repr(raw["type"]))
                 raise MalformedFileError(f"{loc}.type", f"type {got} does not match {expected_type}")

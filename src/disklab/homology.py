@@ -28,19 +28,14 @@ dense :func:`smith_normal_form`, which returns only its diagonal.  Boundary
 matrices of simplicial complexes have ±1 entries, and on the complexes this
 package meets the core is usually empty.
 
-Generating cycles come from orientation, not from a kernel basis.  On a
-complex with no (k+1)-simplices H_k = ker ∂_k.  If every (k-1)-face (a
-*ridge*) lies in exactly two k-simplices, the coefficient of one k-simplex
-fixes that of its neighbour across each ridge, so :func:`free_generator`
-puts +1 on the lexicographically last k-simplex and propagates signs until
-every ridge cancels.  A consistent assignment that reaches every k-simplex
-is a cycle with ±1 entries; such a cycle is primitive in the rank-1,
-saturated lattice ker ∂_k, so it generates H_k = ℤ.
+:func:`join_cycle` eliminates nothing: it writes the fundamental cycle of an
+octahedral sphere in closed form, for the homology section of ``certify``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import combinations, product
 
 from disklab.errors import InvalidConfigError
 from disklab.flagcomplex import DEFAULT_MAX_SIMPLICES, FlagComplex, flag_cliques
@@ -322,134 +317,25 @@ def reduced_homology(
     return ChainComplex(cliques).profile(d_max)
 
 
-# -- generating cycles and induced chain maps ----------------------------------
+# -- the cross-polytope's fundamental cycle ------------------------------------
 
 
-def free_generator(cc: ChainComplex, k: int) -> dict[tuple[str, ...], int]:
-    """A cycle generating reduced H_k, which must be Z, with +1 on the last k-simplex.
+def join_cycle(pairs: list[tuple[str, str]]) -> dict[tuple[str, ...], int]:
+    """The join cycle ``(D_0 - E_0) * ... * (D_n - E_n)`` of ``pairs``, in closed form.
 
-    ``cc`` must have no simplices above dimension k, and every (k-1)-face of
-    a k-simplex must lie in exactly two k-simplices: a closed, connected,
-    orientable pseudomanifold of dimension k.  Signs are propagated across
-    ridges as the module docstring describes; any other input raises.
+    ``pairs`` lists the antipodal pairs ``(D_i, E_i)`` of an octahedral
+    sphere, every id distinct.  The facet that picks ``x_i`` from pair ``i``
+    gets ``(-1)`` to the number of ``E`` picks times the sign of the
+    permutation that sorts ``x_0, ..., x_n``, and the whole cycle is then
+    multiplied by the one sign that puts ``+1`` on the lexicographically
+    last facet.  Facets are sorted id tuples, in sorted order.  No chain
+    complex is built; the ``retraction`` docstring states why this cycle
+    generates the sphere's reduced ``H_n``.
     """
-    if cc.betti_reduced(k) != 1 or cc.torsion(k):
-        raise InvalidConfigError(
-            f"free_generator requires reduced homology Z in dimension {k}; "
-            f"found rank {cc.betti_reduced(k)}, torsion {list(cc.torsion(k))}"
-        )
-    if cc.n_cells(k + 1):
-        raise InvalidConfigError(
-            f"free_generator requires no simplices above dimension {k}; "
-            f"found {cc.n_cells(k + 1)} in dimension {k + 1}"
-        )
-    facets = cc.simplices[k]
-    ridges: dict[tuple[str, ...], list[tuple[int, int]]] = {}
-    for j, s in enumerate(facets):
-        for i in range(len(s)):
-            ridges.setdefault(s[:i] + s[i + 1 :], []).append((j, -1 if i % 2 else 1))
-    for ridge, held in ridges.items():
-        if len(held) != 2:
-            raise InvalidConfigError(
-                f"ridge {ridge} lies in {len(held)} simplices of dimension {k}, not 2"
-            )
-    # The cycle's boundary cancels on a ridge in facets a and b with face signs
-    # e_a and e_b iff c_a * e_a + c_b * e_b == 0, i.e. c_b == -c_a * e_a * e_b.
-    coeff = {len(facets) - 1: 1}
-    stack = [len(facets) - 1]
-    while stack:
-        j = stack.pop()
-        s = facets[j]
-        for i in range(len(s)):
-            (a, e_a), (b, e_b) = ridges[s[:i] + s[i + 1 :]]
-            other = b if a == j else a
-            c = -coeff[j] * e_a * e_b
-            if other not in coeff:
-                coeff[other] = c
-                stack.append(other)
-            elif coeff[other] != c:
-                raise InvalidConfigError(
-                    f"simplices of dimension {k} admit no coherent orientation"
-                )
-    if len(coeff) != len(facets):
-        raise InvalidConfigError(
-            f"{len(facets) - len(coeff)} simplices of dimension {k} are not reached across ridges"
-        )
-    return {facets[j]: c for j, c in sorted(coeff.items())}
-
-
-def permutation_sign(values: list[str]) -> int:
-    """Sign of the permutation sorting ``values`` (must be distinct)."""
-    inversions = 0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if values[i] > values[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
-
-
-def apply_chain_map(
-    assignment: dict[str, str], chain: dict[tuple[str, ...], int]
-) -> dict[tuple[str, ...], int]:
-    """Push a simplicial chain through a vertex map.
-
-    Simplices with a repeated image vertex are degenerate and map to zero;
-    otherwise the image simplex is the sorted tuple with the sign of the
-    sorting permutation.
-    """
-    out: dict[tuple[str, ...], int] = {}
-    for simplex, coeff in chain.items():
-        images = [assignment[v] for v in simplex]
-        if len(set(images)) != len(images):
-            continue
-        sign = permutation_sign(images)
-        target = tuple(sorted(images))
-        out[target] = out.get(target, 0) + sign * coeff
-        if out[target] == 0:
-            del out[target]
-    return out
-
-
-def certify_homology_retraction(
-    assignment: dict[str, str],
-    s: FlagComplex,
-    n: int,
-    max_per_dim: int | None = DEFAULT_MAX_SIMPLICES,
-) -> dict:
-    """Cycle-level retraction certificate in dimension ``n``.
-
-    ``assignment`` maps the vertices of a complex containing ``s`` to
-    vertices of ``s`` and must already be checked as a simplicial retraction
-    onto ``s`` (the caller's obligation, not repeated here).  Only what the
-    cycle argument uses is re-verified: the assignment fixes every vertex of
-    ``s``.  Computes the reduced homology of ``s``, demands it is Z in
-    dimension ``n``, extracts a generating cycle, pushes it through the
-    composite (include into the domain, then apply the assignment), and
-    verifies the composite acts as the identity on the generator.  The
-    returned document records the cycle and its image so the check can be
-    replayed.
-    """
-    for vid in s.vertex_ids:
-        if assignment.get(vid) != vid:
-            raise InvalidConfigError(
-                "certify_homology_retraction requires a verified retraction; first failure: "
-                f"subcomplex vertex {vid!r} is not fixed (maps to {assignment.get(vid)!r})"
-            )
-    cliques = flag_cliques(s, n + 1, max_per_dim)
-    cc = ChainComplex(cliques)
-    profile = cc.profile(n)
-    if profile.betti(n) != 1 or profile.torsion(n):
-        raise InvalidConfigError(
-            f"subcomplex homology in dimension {n} is {profile.describe(n)}, not Z"
-        )
-    cycle = free_generator(cc, n)
-    image = apply_chain_map(assignment, cycle)
-    identity = image == cycle
-    return {
-        "dimension": n,
-        "profile": profile.to_json_obj(),
-        "generating_cycle": [[list(s_), c] for s_, c in sorted(cycle.items())],
-        "image_cycle": [[list(s_), c] for s_, c in sorted(image.items())],
-        "composite_is_identity": identity,
-        "passed": bool(identity),
-    }
+    cycle = {}
+    for picks in product((0, 1), repeat=len(pairs)):
+        ids = [pair[p] for pair, p in zip(pairs, picks)]
+        inversions = sum(a > b for a, b in combinations(ids, 2))
+        cycle[tuple(sorted(ids))] = -1 if (sum(picks) + inversions) % 2 else 1
+    sign = cycle[max(cycle)]
+    return {facet: sign * c for facet, c in sorted(cycle.items())}

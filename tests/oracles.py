@@ -31,6 +31,22 @@ every image first.
 ``copy_complex``, ``suspend`` and ``octahedral_sphere`` build the flag
 complexes that the homology and flag-complex tests start from, and
 ``has_vertex`` and ``has_edge`` query them; no subcommand needs them.
+
+``certify`` writes the sphere's fundamental cycle in closed form (see the
+``retraction`` docstring).  The homology path it replaced is kept here:
+``sphere_complex`` builds the sphere as a flag complex,
+``certify_homology_retraction`` eliminates its chain complex, takes the
+generator from ``free_generator`` and pushes it through ``apply_chain_map``.
+``classify_type`` validates a disk before it reads ``type_at``.
+
+Generating cycles come from orientation, not from a kernel basis.  On a
+complex with no (k+1)-simplices H_k = ker d_k.  If every (k-1)-face (a
+*ridge*) lies in exactly two k-simplices, the coefficient of one k-simplex
+fixes that of its neighbour across each ridge, so ``free_generator`` puts +1
+on the lexicographically last k-simplex and propagates signs until every
+ridge cancels.  A consistent assignment that reaches every k-simplex is a
+cycle with +-1 entries; such a cycle is primitive in the rank-1, saturated
+lattice ker d_k, so it generates H_k = Z.
 """
 
 from __future__ import annotations
@@ -46,12 +62,13 @@ from disklab.disks import (
     Disk,
     Meridian,
     VerticalDisk,
-    classify_type,
     disks_disjoint_unvalidated,
+    type_at,
     validate_disk,
 )
 from disklab.errors import InvalidConfigError
-from disklab.flagcomplex import FlagComplex
+from disklab.flagcomplex import DEFAULT_MAX_SIMPLICES, FlagComplex, flag_cliques
+from disklab.homology import ChainComplex
 from disklab.retraction import CASE_OF_TYPES, RetractionEngine, _disk_records, _scan_pairs
 from disklab.surface import (
     ArcCode,
@@ -138,6 +155,20 @@ def induced_subcomplex(c: FlagComplex, vertex_ids: Iterable[str]) -> FlagComplex
         if u in keep and v in keep:
             out.add_edge(u, v)
     return out.freeze()
+
+
+def sphere_complex(sphere) -> FlagComplex:
+    """A suspension sphere's octahedron as a flag complex on disk keys."""
+    fc = FlagComplex()
+    for i in range(sphere.index + 1):
+        fc.add_vertex(sphere.d_disks[i].key, f"D{i}")
+        fc.add_vertex(sphere.e_disks[i].key, f"E{i}")
+    for i in range(sphere.index + 1):
+        for j in range(i + 1, sphere.index + 1):
+            for a in sphere.pair(i):
+                for b in sphere.pair(j):
+                    fc.add_edge(a.key, b.key)
+    return fc.freeze()
 
 
 def catalog_complex(catalog, disjoint_pairs) -> FlagComplex:
@@ -474,7 +505,146 @@ def disks_disjoint_with_band_terms(a: Disk, b: Disk, surface: TubedSurface) -> b
     )
 
 
-# -- projection ------------------------------------------------------------------
+# -- generating cycles and induced chain maps ----------------------------------
+
+
+def free_generator(cc: ChainComplex, k: int) -> dict[tuple[str, ...], int]:
+    """A cycle generating reduced H_k, which must be Z, with +1 on the last k-simplex.
+
+    ``cc`` must have no simplices above dimension k, and every (k-1)-face of
+    a k-simplex must lie in exactly two k-simplices: a closed, connected,
+    orientable pseudomanifold of dimension k.  Signs are propagated across
+    ridges as the module docstring describes; any other input raises.
+    """
+    if cc.betti_reduced(k) != 1 or cc.torsion(k):
+        raise InvalidConfigError(
+            f"free_generator requires reduced homology Z in dimension {k}; "
+            f"found rank {cc.betti_reduced(k)}, torsion {list(cc.torsion(k))}"
+        )
+    if cc.n_cells(k + 1):
+        raise InvalidConfigError(
+            f"free_generator requires no simplices above dimension {k}; "
+            f"found {cc.n_cells(k + 1)} in dimension {k + 1}"
+        )
+    facets = cc.simplices[k]
+    ridges: dict[tuple[str, ...], list[tuple[int, int]]] = {}
+    for j, s in enumerate(facets):
+        for i in range(len(s)):
+            ridges.setdefault(s[:i] + s[i + 1 :], []).append((j, -1 if i % 2 else 1))
+    for ridge, held in ridges.items():
+        if len(held) != 2:
+            raise InvalidConfigError(
+                f"ridge {ridge} lies in {len(held)} simplices of dimension {k}, not 2"
+            )
+    # The cycle's boundary cancels on a ridge in facets a and b with face signs
+    # e_a and e_b iff c_a * e_a + c_b * e_b == 0, i.e. c_b == -c_a * e_a * e_b.
+    coeff = {len(facets) - 1: 1}
+    stack = [len(facets) - 1]
+    while stack:
+        j = stack.pop()
+        s = facets[j]
+        for i in range(len(s)):
+            (a, e_a), (b, e_b) = ridges[s[:i] + s[i + 1 :]]
+            other = b if a == j else a
+            c = -coeff[j] * e_a * e_b
+            if other not in coeff:
+                coeff[other] = c
+                stack.append(other)
+            elif coeff[other] != c:
+                raise InvalidConfigError(
+                    f"simplices of dimension {k} admit no coherent orientation"
+                )
+    if len(coeff) != len(facets):
+        raise InvalidConfigError(
+            f"{len(facets) - len(coeff)} simplices of dimension {k} are not reached across ridges"
+        )
+    return {facets[j]: c for j, c in sorted(coeff.items())}
+
+
+def permutation_sign(values: list[str]) -> int:
+    """Sign of the permutation sorting ``values`` (must be distinct)."""
+    inversions = 0
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if values[i] > values[j]:
+                inversions += 1
+    return -1 if inversions % 2 else 1
+
+
+def apply_chain_map(
+    assignment: dict[str, str], chain: dict[tuple[str, ...], int]
+) -> dict[tuple[str, ...], int]:
+    """Push a simplicial chain through a vertex map.
+
+    Simplices with a repeated image vertex are degenerate and map to zero;
+    otherwise the image simplex is the sorted tuple with the sign of the
+    sorting permutation.
+    """
+    out: dict[tuple[str, ...], int] = {}
+    for simplex, coeff in chain.items():
+        images = [assignment[v] for v in simplex]
+        if len(set(images)) != len(images):
+            continue
+        sign = permutation_sign(images)
+        target = tuple(sorted(images))
+        out[target] = out.get(target, 0) + sign * coeff
+        if out[target] == 0:
+            del out[target]
+    return out
+
+
+def certify_homology_retraction(
+    assignment: dict[str, str],
+    s: FlagComplex,
+    n: int,
+    max_per_dim: int | None = DEFAULT_MAX_SIMPLICES,
+) -> dict:
+    """Cycle-level retraction certificate in dimension ``n``, by elimination.
+
+    ``assignment`` maps the vertices of a complex containing ``s`` to
+    vertices of ``s`` and must already be checked as a simplicial retraction
+    onto ``s``.  Only what the cycle argument uses is re-verified: the
+    assignment fixes every vertex of ``s``.  Computes the reduced homology of
+    ``s``, demands it is Z in dimension ``n``, extracts a generating cycle,
+    pushes it through the composite (include into the domain, then apply
+    the assignment), and verifies the composite acts as the identity on the
+    generator.  On a suspension sphere the document equals ``certify``'s
+    closed-form homology section.
+    """
+    for vid in s.vertex_ids:
+        if assignment.get(vid) != vid:
+            raise InvalidConfigError(
+                "certify_homology_retraction requires a verified retraction; first failure: "
+                f"subcomplex vertex {vid!r} is not fixed (maps to {assignment.get(vid)!r})"
+            )
+    cliques = flag_cliques(s, n + 1, max_per_dim)
+    cc = ChainComplex(cliques)
+    profile = cc.profile(n)
+    if profile.betti(n) != 1 or profile.torsion(n):
+        raise InvalidConfigError(
+            f"subcomplex homology in dimension {n} is {profile.describe(n)}, not Z"
+        )
+    cycle = free_generator(cc, n)
+    image = apply_chain_map(assignment, cycle)
+    identity = image == cycle
+    return {
+        "dimension": n,
+        "profile": profile.to_json_obj(),
+        "generating_cycle": [[list(s_), c] for s_, c in sorted(cycle.items())],
+        "image_cycle": [[list(s_), c] for s_, c in sorted(image.items())],
+        "composite_is_identity": identity,
+        "passed": bool(identity),
+    }
+
+
+# -- types and projection ----------------------------------------------------------
+
+
+def classify_type(d: Disk, surface: TubedSurface) -> str:
+    """:func:`~disklab.disks.type_at` at the surface's tube count, after validating the disk."""
+    validate_disk(d, surface)
+    return type_at(d, surface.tubes)
+
 
 
 def disk_regions(d: Disk) -> frozenset:

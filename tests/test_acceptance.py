@@ -36,7 +36,6 @@ from disklab.disks import (
     CatalogConfig,
     Meridian,
     build_disk_catalog,
-    classify_type,
     disk_side,
     disks_disjoint,
 )
@@ -44,7 +43,7 @@ from disklab.flagcomplex import FlagComplex, canonical_json
 from disklab.homology import reduced_homology
 from disklab.retraction import certify_minimality
 from disklab.surface import build_tubed_surface, opposite_side, tube_side
-from oracles import octahedral_sphere, suspend
+from oracles import classify_type, octahedral_sphere, suspend
 
 INSTANCES = ((1, 1), (1, 2), (2, 1), (2, 2))
 CONFIG = CatalogConfig(arc_bound=3, bandsum_depth=2)

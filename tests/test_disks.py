@@ -17,7 +17,6 @@ from disklab.disks import (
     build_disk_catalog,
     catalog_from_json_obj,
     catalog_to_json_obj,
-    classify_type,
     config_from_json_obj,
     config_to_json_obj,
     disk_from_json_obj,
@@ -31,7 +30,7 @@ from disklab.disks import (
 from disklab.errors import InvalidConfigError, MalformedFileError
 from disklab.flagcomplex import canonical_json
 from disklab.surface import SIDE_A, SIDE_B, build_tubed_surface
-from oracles import disk_regions, disks_disjoint_with_band_terms, meets_distinguished, project_disk
+from oracles import classify_type, disk_regions, disks_disjoint_with_band_terms, meets_distinguished, project_disk
 
 
 @pytest.fixture(scope="module")

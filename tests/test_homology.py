@@ -18,20 +18,21 @@ from disklab.homology import (
     Column,
     HomologyProfile,
     Matrix,
-    apply_chain_map,
-    certify_homology_retraction,
-    free_generator,
-    permutation_sign,
+    join_cycle,
     rank_and_torsion,
     reduced_homology,
     smith_normal_form,
 )
 from oracles import (
     VertexMap,
+    apply_chain_map,
+    certify_homology_retraction,
     check_retraction,
     copy_complex,
+    free_generator,
     induced_subcomplex,
     octahedral_sphere,
+    permutation_sign,
     suspend,
 )
 
@@ -449,6 +450,16 @@ class TestFreeGenerator:
         assert all(abs(c) == 1 for c in gen.values())
         assert gen[cc.simplices[7][-1]] == 1
         assert chain_boundary(cc, 7, gen) == {}
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_join_cycle_is_the_propagated_generator(self, n):
+        cc = ChainComplex(flag_cliques(octahedral_sphere(n), n))
+        gen = free_generator(cc, n - 1)
+        # Any pair order and either vertex of a pair as D: the global sign
+        # leaves the one generator with +1 on the last facet.
+        assert join_cycle([(f"p{i}", f"q{i}") for i in range(n)]) == gen
+        assert join_cycle([(f"q{i}", f"p{i}") for i in reversed(range(n))]) == gen
+        assert list(join_cycle([(f"p{i}", f"q{i}") for i in range(n)])) == sorted(gen)
 
     def test_rejects_wrong_homology(self):
         cc = ChainComplex(flag_cliques(complete_graph(4), 3))

@@ -3,11 +3,14 @@
 import importlib
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
 import disklab.disks as disks_module
+import disklab.flagcomplex as flagcomplex_module
+import disklab.homology as homology_module
 import disklab.retraction as retraction_module
 import disklab.surface as surface_module
 from disklab.disks import (
@@ -17,14 +20,13 @@ from disklab.disks import (
     Meridian,
     VerticalDisk,
     build_disk_catalog,
-    classify_type,
     disk_side,
     disks_disjoint_unvalidated,
     type_at,
     validate_disk,
 )
-from disklab.errors import InvalidConfigError, WellDefinednessError
-from disklab.flagcomplex import FlagComplex, canonical_json
+from disklab.errors import InvalidConfigError, ResourceCapError, WellDefinednessError
+from disklab.flagcomplex import FlagComplex, canonical_json, flag_cliques
 from disklab.retraction import (
     CASE_OF_TYPES,
     RetractionEngine,
@@ -42,11 +44,15 @@ from disklab.surface import build_tubed_surface
 from oracles import (
     VertexMap,
     catalog_complex,
+    certify_homology_retraction,
     check_retraction,
     check_simplicial,
+    classify_type,
     has_edge,
     meets_distinguished,
+    permutation_sign,
     scan_pairs_by_loop,
+    sphere_complex,
     verify_claim_cases,
 )
 
@@ -100,7 +106,7 @@ def test_verify_sphere_invariants(setup_f3):
 
 def test_sphere_complex_is_octahedron(setup_f3):
     _, _, sphere, _ = setup_f3
-    fc = sphere.complex()
+    fc = sphere_complex(sphere)
     assert fc.vertex_count() == 6
     assert fc.edge_count() == 12
     for i in range(3):
@@ -502,6 +508,65 @@ def test_certificate_homology_profile():
     assert profile[0]["betti"] == 0 and profile[1]["betti"] == 0
 
 
+# -- the homology section in closed form ----------------------------------------------
+
+
+def raw_join_cycle(sphere) -> dict:
+    """z = (D_0 - E_0) * ... * (D_n - E_n) on sorted key tuples, before any global sign."""
+    z = {}
+    for picks in product((0, 1), repeat=sphere.index + 1):
+        keys = [sphere.pair(i)[p].key for i, p in enumerate(picks)]
+        z[tuple(sorted(keys))] = (-1) ** sum(picks) * permutation_sign(keys)
+    return z
+
+
+@pytest.mark.parametrize("genus, n_max", [(1, 9), (2, 7), (3, 7)])
+def test_join_cycle_is_the_eliminated_generator(genus, n_max):
+    global_signs = {}
+    for n in range(n_max + 1):
+        surface = build_tubed_surface(genus, n + 1)
+        sphere = build_suspension_sphere(surface, build_disk_catalog(surface, CatalogConfig(arc_bound=3)))
+        fixed = {key: key for key in sphere.sub_sphere_keys(n)}
+        doc = retraction_module._homology_document(sphere, 10**6)
+        # Entry for entry, the document of elimination and sign propagation
+        # (``free_generator``) on the sphere as a flag complex.
+        assert doc == certify_homology_retraction(fixed, sphere_complex(sphere), n)
+        cycle = {tuple(facet): c for facet, c in doc["generating_cycle"]}
+        # The recorded cycle is the join cycle up to one global sign.
+        raw = raw_join_cycle(sphere)
+        global_signs[n] = raw[max(raw)]
+        assert cycle == {facet: global_signs[n] * c for facet, c in raw.items()}
+        # The boundary cancels on every ridge (in reduced chains, on () too).
+        boundary = Counter()
+        for facet, c in cycle.items():
+            for i in range(len(facet)):
+                boundary[facet[:i] + facet[i + 1 :]] += (-1) ** i * c
+        assert len(cycle) == 2 ** (n + 1) and not any(boundary.values())
+    if genus == 1:
+        # The global sign is not always +1.
+        assert global_signs[9] == -1
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_certify_simplex_cap_matches_clique_enumeration(n):
+    surface = build_tubed_surface(1, n + 1)
+    catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
+    sphere = build_suspension_sphere(surface, catalog)
+    thresholds = {comb(n + 1, k + 1) * 2 ** (k + 1) for k in range(n + 1)}
+    for cap in sorted(thresholds | {t - 1 for t in thresholds}):
+        expected = None
+        try:
+            flag_cliques(sphere_complex(sphere), n + 1, cap)
+        except ResourceCapError as exc:
+            expected = str(exc)
+        try:
+            cert = certify_catalog(catalog, max_simplices=cap)
+        except ResourceCapError as exc:
+            assert str(exc) == expected, cap
+        else:
+            assert expected is None and cert["passed"], cap
+
+
 def test_catalog_complex_edges_match_disjointness(setup_f2):
     surface, catalog, _, engine = setup_f2
     from itertools import combinations
@@ -550,7 +615,7 @@ def oracle_report(cert, catalog, pairs, sphere):
     """``check_retraction`` on the certificate's image table over the catalog complex."""
     assignment = {key: entry["key"] for key, entry in cert["retraction"]["images"].items()}
     k = catalog_complex(catalog, pairs)
-    return check_retraction(VertexMap(k, k, assignment), sphere.complex())[1]
+    return check_retraction(VertexMap(k, k, assignment), sphere_complex(sphere))[1]
 
 
 def rig_key_for(monkeypatch, substitute):
@@ -727,38 +792,45 @@ def test_pair_pass_flags_exactly_the_edges_the_oracle_finds(setup_g1n4):
 
 
 def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
-    _, catalog, sphere, _, _ = setup_g1n4
-    n = sphere.index
-    vertices, edges = [], []
-    add_vertex, add_edge = FlagComplex.add_vertex, FlagComplex.add_edge
+    _, catalog, _, _, _ = setup_g1n4
+    built = Counter()
+    flag_complex_init = FlagComplex.__init__
+    chain_complex_init = homology_module.ChainComplex.__init__
 
-    def counting_vertex(self, vertex_id, label=None):
-        vertices.append(vertex_id)
-        return add_vertex(self, vertex_id, label)
+    def counting_init(self):
+        built["FlagComplex"] += 1
+        flag_complex_init(self)
 
-    def counting_edge(self, u, v):
-        edges.append((u, v))
-        return add_edge(self, u, v)
+    def counting_chain_complex(self, simplices_by_dim):
+        built["ChainComplex"] += 1
+        chain_complex_init(self, simplices_by_dim)
 
-    monkeypatch.setattr(FlagComplex, "add_vertex", counting_vertex)
-    monkeypatch.setattr(FlagComplex, "add_edge", counting_edge)
+    def no_cliques(*args, **kwargs):
+        built["flag_cliques"] += 1
+        raise AssertionError("certify enumerated cliques")
+
+    monkeypatch.setattr(FlagComplex, "__init__", counting_init)
+    monkeypatch.setattr(homology_module.ChainComplex, "__init__", counting_chain_complex)
+    monkeypatch.setattr(flagcomplex_module, "flag_cliques", no_cliques)
+    monkeypatch.setattr(homology_module, "flag_cliques", no_cliques)
     cert = certify_catalog(catalog)
     assert cert["passed"]
-    sphere_keys = set(sphere.sub_sphere_keys(n))
-    # Only the octahedron is ever built: 2(n + 1) vertices and 2n(n + 1) edges.
-    assert vertices and set(vertices) == sphere_keys and len(vertices) == 2 * (n + 1)
-    assert len(edges) == 2 * n * (n + 1)
+    # Neither the catalog complex nor the sphere is built as a flag complex,
+    # and the sphere's homology is written in closed form, with no chain
+    # complex.
+    assert built == Counter()
     # Nothing in the package can check simpliciality edge by edge, and none of
     # the removed arc-layer model, drawing views, surgery transcripts,
-    # pass-through accessors, region records or validated/unvalidated type
-    # twins is left for the tests alone.
+    # pass-through accessors, region records, validated/unvalidated type
+    # twins or the sphere's elimination path is left for the tests alone.
     removed = (
         "check_simplicial", "check_retraction", "VertexMap", "catalog_complex",
         "PuncturedSurfaceModel", "build_punctured_model", "solo_drawings", "is_embeddable",
         "SurgeryOutcome", "SurgeryCandidate", "ArcSurgery", "disk_key", "resolve_partner",
         "distinguished_disk", "disk_regions", "copy_complex", "suspend", "octahedral_sphere",
         "Region", "classify_type_unvalidated", "meets_distinguished", "meets_distinguished_unvalidated",
-        "TYPE_LABELS", "disk_tubes", "has_vertex", "has_edge",
+        "TYPE_LABELS", "disk_tubes", "has_vertex", "has_edge", "classify_type",
+        "certify_homology_retraction", "free_generator", "apply_chain_map", "permutation_sign",
     )
     for name in ("errors", "surface", "flagcomplex", "homology", "disks", "retraction", "cli"):
         module = importlib.import_module(f"disklab.{name}")
@@ -767,6 +839,7 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
     removed_members = {
         surface_module.TubedSurface: ("regions", "region"),
         RetractionEngine: ("type_at", "_surfaces", "_types", "sphere"),
+        SuspensionSphere: ("complex",),
         FlagComplex: ("has_vertex", "has_edge"),
     }
     for cls, names in removed_members.items():
