@@ -20,7 +20,10 @@ common region are compared by the exact search
 regions, bands versus meridians, parallel pushed copies) separate
 everything else.  ``disks_disjoint`` returns ``True`` only when
 this calculus certifies disjoint representatives; a ``True`` is therefore
-a proof of disjointness while a ``False`` may be conservative.
+a proof of disjointness while a ``False`` may be conservative.  There is
+one ``disks_disjoint``, on descriptors already valid on the surface
+(:func:`validate_disk`): a catalog validates each disk once when it is
+built, and certification reads every verdict off :func:`disjointness_rows`.
 
 The calculus, for two descriptors with distinct keys (equal keys are
 parallel copies, hence disjoint).  Write ``m(i, x)`` for "the meridian of
@@ -214,8 +217,12 @@ def _meridian_misses(index: int, d: Disk) -> bool:
 _VARIANT_RANK = {Meridian: 0, VerticalDisk: 1, BandSum: 2}
 
 
-def disks_disjoint_unvalidated(a: Disk, b: Disk, surface: TubedSurface) -> bool:
-    """:func:`disks_disjoint` for descriptors already validated on ``surface``."""
+def disks_disjoint(a: Disk, b: Disk, surface: TubedSurface) -> bool:
+    """``True`` iff the calculus certifies disjoint representatives of a and b.
+
+    Both descriptors must be valid on ``surface`` (:func:`validate_disk`);
+    nothing here checks them again.
+    """
     if a.key == b.key:
         # Identical descriptors denote parallel pushed copies.
         return True
@@ -228,23 +235,16 @@ def disks_disjoint_unvalidated(a: Disk, b: Disk, surface: TubedSurface) -> bool:
             if a.region != b.region:
                 return True
             return arcs_disjoint(surface.genus_base, a.arc, b.arc)
-        return _meridian_misses(b.base, a) and disks_disjoint_unvalidated(b.resolved_partner, a, surface)
+        return _meridian_misses(b.base, a) and disks_disjoint(b.resolved_partner, a, surface)
     # Both band sums.  Bases are parallel pushed copies of meridians and stay
     # disjoint from each other even when the index coincides (nesting).
     pa, pb = a.resolved_partner, b.resolved_partner
     return (
         _meridian_misses(a.base, pb)
         and _meridian_misses(b.base, pa)
-        and disks_disjoint_unvalidated(pa, pb, surface)
+        and disks_disjoint(pa, pb, surface)
         and (a.base != b.base or arcs_disjoint(surface.genus_base, a.band, b.band))
     )
-
-
-def disks_disjoint(a: Disk, b: Disk, surface: TubedSurface) -> bool:
-    """``True`` iff the calculus certifies disjoint representatives of a and b."""
-    validate_disk(a, surface)
-    validate_disk(b, surface)
-    return disks_disjoint_unvalidated(a, b, surface)
 
 
 def _footprint_bits(d: Disk) -> int:
@@ -262,7 +262,7 @@ def _masks(values) -> dict:
 def disjointness_rows(disks, surface: TubedSurface) -> list:
     """Per disk of ``disks``, the bitset of the other disks certified disjoint from it.
 
-    Bit ``j`` of row ``i`` is :func:`disks_disjoint_unvalidated` on disks
+    Bit ``j`` of row ``i`` is :func:`disks_disjoint` on disks
     ``i`` and ``j``, for every ``j != i``, read off the factorised calculus
     of the module docstring.  Each term of a pair's verdict reads one part
     of each disk: a footprint, a base, a (base, band) or a resolved partner.
@@ -312,7 +312,7 @@ def disjointness_rows(disks, surface: TubedSurface) -> list:
             for y, mask in members.values():
                 pair = (x.key, y.key) if x.key < y.key else (y.key, x.key)
                 if pair not in verdicts:
-                    verdicts[pair] = disks_disjoint_unvalidated(x, y, surface)
+                    verdicts[pair] = disks_disjoint(x, y, surface)
                 if verdicts[pair]:
                     out |= mask
         return out

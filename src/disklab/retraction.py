@@ -3,29 +3,30 @@
 For a surface with ``m = n + 1`` tubes, the sphere ``S^n`` is realized as an
 iterated suspension inside the disk complex: one antipodal pair per tube,
 ``E_i`` the meridian of tube ``i + 1`` and ``D_i`` a vertical disk in region
-``i + 1``.  Vertices of different pairs bound disjoint disks (every such edge
-is certified by the disjointness calculus before the sphere is accepted),
-while the two vertices of one pair intersect, exactly the octahedron's
-non-adjacency.
+``i + 1``.  Vertices of different pairs bound disjoint disks, while the two
+vertices of one pair intersect, exactly the octahedron's non-adjacency.
 
-The retraction sends every cataloged disk to a sphere vertex, by recursion
-over tube count:
+The retraction sends every cataloged disk to a sphere vertex.  A disk whose
+highest tube (the largest index in its tube footprint) is ``L`` misses every
+tube above ``L``, so the same descriptor denotes an isotopic disk on the
+surface with ``L`` tubes, where it meets the top tube; it gets its image
+there, in one projection step from the catalog's surface:
 
-* the top meridian maps to ``E_n``; disks meeting the top tube from the other
-  side map to ``D_n``;
-* other disks whose tube footprint contains the top tube cross the top
-  meridian from its own side, and are surgered along an outermost
-  intersection arc; each outermost arc yields candidate disks, each candidate
-  recursively receives an image, and the arc's result is the candidate image
-  lying in the smallest suspension sub-sphere (minimal pair index).  All
-  outermost arcs must agree on the result; a disagreement raises
-  :class:`WellDefinednessError` rather than being resolved silently;
-* disks missing the top tube entirely keep their descriptor and recurse on
-  the surface with one tube fewer.
+* on the one-tube surface, disks on the tube's side map to ``E_0`` and the
+  others to ``D_0``;
+* the meridian of tube ``L`` maps to ``E_{L-1}``; disks meeting tube ``L``
+  from the other side map to ``D_{L-1}``;
+* every other disk crosses the meridian of tube ``L`` from its own side and
+  is surgered along an outermost intersection arc; each outermost arc
+  yields candidate disks, each candidate receives its own image, and the
+  arc's result is the candidate image lying in the smallest suspension
+  sub-sphere (minimal pair index).  All outermost arcs must agree on the
+  result; a disagreement raises :class:`WellDefinednessError` rather than
+  being resolved silently.
 
-At each level the rule reads only the tube level, a plain int, and the
-disk's side and tube footprint (:func:`~disklab.disks.type_at`); no surface
-is built for a level below the top.
+The rule reads only the level ``L``, a plain int, and the disk's side and
+tube footprint (:func:`~disklab.disks.type_at`); no surface is built below
+the top.
 
 ``certify_catalog`` runs the full pipeline on a catalog and emits a
 machine-checkable certificate: sphere invariants, per-disk images,
@@ -33,16 +34,17 @@ well-definedness statistics, the claim tally, the retraction check on the
 cataloged complex, and the homology section, which records a generating
 ``n``-cycle of the sphere and its image under the composite;
 ``certify_minimality`` builds the catalog first.
-Each catalog disk gets one record (top-level type, image, side).  The pair
-pass turns the records into one bitset row per disk, of the disks certified
-disjoint from it, each an AND of a few precomputed masks
-(:func:`~disklab.disks.disjointness_rows`), and reads the certified-disjoint
-pairs, the claim tally and the V/W witness off the rows.
-That pass is also the only simpliciality check: on the octahedron two images
-span a non-edge exactly when they are antipodal, which is what the claim
+Every disjointness verdict comes from one pass, made first: one bitset row
+per catalog disk, of the disks certified disjoint from it, each an AND of a
+few precomputed masks (:func:`~disklab.disks.disjointness_rows`).  The
+choice of each ``D_i``, the octahedron check, the claim tally and the V/W
+witness all read those rows; nothing else asks the calculus.
+The claim tally is also the only simpliciality check: on the octahedron two
+images span a non-edge exactly when they are antipodal, which is what the
 tally tests on every edge of the cataloged complex.  The retraction check
 that follows is on vertices only: the sphere lies in the cataloged complex,
-every image lies in the sphere, and the sphere is fixed.
+every image lies in the sphere, and the sphere is fixed.  The sphere's edges
+are domain edges because the octahedron check read them off the same rows.
 
 The homology section rests on one lemma, so nothing is eliminated.  Write
 ``S`` for the sphere, the boundary of the ``(n + 1)``-cross-polytope, and
@@ -70,7 +72,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import total_ordering
-from itertools import combinations
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -80,14 +81,13 @@ from .disks import (
     Disk,
     DiskCatalog,
     Meridian,
+    VerticalDisk,
     _masks,
     build_disk_catalog,
     config_to_json_obj,
     disjointness_rows,
     disk_side,
     disk_to_json_obj,
-    disks_disjoint,
-    disks_disjoint_unvalidated,
     type_at,
     validate_disk,
 )
@@ -126,10 +126,10 @@ class SphereVertex(FrozenRecord):
 class SuspensionSphere(FrozenRecord):
     """Antipodal disk pairs realizing an iterated-suspension sphere."""
 
-    __slots__ = _fields = ("surface", "d_disks", "e_disks")
+    __slots__ = _fields = ("d_disks", "e_disks")
 
-    def __init__(self, surface: TubedSurface, d_disks: tuple, e_disks: tuple):
-        self._init(surface, d_disks, e_disks)
+    def __init__(self, d_disks: tuple, e_disks: tuple):
+        self._init(d_disks, e_disks)
 
     @property
     def index(self) -> int:
@@ -154,60 +154,62 @@ class SuspensionSphere(FrozenRecord):
         return [d.key for j in range(i + 1) for d in self.pair(j)]
 
 
-def build_suspension_sphere(surface: TubedSurface, catalog: DiskCatalog) -> SuspensionSphere:
+def build_suspension_sphere(catalog: DiskCatalog, rows: list) -> SuspensionSphere:
     """Pick one antipodal disk pair per tube out of the catalog.
 
+    ``rows`` are the catalog's :func:`~disklab.disks.disjointness_rows`.
     ``E_i`` is the meridian of tube ``i + 1``; ``D_i`` is the first cataloged
-    vertical disk of region ``i + 1`` that the calculus certifies disjoint
-    from all the other pairs' meridians.  Raises naming the failing pair when
-    no cataloged disk qualifies.
+    vertical disk of region ``i + 1`` whose row holds all the other pairs'
+    meridians.  Raises naming the failing pair when no cataloged disk
+    qualifies.
     """
-    m = surface.tubes
-    by_key = catalog.by_key()
-    verticals = catalog.vertical_disks()
+    m = catalog.surface.tubes
+    meridian_at, verticals = {}, {}
+    for k, d in enumerate(catalog.disks):
+        if isinstance(d, Meridian):
+            meridian_at[d.index] = k
+        elif isinstance(d, VerticalDisk):
+            verticals.setdefault(d.region, []).append(k)
+    for i in range(m):
+        if i + 1 not in meridian_at:
+            raise InvalidConfigError(
+                f"catalog has no meridian for tube {i + 1}; sphere pair (D{i}, E{i}) cannot be realized"
+            )
+    meridians = sum(1 << k for k in meridian_at.values())
     d_disks, e_disks = [], []
     for i in range(m):
         region = i + 1
-        e = Meridian(region)
-        if e.key not in by_key:
-            raise InvalidConfigError(
-                f"catalog has no meridian for tube {region}; sphere pair (D{i}, E{i}) cannot be realized"
-            )
-        chosen = None
-        for cand in verticals:
-            if cand.region != region:
-                continue
-            if all(
-                disks_disjoint_unvalidated(cand, Meridian(j + 1), surface)
-                for j in range(m)
-                if j != i
-            ):
-                chosen = cand
-                break
+        others = meridians & ~(1 << meridian_at[region])
+        chosen = next((k for k in verticals.get(region, ()) if rows[k] & others == others), None)
         if chosen is None:
             raise InvalidConfigError(
                 f"no cataloged vertical disk in region {region} is disjoint from the other "
                 f"meridians; sphere pair (D{i}, E{i}) cannot be realized"
             )
-        d_disks.append(chosen)
-        e_disks.append(e)
-    return SuspensionSphere(surface=surface, d_disks=tuple(d_disks), e_disks=tuple(e_disks))
+        d_disks.append(catalog.disks[chosen])
+        e_disks.append(catalog.disks[meridian_at[region]])
+    return SuspensionSphere(d_disks=tuple(d_disks), e_disks=tuple(e_disks))
 
 
-def verify_sphere(sphere: SuspensionSphere) -> dict:
+def verify_sphere(sphere: SuspensionSphere, catalog: DiskCatalog, rows: list) -> dict:
     """Certify every octahedral invariant of the sphere; raise on any failure.
 
-    Checks, via the disjointness calculus: vertices of distinct pairs bound
-    disjoint disks (octahedron edges), the two disks of one pair intersect
-    (octahedron non-edges), and the suspension sub-spheres form a literal
-    vertex-containment chain.  Returns counts for the certificate.
+    Checks, on the catalog's :func:`~disklab.disks.disjointness_rows`:
+    vertices of distinct pairs bound disjoint disks (octahedron edges), the
+    two disks of one pair intersect (octahedron non-edges), and the
+    suspension sub-spheres form a literal vertex-containment chain.  Returns
+    counts for the certificate.
     """
-    surface = sphere.surface
+    index = {d.key: k for k, d in enumerate(catalog.disks)}
+
+    def disjoint(a, b) -> bool:
+        return bool(rows[index[a.key]] >> index[b.key] & 1)
+
     n = sphere.index
     edges = 0
     for i in range(n + 1):
         d, e = sphere.pair(i)
-        if disks_disjoint(d, e, surface):
+        if disjoint(d, e):
             raise InvalidConfigError(
                 f"sphere pair {i}: D{i}={d.key} and E{i}={e.key} are disjoint; "
                 "an octahedral antipodal pair must intersect"
@@ -216,7 +218,7 @@ def verify_sphere(sphere: SuspensionSphere) -> dict:
         for j in range(i + 1, n + 1):
             for name_a, a in (("D" + str(i), sphere.d_disks[i]), ("E" + str(i), sphere.e_disks[i])):
                 for name_b, b in (("D" + str(j), sphere.d_disks[j]), ("E" + str(j), sphere.e_disks[j])):
-                    if not disks_disjoint(a, b, surface):
+                    if not disjoint(a, b):
                         raise InvalidConfigError(
                             f"sphere edge {name_a}={a.key} vs {name_b}={b.key} is not certified "
                             "disjoint; the octahedron is not realized"
@@ -281,52 +283,51 @@ def surgery_candidates(d: BandSum, arc_index: int):
 
 
 class RetractionEngine:
-    """Computes sphere images of a catalog's disk descriptors by recursion over tube count.
+    """Computes sphere images of a catalog's disk descriptors, one per disk key.
 
-    :meth:`image` validates its argument on the catalog's surface; the
-    recursion below it does not validate again, because every disk it
-    builds is valid on the surface of the level it reaches by construction:
+    A disk gets its image at its highest tube ``L``: the rule of the module
+    docstring, on the surface with ``L`` tubes.  :meth:`image` validates its
+    argument on the catalog's surface; nothing below it validates again.
+    The disks it reaches are the argument and surgery candidates, and a
+    candidate is the resolved partner of a band sum, which
+    :func:`~disklab.disks.validate_disk` has checked recursively along with
+    the band sum itself, or the remainder band sum with ``copies - 1 >= 1``
+    copies and the same base, partner and band.  Either way its footprint
+    lies inside its parent's, so its highest tube is at most its parent's,
+    and every disk reached is valid on the catalog's surface.
 
-    * a surgery candidate is either the resolved partner of a band sum, which
-      :func:`~disklab.disks.validate_disk` has checked recursively along with
-      the band sum itself, or the remainder band sum with ``copies - 1 >= 1``
-      copies and the same base, partner and band, so the same checks hold;
-    * a projected disk keeps its descriptor, and its footprint holds tube
-      indices of at most ``level`` but not ``level`` itself, so its tube
-      indices, and so its region indices, are in range on the surface with
-      ``level - 1`` tubes; arc codes depend only on the genus and sides only
-      on the tube index, so every other check carries over unchanged.
-
-    Each level is a plain tube count.  The rule there is
-    :func:`~disklab.disks.type_at`, then the footprint: T1 (``M(level)``)
-    and T3 (opposite-side disks whose footprint contains ``level``) map to
-    the top pair, any other disk whose footprint contains ``level`` crosses
-    the top meridian and is surgered, and the rest are projected.
+    The rule at ``L`` is :func:`~disklab.disks.type_at`: T1 (``M(L)``) and
+    T3 (opposite-side disks, whose footprint contains ``L``) map to pair
+    ``L - 1``, and any other disk is on the meridian's side with ``L`` in
+    its footprint, so it crosses that meridian and is surgered.
     """
 
     def __init__(self, catalog: DiskCatalog):
         self.surface = catalog.surface
         self.catalog = catalog
-        self._images: dict = {}
-        self._branches: dict = {}
-        self._surgeries: dict = {}  # (level, key) of each surgered disk -> its outermost arc count
+        self._images: dict = {}  # disk key -> its sphere vertex
+        self._surgeries: dict = {}  # key of each surgered disk -> its outermost arc count
 
     # -- queries ------------------------------------------------------------
 
     def image(self, d) -> SphereVertex:
         """Sphere vertex the retraction sends the disk to (top-level entry)."""
         validate_disk(d, self.surface)
-        return self._image(d, self.surface.tubes)
+        return self._image(d)
 
     def branch(self, d) -> str:
         """Which rule gave the disk its top-level image, once :meth:`image` has run.
 
         One of ``top_meridian`` (sent to the top ``E``), ``top_vertical`` (sent
-        to the top ``D``), ``surgered`` or ``projected``.  On the one-tube base
-        surface, disks on the tube's side count as top meridian and the others
-        as top vertical.
+        to the top ``D``), ``surgered`` or ``projected`` (the disk's highest
+        tube is below the top).  On the one-tube base surface, disks on the
+        tube's side count as top meridian and the others as top vertical.
         """
-        return self._branches[(self.surface.tubes, d.key)]
+        if max(d.tube_footprint) < self.surface.tubes:
+            return "projected"
+        if d.key in self._surgeries:
+            return "surgered"
+        return "top_meridian" if self._images[d.key].letter == "E" else "top_vertical"
 
     def surgery_counts(self) -> tuple[int, int]:
         """Surgeries recorded so far, and how many of them cut along two outermost arcs."""
@@ -334,47 +335,39 @@ class RetractionEngine:
 
     # -- recursion ------------------------------------------------------------
 
-    def _image(self, d, level: int) -> SphereVertex:
-        memo_key = (level, d.key)
-        if memo_key in self._images:
-            return self._images[memo_key]
+    def _image(self, d) -> SphereVertex:
+        vertex = self._images.get(d.key)
+        if vertex is not None:
+            return vertex
+        level = max(d.tube_footprint)
         if level == 1:
             # Base surface: one tube, one antipodal pair.  Disks on the tube's
             # side compress the same handlebody as the meridian; the others
             # compress the opposite one.
-            if disk_side(d) == tube_side(1):
-                vertex, branch = SphereVertex(0, "E"), "top_meridian"
-            else:
-                vertex, branch = SphereVertex(0, "D"), "top_vertical"
+            vertex = SphereVertex(0, "E" if disk_side(d) == tube_side(1) else "D")
         else:
             t = type_at(d, level)
             if t == "T1":
-                vertex, branch = SphereVertex(level - 1, "E"), "top_meridian"
+                vertex = SphereVertex(level - 1, "E")
             elif t == "T3":
-                vertex, branch = SphereVertex(level - 1, "D"), "top_vertical"
-            elif level in d.tube_footprint:
-                # T2, and not the top meridian: a same-side disk crossing it.
-                vertex, branch = self._surgery_image(d, level), "surgered"
+                vertex = SphereVertex(level - 1, "D")
             else:
-                # T4, or T2 missing the top meridian: the footprint avoids
-                # tube ``level``, and so region ``level``, which lies inside
-                # it.  The same descriptor denotes an isotopic disk on the
-                # surface with one tube fewer.
-                vertex, branch = self._image(d, level - 1), "projected"
-        self._images[memo_key] = vertex
-        self._branches[memo_key] = branch
+                # T2 with the level in the footprint: a same-side disk
+                # crossing the top meridian.
+                vertex = self._surgery_image(d, level)
+        self._images[d.key] = vertex
         return vertex
 
     def _surgery_image(self, d, level: int) -> SphereVertex:
         """The image every outermost arc gives: its candidates' minimal image, which must agree."""
         arcs = outermost_arcs(d, level)
-        chosen = [min(self._image(cand, level) for cand in surgery_candidates(d, arc)) for arc in arcs]
+        chosen = [min(self._image(cand) for cand in surgery_candidates(d, arc)) for arc in arcs]
         if len(set(chosen)) > 1:
             raise WellDefinednessError(
                 f"outermost surgery on {d.key} at tube count {level} is not well defined: "
                 f"arc {arcs[0]} gives {chosen[0].name} but arc {arcs[-1]} gives {chosen[-1].name}"
             )
-        self._surgeries[(level, d.key)] = len(arcs)
+        self._surgeries[d.key] = len(arcs)
         return chosen[0]
 
 
@@ -425,27 +418,21 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _scan_pairs(records: list, surface: TubedSurface, tally: bool, keep=frozenset()):
-    """The pair pass: (kept disjoint pairs, claim tally, V/W witness).
+def _scan_pairs(records: list, rows: list, surface: TubedSurface, tally: bool):
+    """The pair pass: (claim tally, V/W witness).
 
-    Each disk gets one row: the bitset over catalog indices of the other
-    disks certified disjoint from it, from
-    :func:`~disklab.disks.disjointness_rows`.  A row is an AND of masks over
-    the catalog's footprints, bases, (base, band) pairs and resolved
-    partners, so the calculus is asked only about pairs of partners and
-    vertical disks, not about pairs of catalog disks.  Results are read off
-    the rows in catalog order, lowest bit first, which is the order of a loop
-    over pairs ``i < j``.
+    ``rows`` are :func:`~disklab.disks.disjointness_rows` of the records'
+    disks: per disk, the bitset over catalog indices of the other disks
+    certified disjoint from it.  Results are read off the rows in catalog
+    order, lowest bit first, which is the order of a loop over pairs
+    ``i < j``.
 
-    Only disjoint pairs of two disks with keys in ``keep`` are returned; the
-    others are counted.  The tally needs every image and is ``None`` unless
-    ``tally``.  The witness is the first disjoint pair with one disk on each
-    side, as ``(v_disk, w_disk)``.
+    The tally needs every image and is ``None`` unless ``tally``.  The
+    witness is the first disjoint pair with one disk on each side, as
+    ``(v_disk, w_disk)``.
     """
     # Row i restricted to the disks after i: each pair is read once.
-    later = [row & -(2 << i) for i, row in enumerate(disjointness_rows([r.disk for r in records], surface))]
-    keep_mask = sum(1 << i for i, r in enumerate(records) if r.disk.key in keep)
-    kept = [(records[i].disk, records[j].disk) for i in _bits(keep_mask) for j in _bits(later[i] & keep_mask)]
+    later = [row & -(2 << i) for i, row in enumerate(rows)]
     on_side = _masks(r.side for r in records)
     witness = None
     for i, r in enumerate(records):
@@ -455,7 +442,7 @@ def _scan_pairs(records: list, surface: TubedSurface, tally: bool, keep=frozense
             witness = (r.disk, b) if r.side == surface.v_side else (b, r.disk)
             break
     if not tally:
-        return kept, None, witness
+        return None, witness
 
     of_type = _masks(r.type for r in records)
     of_image = _masks(r.image for r in records)
@@ -491,7 +478,7 @@ def _scan_pairs(records: list, surface: TubedSurface, tally: bool, keep=frozense
         "violations": violations,
         "passed": not violations,
     }
-    return kept, claims, witness
+    return claims, witness
 
 
 # -- the full certificate pipeline ------------------------------------------------------
@@ -513,32 +500,23 @@ CAVEATS = (
 )
 
 
-def _retraction_report(assignment: dict, sphere: SuspensionSphere, sphere_pairs) -> list:
+def _retraction_report(assignment: dict, sphere: SuspensionSphere) -> list:
     """Vertex-level violations of ``assignment`` as a retraction onto the sphere ``S``.
 
     The domain is the cataloged complex: the assignment's keys as vertices,
-    the certified-disjoint pairs as edges, of which ``sphere_pairs`` must
-    hold at least those between two vertices of ``S``.  ``S`` has the disk
-    keys of its pairs as vertices and the key pairs from distinct pairs as
-    edges.  Lists, in this order, vertices of ``S`` that are not domain
-    vertices, edges of ``S`` that are not domain edges, images outside ``S``,
-    and vertices of ``S`` that are not fixed.  Domain edges are not checked
-    here: the pair pass has already ruled out every edge whose images are
+    the certified-disjoint pairs as edges.  ``S`` has the disk keys of its
+    pairs as vertices.  Lists, in this order, vertices of ``S`` that are not
+    domain vertices, images outside ``S``, and vertices of ``S`` that are
+    not fixed.  Edges are not checked here: :func:`verify_sphere` has read
+    every edge of ``S`` off the rows that make the domain's edges, and the
+    pair pass has already ruled out every domain edge whose images are
     antipodal, the octahedron's only non-edges (the assignment names each
     sphere vertex by its own disk's key, so antipodal vertices have
     antipodal keys).
     """
     vertices = sorted(sphere.sub_sphere_keys(sphere.index))
-    edges = sorted(
-        tuple(sorted((a.key, b.key)))
-        for i, j in combinations(range(sphere.index + 1), 2)
-        for a in sphere.pair(i)
-        for b in sphere.pair(j)
-    )
     sub = set(vertices)
-    domain_edges = {tuple(sorted((a.key, b.key))) for a, b in sphere_pairs}
     report = [f"subcomplex vertex {v!r} is not a domain vertex" for v in vertices if v not in assignment]
-    report += [f"subcomplex edge ({u!r}, {v!r}) is not a domain edge" for u, v in edges if (u, v) not in domain_edges]
     report += [
         f"image of {v!r} is {assignment[v]!r}, outside the subcomplex"
         for v in sorted(assignment)
@@ -552,21 +530,14 @@ def _retraction_report(assignment: dict, sphere: SuspensionSphere, sphere_pairs)
     return report
 
 
-def _homology_document(sphere: SuspensionSphere, max_simplices: int) -> dict:
+def _homology_document(sphere: SuspensionSphere) -> dict:
     """The homology section: the sphere's join cycle ``z`` and its image.
 
     The caller has found every vertex of the sphere fixed, so the composite
     fixes every facet of ``z`` and the image is ``z`` itself.  The cycle and
-    the profile are the closed forms of the module docstring;
-    ``max_simplices`` caps the ``comb(n + 1, k + 1) * 2**(k + 1)`` simplices
-    of each dimension ``k``, as if they were enumerated.
+    the profile are the closed forms of the module docstring.
     """
     n = sphere.index
-    for k in range(n + 1):
-        if comb(n + 1, k + 1) << (k + 1) > max_simplices:
-            raise ResourceCapError(
-                "max_simplices", f"more than {max_simplices} simplices in dimension {k}", max_simplices
-            )
     pairs = [(d.key, e.key) for d, e in zip(sphere.d_disks, sphere.e_disks)]
     cycle = [[list(facet), c] for facet, c in join_cycle(pairs).items()]
     return {
@@ -595,24 +566,34 @@ def certify_minimality(
 def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPLICES) -> dict:
     """Certify the minimality bound of a catalog's surface, ``n`` = tubes - 1.
 
-    Runs the whole pipeline: sphere realization and verification, per-disk
-    retraction images, well-definedness of every surgery, one pass over all
-    catalog pairs that yields the certified-disjoint pairs, the claim tally
-    (which is also the simpliciality check: no edge maps to an antipodal
-    pair) and the V/W witness, the vertex-level retraction check on the
-    cataloged complex, and the homology section in dimension ``n``, written
-    in closed form.  No flag complex is built and no clique is enumerated.
-    Returns a JSON-ready certificate; ``passed`` is False (with
-    ``first_violation`` set) rather than raising when a verification step
-    finds a counterexample.
+    Runs the whole pipeline.  The cap on the sphere's simplices per
+    dimension is checked first, since it depends on ``n`` alone.  One pass
+    over all catalog pairs then gives each disk its row of disks certified
+    disjoint from it.  Sphere realization and verification read the rows;
+    so do the claim tally (which is also the simpliciality check: no edge
+    maps to an antipodal pair) and the V/W witness, after the per-disk
+    retraction images and the well-definedness of every surgery.  Last come
+    the vertex-level retraction check on the cataloged complex and the
+    homology section in dimension ``n``, written in closed form.  No flag
+    complex is built and no clique is enumerated.  Returns a JSON-ready
+    certificate; ``passed`` is False (with ``first_violation`` set) rather
+    than raising when a verification step finds a counterexample.
     """
     surface = catalog.surface
     config = catalog.config
     genus = surface.genus_base
     m = surface.tubes
     n = m - 1
-    sphere = build_suspension_sphere(surface, catalog)
-    sphere_invariants = verify_sphere(sphere)
+    # Dimension k of the sphere has comb(n + 1, k + 1) * 2**(k + 1) simplices;
+    # the message is the one that enumerating them would give.
+    for k in range(n + 1):
+        if comb(n + 1, k + 1) << (k + 1) > max_simplices:
+            raise ResourceCapError(
+                "max_simplices", f"more than {max_simplices} simplices in dimension {k}", max_simplices
+            )
+    rows = disjointness_rows(catalog.disks, surface)
+    sphere = build_suspension_sphere(catalog, rows)
+    sphere_invariants = verify_sphere(sphere, catalog, rows)
 
     engine = RetractionEngine(catalog)
     first_violation = None
@@ -627,10 +608,7 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
         first_violation = {"kind": "well_definedness", "detail": str(exc)}
 
     records = _disk_records(engine, images)
-    sphere_keys = frozenset(sphere.sub_sphere_keys(n))
-    sphere_pairs, claims, witness_pair = _scan_pairs(
-        records, surface, tally=first_violation is None, keep=sphere_keys
-    )
+    claims, witness_pair = _scan_pairs(records, rows, surface, tally=first_violation is None)
     if claims is not None and not claims["passed"]:
         v = claims["violations"][0]
         first_violation = {
@@ -643,12 +621,12 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
 
     if first_violation is None:
         assignment = {key: sphere.key_for(img) for key, img in images.items()}
-        retraction_report = _retraction_report(assignment, sphere, sphere_pairs)
+        retraction_report = _retraction_report(assignment, sphere)
         retraction_ok = not retraction_report
         if not retraction_ok:
             first_violation = {"kind": "retraction", "detail": retraction_report[0]}
         else:
-            homology_doc = _homology_document(sphere, max_simplices)
+            homology_doc = _homology_document(sphere)
 
     witness = None
     if n >= 2 and witness_pair is not None:

@@ -26,7 +26,12 @@ pair whose tube footprints overlap.  ``disks_disjoint_with_band_terms`` is
 the disk calculus with the band-versus-partner terms that the meridian
 terms imply, and with every meridian term asked of a built meridian.
 ``verify_claim_cases`` runs the claim tally on an engine alone, computing
-every image first.
+every image and the rows first; ``disjoint_pairs`` lists the pairs that
+rows certify disjoint, the edges of the cataloged complex.
+
+The retraction engine gives each disk one image, at its highest tube;
+``LevelRecursionEngine`` is the recursion it replaced, which keeps one
+image per (tube level, disk key) and projects a disk one level at a time.
 
 ``copy_complex``, ``suspend`` and ``octahedral_sphere`` build the flag
 complexes that the homology and flag-complex tests start from, and
@@ -62,14 +67,24 @@ from disklab.disks import (
     Disk,
     Meridian,
     VerticalDisk,
-    disks_disjoint_unvalidated,
+    disjointness_rows,
+    disk_side,
+    disks_disjoint,
     type_at,
     validate_disk,
 )
-from disklab.errors import InvalidConfigError
+from disklab.errors import InvalidConfigError, WellDefinednessError
 from disklab.flagcomplex import DEFAULT_MAX_SIMPLICES, FlagComplex, flag_cliques
 from disklab.homology import ChainComplex
-from disklab.retraction import CASE_OF_TYPES, RetractionEngine, _disk_records, _scan_pairs
+from disklab.retraction import (
+    CASE_OF_TYPES,
+    RetractionEngine,
+    SphereVertex,
+    _disk_records,
+    _scan_pairs,
+    outermost_arcs,
+    surgery_candidates,
+)
 from disklab.surface import (
     ArcCode,
     TubedSurface,
@@ -78,6 +93,7 @@ from disklab.surface import (
     arcs_disjoint,
     canonical_code,
     side_word,
+    tube_side,
     validate_code,
 )
 
@@ -475,7 +491,7 @@ def _band_misses(region: int, arc: ArcCode, d: Disk, surface: TubedSurface) -> b
 def disks_disjoint_with_band_terms(a: Disk, b: Disk, surface: TubedSurface) -> bool:
     """The disk calculus with its band-versus-partner terms spelled out.
 
-    ``disks.disks_disjoint_unvalidated`` leaves these terms out because the
+    ``disks.disks_disjoint`` leaves these terms out because the
     meridian terms imply them; this version checks every band against every
     arc and band of the other side's partner as well.
     """
@@ -661,7 +677,7 @@ def disk_regions(d: Disk) -> frozenset:
 def meets_distinguished(d: Disk, surface: TubedSurface) -> bool:
     """Whether the calculus puts the disk against the top meridian, which is built for it."""
     validate_disk(d, surface)
-    return not disks_disjoint_unvalidated(d, Meridian(surface.tubes), surface)
+    return not disks_disjoint(d, Meridian(surface.tubes), surface)
 
 
 def project_disk(d: Disk, surface: TubedSurface) -> Disk:
@@ -690,28 +706,23 @@ def project_disk(d: Disk, surface: TubedSurface) -> Disk:
 # -- the pair pass ----------------------------------------------------------------
 
 
-def scan_pairs_by_loop(records: list, surface: TubedSurface, tally: bool, keep=frozenset()):
+def scan_pairs_by_loop(records: list, surface: TubedSurface, tally: bool):
     """The pair pass as a loop over all pairs ``i < j`` of catalog records.
 
-    Same arguments and results as ``retraction._scan_pairs``: (kept disjoint
-    pairs, claim tally or ``None``, V/W witness).  Pairs with disjoint tube
-    footprints are disjoint by the footprint rule; every other pair asks the
-    calculus.
+    Same results as ``retraction._scan_pairs``, (claim tally or ``None``,
+    V/W witness), with no rows: pairs with disjoint tube footprints are
+    disjoint by the footprint rule, and every other pair asks the calculus.
     """
     case_of = {**CASE_OF_TYPES, **{(tb, ta): case for (ta, tb), case in CASE_OF_TYPES.items()}}
-    kept = []
     checked = 0
     per_case = Counter()
     violations = []
     witness = None
     for i, (a, ta, xa, sa) in enumerate(records):
-        keep_a = a.key in keep
         for b, tb, xb, sb in records[i + 1 :]:
-            if a.tube_footprint & b.tube_footprint and not disks_disjoint_unvalidated(a, b, surface):
+            if a.tube_footprint & b.tube_footprint and not disks_disjoint(a, b, surface):
                 continue
             checked += 1
-            if keep_a and b.key in keep:
-                kept.append((a, b))
             if witness is None and sa != sb:
                 witness = (a, b) if sa == surface.v_side else (b, a)
             if not tally:
@@ -741,7 +752,7 @@ def scan_pairs_by_loop(records: list, surface: TubedSurface, tally: bool, keep=f
             "violations": violations,
             "passed": not violations,
         }
-    return kept, claims, witness
+    return claims, witness
 
 
 def verify_claim_cases(engine: RetractionEngine) -> dict:
@@ -754,4 +765,77 @@ def verify_claim_cases(engine: RetractionEngine) -> dict:
     """
     images = {d.key: engine.image(d) for d in engine.catalog.disks}
     records = _disk_records(engine, images)
-    return _scan_pairs(records, engine.surface, tally=True)[1]
+    rows = disjointness_rows(engine.catalog.disks, engine.surface)
+    return _scan_pairs(records, rows, engine.surface, tally=True)[0]
+
+
+def disjoint_pairs(catalog, rows) -> list:
+    """The certified-disjoint pairs ``(a, b)`` of catalog disks, ``a`` before ``b``, read off ``rows``."""
+    disks = catalog.disks
+    return [(disks[i], disks[j]) for i, row in enumerate(rows) for j in range(i + 1, len(disks)) if row >> j & 1]
+
+
+# -- the retraction, one tube level at a time ---------------------------------------
+
+
+class LevelRecursionEngine:
+    """The retraction engine as first written: one image per (tube level, disk key).
+
+    ``RetractionEngine`` gives a disk one image, at its highest tube.  This
+    engine starts every disk at the catalog's tube count and projects it one
+    level at a time, re-deciding its type at each level, until the level is
+    in its footprint or is 1; surgery candidates start at their parent's
+    level.  ``image``, ``branch`` and ``surgery_counts`` answer as the
+    engine's do.
+    """
+
+    def __init__(self, catalog):
+        self.surface = catalog.surface
+        self.catalog = catalog
+        self._images: dict = {}
+        self._branches: dict = {}
+        self._surgeries: dict = {}  # (level, key) of each surgered disk -> its outermost arc count
+
+    def image(self, d) -> SphereVertex:
+        validate_disk(d, self.surface)
+        return self._image(d, self.surface.tubes)
+
+    def branch(self, d) -> str:
+        return self._branches[(self.surface.tubes, d.key)]
+
+    def surgery_counts(self) -> tuple[int, int]:
+        return len(self._surgeries), sum(arcs >= 2 for arcs in self._surgeries.values())
+
+    def _image(self, d, level: int) -> SphereVertex:
+        memo_key = (level, d.key)
+        if memo_key in self._images:
+            return self._images[memo_key]
+        if level == 1:
+            if disk_side(d) == tube_side(1):
+                vertex, branch = SphereVertex(0, "E"), "top_meridian"
+            else:
+                vertex, branch = SphereVertex(0, "D"), "top_vertical"
+        else:
+            t = type_at(d, level)
+            if t == "T1":
+                vertex, branch = SphereVertex(level - 1, "E"), "top_meridian"
+            elif t == "T3":
+                vertex, branch = SphereVertex(level - 1, "D"), "top_vertical"
+            elif level in d.tube_footprint:
+                vertex, branch = self._surgery_image(d, level), "surgered"
+            else:
+                vertex, branch = self._image(d, level - 1), "projected"
+        self._images[memo_key] = vertex
+        self._branches[memo_key] = branch
+        return vertex
+
+    def _surgery_image(self, d, level: int) -> SphereVertex:
+        arcs = outermost_arcs(d, level)
+        chosen = [min(self._image(cand, level) for cand in surgery_candidates(d, arc)) for arc in arcs]
+        if len(set(chosen)) > 1:
+            raise WellDefinednessError(
+                f"outermost surgery on {d.key} at tube count {level} is not well defined: "
+                f"arc {arcs[0]} gives {chosen[0].name} but arc {arcs[-1]} gives {chosen[-1].name}"
+            )
+        self._surgeries[(level, d.key)] = len(arcs)
+        return chosen[0]

@@ -385,6 +385,19 @@ def test_certify_respects_simplex_cap(tmp_path, capsys):
     assert "max_simplices" in stderr
 
 
+def test_certify_at_64_tubes_stops_at_the_cap_before_the_rows_and_images(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify did work before it checked the simplex cap")
+
+    monkeypatch.setattr(retraction, "disjointness_rows", refuse)
+    monkeypatch.setattr(retraction, "RetractionEngine", refuse)
+    code, stdout, stderr = run(["certify", "--genus", "1", "--tubes", "64", "--out", str(tmp_path)], capsys)
+    assert code == EXIT_CAP and stdout == ""
+    assert stderr == (
+        "error: resource cap max_simplices (1000000) exceeded: more than 1000000 simplices in dimension 3\n"
+    )
+
+
 def test_certify_rejects_negative_simplex_cap(tmp_path, capsys):
     argv = ["certify", "--genus", "1", "--tubes", "1", "--out", str(tmp_path)]
     code, _, stderr = run(argv + ["--max-simplices", "-1"], capsys)

@@ -24,7 +24,6 @@ from disklab.disks import (
     disk_to_json_obj,
     disk_variant,
     disks_disjoint,
-    disks_disjoint_unvalidated,
     validate_disk,
 )
 from disklab.errors import InvalidConfigError, MalformedFileError
@@ -209,7 +208,7 @@ def test_footprint_rule_agrees_with_the_calculus(genus, n):
     for a, b in itertools.combinations(catalog.disks, 2):
         if a.tube_footprint.isdisjoint(b.tube_footprint) and disk_regions(a).isdisjoint(disk_regions(b)):
             skipped += 1
-            assert disks_disjoint_unvalidated(a, b, surface), (a.key, b.key)
+            assert disks_disjoint(a, b, surface), (a.key, b.key)
     assert skipped > 0
 
 
@@ -230,13 +229,13 @@ def test_copies_never_change_a_verdict_but_by_key(genus, n):
             for e in catalog.disks:
                 if e.key in (d.key, twin.key):
                     continue
-                verdict = disks_disjoint_unvalidated(d, e, surface)
-                assert disks_disjoint_unvalidated(twin, e, surface) == verdict, (twin.key, e.key)
-                assert disks_disjoint_unvalidated(e, twin, surface) == verdict, (e.key, twin.key)
+                verdict = disks_disjoint(d, e, surface)
+                assert disks_disjoint(twin, e, surface) == verdict, (twin.key, e.key)
+                assert disks_disjoint(e, twin, surface) == verdict, (e.key, twin.key)
                 checked += 1
             # Any two distinct copies of one shape: the same verdict as each other.
             third = BandSum(d.base, d.partner, d.band, copies + d.copies + 2)
-            assert disks_disjoint_unvalidated(d, twin, surface) == disks_disjoint_unvalidated(
+            assert disks_disjoint(d, twin, surface) == disks_disjoint(
                 twin, third, surface
             ), twin.key
     assert checked > 0
@@ -256,7 +255,7 @@ def test_calculus_without_band_terms_keeps_every_verdict(genus, n, knobs):
     catalog = build_disk_catalog(surface, CatalogConfig(**{"arc_bound": 3, **knobs}))
     disjoint = 0
     for a, b in itertools.combinations(catalog.disks, 2):
-        verdict = disks_disjoint_unvalidated(a, b, surface)
+        verdict = disks_disjoint(a, b, surface)
         assert verdict == disks_disjoint_with_band_terms(a, b, surface), (a.key, b.key)
         disjoint += verdict
     assert 0 < disjoint < len(catalog.disks) * (len(catalog.disks) - 1) // 2

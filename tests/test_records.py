@@ -21,13 +21,14 @@ from disklab.disks import (
     Meridian,
     VerticalDisk,
     build_disk_catalog,
+    disjointness_rows,
 )
 from disklab.retraction import SphereVertex, SuspensionSphere, build_suspension_sphere
 from disklab.surface import TubedSurface, build_tubed_surface
 
 SURFACE = build_tubed_surface(1, 2)
 CATALOG = build_disk_catalog(SURFACE, CatalogConfig(arc_bound=2))
-SPHERE = build_suspension_sphere(SURFACE, CATALOG)
+SPHERE = build_suspension_sphere(CATALOG, disjointness_rows(CATALOG.disks, SURFACE))
 
 
 # Each case: the class, constructor fields in order (the compared ones first),
@@ -66,7 +67,7 @@ CASES = {
     "SphereVertex": (SphereVertex, {"pair_index": 1, "letter": "D"}, (), ("letter", "E")),
     "SuspensionSphere": (
         SuspensionSphere,
-        {"surface": SURFACE, "d_disks": SPHERE.d_disks, "e_disks": SPHERE.e_disks},
+        {"d_disks": SPHERE.d_disks, "e_disks": SPHERE.e_disks},
         (),
         ("e_disks", SPHERE.d_disks),
     ),

@@ -20,8 +20,9 @@ from disklab.disks import (
     Meridian,
     VerticalDisk,
     build_disk_catalog,
+    disjointness_rows,
     disk_side,
-    disks_disjoint_unvalidated,
+    disks_disjoint,
     type_at,
     validate_disk,
 )
@@ -42,12 +43,14 @@ from disklab.retraction import (
 )
 from disklab.surface import build_tubed_surface
 from oracles import (
+    LevelRecursionEngine,
     VertexMap,
     catalog_complex,
     certify_homology_retraction,
     check_retraction,
     check_simplicial,
     classify_type,
+    disjoint_pairs,
     has_edge,
     meets_distinguished,
     permutation_sign,
@@ -57,11 +60,16 @@ from oracles import (
 )
 
 
+def sphere_of(catalog):
+    """The catalog's sphere, as certify picks it from the catalog's rows."""
+    return build_suspension_sphere(catalog, disjointness_rows(catalog.disks, catalog.surface))
+
+
 @pytest.fixture(scope="module")
 def setup_f2():
     surface = build_tubed_surface(1, 2)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    sphere = build_suspension_sphere(surface, catalog)
+    sphere = sphere_of(catalog)
     engine = RetractionEngine(catalog)
     return surface, catalog, sphere, engine
 
@@ -70,7 +78,7 @@ def setup_f2():
 def setup_f3():
     surface = build_tubed_surface(1, 3)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    sphere = build_suspension_sphere(surface, catalog)
+    sphere = sphere_of(catalog)
     engine = RetractionEngine(catalog)
     return surface, catalog, sphere, engine
 
@@ -88,13 +96,13 @@ def test_sphere_pairs_frozen(setup_f3):
 def test_sphere_pairs_genus2():
     surface = build_tubed_surface(2, 2)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    sphere = build_suspension_sphere(surface, catalog)
+    sphere = sphere_of(catalog)
     assert [d.key for d in sphere.d_disks] == ["V(1;-4)", "V(2;-4)"]
 
 
 def test_verify_sphere_invariants(setup_f3):
-    _, _, sphere, _ = setup_f3
-    inv = verify_sphere(sphere)
+    surface, catalog, sphere, _ = setup_f3
+    inv = verify_sphere(sphere, catalog, disjointness_rows(catalog.disks, surface))
     assert inv["pairs"] == 3
     assert inv["edges_verified"] == 12  # 4 edges per pair of antipodal pairs
     assert inv["antipodal_pairs_intersect"] == 3
@@ -118,7 +126,7 @@ def test_sphere_needs_vertical_disks():
     surface = build_tubed_surface(1, 2)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=0))
     with pytest.raises(InvalidConfigError) as exc:
-        build_suspension_sphere(surface, catalog)
+        sphere_of(catalog)
     assert "D0" in str(exc.value) or "region 1" in str(exc.value)
 
 
@@ -244,12 +252,14 @@ def test_surgery_outcomes_recorded(setup_f3, monkeypatch):
     surgeries, multi = engine.surgery_counts()
     assert surgeries == len(surgered) > 0, "the catalog contains disks requiring surgery"
     assert multi == sum(d.copies >= 2 for d in surgered.values()) > 0, "the catalog contains multi-copy band sums"
-    assert surgeries == sum(branch == "surgered" for branch in engine._branches.values())
+    # Each disk is surgered once, at its highest tube.
+    assert set(engine._surgeries) == {key for _, key in surgered}
+    assert all(level == max(d.tube_footprint) for (level, _), d in surgered.items())
     for (level, key), d in surgered.items():
         # Every outermost arc's minimal candidate image is the recorded image.
         arcs = outermost_arcs(d, level)
-        chosen = {min(engine._image(c, level) for c in surgery_candidates(d, arc)) for arc in arcs}
-        assert chosen == {engine._images[(level, key)]}, key
+        chosen = {min(engine._image(c) for c in surgery_candidates(d, arc)) for arc in arcs}
+        assert chosen == {engine._images[key]}, key
 
 
 def test_minimal_pair_index_rule(setup_f3):
@@ -278,8 +288,8 @@ def test_image_still_validates_its_argument(tubes):
 
 def test_certify_validates_each_disk_only_at_the_entries(monkeypatch):
     # validate_disk runs once per catalog disk in image() (recursing through
-    # its partners) and once per disk of each sphere disjointness check; the
-    # recursion, its type and top-meridian tests and the pair pass never do.
+    # its partners); the sphere checks, which read the rows, the recursion,
+    # its type and top-meridian tests and the pair pass never do.
     surface = build_tubed_surface(1, 6)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
     calls = []
@@ -296,31 +306,36 @@ def test_certify_validates_each_disk_only_at_the_entries(monkeypatch):
     def chain(d):  # descriptors that validate_disk visits: the disk, then its partners
         return 1 + (chain(d.resolved_partner) if isinstance(d, BandSum) else 0)
 
-    m = surface.tubes
-    sphere_checks = m + 4 * m * (m - 1) // 2  # antipodal pairs, then octahedron edges
-    assert len(calls) == sum(chain(d) for d in catalog.disks) + 2 * sphere_checks == 630
+    assert len(calls) == sum(chain(d) for d in catalog.disks) == 498
 
 
 @pytest.mark.parametrize("genus, tubes", [(1, 6), (2, 4)])
 def test_every_disk_the_recursion_reaches_is_valid_at_its_level(genus, tubes, monkeypatch):
+    """Every disk reached is valid on the surface with its highest tube's count of tubes."""
     surface = build_tubed_surface(genus, tubes)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
     engine = RetractionEngine(catalog)
     reached = {}
     recurse = RetractionEngine._image
 
-    def recording(self, d, level):
-        reached[(level, d.key)] = d
-        return recurse(self, d, level)
+    def recording(self, d):
+        reached[d.key] = d
+        return recurse(self, d)
 
     monkeypatch.setattr(RetractionEngine, "_image", recording)
     for d in catalog.disks:
         engine.image(d)
     assert set(reached) == set(engine._images)
     assert set(engine._surgeries) <= set(reached)
-    assert any(level < tubes for level, _ in reached)
-    for (level, _), d in reached.items():
-        validate_disk(d, build_tubed_surface(genus, level))
+    assert any(max(d.tube_footprint) < tubes for d in reached.values())
+    for key in engine._surgeries:
+        d = reached[key]
+        level = max(d.tube_footprint)
+        for arc in outermost_arcs(d, level):
+            # A surgery candidate's highest tube is at most its parent's.
+            assert all(max(c.tube_footprint) <= level for c in surgery_candidates(d, arc)), key
+    for d in reached.values():
+        validate_disk(d, build_tubed_surface(genus, max(d.tube_footprint)))
 
 
 def test_forced_disagreement_raises(monkeypatch):
@@ -369,13 +384,10 @@ def test_pair_scan_matches_the_calculus_on_every_pair(genus, n):
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
     engine = RetractionEngine(catalog)
     records = retraction_module._disk_records(engine, {})
-    keys = frozenset(d.key for d in catalog.disks)
-    pairs, claims, _ = retraction_module._scan_pairs(records, surface, tally=False, keep=keys)
-    assert claims is None
-    expected = [
-        (a, b) for a, b in combinations(catalog.disks, 2) if disks_disjoint_unvalidated(a, b, surface)
-    ]
-    assert pairs == expected
+    rows = disjointness_rows(catalog.disks, surface)
+    assert retraction_module._scan_pairs(records, rows, surface, tally=False)[0] is None
+    expected = [(a, b) for a, b in combinations(catalog.disks, 2) if disks_disjoint(a, b, surface)]
+    assert disjoint_pairs(catalog, rows) == expected
 
 
 def per_pair_claims(engine, image):
@@ -383,7 +395,7 @@ def per_pair_claims(engine, image):
     surface, catalog, m = engine.surface, engine.catalog, engine.surface.tubes
     per_case, violations, checked = Counter(), [], 0
     for a, b in combinations(catalog.disks, 2):
-        if not disks_disjoint_unvalidated(a, b, surface):
+        if not disks_disjoint(a, b, surface):
             continue
         checked += 1
         ta, tb = sorted((type_at(a, m), type_at(b, m)))
@@ -414,7 +426,7 @@ def test_single_pass_tally_matches_per_pair_images():
     # Rigged images that put many disjoint pairs on antipodal vertices.
     rigged = {d.key: SphereVertex(i % 3, "DE"[i % 2]) for i, d in enumerate(catalog.disks)}
     records = retraction_module._disk_records(engine, rigged)
-    _, claims, _ = retraction_module._scan_pairs(records, surface, tally=True)
+    claims, _ = retraction_module._scan_pairs(records, disjointness_rows(catalog.disks, surface), surface, tally=True)
     expected = per_pair_claims(engine, lambda d: rigged[d.key])
     assert len(expected["violations"]) > 0
     assert claims == expected
@@ -525,9 +537,9 @@ def test_join_cycle_is_the_eliminated_generator(genus, n_max):
     global_signs = {}
     for n in range(n_max + 1):
         surface = build_tubed_surface(genus, n + 1)
-        sphere = build_suspension_sphere(surface, build_disk_catalog(surface, CatalogConfig(arc_bound=3)))
+        sphere = sphere_of(build_disk_catalog(surface, CatalogConfig(arc_bound=3)))
         fixed = {key: key for key in sphere.sub_sphere_keys(n)}
-        doc = retraction_module._homology_document(sphere, 10**6)
+        doc = retraction_module._homology_document(sphere)
         # Entry for entry, the document of elimination and sign propagation
         # (``free_generator``) on the sphere as a flag complex.
         assert doc == certify_homology_retraction(fixed, sphere_complex(sphere), n)
@@ -551,7 +563,7 @@ def test_join_cycle_is_the_eliminated_generator(genus, n_max):
 def test_certify_simplex_cap_matches_clique_enumeration(n):
     surface = build_tubed_surface(1, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    sphere = build_suspension_sphere(surface, catalog)
+    sphere = sphere_of(catalog)
     thresholds = {comb(n + 1, k + 1) * 2 ** (k + 1) for k in range(n + 1)}
     for cap in sorted(thresholds | {t - 1 for t in thresholds}):
         expected = None
@@ -603,11 +615,9 @@ def setup_g1n4():
     """The g1 n4 pipeline, plus every certified-disjoint pair (the oracle's edges)."""
     surface = build_tubed_surface(1, 5)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    sphere = build_suspension_sphere(surface, catalog)
+    sphere = sphere_of(catalog)
     engine = RetractionEngine(catalog)
-    keys = frozenset(d.key for d in catalog.disks)
-    records = retraction_module._disk_records(engine, {})
-    pairs, _, _ = retraction_module._scan_pairs(records, surface, tally=False, keep=keys)
+    pairs = disjoint_pairs(catalog, disjointness_rows(catalog.disks, surface))
     return surface, catalog, sphere, engine, pairs
 
 
@@ -667,34 +677,39 @@ def test_certify_flags_a_sphere_vertex_that_is_not_fixed(setup_g1n4, monkeypatch
 
 
 def test_certify_flags_a_sphere_edge_missing_from_the_pair_list(setup_g1n4, monkeypatch):
-    _, catalog, sphere, _, pairs = setup_g1n4
-    missing = {sphere.d_disks[0].key, sphere.e_disks[1].key}
-    real = retraction_module._scan_pairs
-
-    def scan(*args, **kwargs):
-        kept, claims, witness = real(*args, **kwargs)
-        return [p for p in kept if {p[0].key, p[1].key} != missing], claims, witness
-
-    monkeypatch.setattr(retraction_module, "_scan_pairs", scan)
+    surface, catalog, sphere, _, pairs = setup_g1n4
     cert = certify_catalog(catalog)
-    report = cert["retraction"]["check"]["report"]
-    assert not cert["passed"] and cert["claims"]["passed"]
-    assert cert["first_violation"] == {"kind": "retraction", "detail": report[0]}
-    u, v = sorted(missing)
-    assert report == [f"subcomplex edge ({u!r}, {v!r}) is not a domain edge"]
-    # The oracle, on the catalog complex without that edge, reports the same
-    # vertex-level line and then every catalog edge mapped onto the missing
-    # edge; the certificate stops at the vertex-level lines.
-    expected = oracle_report(cert, catalog, [p for p in pairs if {p[0].key, p[1].key} != missing], sphere)
-    assert report == [line for line in expected if not line.startswith("edge (")]
-    tail = expected[len(report) :]
+    # Clear the D1-D3 bit of the rows.  Each D is picked by its bits against
+    # the meridians, so the sphere stays the same; a D-E bit would change it.
+    a, b = sphere.d_disks[1], sphere.d_disks[3]
+    i, j = catalog.disks.index(a), catalog.disks.index(b)
+    real = retraction_module.disjointness_rows
+
+    def rows_without_the_edge(disks, surface):
+        rows = real(disks, surface)
+        rows[i] &= ~(1 << j)
+        rows[j] &= ~(1 << i)
+        return rows
+
+    assert sphere_of(catalog) == build_suspension_sphere(catalog, rows_without_the_edge(catalog.disks, surface))
+    monkeypatch.setattr(retraction_module, "disjointness_rows", rows_without_the_edge)
+    with pytest.raises(InvalidConfigError) as exc:
+        certify_catalog(catalog)
+    assert str(exc.value) == (
+        f"sphere edge D1={a.key} vs D3={b.key} is not certified disjoint; the octahedron is not realized"
+    )
+    # The oracle, on the catalog complex without that edge, names the same edge
+    # first, then every catalog edge mapped onto it.
+    u, v = sorted((a.key, b.key))
+    expected = oracle_report(cert, catalog, [p for p in pairs if {p[0].key, p[1].key} != {u, v}], sphere)
+    assert expected[0] == f"subcomplex edge ({u!r}, {v!r}) is not a domain edge"
     onto_missing = (f"maps to non-edge ({u!r}, {v!r})", f"maps to non-edge ({v!r}, {u!r})")
-    assert tail and all(line.endswith(onto_missing) for line in tail)
+    assert len(expected) > 1 and all(line.endswith(onto_missing) for line in expected[1:])
 
 
-def assert_scan_matches_the_loop(records, surface, tally, keep):
-    expected = scan_pairs_by_loop(records, surface, tally=tally, keep=keep)
-    assert retraction_module._scan_pairs(records, surface, tally=tally, keep=keep) == expected
+def assert_scan_matches_the_loop(records, rows, surface, tally):
+    expected = scan_pairs_by_loop(records, surface, tally=tally)
+    assert retraction_module._scan_pairs(records, rows, surface, tally=tally) == expected
     return expected
 
 
@@ -705,20 +720,22 @@ CATALOG_GRID = [(1, n) for n in range(7)] + [(2, n) for n in range(5)] + [(3, n)
 def test_pair_pass_matches_the_loop_oracle(genus, n):
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    sphere = build_suspension_sphere(surface, catalog)
+    rows = disjointness_rows(catalog.disks, surface)
+    sphere = build_suspension_sphere(catalog, rows)
     engine = RetractionEngine(catalog)
     images = {d.key: engine.image(d) for d in catalog.disks}
     records = retraction_module._disk_records(engine, images)
-    # As certify calls it: real images, the sphere's keys kept.
-    kept, claims, witness = assert_scan_matches_the_loop(
-        records, surface, True, frozenset(sphere.sub_sphere_keys(n))
-    )
-    assert claims["passed"] and len(kept) == 2 * n * (n + 1)
-    assert (witness is None) == (n == 0)
-    # No tally, every pair kept.
-    keys = frozenset(catalog.keys())
-    kept, claims, _ = assert_scan_matches_the_loop(records, surface, False, keys)
-    assert claims is None and len(kept) == verify_claim_cases(engine)["pairs_checked"]
+    # As certify calls it: real images, with the tally.
+    claims, witness = assert_scan_matches_the_loop(records, rows, surface, True)
+    assert claims["passed"] and (witness is None) == (n == 0)
+    # The rows hold every edge of the sphere.
+    pairs = disjoint_pairs(catalog, rows)
+    on_sphere = set(sphere.sub_sphere_keys(n))
+    assert sum(a.key in on_sphere and b.key in on_sphere for a, b in pairs) == 2 * n * (n + 1)
+    assert verify_sphere(sphere, catalog, rows)["edges_verified"] == 2 * n * (n + 1)
+    # No tally.
+    claims, _ = assert_scan_matches_the_loop(records, rows, surface, False)
+    assert claims is None and len(pairs) == verify_claim_cases(engine)["pairs_checked"]
 
 
 def test_pair_pass_matches_the_loop_oracle_on_a_raised_knob_catalog():
@@ -727,7 +744,8 @@ def test_pair_pass_matches_the_loop_oracle_on_a_raised_knob_catalog():
     engine = RetractionEngine(catalog)
     images = {d.key: engine.image(d) for d in catalog.disks}
     records = retraction_module._disk_records(engine, images)
-    _, claims, witness = assert_scan_matches_the_loop(records, surface, True, frozenset(catalog.keys()))
+    rows = disjointness_rows(catalog.disks, surface)
+    claims, witness = assert_scan_matches_the_loop(records, rows, surface, True)
     assert len(catalog.vertical_disks()) > 3 * 6 and claims["pairs_checked"] > 0 and witness is not None
 
 
@@ -739,10 +757,10 @@ def test_pair_pass_matches_the_loop_oracle_on_rigged_images(setup_g1n4):
     for seed in range(4):
         rng = random.Random(seed)
         tables.append({key: rng.choice(vertices) if rng.random() < 0.05 else x for key, x in real.items()})
-    keys = frozenset(catalog.keys())
+    rows = disjointness_rows(catalog.disks, surface)
     for table in tables:
         records = retraction_module._disk_records(engine, table)
-        _, claims, _ = assert_scan_matches_the_loop(records, surface, True, keys)
+        claims, _ = assert_scan_matches_the_loop(records, rows, surface, True)
         assert len(claims["violations"]) > 0
 
 
@@ -756,12 +774,13 @@ def test_pair_pass_raises_on_the_oracle_first_forbidden_pair(setup_g1n4):
         [r._replace(type="T1") for r in real],
         [r._replace(type=rng.choice(["T1", "T2", "T3", "T4"])) for r in real],
     ]
+    rows = disjointness_rows(catalog.disks, surface)
     messages = set()
     for records in tables:
         with pytest.raises(InvalidConfigError) as oracle_exc:
             scan_pairs_by_loop(records, surface, tally=True)
         with pytest.raises(InvalidConfigError) as exc:
-            retraction_module._scan_pairs(records, surface, tally=True)
+            retraction_module._scan_pairs(records, rows, surface, tally=True)
         assert str(exc.value) == str(oracle_exc.value)
         assert "contradicts the type definitions" in str(exc.value)
         messages.add(str(exc.value))
@@ -777,10 +796,11 @@ def test_pair_pass_flags_exactly_the_edges_the_oracle_finds(setup_g1n4):
     for seed in range(4):
         rng = random.Random(seed)
         tables.append({key: rng.choice(vertices) if rng.random() < 0.05 else x for key, x in real.items()})
+    rows = disjointness_rows(catalog.disks, surface)
     flagged_per_table = []
     for table in tables:
         records = retraction_module._disk_records(engine, table)
-        _, claims, _ = retraction_module._scan_pairs(records, surface, tally=True)
+        claims, _ = retraction_module._scan_pairs(records, rows, surface, tally=True)
         flagged = {frozenset(v["disks"]) for v in claims["violations"]}
         assignment = {key: sphere.key_for(x) for key, x in table.items()}
         bad = {frozenset(edge) for edge in check_simplicial(VertexMap(k, k, assignment))}
@@ -822,7 +842,8 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
     # Nothing in the package can check simpliciality edge by edge, and none of
     # the removed arc-layer model, drawing views, surgery transcripts,
     # pass-through accessors, region records, validated/unvalidated type
-    # twins or the sphere's elimination path is left for the tests alone.
+    # and calculus twins or the sphere's elimination path is left for the
+    # tests alone.
     removed = (
         "check_simplicial", "check_retraction", "VertexMap", "catalog_complex",
         "PuncturedSurfaceModel", "build_punctured_model", "solo_drawings", "is_embeddable",
@@ -831,6 +852,7 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
         "Region", "classify_type_unvalidated", "meets_distinguished", "meets_distinguished_unvalidated",
         "TYPE_LABELS", "disk_tubes", "has_vertex", "has_edge", "classify_type",
         "certify_homology_retraction", "free_generator", "apply_chain_map", "permutation_sign",
+        "disks_disjoint_unvalidated",
     )
     for name in ("errors", "surface", "flagcomplex", "homology", "disks", "retraction", "cli"):
         module = importlib.import_module(f"disklab.{name}")
@@ -838,8 +860,8 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
             assert not hasattr(module, helper), (name, helper)
     removed_members = {
         surface_module.TubedSurface: ("regions", "region"),
-        RetractionEngine: ("type_at", "_surfaces", "_types", "sphere"),
-        SuspensionSphere: ("complex",),
+        RetractionEngine: ("type_at", "_surfaces", "_types", "sphere", "_branches"),
+        SuspensionSphere: ("complex", "surface"),
         FlagComplex: ("has_vertex", "has_edge"),
     }
     for cls, names in removed_members.items():
@@ -851,8 +873,8 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
 
 
 def test_pair_scan_derives_nothing_again(setup_g1n4, monkeypatch):
-    """The pass reads stored partners and footprints, and enumerates no arcs."""
-    surface, _, _, engine, _ = setup_g1n4
+    """The rows and the pass read stored partners and footprints, and enumerate no arcs."""
+    surface, catalog, _, engine, _ = setup_g1n4
     records = retraction_module._disk_records(engine, {})
     built = Counter()
     meridian_init = disks_module.Meridian.__init__
@@ -869,41 +891,119 @@ def test_pair_scan_derives_nothing_again(setup_g1n4, monkeypatch):
     monkeypatch.setattr(disks_module.Meridian, "__init__", counting_meridian)
     monkeypatch.setattr(surface_module, "enumerate_arcs", counting_enumeration)
     monkeypatch.setattr(disks_module, "enumerate_arcs", counting_enumeration)
-    kept, _, _ = retraction_module._scan_pairs(records, surface, tally=False)
-    assert kept == [] and built == Counter()
+    claims, witness = retraction_module._scan_pairs(
+        records, disjointness_rows(catalog.disks, surface), surface, tally=False
+    )
+    assert claims is None and witness is not None and built == Counter()
 
 
-@pytest.mark.parametrize(
-    ("genus", "n", "knobs"),
-    [
-        (1, 2, {"arc_bound": 4, "max_vd_arcs_per_region": 20, "max_band_arcs": 6, "max_partner_arcs": 6}),
-        (2, 2, {"arc_bound": 3, "max_vd_arcs_per_region": 10**6, "max_band_arcs": 4, "max_partner_arcs": 4}),
-    ],
-    ids=["g1-k4-v20-b6-p6", "g2-k3-all-b4-p4"],
-)
+RAISED_BAND_AND_PARTNER_ARCS = [
+    pytest.param(
+        1, 2, {"arc_bound": 4, "max_vd_arcs_per_region": 20, "max_band_arcs": 6, "max_partner_arcs": 6},
+        id="g1-k4-v20-b6-p6",
+    ),
+    pytest.param(
+        2, 2, {"arc_bound": 3, "max_vd_arcs_per_region": 10**6, "max_band_arcs": 4, "max_partner_arcs": 4},
+        id="g2-k3-all-b4-p4",
+    ),
+]
+
+
+@pytest.mark.parametrize(("genus", "n", "knobs"), RAISED_BAND_AND_PARTNER_ARCS)
 def test_pair_pass_matches_the_loop_oracle_on_raised_band_and_partner_arcs(genus, n, knobs):
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(**knobs))
     engine = RetractionEngine(catalog)
     images = {d.key: engine.image(d) for d in catalog.disks}
     records = retraction_module._disk_records(engine, images)
-    _, claims, _ = assert_scan_matches_the_loop(records, surface, True, frozenset(catalog.keys()))
+    rows = disjointness_rows(catalog.disks, surface)
+    claims, _ = assert_scan_matches_the_loop(records, rows, surface, True)
     assert claims["passed"] and len({d.resolved_partner.key for d in catalog.band_sums()}) > 10
+
+
+@pytest.mark.parametrize(
+    ("genus", "n", "knobs"),
+    [pytest.param(g, n, {"arc_bound": 3}, id=f"g{g}-n{n}") for g, n in CATALOG_GRID] + RAISED_BAND_AND_PARTNER_ARCS,
+)
+def test_one_image_per_disk_matches_the_level_recursion(genus, n, knobs, monkeypatch):
+    """Images, provenance and surgery counts as the level-by-level recursion gives them."""
+    surface = build_tubed_surface(genus, n + 1)
+    catalog = build_disk_catalog(surface, CatalogConfig(**knobs))
+    engine, oracle = RetractionEngine(catalog), LevelRecursionEngine(catalog)
+    reached = set()
+    recurse = RetractionEngine._image
+
+    def recording(self, d):
+        reached.add(d.key)
+        return recurse(self, d)
+
+    monkeypatch.setattr(RetractionEngine, "_image", recording)
+    for d in catalog.disks:
+        assert engine.image(d) == oracle.image(d), d.key
+        assert engine.branch(d) == oracle.branch(d), d.key
+    assert engine.surgery_counts() == oracle.surgery_counts()
+    # One memo entry per disk key reached, where the recursion kept one per
+    # (level, key) it passed through.
+    assert set(engine._images) == reached and len(engine._images) <= len(oracle._images)
+    if (genus, n, knobs) == (1, 5, {"arc_bound": 3}):
+        assert (len(engine._images), len(oracle._images)) == (258, 719)
+        assert engine.surgery_counts() == (136, 68)
+
+
+def test_certify_decides_disjointness_in_one_pass(setup_g1n4, monkeypatch):
+    """certify builds the rows once and asks the calculus nothing outside them."""
+    _, catalog, _, _, _ = setup_g1n4
+    passes, inside, outside = [], [], []
+    rows = retraction_module.disjointness_rows
+    calculus = disks_module.disks_disjoint
+
+    def counting_rows(disks, surface):
+        passes.append(len(disks))
+        inside.append(True)
+        try:
+            return rows(disks, surface)
+        finally:
+            inside.pop()
+
+    def watched(a, b, surface):
+        if not inside:
+            outside.append((a.key, b.key))
+        return calculus(a, b, surface)
+
+    monkeypatch.setattr(retraction_module, "disjointness_rows", counting_rows)
+    monkeypatch.setattr(disks_module, "disks_disjoint", watched)
+    assert certify_catalog(catalog)["passed"]
+    assert passes == [len(catalog.disks)] and outside == []
+    assert not hasattr(retraction_module, "disks_disjoint")
+
+
+def test_certify_checks_the_simplex_cap_before_any_work(monkeypatch):
+    # Arc bound 0 catalogs no vertical disk, so the sphere would fail too.
+    catalog = build_disk_catalog(build_tubed_surface(1, 4), CatalogConfig(arc_bound=0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify did work before it checked the simplex cap")
+
+    monkeypatch.setattr(retraction_module, "disjointness_rows", refuse)
+    monkeypatch.setattr(retraction_module, "RetractionEngine", refuse)
+    with pytest.raises(ResourceCapError) as exc:
+        certify_catalog(catalog, max_simplices=10)
+    # Dimension 1 of the 3-sphere has C(4, 2) * 2**2 = 24 simplices.
+    assert str(exc.value) == "resource cap max_simplices (10) exceeded: more than 10 simplices in dimension 1"
 
 
 def test_pair_pass_asks_the_calculus_about_partners_only(setup_g1n4, monkeypatch):
     """Fewer calculus calls, recursion included, than there are catalog disks."""
-    surface, catalog, _, engine, _ = setup_g1n4
-    records = retraction_module._disk_records(engine, {})
+    surface, catalog, _, _, _ = setup_g1n4
     calls = Counter()
-    calculus = disks_module.disks_disjoint_unvalidated
+    calculus = disks_module.disks_disjoint
 
     def counting(a, b, surface):
         calls[a.key, b.key] += 1
         return calculus(a, b, surface)
 
-    monkeypatch.setattr(disks_module, "disks_disjoint_unvalidated", counting)
-    retraction_module._scan_pairs(records, surface, tally=False)
+    monkeypatch.setattr(disks_module, "disks_disjoint", counting)
+    disjointness_rows(catalog.disks, surface)
     assert 0 < sum(calls.values()) < len(catalog.disks)
 
 
@@ -912,19 +1012,20 @@ def test_types_and_top_meridian_tests_follow_the_footprint(genus, n, monkeypatch
     """The engine's types and surgery tests, against the calculus on a built top meridian.
 
     Checked for every catalog disk at every level it fits, and for every
-    (level, key) the recursion reaches.
+    (level, key) that the level-by-level recursion reaches, which holds each
+    disk at its highest tube, where the engine reads its type.
     """
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    engine = RetractionEngine(catalog)
+    engine = LevelRecursionEngine(catalog)
     reached = {}
-    recurse = RetractionEngine._image
+    recurse = LevelRecursionEngine._image
 
     def recording(self, d, level):
         reached[(level, d.key)] = d
         return recurse(self, d, level)
 
-    monkeypatch.setattr(RetractionEngine, "_image", recording)
+    monkeypatch.setattr(LevelRecursionEngine, "_image", recording)
     for d in catalog.disks:
         engine.image(d)
     assert any(level < n + 1 for level, _ in reached)
