@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "read genus/tubes/catalog options from DIR/disks.json (a `build` output) "
-            "instead of flags; the file is fully revalidated first"
+            "instead of flags; the file must equal what `build` writes for that catalog"
         ),
     )
     p_cert.add_argument(
@@ -196,7 +196,7 @@ def cmd_build(args) -> int:
 
 def cmd_certify(args) -> int:
     from .disks import catalog_from_json_obj
-    from .retraction import certify_catalog, certify_minimality, render_report
+    from .retraction import certify_catalog, certify_minimality, check_simplex_cap, render_report
 
     _check_max_simplices(args.max_simplices)
     if args.from_build is not None:
@@ -213,6 +213,11 @@ def cmd_certify(args) -> int:
         _make_out_dir(args.out)
         disks_path = os.path.join(args.from_build, "disks.json")
         obj = read_json_file(disks_path)
+        # The cap depends on the tube count alone, so a file that exceeds it
+        # is refused before the rebuild checks anything else.
+        tubes = obj.get("tubes") if isinstance(obj, dict) else None
+        if type(tubes) is int and tubes >= 1:
+            check_simplex_cap(tubes - 1, args.max_simplices)
         catalog = catalog_from_json_obj(obj, source=disks_path)
         certificate = certify_catalog(catalog, max_simplices=args.max_simplices)
     else:

@@ -56,6 +56,12 @@ its tube footprint, and every term above holds on such a pair, so the table
 takes whole groups of disks with a footprint that misses the other's
 without asking the calculus.
 
+``catalog_to_json_obj`` is the only definition of ``disks.json``: the reader,
+:func:`catalog_from_json_obj`, rebuilds the catalog from the file's header
+and accepts the file only if it equals what the writer gives for that
+catalog, types included, and otherwise names the first difference by its
+JSON path.
+
 Each descriptor computes its ``key`` and its tube footprint
 (``tube_footprint``) once, when it is built, and a band sum also its
 resolved partner (``resolved_partner``: the partner, with ``'self'``
@@ -66,6 +72,7 @@ deriving them again.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Union
 
 from .errors import InvalidConfigError, MalformedFileError
@@ -274,9 +281,22 @@ def disjointness_rows(disks, surface: TubedSurface) -> list:
     genus = surface.genus_base
     fps = [_footprint_bits(d) for d in disks]
     by_footprint = _masks(fps)
-    misses = {f: sum(mask for g, mask in by_footprint.items() if not f & g) for f in by_footprint}
+    tubes_of = dict(zip(fps, (d.tube_footprint for d in disks)))
+    # Per tube, the disks whose footprint holds it; a footprint misses every
+    # disk that none of its tubes' masks holds.
+    meets = {}
+    for f, mask in by_footprint.items():
+        for t in tubes_of[f]:
+            meets[t] = meets.get(t, 0) | mask
+    everyone = (1 << len(disks)) - 1
+    misses = {}
+    for f in by_footprint:
+        hit = 0
+        for t in tubes_of[f]:
+            hit |= meets[t]
+        misses[f] = everyone & ~hit
     same_key = _masks(d.key for d in disks)
-    meridians = verticals = 0
+    meridians = 0
     # Footprint bits -> [union mask, {key: [disk, mask]}]: the vertical disks
     # by themselves, and the band sums by resolved partner.
     vertical_family, partner_family = {}, {}
@@ -522,16 +542,10 @@ def build_disk_catalog(surface: TubedSurface, config: CatalogConfig) -> DiskCata
 
 
 def config_to_json_obj(config: CatalogConfig) -> dict:
-    return {
-        "arc_bound": config.arc_bound,
-        "bandsum_depth": config.bandsum_depth,
-        "max_vd_arcs_per_region": config.max_vd_arcs_per_region,
-        "max_band_arcs": config.max_band_arcs,
-        "max_partner_arcs": config.max_partner_arcs,
-        "copies": list(config.copies),
-        "merge_budget": RECORDED_MERGE_BUDGET,
-        "max_arc_classes": config.max_arc_classes,
-    }
+    obj = {name: getattr(config, name) for name in CatalogConfig._fields}
+    obj["copies"] = list(config.copies)
+    obj["merge_budget"] = RECORDED_MERGE_BUDGET
+    return obj
 
 
 def _clip(text: str, limit: int = 80) -> str:
@@ -540,25 +554,16 @@ def _clip(text: str, limit: int = 80) -> str:
 
 
 def config_from_json_obj(obj, source: str = "config") -> CatalogConfig:
+    """The :class:`CatalogConfig` whose fields ``obj`` records; other keys are left to the caller."""
     if not isinstance(obj, dict):
         raise MalformedFileError(source, "catalog config must be an object")
-    fields = (
-        "arc_bound", "bandsum_depth", "max_vd_arcs_per_region", "max_band_arcs",
-        "max_partner_arcs", "copies", "merge_budget", "max_arc_classes",
-    )
     kwargs = {}
-    for name in fields:
+    for name in CatalogConfig._fields:
         if name not in obj:
             raise MalformedFileError(f"{source}.{name}", "missing catalog config field")
         kwargs[name] = obj[name]
     if not isinstance(kwargs["copies"], list):
         raise MalformedFileError(f"{source}.copies", "copies must be a list")
-    kwargs["copies"] = tuple(kwargs["copies"])
-    recorded = kwargs.pop("merge_budget")
-    if type(recorded) is not int or recorded != RECORDED_MERGE_BUDGET:
-        raise MalformedFileError(
-            f"{source}.merge_budget", f"expected {RECORDED_MERGE_BUDGET}, got {_clip(repr(recorded))}"
-        )
     try:
         return CatalogConfig(**kwargs)
     except InvalidConfigError as exc:
@@ -582,33 +587,6 @@ def disk_to_json_obj(d: Disk) -> dict:
     raise InvalidConfigError(f"not a disk descriptor: {d!r}")
 
 
-def disk_from_json_obj(obj, source: str = "disk") -> Disk:
-    if not isinstance(obj, dict):
-        raise MalformedFileError(source, "disk must be an object")
-    variant = obj.get("variant")
-    try:
-        if variant == "meridian":
-            return Meridian(obj.get("index"))
-        if variant == "vertical":
-            arc = obj.get("arc")
-            if not isinstance(arc, list):
-                raise MalformedFileError(f"{source}.arc", "arc must be a list of integers")
-            return VerticalDisk(obj.get("region"), tuple(arc))
-        if variant == "bandsum":
-            raw_partner = obj.get("partner")
-            if raw_partner == SELF_PARTNER:
-                partner = SELF_PARTNER
-            else:
-                partner = disk_from_json_obj(raw_partner, source=f"{source}.partner")
-            band = obj.get("band")
-            if not isinstance(band, list):
-                raise MalformedFileError(f"{source}.band", "band must be a list of integers")
-            return BandSum(obj.get("base"), partner, tuple(band), obj.get("copies"))
-    except InvalidConfigError as exc:
-        raise MalformedFileError(source, str(exc)) from exc
-    raise MalformedFileError(f"{source}.variant", f"unknown disk variant {variant!r}")
-
-
 def catalog_to_json_obj(catalog: DiskCatalog) -> dict:
     surface = catalog.surface
     entries = []
@@ -628,62 +606,63 @@ def catalog_to_json_obj(catalog: DiskCatalog) -> dict:
     }
 
 
+def _show(value) -> str:
+    """A value for an error line: a scalar clipped, an object or a list by its JSON type alone."""
+    return {dict: "an object", list: "a list"}.get(type(value)) or _clip(repr(value))
+
+
+def _first_difference(want, got, loc: str):
+    """``(location, message)`` of the first place where ``got`` differs from ``want``, or None.
+
+    Types must match exactly: a bool is not an int, nor a float.  Objects are
+    walked in sorted key order, and a list of the wrong length is reported
+    before its items.  The walk follows ``want``, the writer's output, whose
+    depth is fixed, so a deeper ``got`` fails where it first departs.
+    """
+    if type(got) is not type(want) or not isinstance(want, (dict, list)) and got != want:
+        return loc, f"expected {_show(want)}, got {_show(got)}"
+    if isinstance(want, dict):
+        # In process, a key the writer never writes may be any hashable.
+        keys = sorted(want) if got.keys() == want.keys() else sorted(want.keys() | got.keys(), key=str)
+        for key in keys:
+            if key not in got or key not in want:
+                return f"{loc}.{_clip(str(key))}", "missing" if key in want else "unexpected"
+            found = _first_difference(want[key], got[key], f"{loc}.{key}")
+            if found:
+                return found
+    elif isinstance(want, list):
+        if len(got) != len(want):
+            return loc, f"expected {len(want)} items, got {len(got)}"
+        # A list of scalars, or of lists of scalars such as a region's arc
+        # classes, matches in one step: values, then the scalars' types.
+        flat = chain.from_iterable if {*map(type, want)} == {list} else iter
+        kinds = [*map(type, flat(want))]
+        if not {dict, list}.isdisjoint(kinds) or got != want or [*map(type, flat(got))] != kinds:
+            for i, (w, g) in enumerate(zip(want, got)):
+                found = _first_difference(w, g, f"{loc}[{i}]")
+                if found:
+                    return found
+    return None
+
+
 def catalog_from_json_obj(obj, source: str = "disks") -> DiskCatalog:
+    """The catalog rebuilt from ``obj``'s header; ``obj`` must equal what :func:`catalog_to_json_obj` writes for it."""
     if not isinstance(obj, dict):
         raise MalformedFileError(source, "disk catalog must be an object")
     if obj.get("kind") != "disk_catalog":
-        raise MalformedFileError(f"{source}.kind", f"expected 'disk_catalog', got {obj.get('kind')!r}")
+        raise MalformedFileError(f"{source}.kind", f"expected 'disk_catalog', got {_show(obj.get('kind'))}")
     genus = obj.get("genus")
     tubes = obj.get("tubes")
     if type(genus) is not int or genus < 1:
-        raise MalformedFileError(f"{source}.genus", f"genus must be a positive integer, got {_clip(repr(genus))}")
+        raise MalformedFileError(f"{source}.genus", f"genus must be a positive integer, got {_show(genus)}")
     if type(tubes) is not int or tubes < 1:
-        raise MalformedFileError(f"{source}.tubes", f"tubes must be a positive integer, got {_clip(repr(tubes))}")
+        raise MalformedFileError(f"{source}.tubes", f"tubes must be a positive integer, got {_show(tubes)}")
     config = config_from_json_obj(obj.get("config"), source=f"{source}.config")
     try:
-        surface = build_tubed_surface(genus, tubes)
-        rebuilt = build_disk_catalog(surface, config)
+        rebuilt = build_disk_catalog(build_tubed_surface(genus, tubes), config)
     except InvalidConfigError as exc:
         raise MalformedFileError(source, str(exc)) from exc
-    raw_disks = obj.get("disks")
-    if not isinstance(raw_disks, list):
-        raise MalformedFileError(f"{source}.disks", "disks must be a list")
-    if len(raw_disks) != len(rebuilt.disks):
-        raise MalformedFileError(
-            f"{source}.disks",
-            f"catalog lists {len(raw_disks)} disks but the declared config yields {len(rebuilt.disks)}",
-        )
-    for i, (raw, expected) in enumerate(zip(raw_disks, rebuilt.disks)):
-        loc = f"{source}.disks[{i}]"
-        try:
-            parsed = disk_from_json_obj(raw, source=loc)
-        except RecursionError as exc:
-            # Partners nest one level per band sum; a chain that parsed as
-            # JSON can still be too deep to rebuild.
-            raise MalformedFileError(loc, "disk descriptor nested too deeply") from exc
-        if parsed.key != expected.key:
-            raise MalformedFileError(loc, f"expected disk {expected.key}, got {_clip(parsed.key)}")
-        if isinstance(raw, dict):
-            if "key" in raw and raw["key"] != expected.key:
-                got = _clip(repr(raw["key"]))
-                raise MalformedFileError(f"{loc}.key", f"key {got} does not match descriptor {expected.key}")
-            if "side" in raw and raw["side"] != disk_side(expected):
-                got = _clip(repr(raw["side"]))
-                raise MalformedFileError(f"{loc}.side", f"side {got} does not match {disk_side(expected)}")
-            expected_type = type_at(expected, tubes)
-            if "type" in raw and raw["type"] != expected_type:
-                got = _clip(repr(raw["type"]))
-                raise MalformedFileError(f"{loc}.type", f"type {got} does not match {expected_type}")
-    raw_arcs = obj.get("arc_classes")
-    if not isinstance(raw_arcs, dict):
-        raise MalformedFileError(f"{source}.arc_classes", "arc_classes must be an object")
-    if set(raw_arcs) != {str(r) for r in rebuilt.arc_classes}:
-        got = _clip(repr(sorted(raw_arcs)))
-        raise MalformedFileError(f"{source}.arc_classes", f"expected regions 1..{tubes}, got {got}")
-    for r, codes in rebuilt.arc_classes.items():
-        raw_codes = raw_arcs.get(str(r))
-        if raw_codes != [list(c) for c in codes]:
-            raise MalformedFileError(
-                f"{source}.arc_classes.{r}", "arc classes do not match the declared configuration"
-            )
+    found = _first_difference(catalog_to_json_obj(rebuilt), obj, source)
+    if found:
+        raise MalformedFileError(*found)
     return rebuilt

@@ -556,11 +556,26 @@ def certify_minimality(
     config: CatalogConfig,
     max_simplices: int = DEFAULT_MAX_SIMPLICES,
 ) -> dict:
-    """Build the surface with ``n + 1`` tubes and its catalog, then :func:`certify_catalog`."""
+    """Build the surface with ``n + 1`` tubes and, within the simplex cap, its catalog; then :func:`certify_catalog`."""
     if not isinstance(n, int) or n < 0:
         raise InvalidConfigError(f"suspension index must be a nonnegative integer, got {n!r}")
     surface = build_tubed_surface(genus, n + 1)
+    check_simplex_cap(n, max_simplices)
     return certify_catalog(build_disk_catalog(surface, config), max_simplices=max_simplices)
+
+
+def check_simplex_cap(n: int, max_simplices: int) -> None:
+    """Raise :class:`ResourceCapError` if the sphere of index ``n`` exceeds the simplex cap.
+
+    Dimension k of the sphere has comb(n + 1, k + 1) * 2**(k + 1) simplices,
+    so the check needs ``n`` alone and goes before any other work; the
+    message is the one that enumerating them would give.
+    """
+    for k in range(n + 1):
+        if comb(n + 1, k + 1) << (k + 1) > max_simplices:
+            raise ResourceCapError(
+                "max_simplices", f"more than {max_simplices} simplices in dimension {k}", max_simplices
+            )
 
 
 def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPLICES) -> dict:
@@ -584,13 +599,7 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
     genus = surface.genus_base
     m = surface.tubes
     n = m - 1
-    # Dimension k of the sphere has comb(n + 1, k + 1) * 2**(k + 1) simplices;
-    # the message is the one that enumerating them would give.
-    for k in range(n + 1):
-        if comb(n + 1, k + 1) << (k + 1) > max_simplices:
-            raise ResourceCapError(
-                "max_simplices", f"more than {max_simplices} simplices in dimension {k}", max_simplices
-            )
+    check_simplex_cap(n, max_simplices)
     rows = disjointness_rows(catalog.disks, surface)
     sphere = build_suspension_sphere(catalog, rows)
     sphere_invariants = verify_sphere(sphere, catalog, rows)

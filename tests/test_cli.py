@@ -348,7 +348,22 @@ def test_certify_from_build_rejects_an_extra_arc_class_region(tmp_path, capsys):
     disks_path.write_text(json.dumps(obj))
     code, stdout, stderr = run(["certify", "--from-build", str(build_dir), "--out", str(tmp_path / "out")], capsys)
     assert code == EXIT_CONFIG
-    assert f"{disks_path}.arc_classes: " in stderr
+    assert f"{disks_path}.arc_classes.7: " in stderr
+    assert not (tmp_path / "out" / "certificate.json").exists()
+
+
+def test_certify_from_build_rejects_a_field_that_build_never_writes(tmp_path, capsys):
+    # disks.json must equal what build writes: an extra field in a disk
+    # entry is bad input at its own path, though the descriptor is intact.
+    build_dir = tmp_path / "build"
+    run(["build", "--genus", "1", "--tubes", "2", "--out", str(build_dir)], capsys)
+    disks_path = build_dir / "disks.json"
+    obj = json.loads(disks_path.read_text())
+    obj["disks"][3]["extra"] = 1
+    disks_path.write_text(json.dumps(obj))
+    code, stdout, stderr = run(["certify", "--from-build", str(build_dir), "--out", str(tmp_path / "out")], capsys)
+    assert code == EXIT_CONFIG
+    assert stderr == f"error: {disks_path}.disks[3].extra: unexpected\n"
     assert not (tmp_path / "out" / "certificate.json").exists()
 
 
@@ -396,6 +411,42 @@ def test_certify_at_64_tubes_stops_at_the_cap_before_the_rows_and_images(tmp_pat
     assert stderr == (
         "error: resource cap max_simplices (1000000) exceeded: more than 1000000 simplices in dimension 3\n"
     )
+
+
+CAP_AT_200_TUBES = "error: resource cap max_simplices (1000000) exceeded: more than 1000000 simplices in dimension 2\n"
+
+
+def refuse_to_build(*args, **kwargs):
+    raise AssertionError("certify built a catalog before it checked the simplex cap")
+
+
+def test_certify_checks_the_simplex_cap_before_it_builds_the_catalog(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(retraction, "build_disk_catalog", refuse_to_build)
+    code, stdout, stderr = run(["certify", "--genus", "1", "--tubes", "200", "--out", str(tmp_path)], capsys)
+    assert code == EXIT_CAP and stdout == ""
+    assert stderr == CAP_AT_200_TUBES
+
+
+def test_certify_from_build_checks_the_simplex_cap_before_it_rebuilds(tmp_path, capsys, monkeypatch):
+    # The cap depends on the file's tube count alone, so it is checked before
+    # any other field: here a bad kind comes second.
+    build_dir = tmp_path / "build"
+    assert run(["build", "--genus", "1", "--tubes", "2", "--out", str(build_dir)], capsys)[0] == EXIT_OK
+    disks_path = build_dir / "disks.json"
+    obj = json.loads(disks_path.read_text())
+    obj["tubes"] = 200
+    disks_path.write_text(json.dumps(obj))
+    monkeypatch.setattr(disks, "build_disk_catalog", refuse_to_build)
+    out = tmp_path / "out"
+    code, stdout, stderr = run(["certify", "--from-build", str(build_dir), "--out", str(out)], capsys)
+    assert code == EXIT_CAP and stdout == ""
+    assert stderr == CAP_AT_200_TUBES
+    obj["kind"] = "x"
+    disks_path.write_text(json.dumps(obj))
+    assert run(["certify", "--from-build", str(build_dir), "--out", str(out)], capsys)[:3] == (
+        EXIT_CAP, "", CAP_AT_200_TUBES
+    )
+    assert not (out / "certificate.json").exists()
 
 
 def test_certify_rejects_negative_simplex_cap(tmp_path, capsys):

@@ -19,9 +19,7 @@ from disklab.disks import (
     catalog_to_json_obj,
     config_from_json_obj,
     config_to_json_obj,
-    disk_from_json_obj,
     disk_side,
-    disk_to_json_obj,
     disk_variant,
     disks_disjoint,
     validate_disk,
@@ -141,7 +139,7 @@ def test_stored_key_matches_fresh_key_and_leaves_equality_alone(genus, tubes):
         assert "key" not in repr(d)
         # equality and hashing see only the descriptor fields
         assert hash(d) == hash(tuple(getattr(d, name) for name in DESCRIPTOR_FIELDS[type(d)]))
-        back = disk_from_json_obj(disk_to_json_obj(d))
+        back = type(d)(*(getattr(d, name) for name in DESCRIPTOR_FIELDS[type(d)]))
         assert back == d and hash(back) == hash(d) and back.key == d.key
     with pytest.raises(AttributeError):
         Meridian(1).key = "M(2)"
@@ -556,36 +554,12 @@ def test_config_validation():
 # -- JSON -------------------------------------------------------------------------------
 
 
-def test_disk_json_roundtrip():
-    disks = [
-        Meridian(2),
-        VerticalDisk(1, (-2, 1)),
-        BandSum(3, Meridian(1), (-1,), 2),
-        BandSum(1, BandSum(1, SELF_PARTNER, (-2,), 1), (-1,), 1),
-    ]
-    for d in disks:
-        assert disk_from_json_obj(disk_to_json_obj(d)) == d
-
-
-def test_disk_json_rejections():
-    with pytest.raises(MalformedFileError):
-        disk_from_json_obj({"variant": "nope"})
-    with pytest.raises(MalformedFileError):
-        disk_from_json_obj({"variant": "meridian", "index": 0})
-    with pytest.raises(MalformedFileError):
-        disk_from_json_obj({"variant": "vertical", "region": 1, "arc": "x"})
-
-
 def test_config_json_roundtrip():
     cfg = CatalogConfig(arc_bound=3, copies=(1, 2))
     assert config_from_json_obj(config_to_json_obj(cfg)) == cfg
-    with pytest.raises(MalformedFileError):
-        config_from_json_obj({"arc_bound": 3})
-    without_key = config_to_json_obj(cfg)
-    del without_key["merge_budget"]
     with pytest.raises(MalformedFileError) as exc:
-        config_from_json_obj(without_key)
-    assert exc.value.location == "config.merge_budget"
+        config_from_json_obj({"arc_bound": 3})
+    assert exc.value.location == "config.bandsum_depth"
 
 
 def test_catalog_json_roundtrip(cat2):
@@ -604,7 +578,7 @@ def test_catalog_json_rejects_a_partner_chain_too_deep_to_rebuild(cat2):
     obj["disks"][i]["partner"] = partner
     with pytest.raises(MalformedFileError) as exc:
         catalog_from_json_obj(obj)
-    assert exc.value.location == f"disks.disks[{i}]"
+    assert exc.value.location == f"disks.disks[{i}].partner"
 
 
 def test_catalog_json_key_mismatch_message_is_bounded(cat2):
@@ -616,8 +590,8 @@ def test_catalog_json_key_mismatch_message_is_bounded(cat2):
     obj["disks"][i]["partner"] = partner
     with pytest.raises(MalformedFileError) as exc:
         catalog_from_json_obj(obj)
-    assert exc.value.location == f"disks.disks[{i}]"
-    assert "expected disk" in str(exc.value) and len(str(exc.value).encode()) < 300
+    assert exc.value.location == f"disks.disks[{i}].partner"
+    assert "expected 'self', got an object" in str(exc.value) and len(str(exc.value).encode()) < 300
     for field in ("key", "side", "type"):
         bad = catalog_to_json_obj(cat2)
         bad["disks"][i][field] = "x" * 10_000
@@ -635,6 +609,10 @@ def test_catalog_json_tamper_detection(cat2):
         with pytest.raises(MalformedFileError) as exc:
             catalog_from_json_obj(bad)
         assert fragment in exc.value.location
+        return exc.value.location
+
+    def drop(*keys):
+        return lambda entry: [entry.pop(key) for key in keys]
 
     expect(lambda o: o.__setitem__("kind", "x"), "kind")
     expect(lambda o: o["disks"].pop(0), "disks")
@@ -643,4 +621,24 @@ def test_catalog_json_tamper_detection(cat2):
     expect(lambda o: o["arc_classes"]["1"].pop(0), "arc_classes")
     # A region the rebuilt catalog does not have is tampering too.
     expect(lambda o: o["arc_classes"].__setitem__("7", [[9, 9]]), "arc_classes")
+    # The file must equal what the writer gives, key for key and type for
+    # type; each difference is reported at its own path.
+    assert obj["disks"][0]["variant"] == "meridian" and obj["disks"][3]["arc"] == [-1]
+    assert obj["arc_classes"]["1"][0] == [-2]
+    at_the_field = [
+        (lambda o: o["disks"][0].__setitem__("variant", "nope"), "disks.disks[0].variant"),
+        (lambda o: o["disks"][0].__setitem__("index", 0), "disks.disks[0].index"),
+        (lambda o: o["disks"][0].__setitem__("index", True), "disks.disks[0].index"),
+        (lambda o: o["disks"][3].__setitem__("arc", "x"), "disks.disks[3].arc"),
+        (lambda o: o["disks"][3]["arc"].__setitem__(0, -1.0), "disks.disks[3].arc[0]"),
+        (lambda o: o["arc_classes"]["1"][0].__setitem__(0, -2.0), "disks.arc_classes.1[0][0]"),
+        (lambda o: o["disks"][3].__setitem__("extra", 1), "disks.disks[3].extra"),
+        (lambda o: drop("type")(o["disks"][3]), "disks.disks[3].type"),
+        (lambda o: drop("key", "side", "type")(o["disks"][3]), "disks.disks[3].key"),
+        (lambda o: o.__setitem__("extra", 1), "disks.extra"),
+        (lambda o: o["config"].__setitem__("extra", 1), "disks.config.extra"),
+        (lambda o: o["config"].pop("merge_budget"), "disks.config.merge_budget"),
+    ]
+    for mutate, location in at_the_field:
+        assert expect(mutate, location) == location
 

@@ -378,7 +378,7 @@ def test_claim_cases_f3(setup_f3):
     assert claims["per_case"] == {"1": 46, "2": 492, "3": 82, "4": 385, "5": 730, "6": 174}
 
 
-@pytest.mark.parametrize(("genus", "n"), [(1, 5), (2, 4), (3, 4)])
+@pytest.mark.parametrize(("genus", "n"), [(1, 5), (2, 4), (3, 4), (1, 12)])
 def test_pair_scan_matches_the_calculus_on_every_pair(genus, n):
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
