@@ -16,7 +16,7 @@ For each row the script builds the catalog in this process and prints:
 
 The arc drawing and disjointness memos are cleared before each timing, so
 both columns include the arc searches they trigger.  The default rows are
-the "Raised knobs" table of ROADMAP.md; ``--rows`` picks some of them by
+the raised-knob table of README.md; ``--rows`` picks some of them by
 position (1-based), and ``--src`` runs another checkout's sources, for a
 before/after table.  The genus-2 rows take tens of seconds each.
 

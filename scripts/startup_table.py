@@ -8,8 +8,11 @@ script takes the self time of every ``disklab`` module and of the standard
 modules in ``WATCHED``, and the time to import the subcommand's layers: the
 cumulative time of the ``disklab`` modules that the subcommand imports when
 it starts, after ``disklab.cli`` has loaded (``surface``, ``disks``,
-``retraction``, ``homology``; see ``disklab/cli.py``).  It prints the median
-of each, in milliseconds; ``-`` marks a module the subcommand does not load.
+``retraction``, ``homology``; see ``disklab/cli.py``).  It also times each
+process's total wall, spawn to exit, beside a ``python3 -c pass`` column: an
+interpreter that starts and stops with the same flags and environment, so
+the difference is what ``disklab`` itself costs.  It prints the median of
+each, in milliseconds; ``-`` marks a module the column does not load.
 
 The sources are copied to a temporary directory first, so no
 ``__pycache__`` lands in the checkout.  The children inherit the
@@ -31,6 +34,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 LAYERS = ("disklab.surface", "disklab.disks", "disklab.retraction", "disklab.homology")
@@ -41,14 +45,22 @@ SQUARE = {
 }
 
 
+BASELINE = "python3 -c pass"
+
+
 def subcommands(work: str) -> dict[str, list[str]]:
-    """Each row's arguments; ``certify --from-build`` reads what ``build`` wrote."""
+    """Each column's interpreter arguments; ``certify --from-build`` reads what ``build`` wrote."""
     build = os.path.join(work, "build")
     return {
-        "build": ["build", "--genus", "1", "--tubes", "1", "--out", build],
-        "certify": ["certify", "--genus", "1", "--tubes", "1", "--out", os.path.join(work, "certify")],
-        "certify --from-build": ["certify", "--from-build", build, "--out", os.path.join(work, "from-build")],
-        "homology": ["homology", os.path.join(work, "square.json"), "2", "--out", os.path.join(work, "homology")],
+        "build": ["-m", "disklab", "build", "--genus", "1", "--tubes", "1", "--out", build],
+        "certify": ["-m", "disklab", "certify", "--genus", "1", "--tubes", "1", "--out", os.path.join(work, "certify")],
+        "certify --from-build": [
+            "-m", "disklab", "certify", "--from-build", build, "--out", os.path.join(work, "from-build")
+        ],
+        "homology": [
+            "-m", "disklab", "homology", os.path.join(work, "square.json"), "2", "--out", os.path.join(work, "homology")
+        ],
+        BASELINE: ["-c", "pass"],
     }
 
 
@@ -87,19 +99,23 @@ def main(argv=None) -> int:
         rows = subcommands(work)
         self_s = {row: {} for row in rows}
         layers_s = {row: [] for row in rows}
+        wall_s = {row: [] for row in rows}
         for _ in range(args.runs):
             for row, argv_ in rows.items():
+                start = time.perf_counter()
                 result = subprocess.run(
-                    [sys.executable, "-X", "importtime", "-m", "disklab", *argv_],
+                    [sys.executable, "-X", "importtime", *argv_],
                     capture_output=True, text=True, env=env, cwd=work,
                 )
+                wall_s[row].append(time.perf_counter() - start)
                 if result.returncode != 0:
                     print(f"{row}: exit {result.returncode}\n{result.stderr[-2000:]}", file=sys.stderr)
                     return 1
                 own, layers = import_log(result.stderr)
                 for module, seconds in own.items():
                     self_s[row].setdefault(module, []).append(seconds)
-                layers_s[row].append(layers)
+                if row != BASELINE:
+                    layers_s[row].append(layers)
 
     modules = sorted({m for row in self_s.values() for m in row if m.split(".")[0] == "disklab"}) + list(WATCHED)
     width = max(len(row) for row in rows)
@@ -110,6 +126,7 @@ def main(argv=None) -> int:
 
     print(f"median ms of {args.runs} runs; PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', '')}")
     print(f"{'':<28}" + " ".join(f"{row:>{width}}" for row in rows))
+    print(line("total wall", wall_s))
     print(line("layers (cumulative)", layers_s))
     for module in modules:
         print(line(f"{module} self", {row: self_s[row].get(module, []) for row in rows}))

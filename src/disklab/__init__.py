@@ -21,9 +21,9 @@ Public entry points live in the submodules:
   the frozen-record base of every descriptor class.
 - :mod:`disklab.disks` -- compressing-disk descriptors, side/type
   classification, disjointness, and catalog generation.
-- :mod:`disklab.retraction` -- suspension spheres, outermost surgery, the
-  recursive retraction, and minimality certificates with the sphere's
-  fundamental cycle in closed form.
+- :mod:`disklab.retraction` -- suspension spheres, the retraction (one image
+  per disk, outermost surgery in closed form), and minimality certificates
+  with the sphere's fundamental cycle in closed form.
 - :mod:`disklab.cli` -- the ``disklab`` command-line interface.  It imports
   only ``errors`` and ``flagcomplex`` at start, and each subcommand imports
   the layers it runs (``build``: ``surface`` and ``disks``; ``certify``: all
@@ -36,7 +36,6 @@ from disklab.errors import (
     InvalidConfigError,
     MalformedFileError,
     ResourceCapError,
-    WellDefinednessError,
 )
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "InvalidConfigError",
     "MalformedFileError",
     "ResourceCapError",
-    "WellDefinednessError",
     "__version__",
 ]
 

@@ -39,7 +39,6 @@ from .errors import (
     InvalidConfigError,
     MalformedFileError,
     ResourceCapError,
-    WellDefinednessError,
 )
 from .flagcomplex import DEFAULT_MAX_SIMPLICES, canonical_json, read_json_file, write_text_file
 
@@ -281,9 +280,6 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except WellDefinednessError as exc:
-        print(f"FAILED: {exc}", file=sys.stderr)
-        return EXIT_FAILED
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -451,6 +451,8 @@ class CatalogConfig(FrozenRecord):
         # A repeated count would list each of its band sums twice.
         if len(set(copies)) != len(copies):
             raise InvalidConfigError(f"copies must not repeat an entry, got {_clip(repr(copies))}", "copies")
+        # Sorted, so one catalog has one config and ``disks.json`` one form.
+        copies = tuple(sorted(copies))
         self._init(
             arc_bound, bandsum_depth, max_vd_arcs_per_region, max_band_arcs, max_partner_arcs, copies, max_arc_classes
         )
@@ -480,9 +482,6 @@ class DiskCatalog(FrozenRecord):
 
     def keys(self):
         return [d.key for d in self.disks]
-
-    def by_key(self) -> dict:
-        return {d.key: d for d in self.disks}
 
     def meridians(self):
         return [d for d in self.disks if isinstance(d, Meridian)]

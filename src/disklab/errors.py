@@ -8,10 +8,10 @@ so callers (in particular the CLI) can map failure classes onto exit codes:
   (CLI exit 2; carries a human-readable location).
 - :class:`ResourceCapError`    -- a configured enumeration/size cap was hit
   (CLI exit 3; names the cap and the offending quantity).
-- :class:`WellDefinednessError` -- an internal consistency check on the
-  retraction failed (distinct surgery outcomes disagreed).  This is never
-  expected to fire on shipped configurations; it exists so a would-be
-  counterexample crashes loudly instead of being glossed over.
+
+Outermost surgery has no error of its own: it is well defined by a lemma
+(see :mod:`disklab.retraction`), and a disk it cannot surger is an
+:class:`InvalidConfigError`.
 """
 
 from __future__ import annotations
@@ -57,7 +57,3 @@ class ResourceCapError(DisklabError):
         self.detail = detail
         self.limit = limit
         super().__init__(f"resource cap {cap_name} ({limit}) exceeded: {detail}")
-
-
-class WellDefinednessError(DisklabError):
-    """Raised when independently computed retraction outcomes disagree."""

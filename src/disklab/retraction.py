@@ -20,17 +20,28 @@ there, in one projection step from the catalog's surface:
   is surgered along an outermost intersection arc; each outermost arc
   yields candidate disks, each candidate receives its own image, and the
   arc's result is the candidate image lying in the smallest suspension
-  sub-sphere (minimal pair index).  All outermost arcs must agree on the
-  result; a disagreement raises :class:`WellDefinednessError` rather than
-  being resolved silently.
+  sub-sphere (minimal pair index).
+
+Outermost surgery is well defined, by induction on the copies.  A disk
+surgered at ``L`` must be a band sum on base ``L`` (anything else is
+rejected): it meets ``M(L)`` in a stack of parallel band arcs, one per
+copy, whose outermost arcs are the two ends of the stack (one arc for a
+single copy).  Cutting either one splits off the partner's pushed copy and
+leaves the same band sum with one copy fewer, or, from a single copy, the
+partner alone.  The remainder has the same base, partner, band and
+footprint, so the same level and type, and by induction it too gets the
+partner's image.  So every outermost arc gives the resolved partner's
+image, the engine assigns that image directly, and the certificate's
+``agreements`` equal its multi-arc surgeries with no disagreement.  The
+per-arc recursion is kept in the tests as an oracle.
 
 The rule reads only the level ``L``, a plain int, and the disk's side and
 tube footprint (:func:`~disklab.disks.type_at`); no surface is built below
 the top.
 
 ``certify_catalog`` runs the full pipeline on a catalog and emits a
-machine-checkable certificate: sphere invariants, per-disk images,
-well-definedness statistics, the claim tally, the retraction check on the
+machine-checkable certificate: sphere invariants, per-disk images, the
+surgery counts, the claim tally, the retraction check on the
 cataloged complex, and the homology section, which records a generating
 ``n``-cycle of the sphere and its image under the composite;
 ``certify_minimality`` builds the catalog first.
@@ -91,7 +102,7 @@ from .disks import (
     type_at,
     validate_disk,
 )
-from .errors import InvalidConfigError, ResourceCapError, WellDefinednessError
+from .errors import InvalidConfigError, ResourceCapError
 from .flagcomplex import DEFAULT_MAX_SIMPLICES
 from .homology import join_cycle
 from .surface import FrozenRecord, TubedSurface, build_tubed_surface, surface_to_json_obj, tube_side
@@ -240,45 +251,6 @@ def verify_sphere(sphere: SuspensionSphere, catalog: DiskCatalog, rows: list) ->
     }
 
 
-# -- outermost surgery -----------------------------------------------------------
-
-
-def outermost_arcs(d, level: int) -> tuple:
-    """Indices of the outermost arcs of the disk's intersection with the top meridian.
-
-    ``level`` is the tube count, so the top meridian is ``M(level)``.  Valid
-    only for a band sum on base ``level``: a same-side disk crossing the top
-    meridian in a stack of parallel band arcs, one per band copy.  A single
-    copy has one outermost arc; otherwise the two extremes of the stack are
-    outermost.  Anything else (the top meridian, an opposite-side disk, a
-    disk missing the top meridian, or a pattern with closed components) is
-    rejected.
-    """
-    if not isinstance(d, BandSum) or d.base != level:
-        raise InvalidConfigError(
-            f"disk {d.key} does not meet the top meridian M({level}) in a stack of parallel band "
-            "arcs (closed intersection components are rejected); outermost surgery is undefined"
-        )
-    if d.copies == 1:
-        return (0,)
-    return (0, d.copies - 1)
-
-
-def surgery_candidates(d: BandSum, arc_index: int):
-    """Disk classes produced by compressing along one outermost arc.
-
-    Cutting the outermost band splits off the partner's pushed copy; what
-    remains is the same band sum with one copy fewer.  With a single copy the
-    remainder degenerates and both pieces collapse to the partner's class.
-    """
-    if arc_index not in (0, d.copies - 1):
-        raise InvalidConfigError(f"arc {arc_index} of {d.key} is not outermost")
-    partner = d.resolved_partner
-    if d.copies == 1:
-        return [partner]
-    return [partner, BandSum(d.base, d.partner, d.band, d.copies - 1)]
-
-
 # -- the retraction engine ---------------------------------------------------------
 
 
@@ -288,25 +260,27 @@ class RetractionEngine:
     A disk gets its image at its highest tube ``L``: the rule of the module
     docstring, on the surface with ``L`` tubes.  :meth:`image` validates its
     argument on the catalog's surface; nothing below it validates again.
-    The disks it reaches are the argument and surgery candidates, and a
-    candidate is the resolved partner of a band sum, which
-    :func:`~disklab.disks.validate_disk` has checked recursively along with
-    the band sum itself, or the remainder band sum with ``copies - 1 >= 1``
-    copies and the same base, partner and band.  Either way its footprint
-    lies inside its parent's, so its highest tube is at most its parent's,
-    and every disk reached is valid on the catalog's surface.
+    The disks it reaches are the argument and resolved partners of band
+    sums, which :func:`~disklab.disks.validate_disk` has checked
+    recursively along with the band sum itself.  A partner's footprint lies
+    inside its band sum's, so its highest tube is at most its parent's, and
+    every disk reached is valid on the catalog's surface.
 
     The rule at ``L`` is :func:`~disklab.disks.type_at`: T1 (``M(L)``) and
     T3 (opposite-side disks, whose footprint contains ``L``) map to pair
     ``L - 1``, and any other disk is on the meridian's side with ``L`` in
-    its footprint, so it crosses that meridian and is surgered.
+    its footprint, so it crosses that meridian and is surgered: it must be a
+    band sum on base ``L``, and it takes its resolved partner's image.  The
+    engine records the chain of remainders the surgery passes through, as
+    ``(base, partner, band, c)`` for ``c = 1..copies``, without building
+    them.
     """
 
     def __init__(self, catalog: DiskCatalog):
         self.surface = catalog.surface
         self.catalog = catalog
         self._images: dict = {}  # disk key -> its sphere vertex
-        self._surgeries: dict = {}  # key of each surgered disk -> its outermost arc count
+        self._surgeries: set = set()  # (base, partner, band, copies) of each band sum surgered
 
     # -- queries ------------------------------------------------------------
 
@@ -325,13 +299,13 @@ class RetractionEngine:
         """
         if max(d.tube_footprint) < self.surface.tubes:
             return "projected"
-        if d.key in self._surgeries:
+        if isinstance(d, BandSum) and (d.base, d.partner, d.band, d.copies) in self._surgeries:
             return "surgered"
         return "top_meridian" if self._images[d.key].letter == "E" else "top_vertical"
 
     def surgery_counts(self) -> tuple[int, int]:
         """Surgeries recorded so far, and how many of them cut along two outermost arcs."""
-        return len(self._surgeries), sum(arcs >= 2 for arcs in self._surgeries.values())
+        return len(self._surgeries), sum(copies >= 2 for *_, copies in self._surgeries)
 
     # -- recursion ------------------------------------------------------------
 
@@ -359,16 +333,15 @@ class RetractionEngine:
         return vertex
 
     def _surgery_image(self, d, level: int) -> SphereVertex:
-        """The image every outermost arc gives: its candidates' minimal image, which must agree."""
-        arcs = outermost_arcs(d, level)
-        chosen = [min(self._image(cand) for cand in surgery_candidates(d, arc)) for arc in arcs]
-        if len(set(chosen)) > 1:
-            raise WellDefinednessError(
-                f"outermost surgery on {d.key} at tube count {level} is not well defined: "
-                f"arc {arcs[0]} gives {chosen[0].name} but arc {arcs[-1]} gives {chosen[-1].name}"
+        """The image every outermost arc gives: the resolved partner's, by the module docstring's lemma."""
+        if not isinstance(d, BandSum) or d.base != level:
+            raise InvalidConfigError(
+                f"disk {d.key} does not meet the top meridian M({level}) in a stack of parallel band "
+                "arcs (closed intersection components are rejected); outermost surgery is undefined"
             )
-        self._surgeries[d.key] = len(arcs)
-        return chosen[0]
+        vertex = self._image(d.resolved_partner)
+        self._surgeries.update((d.base, d.partner, d.band, c) for c in range(1, d.copies + 1))
+        return vertex
 
 
 # -- claim verification --------------------------------------------------------------
@@ -392,7 +365,7 @@ class _DiskRecord(NamedTuple):
 
     disk: Disk
     type: str  # at the top level
-    image: Optional[SphereVertex]  # None when the retraction stopped before this disk
+    image: Optional[SphereVertex]  # None when the caller gave no image for this disk
     side: str
 
 
@@ -587,7 +560,7 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
     disjoint from it.  Sphere realization and verification read the rows;
     so do the claim tally (which is also the simpliciality check: no edge
     maps to an antipodal pair) and the V/W witness, after the per-disk
-    retraction images and the well-definedness of every surgery.  Last come
+    retraction images.  Last come
     the vertex-level retraction check on the cataloged complex and the
     homology section in dimension ``n``, written in closed form.  No flag
     complex is built and no clique is enumerated.  Returns a JSON-ready
@@ -606,19 +579,14 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
 
     engine = RetractionEngine(catalog)
     first_violation = None
-    images = {}
+    images = {d.key: engine.image(d) for d in catalog.disks}
     retraction_ok = False
     retraction_report = []
     homology_doc = None
-    try:
-        for d in catalog.disks:
-            images[d.key] = engine.image(d)
-    except WellDefinednessError as exc:
-        first_violation = {"kind": "well_definedness", "detail": str(exc)}
 
     records = _disk_records(engine, images)
-    claims, witness_pair = _scan_pairs(records, rows, surface, tally=first_violation is None)
-    if claims is not None and not claims["passed"]:
+    claims, witness_pair = _scan_pairs(records, rows, surface, tally=True)
+    if not claims["passed"]:
         v = claims["violations"][0]
         first_violation = {
             "kind": "claim",
@@ -642,7 +610,7 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
         witness = {"v_disk": witness_pair[0].key, "w_disk": witness_pair[1].key}
 
     surgeries, multi_arc = engine.surgery_counts()
-    provenance = Counter(engine.branch(d) for d in catalog.disks if d.key in images)
+    provenance = Counter(engine.branch(d) for d in catalog.disks)
 
     # A step that finds a counterexample sets ``first_violation`` and stops
     # the steps after it, so the homology section exists exactly when every
@@ -688,7 +656,7 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
                 "surgeries": surgeries,
                 "multi_arc_surgeries": multi_arc,
                 "agreements": multi_arc,
-                "disagreements": 0 if first_violation is None or first_violation["kind"] != "well_definedness" else 1,
+                "disagreements": 0,
             },
             "check": {"ok": retraction_ok, "report": retraction_report},
         },
@@ -762,11 +730,10 @@ def render_report(certificate: dict) -> str:
         f"Well-definedness: {wd['surgeries']} surgeries, {wd['multi_arc_surgeries']} with "
         f"multiple outermost arcs, {wd['agreements']} agreements, {wd['disagreements']} disagreements"
     )
-    if certificate["claims"] is not None:
-        cl = certificate["claims"]
-        per = ", ".join(f"case {c}: {cl['per_case'][c]}" for c in sorted(cl["per_case"]))
-        lines.append(f"Claims: {cl['pairs_checked']} disjoint pairs checked ({per}); "
-                     f"violations: {len(cl['violations'])}")
+    cl = certificate["claims"]
+    per = ", ".join(f"case {c}: {cl['per_case'][c]}" for c in sorted(cl["per_case"]))
+    lines.append(f"Claims: {cl['pairs_checked']} disjoint pairs checked ({per}); "
+                 f"violations: {len(cl['violations'])}")
     if certificate["witness"] is not None:
         w = certificate["witness"]
         lines.append(f"Disjoint witness pair: V-side {w['v_disk']}, W-side {w['w_disk']}")

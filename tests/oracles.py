@@ -29,9 +29,14 @@ terms imply, and with every meridian term asked of a built meridian.
 every image and the rows first; ``disjoint_pairs`` lists the pairs that
 rows certify disjoint, the edges of the cataloged complex.
 
-The retraction engine gives each disk one image, at its highest tube;
-``LevelRecursionEngine`` is the recursion it replaced, which keeps one
-image per (tube level, disk key) and projects a disk one level at a time.
+The retraction engine gives each disk one image, at its highest tube, and
+gives a surgered band sum its partner's image by the copy-induction lemma
+of the ``retraction`` docstring.  ``LevelRecursionEngine`` is the recursion
+it replaced: it keeps one image per (tube level, disk key), projects a disk
+one level at a time, and surgers along each outermost arc
+(``outermost_arcs``), imaging every candidate (``surgery_candidates``,
+which builds the remainder band sum) and raising
+``SurgeryDisagreement`` if two arcs disagree.
 
 ``copy_complex``, ``suspend`` and ``octahedral_sphere`` build the flag
 complexes that the homology and flag-complex tests start from, and
@@ -73,7 +78,7 @@ from disklab.disks import (
     type_at,
     validate_disk,
 )
-from disklab.errors import InvalidConfigError, WellDefinednessError
+from disklab.errors import InvalidConfigError
 from disklab.flagcomplex import DEFAULT_MAX_SIMPLICES, FlagComplex, flag_cliques
 from disklab.homology import ChainComplex
 from disklab.retraction import (
@@ -82,8 +87,6 @@ from disklab.retraction import (
     SphereVertex,
     _disk_records,
     _scan_pairs,
-    outermost_arcs,
-    surgery_candidates,
 )
 from disklab.surface import (
     ArcCode,
@@ -778,6 +781,46 @@ def disjoint_pairs(catalog, rows) -> list:
 # -- the retraction, one tube level at a time ---------------------------------------
 
 
+def outermost_arcs(d, level: int) -> tuple:
+    """Indices of the outermost arcs of the disk's intersection with the top meridian.
+
+    ``level`` is the tube count, so the top meridian is ``M(level)``.  Valid
+    only for a band sum on base ``level``: a same-side disk crossing the top
+    meridian in a stack of parallel band arcs, one per band copy.  A single
+    copy has one outermost arc; otherwise the two extremes of the stack are
+    outermost.  Anything else (the top meridian, an opposite-side disk, a
+    disk missing the top meridian, or a pattern with closed components) is
+    rejected.
+    """
+    if not isinstance(d, BandSum) or d.base != level:
+        raise InvalidConfigError(
+            f"disk {d.key} does not meet the top meridian M({level}) in a stack of parallel band "
+            "arcs (closed intersection components are rejected); outermost surgery is undefined"
+        )
+    if d.copies == 1:
+        return (0,)
+    return (0, d.copies - 1)
+
+
+def surgery_candidates(d: BandSum, arc_index: int):
+    """Disk classes produced by compressing along one outermost arc.
+
+    Cutting the outermost band splits off the partner's pushed copy; what
+    remains is the same band sum with one copy fewer.  With a single copy the
+    remainder degenerates and both pieces collapse to the partner's class.
+    """
+    if arc_index not in (0, d.copies - 1):
+        raise InvalidConfigError(f"arc {arc_index} of {d.key} is not outermost")
+    partner = d.resolved_partner
+    if d.copies == 1:
+        return [partner]
+    return [partner, BandSum(d.base, d.partner, d.band, d.copies - 1)]
+
+
+class SurgeryDisagreement(AssertionError):
+    """Two outermost arcs of one surgery gave different images."""
+
+
 class LevelRecursionEngine:
     """The retraction engine as first written: one image per (tube level, disk key).
 
@@ -833,7 +876,7 @@ class LevelRecursionEngine:
         arcs = outermost_arcs(d, level)
         chosen = [min(self._image(cand, level) for cand in surgery_candidates(d, arc)) for arc in arcs]
         if len(set(chosen)) > 1:
-            raise WellDefinednessError(
+            raise SurgeryDisagreement(
                 f"outermost surgery on {d.key} at tube count {level} is not well defined: "
                 f"arc {arcs[0]} gives {chosen[0].name} but arc {arcs[-1]} gives {chosen[-1].name}"
             )

@@ -183,7 +183,7 @@ def test_criterion_7_higher_certificates_carry_disjoint_witness():
         assert witness is not None, (genus, n)
         surface = build_tubed_surface(genus, n + 1)
         catalog = build_disk_catalog(surface, CONFIG)
-        lookup = catalog.by_key()
+        lookup = {d.key: d for d in catalog.disks}
         v_disk = lookup[witness["v_disk"]]
         w_disk = lookup[witness["w_disk"]]
         assert disk_side(v_disk) != disk_side(w_disk)

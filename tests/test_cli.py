@@ -352,6 +352,22 @@ def test_certify_from_build_rejects_an_extra_arc_class_region(tmp_path, capsys):
     assert not (tmp_path / "out" / "certificate.json").exists()
 
 
+def test_certify_from_build_rejects_unsorted_copies(tmp_path, capsys):
+    # build writes copies sorted, so a reordered list is not what build
+    # writes for any config, though it names the same catalog.
+    build_dir = tmp_path / "build"
+    run(["build", "--genus", "1", "--tubes", "2", "--out", str(build_dir)], capsys)
+    disks_path = build_dir / "disks.json"
+    obj = json.loads(disks_path.read_text())
+    assert obj["config"]["copies"] == [1, 2]
+    obj["config"]["copies"] = [2, 1]
+    disks_path.write_text(json.dumps(obj))
+    code, stdout, stderr = run(["certify", "--from-build", str(build_dir), "--out", str(tmp_path / "out")], capsys)
+    assert code == EXIT_CONFIG
+    assert stderr == f"error: {disks_path}.config.copies[0]: expected 1, got 2\n"
+    assert not (tmp_path / "out" / "certificate.json").exists()
+
+
 def test_certify_from_build_rejects_a_field_that_build_never_writes(tmp_path, capsys):
     # disks.json must equal what build writes: an extra field in a disk
     # entry is bad input at its own path, though the descriptor is intact.

@@ -551,6 +551,12 @@ def test_config_validation():
     assert exc.value.field == "max_arc_classes"
 
 
+def test_config_sorts_copies():
+    # One catalog, one config: the order copies are given in is not kept.
+    assert CatalogConfig(arc_bound=3, copies=(2, 1)) == CatalogConfig(arc_bound=3, copies=(1, 2))
+    assert CatalogConfig(arc_bound=3, copies=[5, 2, 3]).copies == (2, 3, 5)
+
+
 # -- JSON -------------------------------------------------------------------------------
 
 

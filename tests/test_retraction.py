@@ -26,7 +26,7 @@ from disklab.disks import (
     type_at,
     validate_disk,
 )
-from disklab.errors import InvalidConfigError, ResourceCapError, WellDefinednessError
+from disklab.errors import InvalidConfigError, ResourceCapError
 from disklab.flagcomplex import FlagComplex, canonical_json, flag_cliques
 from disklab.retraction import (
     CASE_OF_TYPES,
@@ -36,9 +36,7 @@ from disklab.retraction import (
     build_suspension_sphere,
     certify_catalog,
     certify_minimality,
-    outermost_arcs,
     render_report,
-    surgery_candidates,
     verify_sphere,
 )
 from disklab.surface import build_tubed_surface
@@ -53,9 +51,11 @@ from oracles import (
     disjoint_pairs,
     has_edge,
     meets_distinguished,
+    outermost_arcs,
     permutation_sign,
     scan_pairs_by_loop,
     sphere_complex,
+    surgery_candidates,
     verify_claim_cases,
 )
 
@@ -237,29 +237,47 @@ def test_surgery_candidates():
 
 
 def test_surgery_outcomes_recorded(setup_f3, monkeypatch):
-    surface, catalog, sphere, _ = setup_f3
-    engine = RetractionEngine(catalog)
+    """Each surgery the per-arc recursion makes, and the engine's record of it."""
+    _, catalog, _, _ = setup_f3
+    engine, oracle = RetractionEngine(catalog), LevelRecursionEngine(catalog)
     surgered = {}
-    surgery_image = RetractionEngine._surgery_image
+    surgery_image = LevelRecursionEngine._surgery_image
 
     def recording(self, d, level):
         surgered[(level, d.key)] = d
         return surgery_image(self, d, level)
 
-    monkeypatch.setattr(RetractionEngine, "_surgery_image", recording)
+    monkeypatch.setattr(LevelRecursionEngine, "_surgery_image", recording)
     for d in catalog.disks:
+        oracle.image(d)
         engine.image(d)
-    surgeries, multi = engine.surgery_counts()
+    surgeries, multi = oracle.surgery_counts()
     assert surgeries == len(surgered) > 0, "the catalog contains disks requiring surgery"
     assert multi == sum(d.copies >= 2 for d in surgered.values()) > 0, "the catalog contains multi-copy band sums"
-    # Each disk is surgered once, at its highest tube.
-    assert set(engine._surgeries) == {key for _, key in surgered}
+    # Each disk is surgered once, at its highest tube.  The engine records
+    # the same band sums, remainders included, without building them.
     assert all(level == max(d.tube_footprint) for (level, _), d in surgered.items())
+    assert engine._surgeries == {(d.base, d.partner, d.band, d.copies) for d in surgered.values()}
+    assert engine.surgery_counts() == (surgeries, multi)
     for (level, key), d in surgered.items():
-        # Every outermost arc's minimal candidate image is the recorded image.
+        # Every outermost arc's minimal candidate image is the recorded one,
+        # and that is the resolved partner's: the copy-induction lemma.
         arcs = outermost_arcs(d, level)
-        chosen = {min(engine._image(c) for c in surgery_candidates(d, arc)) for arc in arcs}
-        assert chosen == {engine._images[key]}, key
+        chosen = {min(oracle._image(c, level) for c in surgery_candidates(d, arc)) for arc in arcs}
+        assert chosen == {oracle._images[(level, key)]} == {engine._image(d.resolved_partner)}, key
+
+
+def test_surgery_rejects_a_band_sum_off_the_top_base():
+    # Valid, and T2 at level 3 through its partner's footprint, but its band
+    # lies in region 1: it does not cross M(3) in a stack of band arcs.
+    catalog = build_disk_catalog(build_tubed_surface(1, 3), CatalogConfig(arc_bound=3))
+    d = BandSum(1, BandSum(3, SELF_PARTNER, (-2,), 1), (-2,), 1)
+    validate_disk(d, catalog.surface)
+    assert (max(d.tube_footprint), type_at(d, 3), d.base) == (3, "T2", 1)
+    for engine in (RetractionEngine(catalog), LevelRecursionEngine(catalog)):
+        with pytest.raises(InvalidConfigError) as exc:
+            engine.image(d)
+        assert str(exc.value).endswith("outermost surgery is undefined")
 
 
 def test_minimal_pair_index_rule(setup_f3):
@@ -311,54 +329,34 @@ def test_certify_validates_each_disk_only_at_the_entries(monkeypatch):
 
 @pytest.mark.parametrize("genus, tubes", [(1, 6), (2, 4)])
 def test_every_disk_the_recursion_reaches_is_valid_at_its_level(genus, tubes, monkeypatch):
-    """Every disk reached is valid on the surface with its highest tube's count of tubes."""
+    """Every disk the per-arc recursion reaches is valid on the surface with its highest tube's count of tubes.
+
+    The engine reaches a subset of those disks: no remainder band sum.
+    """
     surface = build_tubed_surface(genus, tubes)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    engine = RetractionEngine(catalog)
+    engine, oracle = RetractionEngine(catalog), LevelRecursionEngine(catalog)
     reached = {}
-    recurse = RetractionEngine._image
+    recurse = LevelRecursionEngine._image
 
-    def recording(self, d):
+    def recording(self, d, level):
         reached[d.key] = d
-        return recurse(self, d)
+        return recurse(self, d, level)
 
-    monkeypatch.setattr(RetractionEngine, "_image", recording)
+    monkeypatch.setattr(LevelRecursionEngine, "_image", recording)
     for d in catalog.disks:
+        oracle.image(d)
         engine.image(d)
-    assert set(reached) == set(engine._images)
-    assert set(engine._surgeries) <= set(reached)
+    assert {key for _, key in oracle._images} == set(reached) >= set(engine._images)
     assert any(max(d.tube_footprint) < tubes for d in reached.values())
-    for key in engine._surgeries:
+    for level, key in oracle._surgeries:
         d = reached[key]
-        level = max(d.tube_footprint)
+        assert level == max(d.tube_footprint), key
         for arc in outermost_arcs(d, level):
             # A surgery candidate's highest tube is at most its parent's.
             assert all(max(c.tube_footprint) <= level for c in surgery_candidates(d, arc)), key
     for d in reached.values():
         validate_disk(d, build_tubed_surface(genus, max(d.tube_footprint)))
-
-
-def test_forced_disagreement_raises(monkeypatch):
-    catalog = build_disk_catalog(build_tubed_surface(1, 2), CatalogConfig(arc_bound=3))
-    engine = RetractionEngine(catalog)
-
-    def rigged(d, arc_index):
-        # Simulate a geometry where the two outermost arcs split off
-        # different pieces: one yields the low meridian, the other the top.
-        if arc_index == 0:
-            return [Meridian(1)]
-        return [Meridian(2)]
-
-    monkeypatch.setattr(retraction_module, "surgery_candidates", rigged)
-    target = BandSum(2, SELF_PARTNER, (-2,), 2)
-    with pytest.raises(WellDefinednessError) as exc:
-        engine.image(target)
-    message = str(exc.value)
-    assert target.key in message
-    assert "E0" in message and "E1" in message
-
-
-# -- claims ------------------------------------------------------------------------
 
 
 def test_claim_cases_f2(setup_f2):
@@ -921,9 +919,21 @@ def test_pair_pass_matches_the_loop_oracle_on_raised_band_and_partner_arcs(genus
     assert claims["passed"] and len({d.resolved_partner.key for d in catalog.band_sums()}) > 10
 
 
+# Band sums with more copies, so longer remainder chains.
+RAISED_COPIES = [
+    pytest.param(1, 4, {"arc_bound": 3, "copies": (1, 2, 3)}, id="g1-n4-c123"),
+    pytest.param(1, 3, {"arc_bound": 4, "bandsum_depth": 1, "copies": (3,)}, id="g1-n3-k4-d1-c3"),
+    pytest.param(
+        2, 2, {"arc_bound": 3, "max_band_arcs": 3, "max_partner_arcs": 5, "copies": (2, 5)}, id="g2-n2-b3-p5-c25"
+    ),
+]
+
+
 @pytest.mark.parametrize(
     ("genus", "n", "knobs"),
-    [pytest.param(g, n, {"arc_bound": 3}, id=f"g{g}-n{n}") for g, n in CATALOG_GRID] + RAISED_BAND_AND_PARTNER_ARCS,
+    [pytest.param(g, n, {"arc_bound": 3}, id=f"g{g}-n{n}") for g, n in CATALOG_GRID]
+    + RAISED_BAND_AND_PARTNER_ARCS
+    + RAISED_COPIES,
 )
 def test_one_image_per_disk_matches_the_level_recursion(genus, n, knobs, monkeypatch):
     """Images, provenance and surgery counts as the level-by-level recursion gives them."""
