@@ -6,12 +6,12 @@ of canonical reduced codes of length 1..k (the figure the arc-class cap is
 checked against), runs ``enumerate_arcs(genus, k)``, and prints the number of
 embeddable classes it returns and the median seconds of five runs (one run
 takes milliseconds, so a single timing is mostly noise).  It then decides
-``arcs_disjoint`` on every pair of distinct classes, with the drawing and
-pair memos cleared first, and prints the number of disjoint pairs and the
-seconds that took.  The default grid is genus 1 at k = 5..9, genus 2 at
-k = 3..5 (genus 2 at k = 6 has about 600,000 pairs) and genus 3 at
-k = 3..4; rows whose class counts are frozen in the tests are checked
-against those values.
+every pair of distinct classes with one fresh ``arc_verdict`` per row, which
+draws each class once and keeps nothing between rows, and prints the number
+of disjoint pairs and the seconds that took.  The default grid is genus 1
+at k = 5..9, genus 2 at k = 3..5 (genus 2 at k = 6 has about 600,000
+pairs) and genus 3 at k = 3..4; rows whose class counts are frozen in the
+tests are checked against those values.
 
 Usage:
     python3 scripts/arc_enumeration_table.py [--genus1-max K] [--genus2-max K] [--genus3-max K]
@@ -25,8 +25,7 @@ import sys
 import time
 from itertools import combinations
 
-from disklab import surface
-from disklab.surface import arcs_disjoint, candidate_count, enumerate_arcs
+from disklab.surface import arc_verdict, candidate_count, enumerate_arcs
 
 ENUMERATION_RUNS = 5
 
@@ -62,15 +61,14 @@ def main(argv=None) -> int:
         row_ok = expected is None or len(classes) == expected
         ok = ok and row_ok
         mark = "" if row_ok else f"   <-- expected {expected}"
-        surface._closed_drawings.cache_clear()
-        arcs_disjoint.cache_clear()
         t0 = time.monotonic()
-        pairs = list(combinations(classes, 2))
-        disjoint = sum(arcs_disjoint(genus, a, b) for a, b in pairs)
+        verdict = arc_verdict(genus)
+        disjoint = sum(verdict(a, b) for a, b in combinations(classes, 2))
         pair_time = time.monotonic() - t0
+        pairs = len(classes) * (len(classes) - 1) // 2
         print(
             f"{genus:>2} {k:>2} {candidate_count(genus, k):>10} {len(classes):>10} {elapsed:>7.3f}s"
-            f" {len(pairs):>8} {disjoint:>8} {pair_time:>7.3f}s{mark}"
+            f" {pairs:>8} {disjoint:>8} {pair_time:>7.3f}s{mark}"
         )
     print("\nall frozen counts match" if ok else "\nMISMATCH: see rows above")
     return 0 if ok else 1

@@ -15,9 +15,9 @@ finite combinatorial descriptors:
 
 Disjointness is decided conservatively at the footprint level: a meridian
 meets exactly the disks whose tube footprint contains its index, arcs in a
-common region are compared by the exact search
-:func:`~disklab.surface.arcs_disjoint`, and disjoint strata (distinct
-regions, bands versus meridians, parallel pushed copies) separate
+common region are compared by the arc verdict ``disks_disjoint`` is given
+(one :func:`~disklab.surface.arc_verdict` per pass), and disjoint strata
+(distinct regions, bands versus meridians, parallel pushed copies) separate
 everything else.  ``disks_disjoint`` returns ``True`` only when
 this calculus certifies disjoint representatives; a ``True`` is therefore
 a proof of disjointness while a ``False`` may be conservative.  There is
@@ -81,7 +81,7 @@ from .surface import (
     ArcCode,
     FrozenRecord,
     TubedSurface,
-    arcs_disjoint,
+    arc_verdict,
     build_tubed_surface,
     canonical_code,
     enumerate_arcs,
@@ -224,11 +224,12 @@ def _meridian_misses(index: int, d: Disk) -> bool:
 _VARIANT_RANK = {Meridian: 0, VerticalDisk: 1, BandSum: 2}
 
 
-def disks_disjoint(a: Disk, b: Disk, surface: TubedSurface) -> bool:
+def disks_disjoint(a: Disk, b: Disk, arcs_ok) -> bool:
     """``True`` iff the calculus certifies disjoint representatives of a and b.
 
-    Both descriptors must be valid on ``surface`` (:func:`validate_disk`);
-    nothing here checks them again.
+    Both descriptors must be valid on one surface (:func:`validate_disk`);
+    nothing here checks them again.  ``arcs_ok(x, y)`` says whether arc
+    codes x and y have disjoint representatives on that surface.
     """
     if a.key == b.key:
         # Identical descriptors denote parallel pushed copies.
@@ -241,16 +242,16 @@ def disks_disjoint(a: Disk, b: Disk, surface: TubedSurface) -> bool:
         if isinstance(b, VerticalDisk):
             if a.region != b.region:
                 return True
-            return arcs_disjoint(surface.genus_base, a.arc, b.arc)
-        return _meridian_misses(b.base, a) and disks_disjoint(b.resolved_partner, a, surface)
+            return arcs_ok(a.arc, b.arc)
+        return _meridian_misses(b.base, a) and disks_disjoint(b.resolved_partner, a, arcs_ok)
     # Both band sums.  Bases are parallel pushed copies of meridians and stay
     # disjoint from each other even when the index coincides (nesting).
     pa, pb = a.resolved_partner, b.resolved_partner
     return (
         _meridian_misses(a.base, pb)
         and _meridian_misses(b.base, pa)
-        and disks_disjoint(pa, pb, surface)
-        and (a.base != b.base or arcs_disjoint(surface.genus_base, a.band, b.band))
+        and disks_disjoint(pa, pb, arcs_ok)
+        and (a.base != b.base or arcs_ok(a.band, b.band))
     )
 
 
@@ -276,9 +277,8 @@ def disjointness_rows(disks, surface: TubedSurface) -> list:
     Each of those parts partitions the disks, so a row is an AND of a few
     masks, each an OR over one partition.  The calculus itself is asked only
     about pairs of partners and vertical disks whose footprints overlap, once
-    per pair.
+    per pair, with one :func:`~disklab.surface.arc_verdict` for the pass.
     """
-    genus = surface.genus_base
     fps = [_footprint_bits(d) for d in disks]
     by_footprint = _masks(fps)
     tubes_of = dict(zip(fps, (d.tube_footprint for d in disks)))
@@ -317,6 +317,7 @@ def disjointness_rows(disks, surface: TubedSurface) -> list:
         group[1].setdefault(member.key, [member, 0])[1] |= bit
     of_base = {i: sum(at_base.values()) for i, at_base in bands_at.items()}
     bands = sum(of_base.values())
+    arcs_ok = arc_verdict(surface.genus_base)
     verdicts = {}
 
     def toward(x: Disk, family: dict) -> int:
@@ -332,7 +333,7 @@ def disjointness_rows(disks, surface: TubedSurface) -> list:
             for y, mask in members.values():
                 pair = (x.key, y.key) if x.key < y.key else (y.key, x.key)
                 if pair not in verdicts:
-                    verdicts[pair] = disks_disjoint(x, y, surface)
+                    verdicts[pair] = disks_disjoint(x, y, arcs_ok)
                 if verdicts[pair]:
                     out |= mask
         return out
@@ -360,7 +361,7 @@ def disjointness_rows(disks, surface: TubedSurface) -> list:
     # Per (base, band): the band sums on another base or with a disjoint band.
     band_ok = {
         (i, band): bands & ~of_base[i]
-        | sum(mask for other, mask in at_base.items() if arcs_disjoint(genus, band, other))
+        | sum(mask for other, mask in at_base.items() if arcs_ok(band, other))
         for i, at_base in bands_at.items()
         for band in at_base
     }
@@ -479,9 +480,6 @@ class DiskCatalog(FrozenRecord):
 
     def __init__(self, surface: TubedSurface, config: CatalogConfig, disks: tuple, arc_classes: dict):
         self._init(surface, config, disks, arc_classes=arc_classes)
-
-    def keys(self):
-        return [d.key for d in self.disks]
 
     def meridians(self):
         return [d for d in self.disks if isinstance(d, Meridian)]

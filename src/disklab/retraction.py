@@ -84,7 +84,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import total_ordering
 from math import comb
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .disks import (
     BandSum,
@@ -149,14 +149,11 @@ class SuspensionSphere(FrozenRecord):
     def pair(self, i: int):
         return (self.d_disks[i], self.e_disks[i])
 
-    def disk_for(self, vertex: SphereVertex):
+    def key_for(self, vertex: SphereVertex) -> str:
         if vertex.pair_index > self.index:
             raise InvalidConfigError(f"sphere has no pair {vertex.pair_index}")
         pool = self.d_disks if vertex.letter == "D" else self.e_disks
-        return pool[vertex.pair_index]
-
-    def key_for(self, vertex: SphereVertex) -> str:
-        return self.disk_for(vertex).key
+        return pool[vertex.pair_index].key
 
     def sub_sphere_keys(self, i: int) -> list:
         """Vertex keys of the suspension sub-sphere on pairs ``0..i``."""
@@ -258,8 +255,9 @@ class RetractionEngine:
     """Computes sphere images of a catalog's disk descriptors, one per disk key.
 
     A disk gets its image at its highest tube ``L``: the rule of the module
-    docstring, on the surface with ``L`` tubes.  :meth:`image` validates its
-    argument on the catalog's surface; nothing below it validates again.
+    docstring, on the surface with ``L`` tubes.  :meth:`image` validates an
+    argument that is not a catalog disk (keys determine descriptors, and
+    the catalog validated its own); nothing below it validates again.
     The disks it reaches are the argument and resolved partners of band
     sums, which :func:`~disklab.disks.validate_disk` has checked
     recursively along with the band sum itself.  A partner's footprint lies
@@ -279,6 +277,7 @@ class RetractionEngine:
     def __init__(self, catalog: DiskCatalog):
         self.surface = catalog.surface
         self.catalog = catalog
+        self._catalog_keys = {d.key for d in catalog.disks}
         self._images: dict = {}  # disk key -> its sphere vertex
         self._surgeries: set = set()  # (base, partner, band, copies) of each band sum surgered
 
@@ -286,7 +285,8 @@ class RetractionEngine:
 
     def image(self, d) -> SphereVertex:
         """Sphere vertex the retraction sends the disk to (top-level entry)."""
-        validate_disk(d, self.surface)
+        if d.key not in self._catalog_keys:
+            validate_disk(d, self.surface)
         return self._image(d)
 
     def branch(self, d) -> str:
@@ -365,14 +365,14 @@ class _DiskRecord(NamedTuple):
 
     disk: Disk
     type: str  # at the top level
-    image: Optional[SphereVertex]  # None when the caller gave no image for this disk
+    image: SphereVertex
     side: str
 
 
 def _disk_records(engine: RetractionEngine, images: dict) -> list:
     m = engine.surface.tubes
     return [
-        _DiskRecord(d, type_at(d, m), images.get(d.key), disk_side(d))
+        _DiskRecord(d, type_at(d, m), images[d.key], disk_side(d))
         for d in engine.catalog.disks
     ]
 
@@ -391,7 +391,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _scan_pairs(records: list, rows: list, surface: TubedSurface, tally: bool):
+def _scan_pairs(records: list, rows: list, surface: TubedSurface):
     """The pair pass: (claim tally, V/W witness).
 
     ``rows`` are :func:`~disklab.disks.disjointness_rows` of the records'
@@ -400,8 +400,7 @@ def _scan_pairs(records: list, rows: list, surface: TubedSurface, tally: bool):
     order, lowest bit first, which is the order of a loop over pairs
     ``i < j``.
 
-    The tally needs every image and is ``None`` unless ``tally``.  The
-    witness is the first disjoint pair with one disk on each side, as
+    The witness is the first disjoint pair with one disk on each side, as
     ``(v_disk, w_disk)``.
     """
     # Row i restricted to the disks after i: each pair is read once.
@@ -414,8 +413,6 @@ def _scan_pairs(records: list, rows: list, surface: TubedSurface, tally: bool):
             b = records[next(_bits(across))].disk
             witness = (r.disk, b) if r.side == surface.v_side else (b, r.disk)
             break
-    if not tally:
-        return None, witness
 
     of_type = _masks(r.type for r in records)
     of_image = _masks(r.image for r in records)
@@ -585,7 +582,7 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
     homology_doc = None
 
     records = _disk_records(engine, images)
-    claims, witness_pair = _scan_pairs(records, rows, surface, tally=True)
+    claims, witness_pair = _scan_pairs(records, rows, surface)
     if not claims["passed"]:
         v = claims["violations"][0]
         first_violation = {

@@ -33,10 +33,10 @@ gives the same chords with the two station endpoints swapped, so
 embeddability does not depend on orientation, and enumeration tries only one
 orientation of each word of the bound's length (:func:`enumerate_arcs`).
 Two arcs are disjoint when one grows, by the same step, inside a closed
-drawing of the other without a crossing (:func:`arcs_disjoint`).
+drawing of the other without a crossing (:func:`_joint_drawing`).
 
-The arc layer takes the genus and codes and nothing else:
-``enumerate_arcs(genus, k)``, ``arcs_disjoint(genus, a, b)``.  The feet
+The arc layer takes the genus and codes and keeps nothing between calls:
+``enumerate_arcs(genus, k)``, ``arc_verdict(genus)(a, b)``.  The feet
 that adjacent tubes leave on a region are not part of it: arcs are based at
 the puncture and their chords never route through a foot, so every region
 of a tubed surface shares one arc enumeration.
@@ -47,8 +47,6 @@ and sphere descriptor classes, here because this is the lowest layer that
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from disklab.errors import InvalidConfigError, ResourceCapError
 
@@ -180,7 +178,6 @@ def _closings(drawing: tuple, ends=(-1, 1)) -> list:
     return [r for r in ends if not _crosses(chords, free, (0, r))]
 
 
-@lru_cache(maxsize=None)
 def _closed_drawings(genus: int, code: ArcCode) -> tuple:
     """Every crossing-free closed drawing of ``code``, as (end rank, open drawing) in growth order.
 
@@ -198,17 +195,17 @@ def _closed_drawings(genus: int, code: ArcCode) -> tuple:
 # -- disjointness: the same step, two arcs ------------------------------------
 
 
-def _joint_drawing(genus: int, a: ArcCode, b: ArcCode) -> list | None:
+def _joint_drawing(genus: int, drawings: tuple, b: ArcCode) -> list | None:
     """The chords of the first zero-crossing drawing of two arcs the search reaches, or ``None``.
 
-    Each crossing-free closed drawing of ``a`` is fixed, and ``b`` grows
-    inside it by :func:`_step`: its start token goes in each station gap,
-    each letter's slot token in each gap of its pair's merged plus-side
-    ranks, and its end token in the first station gap :func:`_closings`
-    allows.  A branch is cut as soon as its new chord crosses a chord
-    already drawn, of either arc.  A crossing persists under further
-    insertions, so the search is exact: ``None`` means every drawing of the
-    two arcs has a crossing.
+    ``drawings`` are the first arc's crossing-free closed drawings
+    (:func:`_closed_drawings`).  Each is fixed, and ``b`` grows inside it by
+    :func:`_step`: its start token goes in each station gap, each letter's
+    slot token in each gap of its pair's merged plus-side ranks, and its end
+    token in the first station gap :func:`_closings` allows.  A branch is
+    cut as soon as its new chord crosses a chord already drawn, of either
+    arc.  A crossing persists under further insertions, so the search is
+    exact: ``None`` means every drawing of the two arcs has a crossing.
     """
     sidx = _side_index(genus)
     letters = _entries(b)
@@ -224,7 +221,7 @@ def _joint_drawing(genus: int, a: ArcCode, b: ArcCode) -> list | None:
                 return joint
         return None
 
-    for end, (ranks, chords, free) in _closed_drawings(genus, a):
+    for end, (ranks, chords, free) in drawings:
         closed = chords + [_chord(free, (0, end))]
         for start in _gaps(sorted((0, end))):
             joint = grow(0, (ranks, closed, (0, start)), _gaps(sorted((0, end, start))))
@@ -233,24 +230,31 @@ def _joint_drawing(genus: int, a: ArcCode, b: ArcCode) -> list | None:
     return None
 
 
-@lru_cache(maxsize=None)
-def arcs_disjoint(genus: int, a: ArcCode, b: ArcCode) -> bool:
-    """Whether two arc classes have disjoint embedded representatives.
+def arc_verdict(genus: int):
+    """A fresh verdict ``verdict(a, b)``: whether two arc classes have disjoint embedded representatives.
 
     Exact, and ``True`` is backed by a zero-crossing drawing of both arcs
     (:func:`_joint_drawing`, which fixes the smaller canonical code).  Equal
-    classes are parallel copies; a non-embeddable code raises.
+    classes are parallel copies; a non-embeddable code raises.  A verdict
+    draws each class and decides each pair at most once, for its holder alone.
     """
-    ca, cb = sorted((canonical_code(a), canonical_code(b)))
-    if (ca, cb) != (a, b):
-        return arcs_disjoint(genus, ca, cb)
-    if ca == cb:
-        return True
-    if not _closed_drawings(genus, ca) or not _closed_drawings(genus, cb):
-        raise InvalidConfigError(
-            f"arc codes must be embeddable; got {ca!r} / {cb!r} with no embedded drawing"
-        )
-    return _joint_drawing(genus, ca, cb) is not None
+    drawn = {}
+    decided = {}
+
+    def verdict(a: ArcCode, b: ArcCode) -> bool:
+        if (a, b) not in decided:
+            ca, cb = sorted((canonical_code(a), canonical_code(b)))
+            if ca != cb and (ca, cb) not in decided:
+                drawn.update((code, _closed_drawings(genus, code)) for code in (ca, cb) if code not in drawn)
+                if not drawn[ca] or not drawn[cb]:
+                    raise InvalidConfigError(
+                        f"arc codes must be embeddable; got {ca!r} / {cb!r} with no embedded drawing"
+                    )
+                decided[ca, cb] = _joint_drawing(genus, drawn[ca], cb) is not None
+            decided[a, b] = ca == cb or decided[ca, cb]
+        return decided[a, b]
+
+    return verdict
 
 
 # -- arc enumeration ----------------------------------------------------------

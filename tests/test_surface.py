@@ -21,7 +21,7 @@ from disklab.surface import (
     ArcCode,
     TubedSurface,
     _entries,
-    arcs_disjoint,
+    arc_verdict,
     build_tubed_surface,
     candidate_count,
     canonical_code,
@@ -35,6 +35,7 @@ from disklab.surface import (
 )
 from oracles import (
     all_reduced_codes,
+    arcs_disjoint,
     canonical_reduced_codes,
     chord_endpoints,
     crossings,
@@ -127,9 +128,15 @@ def crossing_free(chords: list) -> bool:
     return not any((w < y < x) != (w < z < x) for (w, x), (y, z) in itertools.combinations(chords, 2))
 
 
+def fresh_verdict(genus: int, a: ArcCode, b: ArcCode) -> bool:
+    """The verdict of a new ``arc_verdict``, which draws both codes and keeps nothing from earlier calls."""
+    return arc_verdict(genus)(a, b)
+
+
 # Each engine with its value for disjoint arcs: the exhaustive crossing
-# number, and the exact disjointness search that replaced it.
-ENGINES = ((min_crossings, 0), (arcs_disjoint, True))
+# number, and the exact disjointness search that replaced it, both through
+# the tests' verdict kept for the run and through a fresh one.
+ENGINES = ((min_crossings, 0), (arcs_disjoint, True), (fresh_verdict, True))
 
 
 def arcs_to_json_obj(genus: int, k: int, arcs: list[ArcCode]) -> dict:
@@ -451,7 +458,7 @@ def test_every_disjoint_verdict_has_a_zero_crossing_drawing(genus, k):
 
     arcs = enumerate_arcs(genus, k)
     for a, b in itertools.combinations(arcs, 2):
-        drawing = surface._joint_drawing(genus, a, b)
+        drawing = surface._joint_drawing(genus, surface._closed_drawings(genus, a), b)
         assert (drawing is not None) is arcs_disjoint(genus, a, b), (a, b)
         if drawing is None:
             continue
