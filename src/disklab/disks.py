@@ -412,12 +412,12 @@ class CatalogConfig(FrozenRecord):
 
     ``arc_bound`` caps arc-code length; the remaining knobs bound how many
     cataloged disks are spun out of each enumeration (full arc enumerations
-    are preserved separately on the catalog).
+    are preserved separately on the catalog).  Every catalog enumerates arcs
+    under one cap, :data:`~disklab.surface.DEFAULT_MAX_ARC_CLASSES`.
     """
 
     __slots__ = _fields = (
         "arc_bound", "bandsum_depth", "max_vd_arcs_per_region", "max_band_arcs", "max_partner_arcs", "copies",
-        "max_arc_classes",
     )
 
     def __init__(
@@ -428,7 +428,6 @@ class CatalogConfig(FrozenRecord):
         max_band_arcs: int = 2,
         max_partner_arcs: int = 2,
         copies: tuple = (1, 2),
-        max_arc_classes: int = DEFAULT_MAX_ARC_CLASSES,
     ):
         # Booleans are ints to isinstance; a config field is never one.
         counts = {
@@ -437,7 +436,6 @@ class CatalogConfig(FrozenRecord):
             "max_vd_arcs_per_region": max_vd_arcs_per_region,
             "max_band_arcs": max_band_arcs,
             "max_partner_arcs": max_partner_arcs,
-            "max_arc_classes": max_arc_classes,
         }
         for name, v in counts.items():
             if type(v) is not int or v < 0:
@@ -454,9 +452,7 @@ class CatalogConfig(FrozenRecord):
             raise InvalidConfigError(f"copies must not repeat an entry, got {_clip(repr(copies))}", "copies")
         # Sorted, so one catalog has one config and ``disks.json`` one form.
         copies = tuple(sorted(copies))
-        self._init(
-            arc_bound, bandsum_depth, max_vd_arcs_per_region, max_band_arcs, max_partner_arcs, copies, max_arc_classes
-        )
+        self._init(arc_bound, bandsum_depth, max_vd_arcs_per_region, max_band_arcs, max_partner_arcs, copies)
 
 
 def _disk_sort_key(d: Disk):
@@ -504,7 +500,7 @@ def build_disk_catalog(surface: TubedSurface, config: CatalogConfig) -> DiskCata
     """
     m = surface.tubes
     # Feet never enter the arc search, so every region shares one enumeration.
-    arcs = tuple(enumerate_arcs(surface.genus_base, config.arc_bound, max_classes=config.max_arc_classes))
+    arcs = tuple(enumerate_arcs(surface.genus_base, config.arc_bound))
     arc_classes = {r: arcs for r in range(1, m + 1)}
     disks = [Meridian(i) for i in range(1, m + 1)]
     for r in range(1, m + 1):
@@ -541,6 +537,7 @@ def build_disk_catalog(surface: TubedSurface, config: CatalogConfig) -> DiskCata
 def config_to_json_obj(config: CatalogConfig) -> dict:
     obj = {name: getattr(config, name) for name in CatalogConfig._fields}
     obj["copies"] = list(config.copies)
+    obj["max_arc_classes"] = DEFAULT_MAX_ARC_CLASSES
     obj["merge_budget"] = RECORDED_MERGE_BUDGET
     return obj
 

@@ -31,9 +31,16 @@ leaves the same band sum with one copy fewer, or, from a single copy, the
 partner alone.  The remainder has the same base, partner, band and
 footprint, so the same level and type, and by induction it too gets the
 partner's image.  So every outermost arc gives the resolved partner's
-image, the engine assigns that image directly, and the certificate's
-``agreements`` equal its multi-arc surgeries with no disagreement.  The
-per-arc recursion is kept in the tests as an oracle.
+image, and the engine assigns that image directly.  Surgery on ``c``
+copies passes through ``c`` band sums, ``c - 1`` of them with two outermost
+arcs, so the engine keeps one record per band, its largest copy count; the
+certificate's ``agreements`` equal its multi-arc surgeries with no
+disagreement.  The per-arc recursion is kept in the tests as an oracle.
+
+A disk's ``provenance`` is read off its type at the top tube ``m``: T1 is
+``top_meridian``, T3 ``top_vertical`` and T2 ``surgered``, unless ``m`` is
+not in its footprint (``projected``), as for every T4 disk.  A one-tube
+catalog has no band sums, so no T2 disk, and the rule covers it too.
 
 The rule reads only the level ``L``, a plain int, and the disk's side and
 tube footprint (:func:`~disklab.disks.type_at`); no surface is built below
@@ -255,23 +262,17 @@ class RetractionEngine:
     """Computes sphere images of a catalog's disk descriptors, one per disk key.
 
     A disk gets its image at its highest tube ``L``: the rule of the module
-    docstring, on the surface with ``L`` tubes.  :meth:`image` validates an
-    argument that is not a catalog disk (keys determine descriptors, and
-    the catalog validated its own); nothing below it validates again.
+    docstring, read off :func:`~disklab.disks.type_at`.  :meth:`image`
+    validates an argument that is not a catalog disk (keys determine
+    descriptors, and the catalog validated its own); nothing below it
+    validates again.
     The disks it reaches are the argument and resolved partners of band
     sums, which :func:`~disklab.disks.validate_disk` has checked
     recursively along with the band sum itself.  A partner's footprint lies
     inside its band sum's, so its highest tube is at most its parent's, and
-    every disk reached is valid on the catalog's surface.
-
-    The rule at ``L`` is :func:`~disklab.disks.type_at`: T1 (``M(L)``) and
-    T3 (opposite-side disks, whose footprint contains ``L``) map to pair
-    ``L - 1``, and any other disk is on the meridian's side with ``L`` in
-    its footprint, so it crosses that meridian and is surgered: it must be a
-    band sum on base ``L``, and it takes its resolved partner's image.  The
-    engine records the chain of remainders the surgery passes through, as
-    ``(base, partner, band, c)`` for ``c = 1..copies``, without building
-    them.
+    every disk reached is valid on the catalog's surface.  A surgered band
+    is recorded as ``(base, partner, band)`` with its largest copy count;
+    the remainders with fewer copies are counted, not built.
     """
 
     def __init__(self, catalog: DiskCatalog):
@@ -279,7 +280,7 @@ class RetractionEngine:
         self.catalog = catalog
         self._catalog_keys = {d.key for d in catalog.disks}
         self._images: dict = {}  # disk key -> its sphere vertex
-        self._surgeries: set = set()  # (base, partner, band, copies) of each band sum surgered
+        self._surgeries: dict = {}  # (base, partner, band) of each band surgered -> largest copies
 
     # -- queries ------------------------------------------------------------
 
@@ -289,23 +290,9 @@ class RetractionEngine:
             validate_disk(d, self.surface)
         return self._image(d)
 
-    def branch(self, d) -> str:
-        """Which rule gave the disk its top-level image, once :meth:`image` has run.
-
-        One of ``top_meridian`` (sent to the top ``E``), ``top_vertical`` (sent
-        to the top ``D``), ``surgered`` or ``projected`` (the disk's highest
-        tube is below the top).  On the one-tube base surface, disks on the
-        tube's side count as top meridian and the others as top vertical.
-        """
-        if max(d.tube_footprint) < self.surface.tubes:
-            return "projected"
-        if isinstance(d, BandSum) and (d.base, d.partner, d.band, d.copies) in self._surgeries:
-            return "surgered"
-        return "top_meridian" if self._images[d.key].letter == "E" else "top_vertical"
-
     def surgery_counts(self) -> tuple[int, int]:
         """Surgeries recorded so far, and how many of them cut along two outermost arcs."""
-        return len(self._surgeries), sum(copies >= 2 for *_, copies in self._surgeries)
+        return sum(self._surgeries.values()), sum(copies - 1 for copies in self._surgeries.values())
 
     # -- recursion ------------------------------------------------------------
 
@@ -340,7 +327,8 @@ class RetractionEngine:
                 "arcs (closed intersection components are rejected); outermost surgery is undefined"
             )
         vertex = self._image(d.resolved_partner)
-        self._surgeries.update((d.base, d.partner, d.band, c) for c in range(1, d.copies + 1))
+        band = (d.base, d.partner, d.band)
+        self._surgeries[band] = max(self._surgeries.get(band, 0), d.copies)
         return vertex
 
 
@@ -375,6 +363,14 @@ def _disk_records(engine: RetractionEngine, images: dict) -> list:
         _DiskRecord(d, type_at(d, m), images[d.key], disk_side(d))
         for d in engine.catalog.disks
     ]
+
+
+_PROVENANCE_AT_TOP = {"T1": "top_meridian", "T3": "top_vertical", "T2": "surgered"}
+
+
+def _provenance(r: _DiskRecord, m: int) -> str:
+    """The rule that gave the record's disk its image, with ``m`` tubes (module docstring)."""
+    return _PROVENANCE_AT_TOP[r.type] if m in r.disk.tube_footprint else "projected"
 
 
 _CASE_OF_ORDERED_TYPES = {
@@ -607,7 +603,7 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
         witness = {"v_disk": witness_pair[0].key, "w_disk": witness_pair[1].key}
 
     surgeries, multi_arc = engine.surgery_counts()
-    provenance = Counter(engine.branch(d) for d in catalog.disks)
+    provenance = Counter(_provenance(r, m) for r in records)
 
     # A step that finds a counterexample sets ``first_violation`` and stops
     # the steps after it, so the homology section exists exactly when every

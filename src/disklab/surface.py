@@ -291,7 +291,9 @@ def enumerate_arcs(genus: int, k: int, max_classes: int = DEFAULT_MAX_ARC_CLASSE
         raise InvalidConfigError(f"genus must be >= 1, got {genus}")
     if k < 0:
         raise InvalidConfigError(f"arc bound must be >= 0, got {k}")
-    if candidate_count(genus, k) > max_classes:
+    # Each length L >= 1 alone has at least 2^L codes, so a length bound past
+    # the cap's bit length passes the cap: the count stops there, whatever k.
+    if candidate_count(genus, min(k, max_classes.bit_length() + 1)) > max_classes:
         raise ResourceCapError("max_arc_classes", f"genus {genus}, length bound {k}", max_classes)
     sidx = _side_index(genus)
     letters = [(x, *_entries((x,))[0]) for x in range(-2 * genus, 2 * genus + 1) if x != 0]

@@ -265,10 +265,16 @@ def test_certify_from_build_reports_json_parse_location(tmp_path, capsys):
 
 
 def run_python(args, cwd):
-    """``python3 ARGS`` in a fresh interpreter on the sources: (exit code, stdout, stderr)."""
+    """``python3 ARGS`` in a fresh interpreter on the sources: (exit code, stdout, stderr).
+
+    A run that takes over a minute fails its test with ``TimeoutExpired``,
+    so a hung command cannot stall the suite.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd)
+    result = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=60
+    )
     return result.returncode, result.stdout, result.stderr
 
 
@@ -303,6 +309,7 @@ def test_certify_from_build_rejects_unparseable_bytes(content, where, tmp_path):
         pytest.param("config.max_arc_classes", -1, id="max_arc_classes-negative"),
         pytest.param("config.max_arc_classes", 1.5, id="max_arc_classes-float"),
         pytest.param("config.max_arc_classes", True, id="max_arc_classes-bool"),
+        pytest.param("config.max_arc_classes", 10**12, id="max_arc_classes-raised"),
         pytest.param("config.arc_bound", True, id="arc_bound-bool"),
         pytest.param("config.bandsum_depth", False, id="bandsum_depth-bool"),
         pytest.param("config.max_band_arcs", 2.0, id="max_band_arcs-float"),
@@ -337,6 +344,41 @@ def test_certify_from_build_rejects_any_other_merge_budget(field, value, tmp_pat
     assert "Traceback" not in stderr
     assert stdout == ""
     assert not (tmp_path / "out" / "certificate.json").exists()
+
+
+ARC_CAP = "error: resource cap max_arc_classes (100000) exceeded: "
+
+
+def test_certify_from_build_keeps_the_arc_class_cap_a_file_raises(tmp_path, capsys):
+    # The cap is a constant, not a catalog setting: the catalog is rebuilt
+    # under it, so genus 3 at arc bound 9 stops at the cap at once instead of
+    # searching arcs under the file's 10**12.
+    build_dir = tmp_path / "build"
+    run(["build", "--genus", "1", "--tubes", "2", "--out", str(build_dir)], capsys)
+    disks_path = build_dir / "disks.json"
+    obj = json.loads(disks_path.read_text())
+    obj["genus"] = 3
+    obj["config"].update(arc_bound=9, max_arc_classes=10**12)
+    disks_path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    code, stdout, stderr = run_python(
+        ["-m", "disklab", "certify", "--from-build", str(build_dir), "--out", "out"], tmp_path
+    )
+    assert time.perf_counter() - start < 5.0
+    assert (code, stdout, stderr) == (EXIT_CAP, "", ARC_CAP + "genus 3, length bound 9\n")
+    assert not (tmp_path / "out" / "certificate.json").exists()
+
+
+def test_build_stops_a_huge_arc_bound_at_the_cap_at_once(tmp_path):
+    # The candidate count stops adding lengths once it passes the cap, so the
+    # bound's size costs nothing.
+    start = time.perf_counter()
+    code, stdout, stderr = run_python(
+        ["-m", "disklab", "build", "--genus", "1", "--tubes", "1", "--arc-bound", "100000", "--out", "b"], tmp_path
+    )
+    assert time.perf_counter() - start < 5.0
+    assert (code, stdout, stderr) == (EXIT_CAP, "", ARC_CAP + "genus 1, length bound 100000\n")
+    assert not (tmp_path / "b" / "disks.json").exists()
 
 
 def test_certify_from_build_rejects_an_extra_arc_class_region(tmp_path, capsys):

@@ -609,8 +609,8 @@ def test_config_validation():
         CatalogConfig(arc_bound=True)
     assert exc.value.field == "arc_bound"
     with pytest.raises(InvalidConfigError) as exc:
-        CatalogConfig(arc_bound=3, max_arc_classes="abc")
-    assert exc.value.field == "max_arc_classes"
+        CatalogConfig(arc_bound=3, max_band_arcs="abc")
+    assert exc.value.field == "max_band_arcs"
 
 
 def test_config_sorts_copies():

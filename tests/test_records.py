@@ -52,7 +52,6 @@ CASES = {
             "max_band_arcs": 2,
             "max_partner_arcs": 1,
             "copies": (1, 3),
-            "max_arc_classes": 500,
         },
         (),
         ("copies", (1, 2)),

@@ -2,6 +2,7 @@
 
 import importlib
 import random
+import time
 from collections import Counter
 from itertools import combinations, product
 from math import comb
@@ -238,7 +239,7 @@ def test_surgery_candidates():
 
 
 def test_surgery_outcomes_recorded(setup_f3, monkeypatch):
-    """Each surgery the per-arc recursion makes, and the engine's record of it."""
+    """Each surgery the per-arc recursion makes, and the engine's one record per band."""
     _, catalog, _, _ = setup_f3
     engine, oracle = RetractionEngine(catalog), LevelRecursionEngine(catalog)
     surgered = {}
@@ -255,10 +256,18 @@ def test_surgery_outcomes_recorded(setup_f3, monkeypatch):
     surgeries, multi = oracle.surgery_counts()
     assert surgeries == len(surgered) > 0, "the catalog contains disks requiring surgery"
     assert multi == sum(d.copies >= 2 for d in surgered.values()) > 0, "the catalog contains multi-copy band sums"
-    # Each disk is surgered once, at its highest tube.  The engine records
-    # the same band sums, remainders included, without building them.
+    # Each disk is surgered once, at its highest tube.  The recursion
+    # surgers each band on every copy count up to its largest, remainders
+    # included, and the engine keeps that largest count alone.
     assert all(level == max(d.tube_footprint) for (level, _), d in surgered.items())
-    assert engine._surgeries == {(d.base, d.partner, d.band, d.copies) for d in surgered.values()}
+    largest = {}
+    for d in surgered.values():
+        band = (d.base, d.partner, d.band)
+        largest[band] = max(largest.get(band, 0), d.copies)
+    assert {(d.base, d.partner, d.band, d.copies) for d in surgered.values()} == {
+        (*band, c) for band, copies in largest.items() for c in range(1, copies + 1)
+    }
+    assert engine._surgeries == largest
     assert engine.surgery_counts() == (surgeries, multi)
     for (level, key), d in surgered.items():
         # Every outermost arc's minimal candidate image is the recorded one,
@@ -439,11 +448,10 @@ def test_single_pass_tally_matches_per_pair_images():
 
 @pytest.mark.parametrize("n", [0, 2, 4])
 def test_provenance_matches_the_type_rules(n):
-    """Provenance read from the engine's branches equals the per-disk type rules."""
+    """Certify's provenance, read off the records' top-tube types, equals the per-disk type rules."""
     cert = certify_minimality(1, n, CatalogConfig(arc_bound=3))
     surface = build_tubed_surface(1, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    engine = RetractionEngine(catalog)
     provenance = dict.fromkeys(("top_meridian", "top_vertical", "projected", "surgered"), 0)
     for d in catalog.disks:
         t = classify_type(d, surface)
@@ -931,7 +939,7 @@ RAISED_COPIES = [
     + RAISED_COPIES,
 )
 def test_one_image_per_disk_matches_the_level_recursion(genus, n, knobs, monkeypatch):
-    """Images, provenance and surgery counts as the level-by-level recursion gives them."""
+    """Images, per-disk provenance and surgery counts as the level-by-level recursion gives them."""
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(**knobs))
     engine, oracle = RetractionEngine(catalog), LevelRecursionEngine(catalog)
@@ -943,9 +951,10 @@ def test_one_image_per_disk_matches_the_level_recursion(genus, n, knobs, monkeyp
         return recurse(self, d)
 
     monkeypatch.setattr(RetractionEngine, "_image", recording)
-    for d in catalog.disks:
-        assert engine.image(d) == oracle.image(d), d.key
-        assert engine.branch(d) == oracle.branch(d), d.key
+    images = {d.key: engine.image(d) for d in catalog.disks}
+    for r in retraction_module._disk_records(engine, images):
+        assert r.image == oracle.image(r.disk), r.disk.key
+        assert retraction_module._provenance(r, surface.tubes) == oracle.branch(r.disk), r.disk.key
     assert engine.surgery_counts() == oracle.surgery_counts()
     # One memo entry per disk key reached, where the recursion kept one per
     # (level, key) it passed through.
@@ -953,6 +962,21 @@ def test_one_image_per_disk_matches_the_level_recursion(genus, n, knobs, monkeyp
     if (genus, n, knobs) == (1, 5, {"arc_bound": 3}):
         assert (len(engine._images), len(oracle._images)) == (258, 719)
         assert engine.surgery_counts() == (136, 68)
+
+
+def test_surgery_counts_do_not_grow_with_the_copy_count():
+    # One record per band: a billion copies cost what one does, and the
+    # counts are those of every remainder the surgery passes through.
+    catalog = build_disk_catalog(build_tubed_surface(1, 2), CatalogConfig(arc_bound=3, copies=(10**9,)))
+    start = time.perf_counter()
+    cert = certify_catalog(catalog)
+    assert time.perf_counter() - start < 1.0
+    assert cert["passed"] and cert["retraction"]["well_definedness"] == {
+        "surgeries": 8_000_000_000,
+        "multi_arc_surgeries": 7_999_999_992,
+        "agreements": 7_999_999_992,
+        "disagreements": 0,
+    }
 
 
 def test_certify_decides_disjointness_in_one_pass(setup_g1n4, monkeypatch):
