@@ -149,13 +149,6 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def complex_to_json_obj(c: FlagComplex) -> dict:
-    return {
-        "vertices": [{"id": vid, "label": c.label(vid)} for vid in c.vertex_ids],
-        "edges": [[u, v] for (u, v) in c.edges],
-    }
-
-
 def complex_from_json_obj(obj, source: str = "complex") -> FlagComplex:
     if not isinstance(obj, dict):
         raise MalformedFileError(source, "expected a JSON object")
@@ -196,6 +189,8 @@ def complex_from_json_obj(obj, source: str = "complex") -> FlagComplex:
             raise MalformedFileError(
                 loc, f"edge [{u!r}, {v!r}] must list the lexicographically smaller id first"
             )
+        if v in out._adjacency.get(u, ()):
+            raise MalformedFileError(loc, f"duplicate edge [{u!r}, {v!r}]")
         try:
             out.add_edge(u, v)
         except InvalidConfigError as exc:

@@ -28,6 +28,13 @@ dense :func:`smith_normal_form`, which returns only its diagonal.  Boundary
 matrices of simplicial complexes have ±1 entries, and on the complexes this
 package meets the core is usually empty.
 
+:func:`reduced_homology` builds each boundary straight from
+:func:`flag_cliques`' lists and hands it to :func:`rank_and_torsion` once.
+Clique lists are a simplicial complex by construction, so nothing checks
+them; the general chain complex, which checks any simplex lists for sorted
+ids, sizes, duplicates and missing faces, is kept in ``tests/oracles.py`` as
+the reference the tests compare against.
+
 :func:`join_cycle` eliminates nothing: it writes the fundamental cycle of an
 octahedral sphere in closed form, for the homology section of ``certify``.
 """
@@ -192,7 +199,7 @@ def rank_and_torsion(columns: list[Column]) -> tuple[int, tuple[int, ...]]:
     return rank + sum(1 for x in diag if x), tuple(x for x in diag if x > 1)
 
 
-# -- chain complexes from clique data ------------------------------------------
+# -- reduced homology from clique lists ----------------------------------------
 
 
 class HomologyProfile(namedtuple("HomologyProfile", ["entries"])):
@@ -232,89 +239,35 @@ class HomologyProfile(namedtuple("HomologyProfile", ["entries"])):
         return " + ".join(parts) if parts else "0"
 
 
-class ChainComplex:
-    """Simplicial chain complex (reduced) assembled from clique lists."""
-
-    def __init__(self, simplices_by_dim: dict[int, list[tuple[str, ...]]]):
-        self.simplices: dict[int, list[tuple[str, ...]]] = {}
-        top = max((k for k, v in simplices_by_dim.items() if v), default=-1)
-        for k in range(top + 1):
-            bucket = sorted(simplices_by_dim.get(k, []))
-            for s in bucket:
-                if list(s) != sorted(set(s)):
-                    raise InvalidConfigError(f"simplex {s} is not a sorted id tuple")
-                if len(s) != k + 1:
-                    raise InvalidConfigError(f"simplex {s} has wrong size for dimension {k}")
-            if len(set(bucket)) != len(bucket):
-                raise InvalidConfigError(f"duplicate simplices in dimension {k}")
-            self.simplices[k] = bucket
-        self.top = top
-        self._index: dict[int, dict[tuple[str, ...], int]] = {
-            k: {s: i for i, s in enumerate(v)} for k, v in self.simplices.items()
-        }
-        for k in range(1, top + 1):
-            below = self._index.get(k - 1, {})
-            for s in self.simplices[k]:
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1 :]
-                    if face not in below:
-                        raise InvalidConfigError(f"face {face} of {s} missing in dimension {k-1}")
-        self._rank_torsion_cache: dict[int, tuple[int, tuple[int, ...]]] = {}
-
-    def n_cells(self, k: int) -> int:
-        return len(self.simplices.get(k, []))
-
-    def boundary_columns(self, k: int) -> list[Column]:
-        """Sparse columns of the boundary C_k -> C_{k-1}, one ``{row: ±1}`` per k-simplex.
-
-        k = 0 gives the augmentation: every vertex maps to the single row 0.
-        """
-        if k < 0 or k > self.top:
-            return []
-        if k == 0:
-            return [{0: 1} for _ in range(self.n_cells(0))]
-        idx = self._index[k - 1]
-        cols = []
-        for s in self.simplices[k]:
-            col = {}
-            sign = 1
-            for i in range(len(s)):
-                col[idx[s[:i] + s[i + 1 :]]] = sign
-                sign = -sign
-            cols.append(col)
-        return cols
-
-    def _rank_torsion(self, k: int) -> tuple[int, tuple[int, ...]]:
-        """(rank, torsion) of the boundary in dimension k, computed once."""
-        if k not in self._rank_torsion_cache:
-            self._rank_torsion_cache[k] = rank_and_torsion(self.boundary_columns(k))
-        return self._rank_torsion_cache[k]
-
-    def boundary_rank(self, k: int) -> int:
-        return self._rank_torsion(k)[0]
-
-    def betti_reduced(self, k: int) -> int:
-        if k < 0 or k > self.top:
-            return 0
-        return self.n_cells(k) - self.boundary_rank(k) - self.boundary_rank(k + 1)
-
-    def torsion(self, k: int) -> tuple[int, ...]:
-        return self._rank_torsion(k + 1)[1]
-
-    def profile(self, d_max: int) -> HomologyProfile:
-        return HomologyProfile(
-            entries=tuple((self.betti_reduced(k), self.torsion(k)) for k in range(d_max + 1))
-        )
-
-
 def reduced_homology(
     c: FlagComplex, d_max: int, max_per_dim: int | None = DEFAULT_MAX_SIMPLICES
 ) -> HomologyProfile:
-    """Reduced integer homology of a flag complex in dimensions 0..d_max."""
+    """Reduced integer homology of a flag complex in dimensions 0..d_max.
+
+    The boundary columns come straight from :func:`flag_cliques`' lists,
+    which need no check: every face of a clique is a clique listed one
+    dimension down.  Each boundary ``C_k -> C_{k-1}``, ``k = 0..d_max+1``,
+    is eliminated once; then ``b_k = n_k - r_k - r_{k+1}``, and the torsion
+    in degree ``k`` is that of ``C_{k+1} -> C_k``.
+    """
     if d_max < 0:
         raise InvalidConfigError(f"d_max must be >= 0, got {d_max}")
     cliques = flag_cliques(c, d_max + 1, max_per_dim)
-    return ChainComplex(cliques).profile(d_max)
+    ranks, torsion = [], []
+    for k in range(d_max + 2):
+        if k == 0:
+            columns = [{0: 1} for _ in cliques[0]]  # the augmentation row
+        else:
+            index = {s: i for i, s in enumerate(cliques[k - 1])}
+            columns = [
+                {index[s[:i] + s[i + 1 :]]: (-1) ** i for i in range(k + 1)} for s in cliques[k]
+            ]
+        rank, tors = rank_and_torsion(columns)
+        ranks.append(rank)
+        torsion.append(tors)
+    return HomologyProfile(
+        tuple((len(cliques[k]) - ranks[k] - ranks[k + 1], torsion[k + 1]) for k in range(d_max + 1))
+    )
 
 
 # -- the cross-polytope's fundamental cycle ------------------------------------

@@ -44,8 +44,15 @@ which builds the remainder band sum) and raising
 ``SurgeryDisagreement`` if two arcs disagree.
 
 ``copy_complex``, ``suspend`` and ``octahedral_sphere`` build the flag
-complexes that the homology and flag-complex tests start from, and
-``has_vertex`` and ``has_edge`` query them; no subcommand needs them.
+complexes that the homology and flag-complex tests start from,
+``has_vertex`` and ``has_edge`` query them, and ``complex_to_json_obj``
+writes them in the format ``disklab homology`` reads; no subcommand needs
+them.
+
+``reduced_homology`` builds its boundaries straight from clique lists.
+``ChainComplex`` is the general reduced chain complex it replaced: it checks
+any simplex lists (sorted ids, sizes, duplicates, missing faces), so it also
+takes complexes that are not flag complexes, such as the six-vertex RP^2.
 
 ``certify`` writes the sphere's fundamental cycle in closed form (see the
 ``retraction`` docstring).  The homology path it replaced is kept here:
@@ -85,7 +92,7 @@ from disklab.disks import (
 )
 from disklab.errors import InvalidConfigError
 from disklab.flagcomplex import DEFAULT_MAX_SIMPLICES, FlagComplex, flag_cliques
-from disklab.homology import ChainComplex
+from disklab.homology import Column, HomologyProfile, rank_and_torsion
 from disklab.retraction import (
     CASE_OF_TYPES,
     RetractionEngine,
@@ -112,6 +119,13 @@ def has_vertex(c: FlagComplex, vertex_id: str) -> bool:
 
 def has_edge(c: FlagComplex, u: str, v: str) -> bool:
     return v in c._adjacency.get(u, ())
+
+
+def complex_to_json_obj(c: FlagComplex) -> dict:
+    return {
+        "vertices": [{"id": vid, "label": c.label(vid)} for vid in c.vertex_ids],
+        "edges": [[u, v] for (u, v) in c.edges],
+    }
 
 
 def copy_complex(c: FlagComplex) -> FlagComplex:
@@ -164,6 +178,45 @@ def octahedral_sphere(n: int) -> FlagComplex:
             for u in (f"p{i}", f"q{i}"):
                 for v in (f"p{j}", f"q{j}"):
                     out.add_edge(u, v)
+    return out.freeze()
+
+
+# A six-vertex triangulation of the real projective plane.  As a simplicial
+# complex it is not a flag complex: its 15 edges are all pairs of vertices.
+PROJECTIVE_PLANE_TRIANGLES = [
+    ("v1", "v2", "v5"),
+    ("v1", "v2", "v6"),
+    ("v1", "v3", "v4"),
+    ("v1", "v3", "v6"),
+    ("v1", "v4", "v5"),
+    ("v2", "v3", "v4"),
+    ("v2", "v3", "v5"),
+    ("v2", "v4", "v6"),
+    ("v3", "v5", "v6"),
+    ("v4", "v5", "v6"),
+]
+
+
+def projective_plane_subdivision() -> FlagComplex:
+    """The barycentric subdivision of ``PROJECTIVE_PLANE_TRIANGLES``.
+
+    One vertex per face (31: 6 vertices, 15 edges, 10 triangles), its id the
+    face's vertex ids joined by ``-``; two are adjacent iff one face lies in
+    the other (90 edges).  The cliques are the chains of faces, so the flag
+    complex is the subdivision, homeomorphic to RP^2: reduced ``H_1 = Z/2``.
+    """
+    faces = sorted({
+        face
+        for triangle in PROJECTIVE_PLANE_TRIANGLES
+        for size in (1, 2, 3)
+        for face in combinations(triangle, size)
+    })
+    out = FlagComplex()
+    for face in faces:
+        out.add_vertex("-".join(face))
+    for a, b in combinations(faces, 2):
+        if set(a) < set(b) or set(b) < set(a):
+            out.add_edge(*sorted(("-".join(a), "-".join(b))))
     return out.freeze()
 
 
@@ -541,6 +594,81 @@ def disks_disjoint_with_band_terms(a: Disk, b: Disk, surface: TubedSurface) -> b
 
 
 # -- generating cycles and induced chain maps ----------------------------------
+
+
+class ChainComplex:
+    """Simplicial chain complex (reduced) assembled from clique lists."""
+
+    def __init__(self, simplices_by_dim: dict[int, list[tuple[str, ...]]]):
+        self.simplices: dict[int, list[tuple[str, ...]]] = {}
+        top = max((k for k, v in simplices_by_dim.items() if v), default=-1)
+        for k in range(top + 1):
+            bucket = sorted(simplices_by_dim.get(k, []))
+            for s in bucket:
+                if list(s) != sorted(set(s)):
+                    raise InvalidConfigError(f"simplex {s} is not a sorted id tuple")
+                if len(s) != k + 1:
+                    raise InvalidConfigError(f"simplex {s} has wrong size for dimension {k}")
+            if len(set(bucket)) != len(bucket):
+                raise InvalidConfigError(f"duplicate simplices in dimension {k}")
+            self.simplices[k] = bucket
+        self.top = top
+        self._index: dict[int, dict[tuple[str, ...], int]] = {
+            k: {s: i for i, s in enumerate(v)} for k, v in self.simplices.items()
+        }
+        for k in range(1, top + 1):
+            below = self._index.get(k - 1, {})
+            for s in self.simplices[k]:
+                for i in range(len(s)):
+                    face = s[:i] + s[i + 1 :]
+                    if face not in below:
+                        raise InvalidConfigError(f"face {face} of {s} missing in dimension {k-1}")
+        self._rank_torsion_cache: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+    def n_cells(self, k: int) -> int:
+        return len(self.simplices.get(k, []))
+
+    def boundary_columns(self, k: int) -> list[Column]:
+        """Sparse columns of the boundary C_k -> C_{k-1}, one ``{row: ±1}`` per k-simplex.
+
+        k = 0 gives the augmentation: every vertex maps to the single row 0.
+        """
+        if k < 0 or k > self.top:
+            return []
+        if k == 0:
+            return [{0: 1} for _ in range(self.n_cells(0))]
+        idx = self._index[k - 1]
+        cols = []
+        for s in self.simplices[k]:
+            col = {}
+            sign = 1
+            for i in range(len(s)):
+                col[idx[s[:i] + s[i + 1 :]]] = sign
+                sign = -sign
+            cols.append(col)
+        return cols
+
+    def _rank_torsion(self, k: int) -> tuple[int, tuple[int, ...]]:
+        """(rank, torsion) of the boundary in dimension k, computed once."""
+        if k not in self._rank_torsion_cache:
+            self._rank_torsion_cache[k] = rank_and_torsion(self.boundary_columns(k))
+        return self._rank_torsion_cache[k]
+
+    def boundary_rank(self, k: int) -> int:
+        return self._rank_torsion(k)[0]
+
+    def betti_reduced(self, k: int) -> int:
+        if k < 0 or k > self.top:
+            return 0
+        return self.n_cells(k) - self.boundary_rank(k) - self.boundary_rank(k + 1)
+
+    def torsion(self, k: int) -> tuple[int, ...]:
+        return self._rank_torsion(k + 1)[1]
+
+    def profile(self, d_max: int) -> HomologyProfile:
+        return HomologyProfile(
+            entries=tuple((self.betti_reduced(k), self.torsion(k)) for k in range(d_max + 1))
+        )
 
 
 def free_generator(cc: ChainComplex, k: int) -> dict[tuple[str, ...], int]:

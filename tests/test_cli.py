@@ -18,8 +18,8 @@ import pytest
 
 from disklab import disks, homology, retraction
 from disklab.cli import EXIT_CAP, EXIT_CONFIG, EXIT_FAILED, EXIT_OK, main
-from disklab.flagcomplex import canonical_json, complex_to_json_obj, write_text_file
-from oracles import octahedral_sphere
+from disklab.flagcomplex import canonical_json, write_text_file
+from oracles import complex_to_json_obj, octahedral_sphere, projective_plane_subdivision
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "goldens.json")
@@ -556,6 +556,18 @@ def test_homology_prints_profile_and_writes_json(octa_file, tmp_path, capsys):
     assert doc["complex"] == {"vertices": 4, "edges": 4}
 
 
+def test_homology_reports_torsion_of_the_subdivided_projective_plane(tmp_path, capsys):
+    path = tmp_path / "rp2.json"
+    write_text_file(str(path), canonical_json(complex_to_json_obj(projective_plane_subdivision())))
+    code, stdout, _ = run(["homology", str(path), "2", "--out", str(tmp_path / "h")], capsys)
+    assert code == EXIT_OK
+    lines = [line for line in stdout.splitlines() if line.startswith("reduced H_")]
+    assert lines == ["reduced H_0 = 0", "reduced H_1 = Z/2", "reduced H_2 = 0"]
+    doc = json.loads((tmp_path / "h" / "homology.json").read_text())
+    assert doc["complex"] == {"vertices": 31, "edges": 90}
+    assert [entry["torsion"] for entry in doc["profile"]] == [[], [2], []]
+
+
 def test_homology_stdout_only_without_out(octa_file, capsys):
     code, stdout, _ = run(["homology", octa_file, "1"], capsys)
     assert code == EXIT_OK
@@ -592,6 +604,16 @@ def test_homology_rejects_misordered_edge(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "edges[0]" in stderr
     assert "smaller id first" in stderr
+
+
+def test_homology_rejects_a_repeated_edge(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text('{"vertices": [{"id": "a"}, {"id": "b"}], "edges": [["a", "b"], ["a", "b"]]}')
+    code, _, stderr = run(["homology", str(path), "1", "--out", str(tmp_path / "h")], capsys)
+    assert code == EXIT_CONFIG
+    assert f"{path}: edges[1]" in stderr
+    assert "duplicate edge" in stderr
+    assert not (tmp_path / "h" / "homology.json").exists()
 
 
 def test_homology_rejects_negative_dimension(octa_file, capsys):

@@ -16,13 +16,13 @@ from disklab.flagcomplex import (
     FlagComplex,
     canonical_json,
     complex_from_json_obj,
-    complex_to_json_obj,
     flag_cliques,
 )
 from oracles import (
     VertexMap,
     check_retraction,
     check_simplicial,
+    complex_to_json_obj,
     has_edge,
     induced_subcomplex,
     octahedral_sphere,

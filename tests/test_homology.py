@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disklab import homology as homology_module
 from disklab.errors import InvalidConfigError
 from disklab.flagcomplex import FlagComplex, flag_cliques
 from disklab.homology import (
-    ChainComplex,
     Column,
     HomologyProfile,
     Matrix,
@@ -24,6 +24,8 @@ from disklab.homology import (
     smith_normal_form,
 )
 from oracles import (
+    PROJECTIVE_PLANE_TRIANGLES,
+    ChainComplex,
     VertexMap,
     apply_chain_map,
     certify_homology_retraction,
@@ -33,6 +35,7 @@ from oracles import (
     induced_subcomplex,
     octahedral_sphere,
     permutation_sign,
+    projective_plane_subdivision,
     suspend,
 )
 
@@ -271,20 +274,6 @@ def cycle_graph(n: int) -> FlagComplex:
     return c.freeze()
 
 
-PROJECTIVE_PLANE_TRIANGLES = [
-    ("v1", "v2", "v5"),
-    ("v1", "v2", "v6"),
-    ("v1", "v3", "v4"),
-    ("v1", "v3", "v6"),
-    ("v1", "v4", "v5"),
-    ("v2", "v3", "v4"),
-    ("v2", "v3", "v5"),
-    ("v2", "v4", "v6"),
-    ("v3", "v5", "v6"),
-    ("v4", "v5", "v6"),
-]
-
-
 def projective_plane_complex() -> ChainComplex:
     ids = [f"v{i}" for i in range(1, 7)]
     edges = sorted(set(itertools.chain.from_iterable(
@@ -343,6 +332,36 @@ class TestChainComplex:
         assert prof.entries == ((0, ()), (0, (2,)), (0, ()))
         assert prof.describe(1) == "Z/2"
         assert prof.describe(0) == "0"
+
+    def test_subdivided_projective_plane_torsion_through_the_flag_path(self):
+        c = projective_plane_subdivision()
+        assert (c.vertex_count(), c.edge_count()) == (31, 90)
+        prof = reduced_homology(c, 2)
+        assert prof.entries == ((0, ()), (0, (2,)), (0, ()))
+        assert prof == projective_plane_complex().profile(2)
+
+    def test_matches_the_chain_complex_oracle(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            c = random_flag_complex(rng, rng.randint(0, 10), rng.uniform(0.1, 0.9))
+            d = rng.randint(0, 4)
+            assert reduced_homology(c, d) == ChainComplex(flag_cliques(c, d + 1)).profile(d), seed
+
+    def test_eliminates_each_boundary_once(self, monkeypatch):
+        calls = []
+
+        def counting(columns):
+            calls.append(len(columns))
+            return rank_and_torsion(columns)
+
+        monkeypatch.setattr(homology_module, "rank_and_torsion", counting)
+        # The 4-cycle has no triangle: boundaries above dimension 1 are empty
+        # and still count.
+        for c in (cycle_graph(4), projective_plane_subdivision(), complete_graph(5)):
+            for d_max in range(5):
+                calls.clear()
+                reduced_homology(c, d_max)
+                assert len(calls) == d_max + 2, (c, d_max)
 
     def test_profile_is_an_immutable_value(self):
         prof = projective_plane_complex().profile(2)

@@ -818,35 +818,34 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
     _, catalog, _, _, _ = setup_g1n4
     built = Counter()
     flag_complex_init = FlagComplex.__init__
-    chain_complex_init = homology_module.ChainComplex.__init__
 
     def counting_init(self):
         built["FlagComplex"] += 1
         flag_complex_init(self)
 
-    def counting_chain_complex(self, simplices_by_dim):
-        built["ChainComplex"] += 1
-        chain_complex_init(self, simplices_by_dim)
-
     def no_cliques(*args, **kwargs):
         built["flag_cliques"] += 1
         raise AssertionError("certify enumerated cliques")
 
+    def no_elimination(*args, **kwargs):
+        built["rank_and_torsion"] += 1
+        raise AssertionError("certify eliminated a boundary")
+
     monkeypatch.setattr(FlagComplex, "__init__", counting_init)
-    monkeypatch.setattr(homology_module.ChainComplex, "__init__", counting_chain_complex)
     monkeypatch.setattr(flagcomplex_module, "flag_cliques", no_cliques)
     monkeypatch.setattr(homology_module, "flag_cliques", no_cliques)
+    monkeypatch.setattr(homology_module, "rank_and_torsion", no_elimination)
     cert = certify_catalog(catalog)
     assert cert["passed"]
     # Neither the catalog complex nor the sphere is built as a flag complex,
-    # and the sphere's homology is written in closed form, with no chain
-    # complex.
+    # and the sphere's homology is written in closed form, with no boundary
+    # eliminated.
     assert built == Counter()
     # Nothing in the package can check simpliciality edge by edge, and none of
     # the removed arc-layer model, drawing views, surgery transcripts,
     # pass-through accessors, region records, validated/unvalidated type
-    # and calculus twins or the sphere's elimination path is left for the
-    # tests alone.
+    # and calculus twins, the sphere's elimination path, the general chain
+    # complex or the complex JSON writer is left for the tests alone.
     removed = (
         "check_simplicial", "check_retraction", "VertexMap", "catalog_complex",
         "PuncturedSurfaceModel", "build_punctured_model", "solo_drawings", "is_embeddable",
@@ -855,7 +854,7 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
         "Region", "classify_type_unvalidated", "meets_distinguished", "meets_distinguished_unvalidated",
         "TYPE_LABELS", "disk_tubes", "has_vertex", "has_edge", "classify_type",
         "certify_homology_retraction", "free_generator", "apply_chain_map", "permutation_sign",
-        "disks_disjoint_unvalidated",
+        "disks_disjoint_unvalidated", "ChainComplex", "complex_to_json_obj",
     )
     for name in ("errors", "surface", "flagcomplex", "homology", "disks", "retraction", "cli"):
         module = importlib.import_module(f"disklab.{name}")
