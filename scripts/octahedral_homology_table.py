@@ -4,9 +4,9 @@
 The n-pair cross-polytope boundary (n-fold iterated suspension of two
 points) is homeomorphic to the sphere S^{n-1}, so its reduced homology
 should be Z in dimension n-1 and zero elsewhere, with no torsion.  This
-script computes the profile for n = 1..N with exact integer homology (sparse
-unit-pivot elimination of the boundary matrices, Smith normal form on any
-residual core) and prints one row per n.  The spheres come from
+script computes the profile for n = 1..N with exact integer homology (one
+sparse elimination of the boundary matrices: unit pivots, and Euclid rounds
+on a least entry when no unit is left) and prints one row per n.  The spheres come from
 ``tests/oracles.py``, where the tests build them too.
 
 Usage:

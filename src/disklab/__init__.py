@@ -12,9 +12,9 @@ Public entry points live in the submodules:
 
 - :mod:`disklab.flagcomplex` -- flag complexes, clique enumeration, JSON
   (de)serialization.
-- :mod:`disklab.homology` -- exact integer homology of flag complexes (sparse
-  unit-pivot elimination, Smith normal form on the residual core), for the
-  ``homology`` subcommand, and the octahedral sphere's join cycle in closed
+- :mod:`disklab.homology` -- exact integer homology of flag complexes (one
+  sparse elimination: unit pivots, and Euclid rounds on a least entry when
+  no unit is left), for the ``homology`` subcommand, and the octahedral sphere's join cycle in closed
   form, for ``certify``.
 - :mod:`disklab.surface` -- tubed surfaces, arc codes on the once-punctured
   genus-g block, arc enumeration and the exact arc-disjointness search, and

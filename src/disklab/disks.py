@@ -75,7 +75,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Union
 
-from .errors import InvalidConfigError, MalformedFileError
+from .errors import InvalidConfigError, MalformedFileError, ResourceCapError
 from .surface import (
     DEFAULT_MAX_ARC_CLASSES,
     ArcCode,
@@ -96,6 +96,12 @@ SELF_PARTNER = "self"
 # retired bounded arc search, always at this value, so recorded bytes stay
 # the same; the exact search reads no such setting.
 RECORDED_MERGE_BUDGET = 20_000
+
+# A cap on the disks of one catalog, checked against :func:`catalog_size`
+# before any descriptor is built.  Like the arc-class cap it is a constant,
+# not a flag.  The default knobs list about 5.1·m² disks for m tubes
+# (83,584 at m = 128), so the cap is first passed near m = 440.
+DEFAULT_MAX_CATALOG_DISKS = 10**6
 
 
 def _clean_arc(arc) -> ArcCode:
@@ -413,7 +419,8 @@ class CatalogConfig(FrozenRecord):
     ``arc_bound`` caps arc-code length; the remaining knobs bound how many
     cataloged disks are spun out of each enumeration (full arc enumerations
     are preserved separately on the catalog).  Every catalog enumerates arcs
-    under one cap, :data:`~disklab.surface.DEFAULT_MAX_ARC_CLASSES`.
+    under one cap, :data:`~disklab.surface.DEFAULT_MAX_ARC_CLASSES`, and
+    lists disks under another, :data:`DEFAULT_MAX_CATALOG_DISKS`.
     """
 
     __slots__ = _fields = (
@@ -487,6 +494,26 @@ class DiskCatalog(FrozenRecord):
         return [d for d in self.disks if isinstance(d, BandSum)]
 
 
+def catalog_size(tubes: int, arc_count: int, config: CatalogConfig) -> int:
+    """The number of disks :func:`build_disk_catalog` lists, from its loop bounds alone.
+
+    ``arc_count`` is the number of arc classes every region shares.  Odd
+    and even tubes lie on opposite sides, so ``2 * (m // 2) * ((m + 1) // 2)``
+    (tube, region) pairs lie on opposite sides, and tube ``i`` has
+    ``(i - 1) // 2`` lower meridians of its parity, ``(m - 1)**2 // 4`` in
+    all.
+    """
+    m = tubes
+    count = m + m * min(arc_count, config.max_vd_arcs_per_region)
+    bands = min(arc_count, config.max_band_arcs)
+    if m >= 2 and config.bandsum_depth >= 1 and bands:
+        partners = m * (2 if config.bandsum_depth >= 2 else 1)  # 'self', and the simplest self-band-sum
+        partners += 2 * (m // 2) * ((m + 1) // 2) * min(arc_count, config.max_partner_arcs)
+        partners += (m - 1) ** 2 // 4
+        count += partners * bands * len(config.copies)
+    return count
+
+
 def build_disk_catalog(surface: TubedSurface, config: CatalogConfig) -> DiskCatalog:
     """Enumerate the finite disk catalog for a tubed surface.
 
@@ -496,11 +523,20 @@ def build_disk_catalog(surface: TubedSurface, config: CatalogConfig) -> DiskCata
     each meridian with same-side partners: itself, the leading vertical
     disks of same-side regions, and lower meridians of the same parity.
     ``bandsum_depth == 2`` additionally admits the base's simplest
-    self-band-sum as a partner.
+    self-band-sum as a partner.  Raises the resource-cap error, before any
+    descriptor is built, if the :func:`catalog_size` exceeds
+    :data:`DEFAULT_MAX_CATALOG_DISKS`.
     """
     m = surface.tubes
     # Feet never enter the arc search, so every region shares one enumeration.
     arcs = tuple(enumerate_arcs(surface.genus_base, config.arc_bound))
+    size = catalog_size(m, len(arcs), config)
+    if size > DEFAULT_MAX_CATALOG_DISKS:
+        raise ResourceCapError(
+            "max_catalog_disks",
+            f"genus {surface.genus_base}, {m} tubes, arc bound {config.arc_bound}: {size} disks",
+            DEFAULT_MAX_CATALOG_DISKS,
+        )
     arc_classes = {r: arcs for r in range(1, m + 1)}
     disks = [Meridian(i) for i in range(1, m + 1)]
     for r in range(1, m + 1):

@@ -1,4 +1,4 @@
-"""Exact integer homology of flag complexes by sparse unit-pivot elimination.
+"""Exact integer homology of flag complexes by one sparse integer elimination.
 
 Everything here runs over Python's unbounded integers: intermediate Smith
 normal form entries can grow far beyond machine words, and a silent overflow
@@ -22,11 +22,22 @@ from every other column by adding an integer multiple of the pivot column.
 Column additions are unimodular, and once the pivot row holds only the pivot,
 row additions clear the pivot column without touching any other column.  So
 a unit pivot splits ``A ~ [±1] ⊕ A'`` over ℤ, and ``SNF(A) = 1 ⊕ SNF(A')``
-exactly: each pivot adds 1 to the rank and nothing to the torsion.  Columns
-left without a unit entry form the residual core; only that core goes to the
-dense :func:`smith_normal_form`, which returns only its diagonal.  Boundary
+exactly: each pivot adds 1 to the rank and nothing to the torsion.  Boundary
 matrices of simplicial complexes have ±1 entries, and on the complexes this
-package meets the core is usually empty.
+package meets the unit pivots are usually all there is.
+
+When a full pass finds no unit entry, one Euclid round runs on an entry
+``p`` of least absolute value, as in sparse integer Smith normal forms
+(Dumas, Saunders and Villard, J. Symbolic Comput. 2001).  Column additions
+with floor quotients cut the other entries of ``p``'s row to remainders
+smaller than ``|p|``.  Once none is left, row additions cut the rest of
+``p``'s column mod ``p`` and change no other column, and if none is left
+there either, ``A ~ [p] ⊕ A'``.  Unit and isolated pivots remove a column,
+and any other round leaves a pivot smaller than ``|p|``, so the elimination
+ends.  As ``diag(a, b) ~ diag(gcd(a, b), lcm(a, b))``, pairwise steps turn
+the isolated ``|p|`` into the divisibility chain, whose entries greater than
+1 are the torsion.  ``tests/oracles.py`` keeps a dense Smith normal form as
+the reference.
 
 :func:`reduced_homology` builds each boundary straight from
 :func:`flag_cliques`' lists and hands it to :func:`rank_and_torsion` once.
@@ -43,92 +54,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations, product
+from math import gcd, lcm
 
 from disklab.errors import InvalidConfigError
 from disklab.flagcomplex import DEFAULT_MAX_SIMPLICES, FlagComplex, flag_cliques
 
-Matrix = list[list[int]]
 
-
-# -- Smith normal form ---------------------------------------------------------
-
-
-def smith_normal_form(a: Matrix) -> list[int]:
-    """Diagonal of the Smith normal form of ``a``, of length ``min(m, n)``.
-
-    The entries are nonnegative, each nonzero one divides the next, and the
-    zeros come last, so the rank is the number of nonzero entries.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    d = [[int(x) for x in row] for row in a]
-
-    def col_swap(i: int, j: int) -> None:
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-
-    def col_add(i: int, j: int, c: int) -> None:
-        # col_i += c * col_j
-        for r in d:
-            r[i] += c * r[j]
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        pivot = None
-        best = None
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                val = row[j]
-                if val != 0 and (best is None or abs(val) < best):
-                    best = abs(val)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        d[t], d[pivot[0]] = d[pivot[0]], d[t]
-        col_swap(t, pivot[1])
-        while True:
-            redo = False
-            for i in range(m):
-                if i == t or d[i][t] == 0:
-                    continue
-                q = d[i][t] // d[t][t]
-                d[i] = [x - q * y for x, y in zip(d[i], d[t])]
-                if d[i][t] != 0:
-                    d[t], d[i] = d[i], d[t]
-                    redo = True
-                    break
-            if redo:
-                continue
-            for j in range(n):
-                if j == t or d[t][j] == 0:
-                    continue
-                q = d[t][j] // d[t][t]
-                col_add(j, t, -q)
-                if d[t][j] != 0:
-                    col_swap(t, j)
-                    redo = True
-                    break
-            if redo:
-                continue
-            offender = None
-            for i in range(t + 1, m):
-                row = d[i]
-                for j in range(t + 1, n):
-                    if row[j] % d[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            d[t] = [x + y for x, y in zip(d[t], d[offender])]
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-        t += 1
-
-    return [d[i][i] for i in range(limit)]
+# -- sparse elimination --------------------------------------------------------
 
 
 Column = dict[int, int]
@@ -140,8 +72,8 @@ def rank_and_torsion(columns: list[Column]) -> tuple[int, tuple[int, ...]]:
     Each column maps a row index to its entry; zero entries are ignored.  The
     torsion is the Smith normal form diagonal entries greater than 1, in
     divisibility order.
-    Unit pivots are eliminated sparsely (see the module docstring); the dense
-    :func:`smith_normal_form` runs only on the columns left without one.
+    Every pivot is eliminated sparsely, a unit at once and any other entry
+    by Euclid rounds (see the module docstring).
     The input columns are not modified.
     """
     cols: dict[int, Column] = {}
@@ -154,6 +86,7 @@ def rank_and_torsion(columns: list[Column]) -> tuple[int, tuple[int, ...]]:
                 rows.setdefault(i, set()).add(j)
 
     rank = 0
+    isolated = []  # |p| of each non-unit pivot split off as [p] ⊕ A'
     progress = True
     while progress:
         progress = False
@@ -190,13 +123,46 @@ def rank_and_torsion(columns: list[Column]) -> tuple[int, tuple[int, ...]]:
                     del cols[k]
             rank += 1
             progress = True
+        if progress or not cols:
+            continue
+        # No unit entry is left: one Euclid round on an entry p of least
+        # absolute value, at row r of column c.
+        _, r, c = min((abs(x), i, j) for j, col in cols.items() for i, x in col.items())
+        col = cols[c]
+        p = col[r]
+        for k in sorted(rows[r] - {c}):
+            other = cols[k]
+            q = other[r] // p  # leaves other[r] % p, smaller than |p|
+            for i, x in col.items():
+                y = other.get(i, 0) - q * x
+                if y:
+                    if i not in other:
+                        rows[i].add(k)
+                    other[i] = y
+                else:
+                    del other[i]
+                    rows[i].discard(k)
+            if not other:
+                del cols[k]
+        if rows[r] == {c}:
+            # Row r holds p alone, so row additions of row r change column c
+            # only: they reduce its other entries mod p.
+            for i in [i for i in col if i != r]:
+                col[i] %= p
+                if not col[i]:
+                    del col[i]
+                    rows[i].discard(c)
+            if len(col) == 1:
+                del cols[c], rows[r]
+                isolated.append(abs(p))
+                rank += 1
+        progress = True
 
-    if not cols:
-        return rank, ()
-    core_rows = sorted(i for i, held in rows.items() if held)
-    core = [[cols[j].get(i, 0) for j in sorted(cols)] for i in core_rows]
-    diag = smith_normal_form(core)
-    return rank + sum(1 for x in diag if x), tuple(x for x in diag if x > 1)
+    # After its steps, isolated[i] divides every later entry.
+    for i, j in combinations(range(len(isolated)), 2):
+        a, b = isolated[i], isolated[j]
+        isolated[i], isolated[j] = gcd(a, b), lcm(a, b)
+    return rank, tuple(x for x in isolated if x > 1)
 
 
 # -- reduced homology from clique lists ----------------------------------------
@@ -246,15 +212,19 @@ def reduced_homology(
 
     The boundary columns come straight from :func:`flag_cliques`' lists,
     which need no check: every face of a clique is a clique listed one
-    dimension down.  Each boundary ``C_k -> C_{k-1}``, ``k = 0..d_max+1``,
-    is eliminated once; then ``b_k = n_k - r_k - r_{k+1}``, and the torsion
-    in degree ``k`` is that of ``C_{k+1} -> C_k``.
+    dimension down.  No clique has more vertices than the complex, so some
+    dimension ``e <= vertex_count()`` is the first without cliques, and
+    every dimension from ``e`` up is ``(0, ())``.  Each boundary
+    ``C_k -> C_{k-1}``, ``k = 0..min(d_max + 1, e)``, is eliminated once;
+    then ``b_k = n_k - r_k - r_{k+1}``, and the torsion in degree ``k`` is
+    that of ``C_{k+1} -> C_k``.
     """
     if d_max < 0:
         raise InvalidConfigError(f"d_max must be >= 0, got {d_max}")
-    cliques = flag_cliques(c, d_max + 1, max_per_dim)
+    cliques = flag_cliques(c, min(d_max + 1, c.vertex_count()), max_per_dim)
+    stop = next((k for k, simplices in cliques.items() if not simplices), d_max + 1)
     ranks, torsion = [], []
-    for k in range(d_max + 2):
+    for k in range(stop + 1):
         if k == 0:
             columns = [{0: 1} for _ in cliques[0]]  # the augmentation row
         else:
@@ -265,9 +235,8 @@ def reduced_homology(
         rank, tors = rank_and_torsion(columns)
         ranks.append(rank)
         torsion.append(tors)
-    return HomologyProfile(
-        tuple((len(cliques[k]) - ranks[k] - ranks[k + 1], torsion[k + 1]) for k in range(d_max + 1))
-    )
+    entries = tuple((len(cliques[k]) - ranks[k] - ranks[k + 1], torsion[k + 1]) for k in range(stop))
+    return HomologyProfile(entries + ((0, ()),) * (d_max + 1 - stop))
 
 
 # -- the cross-polytope's fundamental cycle ------------------------------------

@@ -49,6 +49,10 @@ complexes that the homology and flag-complex tests start from,
 writes them in the format ``disklab homology`` reads; no subcommand needs
 them.
 
+``rank_and_torsion`` eliminates sparse columns, with Euclid rounds where no
+unit pivot is left; ``smith_normal_form`` is the dense Smith normal form
+that ran on those columns before, kept as the elimination's reference.
+
 ``reduced_homology`` builds its boundaries straight from clique lists.
 ``ChainComplex`` is the general reduced chain complex it replaced: it checks
 any simplex lists (sorted ids, sizes, duplicates, missing faces), so it also
@@ -591,6 +595,90 @@ def disks_disjoint_with_band_terms(a: Disk, b: Disk, surface: TubedSurface) -> b
         and _band_misses(b.base, b.band, pa, surface)
         and (a.base != b.base or arcs_disjoint(surface.genus_base, a.band, b.band))
     )
+
+
+Matrix = list[list[int]]
+
+
+# -- dense Smith normal form -----------------------------------------------------
+
+
+def smith_normal_form(a: Matrix) -> list[int]:
+    """Diagonal of the Smith normal form of ``a``, of length ``min(m, n)``.
+
+    The entries are nonnegative, each nonzero one divides the next, and the
+    zeros come last, so the rank is the number of nonzero entries.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    d = [[int(x) for x in row] for row in a]
+
+    def col_swap(i: int, j: int) -> None:
+        for r in d:
+            r[i], r[j] = r[j], r[i]
+
+    def col_add(i: int, j: int, c: int) -> None:
+        # col_i += c * col_j
+        for r in d:
+            r[i] += c * r[j]
+
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        pivot = None
+        best = None
+        for i in range(t, m):
+            row = d[i]
+            for j in range(t, n):
+                val = row[j]
+                if val != 0 and (best is None or abs(val) < best):
+                    best = abs(val)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        d[t], d[pivot[0]] = d[pivot[0]], d[t]
+        col_swap(t, pivot[1])
+        while True:
+            redo = False
+            for i in range(m):
+                if i == t or d[i][t] == 0:
+                    continue
+                q = d[i][t] // d[t][t]
+                d[i] = [x - q * y for x, y in zip(d[i], d[t])]
+                if d[i][t] != 0:
+                    d[t], d[i] = d[i], d[t]
+                    redo = True
+                    break
+            if redo:
+                continue
+            for j in range(n):
+                if j == t or d[t][j] == 0:
+                    continue
+                q = d[t][j] // d[t][t]
+                col_add(j, t, -q)
+                if d[t][j] != 0:
+                    col_swap(t, j)
+                    redo = True
+                    break
+            if redo:
+                continue
+            offender = None
+            for i in range(t + 1, m):
+                row = d[i]
+                for j in range(t + 1, n):
+                    if row[j] % d[t][t] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            d[t] = [x + y for x, y in zip(d[t], d[offender])]
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+        t += 1
+
+    return [d[i][i] for i in range(limit)]
 
 
 # -- generating cycles and induced chain maps ----------------------------------

@@ -381,6 +381,19 @@ def test_build_stops_a_huge_arc_bound_at_the_cap_at_once(tmp_path):
     assert not (tmp_path / "b" / "disks.json").exists()
 
 
+def test_build_stops_a_huge_tube_count_at_the_catalog_cap(tmp_path, capsys):
+    # The catalog's size comes in closed form, so no disk is built.
+    start = time.perf_counter()
+    code, stdout, stderr = run(["build", "--genus", "1", "--tubes", "100000", "--out", str(tmp_path / "b")], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, stdout) == (EXIT_CAP, "")
+    assert stderr == (
+        f"error: resource cap max_catalog_disks ({disks.DEFAULT_MAX_CATALOG_DISKS}) exceeded: "
+        "genus 1, 100000 tubes, arc bound 3: 50001300000 disks\n"
+    )
+    assert not (tmp_path / "b" / "disks.json").exists()
+
+
 def test_certify_from_build_rejects_an_extra_arc_class_region(tmp_path, capsys):
     build_dir = tmp_path / "build"
     run(["build", "--genus", "1", "--tubes", "2", "--out", str(build_dir)], capsys)

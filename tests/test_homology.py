@@ -17,15 +17,14 @@ from disklab.flagcomplex import FlagComplex, flag_cliques
 from disklab.homology import (
     Column,
     HomologyProfile,
-    Matrix,
     join_cycle,
     rank_and_torsion,
     reduced_homology,
-    smith_normal_form,
 )
 from oracles import (
     PROJECTIVE_PLANE_TRIANGLES,
     ChainComplex,
+    Matrix,
     VertexMap,
     apply_chain_map,
     certify_homology_retraction,
@@ -36,6 +35,7 @@ from oracles import (
     octahedral_sphere,
     permutation_sign,
     projective_plane_subdivision,
+    smith_normal_form,
     suspend,
 )
 
@@ -156,19 +156,27 @@ def determinantal_divisor(a: Matrix, k: int) -> int:
     return g
 
 
+def sparse_snf(a: Matrix) -> list[int]:
+    """The Smith normal form diagonal that ``rank_and_torsion`` gives for ``a``."""
+    rank, torsion = rank_and_torsion(dense_columns(a))
+    size = min(len(a), len(a[0]) if a else 0)
+    return [1] * (rank - len(torsion)) + list(torsion) + [0] * (size - rank)
+
+
 def snf_postconditions(a: list[list[int]]) -> None:
-    diag = smith_normal_form(a)
+    """Check the dense oracle and the sparse elimination against the minors of ``a``."""
     m, n = len(a), len(a[0]) if a else 0
-    assert len(diag) == min(m, n)
-    # diagonal: nonnegative, zeros last, divisibility chain on the nonzero prefix
-    assert all(x >= 0 for x in diag)
-    nz = [x for x in diag if x != 0]
-    assert diag[len(nz) :] == [0] * (len(diag) - len(nz))
-    for x, y in zip(nz, nz[1:]):
-        assert y % x == 0
-    # d_1 * ... * d_k is the gcd of all k x k minors, computed independently
-    for k in range(1, len(diag) + 1):
-        assert math.prod(diag[:k]) == determinantal_divisor(a, k), k
+    for diag in (smith_normal_form(a), sparse_snf(a)):
+        assert len(diag) == min(m, n)
+        # diagonal: nonnegative, zeros last, divisibility chain on the nonzero prefix
+        assert all(x >= 0 for x in diag)
+        nz = [x for x in diag if x != 0]
+        assert diag[len(nz) :] == [0] * (len(diag) - len(nz))
+        for x, y in zip(nz, nz[1:]):
+            assert y % x == 0
+        # d_1 * ... * d_k is the gcd of all k x k minors, computed independently
+        for k in range(1, len(diag) + 1):
+            assert math.prod(diag[:k]) == determinantal_divisor(a, k), k
 
 
 # -- Smith normal form ------------------------------------------------------------
@@ -213,7 +221,7 @@ class TestSmithNormalForm:
 
 
 class TestRankAndTorsion:
-    """The sparse unit-pivot reducer against the dense Smith normal form."""
+    """The sparse elimination against the dense Smith normal form oracle."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -222,7 +230,8 @@ class TestRankAndTorsion:
         st.data(),
     )
     def test_matches_dense_snf(self, m, n, data):
-        # Entries in -3..3 leave a residual core (no unit entry) on many draws.
+        # Entries in -3..3 leave no unit entry after a unit pass on many
+        # draws, so Euclid rounds run.
         a = [
             [data.draw(st.integers(min_value=-3, max_value=3)) for _ in range(n)]
             for _ in range(m)
@@ -231,13 +240,34 @@ class TestRankAndTorsion:
         expected = (sum(1 for x in diag if x), tuple(x for x in diag if x > 1))
         assert rank_and_torsion(dense_columns(a)) == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=6),
+        st.data(),
+    )
+    def test_matches_dense_snf_when_rounds_leave_remainders(self, m, n, data):
+        # Entries in -40..40 rarely divide each other, so rounds leave remainders.
+        a = [
+            [data.draw(st.integers(min_value=-40, max_value=40)) for _ in range(n)]
+            for _ in range(m)
+        ]
+        assert sparse_snf(a) == smith_normal_form(a)
+
     def test_core_without_unit_entries(self):
         assert rank_and_torsion(dense_columns([[2, 4], [6, 8]])) == (2, (2, 4))
         assert rank_and_torsion(dense_columns([[2, 0], [0, 3]])) == (2, (6,))
         assert rank_and_torsion(dense_columns([[6, 10, 15]])) == (1, ())
+        # Two isolated pivots, 4 and 6, become the chain 2 | 12 by the gcd/lcm step.
+        assert rank_and_torsion(dense_columns([[4, 0], [0, 6]])) == (2, (2, 12))
+        assert rank_and_torsion(dense_columns([[-6, 0], [0, 9]])) == (2, (3, 18))
+        # 3 mod 2 leaves a unit in the column, which the next unit pass takes.
+        assert rank_and_torsion(dense_columns([[2], [3]])) == (1, ())
+        # The row remainder 10 - 6 = 4 is the next round's pivot; then 6 - 4 = 2.
+        assert rank_and_torsion(dense_columns([[6, 10]])) == (1, (2,))
 
     def test_unit_pivots_then_core(self):
-        # The unit pivot splits off a 1; the 2 x 2 core below it carries Z/2 + Z/4.
+        # The unit pivot splits off a 1; the 2 x 2 block below it carries Z/2 + Z/4.
         a = [[1, 5, 7], [0, 2, 4], [0, 6, 8]]
         assert rank_and_torsion(dense_columns(a)) == (3, (2, 4))
 
@@ -355,13 +385,22 @@ class TestChainComplex:
             return rank_and_torsion(columns)
 
         monkeypatch.setattr(homology_module, "rank_and_torsion", counting)
-        # The 4-cycle has no triangle: boundaries above dimension 1 are empty
-        # and still count.
-        for c in (cycle_graph(4), projective_plane_subdivision(), complete_graph(5)):
-            for d_max in range(5):
+        # Only the first empty boundary above the top dimension is
+        # eliminated: the 4-cycle has no triangle, so min(d_max, 1) + 2 calls.
+        for c, top in ((cycle_graph(4), 1), (projective_plane_subdivision(), 2), (complete_graph(5), 4)):
+            for d_max in range(6):
                 calls.clear()
-                reduced_homology(c, d_max)
-                assert len(calls) == d_max + 2, (c, d_max)
+                prof = reduced_homology(c, d_max)
+                assert len(calls) == min(d_max, top) + 2, (c, d_max)
+                assert prof.entries[top + 1 :] == ((0, ()),) * (d_max - top), (c, d_max)
+        # A single edge at the largest d_max the CLI admits: three calls.
+        calls.clear()
+        prof = reduced_homology(complete_graph(2), 999_999)
+        assert calls == [2, 1, 0]
+        assert prof.d_max == 999_999 and set(prof.entries) == {(0, ())}
+        calls.clear()
+        assert reduced_homology(FlagComplex().freeze(), 3).entries == ((0, ()),) * 4
+        assert calls == [0]
 
     def test_profile_is_an_immutable_value(self):
         prof = projective_plane_complex().profile(2)

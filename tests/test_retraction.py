@@ -963,6 +963,39 @@ def test_one_image_per_disk_matches_the_level_recursion(genus, n, knobs, monkeyp
         assert engine.surgery_counts() == (136, 68)
 
 
+@pytest.mark.parametrize(
+    ("genus", "n", "knobs"),
+    [pytest.param(g, n, {"arc_bound": 3}, id=f"g{g}-n{n}") for g, n in CATALOG_GRID]
+    + RAISED_BAND_AND_PARTNER_ARCS
+    + RAISED_COPIES
+    + [
+        pytest.param(1, 5, {"arc_bound": 3, "bandsum_depth": 1}, id="g1-n5-d1"),
+        pytest.param(1, 5, {"arc_bound": 3, "bandsum_depth": 0}, id="g1-n5-d0"),
+        pytest.param(1, 4, {"arc_bound": 0}, id="g1-n4-k0"),
+        pytest.param(1, 15, {"arc_bound": 3}, id="g1-n15"),
+    ],
+)
+def test_catalog_size_counts_every_disk(genus, n, knobs, monkeypatch):
+    """The closed-form count is the catalog's size, and the cap stops a larger one before any disk."""
+    surface = build_tubed_surface(genus, n + 1)
+    config = CatalogConfig(**knobs)
+    catalog = build_disk_catalog(surface, config)
+    size = disks_module.catalog_size(n + 1, len(catalog.arc_classes[1]), config)
+    assert size == len(catalog.disks)
+    built = Counter()
+    meridian_init = disks_module.Meridian.__init__
+
+    def counting(self, *args):
+        built["meridian"] += 1
+        meridian_init(self, *args)
+
+    monkeypatch.setattr(disks_module.Meridian, "__init__", counting)
+    monkeypatch.setattr(disks_module, "DEFAULT_MAX_CATALOG_DISKS", size - 1)
+    with pytest.raises(ResourceCapError, match=f": {size} disks$") as info:
+        build_disk_catalog(surface, config)
+    assert info.value.cap_name == "max_catalog_disks" and built == Counter()
+
+
 def test_surgery_counts_do_not_grow_with_the_copy_count():
     # One record per band: a billion copies cost what one does, and the
     # counts are those of every remainder the surgery passes through.
