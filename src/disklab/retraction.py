@@ -5,6 +5,11 @@ iterated suspension inside the disk complex: one antipodal pair per tube,
 ``E_i`` the meridian of tube ``i + 1`` and ``D_i`` a vertical disk in region
 ``i + 1``.  Vertices of different pairs bound disjoint disks, while the two
 vertices of one pair intersect, exactly the octahedron's non-adjacency.
+The sphere is the list of catalog positions ``[D_0, E_0, ..., D_n, E_n]``,
+and a sphere vertex is an index ``v`` into it: pair ``v >> 1``, letter
+``"DE"[v & 1]`` and antipode ``v ^ 1``, so vertices sort by pair, then
+letter.  The suspension sub-sphere on pairs ``0..i`` is the first
+``2(i + 1)`` vertices.
 
 The retraction sends every cataloged disk to a sphere vertex.  A disk whose
 highest tube (the largest index in its tube footprint) is ``L`` misses every
@@ -84,12 +89,34 @@ The recorded cycle, from :func:`disklab.homology.join_cycle`, is ``z`` times
 the one sign that puts ``+1`` on the lexicographically last facet; that sign
 is not always ``+1`` (it is ``-1`` at genus 1, ``n = 9``).  A vertex retraction fixes ``S`` pointwise, so it fixes
 ``z`` and ``i_*[z] != 0`` in the cataloged complex.
+
+Three lemmas explain why the claim tally finds no violation; the tests check
+A and B on every disk of their catalogs, and nothing here checks them.
+Write ``t = (v >> 1) + 1`` for the tube of a disk's image ``v``, and call
+the disk, followed by its resolved partners down to a meridian or a
+vertical disk, its chain.
+
+* Lemma A (side letter): the image letter is ``E`` exactly when the disk
+  lies on ``tube_side(t)``.  By induction on the image rule: at level 1 the
+  letter is read off the side, T1 is ``M(L)`` on ``tube_side(L)``, T3 lies
+  on the other side, and surgery gives the partner's image, on the same
+  side.  So two disks with antipodal images lie on opposite sides.
+* Lemma B (witness): if the letter is ``E``, the chain holds ``M(t)`` or a
+  band sum on base ``t``; if it is ``D``, the chain holds some ``V(t, .)``.
+  By the same induction: T3's top tube enters a footprint on the far side
+  only through a vertical disk in that region, and surgery inherits the
+  partner's witness.
+* Lemma C (crossing): a boundary that carries a pushed copy of the meridian
+  circle of tube ``t`` meets every boundary that runs vertically over tube
+  ``t``'s annulus.  For a cross-side pair the calculus reads no arc, so only
+  its meridian terms can refute the pair, and lemma C is the geometric fact
+  behind them.  With A and B it says that no two disjoint disks have
+  antipodal images.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import total_ordering
 from math import comb
 from typing import NamedTuple
 
@@ -112,69 +139,21 @@ from .disks import (
 from .errors import InvalidConfigError, ResourceCapError
 from .flagcomplex import DEFAULT_MAX_SIMPLICES
 from .homology import join_cycle
-from .surface import FrozenRecord, TubedSurface, build_tubed_surface, surface_to_json_obj, tube_side
+from .surface import TubedSurface, build_tubed_surface, surface_to_json_obj, tube_side
 
 
-@total_ordering
-class SphereVertex(FrozenRecord):
-    """One vertex of the octahedral sphere: pair index plus letter D or E.
-
-    Vertices sort as ``(pair_index, letter)``.
-    """
-
-    __slots__ = _fields = ("pair_index", "letter")
-
-    def __init__(self, pair_index: int, letter: str):
-        if letter not in ("D", "E"):
-            raise InvalidConfigError(f"sphere vertex letter must be 'D' or 'E', got {letter!r}")
-        if not isinstance(pair_index, int) or pair_index < 0:
-            raise InvalidConfigError(f"sphere pair index must be >= 0, got {pair_index!r}")
-        self._init(pair_index, letter)
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values < other._values
-        return NotImplemented
-
-    @property
-    def name(self) -> str:
-        return f"{self.letter}{self.pair_index}"
+def vertex_name(v: int) -> str:
+    """The name of sphere vertex ``v``: ``D3`` or ``E3`` for pair 3."""
+    return f"{'DE'[v & 1]}{v >> 1}"
 
 
-class SuspensionSphere(FrozenRecord):
-    """Antipodal disk pairs realizing an iterated-suspension sphere."""
-
-    __slots__ = _fields = ("d_disks", "e_disks")
-
-    def __init__(self, d_disks: tuple, e_disks: tuple):
-        self._init(d_disks, e_disks)
-
-    @property
-    def index(self) -> int:
-        return len(self.d_disks) - 1
-
-    def pair(self, i: int):
-        return (self.d_disks[i], self.e_disks[i])
-
-    def key_for(self, vertex: SphereVertex) -> str:
-        if vertex.pair_index > self.index:
-            raise InvalidConfigError(f"sphere has no pair {vertex.pair_index}")
-        pool = self.d_disks if vertex.letter == "D" else self.e_disks
-        return pool[vertex.pair_index].key
-
-    def sub_sphere_keys(self, i: int) -> list:
-        """Vertex keys of the suspension sub-sphere on pairs ``0..i``."""
-        if not (0 <= i <= self.index):
-            raise InvalidConfigError(f"sub-sphere index {i} out of range 0..{self.index}")
-        return [d.key for j in range(i + 1) for d in self.pair(j)]
-
-
-def build_suspension_sphere(catalog: DiskCatalog, rows: list) -> SuspensionSphere:
+def build_suspension_sphere(catalog: DiskCatalog, rows: list) -> list:
     """Pick one antipodal disk pair per tube out of the catalog.
 
-    ``rows`` are the catalog's :func:`~disklab.disks.disjointness_rows`.
-    ``E_i`` is the meridian of tube ``i + 1``; ``D_i`` is the first cataloged
-    vertical disk of region ``i + 1`` whose row holds all the other pairs'
+    Returns the catalog positions ``[D_0, E_0, ..., D_n, E_n]``.  ``rows``
+    are the catalog's :func:`~disklab.disks.disjointness_rows`.  ``E_i`` is
+    the meridian of tube ``i + 1``; ``D_i`` is the first cataloged vertical
+    disk of region ``i + 1`` whose row holds all the other pairs'
     meridians.  Raises naming the failing pair when no cataloged disk
     qualifies.
     """
@@ -191,7 +170,7 @@ def build_suspension_sphere(catalog: DiskCatalog, rows: list) -> SuspensionSpher
                 f"catalog has no meridian for tube {i + 1}; sphere pair (D{i}, E{i}) cannot be realized"
             )
     meridians = sum(1 << k for k in meridian_at.values())
-    d_disks, e_disks = [], []
+    sphere = []
     for i in range(m):
         region = i + 1
         others = meridians & ~(1 << meridian_at[region])
@@ -201,57 +180,43 @@ def build_suspension_sphere(catalog: DiskCatalog, rows: list) -> SuspensionSpher
                 f"no cataloged vertical disk in region {region} is disjoint from the other "
                 f"meridians; sphere pair (D{i}, E{i}) cannot be realized"
             )
-        d_disks.append(catalog.disks[chosen])
-        e_disks.append(catalog.disks[meridian_at[region]])
-    return SuspensionSphere(d_disks=tuple(d_disks), e_disks=tuple(e_disks))
+        sphere += (chosen, meridian_at[region])
+    return sphere
 
 
-def verify_sphere(sphere: SuspensionSphere, catalog: DiskCatalog, rows: list) -> dict:
+def verify_sphere(sphere: list, catalog: DiskCatalog, rows: list) -> dict:
     """Certify every octahedral invariant of the sphere; raise on any failure.
 
-    Checks, on the catalog's :func:`~disklab.disks.disjointness_rows`:
-    vertices of distinct pairs bound disjoint disks (octahedron edges), the
-    two disks of one pair intersect (octahedron non-edges), and the
-    suspension sub-spheres form a literal vertex-containment chain.  Returns
-    counts for the certificate.
+    Checks, on the catalog's :func:`~disklab.disks.disjointness_rows` at the
+    sphere's positions: vertices of distinct pairs bound disjoint disks
+    (octahedron edges), and the two disks of one pair intersect (octahedron
+    non-edges).  Returns counts for the certificate, and the sub-spheres'
+    vertex keys, each list a prefix of the next.
     """
-    index = {d.key: k for k, d in enumerate(catalog.disks)}
+    keys = [catalog.disks[k].key for k in sphere]
 
-    def disjoint(a, b) -> bool:
-        return bool(rows[index[a.key]] >> index[b.key] & 1)
+    def disjoint(u: int, v: int) -> bool:
+        return bool(rows[sphere[u]] >> sphere[v] & 1)
 
-    n = sphere.index
-    edges = 0
-    for i in range(n + 1):
-        d, e = sphere.pair(i)
-        if disjoint(d, e):
+    for u in range(0, len(sphere), 2):
+        if disjoint(u, u + 1):
             raise InvalidConfigError(
-                f"sphere pair {i}: D{i}={d.key} and E{i}={e.key} are disjoint; "
-                "an octahedral antipodal pair must intersect"
+                f"sphere pair {u >> 1}: {vertex_name(u)}={keys[u]} and {vertex_name(u + 1)}={keys[u + 1]} "
+                "are disjoint; an octahedral antipodal pair must intersect"
             )
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            for name_a, a in (("D" + str(i), sphere.d_disks[i]), ("E" + str(i), sphere.e_disks[i])):
-                for name_b, b in (("D" + str(j), sphere.d_disks[j]), ("E" + str(j), sphere.e_disks[j])):
-                    if not disjoint(a, b):
-                        raise InvalidConfigError(
-                            f"sphere edge {name_a}={a.key} vs {name_b}={b.key} is not certified "
-                            "disjoint; the octahedron is not realized"
-                        )
-                    edges += 1
-    keys = set()
-    chain = []
-    for i in range(n + 1):
-        sub = sphere.sub_sphere_keys(i)
-        if not keys <= set(sub):
-            raise InvalidConfigError(f"sub-sphere {i} does not contain sub-sphere {i - 1}")
-        keys = set(sub)
-        chain.append(sub)
+    for u in range(len(sphere)):
+        for v in range((u | 1) + 1, len(sphere)):
+            if not disjoint(u, v):
+                raise InvalidConfigError(
+                    f"sphere edge {vertex_name(u)}={keys[u]} vs {vertex_name(v)}={keys[v]} is not certified "
+                    "disjoint; the octahedron is not realized"
+                )
+    pairs = len(sphere) // 2
     return {
-        "pairs": n + 1,
-        "edges_verified": edges,
-        "antipodal_pairs_intersect": n + 1,
-        "sub_sphere_chain": chain,
+        "pairs": pairs,
+        "edges_verified": 2 * pairs * (pairs - 1),  # four per two pairs, each checked above
+        "antipodal_pairs_intersect": pairs,
+        "sub_sphere_chain": [keys[: u + 2] for u in range(0, len(sphere), 2)],
     }
 
 
@@ -284,7 +249,7 @@ class RetractionEngine:
 
     # -- queries ------------------------------------------------------------
 
-    def image(self, d) -> SphereVertex:
+    def image(self, d) -> int:
         """Sphere vertex the retraction sends the disk to (top-level entry)."""
         if d.key not in self._catalog_keys:
             validate_disk(d, self.surface)
@@ -296,7 +261,7 @@ class RetractionEngine:
 
     # -- recursion ------------------------------------------------------------
 
-    def _image(self, d) -> SphereVertex:
+    def _image(self, d) -> int:
         vertex = self._images.get(d.key)
         if vertex is not None:
             return vertex
@@ -305,13 +270,13 @@ class RetractionEngine:
             # Base surface: one tube, one antipodal pair.  Disks on the tube's
             # side compress the same handlebody as the meridian; the others
             # compress the opposite one.
-            vertex = SphereVertex(0, "E" if disk_side(d) == tube_side(1) else "D")
+            vertex = 1 if disk_side(d) == tube_side(1) else 0
         else:
             t = type_at(d, level)
             if t == "T1":
-                vertex = SphereVertex(level - 1, "E")
+                vertex = 2 * level - 1  # E_{level - 1}
             elif t == "T3":
-                vertex = SphereVertex(level - 1, "D")
+                vertex = 2 * level - 2  # D_{level - 1}
             else:
                 # T2 with the level in the footprint: a same-side disk
                 # crossing the top meridian.
@@ -319,8 +284,8 @@ class RetractionEngine:
         self._images[d.key] = vertex
         return vertex
 
-    def _surgery_image(self, d, level: int) -> SphereVertex:
-        """The image every outermost arc gives: the resolved partner's, by the module docstring's lemma."""
+    def _surgery_image(self, d, level: int) -> int:
+        """The image every outermost arc gives: the resolved partner's, by the module docstring's copy induction."""
         if not isinstance(d, BandSum) or d.base != level:
             raise InvalidConfigError(
                 f"disk {d.key} does not meet the top meridian M({level}) in a stack of parallel band "
@@ -353,16 +318,14 @@ class _DiskRecord(NamedTuple):
 
     disk: Disk
     type: str  # at the top level
-    image: SphereVertex
+    image: int  # sphere vertex
     side: str
 
 
-def _disk_records(engine: RetractionEngine, images: dict) -> list:
+def _disk_records(engine: RetractionEngine, images: list) -> list:
+    """One record per catalog disk; ``images`` are the disks' sphere vertices, in catalog order."""
     m = engine.surface.tubes
-    return [
-        _DiskRecord(d, type_at(d, m), images[d.key], disk_side(d))
-        for d in engine.catalog.disks
-    ]
+    return [_DiskRecord(d, type_at(d, m), v, disk_side(d)) for d, v in zip(engine.catalog.disks, images)]
 
 
 _PROVENANCE_AT_TOP = {"T1": "top_meridian", "T3": "top_vertical", "T2": "surgered"}
@@ -412,8 +375,6 @@ def _scan_pairs(records: list, rows: list, surface: TubedSurface):
 
     of_type = _masks(r.type for r in records)
     of_image = _masks(r.image for r in records)
-    # Per image, the disks whose images are antipodal to it.
-    antipodal = {x: of_image.get(SphereVertex(x.pair_index, "E" if x.letter == "D" else "D"), 0) for x in of_image}
     forbidden = {
         ta: sum(mask for tb, mask in of_type.items() if (ta, tb) not in _CASE_OF_ORDERED_TYPES)
         for ta in of_type
@@ -432,11 +393,12 @@ def _scan_pairs(records: list, rows: list, surface: TubedSurface):
         for tb, mask in of_type.items():
             if row & mask:
                 per_case[_CASE_OF_ORDERED_TYPES[(ta, tb)]] += (row & mask).bit_count()
-        for j in _bits(row & antipodal[xa]):
+        for j in _bits(row & of_image.get(xa ^ 1, 0)):
             b, tb, xb, _ = records[j]
             case = _CASE_OF_ORDERED_TYPES[(ta, tb)]
             violations.append(
-                {"case": case, "disks": [a.key, b.key], "types": sorted((ta, tb)), "images": [xa.name, xb.name]}
+                {"case": case, "disks": [a.key, b.key], "types": sorted((ta, tb)),
+                 "images": [vertex_name(xa), vertex_name(xb)]}
             )
     claims = {
         "pairs_checked": sum(row.bit_count() for row in later),
@@ -466,46 +428,47 @@ CAVEATS = (
 )
 
 
-def _retraction_report(assignment: dict, sphere: SuspensionSphere) -> list:
-    """Vertex-level violations of ``assignment`` as a retraction onto the sphere ``S``.
+def _retraction_report(images: list, sphere: list, keys: list) -> list:
+    """Vertex-level violations of ``images`` as a retraction onto the sphere ``S``.
 
-    The domain is the cataloged complex: the assignment's keys as vertices,
-    the certified-disjoint pairs as edges.  ``S`` has the disk keys of its
-    pairs as vertices.  Lists, in this order, vertices of ``S`` that are not
-    domain vertices, images outside ``S``, and vertices of ``S`` that are
-    not fixed.  Edges are not checked here: :func:`verify_sphere` has read
-    every edge of ``S`` off the rows that make the domain's edges, and the
-    pair pass has already ruled out every domain edge whose images are
-    antipodal, the octahedron's only non-edges (the assignment names each
-    sphere vertex by its own disk's key, so antipodal vertices have
-    antipodal keys).
+    The domain is the cataloged complex: the catalog positions as vertices,
+    with disk keys ``keys``, and the certified-disjoint pairs as edges.
+    ``images[k]`` is the sphere vertex of disk ``k``, and vertex ``v`` of
+    ``S`` is the disk at position ``sphere[v]``.  Lists, in this order,
+    vertices of ``S`` that are not domain vertices, images outside ``S`` (in
+    catalog order), and vertices of ``S`` that are not fixed.  Edges are not
+    checked here: :func:`verify_sphere` has read every edge of ``S`` off the
+    rows that make the domain's edges, and the pair pass has already ruled
+    out every domain edge whose images are antipodal, ``v`` and ``v ^ 1``,
+    the octahedron's only non-edges.
     """
-    vertices = sorted(sphere.sub_sphere_keys(sphere.index))
-    sub = set(vertices)
-    report = [f"subcomplex vertex {v!r} is not a domain vertex" for v in vertices if v not in assignment]
-    report += [
-        f"image of {v!r} is {assignment[v]!r}, outside the subcomplex"
-        for v in sorted(assignment)
-        if assignment[v] not in sub
+    domain, on_sphere = range(len(images)), range(len(sphere))
+    report = [
+        f"subcomplex vertex {vertex_name(v)} is not a domain vertex" for v, k in enumerate(sphere) if k not in domain
     ]
     report += [
-        f"subcomplex vertex {v!r} is not fixed (maps to {assignment[v]!r})"
-        for v in vertices
-        if v in assignment and assignment[v] != v
+        f"image of {key!r} is {vertex_name(v)}, outside the subcomplex"
+        for key, v in zip(keys, images)
+        if v not in on_sphere
+    ]
+    report += [
+        f"subcomplex vertex {vertex_name(v)}={keys[k]} is not fixed (maps to {vertex_name(images[k])})"
+        for v, k in enumerate(sphere)
+        if k in domain and images[k] != v
     ]
     return report
 
 
-def _homology_document(sphere: SuspensionSphere) -> dict:
-    """The homology section: the sphere's join cycle ``z`` and its image.
+def _homology_document(keys: list) -> dict:
+    """The homology section: the join cycle ``z`` of the sphere and its image.
 
+    ``keys`` are the disk keys of the sphere's vertices, in vertex order.
     The caller has found every vertex of the sphere fixed, so the composite
     fixes every facet of ``z`` and the image is ``z`` itself.  The cycle and
     the profile are the closed forms of the module docstring.
     """
-    n = sphere.index
-    pairs = [(d.key, e.key) for d, e in zip(sphere.d_disks, sphere.e_disks)]
-    cycle = [[list(facet), c] for facet, c in join_cycle(pairs).items()]
+    n = len(keys) // 2 - 1
+    cycle = [[list(facet), c] for facet, c in join_cycle(list(zip(keys[::2], keys[1::2]))).items()]
     return {
         "dimension": n,
         "profile": [{"dimension": k, "betti": int(k == n), "torsion": []} for k in range(n + 1)],
@@ -553,12 +516,12 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
     disjoint from it.  Sphere realization and verification read the rows;
     so do the claim tally (which is also the simpliciality check: no edge
     maps to an antipodal pair) and the V/W witness, after the per-disk
-    retraction images.  Last come
-    the vertex-level retraction check on the cataloged complex and the
-    homology section in dimension ``n``, written in closed form.  No flag
-    complex is built and no clique is enumerated.  Returns a JSON-ready
-    certificate; ``passed`` is False (with ``first_violation`` set) rather
-    than raising when a verification step finds a counterexample.
+    retraction images.  Last come the vertex-level retraction check on the
+    cataloged complex and the homology section in dimension ``n``, written
+    in closed form.  No flag complex is built and no clique is enumerated.
+    Returns a JSON-ready certificate; ``passed`` is False (with
+    ``first_violation`` set) rather than raising when a verification step
+    finds a counterexample.
     """
     surface = catalog.surface
     config = catalog.config
@@ -572,8 +535,8 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
 
     engine = RetractionEngine(catalog)
     first_violation = None
-    images = {d.key: engine.image(d) for d in catalog.disks}
-    retraction_ok = False
+    keys = [d.key for d in catalog.disks]
+    images = [engine.image(d) for d in catalog.disks]
     retraction_report = []
     homology_doc = None
 
@@ -590,13 +553,11 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
         }
 
     if first_violation is None:
-        assignment = {key: sphere.key_for(img) for key, img in images.items()}
-        retraction_report = _retraction_report(assignment, sphere)
-        retraction_ok = not retraction_report
-        if not retraction_ok:
+        retraction_report = _retraction_report(images, sphere, keys)
+        if retraction_report:
             first_violation = {"kind": "retraction", "detail": retraction_report[0]}
         else:
-            homology_doc = _homology_document(sphere)
+            homology_doc = _homology_document([keys[k] for k in sphere])
 
     witness = None
     if n >= 2 and witness_pair is not None:
@@ -607,7 +568,8 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
 
     # A step that finds a counterexample sets ``first_violation`` and stops
     # the steps after it, so the homology section exists exactly when every
-    # check passed.
+    # check passed.  The retraction check is the last step, so it is ok
+    # exactly then too.
     passed = first_violation is None
 
     certificate = {
@@ -633,17 +595,17 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
             "pairs": [
                 {
                     "index": i,
-                    "d_key": sphere.d_disks[i].key,
-                    "d": disk_to_json_obj(sphere.d_disks[i]),
-                    "e_key": sphere.e_disks[i].key,
-                    "e": disk_to_json_obj(sphere.e_disks[i]),
+                    "d_key": keys[d],
+                    "d": disk_to_json_obj(catalog.disks[d]),
+                    "e_key": keys[e],
+                    "e": disk_to_json_obj(catalog.disks[e]),
                 }
-                for i in range(n + 1)
+                for i, (d, e) in enumerate(zip(sphere[::2], sphere[1::2]))
             ],
             "invariants": sphere_invariants,
         },
         "retraction": {
-            "images": {key: {"vertex": img.name, "key": sphere.key_for(img)} for key, img in sorted(images.items())},
+            "images": {key: {"vertex": vertex_name(v), "key": keys[sphere[v]]} for key, v in zip(keys, images)},
             "provenance": {k: provenance.get(k, 0) for k in ("top_meridian", "top_vertical", "projected", "surgered")},
             "well_definedness": {
                 "surgeries": surgeries,
@@ -651,7 +613,7 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
                 "agreements": multi_arc,
                 "disagreements": 0,
             },
-            "check": {"ok": retraction_ok, "report": retraction_report},
+            "check": {"ok": passed, "report": retraction_report},
         },
         "claims": claims,
         "witness": witness,

@@ -41,9 +41,8 @@ that adjacent tubes leave on a region are not part of it: arcs are based at
 the puncture and their chords never route through a foot, so every region
 of a tubed surface shares one arc enumeration.
 
-:class:`FrozenRecord` is the immutable slotted base of the surface, disk
-and sphere descriptor classes, here because this is the lowest layer that
-``disks`` and ``retraction`` both import.
+:class:`FrozenRecord` is the immutable slotted base of the surface and disk
+descriptor classes, here because this is the lowest layer that uses it.
 """
 
 from __future__ import annotations
@@ -295,6 +294,9 @@ def enumerate_arcs(genus: int, k: int, max_classes: int = DEFAULT_MAX_ARC_CLASSE
     # the cap's bit length passes the cap: the count stops there, whatever k.
     if candidate_count(genus, min(k, max_classes.bit_length() + 1)) > max_classes:
         raise ResourceCapError("max_arc_classes", f"genus {genus}, length bound {k}", max_classes)
+    # The tables below take time and memory linear in the genus.
+    if k == 0:
+        return []
     sidx = _side_index(genus)
     letters = [(x, *_entries((x,))[0]) for x in range(-2 * genus, 2 * genus + 1) if x != 0]
     found: set[ArcCode] = set()
@@ -312,8 +314,7 @@ def enumerate_arcs(genus: int, k: int, max_classes: int = DEFAULT_MAX_ARC_CLASSE
             if any(map(_closings, children)):
                 found.add(canonical_code(word + (x,)))
 
-    if k:
-        grow((), [_blank(genus)])
+    grow((), [_blank(genus)])
     return sorted(found, key=lambda c: (len(c), c))
 
 

@@ -100,9 +100,9 @@ from disklab.homology import Column, HomologyProfile, rank_and_torsion
 from disklab.retraction import (
     CASE_OF_TYPES,
     RetractionEngine,
-    SphereVertex,
     _disk_records,
     _scan_pairs,
+    vertex_name,
 )
 from disklab.surface import (
     ArcCode,
@@ -238,17 +238,19 @@ def induced_subcomplex(c: FlagComplex, vertex_ids: Iterable[str]) -> FlagComplex
     return out.freeze()
 
 
-def sphere_complex(sphere) -> FlagComplex:
-    """A suspension sphere's octahedron as a flag complex on disk keys."""
+def sphere_complex(sphere: list, catalog) -> FlagComplex:
+    """A suspension sphere's octahedron as a flag complex on disk keys.
+
+    ``sphere`` lists the catalog positions of the vertices ``D_0, E_0, ...``.
+    """
+    keys = [catalog.disks[k].key for k in sphere]
     fc = FlagComplex()
-    for i in range(sphere.index + 1):
-        fc.add_vertex(sphere.d_disks[i].key, f"D{i}")
-        fc.add_vertex(sphere.e_disks[i].key, f"E{i}")
-    for i in range(sphere.index + 1):
-        for j in range(i + 1, sphere.index + 1):
-            for a in sphere.pair(i):
-                for b in sphere.pair(j):
-                    fc.add_edge(a.key, b.key)
+    for v, key in enumerate(keys):
+        fc.add_vertex(key, vertex_name(v))
+    for u in range(len(keys)):
+        for v in range(u + 1, len(keys)):
+            if u >> 1 != v >> 1:
+                fc.add_edge(keys[u], keys[v])
     return fc.freeze()
 
 
@@ -969,13 +971,13 @@ def scan_pairs_by_loop(records: list, surface: TubedSurface):
                     "which contradicts the type definitions"
                 )
             per_case[case] += 1
-            if xa.pair_index == xb.pair_index and xa.letter != xb.letter:
+            if xa ^ 1 == xb:
                 violations.append(
                     {
                         "case": case,
                         "disks": [a.key, b.key],
                         "types": sorted((ta, tb)),
-                        "images": [xa.name, xb.name],
+                        "images": [vertex_name(xa), vertex_name(xb)],
                     }
                 )
     claims = {
@@ -995,8 +997,7 @@ def verify_claim_cases(engine: RetractionEngine) -> dict:
     disk types; a disjoint pair involving the top meridian and a disk that
     meets it is impossible by construction and treated as an internal error.
     """
-    images = {d.key: engine.image(d) for d in engine.catalog.disks}
-    records = _disk_records(engine, images)
+    records = _disk_records(engine, [engine.image(d) for d in engine.catalog.disks])
     rows = disjointness_rows(engine.catalog.disks, engine.surface)
     return _scan_pairs(records, rows, engine.surface)[0]
 
@@ -1058,7 +1059,7 @@ class LevelRecursionEngine:
     level at a time, re-deciding its type at each level, until the level is
     in its footprint or is 1; surgery candidates start at their parent's
     level.  ``image``, ``branch`` and ``surgery_counts`` answer as the
-    engine's do.
+    engine's do: an image is a sphere vertex, an int.
     """
 
     def __init__(self, catalog):
@@ -1068,7 +1069,7 @@ class LevelRecursionEngine:
         self._branches: dict = {}
         self._surgeries: dict = {}  # (level, key) of each surgered disk -> its outermost arc count
 
-    def image(self, d) -> SphereVertex:
+    def image(self, d) -> int:
         validate_disk(d, self.surface)
         return self._image(d, self.surface.tubes)
 
@@ -1078,21 +1079,21 @@ class LevelRecursionEngine:
     def surgery_counts(self) -> tuple[int, int]:
         return len(self._surgeries), sum(arcs >= 2 for arcs in self._surgeries.values())
 
-    def _image(self, d, level: int) -> SphereVertex:
+    def _image(self, d, level: int) -> int:
         memo_key = (level, d.key)
         if memo_key in self._images:
             return self._images[memo_key]
         if level == 1:
             if disk_side(d) == tube_side(1):
-                vertex, branch = SphereVertex(0, "E"), "top_meridian"
+                vertex, branch = 1, "top_meridian"  # E0
             else:
-                vertex, branch = SphereVertex(0, "D"), "top_vertical"
+                vertex, branch = 0, "top_vertical"  # D0
         else:
             t = type_at(d, level)
             if t == "T1":
-                vertex, branch = SphereVertex(level - 1, "E"), "top_meridian"
+                vertex, branch = 2 * level - 1, "top_meridian"  # E_{level - 1}
             elif t == "T3":
-                vertex, branch = SphereVertex(level - 1, "D"), "top_vertical"
+                vertex, branch = 2 * level - 2, "top_vertical"  # D_{level - 1}
             elif level in d.tube_footprint:
                 vertex, branch = self._surgery_image(d, level), "surgered"
             else:
@@ -1101,13 +1102,13 @@ class LevelRecursionEngine:
         self._branches[memo_key] = branch
         return vertex
 
-    def _surgery_image(self, d, level: int) -> SphereVertex:
+    def _surgery_image(self, d, level: int) -> int:
         arcs = outermost_arcs(d, level)
         chosen = [min(self._image(cand, level) for cand in surgery_candidates(d, arc)) for arc in arcs]
         if len(set(chosen)) > 1:
             raise SurgeryDisagreement(
                 f"outermost surgery on {d.key} at tube count {level} is not well defined: "
-                f"arc {arcs[0]} gives {chosen[0].name} but arc {arcs[-1]} gives {chosen[-1].name}"
+                f"arc {arcs[0]} gives {vertex_name(chosen[0])} but arc {arcs[-1]} gives {vertex_name(chosen[-1])}"
             )
         self._surgeries[(level, d.key)] = len(arcs)
         return chosen[0]

@@ -163,6 +163,56 @@ def test_from_build_chain_bytes_match_recorded_goldens(genus, arc_bound, tmp_pat
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (job, name)
 
 
+DIGEST_GRID = [(1, n) for n in range(9)] + [(2, n) for n in range(7)] + [(3, n) for n in range(6)]
+DIGEST_CONFIGS = {
+    "k3": {"arc_bound": 3},
+    "k4-d1": {"arc_bound": 4, "bandsum_depth": 1},
+    "c3": {"arc_bound": 3, "copies": (3,)},
+    "k2-v20-b20-p20": {"arc_bound": 2, "max_vd_arcs_per_region": 20, "max_band_arcs": 20, "max_partner_arcs": 20},
+}
+# The first 12 hex digits of sha256(canonical_json(cert) + render_report(cert))
+# at each DIGEST_GRID point, in grid order.  A change that alters the bytes on
+# purpose records them again and says so in CHANGES.md.
+RECORDED_DIGESTS = {
+    "k3": (
+        "bffd2bac5d39", "80d1e3c66ebf", "999855db8d21", "a0a22876e1b9", "b6f663de8fdc",
+        "f403d6d2e3f2", "0de04f154ed8", "97c2da68b156", "47b1e4b97567",
+        "214dd9ab30ff", "bc20287b4403", "93ec0f83e30a", "598e3e0b105a", "a957c52d68a4", "590b528feeb8", "3325ad0bf3fe",
+        "e6199243bb7c", "cf9a93b5c74e", "32f51583d6c0", "523e001ed61f", "1ea865b57538", "c377c2d11854",
+    ),
+    "k4-d1": (
+        "f5500138f24a", "5a31cd024666", "113c772d6400", "4bf0f959db5c", "692f3ef5099e",
+        "5f74702a7f58", "bcc495afd6dc", "b11d8f86fdd2", "fedfc6895be8",
+        "eb68f6fadccc", "c15c8dae277b", "dc8c980a4f01", "85c40411b897", "743ab31be802", "5b400114ec14", "2b9b75529f31",
+        "9f55b28e8d31", "4cd4cd9fb649", "d470081e9925", "de86e6b22a59", "64826aa328a9", "71e9c4df02f4",
+    ),
+    "c3": (
+        "c5e4fbe0af1a", "90e14fc61171", "b8dff02772fc", "d3695f9a322b", "8ab143c5ea8c",
+        "1d141a2c5eca", "052c25060c65", "9e0212d1e71f", "fcaa668b9121",
+        "a0c277e84cb4", "268ee35eee0a", "679556cf4eb3", "afb479dc104b", "ff189180beff", "7cb0942ee7a2", "990360632440",
+        "523dad10f212", "510cf7ad5954", "df514d8732ac", "f2cffa6d82e1", "256f7faff2db", "a2867e810d52",
+    ),
+    "k2-v20-b20-p20": (
+        "9a2b4b3d1693", "e58d7f52511c", "bcdbd66b06cf", "553c2e7c9c08", "c777fd7d5adb",
+        "e6899cde27d8", "7684a173251d", "dad8fd05d268", "ba32571c8671",
+        "2632e55a201c", "ec2c3c872404", "89dd65699f9c", "1182b523931c", "6af1f3c4f196", "a0cb6273abcd", "014a03c5fb91",
+        "3e15574735ae", "00fb10c9ca25", "46a1905ae965", "1d1aba83908d", "059cf8aea427", "2390d2a6cf4d",
+    ),
+}
+
+
+def test_certificate_bytes_match_the_recorded_digests():
+    """certificate.json and report.txt bytes, in-process, at 88 points the goldens do not cover."""
+    changed = []
+    for name, knobs in DIGEST_CONFIGS.items():
+        for (genus, n), expected in zip(DIGEST_GRID, RECORDED_DIGESTS[name], strict=True):
+            cert = retraction.certify_minimality(genus, n, disks.CatalogConfig(**knobs))
+            text = canonical_json(cert) + retraction.render_report(cert)
+            if hashlib.sha256(text.encode()).hexdigest()[:12] != expected:
+                changed.append(f"{name} g{genus} n{n}")
+    assert changed == []
+
+
 def test_certify_from_build_builds_the_catalog_once(monkeypatch, tmp_path, capsys):
     # The catalog that checks disks.json is the one certified.
     build_dir = str(tmp_path / "build")
@@ -379,6 +429,38 @@ def test_build_stops_a_huge_arc_bound_at_the_cap_at_once(tmp_path):
     assert time.perf_counter() - start < 5.0
     assert (code, stdout, stderr) == (EXIT_CAP, "", ARC_CAP + "genus 1, length bound 100000\n")
     assert not (tmp_path / "b" / "disks.json").exists()
+
+
+# ``disklab`` in a child with 1 GiB of address space: at genus 10**9 a table
+# of the genus's size would take tens of gigabytes, so a regression fails
+# with a MemoryError instead of exhausting the machine.
+UNDER_1GIB = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "from disklab.cli import main; sys.exit(main())"
+)
+
+
+def test_build_at_arc_bound_0_takes_no_time_at_a_huge_genus(tmp_path):
+    start = time.perf_counter()
+    code, _, stderr = run_python(
+        ["-c", UNDER_1GIB, "build", "--genus", "1000000000", "--tubes", "1", "--arc-bound", "0", "--out", "b"],
+        tmp_path,
+    )
+    assert time.perf_counter() - start < 5.0
+    assert (code, stderr) == (EXIT_OK, "")
+    assert json.loads((tmp_path / "b" / "disks.json").read_text())["genus"] == 10**9
+
+
+def test_certify_at_arc_bound_0_names_the_missing_vertical_disk_at_a_huge_genus(tmp_path):
+    start = time.perf_counter()
+    code, stdout, stderr = run_python(
+        ["-c", UNDER_1GIB, "certify", "--genus", "1000000000", "--tubes", "0", "--arc-bound", "0", "--out", "c"],
+        tmp_path,
+    )
+    assert time.perf_counter() - start < 5.0
+    assert (code, stdout) == (EXIT_CONFIG, "")
+    assert stderr.startswith("error: no cataloged vertical disk in region 1 ")
+    assert not (tmp_path / "c" / "certificate.json").exists()
 
 
 def test_build_stops_a_huge_tube_count_at_the_catalog_cap(tmp_path, capsys):

@@ -1,11 +1,10 @@
 """The record semantics shared by every descriptor class.
 
-Surfaces, disk descriptors, catalog configs and catalogs, and sphere
-vertices and spheres are immutable records: equal only to an instance of
-the same class with equal compared fields, hashed as the tuple of those
-fields (so set and dict order, and every recorded byte, follow from the
-fields alone), shown as ``Cls(field=value, ...)``, and closed to any
-assignment.
+Surfaces, disk descriptors, catalog configs and catalogs are immutable
+records: equal only to an instance of the same class with equal compared
+fields, hashed as the tuple of those fields (so set and dict order, and
+every recorded byte, follow from the fields alone), shown as
+``Cls(field=value, ...)``, and closed to any assignment.
 """
 
 import copy
@@ -21,14 +20,11 @@ from disklab.disks import (
     Meridian,
     VerticalDisk,
     build_disk_catalog,
-    disjointness_rows,
 )
-from disklab.retraction import SphereVertex, SuspensionSphere, build_suspension_sphere
 from disklab.surface import TubedSurface, build_tubed_surface
 
 SURFACE = build_tubed_surface(1, 2)
 CATALOG = build_disk_catalog(SURFACE, CatalogConfig(arc_bound=2))
-SPHERE = build_suspension_sphere(CATALOG, disjointness_rows(CATALOG.disks, SURFACE))
 
 
 # Each case: the class, constructor fields in order (the compared ones first),
@@ -63,13 +59,6 @@ CASES = {
         ("disks", CATALOG.disks[:-1]),
     ),
     "TubedSurface": (TubedSurface, {"genus_base": 1, "tubes": 2}, (), ("genus_base", 2)),
-    "SphereVertex": (SphereVertex, {"pair_index": 1, "letter": "D"}, (), ("letter", "E")),
-    "SuspensionSphere": (
-        SuspensionSphere,
-        {"d_disks": SPHERE.d_disks, "e_disks": SPHERE.e_disks},
-        (),
-        ("e_disks", SPHERE.d_disks),
-    ),
 }
 
 
@@ -107,12 +96,3 @@ def test_record_semantics(name):
     assert copy.copy(x) == x
     assert pickle.loads(pickle.dumps(x)) == x
 
-
-def test_sphere_vertices_sort_by_pair_index_then_letter():
-    vertices = [SphereVertex(i, letter) for i in (2, 0, 1) for letter in "ED"]
-    assert sorted(vertices) == [SphereVertex(i, letter) for i in (0, 1, 2) for letter in "DE"]
-    assert min(vertices) == SphereVertex(0, "D")
-    assert SphereVertex(0, "E") < SphereVertex(1, "D") <= SphereVertex(1, "D") < SphereVertex(1, "E")
-    assert SphereVertex(2, "D") > SphereVertex(1, "E") >= SphereVertex(1, "E")
-    with pytest.raises(TypeError):
-        SphereVertex(0, "D") < (0, "D")

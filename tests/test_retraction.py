@@ -32,15 +32,14 @@ from disklab.flagcomplex import FlagComplex, canonical_json, flag_cliques
 from disklab.retraction import (
     CASE_OF_TYPES,
     RetractionEngine,
-    SphereVertex,
-    SuspensionSphere,
     build_suspension_sphere,
     certify_catalog,
     certify_minimality,
     render_report,
     verify_sphere,
+    vertex_name,
 )
-from disklab.surface import build_tubed_surface
+from disklab.surface import build_tubed_surface, tube_side
 from oracles import (
     LevelRecursionEngine,
     VertexMap,
@@ -67,6 +66,16 @@ def sphere_of(catalog):
     return build_suspension_sphere(catalog, disjointness_rows(catalog.disks, catalog.surface))
 
 
+def keys_of(catalog, sphere):
+    """The disk keys of the sphere's vertices ``D_0, E_0, D_1, ...``."""
+    return [catalog.disks[k].key for k in sphere]
+
+
+def images_of(engine):
+    """The engine's image of each catalog disk, in catalog order."""
+    return [engine.image(d) for d in engine.catalog.disks]
+
+
 @pytest.fixture(scope="module")
 def setup_f2():
     surface = build_tubed_surface(1, 2)
@@ -89,17 +98,24 @@ def setup_f3():
 
 
 def test_sphere_pairs_frozen(setup_f3):
-    _, _, sphere, _ = setup_f3
-    assert [d.key for d in sphere.d_disks] == ["V(1;-2)", "V(2;-2)", "V(3;-2)"]
-    assert [e.key for e in sphere.e_disks] == ["M(1)", "M(2)", "M(3)"]
-    assert sphere.index == 2
+    _, catalog, sphere, _ = setup_f3
+    keys = keys_of(catalog, sphere)
+    assert keys[::2] == ["V(1;-2)", "V(2;-2)", "V(3;-2)"]
+    assert keys[1::2] == ["M(1)", "M(2)", "M(3)"]
+    assert len(sphere) == 6
 
 
 def test_sphere_pairs_genus2():
     surface = build_tubed_surface(2, 2)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    sphere = sphere_of(catalog)
-    assert [d.key for d in sphere.d_disks] == ["V(1;-4)", "V(2;-4)"]
+    assert keys_of(catalog, sphere_of(catalog))[::2] == ["V(1;-4)", "V(2;-4)"]
+
+
+def test_vertex_ints_order_by_pair_then_letter():
+    # Vertex v is pair v >> 1 with letter "DE"[v & 1], and v ^ 1 is its antipode.
+    assert [vertex_name(v) for v in range(6)] == ["D0", "E0", "D1", "E1", "D2", "E2"]
+    assert [vertex_name(v ^ 1) for v in range(4)] == ["E0", "D0", "E1", "D1"]
+    assert vertex_name(25) == "E12"
 
 
 def test_verify_sphere_invariants(setup_f3):
@@ -108,20 +124,18 @@ def test_verify_sphere_invariants(setup_f3):
     assert inv["pairs"] == 3
     assert inv["edges_verified"] == 12  # 4 edges per pair of antipodal pairs
     assert inv["antipodal_pairs_intersect"] == 3
-    chain = inv["sub_sphere_chain"]
-    assert len(chain) == 3
-    for small, big in zip(chain, chain[1:]):
-        assert set(small) <= set(big)  # literal vertex containment
+    keys = keys_of(catalog, sphere)
+    assert inv["sub_sphere_chain"] == [keys[:2], keys[:4], keys]
 
 
 def test_sphere_complex_is_octahedron(setup_f3):
-    _, _, sphere, _ = setup_f3
-    fc = sphere_complex(sphere)
+    _, catalog, sphere, _ = setup_f3
+    fc = sphere_complex(sphere, catalog)
+    keys = keys_of(catalog, sphere)
     assert fc.vertex_count() == 6
     assert fc.edge_count() == 12
-    for i in range(3):
-        d, e = sphere.pair(i)
-        assert not has_edge(fc, d.key, e.key)
+    for v in range(0, 6, 2):
+        assert not has_edge(fc, keys[v], keys[v + 1])
 
 
 def test_sphere_needs_vertical_disks():
@@ -174,37 +188,34 @@ F3_IMAGE_TABLE = [
 @pytest.mark.parametrize("disk, expected", F2_IMAGE_TABLE, ids=lambda x: getattr(x, "key", x))
 def test_images_f2(setup_f2, disk, expected):
     _, _, _, engine = setup_f2
-    assert engine.image(disk).name == expected
+    assert vertex_name(engine.image(disk)) == expected
 
 
 @pytest.mark.parametrize("disk, expected", F3_IMAGE_TABLE, ids=lambda x: getattr(x, "key", x))
 def test_images_f3(setup_f3, disk, expected):
     _, _, _, engine = setup_f3
-    assert engine.image(disk).name == expected
+    assert vertex_name(engine.image(disk)) == expected
 
 
 def test_sphere_vertices_are_fixed(setup_f3):
-    _, _, sphere, engine = setup_f3
-    for i in range(sphere.index + 1):
-        d, e = sphere.pair(i)
-        assert engine.image(d) == SphereVertex(i, "D")
-        assert engine.image(e) == SphereVertex(i, "E")
+    _, catalog, sphere, engine = setup_f3
+    assert [engine.image(catalog.disks[k]) for k in sphere] == list(range(6))
 
 
 def test_base_level_is_total():
     catalog = build_disk_catalog(build_tubed_surface(1, 1), CatalogConfig(arc_bound=3))
     engine = RetractionEngine(catalog)
-    assert engine.image(Meridian(1)).name == "E0"
-    assert engine.image(VerticalDisk(1, (-1,))).name == "D0"
+    assert vertex_name(engine.image(Meridian(1))) == "E0"
+    assert vertex_name(engine.image(VerticalDisk(1, (-1,)))) == "D0"
     # band-sum descriptors projected down from higher levels still get images
-    assert engine.image(BandSum(1, SELF_PARTNER, (-2,), 2)).name == "E0"
+    assert vertex_name(engine.image(BandSum(1, SELF_PARTNER, (-2,), 2))) == "E0"
 
 
 def test_same_region_vertical_disks_share_images(setup_f3):
     _, catalog, _, engine = setup_f3
     by_region = {}
     for v in catalog.vertical_disks():
-        by_region.setdefault(v.region, set()).add(engine.image(v).name)
+        by_region.setdefault(v.region, set()).add(engine.image(v))
     assert all(len(images) == 1 for images in by_region.values())
 
 
@@ -294,7 +305,7 @@ def test_minimal_pair_index_rule(setup_f3):
     # Surgery on a band sum with a lower-meridian partner lands in the
     # smallest sub-sphere containing a candidate image: E0, not E2.
     _, _, _, engine = setup_f3
-    assert engine.image(BandSum(3, Meridian(1), (-2,), 2)).name == "E0"
+    assert vertex_name(engine.image(BandSum(3, Meridian(1), (-2,), 2))) == "E0"
 
 
 @pytest.mark.parametrize("tubes", [1, 3])
@@ -395,7 +406,7 @@ def test_pair_scan_matches_the_calculus_on_every_pair(genus, n):
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
     engine = RetractionEngine(catalog)
-    records = retraction_module._disk_records(engine, {d.key: engine.image(d) for d in catalog.disks})
+    records = retraction_module._disk_records(engine, images_of(engine))
     rows = disjointness_rows(catalog.disks, surface)
     arcs_ok = memo_verdict(genus)
     expected = [(a, b) for a, b in combinations(catalog.disks, 2) if disks_disjoint(a, b, arcs_ok)]
@@ -416,9 +427,9 @@ def per_pair_claims(engine, image):
         case = CASE_OF_TYPES[(ta, tb)]
         per_case[case] += 1
         xa, xb = image(a), image(b)
-        if xa.pair_index == xb.pair_index and xa.letter != xb.letter:
+        if xa ^ 1 == xb:
             violations.append(
-                {"case": case, "disks": [a.key, b.key], "types": [ta, tb], "images": [xa.name, xb.name]}
+                {"case": case, "disks": [a.key, b.key], "types": [ta, tb], "images": [vertex_name(xa), vertex_name(xb)]}
             )
     return {
         "pairs_checked": checked,
@@ -438,8 +449,8 @@ def test_single_pass_tally_matches_per_pair_images():
     assert cert["claims"] == expected
     assert verify_claim_cases(engine) == expected
     # Rigged images that put many disjoint pairs on antipodal vertices.
-    rigged = {d.key: SphereVertex(i % 3, "DE"[i % 2]) for i, d in enumerate(catalog.disks)}
-    records = retraction_module._disk_records(engine, rigged)
+    rigged = {d.key: 2 * (i % 3) + i % 2 for i, d in enumerate(catalog.disks)}
+    records = retraction_module._disk_records(engine, list(rigged.values()))
     claims, _ = retraction_module._scan_pairs(records, disjointness_rows(catalog.disks, surface), surface)
     expected = per_pair_claims(engine, lambda d: rigged[d.key])
     assert len(expected["violations"]) > 0
@@ -536,12 +547,12 @@ def test_certificate_homology_profile():
 # -- the homology section in closed form ----------------------------------------------
 
 
-def raw_join_cycle(sphere) -> dict:
+def raw_join_cycle(keys) -> dict:
     """z = (D_0 - E_0) * ... * (D_n - E_n) on sorted key tuples, before any global sign."""
     z = {}
-    for picks in product((0, 1), repeat=sphere.index + 1):
-        keys = [sphere.pair(i)[p].key for i, p in enumerate(picks)]
-        z[tuple(sorted(keys))] = (-1) ** sum(picks) * permutation_sign(keys)
+    for picks in product((0, 1), repeat=len(keys) // 2):
+        picked = [keys[2 * i + p] for i, p in enumerate(picks)]
+        z[tuple(sorted(picked))] = (-1) ** sum(picks) * permutation_sign(picked)
     return z
 
 
@@ -550,15 +561,16 @@ def test_join_cycle_is_the_eliminated_generator(genus, n_max):
     global_signs = {}
     for n in range(n_max + 1):
         surface = build_tubed_surface(genus, n + 1)
-        sphere = sphere_of(build_disk_catalog(surface, CatalogConfig(arc_bound=3)))
-        fixed = {key: key for key in sphere.sub_sphere_keys(n)}
-        doc = retraction_module._homology_document(sphere)
+        catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
+        sphere = sphere_of(catalog)
+        keys = keys_of(catalog, sphere)
+        doc = retraction_module._homology_document(keys)
         # Entry for entry, the document of elimination and sign propagation
         # (``free_generator``) on the sphere as a flag complex.
-        assert doc == certify_homology_retraction(fixed, sphere_complex(sphere), n)
+        assert doc == certify_homology_retraction({key: key for key in keys}, sphere_complex(sphere, catalog), n)
         cycle = {tuple(facet): c for facet, c in doc["generating_cycle"]}
         # The recorded cycle is the join cycle up to one global sign.
-        raw = raw_join_cycle(sphere)
+        raw = raw_join_cycle(keys)
         global_signs[n] = raw[max(raw)]
         assert cycle == {facet: global_signs[n] * c for facet, c in raw.items()}
         # The boundary cancels on every ridge (in reduced chains, on () too).
@@ -581,7 +593,7 @@ def test_certify_simplex_cap_matches_clique_enumeration(n):
     for cap in sorted(thresholds | {t - 1 for t in thresholds}):
         expected = None
         try:
-            flag_cliques(sphere_complex(sphere), n + 1, cap)
+            flag_cliques(sphere_complex(sphere, catalog), n + 1, cap)
         except ResourceCapError as exc:
             expected = str(exc)
         try:
@@ -630,56 +642,65 @@ def setup_g1n4():
 def oracle_report(cert, catalog, pairs, sphere):
     """``check_retraction`` on the certificate's image table over the catalog complex."""
     assignment = {key: entry["key"] for key, entry in cert["retraction"]["images"].items()}
+    return oracle_retraction_report(catalog, pairs, sphere, assignment)
+
+
+def oracle_retraction_report(catalog, pairs, sphere, assignment):
+    """``check_retraction`` on a key-to-key assignment over the catalog complex."""
     k = catalog_complex(catalog, pairs)
-    return check_retraction(VertexMap(k, k, assignment), sphere_complex(sphere))[1]
+    return check_retraction(VertexMap(k, k, assignment), sphere_complex(sphere, catalog))[1]
 
 
-def rig_key_for(monkeypatch, substitute):
-    """Make the sphere name some of its vertices by other disks' keys."""
-    real = SuspensionSphere.key_for
-
-    def key_for(self, vertex):
-        key = real(self, vertex)
-        return substitute.get(key, key)
-
-    monkeypatch.setattr(SuspensionSphere, "key_for", key_for)
-
-
-def test_certify_flags_an_image_outside_the_sphere(setup_g1n4, monkeypatch):
-    _, catalog, sphere, _, pairs = setup_g1n4
-    d0 = sphere.d_disks[0]
-    # Another vertical disk of region 1: it meets E0 and misses every other
-    # sphere vertex, like D0, so every pair still maps to an edge.
-    other = next(d for d in catalog.vertical_disks() if d.region == 1 and d != d0)
-    rig_key_for(monkeypatch, {d0.key: other.key})
-    cert = certify_catalog(catalog)
-    report = cert["retraction"]["check"]["report"]
-    assert not cert["passed"] and cert["claims"]["passed"] and cert["homology"] is None
-    assert cert["first_violation"] == {"kind": "retraction", "detail": report[0]}
-    assert report == oracle_report(cert, catalog, pairs, sphere)
-    assert report[0].startswith("image of ") and report[-1] == (
-        f"subcomplex vertex {d0.key!r} is not fixed (maps to {other.key!r})"
-    )
-    assert sum(line.startswith("image of ") for line in report) == sum(
-        entry["vertex"] == "D0" for entry in cert["retraction"]["images"].values()
-    )
+def test_certify_flags_an_image_outside_the_sphere(setup_g1n4):
+    """The retraction check that certify runs, on images that send every D0 disk off the sphere."""
+    _, catalog, sphere, engine, pairs = setup_g1n4
+    keys = [d.key for d in catalog.disks]
+    real = images_of(engine)
+    outside = len(sphere)  # D5: the sphere's pairs are 0..4
+    report = retraction_module._retraction_report([outside if v == 0 else v for v in real], sphere, keys)
+    moved = [key for key, v in zip(keys, real) if v == 0]
+    d0 = keys[sphere[0]]
+    assert len(moved) > 1 and report == [f"image of {key!r} is D5, outside the subcomplex" for key in moved] + [
+        f"subcomplex vertex D0={d0} is not fixed (maps to D5)"
+    ]
+    # The oracle flags the same disks when they go to another vertical disk of
+    # region 1 instead, which meets E0 and misses every other sphere vertex,
+    # like D0, so every pair still maps to an edge.
+    other = next(d.key for d in catalog.vertical_disks() if d.region == 1 and d.key != d0)
+    assignment = {key: other if v == 0 else keys[sphere[v]] for key, v in zip(keys, real)}
+    assert oracle_retraction_report(catalog, pairs, sphere, assignment) == [
+        f"image of {key!r} is {other!r}, outside the subcomplex" for key in sorted(moved)
+    ] + [f"subcomplex vertex {d0!r} is not fixed (maps to {other!r})"]
 
 
 def test_certify_flags_a_sphere_vertex_that_is_not_fixed(setup_g1n4, monkeypatch):
-    _, catalog, sphere, _, pairs = setup_g1n4
-    d0, e0 = sphere.pair(0)
+    _, catalog, sphere, engine, pairs = setup_g1n4
+    keys = [d.key for d in catalog.disks]
+    d0, e0 = keys[sphere[0]], keys[sphere[1]]
+    expected = [
+        f"subcomplex vertex D0={d0} is not fixed (maps to E0)",
+        f"subcomplex vertex E0={e0} is not fixed (maps to D0)",
+    ]
     # Swapping one antipodal pair is an automorphism of the octahedron, so
     # only the fixed-point check can see it.
-    rig_key_for(monkeypatch, {d0.key: e0.key, e0.key: d0.key})
-    cert = certify_catalog(catalog)
-    report = cert["retraction"]["check"]["report"]
-    assert not cert["passed"] and cert["claims"]["passed"]
-    assert cert["first_violation"] == {"kind": "retraction", "detail": report[0]}
-    assert report == oracle_report(cert, catalog, pairs, sphere)
-    assert report == [
-        f"subcomplex vertex {e0.key!r} is not fixed (maps to {d0.key!r})",
-        f"subcomplex vertex {d0.key!r} is not fixed (maps to {e0.key!r})",
+    def swap(v):
+        return v ^ 1 if v < 2 else v
+
+    swapped = [swap(v) for v in images_of(engine)]
+    assert retraction_module._retraction_report(swapped, sphere, keys) == expected
+    assignment = {key: keys[sphere[v]] for key, v in zip(keys, swapped)}
+    assert oracle_retraction_report(catalog, pairs, sphere, assignment) == [
+        f"subcomplex vertex {e0!r} is not fixed (maps to {d0!r})",
+        f"subcomplex vertex {d0!r} is not fixed (maps to {e0!r})",
     ]
+    # certify reports the same lines when its engine gives those images.
+    image = RetractionEngine.image
+    monkeypatch.setattr(RetractionEngine, "image", lambda self, d: swap(image(self, d)))
+    cert = certify_catalog(catalog)
+    assert not cert["passed"] and cert["claims"]["passed"] and cert["homology"] is None
+    assert cert["retraction"]["check"] == {"ok": False, "report": expected}
+    assert cert["first_violation"] == {"kind": "retraction", "detail": expected[0]}
+    assert cert["retraction"]["images"][d0] == {"vertex": "E0", "key": e0}
 
 
 def test_certify_flags_a_sphere_edge_missing_from_the_pair_list(setup_g1n4, monkeypatch):
@@ -687,8 +708,8 @@ def test_certify_flags_a_sphere_edge_missing_from_the_pair_list(setup_g1n4, monk
     cert = certify_catalog(catalog)
     # Clear the D1-D3 bit of the rows.  Each D is picked by its bits against
     # the meridians, so the sphere stays the same; a D-E bit would change it.
-    a, b = sphere.d_disks[1], sphere.d_disks[3]
-    i, j = catalog.disks.index(a), catalog.disks.index(b)
+    i, j = sphere[2], sphere[6]
+    a, b = catalog.disks[i], catalog.disks[j]
     real = retraction_module.disjointness_rows
 
     def rows_without_the_edge(disks, surface):
@@ -729,13 +750,12 @@ def test_pair_pass_matches_the_loop_oracle(genus, n):
     rows = disjointness_rows(catalog.disks, surface)
     sphere = build_suspension_sphere(catalog, rows)
     engine = RetractionEngine(catalog)
-    images = {d.key: engine.image(d) for d in catalog.disks}
-    records = retraction_module._disk_records(engine, images)
+    records = retraction_module._disk_records(engine, images_of(engine))
     claims, witness = assert_scan_matches_the_loop(records, rows, surface)
     assert claims["passed"] and (witness is None) == (n == 0)
     # The rows hold every edge of the sphere.
     pairs = disjoint_pairs(catalog, rows)
-    on_sphere = set(sphere.sub_sphere_keys(n))
+    on_sphere = set(keys_of(catalog, sphere))
     assert sum(a.key in on_sphere and b.key in on_sphere for a, b in pairs) == 2 * n * (n + 1)
     assert verify_sphere(sphere, catalog, rows)["edges_verified"] == 2 * n * (n + 1)
     assert len(pairs) == claims["pairs_checked"] == verify_claim_cases(engine)["pairs_checked"]
@@ -745,8 +765,7 @@ def test_pair_pass_matches_the_loop_oracle_on_a_raised_knob_catalog():
     surface = build_tubed_surface(1, 3)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=5, max_vd_arcs_per_region=40))
     engine = RetractionEngine(catalog)
-    images = {d.key: engine.image(d) for d in catalog.disks}
-    records = retraction_module._disk_records(engine, images)
+    records = retraction_module._disk_records(engine, images_of(engine))
     rows = disjointness_rows(catalog.disks, surface)
     claims, witness = assert_scan_matches_the_loop(records, rows, surface)
     assert len(catalog.vertical_disks()) > 3 * 6 and claims["pairs_checked"] > 0 and witness is not None
@@ -754,12 +773,12 @@ def test_pair_pass_matches_the_loop_oracle_on_a_raised_knob_catalog():
 
 def test_pair_pass_matches_the_loop_oracle_on_rigged_images(setup_g1n4):
     surface, catalog, sphere, engine, _ = setup_g1n4
-    real = {d.key: engine.image(d) for d in catalog.disks}
-    vertices = [SphereVertex(i, letter) for i in range(sphere.index + 1) for letter in "DE"]
-    tables = [{d.key: SphereVertex(i % 3, "DE"[i % 2]) for i, d in enumerate(catalog.disks)}]
+    real = images_of(engine)
+    vertices = range(len(sphere))
+    tables = [[2 * (i % 3) + i % 2 for i in range(len(catalog.disks))]]
     for seed in range(4):
         rng = random.Random(seed)
-        tables.append({key: rng.choice(vertices) if rng.random() < 0.05 else x for key, x in real.items()})
+        tables.append([rng.choice(vertices) if rng.random() < 0.05 else x for x in real])
     rows = disjointness_rows(catalog.disks, surface)
     for table in tables:
         records = retraction_module._disk_records(engine, table)
@@ -769,7 +788,7 @@ def test_pair_pass_matches_the_loop_oracle_on_rigged_images(setup_g1n4):
 
 def test_pair_pass_raises_on_the_oracle_first_forbidden_pair(setup_g1n4):
     surface, catalog, _, engine, _ = setup_g1n4
-    real = retraction_module._disk_records(engine, {d.key: engine.image(d) for d in catalog.disks})
+    real = retraction_module._disk_records(engine, images_of(engine))
     rng = random.Random(7)
     tables = [
         # T4 disks relabeled T3 make them disjoint from the top meridian (T1).
@@ -793,19 +812,20 @@ def test_pair_pass_raises_on_the_oracle_first_forbidden_pair(setup_g1n4):
 def test_pair_pass_flags_exactly_the_edges_the_oracle_finds(setup_g1n4):
     surface, catalog, sphere, engine, pairs = setup_g1n4
     k = catalog_complex(catalog, pairs)
-    real = {d.key: engine.image(d) for d in catalog.disks}
-    vertices = [SphereVertex(i, letter) for i in range(sphere.index + 1) for letter in "DE"]
-    tables = [real, {d.key: SphereVertex(i % 3, "DE"[i % 2]) for i, d in enumerate(catalog.disks)}]
+    keys = [d.key for d in catalog.disks]
+    real = images_of(engine)
+    vertices = range(len(sphere))
+    tables = [real, [2 * (i % 3) + i % 2 for i in range(len(keys))]]
     for seed in range(4):
         rng = random.Random(seed)
-        tables.append({key: rng.choice(vertices) if rng.random() < 0.05 else x for key, x in real.items()})
+        tables.append([rng.choice(vertices) if rng.random() < 0.05 else x for x in real])
     rows = disjointness_rows(catalog.disks, surface)
     flagged_per_table = []
     for table in tables:
         records = retraction_module._disk_records(engine, table)
         claims, _ = retraction_module._scan_pairs(records, rows, surface)
         flagged = {frozenset(v["disks"]) for v in claims["violations"]}
-        assignment = {key: sphere.key_for(x) for key, x in table.items()}
+        assignment = {key: keys[sphere[x]] for key, x in zip(keys, table)}
         bad = {frozenset(edge) for edge in check_simplicial(VertexMap(k, k, assignment))}
         assert flagged == bad
         assert claims["passed"] == (not bad)
@@ -854,7 +874,7 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
         "Region", "classify_type_unvalidated", "meets_distinguished", "meets_distinguished_unvalidated",
         "TYPE_LABELS", "disk_tubes", "has_vertex", "has_edge", "classify_type",
         "certify_homology_retraction", "free_generator", "apply_chain_map", "permutation_sign",
-        "disks_disjoint_unvalidated", "ChainComplex", "complex_to_json_obj",
+        "disks_disjoint_unvalidated", "ChainComplex", "complex_to_json_obj", "SphereVertex", "SuspensionSphere",
     )
     for name in ("errors", "surface", "flagcomplex", "homology", "disks", "retraction", "cli"):
         module = importlib.import_module(f"disklab.{name}")
@@ -863,7 +883,6 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
     removed_members = {
         surface_module.TubedSurface: ("regions", "region"),
         RetractionEngine: ("type_at", "_surfaces", "_types", "sphere", "_branches"),
-        SuspensionSphere: ("complex", "surface"),
         FlagComplex: ("has_vertex", "has_edge"),
     }
     for cls, names in removed_members.items():
@@ -877,7 +896,7 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
 def test_pair_scan_derives_nothing_again(setup_g1n4, monkeypatch):
     """The rows and the pass read stored partners and footprints, and enumerate no arcs."""
     surface, catalog, _, engine, _ = setup_g1n4
-    records = retraction_module._disk_records(engine, {d.key: engine.image(d) for d in catalog.disks})
+    records = retraction_module._disk_records(engine, images_of(engine))
     built = Counter()
     meridian_init = disks_module.Meridian.__init__
     enumerate_arcs = surface_module.enumerate_arcs
@@ -914,8 +933,7 @@ def test_pair_pass_matches_the_loop_oracle_on_raised_band_and_partner_arcs(genus
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(**knobs))
     engine = RetractionEngine(catalog)
-    images = {d.key: engine.image(d) for d in catalog.disks}
-    records = retraction_module._disk_records(engine, images)
+    records = retraction_module._disk_records(engine, images_of(engine))
     rows = disjointness_rows(catalog.disks, surface)
     claims, _ = assert_scan_matches_the_loop(records, rows, surface)
     assert claims["passed"] and len({d.resolved_partner.key for d in catalog.band_sums()}) > 10
@@ -931,12 +949,14 @@ RAISED_COPIES = [
 ]
 
 
-@pytest.mark.parametrize(
-    ("genus", "n", "knobs"),
+IMAGE_GRID = (
     [pytest.param(g, n, {"arc_bound": 3}, id=f"g{g}-n{n}") for g, n in CATALOG_GRID]
     + RAISED_BAND_AND_PARTNER_ARCS
-    + RAISED_COPIES,
+    + RAISED_COPIES
 )
+
+
+@pytest.mark.parametrize(("genus", "n", "knobs"), IMAGE_GRID)
 def test_one_image_per_disk_matches_the_level_recursion(genus, n, knobs, monkeypatch):
     """Images, per-disk provenance and surgery counts as the level-by-level recursion gives them."""
     surface = build_tubed_surface(genus, n + 1)
@@ -950,8 +970,7 @@ def test_one_image_per_disk_matches_the_level_recursion(genus, n, knobs, monkeyp
         return recurse(self, d)
 
     monkeypatch.setattr(RetractionEngine, "_image", recording)
-    images = {d.key: engine.image(d) for d in catalog.disks}
-    for r in retraction_module._disk_records(engine, images):
+    for r in retraction_module._disk_records(engine, images_of(engine)):
         assert r.image == oracle.image(r.disk), r.disk.key
         assert retraction_module._provenance(r, surface.tubes) == oracle.branch(r.disk), r.disk.key
     assert engine.surgery_counts() == oracle.surgery_counts()
@@ -961,6 +980,29 @@ def test_one_image_per_disk_matches_the_level_recursion(genus, n, knobs, monkeyp
     if (genus, n, knobs) == (1, 5, {"arc_bound": 3}):
         assert (len(engine._images), len(oracle._images)) == (258, 719)
         assert engine.surgery_counts() == (136, 68)
+
+
+def chain(d) -> list:
+    """The disk, then its resolved partners down to a meridian or a vertical disk."""
+    links = [d]
+    while isinstance(links[-1], BandSum):
+        links.append(links[-1].resolved_partner)
+    return links
+
+
+@pytest.mark.parametrize(("genus", "n", "knobs"), IMAGE_GRID)
+def test_side_letter_and_witness_lemmas_hold_on_every_disk(genus, n, knobs):
+    """Lemmas A and B of the retraction docstring, where t is the tube of the image's pair."""
+    catalog = build_disk_catalog(build_tubed_surface(genus, n + 1), CatalogConfig(**knobs))
+    for d, v in zip(catalog.disks, images_of(RetractionEngine(catalog))):
+        t, letter = (v >> 1) + 1, "DE"[v & 1]
+        # A: the letter is E exactly on the tube's side.
+        assert (letter == "E") == (disk_side(d) == tube_side(t)), d.key
+        # B: an E disk's chain carries M(t) or a band sum on base t; a D disk's, some V(t, .).
+        if letter == "E":
+            assert any(x == Meridian(t) or isinstance(x, BandSum) and x.base == t for x in chain(d)), d.key
+        else:
+            assert any(isinstance(x, VerticalDisk) and x.region == t for x in chain(d)), d.key
 
 
 @pytest.mark.parametrize(

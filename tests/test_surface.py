@@ -9,6 +9,7 @@ so Farey-adjacent slopes give disjoint arcs).
 """
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,8 +229,17 @@ def test_reverse_and_canonical():
 # -- enumeration (frozen values) ----------------------------------------------
 
 
-def test_enumerate_empty_at_zero():
-    assert enumerate_arcs(1, 0) == []
+def test_enumerate_empty_at_zero(monkeypatch):
+    # No table of the genus's size is built: at genus 10**9 each would take
+    # tens of gigabytes, so refusing them makes a regression fail at once.
+    def refuse(*args):
+        raise AssertionError("enumerate_arcs built a table of the genus's size at arc bound 0")
+
+    for table in ("_side_index", "_entries", "_blank"):
+        monkeypatch.setattr(surface, table, refuse)
+    start = time.perf_counter()
+    assert enumerate_arcs(1, 0) == [] and enumerate_arcs(10**9, 0) == []
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumerate_genus1_k1_exactly_two_classes():
