@@ -417,8 +417,8 @@ class CatalogConfig(FrozenRecord):
     """Finite truncation knobs for the disk catalog.
 
     ``arc_bound`` caps arc-code length; the remaining knobs bound how many
-    cataloged disks are spun out of each enumeration (full arc enumerations
-    are preserved separately on the catalog).  Every catalog enumerates arcs
+    cataloged disks are spun out of each enumeration (the full arc enumeration
+    is kept on the catalog as ``arcs``).  Every catalog enumerates arcs
     under one cap, :data:`~disklab.surface.DEFAULT_MAX_ARC_CLASSES`, and
     lists disks under another, :data:`DEFAULT_MAX_CATALOG_DISKS`.
     """
@@ -477,12 +477,12 @@ def _disk_sort_key(d: Disk):
 
 
 class DiskCatalog(FrozenRecord):
-    _fields = ("surface", "config", "disks")
-    _uncompared = ("arc_classes",)
-    __slots__ = _fields + _uncompared
+    """A surface's cataloged disks, and the arc classes every region shares (set by the genus and arc bound)."""
 
-    def __init__(self, surface: TubedSurface, config: CatalogConfig, disks: tuple, arc_classes: dict):
-        self._init(surface, config, disks, arc_classes=arc_classes)
+    __slots__ = _fields = ("surface", "config", "disks", "arcs")
+
+    def __init__(self, surface: TubedSurface, config: CatalogConfig, disks: tuple, arcs: tuple):
+        self._init(surface, config, disks, arcs)
 
     def meridians(self):
         return [d for d in self.disks if isinstance(d, Meridian)]
@@ -537,21 +537,20 @@ def build_disk_catalog(surface: TubedSurface, config: CatalogConfig) -> DiskCata
             f"genus {surface.genus_base}, {m} tubes, arc bound {config.arc_bound}: {size} disks",
             DEFAULT_MAX_CATALOG_DISKS,
         )
-    arc_classes = {r: arcs for r in range(1, m + 1)}
     disks = [Meridian(i) for i in range(1, m + 1)]
     for r in range(1, m + 1):
-        for arc in arc_classes[r][: config.max_vd_arcs_per_region]:
+        for arc in arcs[: config.max_vd_arcs_per_region]:
             disks.append(VerticalDisk(r, arc))
     if m >= 2 and config.bandsum_depth >= 1:
         for i in range(1, m + 1):
-            bands = arc_classes[i][: config.max_band_arcs]
+            bands = arcs[: config.max_band_arcs]
             if not bands:
                 continue
             partners = [SELF_PARTNER]
             side = tube_side(i)
             for r in range(1, m + 1):
                 if tube_side(r) != side:  # region r's block is on the other side from its tube
-                    for arc in arc_classes[r][: config.max_partner_arcs]:
+                    for arc in arcs[: config.max_partner_arcs]:
                         partners.append(VerticalDisk(r, arc))
             for j in range(i - 2, 0, -2):
                 partners.append(Meridian(j))
@@ -564,7 +563,7 @@ def build_disk_catalog(surface: TubedSurface, config: CatalogConfig) -> DiskCata
     disks.sort(key=_disk_sort_key)
     for d in disks:
         validate_disk(d, surface)
-    return DiskCatalog(surface=surface, config=config, disks=tuple(disks), arc_classes=arc_classes)
+    return DiskCatalog(surface=surface, config=config, disks=tuple(disks), arcs=arcs)
 
 
 # -- JSON -------------------------------------------------------------------------
@@ -631,7 +630,7 @@ def catalog_to_json_obj(catalog: DiskCatalog) -> dict:
         "genus": surface.genus_base,
         "tubes": surface.tubes,
         "config": config_to_json_obj(catalog.config),
-        "arc_classes": {str(r): [list(c) for c in codes] for r, codes in sorted(catalog.arc_classes.items())},
+        "arc_classes": {str(r): [list(c) for c in catalog.arcs] for r in range(1, surface.tubes + 1)},
         "disks": entries,
     }
 

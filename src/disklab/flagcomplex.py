@@ -96,7 +96,7 @@ class FlagComplex:
 def flag_cliques(
     c: FlagComplex,
     d: int,
-    max_per_dim: int | None = DEFAULT_MAX_SIMPLICES,
+    max_per_dim: int = DEFAULT_MAX_SIMPLICES,
 ) -> dict[int, list[tuple[str, ...]]]:
     """Enumerate every clique with at most ``d + 1`` vertices.
 
@@ -134,8 +134,8 @@ def flag_cliques(
     return out
 
 
-def _cap_check(bucket: list, dim: int, max_per_dim: int | None) -> None:
-    if max_per_dim is not None and len(bucket) > max_per_dim:
+def _cap_check(bucket: list, dim: int, max_per_dim: int) -> None:
+    if len(bucket) > max_per_dim:
         raise ResourceCapError(
             "max_simplices", f"more than {max_per_dim} simplices in dimension {dim}", max_per_dim
         )

@@ -206,7 +206,7 @@ class HomologyProfile(namedtuple("HomologyProfile", ["entries"])):
 
 
 def reduced_homology(
-    c: FlagComplex, d_max: int, max_per_dim: int | None = DEFAULT_MAX_SIMPLICES
+    c: FlagComplex, d_max: int, max_per_dim: int = DEFAULT_MAX_SIMPLICES
 ) -> HomologyProfile:
     """Reduced integer homology of a flag complex in dimensions 0..d_max.
 

@@ -36,11 +36,16 @@ leaves the same band sum with one copy fewer, or, from a single copy, the
 partner alone.  The remainder has the same base, partner, band and
 footprint, so the same level and type, and by induction it too gets the
 partner's image.  So every outermost arc gives the resolved partner's
-image, and the engine assigns that image directly.  Surgery on ``c``
-copies passes through ``c`` band sums, ``c - 1`` of them with two outermost
-arcs, so the engine keeps one record per band, its largest copy count; the
-certificate's ``agreements`` equal its multi-arc surgeries with no
-disagreement.  The per-arc recursion is kept in the tests as an oracle.
+image, and the engine applies the three bullets as one loop down the
+disk's chain, the disk followed by its resolved partners down to a
+meridian or a vertical disk: while the disk is surgered at its highest tube
+it steps to its resolved partner, and the first disk that is not takes its
+image from the first two bullets, ``E_{L-1}`` on tube ``L``'s side and
+``D_{L-1}`` across it.  Surgery on ``c`` copies passes through ``c`` band sums,
+``c - 1`` of them with two outermost arcs, so the engine keeps one record
+per band, its largest copy count; the certificate's ``agreements`` equal
+its multi-arc surgeries with no disagreement.  The per-arc recursion is
+kept in the tests as an oracle.
 
 A disk's ``provenance`` is read off its type at the top tube ``m``: T1 is
 ``top_meridian``, T3 ``top_vertical`` and T2 ``surgered``, unless ``m`` is
@@ -92,9 +97,7 @@ is not always ``+1`` (it is ``-1`` at genus 1, ``n = 9``).  A vertex retraction 
 
 Three lemmas explain why the claim tally finds no violation; the tests check
 A and B on every disk of their catalogs, and nothing here checks them.
-Write ``t = (v >> 1) + 1`` for the tube of a disk's image ``v``, and call
-the disk, followed by its resolved partners down to a meridian or a
-vertical disk, its chain.
+Write ``t = (v >> 1) + 1`` for the tube of a disk's image ``v``.
 
 * Lemma A (side letter): the image letter is ``E`` exactly when the disk
   lies on ``tube_side(t)``.  By induction on the image rule: at level 1 the
@@ -224,77 +227,50 @@ def verify_sphere(sphere: list, catalog: DiskCatalog, rows: list) -> dict:
 
 
 class RetractionEngine:
-    """Computes sphere images of a catalog's disk descriptors, one per disk key.
+    """Computes sphere images of disk descriptors by the module docstring's rule.
 
-    A disk gets its image at its highest tube ``L``: the rule of the module
-    docstring, read off :func:`~disklab.disks.type_at`.  :meth:`image`
-    validates an argument that is not a catalog disk (keys determine
-    descriptors, and the catalog validated its own); nothing below it
-    validates again.
-    The disks it reaches are the argument and resolved partners of band
-    sums, which :func:`~disklab.disks.validate_disk` has checked
-    recursively along with the band sum itself.  A partner's footprint lies
-    inside its band sum's, so its highest tube is at most its parent's, and
-    every disk reached is valid on the catalog's surface.  A surgered band
-    is recorded as ``(base, partner, band)`` with its largest copy count;
-    the remainders with fewer copies are counted, not built.
+    :meth:`image` validates an argument that is not a catalog disk (keys
+    determine descriptors, and the catalog validated its own); nothing
+    below it validates again.  It walks the disk's chain: the disks it
+    reaches are the argument and resolved partners of band sums, which
+    :func:`~disklab.disks.validate_disk` has checked recursively along with
+    the band sum itself.  A partner's footprint lies inside its band sum's,
+    so its highest tube is at most its parent's, and every disk reached is
+    valid on the catalog's surface.  A surgered band is recorded as
+    ``(base, partner, band)`` with its largest copy count; the remainders
+    with fewer copies are counted, not built.
     """
 
     def __init__(self, catalog: DiskCatalog):
         self.surface = catalog.surface
         self.catalog = catalog
         self._catalog_keys = {d.key for d in catalog.disks}
-        self._images: dict = {}  # disk key -> its sphere vertex
         self._surgeries: dict = {}  # (base, partner, band) of each band surgered -> largest copies
 
-    # -- queries ------------------------------------------------------------
-
     def image(self, d) -> int:
-        """Sphere vertex the retraction sends the disk to (top-level entry)."""
+        """Sphere vertex the retraction sends the disk to: its chain's first disk not surgered at its top."""
         if d.key not in self._catalog_keys:
             validate_disk(d, self.surface)
-        return self._image(d)
+        level = max(d.tube_footprint)
+        # T2 at its highest tube: a same-side disk crossing the top meridian,
+        # which takes its resolved partner's image (the copy induction).
+        while level > 1 and type_at(d, level) == "T2":
+            if not isinstance(d, BandSum) or d.base != level:
+                raise InvalidConfigError(
+                    f"disk {d.key} does not meet the top meridian M({level}) in a stack of parallel band "
+                    "arcs (closed intersection components are rejected); outermost surgery is undefined"
+                )
+            band = (d.base, d.partner, d.band)
+            self._surgeries[band] = max(self._surgeries.get(band, 0), d.copies)
+            d = d.resolved_partner
+            level = max(d.tube_footprint)
+        # E_{level - 1} on the top tube's side, D_{level - 1} across it: the
+        # one-tube side rule, T1 (the meridian, on its tube's side) and T3.
+        return 2 * level - 2 + (disk_side(d) == tube_side(level))
 
     def surgery_counts(self) -> tuple[int, int]:
         """Surgeries recorded so far, and how many of them cut along two outermost arcs."""
         return sum(self._surgeries.values()), sum(copies - 1 for copies in self._surgeries.values())
-
-    # -- recursion ------------------------------------------------------------
-
-    def _image(self, d) -> int:
-        vertex = self._images.get(d.key)
-        if vertex is not None:
-            return vertex
-        level = max(d.tube_footprint)
-        if level == 1:
-            # Base surface: one tube, one antipodal pair.  Disks on the tube's
-            # side compress the same handlebody as the meridian; the others
-            # compress the opposite one.
-            vertex = 1 if disk_side(d) == tube_side(1) else 0
-        else:
-            t = type_at(d, level)
-            if t == "T1":
-                vertex = 2 * level - 1  # E_{level - 1}
-            elif t == "T3":
-                vertex = 2 * level - 2  # D_{level - 1}
-            else:
-                # T2 with the level in the footprint: a same-side disk
-                # crossing the top meridian.
-                vertex = self._surgery_image(d, level)
-        self._images[d.key] = vertex
-        return vertex
-
-    def _surgery_image(self, d, level: int) -> int:
-        """The image every outermost arc gives: the resolved partner's, by the module docstring's copy induction."""
-        if not isinstance(d, BandSum) or d.base != level:
-            raise InvalidConfigError(
-                f"disk {d.key} does not meet the top meridian M({level}) in a stack of parallel band "
-                "arcs (closed intersection components are rejected); outermost surgery is undefined"
-            )
-        vertex = self._image(d.resolved_partner)
-        band = (d.base, d.partner, d.band)
-        self._surgeries[band] = max(self._surgeries.get(band, 0), d.copies)
-        return vertex
 
 
 # -- claim verification --------------------------------------------------------------
@@ -588,7 +564,7 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
             "vertical_disks": len(catalog.vertical_disks()),
             "band_sums": len(catalog.band_sums()),
             "types": dict(sorted(Counter(r.type for r in records).items())),
-            "arc_classes_per_region": {str(r): len(v) for r, v in sorted(catalog.arc_classes.items())},
+            "arc_classes_per_region": {str(r): len(catalog.arcs) for r in range(1, m + 1)},
         },
         "sphere": {
             "index": n,

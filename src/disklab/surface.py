@@ -270,7 +270,7 @@ def candidate_count(genus: int, k: int) -> int:
     return sum(letters * (letters - 1) ** (length - 1) // 2 for length in range(1, k + 1))
 
 
-def enumerate_arcs(genus: int, k: int, max_classes: int = DEFAULT_MAX_ARC_CLASSES) -> list[ArcCode]:
+def enumerate_arcs(genus: int, k: int) -> list[ArcCode]:
     """Canonical embeddable arc classes of code length <= k on the once-punctured genus-g surface.
 
     A depth-first search over reduced words over the 4g signed letters
@@ -284,12 +284,13 @@ def enumerate_arcs(genus: int, k: int, max_classes: int = DEFAULT_MAX_ARC_CLASSE
     is tried: every prefix of an embeddable word keeps a crossing-free open
     drawing, so the search reaches it on its own path.  Raises the
     resource-cap error, before any search, if the :func:`candidate_count`
-    of canonical codes exceeds ``max_classes``.
+    of canonical codes exceeds :data:`DEFAULT_MAX_ARC_CLASSES`.
     """
     if genus < 1:
         raise InvalidConfigError(f"genus must be >= 1, got {genus}")
     if k < 0:
         raise InvalidConfigError(f"arc bound must be >= 0, got {k}")
+    max_classes = DEFAULT_MAX_ARC_CLASSES
     # Each length L >= 1 alone has at least 2^L codes, so a length bound past
     # the cap's bit length passes the cap: the count stops there, whatever k.
     if candidate_count(genus, min(k, max_classes.bit_length() + 1)) > max_classes:
@@ -327,10 +328,9 @@ class FrozenRecord:
     """An immutable record with slots; the base of every descriptor class.
 
     A subclass names in ``_fields``, in constructor order, the fields that
-    take part in equality, hashing and the repr, and in ``_uncompared`` any
-    later constructor fields that only appear in the repr; its
-    ``__slots__`` lists them and any stored fields, and its ``__init__``
-    sets them all once through :meth:`_init`.  Equality holds only between
+    take part in equality, hashing and the repr; its ``__slots__`` lists
+    them and any stored fields, and its ``__init__`` sets them all once
+    through :meth:`_init`.  Equality holds only between
     instances of the same class, the hash is that of the tuple of compared
     fields, the repr reads ``Cls(field=value, ...)``, and every later
     assignment raises ``AttributeError``.  That is what
@@ -342,7 +342,6 @@ class FrozenRecord:
     # The compared fields' values, kept as one tuple for equality and hashing.
     __slots__ = ("_values",)
     _fields: tuple[str, ...] = ()
-    _uncompared: tuple[str, ...] = ()
 
     def _init(self, *values, **named) -> None:
         """Set ``_fields`` from ``values``, in order, and every other slot by name."""
@@ -367,11 +366,11 @@ class FrozenRecord:
         return hash(self._values)
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields + self._uncompared)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({shown})"
 
     def __reduce__(self):
-        return self.__class__, self._values + tuple([getattr(self, name) for name in self._uncompared])
+        return self.__class__, self._values
 
 
 # -- tubed surfaces -----------------------------------------------------------

@@ -850,7 +850,7 @@ def certify_homology_retraction(
     assignment: dict[str, str],
     s: FlagComplex,
     n: int,
-    max_per_dim: int | None = DEFAULT_MAX_SIMPLICES,
+    max_per_dim: int = DEFAULT_MAX_SIMPLICES,
 ) -> dict:
     """Cycle-level retraction certificate in dimension ``n``, by elimination.
 

@@ -564,7 +564,7 @@ def test_catalog_depth_and_copies_knobs(f2):
 
 def test_catalog_arc_classes_full_enumeration(cat2):
     # the catalog caps vertical disks at 6 per region but keeps all 13 classes
-    assert len(cat2.arc_classes[1]) == 13
+    assert len(cat2.arcs) == 13
     assert len([d for d in cat2.vertical_disks() if d.region == 1]) == 6
 
 
@@ -580,8 +580,11 @@ def test_catalog_enumerates_arcs_once(monkeypatch, f3):
     monkeypatch.setattr(disks, "enumerate_arcs", counting)
     catalog = build_disk_catalog(f3, CatalogConfig(arc_bound=3))
     assert len(calls) == 1
-    assert catalog.arc_classes[1] == catalog.arc_classes[2] == catalog.arc_classes[3]
-    assert len(catalog.arc_classes[2]) == 13
+    assert len(catalog.arcs) == 13
+    # disks.json lists the one enumeration under every region.
+    per_region = catalog_to_json_obj(catalog)["arc_classes"]
+    assert list(per_region) == ["1", "2", "3"]
+    assert all(codes == [list(c) for c in catalog.arcs] for codes in per_region.values())
 
 
 def test_catalog_deterministic(f2):

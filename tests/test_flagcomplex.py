@@ -79,7 +79,7 @@ def brute_force_cliques(c: FlagComplex, d: int) -> dict[int, list[tuple[str, ...
     return out
 
 
-def top_dimension(c: FlagComplex, max_per_dim: int | None = DEFAULT_MAX_SIMPLICES) -> int:
+def top_dimension(c: FlagComplex, max_per_dim: int = DEFAULT_MAX_SIMPLICES) -> int:
     """Dimension of the largest clique (-1 for the empty complex)."""
     if c.vertex_count() == 0:
         return -1

@@ -1,8 +1,8 @@
 """The record semantics shared by every descriptor class.
 
 Surfaces, disk descriptors, catalog configs and catalogs are immutable
-records: equal only to an instance of the same class with equal compared
-fields, hashed as the tuple of those fields (so set and dict order, and
+records: equal only to an instance of the same class with equal fields,
+hashed as the tuple of those fields (so set and dict order, and
 every recorded byte, follow from the fields alone), shown as
 ``Cls(field=value, ...)``, and closed to any assignment.
 """
@@ -27,16 +27,14 @@ SURFACE = build_tubed_surface(1, 2)
 CATALOG = build_disk_catalog(SURFACE, CatalogConfig(arc_bound=2))
 
 
-# Each case: the class, constructor fields in order (the compared ones first),
-# the names of the trailing fields that are shown but not compared, and one
-# compared field with a different value.
+# Each case: the class, its constructor fields in order, all compared, and one
+# field with a different value.
 CASES = {
-    "Meridian": (Meridian, {"index": 2}, (), ("index", 3)),
-    "VerticalDisk": (VerticalDisk, {"region": 1, "arc": (-1,)}, (), ("arc", (-2,))),
+    "Meridian": (Meridian, {"index": 2}, ("index", 3)),
+    "VerticalDisk": (VerticalDisk, {"region": 1, "arc": (-1,)}, ("arc", (-2,))),
     "BandSum": (
         BandSum,
         {"base": 2, "partner": VerticalDisk(2, (-1,)), "band": (-1,), "copies": 1},
-        (),
         ("partner", SELF_PARTNER),
     ),
     "CatalogConfig": (
@@ -49,32 +47,27 @@ CASES = {
             "max_partner_arcs": 1,
             "copies": (1, 3),
         },
-        (),
         ("copies", (1, 2)),
     ),
     "DiskCatalog": (
         DiskCatalog,
-        {"surface": SURFACE, "config": CATALOG.config, "disks": CATALOG.disks, "arc_classes": CATALOG.arc_classes},
-        ("arc_classes",),
+        {"surface": SURFACE, "config": CATALOG.config, "disks": CATALOG.disks, "arcs": CATALOG.arcs},
         ("disks", CATALOG.disks[:-1]),
     ),
-    "TubedSurface": (TubedSurface, {"genus_base": 1, "tubes": 2}, (), ("genus_base", 2)),
+    "TubedSurface": (TubedSurface, {"genus_base": 1, "tubes": 2}, ("genus_base", 2)),
 }
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_record_semantics(name):
-    cls, fields, uncompared, (changed, other_value) = CASES[name]
+    cls, fields, (changed, other_value) = CASES[name]
     x = cls(**fields)
-    compared = [f for f in fields if f not in uncompared]
-    values = tuple(getattr(x, f) for f in compared)
+    values = tuple(getattr(x, f) for f in fields)
 
-    # Positional and keyword construction agree; equality is by compared field.
+    # Positional and keyword construction agree; equality is by field.
     assert cls(*fields.values()) == x
     assert not cls(*fields.values()) != x
     assert cls(**{**fields, changed: other_value}) != x
-    if uncompared:
-        assert cls(**{**fields, **{f: {} for f in uncompared}}) == x
 
     # Only an instance of the same class is equal, never a subclass or a tuple.
     sub = type("Sub", (cls,), {})

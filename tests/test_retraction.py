@@ -285,7 +285,7 @@ def test_surgery_outcomes_recorded(setup_f3, monkeypatch):
         # and that is the resolved partner's: the copy-induction lemma.
         arcs = outermost_arcs(d, level)
         chosen = {min(oracle._image(c, level) for c in surgery_candidates(d, arc)) for arc in arcs}
-        assert chosen == {oracle._images[(level, key)]} == {engine._image(d.resolved_partner)}, key
+        assert chosen == {oracle._images[(level, key)]} == {engine.image(d.resolved_partner)}, key
 
 
 def test_surgery_rejects_a_band_sum_off_the_top_base():
@@ -356,7 +356,7 @@ def test_certify_validates_each_disk_only_at_the_entries(monkeypatch):
 def test_every_disk_the_recursion_reaches_is_valid_at_its_level(genus, tubes, monkeypatch):
     """Every disk the per-arc recursion reaches is valid on the surface with its highest tube's count of tubes.
 
-    The engine reaches a subset of those disks: no remainder band sum.
+    The engine walks a subset of those disks: no remainder band sum.
     """
     surface = build_tubed_surface(genus, tubes)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
@@ -372,7 +372,8 @@ def test_every_disk_the_recursion_reaches_is_valid_at_its_level(genus, tubes, mo
     for d in catalog.disks:
         oracle.image(d)
         engine.image(d)
-    assert {key for _, key in oracle._images} == set(reached) >= set(engine._images)
+    walked = {x.key for d in catalog.disks for x in walk(d, oracle)}
+    assert {key for _, key in oracle._images} == set(reached) >= walked
     assert any(max(d.tube_footprint) < tubes for d in reached.values())
     for level, key in oracle._surgeries:
         d = reached[key]
@@ -882,14 +883,21 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
             assert not hasattr(module, helper), (name, helper)
     removed_members = {
         surface_module.TubedSurface: ("regions", "region"),
-        RetractionEngine: ("type_at", "_surfaces", "_types", "sphere", "_branches"),
+        RetractionEngine: (
+            "type_at", "_surfaces", "_types", "sphere", "_branches", "_images", "_image", "_surgery_image",
+        ),
         FlagComplex: ("has_vertex", "has_edge"),
+        surface_module.FrozenRecord: ("_uncompared",),
+        disks_module.DiskCatalog: ("arc_classes",),
     }
     for cls, names in removed_members.items():
         for member in names:
             assert not hasattr(cls, member), (cls.__name__, member)
     engine = RetractionEngine(catalog)
     assert not any(hasattr(engine, member) for member in removed_members[RetractionEngine])
+    assert [name for name, member in vars(RetractionEngine).items() if callable(member)] == [
+        "__init__", "image", "surgery_counts",
+    ]
     assert not any(hasattr(catalog.surface, member) for member in removed_members[surface_module.TubedSurface])
 
 
@@ -957,28 +965,31 @@ IMAGE_GRID = (
 
 
 @pytest.mark.parametrize(("genus", "n", "knobs"), IMAGE_GRID)
-def test_one_image_per_disk_matches_the_level_recursion(genus, n, knobs, monkeypatch):
-    """Images, per-disk provenance and surgery counts as the level-by-level recursion gives them."""
+def test_one_image_per_disk_matches_the_level_recursion(genus, n, knobs):
+    """Images, per-disk provenance and surgery records as the level-by-level recursion gives them."""
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(**knobs))
     engine, oracle = RetractionEngine(catalog), LevelRecursionEngine(catalog)
-    reached = set()
-    recurse = RetractionEngine._image
-
-    def recording(self, d):
-        reached.add(d.key)
-        return recurse(self, d)
-
-    monkeypatch.setattr(RetractionEngine, "_image", recording)
     for r in retraction_module._disk_records(engine, images_of(engine)):
         assert r.image == oracle.image(r.disk), r.disk.key
         assert retraction_module._provenance(r, surface.tubes) == oracle.branch(r.disk), r.disk.key
     assert engine.surgery_counts() == oracle.surgery_counts()
-    # One memo entry per disk key reached, where the recursion kept one per
-    # (level, key) it passed through.
-    assert set(engine._images) == reached and len(engine._images) <= len(oracle._images)
+    # One record per band walked through, its largest copy count, and each
+    # walk ends on the recursion's image for its last link.
+    walks = [walk(d, oracle) for d in catalog.disks]
+    largest = {}
+    for links in walks:
+        for x in links[:-1]:
+            band = (x.base, x.partner, x.band)
+            largest[band] = max(largest.get(band, 0), x.copies)
+        assert engine.image(links[0]) == engine.image(links[-1]) == oracle.image(links[-1]), links[0].key
+    assert engine._surgeries == largest
+    # The walks pass through each disk key once, where the recursion kept an
+    # image per (level, key) it passed through.
+    walked = {x.key for links in walks for x in links}
+    assert walked <= {key for _, key in oracle._images}
     if (genus, n, knobs) == (1, 5, {"arc_bound": 3}):
-        assert (len(engine._images), len(oracle._images)) == (258, 719)
+        assert (len(walked), len(oracle._images)) == (258, 719)
         assert engine.surgery_counts() == (136, 68)
 
 
@@ -990,7 +1001,38 @@ def chain(d) -> list:
     return links
 
 
-@pytest.mark.parametrize(("genus", "n", "knobs"), IMAGE_GRID)
+def walk(d, oracle) -> list:
+    """The links of ``d``'s chain that the image loop visits, read off the recursion.
+
+    Each link but the last is surgered at its highest tube, on the recursion's
+    own branch there; the last is not.  ``oracle`` has imaged ``d`` already.
+    """
+    links = chain(d)
+    for i, x in enumerate(links):
+        if oracle._branches[max(x.tube_footprint), x.key] != "surgered":
+            return links[: i + 1]
+    raise AssertionError(f"every link of {d.key}'s chain is surgered")
+
+
+# Every arc knob at 20: 6,884 disks at g1 n3 and 10,284 at g2 n3.
+RAISED_ALL_ARCS = [
+    pytest.param(
+        1, 3,
+        {"arc_bound": 5, "bandsum_depth": 2, "max_vd_arcs_per_region": 20, "max_band_arcs": 20, "max_partner_arcs": 20},
+        id="g1-n3-k5-v20-b20-p20",
+    ),
+    pytest.param(
+        2, 3,
+        {
+            "arc_bound": 3, "bandsum_depth": 2, "max_vd_arcs_per_region": 20, "max_band_arcs": 20,
+            "max_partner_arcs": 20, "copies": (1, 2, 3),
+        },
+        id="g2-n3-k3-v20-b20-p20-c123",
+    ),
+]
+
+
+@pytest.mark.parametrize(("genus", "n", "knobs"), IMAGE_GRID + RAISED_ALL_ARCS)
 def test_side_letter_and_witness_lemmas_hold_on_every_disk(genus, n, knobs):
     """Lemmas A and B of the retraction docstring, where t is the tube of the image's pair."""
     catalog = build_disk_catalog(build_tubed_surface(genus, n + 1), CatalogConfig(**knobs))
@@ -1022,7 +1064,7 @@ def test_catalog_size_counts_every_disk(genus, n, knobs, monkeypatch):
     surface = build_tubed_surface(genus, n + 1)
     config = CatalogConfig(**knobs)
     catalog = build_disk_catalog(surface, config)
-    size = disks_module.catalog_size(n + 1, len(catalog.arc_classes[1]), config)
+    size = disks_module.catalog_size(n + 1, len(catalog.arcs), config)
     assert size == len(catalog.disks)
     built = Counter()
     meridian_init = disks_module.Meridian.__init__
@@ -1036,6 +1078,24 @@ def test_catalog_size_counts_every_disk(genus, n, knobs, monkeypatch):
     with pytest.raises(ResourceCapError, match=f": {size} disks$") as info:
         build_disk_catalog(surface, config)
     assert info.value.cap_name == "max_catalog_disks" and built == Counter()
+
+
+@pytest.mark.parametrize(("genus", "n"), CATALOG_GRID)
+def test_image_walk_builds_no_descriptor(genus, n, monkeypatch):
+    """The image loop reads stored partners and footprints: no meridian, vertical disk or band sum is built."""
+    catalog = build_disk_catalog(build_tubed_surface(genus, n + 1), CatalogConfig(arc_bound=3))
+    engine = RetractionEngine(catalog)
+    built = Counter()
+    for cls in (Meridian, VerticalDisk, BandSum):
+        init = cls.__init__
+
+        def counting(self, *args, _cls=cls, _init=init):
+            built[_cls.__name__] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    images = images_of(engine)
+    assert len(images) == len(catalog.disks) and built == Counter()
 
 
 def test_surgery_counts_do_not_grow_with_the_copy_count():

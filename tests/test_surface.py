@@ -290,9 +290,10 @@ def test_enumerate_matches_filtering_oracle(genus, k):
     assert enumerate_arcs(genus, k) == enumerate_arcs_by_filtering(genus, k)
 
 
-def test_enumerate_resource_cap():
+def test_enumerate_resource_cap(monkeypatch):
+    monkeypatch.setattr(surface, "DEFAULT_MAX_ARC_CLASSES", 10)
     with pytest.raises(ResourceCapError) as exc:
-        enumerate_arcs(2, 4, max_classes=10)
+        enumerate_arcs(2, 4)
     assert exc.value.cap_name == "max_arc_classes"
     assert exc.value.limit == 10
 
@@ -306,14 +307,16 @@ def test_candidate_count_matches_canonical_codes():
 
 def test_enumerate_resource_cap_boundary_is_decided_before_search(monkeypatch):
     count = candidate_count(2, 4)
-    assert len(enumerate_arcs(2, 4, max_classes=count)) == 159
+    monkeypatch.setattr(surface, "DEFAULT_MAX_ARC_CLASSES", count)
+    assert len(enumerate_arcs(2, 4)) == 159
 
     def no_search(*args):
         raise AssertionError("the search ran although the cap was exceeded")
 
     monkeypatch.setattr(surface, "_step", no_search)
+    monkeypatch.setattr(surface, "DEFAULT_MAX_ARC_CLASSES", count - 1)
     with pytest.raises(ResourceCapError) as exc:
-        enumerate_arcs(2, 4, max_classes=count - 1)
+        enumerate_arcs(2, 4)
     assert exc.value.limit == count - 1
 
 
