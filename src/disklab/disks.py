@@ -50,11 +50,11 @@ only for the small table of partners and vertical disks against each other.
 That table keeps the equal-key rule, so two band sums with the same partner,
 such as a shared ``B(i;self;β;1)``, have disjoint partners, as above.
 
-Footprint rule: two disks whose tube footprints (``tube_footprint``) are
-disjoint are disjoint.  The regions in which a disk carries arcs lie inside
-its tube footprint, and every term above holds on such a pair, so the table
-takes whole groups of disks with a footprint that misses the other's
-without asking the calculus.
+Footprint rule: two disks whose tube footprints are disjoint (the ints
+``footprint``, bit ``t`` for tube ``t``, have a zero AND) are disjoint.  The
+regions in which a disk carries arcs lie inside its tube footprint, and every
+term above holds on such a pair, so the table takes whole groups of disks
+with a footprint that misses the other's without asking the calculus.
 
 ``catalog_to_json_obj`` is the only definition of ``disks.json``: the reader,
 :func:`catalog_from_json_obj`, rebuilds the catalog from the file's header
@@ -62,18 +62,18 @@ and accepts the file only if it equals what the writer gives for that
 catalog, types included, and otherwise names the first difference by its
 JSON path.
 
-Each descriptor computes its ``key`` and its tube footprint
-(``tube_footprint``) once, when it is built, and a band sum also its
-resolved partner (``resolved_partner``: the partner, with ``'self'``
-replaced by the base meridian).  These stored fields take no part in
-equality, hashing or repr, and the pair scans read them instead of
-deriving them again.
+Each descriptor stores its ``key``, its handlebody ``side`` (a vertical disk
+lies across its region's tube, any other disk on its tube's or base's side)
+and its ``footprint`` once, when it is built, and a band sum also its
+``resolved_partner`` (the partner, with ``'self'`` replaced by the base
+meridian).  Each class names its ``variant`` and ``rank`` (0, 1, 2 in the
+order above).  None of these takes part in equality, hashing or repr, and
+every pass reads them instead of deriving them again.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Union
 
 from .errors import InvalidConfigError, MalformedFileError, ResourceCapError
 from .surface import (
@@ -103,6 +103,10 @@ RECORDED_MERGE_BUDGET = 20_000
 # (83,584 at m = 128), so the cap is first passed near m = 440.
 DEFAULT_MAX_CATALOG_DISKS = 10**6
 
+# A footprint is an int of up to m + 1 bits for m tubes; this caps a catalog's
+# footprint bits under 125 MB, which meridians alone pass up to 31,622 tubes.
+DEFAULT_MAX_FOOTPRINT_BITS = 10**9
+
 
 def _clean_arc(arc) -> ArcCode:
     if not isinstance(arc, (tuple, list)) or not arc:
@@ -119,39 +123,43 @@ class Meridian(FrozenRecord):
     """Meridian disk of solid tube ``index``."""
 
     _fields = ("index",)
-    __slots__ = (*_fields, "key", "tube_footprint")
+    __slots__ = (*_fields, "key", "side", "footprint")
+    variant, rank = "meridian", 0
 
     def __init__(self, index: int):
         if not isinstance(index, int) or index < 1:
             raise InvalidConfigError(f"meridian index must be a positive integer, got {index!r}")
-        self._init(index, key=f"M({index})", tube_footprint=frozenset({index}))
+        self._init(index, key=f"M({index})", side=tube_side(index), footprint=1 << index)
 
 
 class VerticalDisk(FrozenRecord):
     """Vertical disk over an embedded essential arc in one region."""
 
     _fields = ("region", "arc")
-    __slots__ = (*_fields, "key", "tube_footprint")
+    __slots__ = (*_fields, "key", "side", "footprint")
+    variant, rank = "vertical", 1
 
     def __init__(self, region: int, arc: ArcCode):
         if not isinstance(region, int) or region < 1:
             raise InvalidConfigError(f"region index must be a positive integer, got {region!r}")
         arc = _clean_arc(arc)
-        self._init(region, arc, key=f"V({region};{','.join(map(str, arc))})", tube_footprint=frozenset({region}))
+        key = f"V({region};{','.join(map(str, arc))})"
+        self._init(region, arc, key=key, side=opposite_side(tube_side(region)), footprint=1 << region)
 
 
 class BandSum(FrozenRecord):
     """Pushed copies of meridian ``base`` band-summed to a partner disk."""
 
     _fields = ("base", "partner", "band", "copies")
-    __slots__ = (*_fields, "key", "resolved_partner", "tube_footprint")
+    __slots__ = (*_fields, "key", "resolved_partner", "side", "footprint")
+    variant, rank = "bandsum", 2
 
-    def __init__(self, base: int, partner: Union[str, "Disk"], band: ArcCode, copies: int):
+    def __init__(self, base: int, partner: str | Disk, band: ArcCode, copies: int):
         if not isinstance(base, int) or base < 1:
             raise InvalidConfigError(f"band-sum base must be a positive integer, got {base!r}")
         if not isinstance(copies, int) or copies < 1:
             raise InvalidConfigError(f"band-sum copies must be a positive integer, got {copies!r}")
-        if partner != SELF_PARTNER and not isinstance(partner, (Meridian, VerticalDisk, BandSum)):
+        if partner != SELF_PARTNER and not isinstance(partner, Disk):
             raise InvalidConfigError(
                 f"band-sum partner must be {SELF_PARTNER!r} or a disk descriptor, got {partner!r}"
             )
@@ -162,33 +170,12 @@ class BandSum(FrozenRecord):
             base, partner, band, copies,
             key=f"B({base};{partner_key};{','.join(map(str, band))};{copies})",
             resolved_partner=resolved,
-            tube_footprint=frozenset({base}) | resolved.tube_footprint,
+            side=tube_side(base),
+            footprint=1 << base | resolved.footprint,
         )
 
 
-Disk = Union[Meridian, VerticalDisk, BandSum]
-
-
-def disk_variant(d: Disk) -> str:
-    if isinstance(d, Meridian):
-        return "meridian"
-    if isinstance(d, VerticalDisk):
-        return "vertical"
-    if isinstance(d, BandSum):
-        return "bandsum"
-    raise InvalidConfigError(f"not a disk descriptor: {d!r}")
-
-
-def disk_side(d: Disk) -> str:
-    """Which handlebody side the disk lives in (:data:`SIDE_A`/:data:`SIDE_B`)."""
-    if isinstance(d, Meridian):
-        return tube_side(d.index)
-    if isinstance(d, VerticalDisk):
-        # Vertical disks live in the block of their region, opposite the tube.
-        return opposite_side(tube_side(d.region))
-    if isinstance(d, BandSum):
-        return tube_side(d.base)
-    raise InvalidConfigError(f"not a disk descriptor: {d!r}")
+Disk = (Meridian, VerticalDisk, BandSum)
 
 
 def validate_disk(d: Disk, surface: TubedSurface) -> None:
@@ -210,7 +197,7 @@ def validate_disk(d: Disk, surface: TubedSurface) -> None:
         validate_code(d.band, g)
         partner = d.resolved_partner
         validate_disk(partner, surface)
-        if disk_side(partner) != disk_side(d):
+        if partner.side != d.side:
             raise InvalidConfigError(
                 f"band-sum partner {partner.key} lies on the opposite side from base meridian {d.base}"
             )
@@ -224,10 +211,7 @@ def validate_disk(d: Disk, surface: TubedSurface) -> None:
 def _meridian_misses(index: int, d: Disk) -> bool:
     # The calculus on (Meridian(index), d), without building the meridian: a
     # meridian misses every other meridian and every disk off its tube.
-    return isinstance(d, Meridian) or index not in d.tube_footprint
-
-
-_VARIANT_RANK = {Meridian: 0, VerticalDisk: 1, BandSum: 2}
+    return isinstance(d, Meridian) or not d.footprint >> index & 1
 
 
 def disks_disjoint(a: Disk, b: Disk, arcs_ok) -> bool:
@@ -240,7 +224,7 @@ def disks_disjoint(a: Disk, b: Disk, arcs_ok) -> bool:
     if a.key == b.key:
         # Identical descriptors denote parallel pushed copies.
         return True
-    if _VARIANT_RANK[type(a)] > _VARIANT_RANK[type(b)]:
+    if a.rank > b.rank:
         a, b = b, a
     if isinstance(a, Meridian):
         return _meridian_misses(a.index, b)
@@ -261,8 +245,12 @@ def disks_disjoint(a: Disk, b: Disk, arcs_ok) -> bool:
     )
 
 
-def _footprint_bits(d: Disk) -> int:
-    return sum(1 << t for t in d.tube_footprint)
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _masks(values) -> dict:
@@ -285,20 +273,19 @@ def disjointness_rows(disks, surface: TubedSurface) -> list:
     about pairs of partners and vertical disks whose footprints overlap, once
     per pair, with one :func:`~disklab.surface.arc_verdict` for the pass.
     """
-    fps = [_footprint_bits(d) for d in disks]
+    fps = [d.footprint for d in disks]
     by_footprint = _masks(fps)
-    tubes_of = dict(zip(fps, (d.tube_footprint for d in disks)))
     # Per tube, the disks whose footprint holds it; a footprint misses every
     # disk that none of its tubes' masks holds.
     meets = {}
     for f, mask in by_footprint.items():
-        for t in tubes_of[f]:
+        for t in _bits(f):
             meets[t] = meets.get(t, 0) | mask
     everyone = (1 << len(disks)) - 1
     misses = {}
     for f in by_footprint:
         hit = 0
-        for t in tubes_of[f]:
+        for t in _bits(f):
             hit |= meets[t]
         misses[f] = everyone & ~hit
     same_key = _masks(d.key for d in disks)
@@ -318,7 +305,7 @@ def disjointness_rows(disks, surface: TubedSurface) -> list:
             at_base = bands_at.setdefault(d.base, {})
             at_base[d.band] = at_base.get(d.band, 0) | bit
             family, member = partner_family, d.resolved_partner
-        group = family.setdefault(_footprint_bits(member), [0, {}])
+        group = family.setdefault(member.footprint, [0, {}])
         group[0] |= bit
         group[1].setdefault(member.key, [member, 0])[1] |= bit
     of_base = {i: sum(at_base.values()) for i, at_base in bands_at.items()}
@@ -330,7 +317,7 @@ def disjointness_rows(disks, surface: TubedSurface) -> list:
         # The family's disks that the calculus puts disjoint from x: whole
         # footprint groups that miss x's footprint, one verdict per member of
         # the others.
-        fx = _footprint_bits(x)
+        fx = x.footprint
         out = 0
         for f, (union, members) in family.items():
             if not f & fx:
@@ -399,13 +386,14 @@ def type_at(d: Disk, level: int) -> str:
     T1: the top meridian itself.  T2: any other disk on the same side as the
     top meridian.  T3: opposite-side disks meeting the top meridian (their
     tube footprint reaches the top tube).  T4: opposite-side disks disjoint
-    from it.  The type reads only the disk's side and tube footprint and the
-    tube level, and builds no disk.  A disk that is not T1 meets the top
-    meridian exactly when ``level`` is in its footprint.
+    from it.  The type reads only the disk's stored ``side`` and
+    ``footprint`` and the tube level, and builds no disk.  A disk that is
+    not T1 meets the top meridian exactly when bit ``level`` of its
+    footprint is set.
     """
     if isinstance(d, Meridian) and d.index == level:
         return "T1"
-    if disk_side(d) == tube_side(level):
+    if d.side == tube_side(level):
         return "T2"
     return "T4" if _meridian_misses(level, d) else "T3"
 
@@ -470,10 +458,10 @@ def _disk_sort_key(d: Disk):
         return (0, d.index)
     if isinstance(d, VerticalDisk):
         return (1, d.region, len(d.arc), d.arc)
-    partner_rank = {"self": 0, "meridian": 1, "vertical": 2, "bandsum": 3}
-    pk = SELF_PARTNER if d.partner == SELF_PARTNER else disk_variant(d.partner)
-    partner_key = "" if d.partner == SELF_PARTNER else d.partner.key
-    return (2, d.base, partner_rank[pk], partner_key, len(d.band), d.band, d.copies)
+    # 'self' sorts before every partner disk, and partner disks by variant rank.
+    p = d.partner
+    partner = (0, "") if p == SELF_PARTNER else (p.rank + 1, p.key)
+    return (2, d.base, *partner, len(d.band), d.band, d.copies)
 
 
 class DiskCatalog(FrozenRecord):
@@ -525,18 +513,21 @@ def build_disk_catalog(surface: TubedSurface, config: CatalogConfig) -> DiskCata
     ``bandsum_depth == 2`` additionally admits the base's simplest
     self-band-sum as a partner.  Raises the resource-cap error, before any
     descriptor is built, if the :func:`catalog_size` exceeds
-    :data:`DEFAULT_MAX_CATALOG_DISKS`.
+    :data:`DEFAULT_MAX_CATALOG_DISKS`, or its footprint bits
+    :data:`DEFAULT_MAX_FOOTPRINT_BITS`.
     """
     m = surface.tubes
     # Feet never enter the arc search, so every region shares one enumeration.
     arcs = tuple(enumerate_arcs(surface.genus_base, config.arc_bound))
     size = catalog_size(m, len(arcs), config)
-    if size > DEFAULT_MAX_CATALOG_DISKS:
-        raise ResourceCapError(
-            "max_catalog_disks",
-            f"genus {surface.genus_base}, {m} tubes, arc bound {config.arc_bound}: {size} disks",
-            DEFAULT_MAX_CATALOG_DISKS,
-        )
+    for cap, count, unit, limit in (
+        ("max_catalog_disks", size, "disks", DEFAULT_MAX_CATALOG_DISKS),
+        ("max_catalog_footprint", size * (m + 1), "footprint bits", DEFAULT_MAX_FOOTPRINT_BITS),
+    ):
+        if count > limit:
+            raise ResourceCapError(
+                cap, f"genus {surface.genus_base}, {m} tubes, arc bound {config.arc_bound}: {count} {unit}", limit
+            )
     disks = [Meridian(i) for i in range(1, m + 1)]
     for r in range(1, m + 1):
         for arc in arcs[: config.max_vd_arcs_per_region]:
@@ -601,13 +592,13 @@ def config_from_json_obj(obj, source: str = "config") -> CatalogConfig:
 
 def disk_to_json_obj(d: Disk) -> dict:
     if isinstance(d, Meridian):
-        return {"variant": "meridian", "index": d.index}
+        return {"variant": d.variant, "index": d.index}
     if isinstance(d, VerticalDisk):
-        return {"variant": "vertical", "region": d.region, "arc": list(d.arc)}
+        return {"variant": d.variant, "region": d.region, "arc": list(d.arc)}
     if isinstance(d, BandSum):
         partner = SELF_PARTNER if d.partner == SELF_PARTNER else disk_to_json_obj(d.partner)
         return {
-            "variant": "bandsum",
+            "variant": d.variant,
             "base": d.base,
             "partner": partner,
             "band": list(d.band),
@@ -622,7 +613,7 @@ def catalog_to_json_obj(catalog: DiskCatalog) -> dict:
     for d in catalog.disks:
         obj = disk_to_json_obj(d)
         obj["key"] = d.key
-        obj["side"] = disk_side(d)
+        obj["side"] = d.side
         obj["type"] = type_at(d, surface.tubes)
         entries.append(obj)
     return {

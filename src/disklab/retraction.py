@@ -52,9 +52,9 @@ A disk's ``provenance`` is read off its type at the top tube ``m``: T1 is
 not in its footprint (``projected``), as for every T4 disk.  A one-tube
 catalog has no band sums, so no T2 disk, and the rule covers it too.
 
-The rule reads only the level ``L``, a plain int, and the disk's side and
-tube footprint (:func:`~disklab.disks.type_at`); no surface is built below
-the top.
+The rule reads only the level ``L``, a plain int, and the disk's stored
+``side`` and ``footprint`` (:func:`~disklab.disks.type_at`); no surface is
+built below the top.
 
 ``certify_catalog`` runs the full pipeline on a catalog and emits a
 machine-checkable certificate: sphere invariants, per-disk images, the
@@ -119,22 +119,20 @@ Write ``t = (v >> 1) + 1`` for the tube of a disk's image ``v``.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from math import comb
-from typing import NamedTuple
 
 from .disks import (
     BandSum,
     CatalogConfig,
-    Disk,
     DiskCatalog,
     Meridian,
     VerticalDisk,
+    _bits,
     _masks,
     build_disk_catalog,
     config_to_json_obj,
     disjointness_rows,
-    disk_side,
     disk_to_json_obj,
     type_at,
     validate_disk,
@@ -231,8 +229,12 @@ class RetractionEngine:
 
     :meth:`image` validates an argument that is not a catalog disk (keys
     determine descriptors, and the catalog validated its own); nothing
-    below it validates again.  It walks the disk's chain: the disks it
-    reaches are the argument and resolved partners of band sums, which
+    below it validates again.  It walks the disk's chain and reads only what
+    each link stored when it was built: its highest tube
+    ``footprint.bit_length() - 1``, its ``side`` (through
+    :func:`~disklab.disks.type_at` too) and its ``resolved_partner``, the
+    next link; the walk builds no descriptor.  The disks it reaches are the
+    argument and resolved partners of band sums, which
     :func:`~disklab.disks.validate_disk` has checked recursively along with
     the band sum itself.  A partner's footprint lies inside its band sum's,
     so its highest tube is at most its parent's, and every disk reached is
@@ -251,7 +253,7 @@ class RetractionEngine:
         """Sphere vertex the retraction sends the disk to: its chain's first disk not surgered at its top."""
         if d.key not in self._catalog_keys:
             validate_disk(d, self.surface)
-        level = max(d.tube_footprint)
+        level = d.footprint.bit_length() - 1
         # T2 at its highest tube: a same-side disk crossing the top meridian,
         # which takes its resolved partner's image (the copy induction).
         while level > 1 and type_at(d, level) == "T2":
@@ -263,10 +265,10 @@ class RetractionEngine:
             band = (d.base, d.partner, d.band)
             self._surgeries[band] = max(self._surgeries.get(band, 0), d.copies)
             d = d.resolved_partner
-            level = max(d.tube_footprint)
+            level = d.footprint.bit_length() - 1
         # E_{level - 1} on the top tube's side, D_{level - 1} across it: the
         # one-tube side rule, T1 (the meridian, on its tube's side) and T3.
-        return 2 * level - 2 + (disk_side(d) == tube_side(level))
+        return 2 * level - 2 + (d.side == tube_side(level))
 
     def surgery_counts(self) -> tuple[int, int]:
         """Surgeries recorded so far, and how many of them cut along two outermost arcs."""
@@ -289,19 +291,14 @@ CASE_OF_TYPES = {
 }
 
 
-class _DiskRecord(NamedTuple):
-    """What the pair scan needs of one catalog disk, computed once per disk."""
-
-    disk: Disk
-    type: str  # at the top level
-    image: int  # sphere vertex
-    side: str
+# What the pair scan needs of one disk: its type at the top level and its sphere vertex.
+_DiskRecord = namedtuple("_DiskRecord", "disk type image")
 
 
 def _disk_records(engine: RetractionEngine, images: list) -> list:
     """One record per catalog disk; ``images`` are the disks' sphere vertices, in catalog order."""
     m = engine.surface.tubes
-    return [_DiskRecord(d, type_at(d, m), v, disk_side(d)) for d, v in zip(engine.catalog.disks, images)]
+    return [_DiskRecord(d, type_at(d, m), v) for d, v in zip(engine.catalog.disks, images)]
 
 
 _PROVENANCE_AT_TOP = {"T1": "top_meridian", "T3": "top_vertical", "T2": "surgered"}
@@ -309,21 +306,13 @@ _PROVENANCE_AT_TOP = {"T1": "top_meridian", "T3": "top_vertical", "T2": "surgere
 
 def _provenance(r: _DiskRecord, m: int) -> str:
     """The rule that gave the record's disk its image, with ``m`` tubes (module docstring)."""
-    return _PROVENANCE_AT_TOP[r.type] if m in r.disk.tube_footprint else "projected"
+    return _PROVENANCE_AT_TOP[r.type] if r.disk.footprint >> m & 1 else "projected"
 
 
 _CASE_OF_ORDERED_TYPES = {
     **CASE_OF_TYPES,
     **{(tb, ta): case for (ta, tb), case in CASE_OF_TYPES.items()},
 }
-
-
-def _bits(mask: int):
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _scan_pairs(records: list, rows: list, surface: TubedSurface):
@@ -340,13 +329,13 @@ def _scan_pairs(records: list, rows: list, surface: TubedSurface):
     """
     # Row i restricted to the disks after i: each pair is read once.
     later = [row & -(2 << i) for i, row in enumerate(rows)]
-    on_side = _masks(r.side for r in records)
+    on_side = _masks(r.disk.side for r in records)
     witness = None
-    for i, r in enumerate(records):
-        across = later[i] & ~on_side[r.side]
+    for i, (a, _, _) in enumerate(records):
+        across = later[i] & ~on_side[a.side]
         if across:
             b = records[next(_bits(across))].disk
-            witness = (r.disk, b) if r.side == surface.v_side else (b, r.disk)
+            witness = (a, b) if a.side == surface.v_side else (b, a)
             break
 
     of_type = _masks(r.type for r in records)
@@ -357,7 +346,7 @@ def _scan_pairs(records: list, rows: list, surface: TubedSurface):
     }
     per_case = Counter()
     violations = []
-    for i, (a, ta, xa, _) in enumerate(records):
+    for i, (a, ta, xa) in enumerate(records):
         row = later[i]
         if row & forbidden[ta]:
             b = records[next(_bits(row & forbidden[ta]))]
@@ -370,7 +359,7 @@ def _scan_pairs(records: list, rows: list, surface: TubedSurface):
             if row & mask:
                 per_case[_CASE_OF_ORDERED_TYPES[(ta, tb)]] += (row & mask).bit_count()
         for j in _bits(row & of_image.get(xa ^ 1, 0)):
-            b, tb, xb, _ = records[j]
+            b, tb, xb = records[j]
             case = _CASE_OF_ORDERED_TYPES[(ta, tb)]
             violations.append(
                 {"case": case, "disks": [a.key, b.key], "types": sorted((ta, tb)),
@@ -410,19 +399,17 @@ def _retraction_report(images: list, sphere: list, keys: list) -> list:
     The domain is the cataloged complex: the catalog positions as vertices,
     with disk keys ``keys``, and the certified-disjoint pairs as edges.
     ``images[k]`` is the sphere vertex of disk ``k``, and vertex ``v`` of
-    ``S`` is the disk at position ``sphere[v]``.  Lists, in this order,
-    vertices of ``S`` that are not domain vertices, images outside ``S`` (in
-    catalog order), and vertices of ``S`` that are not fixed.  Edges are not
-    checked here: :func:`verify_sphere` has read every edge of ``S`` off the
+    ``S`` is the disk at position ``sphere[v]``; :func:`build_suspension_sphere`
+    picks those positions from the catalog, so every vertex of ``S`` is a
+    domain vertex.  Lists, in this order, images outside ``S`` (in catalog
+    order) and vertices of ``S`` that are not fixed.  Edges are not checked
+    here: :func:`verify_sphere` has read every edge of ``S`` off the
     rows that make the domain's edges, and the pair pass has already ruled
     out every domain edge whose images are antipodal, ``v`` and ``v ^ 1``,
     the octahedron's only non-edges.
     """
-    domain, on_sphere = range(len(images)), range(len(sphere))
+    on_sphere = range(len(sphere))
     report = [
-        f"subcomplex vertex {vertex_name(v)} is not a domain vertex" for v, k in enumerate(sphere) if k not in domain
-    ]
-    report += [
         f"image of {key!r} is {vertex_name(v)}, outside the subcomplex"
         for key, v in zip(keys, images)
         if v not in on_sphere
@@ -430,7 +417,7 @@ def _retraction_report(images: list, sphere: list, keys: list) -> list:
     report += [
         f"subcomplex vertex {vertex_name(v)}={keys[k]} is not fixed (maps to {vertex_name(images[k])})"
         for v, k in enumerate(sphere)
-        if k in domain and images[k] != v
+        if images[k] != v
     ]
     return report
 

@@ -84,12 +84,12 @@ from itertools import combinations, permutations, product
 from typing import Iterable
 
 from disklab.disks import (
+    SELF_PARTNER,
     BandSum,
     Disk,
     Meridian,
     VerticalDisk,
     disjointness_rows,
-    disk_side,
     disks_disjoint,
     type_at,
     validate_disk,
@@ -111,6 +111,7 @@ from disklab.surface import (
     _side_index,
     arc_verdict,
     canonical_code,
+    opposite_side,
     side_word,
     tube_side,
     validate_code,
@@ -575,11 +576,10 @@ def disks_disjoint_with_band_terms(a: Disk, b: Disk, surface: TubedSurface) -> b
     """
     if a.key == b.key:
         return True
-    rank = {Meridian: 0, VerticalDisk: 1, BandSum: 2}
-    if rank[type(a)] > rank[type(b)]:
+    if VARIANT_RANK[type(a)] > VARIANT_RANK[type(b)]:
         a, b = b, a
     if isinstance(a, Meridian):
-        return isinstance(b, Meridian) or a.index not in b.tube_footprint
+        return isinstance(b, Meridian) or not disk_footprint(b) >> a.index & 1
     if isinstance(a, VerticalDisk):
         if isinstance(b, VerticalDisk):
             return a.region != b.region or arcs_disjoint(surface.genus_base, a.arc, b.arc)
@@ -890,6 +890,49 @@ def certify_homology_retraction(
     }
 
 
+# -- stored descriptor facts, derived again ------------------------------------------
+#
+# Each descriptor stores its ``side`` and ``footprint`` when it is built, and
+# each class names its ``variant`` and ``rank``.  These derivations from the
+# descriptor fields alone are the reference the tests hold them to.
+
+VARIANT_RANK = {Meridian: 0, VerticalDisk: 1, BandSum: 2}
+
+
+def disk_variant(d: Disk) -> str:
+    if isinstance(d, Meridian):
+        return "meridian"
+    if isinstance(d, VerticalDisk):
+        return "vertical"
+    if isinstance(d, BandSum):
+        return "bandsum"
+    raise InvalidConfigError(f"not a disk descriptor: {d!r}")
+
+
+def disk_side(d: Disk) -> str:
+    """Which handlebody side the disk lives in."""
+    if isinstance(d, Meridian):
+        return tube_side(d.index)
+    if isinstance(d, VerticalDisk):
+        # Vertical disks live in the block of their region, opposite the tube.
+        return opposite_side(tube_side(d.region))
+    if isinstance(d, BandSum):
+        return tube_side(d.base)
+    raise InvalidConfigError(f"not a disk descriptor: {d!r}")
+
+
+def disk_footprint(d: Disk) -> int:
+    """The tube footprint, bit ``t`` for tube ``t``, from the descriptor fields alone."""
+    if isinstance(d, Meridian):
+        return 1 << d.index
+    if isinstance(d, VerticalDisk):
+        return 1 << d.region
+    if isinstance(d, BandSum):
+        # A 'self' partner is the base's meridian, whose tube is the base.
+        return 1 << d.base | (0 if d.partner == SELF_PARTNER else disk_footprint(d.partner))
+    raise InvalidConfigError(f"not a disk descriptor: {d!r}")
+
+
 # -- types and projection ----------------------------------------------------------
 
 
@@ -935,7 +978,7 @@ def project_disk(d: Disk, surface: TubedSurface) -> Disk:
             f"disk {d.key} of type T2 meets the top meridian; surgery is required before projection"
         )
     m = surface.tubes
-    assert m not in d.tube_footprint, d.key
+    assert not d.footprint >> m & 1, d.key
     assert m not in disk_regions(d), d.key
     return d
 
@@ -956,13 +999,15 @@ def scan_pairs_by_loop(records: list, surface: TubedSurface):
     per_case = Counter()
     violations = []
     witness = None
-    for i, (a, ta, xa, sa) in enumerate(records):
-        for b, tb, xb, sb in records[i + 1 :]:
-            if a.tube_footprint & b.tube_footprint and not disks_disjoint(a, b, arcs_ok):
+    sides = [disk_side(r.disk) for r in records]
+    for i, (a, ta, xa) in enumerate(records):
+        for j in range(i + 1, len(records)):
+            b, tb, xb = records[j]
+            if a.footprint & b.footprint and not disks_disjoint(a, b, arcs_ok):
                 continue
             checked += 1
-            if witness is None and sa != sb:
-                witness = (a, b) if sa == surface.v_side else (b, a)
+            if witness is None and sides[i] != sides[j]:
+                witness = (a, b) if sides[i] == surface.v_side else (b, a)
             case = case_of.get((ta, tb))
             if case is None:
                 lo, hi = sorted((ta, tb))
@@ -1094,7 +1139,7 @@ class LevelRecursionEngine:
                 vertex, branch = 2 * level - 1, "top_meridian"  # E_{level - 1}
             elif t == "T3":
                 vertex, branch = 2 * level - 2, "top_vertical"  # D_{level - 1}
-            elif level in d.tube_footprint:
+            elif d.footprint >> level & 1:
                 vertex, branch = self._surgery_image(d, level), "surgered"
             else:
                 vertex, branch = self._image(d, level - 1), "projected"

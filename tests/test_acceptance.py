@@ -36,7 +36,6 @@ from disklab.disks import (
     CatalogConfig,
     Meridian,
     build_disk_catalog,
-    disk_side,
     disks_disjoint,
 )
 from disklab.flagcomplex import FlagComplex, canonical_json
@@ -119,7 +118,7 @@ def test_criterion_3_one_tube_surface_is_strongly_irreducible():
             verticals = catalog.vertical_disks()
             assert verticals, (genus, arc_bound)
             for disk in verticals:
-                assert disk_side(disk) == v_side
+                assert disk.side == v_side
                 assert disks_disjoint(disk, meridian, memo_verdict(genus)) is False, disk.key
             combos += 1
     assert combos == 8
@@ -186,7 +185,7 @@ def test_criterion_7_higher_certificates_carry_disjoint_witness():
         lookup = {d.key: d for d in catalog.disks}
         v_disk = lookup[witness["v_disk"]]
         w_disk = lookup[witness["w_disk"]]
-        assert disk_side(v_disk) != disk_side(w_disk)
+        assert v_disk.side != w_disk.side
         assert disks_disjoint(v_disk, w_disk, memo_verdict(genus)) is True
     _passline(7, "n >= 2 certificates carry a verified disjoint side pair")
 

@@ -476,6 +476,24 @@ def test_build_stops_a_huge_tube_count_at_the_catalog_cap(tmp_path, capsys):
     assert not (tmp_path / "b" / "disks.json").exists()
 
 
+def test_build_stops_a_huge_meridian_catalog_at_the_footprint_cap(tmp_path):
+    # At arc bound 0 the catalog is the meridians alone, so a million tubes
+    # pass the disk cap, but their footprints, ints of up to a million bits
+    # each, would take tens of gigabytes.  The cap fires before any disk is
+    # built, in a child under 1 GiB, so a regression cannot fill the machine.
+    start = time.perf_counter()
+    code, stdout, stderr = run_python(
+        ["-c", UNDER_1GIB, "build", "--genus", "1", "--tubes", "1000000", "--arc-bound", "0", "--out", "b"], tmp_path
+    )
+    assert time.perf_counter() - start < 5.0
+    assert (code, stdout) == (EXIT_CAP, "")
+    assert stderr == (
+        f"error: resource cap max_catalog_footprint ({disks.DEFAULT_MAX_FOOTPRINT_BITS}) exceeded: "
+        "genus 1, 1000000 tubes, arc bound 0: 1000001000000 footprint bits\n"
+    )
+    assert not (tmp_path / "b" / "disks.json").exists()
+
+
 def test_certify_from_build_rejects_an_extra_arc_class_region(tmp_path, capsys):
     build_dir = tmp_path / "build"
     run(["build", "--genus", "1", "--tubes", "2", "--out", str(build_dir)], capsys)
@@ -880,8 +898,8 @@ LIST_MODULES = (
 LAYERS = ("disklab.surface", "disklab.disks", "disklab.retraction", "disklab.homology")
 
 
-def modules_loaded_by(argv, cwd):
-    code, stdout, stderr = run_python(["-c", LIST_MODULES, *argv], cwd)
+def modules_loaded_by(argv, cwd, *flags):
+    code, stdout, stderr = run_python([*flags, "-c", LIST_MODULES, *argv], cwd)
     assert code == EXIT_OK, stderr
     return set(json.loads(stdout.splitlines()[-1]))
 
@@ -924,6 +942,20 @@ def test_certify_from_build_loads_no_record_machinery(tmp_path):
     assert (tmp_path / "c" / "certificate.json").exists()
     assert set(LAYERS) <= loaded
     assert not loaded & RECORD_MACHINERY
+
+
+def test_build_and_certify_load_no_typing(tmp_path):
+    # Under -S no site hook has loaded ``typing`` already, so the list shows
+    # what disklab and the modules it imports load.
+    runs = (
+        ["build", "--genus", "1", "--tubes", "3", "--out", "b"],
+        ["certify", "--genus", "1", "--tubes", "2", "--out", "c"],
+        ["certify", "--from-build", "b", "--out", "d"],
+    )
+    for argv in runs:
+        loaded = modules_loaded_by(argv, tmp_path, "-S")
+        assert "disklab.disks" in loaded and "typing" not in loaded, argv
+    assert (tmp_path / "d" / "certificate.json").exists()
 
 
 def test_failed_certificate_exit_code_is_distinct():

@@ -23,8 +23,6 @@ from disklab.disks import (
     catalog_to_json_obj,
     config_from_json_obj,
     config_to_json_obj,
-    disk_side,
-    disk_variant,
     disks_disjoint,
     validate_disk,
 )
@@ -33,6 +31,7 @@ from disklab.flagcomplex import canonical_json
 from disklab.surface import SIDE_A, SIDE_B, build_tubed_surface, canonical_code
 from oracles import (
     classify_type,
+    disk_footprint,
     disk_regions,
     disks_disjoint_with_band_terms,
     meets_distinguished,
@@ -74,9 +73,9 @@ def test_keys_and_variants():
     assert m.key == "M(2)"
     assert v.key == "V(1;-2)"
     assert b.key == "B(1;V(1;-2);-2,1;2)"
-    assert disk_variant(m) == "meridian"
-    assert disk_variant(v) == "vertical"
-    assert disk_variant(b) == "bandsum"
+    assert m.variant == "meridian"
+    assert v.variant == "vertical"
+    assert b.variant == "bandsum"
 
 
 def test_arc_canonicalized_on_construction():
@@ -117,15 +116,15 @@ def test_resolve_partner():
 
 
 def test_footprints():
-    assert Meridian(3).tube_footprint == frozenset({3})
+    assert Meridian(3).footprint == 0b1000
     assert disk_regions(Meridian(3)) == frozenset()
-    assert VerticalDisk(2, (-2,)).tube_footprint == frozenset({2})
+    assert VerticalDisk(2, (-2,)).footprint == 0b100
     assert disk_regions(VerticalDisk(2, (-2,))) == frozenset({2})
     b = BandSum(1, VerticalDisk(2, (-2,)), (-2,), 1)
-    assert b.tube_footprint == frozenset({1, 2})
+    assert b.footprint == 0b110
     assert disk_regions(b) == frozenset({1, 2})
     nested = BandSum(3, BandSum(3, SELF_PARTNER, (-1,), 1), (-2,), 2)
-    assert nested.tube_footprint == frozenset({3})
+    assert nested.footprint == 0b1000
 
 
 def fresh_key(d) -> str:
@@ -166,16 +165,7 @@ def fresh_partner(d: BandSum):
     return Meridian(d.base) if d.partner == SELF_PARTNER else d.partner
 
 
-def fresh_tubes(d) -> frozenset:
-    """The tube footprint, derived recursively from the descriptor fields."""
-    if isinstance(d, Meridian):
-        return frozenset({d.index})
-    if isinstance(d, VerticalDisk):
-        return frozenset({d.region})
-    return frozenset({d.base}) | fresh_tubes(fresh_partner(d))
-
-
-STORED_FIELDS = ("key", "tube_footprint", "resolved_partner")
+STORED_FIELDS = ("key", "side", "footprint", "resolved_partner")
 
 
 @pytest.mark.parametrize(("genus", "n"), [(1, 5), (2, 4), (3, 4)])
@@ -183,7 +173,7 @@ def test_stored_partner_and_footprint_match_a_fresh_derivation(genus, n):
     catalog = build_disk_catalog(build_tubed_surface(genus, n + 1), CatalogConfig(arc_bound=3))
     partners = 0
     for d in catalog.disks:
-        assert d.tube_footprint == fresh_tubes(d)
+        assert d.footprint == disk_footprint(d)
         if isinstance(d, BandSum):
             partners += 1
             assert d.resolved_partner == fresh_partner(d)
@@ -198,15 +188,17 @@ def test_stored_partner_and_footprint_match_a_fresh_derivation(genus, n):
         assert not any(name in repr(d) for name in STORED_FIELDS)
         # every stored field is set, and none is a constructor keyword
         stored = [name for name in STORED_FIELDS if hasattr(d, name)]
-        assert "key" in stored and "tube_footprint" in stored
+        assert {"key", "side", "footprint"} <= set(stored)
         for name in stored:
             with pytest.raises(TypeError):
                 type(d)(*values, **{name: getattr(d, name)})
     assert partners > 0
     with pytest.raises(AttributeError):
-        BandSum(1, SELF_PARTNER, (-1,), 1).tube_footprint = frozenset({2})
+        BandSum(1, SELF_PARTNER, (-1,), 1).footprint = 0b100
+    with pytest.raises(AttributeError):
+        Meridian(1).side = SIDE_A
     with pytest.raises(TypeError):
-        VerticalDisk(1, (-1,), tube_footprint=frozenset({2}))
+        VerticalDisk(1, (-1,), footprint=0b100)
 
 
 @pytest.mark.parametrize(("genus", "n"), [(1, 5), (2, 4), (3, 4)])
@@ -215,11 +207,11 @@ def test_footprint_rule_agrees_with_the_calculus(genus, n):
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
     for d in catalog.disks:
-        assert disk_regions(d) <= d.tube_footprint
+        assert not sum(1 << r for r in disk_regions(d)) & ~d.footprint
     arcs_ok = memo_verdict(genus)
     skipped = 0
     for a, b in itertools.combinations(catalog.disks, 2):
-        if a.tube_footprint.isdisjoint(b.tube_footprint) and disk_regions(a).isdisjoint(disk_regions(b)):
+        if not a.footprint & b.footprint and disk_regions(a).isdisjoint(disk_regions(b)):
             skipped += 1
             assert disks_disjoint(a, b, arcs_ok), (a.key, b.key)
     assert skipped > 0
@@ -358,11 +350,11 @@ def test_no_module_keeps_a_cache():
 
 def test_sides():
     # odd tubes on side B, even on side A; vertical disks opposite their tube
-    assert disk_side(Meridian(1)) == SIDE_B
-    assert disk_side(Meridian(2)) == SIDE_A
-    assert disk_side(VerticalDisk(1, (-2,))) == SIDE_A
-    assert disk_side(VerticalDisk(2, (-2,))) == SIDE_B
-    assert disk_side(BandSum(2, SELF_PARTNER, (-1,), 1)) == SIDE_A
+    assert Meridian(1).side == SIDE_B
+    assert Meridian(2).side == SIDE_A
+    assert VerticalDisk(1, (-2,)).side == SIDE_A
+    assert VerticalDisk(2, (-2,)).side == SIDE_B
+    assert BandSum(2, SELF_PARTNER, (-1,), 1).side == SIDE_A
 
 
 # -- classification (frozen type tables) -------------------------------------------
@@ -554,7 +546,7 @@ def test_catalog_contains_expected_families(cat3, f3):
 def test_catalog_depth_and_copies_knobs(f2):
     shallow = build_disk_catalog(f2, CatalogConfig(arc_bound=3, bandsum_depth=1))
     assert not any(
-        disk_variant(d) == "bandsum" and isinstance(d.partner, BandSum) for d in shallow.disks
+        d.variant == "bandsum" and isinstance(d.partner, BandSum) for d in shallow.disks
     )
     none = build_disk_catalog(f2, CatalogConfig(arc_bound=3, bandsum_depth=0))
     assert none.band_sums() == []

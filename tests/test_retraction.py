@@ -22,7 +22,6 @@ from disklab.disks import (
     VerticalDisk,
     build_disk_catalog,
     disjointness_rows,
-    disk_side,
     disks_disjoint,
     type_at,
     validate_disk,
@@ -41,6 +40,7 @@ from disklab.retraction import (
 )
 from disklab.surface import build_tubed_surface, tube_side
 from oracles import (
+    VARIANT_RANK,
     LevelRecursionEngine,
     VertexMap,
     catalog_complex,
@@ -49,6 +49,9 @@ from oracles import (
     check_simplicial,
     classify_type,
     disjoint_pairs,
+    disk_footprint,
+    disk_side,
+    disk_variant,
     has_edge,
     meets_distinguished,
     memo_verdict,
@@ -74,6 +77,11 @@ def keys_of(catalog, sphere):
 def images_of(engine):
     """The engine's image of each catalog disk, in catalog order."""
     return [engine.image(d) for d in engine.catalog.disks]
+
+
+def top_tube(d) -> int:
+    """The highest tube of the disk's footprint."""
+    return d.footprint.bit_length() - 1
 
 
 @pytest.fixture(scope="module")
@@ -270,7 +278,7 @@ def test_surgery_outcomes_recorded(setup_f3, monkeypatch):
     # Each disk is surgered once, at its highest tube.  The recursion
     # surgers each band on every copy count up to its largest, remainders
     # included, and the engine keeps that largest count alone.
-    assert all(level == max(d.tube_footprint) for (level, _), d in surgered.items())
+    assert all(level == top_tube(d) for (level, _), d in surgered.items())
     largest = {}
     for d in surgered.values():
         band = (d.base, d.partner, d.band)
@@ -294,7 +302,7 @@ def test_surgery_rejects_a_band_sum_off_the_top_base():
     catalog = build_disk_catalog(build_tubed_surface(1, 3), CatalogConfig(arc_bound=3))
     d = BandSum(1, BandSum(3, SELF_PARTNER, (-2,), 1), (-2,), 1)
     validate_disk(d, catalog.surface)
-    assert (max(d.tube_footprint), type_at(d, 3), d.base) == (3, "T2", 1)
+    assert (top_tube(d), type_at(d, 3), d.base) == (3, "T2", 1)
     for engine in (RetractionEngine(catalog), LevelRecursionEngine(catalog)):
         with pytest.raises(InvalidConfigError) as exc:
             engine.image(d)
@@ -374,15 +382,15 @@ def test_every_disk_the_recursion_reaches_is_valid_at_its_level(genus, tubes, mo
         engine.image(d)
     walked = {x.key for d in catalog.disks for x in walk(d, oracle)}
     assert {key for _, key in oracle._images} == set(reached) >= walked
-    assert any(max(d.tube_footprint) < tubes for d in reached.values())
+    assert any(top_tube(d) < tubes for d in reached.values())
     for level, key in oracle._surgeries:
         d = reached[key]
-        assert level == max(d.tube_footprint), key
+        assert level == top_tube(d), key
         for arc in outermost_arcs(d, level):
             # A surgery candidate's highest tube is at most its parent's.
-            assert all(max(c.tube_footprint) <= level for c in surgery_candidates(d, arc)), key
+            assert all(top_tube(c) <= level for c in surgery_candidates(d, arc)), key
     for d in reached.values():
-        validate_disk(d, build_tubed_surface(genus, max(d.tube_footprint)))
+        validate_disk(d, build_tubed_surface(genus, top_tube(d)))
 
 
 def test_claim_cases_f2(setup_f2):
@@ -704,6 +712,38 @@ def test_certify_flags_a_sphere_vertex_that_is_not_fixed(setup_g1n4, monkeypatch
     assert cert["retraction"]["images"][d0] == {"vertex": "E0", "key": e0}
 
 
+def test_certify_flags_an_antipodal_pair_certified_disjoint(setup_g1n4, monkeypatch):
+    surface, catalog, sphere, _, _ = setup_g1n4
+    real = retraction_module.disjointness_rows
+
+    def rows_with_the_pair_disjoint(u):
+        # Set the bit between D_u and E_u in both rows.  Each D is picked by
+        # its bits against the other pairs' meridians, so the sphere stays.
+        i, j = sphere[2 * u], sphere[2 * u + 1]
+
+        def rigged(disks, surface):
+            rows = real(disks, surface)
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            return rows
+
+        return rigged
+
+    keys = keys_of(catalog, sphere)
+    for u in range(len(sphere) // 2):
+        rows = rows_with_the_pair_disjoint(u)(catalog.disks, surface)
+        assert build_suspension_sphere(catalog, rows) == sphere
+        with pytest.raises(InvalidConfigError, match="must intersect") as exc:
+            verify_sphere(sphere, catalog, rows)
+        assert str(exc.value) == (
+            f"sphere pair {u}: D{u}={keys[2 * u]} and E{u}={keys[2 * u + 1]} are disjoint; "
+            "an octahedral antipodal pair must intersect"
+        )
+    monkeypatch.setattr(retraction_module, "disjointness_rows", rows_with_the_pair_disjoint(0))
+    with pytest.raises(InvalidConfigError, match="must intersect"):
+        certify_catalog(catalog)
+
+
 def test_certify_flags_a_sphere_edge_missing_from_the_pair_list(setup_g1n4, monkeypatch):
     surface, catalog, sphere, _, pairs = setup_g1n4
     cert = certify_catalog(catalog)
@@ -876,6 +916,7 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
         "TYPE_LABELS", "disk_tubes", "has_vertex", "has_edge", "classify_type",
         "certify_homology_retraction", "free_generator", "apply_chain_map", "permutation_sign",
         "disks_disjoint_unvalidated", "ChainComplex", "complex_to_json_obj", "SphereVertex", "SuspensionSphere",
+        "disk_side", "disk_variant", "_VARIANT_RANK", "_footprint_bits",
     )
     for name in ("errors", "surface", "flagcomplex", "homology", "disks", "retraction", "cli"):
         module = importlib.import_module(f"disklab.{name}")
@@ -889,6 +930,7 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
         FlagComplex: ("has_vertex", "has_edge"),
         surface_module.FrozenRecord: ("_uncompared",),
         disks_module.DiskCatalog: ("arc_classes",),
+        **{cls: ("tube_footprint",) for cls in (Meridian, VerticalDisk, BandSum)},
     }
     for cls, names in removed_members.items():
         for member in names:
@@ -1009,9 +1051,31 @@ def walk(d, oracle) -> list:
     """
     links = chain(d)
     for i, x in enumerate(links):
-        if oracle._branches[max(x.tube_footprint), x.key] != "surgered":
+        if oracle._branches[top_tube(x), x.key] != "surgered":
             return links[: i + 1]
     raise AssertionError(f"every link of {d.key}'s chain is surgered")
+
+
+# Band sums nested past the catalog's depth, on every kind of partner and
+# across bases, and disks on a high tube.
+HAND_BUILT = [
+    BandSum(3, BandSum(3, SELF_PARTNER, (-1,), 1), (-2,), 2),
+    BandSum(3, BandSum(3, BandSum(3, Meridian(1), (-1,), 2), (-2,), 1), (-1,), 3),
+    BandSum(2, BandSum(4, VerticalDisk(3, (-2,)), (-1,), 1), (-2, 1), 1),
+    BandSum(1, BandSum(5, BandSum(3, SELF_PARTNER, (-2,), 1), (-1,), 1), (-1,), 2),
+    BandSum(200, BandSum(198, VerticalDisk(199, (-1,)), (-2,), 1), (-1,), 1),
+    Meridian(200),
+]
+
+
+@pytest.mark.parametrize(("genus", "n", "knobs"), IMAGE_GRID)
+def test_stored_side_footprint_and_variant_match_the_reference(genus, n, knobs):
+    """Every chain link's stored side, footprint, variant and rank, against the oracle's derivations."""
+    catalog = build_disk_catalog(build_tubed_surface(genus, n + 1), CatalogConfig(**knobs))
+    for d in (*catalog.disks, *HAND_BUILT):
+        for x in chain(d):
+            stored = (x.side, x.footprint, x.variant, x.rank)
+            assert stored == (disk_side(x), disk_footprint(x), disk_variant(x), VARIANT_RANK[type(x)]), x.key
 
 
 # Every arc knob at 20: 6,884 disks at g1 n3 and 10,284 at g2 n3.
@@ -1039,7 +1103,7 @@ def test_side_letter_and_witness_lemmas_hold_on_every_disk(genus, n, knobs):
     for d, v in zip(catalog.disks, images_of(RetractionEngine(catalog))):
         t, letter = (v >> 1) + 1, "DE"[v & 1]
         # A: the letter is E exactly on the tube's side.
-        assert (letter == "E") == (disk_side(d) == tube_side(t)), d.key
+        assert (letter == "E") == (d.side == tube_side(t)), d.key
         # B: an E disk's chain carries M(t) or a band sum on base t; a D disk's, some V(t, .).
         if letter == "E":
             assert any(x == Meridian(t) or isinstance(x, BandSum) and x.base == t for x in chain(d)), d.key
@@ -1078,6 +1142,16 @@ def test_catalog_size_counts_every_disk(genus, n, knobs, monkeypatch):
     with pytest.raises(ResourceCapError, match=f": {size} disks$") as info:
         build_disk_catalog(surface, config)
     assert info.value.cap_name == "max_catalog_disks" and built == Counter()
+    # Each footprint takes at most n + 2 bits, the bound the footprint cap counts.
+    bits = size * (n + 2)
+    assert sum(d.footprint.bit_length() for d in catalog.disks) <= bits
+    monkeypatch.setattr(disks_module, "DEFAULT_MAX_CATALOG_DISKS", size)
+    monkeypatch.setattr(disks_module, "DEFAULT_MAX_FOOTPRINT_BITS", bits - 1)
+    with pytest.raises(ResourceCapError, match=f": {bits} footprint bits$") as info:
+        build_disk_catalog(surface, config)
+    assert info.value.cap_name == "max_catalog_footprint" and built == Counter()
+    monkeypatch.setattr(disks_module, "DEFAULT_MAX_FOOTPRINT_BITS", bits)
+    assert build_disk_catalog(surface, config) == catalog
 
 
 @pytest.mark.parametrize(("genus", "n"), CATALOG_GRID)
@@ -1195,7 +1269,7 @@ def test_types_and_top_meridian_tests_follow_the_footprint(genus, n, monkeypatch
     cases = dict(reached)
     for level in range(1, n + 2):
         # Catalog disks that are disks of this surface.
-        cases.update({(level, d.key): d for d in catalog.disks if max(d.tube_footprint) <= level})
+        cases.update({(level, d.key): d for d in catalog.disks if top_tube(d) <= level})
     subs = {level: build_tubed_surface(genus, level) for level in range(1, n + 2)}
     expected = {}
     for (level, key), d in cases.items():
@@ -1203,7 +1277,7 @@ def test_types_and_top_meridian_tests_follow_the_footprint(genus, n, monkeypatch
         meets = meets_distinguished(d, sub)
         if d.key == Meridian(level).key:
             t = "T1"
-        elif disk_side(d) == sub.w_side:
+        elif d.side == sub.w_side:
             t = "T2"
         else:
             t = "T3" if meets else "T4"
@@ -1220,5 +1294,5 @@ def test_types_and_top_meridian_tests_follow_the_footprint(genus, n, monkeypatch
     for (level, key), (d, t, meets) in expected.items():
         assert type_at(d, level) == t, (level, key)
         if t != "T1":
-            assert (level in d.tube_footprint) == meets, (level, key)
+            assert bool(d.footprint >> level & 1) == meets, (level, key)
     assert built == Counter() and {t for _, t, _ in expected.values()} == {"T1", "T2", "T3", "T4"}
