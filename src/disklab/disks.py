@@ -104,8 +104,16 @@ RECORDED_MERGE_BUDGET = 20_000
 DEFAULT_MAX_CATALOG_DISKS = 10**6
 
 # A footprint is an int of up to m + 1 bits for m tubes; this caps a catalog's
-# footprint bits under 125 MB, which meridians alone pass up to 31,622 tubes.
+# footprint bits under 125 MB, which meridians alone pass up to 31,622 tubes,
+# and one descriptor's tube index, checked before its footprint is built.
 DEFAULT_MAX_FOOTPRINT_BITS = 10**9
+
+
+def _tube_bit(what: str, index: int) -> int:
+    """Footprint bit ``1 << index``, once the tube ``index`` is within the footprint cap."""
+    if index > DEFAULT_MAX_FOOTPRINT_BITS:
+        raise ResourceCapError("max_catalog_footprint", f"{what} {index}", DEFAULT_MAX_FOOTPRINT_BITS)
+    return 1 << index
 
 
 def _clean_arc(arc) -> ArcCode:
@@ -129,7 +137,7 @@ class Meridian(FrozenRecord):
     def __init__(self, index: int):
         if not isinstance(index, int) or index < 1:
             raise InvalidConfigError(f"meridian index must be a positive integer, got {index!r}")
-        self._init(index, key=f"M({index})", side=tube_side(index), footprint=1 << index)
+        self._init(index, key=f"M({index})", side=tube_side(index), footprint=_tube_bit("meridian index", index))
 
 
 class VerticalDisk(FrozenRecord):
@@ -142,9 +150,10 @@ class VerticalDisk(FrozenRecord):
     def __init__(self, region: int, arc: ArcCode):
         if not isinstance(region, int) or region < 1:
             raise InvalidConfigError(f"region index must be a positive integer, got {region!r}")
+        bit = _tube_bit("vertical-disk region", region)
         arc = _clean_arc(arc)
         key = f"V({region};{','.join(map(str, arc))})"
-        self._init(region, arc, key=key, side=opposite_side(tube_side(region)), footprint=1 << region)
+        self._init(region, arc, key=key, side=opposite_side(tube_side(region)), footprint=bit)
 
 
 class BandSum(FrozenRecord):
@@ -157,6 +166,7 @@ class BandSum(FrozenRecord):
     def __init__(self, base: int, partner: str | Disk, band: ArcCode, copies: int):
         if not isinstance(base, int) or base < 1:
             raise InvalidConfigError(f"band-sum base must be a positive integer, got {base!r}")
+        bit = _tube_bit("band-sum base", base)
         if not isinstance(copies, int) or copies < 1:
             raise InvalidConfigError(f"band-sum copies must be a positive integer, got {copies!r}")
         if partner != SELF_PARTNER and not isinstance(partner, Disk):
@@ -171,7 +181,7 @@ class BandSum(FrozenRecord):
             key=f"B({base};{partner_key};{','.join(map(str, band))};{copies})",
             resolved_partner=resolved,
             side=tube_side(base),
-            footprint=1 << base | resolved.footprint,
+            footprint=bit | resolved.footprint,
         )
 
 
@@ -450,20 +460,6 @@ class CatalogConfig(FrozenRecord):
         self._init(arc_bound, bandsum_depth, max_vd_arcs_per_region, max_band_arcs, max_partner_arcs, copies)
 
 
-def _disk_sort_key(d: Disk):
-    # Sort comparisons never cross the leading variant rank, so each variant
-    # may use its own tuple shape.  Arc codes sort as tuples, matching the
-    # order arc enumeration produces them in.
-    if isinstance(d, Meridian):
-        return (0, d.index)
-    if isinstance(d, VerticalDisk):
-        return (1, d.region, len(d.arc), d.arc)
-    # 'self' sorts before every partner disk, and partner disks by variant rank.
-    p = d.partner
-    partner = (0, "") if p == SELF_PARTNER else (p.rank + 1, p.key)
-    return (2, d.base, *partner, len(d.band), d.band, d.copies)
-
-
 class DiskCatalog(FrozenRecord):
     """A surface's cataloged disks, and the arc classes every region shares (set by the genus and arc bound)."""
 
@@ -511,10 +507,12 @@ def build_disk_catalog(surface: TubedSurface, config: CatalogConfig) -> DiskCata
     each meridian with same-side partners: itself, the leading vertical
     disks of same-side regions, and lower meridians of the same parity.
     ``bandsum_depth == 2`` additionally admits the base's simplest
-    self-band-sum as a partner.  Raises the resource-cap error, before any
-    descriptor is built, if the :func:`catalog_size` exceeds
-    :data:`DEFAULT_MAX_CATALOG_DISKS`, or its footprint bits
-    :data:`DEFAULT_MAX_FOOTPRINT_BITS`.
+    self-band-sum as a partner.  The loops list them in that order, by tube,
+    region or base, then in arc order; a base's band sums go by partner
+    (``'self'``, then by rank and key), band and copies.  Raises the
+    resource-cap error, before any descriptor is built, if the
+    :func:`catalog_size` exceeds :data:`DEFAULT_MAX_CATALOG_DISKS`, or its
+    footprint bits :data:`DEFAULT_MAX_FOOTPRINT_BITS`.
     """
     m = surface.tubes
     # Feet never enter the arc search, so every region shares one enumeration.
@@ -529,29 +527,21 @@ def build_disk_catalog(surface: TubedSurface, config: CatalogConfig) -> DiskCata
                 cap, f"genus {surface.genus_base}, {m} tubes, arc bound {config.arc_bound}: {count} {unit}", limit
             )
     disks = [Meridian(i) for i in range(1, m + 1)]
-    for r in range(1, m + 1):
-        for arc in arcs[: config.max_vd_arcs_per_region]:
-            disks.append(VerticalDisk(r, arc))
-    if m >= 2 and config.bandsum_depth >= 1:
+    disks += [VerticalDisk(r, arc) for r in range(1, m + 1) for arc in arcs[: config.max_vd_arcs_per_region]]
+    bands = arcs[: config.max_band_arcs]
+    if m >= 2 and config.bandsum_depth >= 1 and bands:
         for i in range(1, m + 1):
-            bands = arcs[: config.max_band_arcs]
-            if not bands:
-                continue
-            partners = [SELF_PARTNER]
-            side = tube_side(i)
-            for r in range(1, m + 1):
-                if tube_side(r) != side:  # region r's block is on the other side from its tube
-                    for arc in arcs[: config.max_partner_arcs]:
-                        partners.append(VerticalDisk(r, arc))
-            for j in range(i - 2, 0, -2):
-                partners.append(Meridian(j))
+            # Region r's block is on the other side from its tube.
+            partners = [VerticalDisk(r, arc) for r in range(1, m + 1) if tube_side(r) != tube_side(i)
+                        for arc in arcs[: config.max_partner_arcs]]
+            partners += [Meridian(j) for j in range(i - 2, 0, -2)]
             if config.bandsum_depth >= 2:
                 partners.append(BandSum(i, SELF_PARTNER, bands[0], 1))
-            for partner in partners:
+            partners.sort(key=lambda p: (p.rank, p.key))
+            for partner in (SELF_PARTNER, *partners):
                 for band in bands:
                     for c in config.copies:
                         disks.append(BandSum(i, partner, band, c))
-    disks.sort(key=_disk_sort_key)
     for d in disks:
         validate_disk(d, surface)
     return DiskCatalog(surface=surface, config=config, disks=tuple(disks), arcs=arcs)

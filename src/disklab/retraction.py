@@ -2,8 +2,8 @@
 
 For a surface with ``m = n + 1`` tubes, the sphere ``S^n`` is realized as an
 iterated suspension inside the disk complex: one antipodal pair per tube,
-``E_i`` the meridian of tube ``i + 1`` and ``D_i`` a vertical disk in region
-``i + 1``.  Vertices of different pairs bound disjoint disks, while the two
+``E_i`` the meridian of tube ``i + 1`` and ``D_i`` the first cataloged
+vertical disk in region ``i + 1``.  Vertices of different pairs bound disjoint disks, while the two
 vertices of one pair intersect, exactly the octahedron's non-adjacency.
 The sphere is the list of catalog positions ``[D_0, E_0, ..., D_n, E_n]``,
 and a sphere vertex is an index ``v`` into it: pair ``v >> 1``, letter
@@ -65,8 +65,9 @@ cataloged complex, and the homology section, which records a generating
 Every disjointness verdict comes from one pass, made first: one bitset row
 per catalog disk, of the disks certified disjoint from it, each an AND of a
 few precomputed masks (:func:`~disklab.disks.disjointness_rows`).  The
-choice of each ``D_i``, the octahedron check, the claim tally and the V/W
-witness all read those rows; nothing else asks the calculus.
+octahedron check, the claim tally and the V/W witness all read those rows;
+nothing else asks the calculus, and no ``D_i`` is picked by it: the term for
+``M(j)`` against ``V(r, α)``, ``j != r``, does not read ``α``.
 The claim tally is also the only simpliciality check: on the octahedron two
 images span a non-edge exactly when they are antipodal, which is what the
 tally tests on every edge of the cataloged complex.  The retraction check
@@ -119,7 +120,7 @@ Write ``t = (v >> 1) + 1`` for the tube of a disk's image ``v``.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 from math import comb
 
 from .disks import (
@@ -140,7 +141,7 @@ from .disks import (
 from .errors import InvalidConfigError, ResourceCapError
 from .flagcomplex import DEFAULT_MAX_SIMPLICES
 from .homology import join_cycle
-from .surface import TubedSurface, build_tubed_surface, surface_to_json_obj, tube_side
+from .surface import build_tubed_surface, surface_to_json_obj, tube_side
 
 
 def vertex_name(v: int) -> str:
@@ -148,40 +149,30 @@ def vertex_name(v: int) -> str:
     return f"{'DE'[v & 1]}{v >> 1}"
 
 
-def build_suspension_sphere(catalog: DiskCatalog, rows: list) -> list:
-    """Pick one antipodal disk pair per tube out of the catalog.
+def build_suspension_sphere(catalog: DiskCatalog) -> list:
+    """Pick one antipodal disk pair per tube out of the catalog, which lists every meridian.
 
-    Returns the catalog positions ``[D_0, E_0, ..., D_n, E_n]``.  ``rows``
-    are the catalog's :func:`~disklab.disks.disjointness_rows`.  ``E_i`` is
-    the meridian of tube ``i + 1``; ``D_i`` is the first cataloged vertical
-    disk of region ``i + 1`` whose row holds all the other pairs'
-    meridians.  Raises naming the failing pair when no cataloged disk
-    qualifies.
+    Returns the catalog positions ``[D_0, E_0, ..., D_n, E_n]``: ``E_i`` is
+    the meridian of tube ``i + 1`` and ``D_i`` the first cataloged vertical
+    disk of region ``i + 1``, since all of them meet the same meridians;
+    :func:`verify_sphere` checks the pairs on the rows.  Raises naming the
+    failing pair when a region has no vertical disk.
     """
-    m = catalog.surface.tubes
-    meridian_at, verticals = {}, {}
+    meridian_at, vertical_at = {}, {}
     for k, d in enumerate(catalog.disks):
         if isinstance(d, Meridian):
             meridian_at[d.index] = k
         elif isinstance(d, VerticalDisk):
-            verticals.setdefault(d.region, []).append(k)
-    for i in range(m):
-        if i + 1 not in meridian_at:
-            raise InvalidConfigError(
-                f"catalog has no meridian for tube {i + 1}; sphere pair (D{i}, E{i}) cannot be realized"
-            )
-    meridians = sum(1 << k for k in meridian_at.values())
+            vertical_at.setdefault(d.region, k)
     sphere = []
-    for i in range(m):
+    for i in range(catalog.surface.tubes):
         region = i + 1
-        others = meridians & ~(1 << meridian_at[region])
-        chosen = next((k for k in verticals.get(region, ()) if rows[k] & others == others), None)
-        if chosen is None:
+        if region not in vertical_at:
             raise InvalidConfigError(
-                f"no cataloged vertical disk in region {region} is disjoint from the other "
-                f"meridians; sphere pair (D{i}, E{i}) cannot be realized"
+                f"no cataloged vertical disk in region {region} to pair with M({region}); "
+                f"sphere pair (D{i}, E{i}) cannot be realized"
             )
-        sphere += (chosen, meridian_at[region])
+        sphere += (vertical_at[region], meridian_at[region])
     return sphere
 
 
@@ -291,22 +282,12 @@ CASE_OF_TYPES = {
 }
 
 
-# What the pair scan needs of one disk: its type at the top level and its sphere vertex.
-_DiskRecord = namedtuple("_DiskRecord", "disk type image")
-
-
-def _disk_records(engine: RetractionEngine, images: list) -> list:
-    """One record per catalog disk; ``images`` are the disks' sphere vertices, in catalog order."""
-    m = engine.surface.tubes
-    return [_DiskRecord(d, type_at(d, m), v) for d, v in zip(engine.catalog.disks, images)]
-
-
 _PROVENANCE_AT_TOP = {"T1": "top_meridian", "T3": "top_vertical", "T2": "surgered"}
 
 
-def _provenance(r: _DiskRecord, m: int) -> str:
-    """The rule that gave the record's disk its image, with ``m`` tubes (module docstring)."""
-    return _PROVENANCE_AT_TOP[r.type] if r.disk.footprint >> m & 1 else "projected"
+def _provenance(d, t: str, m: int) -> str:
+    """The rule that gave disk ``d`` of top-tube type ``t`` its image, with ``m`` tubes (module docstring)."""
+    return _PROVENANCE_AT_TOP[t] if d.footprint >> m & 1 else "projected"
 
 
 _CASE_OF_ORDERED_TYPES = {
@@ -315,55 +296,56 @@ _CASE_OF_ORDERED_TYPES = {
 }
 
 
-def _scan_pairs(records: list, rows: list, surface: TubedSurface):
+def _scan_pairs(disks, types: list, images: list, rows: list, v_side: str):
     """The pair pass: (claim tally, V/W witness).
 
-    ``rows`` are :func:`~disklab.disks.disjointness_rows` of the records'
-    disks: per disk, the bitset over catalog indices of the other disks
-    certified disjoint from it.  Results are read off the rows in catalog
-    order, lowest bit first, which is the order of a loop over pairs
-    ``i < j``.
+    ``types`` and ``images`` are the disks' types at the top tube and sphere
+    vertices, and ``rows`` their :func:`~disklab.disks.disjointness_rows`:
+    per disk, the bitset over catalog indices of the other disks certified
+    disjoint from it, all in catalog order.  Results are read off the rows
+    in catalog order, lowest bit first, which is the order of a loop over
+    pairs ``i < j``.
 
     The witness is the first disjoint pair with one disk on each side, as
     ``(v_disk, w_disk)``.
     """
     # Row i restricted to the disks after i: each pair is read once.
     later = [row & -(2 << i) for i, row in enumerate(rows)]
-    on_side = _masks(r.disk.side for r in records)
+    on_side = _masks(d.side for d in disks)
     witness = None
-    for i, (a, _, _) in enumerate(records):
+    for i, a in enumerate(disks):
         across = later[i] & ~on_side[a.side]
         if across:
-            b = records[next(_bits(across))].disk
-            witness = (a, b) if a.side == surface.v_side else (b, a)
+            b = disks[next(_bits(across))]
+            witness = (a, b) if a.side == v_side else (b, a)
             break
 
-    of_type = _masks(r.type for r in records)
-    of_image = _masks(r.image for r in records)
+    of_type = _masks(types)
+    of_image = _masks(images)
     forbidden = {
         ta: sum(mask for tb, mask in of_type.items() if (ta, tb) not in _CASE_OF_ORDERED_TYPES)
         for ta in of_type
     }
     per_case = Counter()
     violations = []
-    for i, (a, ta, xa) in enumerate(records):
+    for i, (a, ta, xa) in enumerate(zip(disks, types, images)):
         row = later[i]
         if row & forbidden[ta]:
-            b = records[next(_bits(row & forbidden[ta]))]
-            lo, hi = sorted((ta, b.type))
+            j = next(_bits(row & forbidden[ta]))
+            lo, hi = sorted((ta, types[j]))
             raise InvalidConfigError(
-                f"disks {a.key} (type {lo}) and {b.disk.key} (type {hi}) are certified disjoint, "
+                f"disks {a.key} (type {lo}) and {disks[j].key} (type {hi}) are certified disjoint, "
                 "which contradicts the type definitions"
             )
         for tb, mask in of_type.items():
             if row & mask:
                 per_case[_CASE_OF_ORDERED_TYPES[(ta, tb)]] += (row & mask).bit_count()
         for j in _bits(row & of_image.get(xa ^ 1, 0)):
-            b, tb, xb = records[j]
+            tb = types[j]
             case = _CASE_OF_ORDERED_TYPES[(ta, tb)]
             violations.append(
-                {"case": case, "disks": [a.key, b.key], "types": sorted((ta, tb)),
-                 "images": [vertex_name(xa), vertex_name(xb)]}
+                {"case": case, "disks": [a.key, disks[j].key], "types": sorted((ta, tb)),
+                 "images": [vertex_name(xa), vertex_name(images[j])]}
             )
     claims = {
         "pairs_checked": sum(row.bit_count() for row in later),
@@ -474,14 +456,15 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
     """Certify the minimality bound of a catalog's surface, ``n`` = tubes - 1.
 
     Runs the whole pipeline.  The cap on the sphere's simplices per
-    dimension is checked first, since it depends on ``n`` alone.  One pass
-    over all catalog pairs then gives each disk its row of disks certified
-    disjoint from it.  Sphere realization and verification read the rows;
-    so do the claim tally (which is also the simpliciality check: no edge
-    maps to an antipodal pair) and the V/W witness, after the per-disk
-    retraction images.  Last come the vertex-level retraction check on the
-    cataloged complex and the homology section in dimension ``n``, written
-    in closed form.  No flag complex is built and no clique is enumerated.
+    dimension is checked first, since it depends on ``n`` alone, and the
+    sphere is picked from the catalog alone.  One pass over all catalog
+    pairs then gives each disk its row of disks certified disjoint from it.
+    Sphere verification reads the rows; so do the claim tally (which is
+    also the simpliciality check: no edge maps to an antipodal pair) and
+    the V/W witness, after the per-disk retraction images.  Last come the
+    vertex-level retraction check on the cataloged complex and the homology
+    section in dimension ``n``, written in closed form.  No flag complex is
+    built and no clique is enumerated.
     Returns a JSON-ready certificate; ``passed`` is False (with
     ``first_violation`` set) rather than raising when a verification step
     finds a counterexample.
@@ -492,8 +475,8 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
     m = surface.tubes
     n = m - 1
     check_simplex_cap(n, max_simplices)
+    sphere = build_suspension_sphere(catalog)
     rows = disjointness_rows(catalog.disks, surface)
-    sphere = build_suspension_sphere(catalog, rows)
     sphere_invariants = verify_sphere(sphere, catalog, rows)
 
     engine = RetractionEngine(catalog)
@@ -503,8 +486,8 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
     retraction_report = []
     homology_doc = None
 
-    records = _disk_records(engine, images)
-    claims, witness_pair = _scan_pairs(records, rows, surface)
+    types = [type_at(d, m) for d in catalog.disks]
+    claims, witness_pair = _scan_pairs(catalog.disks, types, images, rows, surface.v_side)
     if not claims["passed"]:
         v = claims["violations"][0]
         first_violation = {
@@ -527,7 +510,7 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
         witness = {"v_disk": witness_pair[0].key, "w_disk": witness_pair[1].key}
 
     surgeries, multi_arc = engine.surgery_counts()
-    provenance = Counter(_provenance(r, m) for r in records)
+    provenance = Counter(_provenance(d, t, m) for d, t in zip(catalog.disks, types))
 
     # A step that finds a counterexample sets ``first_violation`` and stops
     # the steps after it, so the homology section exists exactly when every
@@ -550,7 +533,7 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
             "meridians": len(catalog.meridians()),
             "vertical_disks": len(catalog.vertical_disks()),
             "band_sums": len(catalog.band_sums()),
-            "types": dict(sorted(Counter(r.type for r in records).items())),
+            "types": dict(sorted(Counter(types).items())),
             "arc_classes_per_region": {str(r): len(catalog.arcs) for r in range(1, m + 1)},
         },
         "sphere": {

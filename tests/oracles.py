@@ -25,6 +25,9 @@ disjointness pass makes one ``surface.arc_verdict`` for it; the tests hand
 it ``memo_verdict(genus)``, one verdict per genus kept for the whole run,
 whose two-code case is ``arcs_disjoint(genus, a, b)``.
 
+``build_disk_catalog`` lists its disks in the order ``disk_sort_key``
+gives, which it once sorted by and now emits from its loops.
+
 The pair pass reads its results off per-disk bitset rows, each an AND of
 masks; ``scan_pairs_by_loop`` is the loop it replaced, one calculus call per
 pair whose tube footprints overlap.  ``disks_disjoint_with_band_terms`` is
@@ -100,7 +103,6 @@ from disklab.homology import Column, HomologyProfile, rank_and_torsion
 from disklab.retraction import (
     CASE_OF_TYPES,
     RetractionEngine,
-    _disk_records,
     _scan_pairs,
     vertex_name,
 )
@@ -933,6 +935,21 @@ def disk_footprint(d: Disk) -> int:
     raise InvalidConfigError(f"not a disk descriptor: {d!r}")
 
 
+def disk_sort_key(d: Disk):
+    """The catalog order, which ``build_disk_catalog`` once sorted by and now emits directly."""
+    # Sort comparisons never cross the leading variant rank, so each variant
+    # may use its own tuple shape.  Arc codes sort as tuples, matching the
+    # order arc enumeration produces them in.
+    if isinstance(d, Meridian):
+        return (0, d.index)
+    if isinstance(d, VerticalDisk):
+        return (1, d.region, len(d.arc), d.arc)
+    # 'self' sorts before every partner disk, and partner disks by variant rank.
+    p = d.partner
+    partner = (0, "") if p == SELF_PARTNER else (VARIANT_RANK[type(p)] + 1, p.key)
+    return (2, d.base, *partner, len(d.band), d.band, d.copies)
+
+
 # -- types and projection ----------------------------------------------------------
 
 
@@ -986,12 +1003,12 @@ def project_disk(d: Disk, surface: TubedSurface) -> Disk:
 # -- the pair pass ----------------------------------------------------------------
 
 
-def scan_pairs_by_loop(records: list, surface: TubedSurface):
-    """The pair pass as a loop over all pairs ``i < j`` of catalog records.
+def scan_pairs_by_loop(disks, types: list, images: list, surface: TubedSurface):
+    """The pair pass as a loop over all pairs ``i < j`` of catalog disks.
 
-    Same results as ``retraction._scan_pairs``, (claim tally, V/W witness),
-    with no rows: pairs with disjoint tube footprints are disjoint by the
-    footprint rule, and every other pair asks the calculus.
+    Same arguments and results as ``retraction._scan_pairs``, (claim tally,
+    V/W witness), with no rows: pairs with disjoint tube footprints are
+    disjoint by the footprint rule, and every other pair asks the calculus.
     """
     arcs_ok = memo_verdict(surface.genus_base)
     case_of = {**CASE_OF_TYPES, **{(tb, ta): case for (ta, tb), case in CASE_OF_TYPES.items()}}
@@ -999,10 +1016,10 @@ def scan_pairs_by_loop(records: list, surface: TubedSurface):
     per_case = Counter()
     violations = []
     witness = None
-    sides = [disk_side(r.disk) for r in records]
-    for i, (a, ta, xa) in enumerate(records):
-        for j in range(i + 1, len(records)):
-            b, tb, xb = records[j]
+    sides = [disk_side(d) for d in disks]
+    for i, (a, ta, xa) in enumerate(zip(disks, types, images)):
+        for j in range(i + 1, len(disks)):
+            b, tb, xb = disks[j], types[j], images[j]
             if a.footprint & b.footprint and not disks_disjoint(a, b, arcs_ok):
                 continue
             checked += 1
@@ -1042,9 +1059,10 @@ def verify_claim_cases(engine: RetractionEngine) -> dict:
     disk types; a disjoint pair involving the top meridian and a disk that
     meets it is impossible by construction and treated as an internal error.
     """
-    records = _disk_records(engine, [engine.image(d) for d in engine.catalog.disks])
-    rows = disjointness_rows(engine.catalog.disks, engine.surface)
-    return _scan_pairs(records, rows, engine.surface)[0]
+    disks, surface = engine.catalog.disks, engine.surface
+    types = [type_at(d, surface.tubes) for d in disks]
+    images = [engine.image(d) for d in disks]
+    return _scan_pairs(disks, types, images, disjointness_rows(disks, surface), surface.v_side)[0]
 
 
 def disjoint_pairs(catalog, rows) -> list:

@@ -434,10 +434,8 @@ def test_build_stops_a_huge_arc_bound_at_the_cap_at_once(tmp_path):
 # ``disklab`` in a child with 1 GiB of address space: at genus 10**9 a table
 # of the genus's size would take tens of gigabytes, so a regression fails
 # with a MemoryError instead of exhausting the machine.
-UNDER_1GIB = (
-    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-    "from disklab.cli import main; sys.exit(main())"
-)
+LIMIT_1GIB = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+UNDER_1GIB = LIMIT_1GIB + "import sys; from disklab.cli import main; sys.exit(main())"
 
 
 def test_build_at_arc_bound_0_takes_no_time_at_a_huge_genus(tmp_path):
@@ -461,6 +459,35 @@ def test_certify_at_arc_bound_0_names_the_missing_vertical_disk_at_a_huge_genus(
     assert (code, stdout) == (EXIT_CONFIG, "")
     assert stderr.startswith("error: no cataloged vertical disk in region 1 ")
     assert not (tmp_path / "c" / "certificate.json").exists()
+
+
+def test_descriptors_check_a_huge_tube_index_before_building_a_footprint(tmp_path):
+    # A footprint is an int with bit t for tube t, so Meridian(10**10) would
+    # ask for 1.25 GB.  Each constructor checks its index against the
+    # footprint cap first, and a child under 1 GiB keeps a regression from
+    # filling the machine; an index at the cap still builds.
+    cap = disks.DEFAULT_MAX_FOOTPRINT_BITS
+    script = LIMIT_1GIB + (
+        "from disklab.disks import BandSum, Meridian, VerticalDisk\n"
+        "from disklab.errors import ResourceCapError\n"
+        f"for make in (lambda: Meridian(10**10), lambda: VerticalDisk({cap + 1}, (-2,)),\n"
+        f"             lambda: BandSum({cap + 1}, 'self', (-2,), 1)):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ResourceCapError as exc:\n"
+        "        print(exc)\n"
+        f"print(Meridian({cap}).footprint.bit_length())\n"
+    )
+    start = time.perf_counter()
+    code, stdout, stderr = run_python(["-c", script], tmp_path)
+    assert time.perf_counter() - start < 5.0
+    assert (code, stderr) == (EXIT_OK, "")
+    assert stdout.splitlines() == [
+        f"resource cap max_catalog_footprint ({cap}) exceeded: meridian index 10000000000",
+        f"resource cap max_catalog_footprint ({cap}) exceeded: vertical-disk region {cap + 1}",
+        f"resource cap max_catalog_footprint ({cap}) exceeded: band-sum base {cap + 1}",
+        str(cap + 1),
+    ]
 
 
 def test_build_stops_a_huge_tube_count_at_the_catalog_cap(tmp_path, capsys):

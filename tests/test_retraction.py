@@ -51,6 +51,7 @@ from oracles import (
     disjoint_pairs,
     disk_footprint,
     disk_side,
+    disk_sort_key,
     disk_variant,
     has_edge,
     meets_distinguished,
@@ -64,11 +65,6 @@ from oracles import (
 )
 
 
-def sphere_of(catalog):
-    """The catalog's sphere, as certify picks it from the catalog's rows."""
-    return build_suspension_sphere(catalog, disjointness_rows(catalog.disks, catalog.surface))
-
-
 def keys_of(catalog, sphere):
     """The disk keys of the sphere's vertices ``D_0, E_0, D_1, ...``."""
     return [catalog.disks[k].key for k in sphere]
@@ -77,6 +73,17 @@ def keys_of(catalog, sphere):
 def images_of(engine):
     """The engine's image of each catalog disk, in catalog order."""
     return [engine.image(d) for d in engine.catalog.disks]
+
+
+def types_of(catalog):
+    """Each catalog disk's type at the top tube, in catalog order, as certify lists them."""
+    return [type_at(d, catalog.surface.tubes) for d in catalog.disks]
+
+
+def scan(catalog, images, rows, types=None):
+    """Certify's pair pass on the catalog's disks, with the given images and (by default, real) types."""
+    types = types_of(catalog) if types is None else types
+    return retraction_module._scan_pairs(catalog.disks, types, images, rows, catalog.surface.v_side)
 
 
 def top_tube(d) -> int:
@@ -88,7 +95,7 @@ def top_tube(d) -> int:
 def setup_f2():
     surface = build_tubed_surface(1, 2)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    sphere = sphere_of(catalog)
+    sphere = build_suspension_sphere(catalog)
     engine = RetractionEngine(catalog)
     return surface, catalog, sphere, engine
 
@@ -97,7 +104,7 @@ def setup_f2():
 def setup_f3():
     surface = build_tubed_surface(1, 3)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    sphere = sphere_of(catalog)
+    sphere = build_suspension_sphere(catalog)
     engine = RetractionEngine(catalog)
     return surface, catalog, sphere, engine
 
@@ -116,7 +123,7 @@ def test_sphere_pairs_frozen(setup_f3):
 def test_sphere_pairs_genus2():
     surface = build_tubed_surface(2, 2)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    assert keys_of(catalog, sphere_of(catalog))[::2] == ["V(1;-4)", "V(2;-4)"]
+    assert keys_of(catalog, build_suspension_sphere(catalog))[::2] == ["V(1;-4)", "V(2;-4)"]
 
 
 def test_vertex_ints_order_by_pair_then_letter():
@@ -150,7 +157,7 @@ def test_sphere_needs_vertical_disks():
     surface = build_tubed_surface(1, 2)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=0))
     with pytest.raises(InvalidConfigError) as exc:
-        sphere_of(catalog)
+        build_suspension_sphere(catalog)
     assert "D0" in str(exc.value) or "region 1" in str(exc.value)
 
 
@@ -415,12 +422,11 @@ def test_pair_scan_matches_the_calculus_on_every_pair(genus, n):
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
     engine = RetractionEngine(catalog)
-    records = retraction_module._disk_records(engine, images_of(engine))
     rows = disjointness_rows(catalog.disks, surface)
     arcs_ok = memo_verdict(genus)
     expected = [(a, b) for a, b in combinations(catalog.disks, 2) if disks_disjoint(a, b, arcs_ok)]
     assert disjoint_pairs(catalog, rows) == expected
-    assert retraction_module._scan_pairs(records, rows, surface)[0]["pairs_checked"] == len(expected)
+    assert scan(catalog, images_of(engine), rows)[0]["pairs_checked"] == len(expected)
 
 
 def per_pair_claims(engine, image):
@@ -459,8 +465,7 @@ def test_single_pass_tally_matches_per_pair_images():
     assert verify_claim_cases(engine) == expected
     # Rigged images that put many disjoint pairs on antipodal vertices.
     rigged = {d.key: 2 * (i % 3) + i % 2 for i, d in enumerate(catalog.disks)}
-    records = retraction_module._disk_records(engine, list(rigged.values()))
-    claims, _ = retraction_module._scan_pairs(records, disjointness_rows(catalog.disks, surface), surface)
+    claims, _ = scan(catalog, list(rigged.values()), disjointness_rows(catalog.disks, surface))
     expected = per_pair_claims(engine, lambda d: rigged[d.key])
     assert len(expected["violations"]) > 0
     assert claims == expected
@@ -468,7 +473,7 @@ def test_single_pass_tally_matches_per_pair_images():
 
 @pytest.mark.parametrize("n", [0, 2, 4])
 def test_provenance_matches_the_type_rules(n):
-    """Certify's provenance, read off the records' top-tube types, equals the per-disk type rules."""
+    """Certify's provenance, read off the disks' top-tube types, equals the per-disk type rules."""
     cert = certify_minimality(1, n, CatalogConfig(arc_bound=3))
     surface = build_tubed_surface(1, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
@@ -571,7 +576,7 @@ def test_join_cycle_is_the_eliminated_generator(genus, n_max):
     for n in range(n_max + 1):
         surface = build_tubed_surface(genus, n + 1)
         catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-        sphere = sphere_of(catalog)
+        sphere = build_suspension_sphere(catalog)
         keys = keys_of(catalog, sphere)
         doc = retraction_module._homology_document(keys)
         # Entry for entry, the document of elimination and sign propagation
@@ -597,7 +602,7 @@ def test_join_cycle_is_the_eliminated_generator(genus, n_max):
 def test_certify_simplex_cap_matches_clique_enumeration(n):
     surface = build_tubed_surface(1, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    sphere = sphere_of(catalog)
+    sphere = build_suspension_sphere(catalog)
     thresholds = {comb(n + 1, k + 1) * 2 ** (k + 1) for k in range(n + 1)}
     for cap in sorted(thresholds | {t - 1 for t in thresholds}):
         expected = None
@@ -642,7 +647,7 @@ def setup_g1n4():
     """The g1 n4 pipeline, plus every certified-disjoint pair (the oracle's edges)."""
     surface = build_tubed_surface(1, 5)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    sphere = sphere_of(catalog)
+    sphere = build_suspension_sphere(catalog)
     engine = RetractionEngine(catalog)
     pairs = disjoint_pairs(catalog, disjointness_rows(catalog.disks, surface))
     return surface, catalog, sphere, engine, pairs
@@ -717,8 +722,8 @@ def test_certify_flags_an_antipodal_pair_certified_disjoint(setup_g1n4, monkeypa
     real = retraction_module.disjointness_rows
 
     def rows_with_the_pair_disjoint(u):
-        # Set the bit between D_u and E_u in both rows.  Each D is picked by
-        # its bits against the other pairs' meridians, so the sphere stays.
+        # Set the bit between D_u and E_u in both rows.  The sphere is picked
+        # from the catalog alone, so it stays.
         i, j = sphere[2 * u], sphere[2 * u + 1]
 
         def rigged(disks, surface):
@@ -732,7 +737,6 @@ def test_certify_flags_an_antipodal_pair_certified_disjoint(setup_g1n4, monkeypa
     keys = keys_of(catalog, sphere)
     for u in range(len(sphere) // 2):
         rows = rows_with_the_pair_disjoint(u)(catalog.disks, surface)
-        assert build_suspension_sphere(catalog, rows) == sphere
         with pytest.raises(InvalidConfigError, match="must intersect") as exc:
             verify_sphere(sphere, catalog, rows)
         assert str(exc.value) == (
@@ -747,8 +751,8 @@ def test_certify_flags_an_antipodal_pair_certified_disjoint(setup_g1n4, monkeypa
 def test_certify_flags_a_sphere_edge_missing_from_the_pair_list(setup_g1n4, monkeypatch):
     surface, catalog, sphere, _, pairs = setup_g1n4
     cert = certify_catalog(catalog)
-    # Clear the D1-D3 bit of the rows.  Each D is picked by its bits against
-    # the meridians, so the sphere stays the same; a D-E bit would change it.
+    # Clear the D1-D3 bit of the rows.  The sphere is picked from the catalog
+    # alone, so it stays the same.
     i, j = sphere[2], sphere[6]
     a, b = catalog.disks[i], catalog.disks[j]
     real = retraction_module.disjointness_rows
@@ -759,7 +763,6 @@ def test_certify_flags_a_sphere_edge_missing_from_the_pair_list(setup_g1n4, monk
         rows[j] &= ~(1 << i)
         return rows
 
-    assert sphere_of(catalog) == build_suspension_sphere(catalog, rows_without_the_edge(catalog.disks, surface))
     monkeypatch.setattr(retraction_module, "disjointness_rows", rows_without_the_edge)
     with pytest.raises(InvalidConfigError) as exc:
         certify_catalog(catalog)
@@ -775,9 +778,9 @@ def test_certify_flags_a_sphere_edge_missing_from_the_pair_list(setup_g1n4, monk
     assert len(expected) > 1 and all(line.endswith(onto_missing) for line in expected[1:])
 
 
-def assert_scan_matches_the_loop(records, rows, surface):
-    expected = scan_pairs_by_loop(records, surface)
-    assert retraction_module._scan_pairs(records, rows, surface) == expected
+def assert_scan_matches_the_loop(catalog, images, rows):
+    expected = scan_pairs_by_loop(catalog.disks, types_of(catalog), images, catalog.surface)
+    assert scan(catalog, images, rows) == expected
     return expected
 
 
@@ -789,10 +792,9 @@ def test_pair_pass_matches_the_loop_oracle(genus, n):
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
     rows = disjointness_rows(catalog.disks, surface)
-    sphere = build_suspension_sphere(catalog, rows)
+    sphere = build_suspension_sphere(catalog)
     engine = RetractionEngine(catalog)
-    records = retraction_module._disk_records(engine, images_of(engine))
-    claims, witness = assert_scan_matches_the_loop(records, rows, surface)
+    claims, witness = assert_scan_matches_the_loop(catalog, images_of(engine), rows)
     assert claims["passed"] and (witness is None) == (n == 0)
     # The rows hold every edge of the sphere.
     pairs = disjoint_pairs(catalog, rows)
@@ -806,9 +808,8 @@ def test_pair_pass_matches_the_loop_oracle_on_a_raised_knob_catalog():
     surface = build_tubed_surface(1, 3)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=5, max_vd_arcs_per_region=40))
     engine = RetractionEngine(catalog)
-    records = retraction_module._disk_records(engine, images_of(engine))
     rows = disjointness_rows(catalog.disks, surface)
-    claims, witness = assert_scan_matches_the_loop(records, rows, surface)
+    claims, witness = assert_scan_matches_the_loop(catalog, images_of(engine), rows)
     assert len(catalog.vertical_disks()) > 3 * 6 and claims["pairs_checked"] > 0 and witness is not None
 
 
@@ -822,28 +823,27 @@ def test_pair_pass_matches_the_loop_oracle_on_rigged_images(setup_g1n4):
         tables.append([rng.choice(vertices) if rng.random() < 0.05 else x for x in real])
     rows = disjointness_rows(catalog.disks, surface)
     for table in tables:
-        records = retraction_module._disk_records(engine, table)
-        claims, _ = assert_scan_matches_the_loop(records, rows, surface)
+        claims, _ = assert_scan_matches_the_loop(catalog, table, rows)
         assert len(claims["violations"]) > 0
 
 
 def test_pair_pass_raises_on_the_oracle_first_forbidden_pair(setup_g1n4):
     surface, catalog, _, engine, _ = setup_g1n4
-    real = retraction_module._disk_records(engine, images_of(engine))
+    images, real = images_of(engine), types_of(catalog)
     rng = random.Random(7)
     tables = [
         # T4 disks relabeled T3 make them disjoint from the top meridian (T1).
-        [r._replace(type="T3") if r.type == "T4" else r for r in real],
-        [r._replace(type="T1") for r in real],
-        [r._replace(type=rng.choice(["T1", "T2", "T3", "T4"])) for r in real],
+        ["T3" if t == "T4" else t for t in real],
+        ["T1" for _ in real],
+        [rng.choice(["T1", "T2", "T3", "T4"]) for _ in real],
     ]
     rows = disjointness_rows(catalog.disks, surface)
     messages = set()
-    for records in tables:
+    for types in tables:
         with pytest.raises(InvalidConfigError) as oracle_exc:
-            scan_pairs_by_loop(records, surface)
+            scan_pairs_by_loop(catalog.disks, types, images, surface)
         with pytest.raises(InvalidConfigError) as exc:
-            retraction_module._scan_pairs(records, rows, surface)
+            scan(catalog, images, rows, types)
         assert str(exc.value) == str(oracle_exc.value)
         assert "contradicts the type definitions" in str(exc.value)
         messages.add(str(exc.value))
@@ -863,8 +863,7 @@ def test_pair_pass_flags_exactly_the_edges_the_oracle_finds(setup_g1n4):
     rows = disjointness_rows(catalog.disks, surface)
     flagged_per_table = []
     for table in tables:
-        records = retraction_module._disk_records(engine, table)
-        claims, _ = retraction_module._scan_pairs(records, rows, surface)
+        claims, _ = scan(catalog, table, rows)
         flagged = {frozenset(v["disks"]) for v in claims["violations"]}
         assignment = {key: keys[sphere[x]] for key, x in zip(keys, table)}
         bad = {frozenset(edge) for edge in check_simplicial(VertexMap(k, k, assignment))}
@@ -916,7 +915,8 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
         "TYPE_LABELS", "disk_tubes", "has_vertex", "has_edge", "classify_type",
         "certify_homology_retraction", "free_generator", "apply_chain_map", "permutation_sign",
         "disks_disjoint_unvalidated", "ChainComplex", "complex_to_json_obj", "SphereVertex", "SuspensionSphere",
-        "disk_side", "disk_variant", "_VARIANT_RANK", "_footprint_bits",
+        "disk_side", "disk_variant", "_VARIANT_RANK", "_footprint_bits", "_DiskRecord", "_disk_records",
+        "_disk_sort_key",
     )
     for name in ("errors", "surface", "flagcomplex", "homology", "disks", "retraction", "cli"):
         module = importlib.import_module(f"disklab.{name}")
@@ -946,7 +946,7 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
 def test_pair_scan_derives_nothing_again(setup_g1n4, monkeypatch):
     """The rows and the pass read stored partners and footprints, and enumerate no arcs."""
     surface, catalog, _, engine, _ = setup_g1n4
-    records = retraction_module._disk_records(engine, images_of(engine))
+    images = images_of(engine)
     built = Counter()
     meridian_init = disks_module.Meridian.__init__
     enumerate_arcs = surface_module.enumerate_arcs
@@ -962,7 +962,7 @@ def test_pair_scan_derives_nothing_again(setup_g1n4, monkeypatch):
     monkeypatch.setattr(disks_module.Meridian, "__init__", counting_meridian)
     monkeypatch.setattr(surface_module, "enumerate_arcs", counting_enumeration)
     monkeypatch.setattr(disks_module, "enumerate_arcs", counting_enumeration)
-    claims, witness = retraction_module._scan_pairs(records, disjointness_rows(catalog.disks, surface), surface)
+    claims, witness = scan(catalog, images, disjointness_rows(catalog.disks, surface))
     assert claims["passed"] and witness is not None and built == Counter()
 
 
@@ -983,9 +983,8 @@ def test_pair_pass_matches_the_loop_oracle_on_raised_band_and_partner_arcs(genus
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(**knobs))
     engine = RetractionEngine(catalog)
-    records = retraction_module._disk_records(engine, images_of(engine))
     rows = disjointness_rows(catalog.disks, surface)
-    claims, _ = assert_scan_matches_the_loop(records, rows, surface)
+    claims, _ = assert_scan_matches_the_loop(catalog, images_of(engine), rows)
     assert claims["passed"] and len({d.resolved_partner.key for d in catalog.band_sums()}) > 10
 
 
@@ -1006,15 +1005,70 @@ IMAGE_GRID = (
 )
 
 
+# The image grid, the two lower band-sum depths, and a catalog whose tube
+# indices reach two digits, so keys such as M(10) and M(2) sort as strings.
+ORDER_GRID = IMAGE_GRID + [
+    pytest.param(1, 5, {"arc_bound": 3, "bandsum_depth": 1}, id="g1-n5-d1"),
+    pytest.param(2, 3, {"arc_bound": 4, "bandsum_depth": 1}, id="g2-n3-k4-d1"),
+    pytest.param(1, 5, {"arc_bound": 3, "bandsum_depth": 0}, id="g1-n5-d0"),
+    pytest.param(1, 11, {"arc_bound": 3}, id="g1-n11"),
+]
+
+
+@pytest.mark.parametrize(("genus", "n", "knobs"), ORDER_GRID)
+def test_catalog_is_listed_in_sorted_order(genus, n, knobs):
+    """The catalog's loops emit the order the reference sort key gives, so nothing sorts the whole catalog."""
+    catalog = build_disk_catalog(build_tubed_surface(genus, n + 1), CatalogConfig(**knobs))
+    assert list(catalog.disks) == sorted(catalog.disks, key=disk_sort_key)
+    assert len({d.key for d in catalog.disks}) == len(catalog.disks)
+
+
+@pytest.mark.parametrize(("genus", "n", "knobs"), ORDER_GRID)
+def test_every_vertical_disk_of_a_region_meets_the_same_meridians(genus, n, knobs):
+    """The lemma behind the sphere's pick: the rows give the first vertical disk of a region no edge the others lack."""
+    catalog = build_disk_catalog(build_tubed_surface(genus, n + 1), CatalogConfig(**knobs))
+    rows = disjointness_rows(catalog.disks, catalog.surface)
+    meridian_at = {d.index: k for k, d in enumerate(catalog.disks) if isinstance(d, Meridian)}
+    meridians = sum(1 << k for k in meridian_at.values())
+    sphere = build_suspension_sphere(catalog)
+    for r in range(1, n + 2):
+        verticals = [k for k, d in enumerate(catalog.disks) if isinstance(d, VerticalDisk) and d.region == r]
+        # The term for M(j) against V(r, α) is j != r, which reads no arc.
+        assert {rows[k] & meridians for k in verticals} == {meridians & ~(1 << meridian_at[r])}, r
+        assert sphere[2 * r - 2 : 2 * r] == [verticals[0], meridian_at[r]], r
+    assert verify_sphere(sphere, catalog, rows)["edges_verified"] == 2 * n * (n + 1)
+
+
+def test_certify_checks_the_vertical_disk_the_sphere_picks(setup_g1n4, monkeypatch):
+    """With the D0-E1 bit cleared, certify names that edge; no other vertical disk of region 1 stands in."""
+    _, catalog, sphere, _, _ = setup_g1n4
+    i, j = sphere[0], sphere[3]
+    real = retraction_module.disjointness_rows
+
+    def rows_without_the_edge(disks, surface):
+        rows = real(disks, surface)
+        rows[i] &= ~(1 << j)
+        rows[j] &= ~(1 << i)
+        return rows
+
+    monkeypatch.setattr(retraction_module, "disjointness_rows", rows_without_the_edge)
+    with pytest.raises(InvalidConfigError) as exc:
+        certify_catalog(catalog)
+    assert str(exc.value) == (
+        f"sphere edge D0={catalog.disks[i].key} vs E1={catalog.disks[j].key} is not certified disjoint; "
+        "the octahedron is not realized"
+    )
+
+
 @pytest.mark.parametrize(("genus", "n", "knobs"), IMAGE_GRID)
 def test_one_image_per_disk_matches_the_level_recursion(genus, n, knobs):
     """Images, per-disk provenance and surgery records as the level-by-level recursion gives them."""
     surface = build_tubed_surface(genus, n + 1)
     catalog = build_disk_catalog(surface, CatalogConfig(**knobs))
     engine, oracle = RetractionEngine(catalog), LevelRecursionEngine(catalog)
-    for r in retraction_module._disk_records(engine, images_of(engine)):
-        assert r.image == oracle.image(r.disk), r.disk.key
-        assert retraction_module._provenance(r, surface.tubes) == oracle.branch(r.disk), r.disk.key
+    for d, t, v in zip(catalog.disks, types_of(catalog), images_of(engine)):
+        assert v == oracle.image(d), d.key
+        assert retraction_module._provenance(d, t, surface.tubes) == oracle.branch(d), d.key
     assert engine.surgery_counts() == oracle.surgery_counts()
     # One record per band walked through, its largest copy count, and each
     # walk ends on the recursion's image for its last link.
