@@ -18,6 +18,12 @@ The sources are copied to a temporary directory first, so no
 ``__pycache__`` lands in the checkout.  The children inherit the
 environment: with ``PYTHONDONTWRITEBYTECODE=1`` every run compiles the
 package from source, as every benchmark job does on a host that sets it.
+The "total wall, cached bytecode" row times the same children with
+``PYTHONPYCACHEPREFIX`` inside the temporary directory and
+``PYTHONDONTWRITEBYTECODE`` removed, for those children only, after one
+untimed round that writes the bytecode; each of its runs follows the
+matching run from source, so host drift hits both rows alike, and their
+difference is what compiling the package costs.
 ``--src`` times another checkout's sources, for a before/after table.
 
 Usage:
@@ -96,22 +102,37 @@ def main(argv=None) -> int:
         with open(os.path.join(work, "square.json"), "w", encoding="utf-8") as fh:
             json.dump(SQUARE, fh)
         env = dict(os.environ, PYTHONPATH=src)
+        cached_env = dict(env, PYTHONPYCACHEPREFIX=os.path.join(work, "pycache"))
+        cached_env.pop("PYTHONDONTWRITEBYTECODE", None)
         rows = subcommands(work)
         self_s = {row: {} for row in rows}
         layers_s = {row: [] for row in rows}
         wall_s = {row: [] for row in rows}
+        cached_s = {row: [] for row in rows}
+
+        def run(row: str, env_: dict):
+            """One child of ``row`` under ``env_``: (wall seconds, result), or ``None`` if it failed."""
+            start = time.perf_counter()
+            result = subprocess.run(
+                [sys.executable, "-X", "importtime", *rows[row]], capture_output=True, text=True, env=env_, cwd=work
+            )
+            if result.returncode != 0:
+                print(f"{row}: exit {result.returncode}\n{result.stderr[-2000:]}", file=sys.stderr)
+                return None
+            return time.perf_counter() - start, result
+
+        # A first round writes the bytecode and is not timed; after it, each
+        # round times every row from source and then from bytecode.
+        if any(run(row, cached_env) is None for row in rows):
+            return 1
         for _ in range(args.runs):
-            for row, argv_ in rows.items():
-                start = time.perf_counter()
-                result = subprocess.run(
-                    [sys.executable, "-X", "importtime", *argv_],
-                    capture_output=True, text=True, env=env, cwd=work,
-                )
-                wall_s[row].append(time.perf_counter() - start)
-                if result.returncode != 0:
-                    print(f"{row}: exit {result.returncode}\n{result.stderr[-2000:]}", file=sys.stderr)
+            for row in rows:
+                timed, cached = run(row, env), run(row, cached_env)
+                if timed is None or cached is None:
                     return 1
-                own, layers = import_log(result.stderr)
+                wall_s[row].append(timed[0])
+                cached_s[row].append(cached[0])
+                own, layers = import_log(timed[1].stderr)
                 for module, seconds in own.items():
                     self_s[row].setdefault(module, []).append(seconds)
                 if row != BASELINE:
@@ -127,6 +148,7 @@ def main(argv=None) -> int:
     print(f"median ms of {args.runs} runs; PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', '')}")
     print(f"{'':<28}" + " ".join(f"{row:>{width}}" for row in rows))
     print(line("total wall", wall_s))
+    print(line("total wall, cached bytecode", cached_s))
     print(line("layers (cumulative)", layers_s))
     for module in modules:
         print(line(f"{module} self", {row: self_s[row].get(module, []) for row in rows}))

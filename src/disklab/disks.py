@@ -81,6 +81,7 @@ from .surface import (
     ArcCode,
     FrozenRecord,
     TubedSurface,
+    _arc_letters,
     arc_verdict,
     build_tubed_surface,
     canonical_code,
@@ -116,17 +117,6 @@ def _tube_bit(what: str, index: int) -> int:
     return 1 << index
 
 
-def _clean_arc(arc) -> ArcCode:
-    if not isinstance(arc, (tuple, list)) or not arc:
-        raise InvalidConfigError(f"arc code must be a nonempty sequence, got {arc!r}")
-    out = []
-    for x in arc:
-        if not isinstance(x, int) or isinstance(x, bool) or x == 0:
-            raise InvalidConfigError(f"arc code entries must be nonzero integers, got {arc!r}")
-        out.append(x)
-    return canonical_code(tuple(out))
-
-
 class Meridian(FrozenRecord):
     """Meridian disk of solid tube ``index``."""
 
@@ -151,7 +141,7 @@ class VerticalDisk(FrozenRecord):
         if not isinstance(region, int) or region < 1:
             raise InvalidConfigError(f"region index must be a positive integer, got {region!r}")
         bit = _tube_bit("vertical-disk region", region)
-        arc = _clean_arc(arc)
+        arc = canonical_code(_arc_letters(arc))
         key = f"V({region};{','.join(map(str, arc))})"
         self._init(region, arc, key=key, side=opposite_side(tube_side(region)), footprint=bit)
 
@@ -173,7 +163,7 @@ class BandSum(FrozenRecord):
             raise InvalidConfigError(
                 f"band-sum partner must be {SELF_PARTNER!r} or a disk descriptor, got {partner!r}"
             )
-        band = _clean_arc(band)
+        band = canonical_code(_arc_letters(band))
         partner_key = SELF_PARTNER if partner == SELF_PARTNER else partner.key
         resolved = Meridian(base) if partner == SELF_PARTNER else partner
         self._init(

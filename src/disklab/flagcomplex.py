@@ -1,9 +1,10 @@
 """Flag complexes, clique enumeration, JSON formats.
 
-A :class:`FlagComplex` stores only vertices (opaque string ids with display
-labels) and a symmetric, irreflexive adjacency relation.  Simplices are never
-stored: they are exactly the cliques of the adjacency graph, enumerated on
-demand by :func:`flag_cliques`.
+A :class:`FlagComplex` stores only a symmetric, irreflexive adjacency
+relation on opaque string vertex ids; its vertices are the relation's keys.
+Simplices are never stored: they are exactly the cliques of the adjacency
+graph, enumerated on demand by :func:`flag_cliques`.  The JSON reader checks
+each vertex's optional ``label`` and keeps none.
 
 Canonical ordering convention: vertex ids are the canonical sort key
 everywhere (clique tuples, serialized edge lists, boundary-matrix rows).  This
@@ -26,19 +27,17 @@ class FlagComplex:
     """A finite flag complex: vertices + adjacency; simplices are cliques."""
 
     def __init__(self) -> None:
-        self._labels: dict[str, str] = {}
-        self._adjacency: dict[str, set[str]] = {}  # vertex -> neighbours; the only edge store
+        self._adjacency: dict[str, set[str]] = {}  # vertex -> neighbours; the only store
         self._frozen = False
 
     # -- construction -----------------------------------------------------
 
-    def add_vertex(self, vertex_id: str, label: str | None = None) -> None:
+    def add_vertex(self, vertex_id: str) -> None:
         self._check_mutable()
         if not isinstance(vertex_id, str) or not vertex_id:
             raise InvalidConfigError(f"vertex id must be a nonempty string, got {vertex_id!r}")
-        if vertex_id in self._labels:
+        if vertex_id in self._adjacency:
             raise InvalidConfigError(f"duplicate vertex id {vertex_id!r}")
-        self._labels[vertex_id] = label if label is not None else vertex_id
         self._adjacency[vertex_id] = set()
 
     def add_edge(self, u: str, v: str) -> None:
@@ -46,7 +45,7 @@ class FlagComplex:
         if u == v:
             raise InvalidConfigError(f"loop edge at {u!r} not allowed")
         for w in (u, v):
-            if w not in self._labels:
+            if w not in self._adjacency:
                 raise InvalidConfigError(f"edge endpoint {w!r} is not a vertex")
         self._adjacency[u].add(v)
         self._adjacency[v].add(u)
@@ -63,20 +62,13 @@ class FlagComplex:
 
     @property
     def vertex_ids(self) -> list[str]:
-        return sorted(self._labels)
-
-    def label(self, vertex_id: str) -> str:
-        return self._labels[vertex_id]
-
-    @property
-    def edges(self) -> list[tuple[str, str]]:
-        return sorted((u, v) for u, ws in self._adjacency.items() for v in ws if u < v)
+        return sorted(self._adjacency)
 
     def neighbors(self, vertex_id: str) -> list[str]:
         return sorted(self._adjacency.get(vertex_id, ()))
 
     def vertex_count(self) -> int:
-        return len(self._labels)
+        return len(self._adjacency)
 
     def edge_count(self) -> int:
         return sum(map(len, self._adjacency.values())) // 2
@@ -84,10 +76,10 @@ class FlagComplex:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlagComplex):
             return NotImplemented
-        return self._labels == other._labels and self._adjacency == other._adjacency
+        return self._adjacency == other._adjacency
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FlagComplex({len(self._labels)} vertices, {self.edge_count()} edges)"
+        return f"FlagComplex({len(self._adjacency)} vertices, {self.edge_count()} edges)"
 
 
 # -- clique enumeration ----------------------------------------------------
@@ -165,15 +157,13 @@ def complex_from_json_obj(obj, source: str = "complex") -> FlagComplex:
         if not isinstance(entry, dict) or "id" not in entry:
             raise MalformedFileError(loc, "expected an object with an 'id' key")
         vid = entry["id"]
-        label = entry.get("label")
         if not isinstance(vid, str):
             raise MalformedFileError(loc, "'id' must be a string")
-        if label is None:
-            label = vid
-        elif not isinstance(label, str):
+        label = entry.get("label")
+        if label is not None and not isinstance(label, str):
             raise MalformedFileError(loc, "'label' must be a string or null")
         try:
-            out.add_vertex(vid, label)
+            out.add_vertex(vid)
         except InvalidConfigError as exc:
             raise MalformedFileError(loc, str(exc)) from exc
     for i, entry in enumerate(obj["edges"]):

@@ -171,22 +171,12 @@ def rank_and_torsion(columns: list[Column]) -> tuple[int, tuple[int, ...]]:
 class HomologyProfile(namedtuple("HomologyProfile", ["entries"])):
     """Per-dimension reduced homology: (betti rank, torsion coefficients).
 
-    ``entries`` is a tuple of ``(rank, torsion)`` pairs, one per dimension.
-    A named tuple rather than a dataclass: ``dataclasses`` imports
+    ``entries`` is a tuple of ``(rank, torsion)`` pairs, one per dimension
+    from 0.  A named tuple rather than a dataclass: ``dataclasses`` imports
     ``inspect``, and the ``homology`` subcommand needs neither.
     """
 
     __slots__ = ()
-
-    def betti(self, k: int) -> int:
-        return self.entries[k][0]
-
-    def torsion(self, k: int) -> tuple[int, ...]:
-        return self.entries[k][1]
-
-    @property
-    def d_max(self) -> int:
-        return len(self.entries) - 1
 
     def to_json_obj(self) -> list[dict]:
         return [
@@ -208,13 +198,16 @@ class HomologyProfile(namedtuple("HomologyProfile", ["entries"])):
 def reduced_homology(
     c: FlagComplex, d_max: int, max_per_dim: int = DEFAULT_MAX_SIMPLICES
 ) -> HomologyProfile:
-    """Reduced integer homology of a flag complex in dimensions 0..d_max.
+    """Reduced integer homology of a flag complex in dimensions 0..d_max, up to its first empty one.
 
     The boundary columns come straight from :func:`flag_cliques`' lists,
     which need no check: every face of a clique is a clique listed one
     dimension down.  No clique has more vertices than the complex, so some
     dimension ``e <= vertex_count()`` is the first without cliques, and
-    every dimension from ``e`` up is ``(0, ())``.  Each boundary
+    every dimension from ``e`` up is ``(0, ())``.  The profile therefore
+    stops at ``min(d_max, e)``: its last entry is ``e``'s when ``e <= d_max``,
+    and every dimension past it reads 0, so the work and the profile's
+    length are bounded by the complex, not by ``d_max``.  Each boundary
     ``C_k -> C_{k-1}``, ``k = 0..min(d_max + 1, e)``, is eliminated once;
     then ``b_k = n_k - r_k - r_{k+1}``, and the torsion in degree ``k`` is
     that of ``C_{k+1} -> C_k``.
@@ -236,7 +229,7 @@ def reduced_homology(
         ranks.append(rank)
         torsion.append(tors)
     entries = tuple((len(cliques[k]) - ranks[k] - ranks[k + 1], torsion[k + 1]) for k in range(stop))
-    return HomologyProfile(entries + ((0, ()),) * (d_max + 1 - stop))
+    return HomologyProfile(entries + ((0, ()),) * (stop <= d_max))
 
 
 # -- the cross-polytope's fundamental cycle ------------------------------------

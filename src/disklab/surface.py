@@ -32,8 +32,18 @@ crossing-free open drawing has no embeddable extension.  Reversing a code
 gives the same chords with the two station endpoints swapped, so
 embeddability does not depend on orientation, and enumeration tries only one
 orientation of each word of the bound's length (:func:`enumerate_arcs`).
-Two arcs are disjoint when one grows, by the same step, inside a closed
-drawing of the other without a crossing (:func:`_joint_drawing`).
+
+A fixed word grows one way: :func:`_closed` grows a drawing by the word's
+letters, depth first, and yields each crossing-free closing it reaches.
+From the blank drawing these are the word's closed drawings
+(:func:`_closed_drawings`).  From a closed drawing of another arc, with the
+word's start token in one of its station gaps, they are zero-crossing
+drawings of both arcs, and the two arcs are disjoint when the first such
+drawing exists (:func:`_joint_drawing`).  Both searches are exact by one
+argument: a branch is cut only when its new chord crosses a chord already
+drawn, and no later insertion moves either chord's endpoints, so the
+crossing is in every drawing the branch leads to.  An empty search
+therefore means every drawing has a crossing.
 
 The arc layer takes the genus and codes and keeps nothing between calls:
 ``enumerate_arcs(genus, k)``, ``arc_verdict(genus)(a, b)``.  The feet
@@ -79,12 +89,20 @@ def side_word(genus: int) -> tuple[tuple[int, int], ...]:
 # -- arc codes ----------------------------------------------------------------
 
 
-def validate_code(code: ArcCode, genus: int) -> None:
-    if not isinstance(code, tuple) or len(code) == 0:
-        raise InvalidConfigError(f"arc code must be a nonempty tuple, got {code!r}")
-    top = 2 * genus
+def _arc_letters(code):
+    """``code`` itself, once it is a nonempty sequence of nonzero ints, none of them a bool."""
+    if not isinstance(code, (tuple, list)) or not code:
+        raise InvalidConfigError(f"arc code must be a nonempty sequence, got {code!r}")
     for x in code:
-        if not isinstance(x, int) or x == 0 or abs(x) > top:
+        if not isinstance(x, int) or isinstance(x, bool) or x == 0:
+            raise InvalidConfigError(f"arc code entries must be nonzero integers, got {code!r}")
+    return code
+
+
+def validate_code(code: ArcCode, genus: int) -> None:
+    top = 2 * genus
+    for x in _arc_letters(code):
+        if abs(x) > top:
             raise InvalidConfigError(
                 f"arc code entry {x!r} out of range for genus {genus} (|x| in 1..{top})"
             )
@@ -177,18 +195,29 @@ def _closings(drawing: tuple, ends=(-1, 1)) -> list:
     return [r for r in ends if not _crosses(chords, free, (0, r))]
 
 
+def _closed(sidx: dict, drawing: tuple, letters: list, ends=(-1, 1)):
+    """Each crossing-free closing of ``drawing`` grown by ``letters``, as (end rank, open drawing).
+
+    Depth first over :func:`_step`, one letter a level, children in the
+    order it yields them; a leaf yields each end rank in ``ends`` that
+    :func:`_closings` allows, in that order.
+    """
+    if not letters:
+        for end in _closings(drawing, ends):
+            yield end, drawing
+        return
+    p, s = letters[0]
+    for child in _step(sidx, drawing, p, s):
+        yield from _closed(sidx, child, letters[1:], ends)
+
+
 def _closed_drawings(genus: int, code: ArcCode) -> tuple:
     """Every crossing-free closed drawing of ``code``, as (end rank, open drawing) in growth order.
 
-    The open drawings grow by :func:`_step` and close under every end rank
-    :func:`_closings` allows; an empty result means the code does not embed.
+    An empty result means the code does not embed.
     """
     validate_code(code, genus)
-    sidx = _side_index(genus)
-    level = [_blank(genus)]
-    for p, s in _entries(code):
-        level = [child for drawing in level for child in _step(sidx, drawing, p, s)]
-    return tuple((end, drawing) for drawing in level for end in _closings(drawing))
+    return tuple(_closed(_side_index(genus), _blank(genus), _entries(code)))
 
 
 # -- disjointness: the same step, two arcs ------------------------------------
@@ -198,34 +227,19 @@ def _joint_drawing(genus: int, drawings: tuple, b: ArcCode) -> list | None:
     """The chords of the first zero-crossing drawing of two arcs the search reaches, or ``None``.
 
     ``drawings`` are the first arc's crossing-free closed drawings
-    (:func:`_closed_drawings`).  Each is fixed, and ``b`` grows inside it by
-    :func:`_step`: its start token goes in each station gap, each letter's
-    slot token in each gap of its pair's merged plus-side ranks, and its end
-    token in the first station gap :func:`_closings` allows.  A branch is
-    cut as soon as its new chord crosses a chord already drawn, of either
-    arc.  A crossing persists under further insertions, so the search is
-    exact: ``None`` means every drawing of the two arcs has a crossing.
+    (:func:`_closed_drawings`).  Each is fixed, with ``b``'s start token in
+    each of its station gaps, and ``b`` grows inside it by :func:`_closed`;
+    the first closing it yields, which puts ``b``'s end token in the first
+    station gap :func:`_closings` allows, is the witness.
     """
     sidx = _side_index(genus)
     letters = _entries(b)
-
-    def grow(i: int, drawing: tuple, ends: list) -> list | None:
-        if i == len(letters):
-            closings = _closings(drawing, ends)
-            return drawing[1] + [_chord(drawing[2], (0, closings[0]))] if closings else None
-        p, s = letters[i]
-        for child in _step(sidx, drawing, p, s):
-            joint = grow(i + 1, child, ends)
-            if joint:
-                return joint
-        return None
-
     for end, (ranks, chords, free) in drawings:
         closed = chords + [_chord(free, (0, end))]
         for start in _gaps(sorted((0, end))):
-            joint = grow(0, (ranks, closed, (0, start)), _gaps(sorted((0, end, start))))
-            if joint:
-                return joint
+            grown = (ranks, closed, (0, start))
+            for last, (_ranks, joint, tail) in _closed(sidx, grown, letters, _gaps(sorted((0, end, start)))):
+                return joint + [_chord(tail, (0, last))]
     return None
 
 

@@ -12,7 +12,10 @@ grows one arc inside a drawing of the other; ``min_crossings`` is the
 exhaustive engine it replaced, which minimizes the crossing number over
 every merge of two embedded solo drawings.  It draws those from
 ``level_search_drawings``, the oracle's own search, never from the
-insertion step it is compared against.  ``project_disk``
+insertion step it is compared against.  ``has_crossing_free_merge`` asks
+only whether that minimum is 0: it runs the same merges, drops each at its
+first crossing, and skips a pair of solo drawings whose first merge
+crosses on two chords with no block in common.  ``project_disk``
 re-decides a disk's type before re-homing it one tube level down, which the
 retraction engine does inline; it checks the region footprint
 (``disk_regions``) as well as the tube footprint, which contains it, and
@@ -48,9 +51,11 @@ which builds the remainder band sum) and raising
 
 ``copy_complex``, ``suspend`` and ``octahedral_sphere`` build the flag
 complexes that the homology and flag-complex tests start from,
-``has_vertex`` and ``has_edge`` query them, and ``complex_to_json_obj``
-writes them in the format ``disklab homology`` reads; no subcommand needs
-them.
+``has_vertex``, ``has_edge`` and ``edges`` query them, and
+``complex_to_json_obj`` writes them in the format ``disklab homology``
+reads; no subcommand needs them.  ``betti`` and ``torsion`` read one
+dimension of a homology profile, which stops at its complex's first empty
+dimension, so past it they read 0 and no torsion.
 
 ``rank_and_torsion`` eliminates sparse columns, with Euclid rounds where no
 unit pivot is left; ``smith_normal_form`` is the dense Smith normal form
@@ -83,7 +88,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from typing import Iterable
 
 from disklab.disks import (
@@ -121,36 +126,35 @@ from disklab.surface import (
 
 
 def has_vertex(c: FlagComplex, vertex_id: str) -> bool:
-    return vertex_id in c._labels
+    return vertex_id in c._adjacency
 
 
 def has_edge(c: FlagComplex, u: str, v: str) -> bool:
     return v in c._adjacency.get(u, ())
 
 
+def edges(c: FlagComplex) -> list[tuple[str, str]]:
+    """The edges of ``c`` as sorted id pairs, in sorted order."""
+    return sorted((u, v) for u, ws in c._adjacency.items() for v in ws if u < v)
+
+
 def complex_to_json_obj(c: FlagComplex) -> dict:
     return {
-        "vertices": [{"id": vid, "label": c.label(vid)} for vid in c.vertex_ids],
-        "edges": [[u, v] for (u, v) in c.edges],
+        "vertices": [{"id": vid} for vid in c.vertex_ids],
+        "edges": [[u, v] for (u, v) in edges(c)],
     }
 
 
 def copy_complex(c: FlagComplex) -> FlagComplex:
     out = FlagComplex()
     for vid in c.vertex_ids:
-        out.add_vertex(vid, c.label(vid))
-    for (u, v) in c.edges:
+        out.add_vertex(vid)
+    for (u, v) in edges(c):
         out.add_edge(u, v)
     return out
 
 
-def suspend(
-    c: FlagComplex,
-    a: str,
-    b: str,
-    label_a: str | None = None,
-    label_b: str | None = None,
-) -> FlagComplex:
+def suspend(c: FlagComplex, a: str, b: str) -> FlagComplex:
     """Suspension: two new mutually non-adjacent vertices coned over ``c``."""
     if has_vertex(c, a):
         raise InvalidConfigError(f"suspension vertex id {a!r} already present")
@@ -159,8 +163,8 @@ def suspend(
     if a == b:
         raise InvalidConfigError("suspension vertices must be distinct")
     out = copy_complex(c)
-    out.add_vertex(a, label_a)
-    out.add_vertex(b, label_b)
+    out.add_vertex(a)
+    out.add_vertex(b)
     for vid in c.vertex_ids:
         out.add_edge(a, vid)
         out.add_edge(b, vid)
@@ -178,8 +182,8 @@ def octahedral_sphere(n: int) -> FlagComplex:
         raise InvalidConfigError(f"octahedral_sphere needs n >= 1, got {n}")
     out = FlagComplex()
     for i in range(n):
-        out.add_vertex(f"p{i}", f"antipodal pair {i} (+)")
-        out.add_vertex(f"q{i}", f"antipodal pair {i} (-)")
+        out.add_vertex(f"p{i}")
+        out.add_vertex(f"q{i}")
     for i in range(n):
         for j in range(i + 1, n):
             for u in (f"p{i}", f"q{i}"):
@@ -234,8 +238,8 @@ def induced_subcomplex(c: FlagComplex, vertex_ids: Iterable[str]) -> FlagComplex
         raise InvalidConfigError(f"vertices not in complex: {missing}")
     out = FlagComplex()
     for vid in sorted(keep):
-        out.add_vertex(vid, c.label(vid))
-    for (u, v) in c.edges:
+        out.add_vertex(vid)
+    for (u, v) in edges(c):
         if u in keep and v in keep:
             out.add_edge(u, v)
     return out.freeze()
@@ -248,8 +252,8 @@ def sphere_complex(sphere: list, catalog) -> FlagComplex:
     """
     keys = [catalog.disks[k].key for k in sphere]
     fc = FlagComplex()
-    for v, key in enumerate(keys):
-        fc.add_vertex(key, vertex_name(v))
+    for key in keys:
+        fc.add_vertex(key)
     for u in range(len(keys)):
         for v in range(u + 1, len(keys)):
             if u >> 1 != v >> 1:
@@ -261,7 +265,7 @@ def catalog_complex(catalog, disjoint_pairs) -> FlagComplex:
     """The cataloged disk complex: disks as vertices, certified-disjoint pairs as edges."""
     fc = FlagComplex()
     for d in catalog.disks:
-        fc.add_vertex(d.key, d.key)
+        fc.add_vertex(d.key)
     for a, b in disjoint_pairs:
         fc.add_edge(a.key, b.key)
     return fc.freeze()
@@ -298,7 +302,7 @@ def check_simplicial(f: VertexMap) -> list[tuple[str, str]]:
     {f(u), f(v)} is a codomain edge.  Empty result <=> f is simplicial.
     """
     bad = []
-    for (u, v) in f.domain.edges:
+    for (u, v) in edges(f.domain):
         fu, fv = f(u), f(v)
         if fu != fv and not has_edge(f.codomain, fu, fv):
             bad.append((u, v))
@@ -317,7 +321,7 @@ def check_retraction(f: VertexMap, s: FlagComplex) -> tuple[bool, list[str]]:
     for vid in s.vertex_ids:
         if vid not in dom_vertices:
             report.append(f"subcomplex vertex {vid!r} is not a domain vertex")
-    for (u, v) in s.edges:
+    for (u, v) in edges(s):
         if not has_edge(f.domain, u, v):
             report.append(f"subcomplex edge ({u!r}, {v!r}) is not a domain edge")
     sub = set(s.vertex_ids)
@@ -506,6 +510,12 @@ def _solo_drawings(genus: int, code: ArcCode) -> tuple:
     return tuple(level_search_drawings(genus, code))
 
 
+def relabel_drawing(drawing, arc_id: int) -> tuple:
+    """A solo drawing with every token renamed to belong to arc ``arc_id``."""
+    station, orders = drawing
+    return tuple((arc_id, e) for _j, e in station), tuple(tuple((arc_id, t) for _j, t in o) for o in orders)
+
+
 def min_crossings(genus: int, a: ArcCode, b: ArcCode) -> int:
     """Minimal crossing number of two arc classes over all merges of their solo drawings.
 
@@ -520,12 +530,8 @@ def min_crossings(genus: int, a: ArcCode, b: ArcCode) -> int:
     if ca == cb:
         return 0
 
-    def relabel(drawing, arc_id):
-        station, orders = drawing
-        return tuple((arc_id, e) for _j, e in station), tuple(tuple((arc_id, t) for _j, t in o) for o in orders)
-
-    solos_a = [relabel(d, 0) for d in _solo_drawings(genus, ca)]
-    solos_b = [relabel(d, 1) for d in _solo_drawings(genus, cb)]
+    solos_a = [relabel_drawing(d, 0) for d in _solo_drawings(genus, ca)]
+    solos_b = [relabel_drawing(d, 1) for d in _solo_drawings(genus, cb)]
     if not solos_a or not solos_b:
         raise InvalidConfigError(f"arc codes must be embeddable; got {ca!r} / {cb!r} with no embedded drawing")
     chords = chord_endpoints(genus, {0: ca, 1: cb})
@@ -542,6 +548,83 @@ def min_crossings(genus: int, a: ArcCode, b: ArcCode) -> int:
                     if best == 0:
                         return 0
     return best
+
+
+def _spans(merge: tuple, chords: list) -> list:
+    """Each chord's two positions, in order, read from the tables of one merge."""
+    spans = []
+    for (tu, u), (tv, v) in chords:
+        x, y = merge[tu][u], merge[tv][v]
+        spans.append((x, y) if x < y else (y, x))
+    return spans
+
+
+def has_crossing_free_merge(genus: int, a: ArcCode, b: ArcCode) -> bool:
+    """Whether :func:`min_crossings` is 0: the same merges, each dropped at its first crossing.
+
+    Every side of pair p holds the same number of slot tokens in every merge
+    of two solo drawings, so each side's first position is fixed for the
+    pair of drawings, and the positions of pair p's tokens depend on its
+    merge alone.  They are tabulated once per merge of each pair, as are
+    the station's per shuffle, and each chord endpoint reads its position
+    from the one table that holds it.  Two chords of different arcs with no
+    block in common cross in every merge of two solo drawings or in none, so
+    when such a pair crosses in the first merge, the other merges of those
+    two drawings are skipped.
+    """
+    ca, cb = sorted((canonical_code(a), canonical_code(b)))
+    if ca == cb:
+        return True
+    solos_a = [relabel_drawing(d, 0) for d in _solo_drawings(genus, ca)]
+    solos_b = [relabel_drawing(d, 1) for d in _solo_drawings(genus, cb)]
+    if not solos_a or not solos_b:
+        raise InvalidConfigError(f"arc codes must be embeddable; got {ca!r} / {cb!r} with no embedded drawing")
+    word = side_word(genus)
+    # Table 0 is the station's; table p + 1 holds pair p's slot tokens.
+    table_of = {"st": 0, **{side_i: p + 1 for side_i, (p, _s) in enumerate(word)}}
+    chords_a, chords_b = (
+        [tuple((table_of[u[0]], u) for u in chord) for chord in chords]
+        for chords in chord_endpoints(genus, {0: ca, 1: cb}).values()
+    )
+    # An endpoint is (table, (block, token)); these chord pairs share no block.
+    fixed = [
+        (i, j)
+        for i, (u, v) in enumerate(chords_a)
+        for j, (w, z) in enumerate(chords_b)
+        if not {u[1][0], v[1][0]} & {w[1][0], z[1][0]}
+    ]
+    for sa, orders_a in solos_a:
+        for sb, orders_b in solos_b:
+            sizes = [len(orders_a[p]) + len(orders_b[p]) for p in range(2 * genus)]
+            first, at = {}, len(sa) + len(sb)
+            for side_i, (p, s) in enumerate(word):
+                first[p, s] = side_i, at
+                at += sizes[p]
+            tables = []
+            for p in range(2 * genus):
+                (plus_i, plus_at), (minus_i, minus_at) = first[p, 1], first[p, -1]
+                last = minus_at + sizes[p] - 1
+                tables.append([
+                    {**{(plus_i, t): plus_at + j for j, t in enumerate(merge)},
+                     **{(minus_i, t): last - j for j, t in enumerate(merge)}}
+                    for merge in shuffles(orders_a[p], orders_b[p])
+                ])
+            stations = [{("st", t): i for i, t in enumerate(station)} for station in shuffles(sa, sb)]
+            merges = product(stations, *tables)
+            merge = next(merges)
+            spans_a, spans_b = _spans(merge, chords_a), _spans(merge, chords_b)
+            if any((x < p < y) != (x < q < y) for (x, y), (p, q) in ((spans_a[i], spans_b[j]) for i, j in fixed)):
+                continue
+            for merge in chain((merge,), merges):
+                spans = _spans(merge, chords_a)
+                if not any(
+                    (x < p < y) != (x < q < y)
+                    for (tu, u), (tv, v) in chords_b
+                    for p, q in ((merge[tu][u], merge[tv][v]),)
+                    for x, y in spans
+                ):
+                    return True
+    return False
 
 
 # -- the disk calculus ------------------------------------------------------------
@@ -758,9 +841,21 @@ class ChainComplex:
         return self._rank_torsion(k + 1)[1]
 
     def profile(self, d_max: int) -> HomologyProfile:
+        """Dimensions 0..d_max, stopping at the first without cells, as ``reduced_homology`` does."""
+        stop = next((k for k in range(d_max) if not self.n_cells(k)), d_max)
         return HomologyProfile(
-            entries=tuple((self.betti_reduced(k), self.torsion(k)) for k in range(d_max + 1))
+            entries=tuple((self.betti_reduced(k), self.torsion(k)) for k in range(stop + 1))
         )
+
+
+def betti(profile: HomologyProfile, k: int) -> int:
+    """The reduced rank in dimension ``k``: 0 past the profile, which stops at an empty dimension."""
+    return profile.entries[k][0] if k < len(profile.entries) else 0
+
+
+def torsion(profile: HomologyProfile, k: int) -> tuple[int, ...]:
+    """The torsion in dimension ``k``: none past the profile, which stops at an empty dimension."""
+    return profile.entries[k][1] if k < len(profile.entries) else ()
 
 
 def free_generator(cc: ChainComplex, k: int) -> dict[tuple[str, ...], int]:
@@ -875,9 +970,10 @@ def certify_homology_retraction(
     cliques = flag_cliques(s, n + 1, max_per_dim)
     cc = ChainComplex(cliques)
     profile = cc.profile(n)
-    if profile.betti(n) != 1 or profile.torsion(n):
+    if betti(profile, n) != 1 or torsion(profile, n):
         raise InvalidConfigError(
-            f"subcomplex homology in dimension {n} is {profile.describe(n)}, not Z"
+            f"subcomplex homology in dimension {n} has rank {betti(profile, n)} and torsion "
+            f"{list(torsion(profile, n))}, not Z"
         )
     cycle = free_generator(cc, n)
     image = apply_chain_map(assignment, cycle)

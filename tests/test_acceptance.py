@@ -42,7 +42,7 @@ from disklab.flagcomplex import FlagComplex, canonical_json
 from disklab.homology import reduced_homology
 from disklab.retraction import certify_minimality
 from disklab.surface import build_tubed_surface, opposite_side, tube_side
-from oracles import classify_type, memo_verdict, octahedral_sphere, suspend
+from oracles import betti, classify_type, memo_verdict, octahedral_sphere, suspend, torsion
 
 INSTANCES = ((1, 1), (1, 2), (2, 1), (2, 2))
 CONFIG = CatalogConfig(arc_bound=3, bandsum_depth=2)
@@ -70,8 +70,8 @@ def test_criterion_1_octahedral_sphere_homology():
         profile = reduced_homology(octahedral_sphere(n), d_max=n)
         for k in range(n + 1):
             expected = 1 if k == n - 1 else 0
-            assert profile.betti(k) == expected, (n, k, profile.betti(k))
-            assert profile.torsion(k) == (), (n, k, profile.torsion(k))
+            assert betti(profile, k) == expected, (n, k, betti(profile, k))
+            assert torsion(profile, k) == (), (n, k, torsion(profile, k))
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"sweep took {elapsed:.2f}s"
     _passline(1, f"octahedral sphere homology n=1..5 in {elapsed:.2f}s")
@@ -97,10 +97,10 @@ def test_criterion_2_suspension_shifts_reduced_homology():
         d_max = max(2, c.vertex_count() // 2)
         base = reduced_homology(c, d_max)
         lifted = reduced_homology(suspend(c, "north", "south"), d_max + 1)
-        assert lifted.betti(0) == 0 and lifted.torsion(0) == ()
+        assert betti(lifted, 0) == 0 and torsion(lifted, 0) == ()
         for k in range(d_max + 1):
-            assert lifted.betti(k + 1) == base.betti(k), (seed, k)
-            assert lifted.torsion(k + 1) == base.torsion(k), (seed, k)
+            assert betti(lifted, k + 1) == betti(base, k), (seed, k)
+            assert torsion(lifted, k + 1) == torsion(base, k), (seed, k)
         checked += 1
     assert checked >= 20
     _passline(2, f"suspension homology shift on {checked} random complexes")

@@ -689,7 +689,7 @@ def test_homology_prints_profile_and_writes_json(octa_file, tmp_path, capsys):
         "reduced H_0 = 0",
         "reduced H_1 = Z",
         "reduced H_2 = 0",
-        "reduced H_3 = 0",
+        "reduced H_k = 0 for k = 3..3, past the first empty dimension",
     ]
     doc = json.loads((tmp_path / "h" / "homology.json").read_text())
     assert doc["kind"] == "homology_profile"
@@ -798,8 +798,33 @@ def test_homology_dimension_count_at_the_cap_still_runs(two_points_file, capsys)
     assert [line for line in stdout.splitlines() if line.startswith("reduced H_")] == [
         "reduced H_0 = Z",
         "reduced H_1 = 0",
-        "reduced H_2 = 0",
+        "reduced H_k = 0 for k = 2..2, past the first empty dimension",
     ]
+
+
+# A child under 256 MiB of address space: the profile stops at the complex's
+# first empty dimension, so a d_max of 999999 on one edge prints, builds and
+# writes three dimensions, where a profile padded to d_max took about 12 s
+# and 1 GB.
+LIMIT_256MIB = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+
+
+def test_homology_work_is_bounded_by_the_complex_not_by_d_max(tmp_path):
+    (tmp_path / "edge.json").write_text('{"vertices": [{"id": "a"}, {"id": "b"}], "edges": [["a", "b"]]}')
+    script = LIMIT_256MIB + "import sys; from disklab.cli import main; sys.exit(main())"
+    start = time.perf_counter()
+    code, stdout, stderr = run_python(["-c", script, "homology", "edge.json", "999999", "--out", "h"], tmp_path)
+    assert time.perf_counter() - start < 2.0
+    assert (code, stderr) == (EXIT_OK, "")
+    assert stdout.splitlines() == [
+        "reduced H_0 = 0",
+        "reduced H_1 = 0",
+        "reduced H_2 = 0",
+        "reduced H_k = 0 for k = 3..999999, past the first empty dimension",
+        f"wrote {os.path.join('h', 'homology.json')}",
+    ]
+    doc = json.loads((tmp_path / "h" / "homology.json").read_text())
+    assert doc["d_max"] == 999999 and [e["dimension"] for e in doc["profile"]] == [0, 1, 2]
 
 
 def test_homology_rejects_negative_simplex_cap(octa_file, capsys):

@@ -23,6 +23,7 @@ from oracles import (
     check_retraction,
     check_simplicial,
     complex_to_json_obj,
+    edges,
     has_edge,
     induced_subcomplex,
     octahedral_sphere,
@@ -128,13 +129,12 @@ def cycle_graph(n: int) -> FlagComplex:
 class TestFlagComplexConstruction:
     def test_vertices_and_edges(self):
         c = FlagComplex()
-        c.add_vertex("b", label="second")
+        c.add_vertex("b")
         c.add_vertex("a")
         c.add_edge("b", "a")
         c.freeze()
         assert c.vertex_ids == ["a", "b"]
-        assert c.label("b") == "second"
-        assert c.edges == [("a", "b")]
+        assert edges(c) == [("a", "b")]
         assert has_edge(c, "a", "b") and has_edge(c, "b", "a")
         assert not has_edge(c, "a", "a")
         assert c.neighbors("a") == ["b"]
@@ -168,7 +168,7 @@ class TestFlagComplexConstruction:
         c = complete_graph(4)
         sub = induced_subcomplex(c, ["v0", "v2", "v3"])
         assert sub.vertex_ids == ["v0", "v2", "v3"]
-        assert sub.edges == [("v0", "v2"), ("v0", "v3"), ("v2", "v3")]
+        assert edges(sub) == [("v0", "v2"), ("v0", "v3"), ("v2", "v3")]
         with pytest.raises(InvalidConfigError):
             induced_subcomplex(c, ["v0", "nope"])
 
@@ -239,7 +239,7 @@ class TestOctahedralSphere:
         s = suspend(c, "p2", "q2")
         expected = octahedral_sphere(3)
         assert s.vertex_ids == expected.vertex_ids
-        assert s.edges == expected.edges
+        assert edges(s) == edges(expected)
 
     def test_suspend_rejects_duplicate_ids(self):
         c = octahedral_sphere(1)
@@ -323,10 +323,17 @@ class TestJsonFormats:
     def test_complex_roundtrip(self):
         c = octahedral_sphere(2)
         obj = complex_to_json_obj(c)
-        c2 = complex_from_json_obj(obj, "roundtrip")
-        assert c2.vertex_ids == c.vertex_ids
-        assert c2.edges == c.edges
-        assert c2.label("p0") == c.label("p0")
+        assert complex_from_json_obj(obj, "roundtrip") == c
+
+    def test_complex_checks_labels_and_keeps_none(self):
+        obj = {"vertices": [{"id": "a", "label": "first"}, {"id": "b", "label": None}], "edges": [["a", "b"]]}
+        assert complex_from_json_obj(obj, "labels.json") == complex_from_json_obj(
+            {"vertices": [{"id": "a"}, {"id": "b"}], "edges": [["a", "b"]]}, "plain.json"
+        )
+        obj["vertices"][1]["label"] = 7
+        with pytest.raises(MalformedFileError) as exc:
+            complex_from_json_obj(obj, "bad.json")
+        assert "vertices[1]" in exc.value.location
 
     def test_complex_rejects_reversed_edge(self):
         obj = {
@@ -395,4 +402,4 @@ def test_cliques_are_downward_closed(c):
 @given(small_graph())
 def test_json_roundtrip_property(c):
     c2 = complex_from_json_obj(complex_to_json_obj(c), "prop")
-    assert c2.vertex_ids == c.vertex_ids and c2.edges == c.edges
+    assert c2.vertex_ids == c.vertex_ids and edges(c2) == edges(c)

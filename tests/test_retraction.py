@@ -905,7 +905,8 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
     # the removed arc-layer model, drawing views, surgery transcripts,
     # pass-through accessors, region records, validated/unvalidated type
     # and calculus twins, the sphere's elimination path, the general chain
-    # complex or the complex JSON writer is left for the tests alone.
+    # complex, the complex JSON writer, the complex's labels and edge list or
+    # a profile's per-dimension readers is left for the tests alone.
     removed = (
         "check_simplicial", "check_retraction", "VertexMap", "catalog_complex",
         "PuncturedSurfaceModel", "build_punctured_model", "solo_drawings", "is_embeddable",
@@ -916,7 +917,7 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
         "certify_homology_retraction", "free_generator", "apply_chain_map", "permutation_sign",
         "disks_disjoint_unvalidated", "ChainComplex", "complex_to_json_obj", "SphereVertex", "SuspensionSphere",
         "disk_side", "disk_variant", "_VARIANT_RANK", "_footprint_bits", "_DiskRecord", "_disk_records",
-        "_disk_sort_key",
+        "_disk_sort_key", "_clean_arc",
     )
     for name in ("errors", "surface", "flagcomplex", "homology", "disks", "retraction", "cli"):
         module = importlib.import_module(f"disklab.{name}")
@@ -927,7 +928,8 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
         RetractionEngine: (
             "type_at", "_surfaces", "_types", "sphere", "_branches", "_images", "_image", "_surgery_image",
         ),
-        FlagComplex: ("has_vertex", "has_edge"),
+        FlagComplex: ("has_vertex", "has_edge", "label", "edges"),
+        homology_module.HomologyProfile: ("betti", "torsion", "d_max"),
         surface_module.FrozenRecord: ("_uncompared",),
         disks_module.DiskCatalog: ("arc_classes",),
         **{cls: ("tube_footprint",) for cls in (Meridian, VerticalDisk, BandSum)},
@@ -1003,6 +1005,32 @@ IMAGE_GRID = (
     + RAISED_BAND_AND_PARTNER_ARCS
     + RAISED_COPIES
 )
+
+
+@pytest.mark.parametrize(
+    ("genus", "n", "knobs"),
+    IMAGE_GRID
+    + [
+        pytest.param(g, n, {"arc_bound": 3, "bandsum_depth": depth}, id=f"g{g}-n{n}-d{depth}")
+        for g, n in ((1, 4), (2, 3))
+        for depth in (0, 1)
+    ],
+)
+def test_witness_is_the_first_two_meridians(genus, n, knobs):
+    """Every certificate with n >= 2 names M(1) and M(2) as its V/W witness.
+
+    The catalog lists them first, meridians are pairwise disjoint, and
+    consecutive tubes lie on opposite sides, so they are the pass's first
+    disjoint pair with one disk on each side.
+    """
+    surface = build_tubed_surface(genus, n + 1)
+    cert = certify_catalog(build_disk_catalog(surface, CatalogConfig(**knobs)))
+    assert cert["passed"]
+    if n < 2:
+        assert cert["witness"] is None
+    else:
+        v = 1 if tube_side(1) == surface.v_side else 2
+        assert cert["witness"] == {"v_disk": f"M({v})", "w_disk": f"M({3 - v})"}
 
 
 # The image grid, the two lower band-sum depths, and a catalog whose tube

@@ -41,6 +41,7 @@ from oracles import (
     chord_endpoints,
     crossings,
     enumerate_arcs_by_filtering,
+    has_crossing_free_merge,
     min_crossings,
     positions,
 )
@@ -450,11 +451,19 @@ def test_intersection_farey_oracle(a, b, expected):
     assert min_crossings(1, b, a) == expected
 
 
+@pytest.mark.parametrize("genus, k", [(1, 4), (2, 3)])
+def test_crossing_free_merge_is_a_zero_crossing_minimum(genus, k):
+    # The early-stopping oracle against the full count it shortens.
+    arcs = enumerate_arcs(genus, k)
+    for a, b in itertools.combinations(arcs, 2):
+        assert has_crossing_free_merge(genus, a, b) is (min_crossings(genus, a, b) == 0), (a, b)
+
+
 @pytest.mark.parametrize("genus, k", [(1, 6), (2, 4)])
 def test_disjointness_search_matches_crossing_oracle(genus, k):
     arcs = enumerate_arcs(genus, k)
     for a, b in itertools.combinations(arcs, 2):
-        expected = min_crossings(genus, a, b) == 0
+        expected = has_crossing_free_merge(genus, a, b)
         assert arcs_disjoint(genus, a, b) is expected, (a, b)
         assert arcs_disjoint(genus, b, a) is expected, (b, a)
 
