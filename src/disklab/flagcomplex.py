@@ -3,8 +3,10 @@
 A :class:`FlagComplex` stores only a symmetric, irreflexive adjacency
 relation on opaque string vertex ids; its vertices are the relation's keys.
 Simplices are never stored: they are exactly the cliques of the adjacency
-graph, enumerated on demand by :func:`flag_cliques`.  The JSON reader checks
-each vertex's optional ``label`` and keeps none.
+graph, enumerated on demand by :func:`flag_cliques`.  The JSON reader
+:func:`complex_from_json_obj` is the one maker of a complex: it runs every
+check on ids, labels and edges and builds the adjacency, which nothing
+changes afterwards.  A complex keeps no labels.
 
 Canonical ordering convention: vertex ids are the canonical sort key
 everywhere (clique tuples, serialized edge lists, boundary-matrix rows).  This
@@ -24,41 +26,14 @@ DEFAULT_MAX_SIMPLICES = 10**6
 
 
 class FlagComplex:
-    """A finite flag complex: vertices + adjacency; simplices are cliques."""
+    """A finite flag complex: vertices + adjacency; simplices are cliques.
 
-    def __init__(self) -> None:
-        self._adjacency: dict[str, set[str]] = {}  # vertex -> neighbours; the only store
-        self._frozen = False
+    Only :func:`complex_from_json_obj` makes one, from an adjacency it has
+    checked; no method changes it afterwards.
+    """
 
-    # -- construction -----------------------------------------------------
-
-    def add_vertex(self, vertex_id: str) -> None:
-        self._check_mutable()
-        if not isinstance(vertex_id, str) or not vertex_id:
-            raise InvalidConfigError(f"vertex id must be a nonempty string, got {vertex_id!r}")
-        if vertex_id in self._adjacency:
-            raise InvalidConfigError(f"duplicate vertex id {vertex_id!r}")
-        self._adjacency[vertex_id] = set()
-
-    def add_edge(self, u: str, v: str) -> None:
-        self._check_mutable()
-        if u == v:
-            raise InvalidConfigError(f"loop edge at {u!r} not allowed")
-        for w in (u, v):
-            if w not in self._adjacency:
-                raise InvalidConfigError(f"edge endpoint {w!r} is not a vertex")
-        self._adjacency[u].add(v)
-        self._adjacency[v].add(u)
-
-    def freeze(self) -> "FlagComplex":
-        self._frozen = True
-        return self
-
-    def _check_mutable(self) -> None:
-        if self._frozen:
-            raise InvalidConfigError("complex is frozen; build a new one instead of mutating")
-
-    # -- queries -----------------------------------------------------------
+    def __init__(self, adjacency: dict[str, set[str]]) -> None:
+        self._adjacency = adjacency  # vertex -> neighbours; the only store
 
     @property
     def vertex_ids(self) -> list[str]:
@@ -72,14 +47,6 @@ class FlagComplex:
 
     def edge_count(self) -> int:
         return sum(map(len, self._adjacency.values())) // 2
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FlagComplex):
-            return NotImplemented
-        return self._adjacency == other._adjacency
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FlagComplex({len(self._adjacency)} vertices, {self.edge_count()} edges)"
 
 
 # -- clique enumeration ----------------------------------------------------
@@ -142,6 +109,13 @@ def canonical_json(obj) -> str:
 
 
 def complex_from_json_obj(obj, source: str = "complex") -> FlagComplex:
+    """Check a complex's JSON object and build its :class:`FlagComplex`.
+
+    Each error names ``source`` and, for a bad entry, its ``vertices[i]`` or
+    ``edges[i]``.  A vertex's ``label`` must be a string or null and is not
+    kept.  An edge lists its smaller id first, so a loop is refused as
+    misordered.
+    """
     if not isinstance(obj, dict):
         raise MalformedFileError(source, "expected a JSON object")
     for key in ("vertices", "edges"):
@@ -151,7 +125,7 @@ def complex_from_json_obj(obj, source: str = "complex") -> FlagComplex:
         raise MalformedFileError(f"{source}: vertices", "expected a list")
     if not isinstance(obj["edges"], list):
         raise MalformedFileError(f"{source}: edges", "expected a list")
-    out = FlagComplex()
+    adjacency: dict[str, set[str]] = {}
     for i, entry in enumerate(obj["vertices"]):
         loc = f"{source}: vertices[{i}]"
         if not isinstance(entry, dict) or "id" not in entry:
@@ -162,10 +136,11 @@ def complex_from_json_obj(obj, source: str = "complex") -> FlagComplex:
         label = entry.get("label")
         if label is not None and not isinstance(label, str):
             raise MalformedFileError(loc, "'label' must be a string or null")
-        try:
-            out.add_vertex(vid)
-        except InvalidConfigError as exc:
-            raise MalformedFileError(loc, str(exc)) from exc
+        if not vid:
+            raise MalformedFileError(loc, "vertex id must be a nonempty string, got ''")
+        if vid in adjacency:
+            raise MalformedFileError(loc, f"duplicate vertex id {vid!r}")
+        adjacency[vid] = set()
     for i, entry in enumerate(obj["edges"]):
         loc = f"{source}: edges[{i}]"
         if (
@@ -179,13 +154,14 @@ def complex_from_json_obj(obj, source: str = "complex") -> FlagComplex:
             raise MalformedFileError(
                 loc, f"edge [{u!r}, {v!r}] must list the lexicographically smaller id first"
             )
-        if v in out._adjacency.get(u, ()):
+        if v in adjacency.get(u, ()):
             raise MalformedFileError(loc, f"duplicate edge [{u!r}, {v!r}]")
-        try:
-            out.add_edge(u, v)
-        except InvalidConfigError as exc:
-            raise MalformedFileError(loc, str(exc)) from exc
-    return out.freeze()
+        for w in (u, v):
+            if w not in adjacency:
+                raise MalformedFileError(loc, f"edge endpoint {w!r} is not a vertex")
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return FlagComplex(adjacency)
 
 
 def read_json_file(path: str):

@@ -49,11 +49,13 @@ one level at a time, and surgers along each outermost arc
 which builds the remainder band sum) and raising
 ``SurgeryDisagreement`` if two arcs disagree.
 
-``copy_complex``, ``suspend`` and ``octahedral_sphere`` build the flag
-complexes that the homology and flag-complex tests start from,
-``has_vertex``, ``has_edge`` and ``edges`` query them, and
-``complex_to_json_obj`` writes them in the format ``disklab homology``
-reads; no subcommand needs them.  ``betti`` and ``torsion`` read one
+``complex_of`` builds every test complex through the JSON reader, the one
+maker of a :class:`FlagComplex`, so each passes the checks a file does;
+``suspend``, ``octahedral_sphere``, ``complete_graph``, ``cycle_graph`` and
+``random_flag_complex`` build the complexes that the homology and
+flag-complex tests start from on it, ``has_vertex``, ``has_edge`` and
+``edges`` query them, and ``complex_to_json_obj`` writes them in the format
+``disklab homology`` reads; no subcommand needs them.  ``betti`` and ``torsion`` read one
 dimension of a homology profile, which stops at its complex's first empty
 dimension, so past it they read 0 and no torsion.
 
@@ -85,6 +87,7 @@ lattice ker d_k, so it generates H_k = Z.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -103,7 +106,7 @@ from disklab.disks import (
     validate_disk,
 )
 from disklab.errors import InvalidConfigError
-from disklab.flagcomplex import DEFAULT_MAX_SIMPLICES, FlagComplex, flag_cliques
+from disklab.flagcomplex import DEFAULT_MAX_SIMPLICES, FlagComplex, complex_from_json_obj, flag_cliques
 from disklab.homology import Column, HomologyProfile, rank_and_torsion
 from disklab.retraction import (
     CASE_OF_TYPES,
@@ -145,30 +148,35 @@ def complex_to_json_obj(c: FlagComplex) -> dict:
     }
 
 
-def copy_complex(c: FlagComplex) -> FlagComplex:
-    out = FlagComplex()
-    for vid in c.vertex_ids:
-        out.add_vertex(vid)
-    for (u, v) in edges(c):
-        out.add_edge(u, v)
-    return out
+def complex_of(vertex_ids: Iterable[str], edges: Iterable[tuple[str, str]]) -> FlagComplex:
+    """The complex on ``vertex_ids`` with ``edges``, read as a file would be.
+
+    Each edge may name its ends in either order; it is written smaller id
+    first, and the reader runs every check a ``disklab homology`` file gets.
+    """
+    obj = {"vertices": [{"id": vid} for vid in vertex_ids], "edges": [sorted(e) for e in edges]}
+    return complex_from_json_obj(obj, "complex_of")
+
+
+def random_flag_complex(rng: random.Random, n_vertices: int, p: float) -> FlagComplex:
+    """``v0 .. v{n-1}``, each pair an edge with probability ``p``, drawn in pair order."""
+    ids = [f"v{i}" for i in range(n_vertices)]
+    return complex_of(ids, [e for e in combinations(ids, 2) if rng.random() < p])
+
+
+def complete_graph(n: int) -> FlagComplex:
+    ids = [f"v{i}" for i in range(n)]
+    return complex_of(ids, combinations(ids, 2))
+
+
+def cycle_graph(n: int) -> FlagComplex:
+    ids = [f"v{i}" for i in range(n)]
+    return complex_of(ids, [(ids[i], ids[(i + 1) % n]) for i in range(n)])
 
 
 def suspend(c: FlagComplex, a: str, b: str) -> FlagComplex:
     """Suspension: two new mutually non-adjacent vertices coned over ``c``."""
-    if has_vertex(c, a):
-        raise InvalidConfigError(f"suspension vertex id {a!r} already present")
-    if has_vertex(c, b):
-        raise InvalidConfigError(f"suspension vertex id {b!r} already present")
-    if a == b:
-        raise InvalidConfigError("suspension vertices must be distinct")
-    out = copy_complex(c)
-    out.add_vertex(a)
-    out.add_vertex(b)
-    for vid in c.vertex_ids:
-        out.add_edge(a, vid)
-        out.add_edge(b, vid)
-    return out.freeze()
+    return complex_of(c.vertex_ids + [a, b], edges(c) + [(x, vid) for x in (a, b) for vid in c.vertex_ids])
 
 
 def octahedral_sphere(n: int) -> FlagComplex:
@@ -180,16 +188,8 @@ def octahedral_sphere(n: int) -> FlagComplex:
     """
     if n < 1:
         raise InvalidConfigError(f"octahedral_sphere needs n >= 1, got {n}")
-    out = FlagComplex()
-    for i in range(n):
-        out.add_vertex(f"p{i}")
-        out.add_vertex(f"q{i}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            for u in (f"p{i}", f"q{i}"):
-                for v in (f"p{j}", f"q{j}"):
-                    out.add_edge(u, v)
-    return out.freeze()
+    ids = [f"{side}{i}" for i in range(n) for side in "pq"]
+    return complex_of(ids, [(u, v) for u, v in combinations(ids, 2) if u[1:] != v[1:]])
 
 
 # A six-vertex triangulation of the real projective plane.  As a simplicial
@@ -222,13 +222,10 @@ def projective_plane_subdivision() -> FlagComplex:
         for size in (1, 2, 3)
         for face in combinations(triangle, size)
     })
-    out = FlagComplex()
-    for face in faces:
-        out.add_vertex("-".join(face))
-    for a, b in combinations(faces, 2):
-        if set(a) < set(b) or set(b) < set(a):
-            out.add_edge(*sorted(("-".join(a), "-".join(b))))
-    return out.freeze()
+    return complex_of(
+        ["-".join(face) for face in faces],
+        [("-".join(a), "-".join(b)) for a, b in combinations(faces, 2) if set(a) < set(b) or set(b) < set(a)],
+    )
 
 
 def induced_subcomplex(c: FlagComplex, vertex_ids: Iterable[str]) -> FlagComplex:
@@ -236,13 +233,7 @@ def induced_subcomplex(c: FlagComplex, vertex_ids: Iterable[str]) -> FlagComplex
     missing = sorted(keep - set(c.vertex_ids))
     if missing:
         raise InvalidConfigError(f"vertices not in complex: {missing}")
-    out = FlagComplex()
-    for vid in sorted(keep):
-        out.add_vertex(vid)
-    for (u, v) in edges(c):
-        if u in keep and v in keep:
-            out.add_edge(u, v)
-    return out.freeze()
+    return complex_of(sorted(keep), [(u, v) for (u, v) in edges(c) if u in keep and v in keep])
 
 
 def sphere_complex(sphere: list, catalog) -> FlagComplex:
@@ -251,24 +242,12 @@ def sphere_complex(sphere: list, catalog) -> FlagComplex:
     ``sphere`` lists the catalog positions of the vertices ``D_0, E_0, ...``.
     """
     keys = [catalog.disks[k].key for k in sphere]
-    fc = FlagComplex()
-    for key in keys:
-        fc.add_vertex(key)
-    for u in range(len(keys)):
-        for v in range(u + 1, len(keys)):
-            if u >> 1 != v >> 1:
-                fc.add_edge(keys[u], keys[v])
-    return fc.freeze()
+    return complex_of(keys, [(keys[u], keys[v]) for u, v in combinations(range(len(keys)), 2) if u >> 1 != v >> 1])
 
 
 def catalog_complex(catalog, disjoint_pairs) -> FlagComplex:
     """The cataloged disk complex: disks as vertices, certified-disjoint pairs as edges."""
-    fc = FlagComplex()
-    for d in catalog.disks:
-        fc.add_vertex(d.key)
-    for a, b in disjoint_pairs:
-        fc.add_edge(a.key, b.key)
-    return fc.freeze()
+    return complex_of([d.key for d in catalog.disks], [(a.key, b.key) for a, b in disjoint_pairs])
 
 
 @dataclass(frozen=True)

@@ -38,11 +38,11 @@ from disklab.disks import (
     build_disk_catalog,
     disks_disjoint,
 )
-from disklab.flagcomplex import FlagComplex, canonical_json
+from disklab.flagcomplex import canonical_json
 from disklab.homology import reduced_homology
 from disklab.retraction import certify_minimality
 from disklab.surface import build_tubed_surface, opposite_side, tube_side
-from oracles import betti, classify_type, memo_verdict, octahedral_sphere, suspend, torsion
+from oracles import betti, classify_type, memo_verdict, octahedral_sphere, random_flag_complex, suspend, torsion
 
 INSTANCES = ((1, 1), (1, 2), (2, 1), (2, 2))
 CONFIG = CatalogConfig(arc_bound=3, bandsum_depth=2)
@@ -77,23 +77,11 @@ def test_criterion_1_octahedral_sphere_homology():
     _passline(1, f"octahedral sphere homology n=1..5 in {elapsed:.2f}s")
 
 
-def _random_flag_complex(rng: random.Random, n_vertices: int, p: float) -> FlagComplex:
-    c = FlagComplex()
-    ids = [f"v{i}" for i in range(n_vertices)]
-    for vid in ids:
-        c.add_vertex(vid)
-    for i in range(n_vertices):
-        for j in range(i + 1, n_vertices):
-            if rng.random() < p:
-                c.add_edge(ids[i], ids[j])
-    return c.freeze()
-
-
 def test_criterion_2_suspension_shifts_reduced_homology():
     checked = 0
     for seed in range(20):
         rng = random.Random(1000 + seed)
-        c = _random_flag_complex(rng, rng.randint(1, 12), rng.uniform(0.15, 0.7))
+        c = random_flag_complex(rng, rng.randint(1, 12), rng.uniform(0.15, 0.7))
         d_max = max(2, c.vertex_count() // 2)
         base = reduced_homology(c, d_max)
         lifted = reduced_homology(suspend(c, "north", "south"), d_max + 1)

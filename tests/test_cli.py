@@ -13,12 +13,13 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 from disklab import disks, homology, retraction
 from disklab.cli import EXIT_CAP, EXIT_CONFIG, EXIT_FAILED, EXIT_OK, main
-from disklab.flagcomplex import canonical_json, write_text_file
+from disklab.flagcomplex import FlagComplex, canonical_json, write_text_file
 from oracles import complex_to_json_obj, octahedral_sphere, projective_plane_subdivision
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -775,21 +776,19 @@ def two_points_file(tmp_path):
     return str(path)
 
 
-def test_homology_caps_the_dimension_count_before_enumerating(two_points_file, capsys, monkeypatch):
-    def no_enumeration(*args, **kwargs):
-        raise AssertionError("cliques enumerated before the dimension cap was checked")
-
-    monkeypatch.setattr(homology, "reduced_homology", no_enumeration)
-    start = time.perf_counter()
-    code, stdout, stderr = run(["homology", two_points_file, str(10**20)], capsys)
-    assert time.perf_counter() - start < 1.0
-    assert code == EXIT_CAP
-    assert stdout == ""
-    assert f"d_max {10**20}" in stderr
-    assert "max_simplices (1000000)" in stderr
-    code, _, stderr = run(["homology", two_points_file, "3", "--max-simplices", "3"], capsys)
-    assert code == EXIT_CAP
-    assert "d_max 3 asks for 4 dimensions" in stderr and "max_simplices (3)" in stderr
+def test_homology_answers_any_d_max_past_the_first_empty_dimension(two_points_file, capsys):
+    # --max-simplices caps the cliques of each dimension, not d_max: the
+    # profile stops at the complex's first empty dimension, so d_max costs nothing.
+    for args, d_max in (([str(10**20)], 10**20), (["3", "--max-simplices", "3"], 3)):
+        start = time.perf_counter()
+        code, stdout, stderr = run(["homology", two_points_file, *args], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, stderr) == (EXIT_OK, "")
+        assert stdout.splitlines() == [
+            "reduced H_0 = Z",
+            "reduced H_1 = 0",
+            f"reduced H_k = 0 for k = 2..{d_max}, past the first empty dimension",
+        ]
 
 
 def test_homology_dimension_count_at_the_cap_still_runs(two_points_file, capsys):
@@ -825,6 +824,31 @@ def test_homology_work_is_bounded_by_the_complex_not_by_d_max(tmp_path):
     ]
     doc = json.loads((tmp_path / "h" / "homology.json").read_text())
     assert doc["d_max"] == 999999 and [e["dimension"] for e in doc["profile"]] == [0, 1, 2]
+
+
+def test_homology_and_certify_call_the_methods_the_tracer_replaces(octa_file, tmp_path, capsys, monkeypatch):
+    """``perfbench/tracer.py`` replaces ``FlagComplex.neighbors`` and
+    ``RetractionEngine.image`` on their classes; a traced run needs both, and
+    each job kind must reach its own."""
+    calls = Counter()
+
+    def count(cls, name):
+        assert name in vars(cls), (cls.__name__, name)
+        method = vars(cls)[name]
+
+        def counting(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counting)
+
+    count(FlagComplex, "neighbors")
+    count(retraction.RetractionEngine, "image")
+    assert run(["homology", octa_file, "2"], capsys)[0] == EXIT_OK
+    assert calls["neighbors"] >= 1
+    calls.clear()
+    assert run(["certify", "--genus", "1", "--tubes", "1", "--out", str(tmp_path / "c")], capsys)[0] == EXIT_OK
+    assert calls["image"] >= 1
 
 
 def test_homology_rejects_negative_simplex_cap(octa_file, capsys):

@@ -22,11 +22,15 @@ from oracles import (
     VertexMap,
     check_retraction,
     check_simplicial,
+    complete_graph,
+    complex_of,
     complex_to_json_obj,
+    cycle_graph,
     edges,
     has_edge,
     induced_subcomplex,
     octahedral_sphere,
+    random_flag_complex,
     suspend,
 )
 
@@ -92,77 +96,23 @@ def top_dimension(c: FlagComplex, max_per_dim: int = DEFAULT_MAX_SIMPLICES) -> i
         d += 1
 
 
-def random_flag_complex(rng: random.Random, n_vertices: int, p: float) -> FlagComplex:
-    c = FlagComplex()
-    ids = [f"v{i}" for i in range(n_vertices)]
-    for vid in ids:
-        c.add_vertex(vid)
-    for u, v in itertools.combinations(ids, 2):
-        if rng.random() < p:
-            c.add_edge(u, v)
-    return c.freeze()
-
-
-def complete_graph(n: int) -> FlagComplex:
-    c = FlagComplex()
-    ids = [f"v{i}" for i in range(n)]
-    for vid in ids:
-        c.add_vertex(vid)
-    for u, v in itertools.combinations(ids, 2):
-        c.add_edge(u, v)
-    return c.freeze()
-
-
-def cycle_graph(n: int) -> FlagComplex:
-    c = FlagComplex()
-    ids = [f"v{i}" for i in range(n)]
-    for vid in ids:
-        c.add_vertex(vid)
-    for i in range(n):
-        c.add_edge(ids[i], ids[(i + 1) % n])
-    return c.freeze()
-
-
 # -- construction basics --------------------------------------------------------
 
 
 class TestFlagComplexConstruction:
     def test_vertices_and_edges(self):
-        c = FlagComplex()
-        c.add_vertex("b")
-        c.add_vertex("a")
-        c.add_edge("b", "a")
-        c.freeze()
+        c = complex_of(["b", "a"], [("b", "a")])
         assert c.vertex_ids == ["a", "b"]
         assert edges(c) == [("a", "b")]
         assert has_edge(c, "a", "b") and has_edge(c, "b", "a")
         assert not has_edge(c, "a", "a")
         assert c.neighbors("a") == ["b"]
 
-    def test_duplicate_vertex_rejected(self):
-        c = FlagComplex()
-        c.add_vertex("a")
-        with pytest.raises(InvalidConfigError):
-            c.add_vertex("a")
-
-    def test_loop_edge_rejected(self):
-        c = FlagComplex()
-        c.add_vertex("a")
-        with pytest.raises(InvalidConfigError):
-            c.add_edge("a", "a")
-
-    def test_edge_needs_vertices(self):
-        c = FlagComplex()
-        c.add_vertex("a")
-        with pytest.raises(InvalidConfigError):
-            c.add_edge("a", "missing")
-
-    def test_frozen_blocks_mutation(self):
-        c = FlagComplex()
-        c.add_vertex("a")
-        c.freeze()
-        with pytest.raises(InvalidConfigError):
-            c.add_vertex("b")
+    def test_the_reader_is_the_one_maker_and_the_class_has_no_setter(self):
+        assert [name for name, member in vars(FlagComplex).items() if callable(member)] == [
+            "__init__", "neighbors", "vertex_count", "edge_count",
+        ]
+        assert isinstance(vars(FlagComplex)["vertex_ids"], property)
 
     def test_induced_subcomplex(self):
         c = complete_graph(4)
@@ -243,8 +193,10 @@ class TestOctahedralSphere:
 
     def test_suspend_rejects_duplicate_ids(self):
         c = octahedral_sphere(1)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(MalformedFileError, match="duplicate vertex id 'p0'"):
             suspend(c, "p0", "x")
+        with pytest.raises(MalformedFileError, match="duplicate vertex id 'x'"):
+            suspend(c, "x", "x")
 
     def test_suspension_points_not_adjacent(self):
         c = cycle_graph(5)
@@ -278,12 +230,7 @@ class TestVertexMap:
         good = VertexMap(dom, cod, {"v0": "v0", "v1": "v1", "v2": "v0", "v3": "v1"})
         assert check_simplicial(good) == []
         # collapse an edge to two non-adjacent vertices of a path
-        path = FlagComplex()
-        for vid in ("a", "b", "c"):
-            path.add_vertex(vid)
-        path.add_edge("a", "b")
-        path.add_edge("b", "c")
-        path.freeze()
+        path = complex_of(["a", "b", "c"], [("a", "b"), ("b", "c")])
         bad = VertexMap(dom, path, {"v0": "a", "v1": "c", "v2": "a", "v3": "c"})
         assert bad("v0") == "a"
         violations = check_simplicial(bad)
@@ -323,13 +270,13 @@ class TestJsonFormats:
     def test_complex_roundtrip(self):
         c = octahedral_sphere(2)
         obj = complex_to_json_obj(c)
-        assert complex_from_json_obj(obj, "roundtrip") == c
+        assert complex_to_json_obj(complex_from_json_obj(obj, "roundtrip")) == obj
 
     def test_complex_checks_labels_and_keeps_none(self):
         obj = {"vertices": [{"id": "a", "label": "first"}, {"id": "b", "label": None}], "edges": [["a", "b"]]}
-        assert complex_from_json_obj(obj, "labels.json") == complex_from_json_obj(
-            {"vertices": [{"id": "a"}, {"id": "b"}], "edges": [["a", "b"]]}, "plain.json"
-        )
+        assert complex_to_json_obj(complex_from_json_obj(obj, "labels.json")) == {
+            "vertices": [{"id": "a"}, {"id": "b"}], "edges": [["a", "b"]]
+        }
         obj["vertices"][1]["label"] = 7
         with pytest.raises(MalformedFileError) as exc:
             complex_from_json_obj(obj, "bad.json")
@@ -349,6 +296,25 @@ class TestJsonFormats:
         with pytest.raises(MalformedFileError) as exc:
             complex_from_json_obj(obj, "bad.json")
         assert "vertices[0]" in exc.value.location
+
+    @pytest.mark.parametrize(
+        "vertices, edge_list, location, message",
+        [
+            (["a", ""], [], "vertices[1]", "vertex id must be a nonempty string, got ''"),
+            (["a", "b", "a"], [], "vertices[2]", "duplicate vertex id 'a'"),
+            (["a"], [["a", "a"]], "edges[0]", "edge ['a', 'a'] must list the lexicographically smaller id first"),
+            (["a", "c"], [["a", "c"], ["a", "b"]], "edges[1]", "edge endpoint 'b' is not a vertex"),
+            (["a", "b"], [["a", "b"], ["a", "b"]], "edges[1]", "duplicate edge ['a', 'b']"),
+            ([{"id": "a", "label": 7}], [], "vertices[0]", "'label' must be a string or null"),
+        ],
+        ids=["empty-id", "repeated-id", "loop-edge", "missing-endpoint", "repeated-edge", "nonstring-label"],
+    )
+    def test_reader_rejects(self, vertices, edge_list, location, message):
+        obj = {"vertices": [v if isinstance(v, dict) else {"id": v} for v in vertices], "edges": edge_list}
+        with pytest.raises(MalformedFileError) as exc:
+            complex_from_json_obj(obj, "bad.json")
+        assert exc.value.location == f"bad.json: {location}"
+        assert str(exc.value) == f"bad.json: {location}: {message}"
 
     def test_map_roundtrip(self):
         c = octahedral_sphere(1)
@@ -373,12 +339,7 @@ def small_graph(draw):
     ids = [f"v{i}" for i in range(n)]
     pairs = list(itertools.combinations(ids, 2))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
-    c = FlagComplex()
-    for vid in ids:
-        c.add_vertex(vid)
-    for u, v in chosen:
-        c.add_edge(u, v)
-    return c.freeze()
+    return complex_of(ids, chosen)
 
 
 @settings(max_examples=60, deadline=None)

@@ -30,12 +30,16 @@ from oracles import (
     betti,
     certify_homology_retraction,
     check_retraction,
-    copy_complex,
+    complete_graph,
+    complex_of,
+    cycle_graph,
+    edges,
     free_generator,
     induced_subcomplex,
     octahedral_sphere,
     permutation_sign,
     projective_plane_subdivision,
+    random_flag_complex,
     smith_normal_form,
     suspend,
     torsion,
@@ -125,17 +129,6 @@ def betti_numbers_rational(c: FlagComplex, d_max: int) -> list[int]:
         cc.n_cells(k) - frank(dense_boundary(cc, k)) - frank(dense_boundary(cc, k + 1))
         for k in range(d_max + 1)
     ]
-
-
-def random_flag_complex(rng: random.Random, n_vertices: int, p: float) -> FlagComplex:
-    c = FlagComplex()
-    ids = [f"v{i}" for i in range(n_vertices)]
-    for vid in ids:
-        c.add_vertex(vid)
-    for u, v in itertools.combinations(ids, 2):
-        if rng.random() < p:
-            c.add_edge(u, v)
-    return c.freeze()
 
 
 def determinant(a: Matrix) -> int:
@@ -286,26 +279,6 @@ class TestRankAndTorsion:
 # -- chain complexes ---------------------------------------------------------------
 
 
-def complete_graph(n: int) -> FlagComplex:
-    c = FlagComplex()
-    ids = [f"v{i}" for i in range(n)]
-    for vid in ids:
-        c.add_vertex(vid)
-    for u, v in itertools.combinations(ids, 2):
-        c.add_edge(u, v)
-    return c.freeze()
-
-
-def cycle_graph(n: int) -> FlagComplex:
-    c = FlagComplex()
-    ids = [f"v{i}" for i in range(n)]
-    for vid in ids:
-        c.add_vertex(vid)
-    for i in range(n):
-        c.add_edge(ids[i], ids[(i + 1) % n])
-    return c.freeze()
-
-
 def projective_plane_complex() -> ChainComplex:
     ids = [f"v{i}" for i in range(1, 7)]
     edges = sorted(set(itertools.chain.from_iterable(
@@ -340,11 +313,7 @@ class TestChainComplex:
         assert all(betti(prof, k) == 0 and not torsion(prof, k) for k in range(3))
 
     def test_two_points(self):
-        c = FlagComplex()
-        c.add_vertex("a")
-        c.add_vertex("b")
-        c.freeze()
-        prof = reduced_homology(c, 1)
+        prof = reduced_homology(complex_of(["a", "b"], []), 1)
         assert betti(prof, 0) == 1
         assert betti(prof, 1) == 0
 
@@ -403,7 +372,7 @@ class TestChainComplex:
         assert calls == [2, 1, 0]
         assert prof.entries == ((0, ()),) * 3
         calls.clear()
-        assert reduced_homology(FlagComplex().freeze(), 3).entries == ((0, ()),)
+        assert reduced_homology(complex_of([], []), 3).entries == ((0, ()),)
         assert calls == [0]
 
     def test_profile_is_an_immutable_value(self):
@@ -470,11 +439,8 @@ class TestSuspensionShift:
 
 def octahedron_with_vertex(n: int, neighbours: list[str]) -> FlagComplex:
     """``octahedral_sphere(n)`` plus a vertex ``x`` adjacent to ``neighbours`` only."""
-    c = copy_complex(octahedral_sphere(n))
-    c.add_vertex("x")
-    for v in neighbours:
-        c.add_edge(v, "x")
-    return c.freeze()
+    c = octahedral_sphere(n)
+    return complex_of(c.vertex_ids + ["x"], edges(c) + [(v, "x") for v in neighbours])
 
 
 def octahedron_and_projective_plane(prefix: str) -> ChainComplex:

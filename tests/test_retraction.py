@@ -879,9 +879,9 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
     built = Counter()
     flag_complex_init = FlagComplex.__init__
 
-    def counting_init(self):
+    def counting_init(self, adjacency):
         built["FlagComplex"] += 1
-        flag_complex_init(self)
+        flag_complex_init(self, adjacency)
 
     def no_cliques(*args, **kwargs):
         built["flag_cliques"] += 1
