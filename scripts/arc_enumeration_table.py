@@ -6,12 +6,14 @@ of canonical reduced codes of length 1..k (the figure the arc-class cap is
 checked against), runs ``enumerate_arcs(genus, k)``, and prints the number of
 embeddable classes it returns and the median seconds of five runs (one run
 takes milliseconds, so a single timing is mostly noise).  It then decides
-every pair of distinct classes with one fresh ``arc_verdict`` per row, which
-draws each class once and keeps nothing between rows, and prints the number
-of disjoint pairs and the seconds that took.  The default grid is genus 1
-at k = 5..9, genus 2 at k = 3..5 (genus 2 at k = 6 has about 600,000
-pairs) and genus 3 at k = 3..4; rows whose class counts are frozen in the
-tests are checked against those values.
+every pair of distinct classes three times, each run with a fresh
+``arc_verdict``, which draws each class once and keeps nothing between runs
+or rows, and prints the number of disjoint pairs and the median seconds of
+the three runs (single g3 k4 passes read 4.05-6.94 s on a shared 2-vCPU
+host).  The default grid is genus 1 at k = 5..9, genus 2 at k = 3..5
+(genus 2 at k = 6 has about 600,000 pairs) and genus 3 at k = 3..4; rows
+whose class counts are frozen in the tests are checked against those
+values.
 
 Usage:
     python3 scripts/arc_enumeration_table.py [--genus1-max K] [--genus2-max K] [--genus3-max K]
@@ -28,6 +30,7 @@ from itertools import combinations
 from disklab.surface import arc_verdict, candidate_count, enumerate_arcs
 
 ENUMERATION_RUNS = 5
+PAIR_RUNS = 3
 
 # Embeddable class counts frozen in tests/test_surface.py.
 EXPECTED = {(1, 7): 84, (1, 8): 106, (1, 9): 150, (2, 3): 54, (2, 5): 449, (2, 6): 1093, (3, 4): 527}
@@ -61,10 +64,13 @@ def main(argv=None) -> int:
         row_ok = expected is None or len(classes) == expected
         ok = ok and row_ok
         mark = "" if row_ok else f"   <-- expected {expected}"
-        t0 = time.monotonic()
-        verdict = arc_verdict(genus)
-        disjoint = sum(verdict(a, b) for a, b in combinations(classes, 2))
-        pair_time = time.monotonic() - t0
+        pair_times = []
+        for _ in range(PAIR_RUNS):
+            t0 = time.monotonic()
+            verdict = arc_verdict(genus)
+            disjoint = sum(verdict(a, b) for a, b in combinations(classes, 2))
+            pair_times.append(time.monotonic() - t0)
+        pair_time = statistics.median(pair_times)
         pairs = len(classes) * (len(classes) - 1) // 2
         print(
             f"{genus:>2} {k:>2} {candidate_count(genus, k):>10} {len(classes):>10} {elapsed:>7.3f}s"

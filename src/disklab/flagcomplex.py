@@ -69,9 +69,8 @@ def flag_cliques(
     """
     if d < 0:
         raise InvalidConfigError(f"dimension bound must be >= 0, got {d}")
-    verts = c.vertex_ids
+    verts, adj = c.vertex_ids, c._adjacency
     sorted_adj = {v: c.neighbors(v) for v in verts}
-    adj = {v: set(ws) for v, ws in sorted_adj.items()}
     out: dict[int, list[tuple[str, ...]]] = {k: [] for k in range(d + 1)}
     out[0] = [(v,) for v in verts]
     _cap_check(out[0], 0, max_per_dim)

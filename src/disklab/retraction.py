@@ -65,7 +65,8 @@ cataloged complex, and the homology section, which records a generating
 Every disjointness verdict comes from one pass, made first: one bitset row
 per catalog disk, of the disks certified disjoint from it, each an AND of a
 few precomputed masks (:func:`~disklab.disks.disjointness_rows`).  The
-octahedron check, the claim tally and the V/W witness all read those rows;
+octahedron check and the claim tally read those rows, and the V/W witness is
+the sphere's ``E_0`` and ``E_1``, whose edge the octahedron check has read;
 nothing else asks the calculus, and no ``D_i`` is picked by it: the term for
 ``M(j)`` against ``V(r, α)``, ``j != r``, does not read ``α``.
 The claim tally is also the only simpliciality check: on the octahedron two
@@ -296,40 +297,28 @@ _CASE_OF_ORDERED_TYPES = {
 }
 
 
-def _scan_pairs(disks, types: list, images: list, rows: list, v_side: str):
-    """The pair pass: (claim tally, V/W witness).
+def _scan_pairs(disks, types: list, images: list, rows: list) -> dict:
+    """The pair pass: the claim tally.
 
     ``types`` and ``images`` are the disks' types at the top tube and sphere
     vertices, and ``rows`` their :func:`~disklab.disks.disjointness_rows`:
     per disk, the bitset over catalog indices of the other disks certified
-    disjoint from it, all in catalog order.  Results are read off the rows
-    in catalog order, lowest bit first, which is the order of a loop over
-    pairs ``i < j``.
-
-    The witness is the first disjoint pair with one disk on each side, as
-    ``(v_disk, w_disk)``.
+    disjoint from it, all in catalog order.  Each row is restricted to the
+    disks after its own, so every pair is read once, in catalog order,
+    lowest bit first, which is the order of a loop over pairs ``i < j``.
     """
-    # Row i restricted to the disks after i: each pair is read once.
-    later = [row & -(2 << i) for i, row in enumerate(rows)]
-    on_side = _masks(d.side for d in disks)
-    witness = None
-    for i, a in enumerate(disks):
-        across = later[i] & ~on_side[a.side]
-        if across:
-            b = disks[next(_bits(across))]
-            witness = (a, b) if a.side == v_side else (b, a)
-            break
-
     of_type = _masks(types)
     of_image = _masks(images)
     forbidden = {
         ta: sum(mask for tb, mask in of_type.items() if (ta, tb) not in _CASE_OF_ORDERED_TYPES)
         for ta in of_type
     }
+    checked = 0
     per_case = Counter()
     violations = []
     for i, (a, ta, xa) in enumerate(zip(disks, types, images)):
-        row = later[i]
+        row = rows[i] & -(2 << i)
+        checked += row.bit_count()
         if row & forbidden[ta]:
             j = next(_bits(row & forbidden[ta]))
             lo, hi = sorted((ta, types[j]))
@@ -347,13 +336,12 @@ def _scan_pairs(disks, types: list, images: list, rows: list, v_side: str):
                 {"case": case, "disks": [a.key, disks[j].key], "types": sorted((ta, tb)),
                  "images": [vertex_name(xa), vertex_name(images[j])]}
             )
-    claims = {
-        "pairs_checked": sum(row.bit_count() for row in later),
+    return {
+        "pairs_checked": checked,
         "per_case": {str(c): per_case.get(c, 0) for c in range(1, 7)},
         "violations": violations,
         "passed": not violations,
     }
-    return claims, witness
 
 
 # -- the full certificate pipeline ------------------------------------------------------
@@ -459,11 +447,12 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
     dimension is checked first, since it depends on ``n`` alone, and the
     sphere is picked from the catalog alone.  One pass over all catalog
     pairs then gives each disk its row of disks certified disjoint from it.
-    Sphere verification reads the rows; so do the claim tally (which is
-    also the simpliciality check: no edge maps to an antipodal pair) and
-    the V/W witness, after the per-disk retraction images.  Last come the
-    vertex-level retraction check on the cataloged complex and the homology
-    section in dimension ``n``, written in closed form.  No flag complex is
+    Sphere verification reads the rows; so does the claim tally (also the
+    simpliciality check: no edge maps to an antipodal pair), after the
+    per-disk retraction images.  For ``n >= 2`` the V/W witness is ``E_0``
+    and ``E_1``, on opposite sides, whose edge the sphere check read.  Last
+    come the vertex-level retraction check on the cataloged complex and the
+    homology section in dimension ``n``, in closed form.  No flag complex is
     built and no clique is enumerated.
     Returns a JSON-ready certificate; ``passed`` is False (with
     ``first_violation`` set) rather than raising when a verification step
@@ -487,7 +476,7 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
     homology_doc = None
 
     types = [type_at(d, m) for d in catalog.disks]
-    claims, witness_pair = _scan_pairs(catalog.disks, types, images, rows, surface.v_side)
+    claims = _scan_pairs(catalog.disks, types, images, rows)
     if not claims["passed"]:
         v = claims["violations"][0]
         first_violation = {
@@ -506,8 +495,10 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
             homology_doc = _homology_document([keys[k] for k in sphere])
 
     witness = None
-    if n >= 2 and witness_pair is not None:
-        witness = {"v_disk": witness_pair[0].key, "w_disk": witness_pair[1].key}
+    if n >= 2:
+        e0, e1 = catalog.disks[sphere[1]], catalog.disks[sphere[3]]
+        v, w = (e0, e1) if e0.side == surface.v_side else (e1, e0)
+        witness = {"v_disk": v.key, "w_disk": w.key}
 
     surgeries, multi_arc = engine.surgery_counts()
     provenance = Counter(_provenance(d, t, m) for d, t in zip(catalog.disks, types))

@@ -1081,9 +1081,12 @@ def project_disk(d: Disk, surface: TubedSurface) -> Disk:
 def scan_pairs_by_loop(disks, types: list, images: list, surface: TubedSurface):
     """The pair pass as a loop over all pairs ``i < j`` of catalog disks.
 
-    Same arguments and results as ``retraction._scan_pairs``, (claim tally,
-    V/W witness), with no rows: pairs with disjoint tube footprints are
-    disjoint by the footprint rule, and every other pair asks the calculus.
+    Same arguments as ``retraction._scan_pairs``, with no rows: pairs with
+    disjoint tube footprints are disjoint by the footprint rule, and every
+    other pair asks the calculus.  Returns (claim tally, V/W witness): the
+    tally is the pass's result, and the witness, the first disjoint pair
+    with one disk on each side as ``(v_disk, w_disk)``, is the reference for
+    the pair ``certify_catalog`` reads off the sphere.
     """
     arcs_ok = memo_verdict(surface.genus_base)
     case_of = {**CASE_OF_TYPES, **{(tb, ta): case for (ta, tb), case in CASE_OF_TYPES.items()}}
@@ -1137,7 +1140,7 @@ def verify_claim_cases(engine: RetractionEngine) -> dict:
     disks, surface = engine.catalog.disks, engine.surface
     types = [type_at(d, surface.tubes) for d in disks]
     images = [engine.image(d) for d in disks]
-    return _scan_pairs(disks, types, images, disjointness_rows(disks, surface), surface.v_side)[0]
+    return _scan_pairs(disks, types, images, disjointness_rows(disks, surface))
 
 
 def disjoint_pairs(catalog, rows) -> list:

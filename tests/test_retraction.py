@@ -2,7 +2,9 @@
 
 import importlib
 import random
+import sys
 import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 from math import comb
@@ -83,7 +85,7 @@ def types_of(catalog):
 def scan(catalog, images, rows, types=None):
     """Certify's pair pass on the catalog's disks, with the given images and (by default, real) types."""
     types = types_of(catalog) if types is None else types
-    return retraction_module._scan_pairs(catalog.disks, types, images, rows, catalog.surface.v_side)
+    return retraction_module._scan_pairs(catalog.disks, types, images, rows)
 
 
 def top_tube(d) -> int:
@@ -426,7 +428,7 @@ def test_pair_scan_matches_the_calculus_on_every_pair(genus, n):
     arcs_ok = memo_verdict(genus)
     expected = [(a, b) for a, b in combinations(catalog.disks, 2) if disks_disjoint(a, b, arcs_ok)]
     assert disjoint_pairs(catalog, rows) == expected
-    assert scan(catalog, images_of(engine), rows)[0]["pairs_checked"] == len(expected)
+    assert scan(catalog, images_of(engine), rows)["pairs_checked"] == len(expected)
 
 
 def per_pair_claims(engine, image):
@@ -465,7 +467,7 @@ def test_single_pass_tally_matches_per_pair_images():
     assert verify_claim_cases(engine) == expected
     # Rigged images that put many disjoint pairs on antipodal vertices.
     rigged = {d.key: 2 * (i % 3) + i % 2 for i, d in enumerate(catalog.disks)}
-    claims, _ = scan(catalog, list(rigged.values()), disjointness_rows(catalog.disks, surface))
+    claims = scan(catalog, list(rigged.values()), disjointness_rows(catalog.disks, surface))
     expected = per_pair_claims(engine, lambda d: rigged[d.key])
     assert len(expected["violations"]) > 0
     assert claims == expected
@@ -748,13 +750,8 @@ def test_certify_flags_an_antipodal_pair_certified_disjoint(setup_g1n4, monkeypa
         certify_catalog(catalog)
 
 
-def test_certify_flags_a_sphere_edge_missing_from_the_pair_list(setup_g1n4, monkeypatch):
-    surface, catalog, sphere, _, pairs = setup_g1n4
-    cert = certify_catalog(catalog)
-    # Clear the D1-D3 bit of the rows.  The sphere is picked from the catalog
-    # alone, so it stays the same.
-    i, j = sphere[2], sphere[6]
-    a, b = catalog.disks[i], catalog.disks[j]
+def certify_error_without_the_edge(catalog, monkeypatch, i, j) -> str:
+    """The error certify raises with the bit of catalog disks ``i`` and ``j`` cleared from the rows."""
     real = retraction_module.disjointness_rows
 
     def rows_without_the_edge(disks, surface):
@@ -766,7 +763,17 @@ def test_certify_flags_a_sphere_edge_missing_from_the_pair_list(setup_g1n4, monk
     monkeypatch.setattr(retraction_module, "disjointness_rows", rows_without_the_edge)
     with pytest.raises(InvalidConfigError) as exc:
         certify_catalog(catalog)
-    assert str(exc.value) == (
+    return str(exc.value)
+
+
+def test_certify_flags_a_sphere_edge_missing_from_the_pair_list(setup_g1n4, monkeypatch):
+    surface, catalog, sphere, _, pairs = setup_g1n4
+    cert = certify_catalog(catalog)
+    # Clear the D1-D3 bit of the rows.  The sphere is picked from the catalog
+    # alone, so it stays the same.
+    i, j = sphere[2], sphere[6]
+    a, b = catalog.disks[i], catalog.disks[j]
+    assert certify_error_without_the_edge(catalog, monkeypatch, i, j) == (
         f"sphere edge D1={a.key} vs D3={b.key} is not certified disjoint; the octahedron is not realized"
     )
     # The oracle, on the catalog complex without that edge, names the same edge
@@ -779,8 +786,9 @@ def test_certify_flags_a_sphere_edge_missing_from_the_pair_list(setup_g1n4, monk
 
 
 def assert_scan_matches_the_loop(catalog, images, rows):
+    """The pass's claims equal the loop's; returns the loop's (claims, witness)."""
     expected = scan_pairs_by_loop(catalog.disks, types_of(catalog), images, catalog.surface)
-    assert scan(catalog, images, rows) == expected
+    assert scan(catalog, images, rows) == expected[0]
     return expected
 
 
@@ -802,6 +810,9 @@ def test_pair_pass_matches_the_loop_oracle(genus, n):
     assert sum(a.key in on_sphere and b.key in on_sphere for a, b in pairs) == 2 * n * (n + 1)
     assert verify_sphere(sphere, catalog, rows)["edges_verified"] == 2 * n * (n + 1)
     assert len(pairs) == claims["pairs_checked"] == verify_claim_cases(engine)["pairs_checked"]
+    # The certificate's witness, read off the sphere, is the loop's first cross-side pair.
+    if n >= 2:
+        assert certify_catalog(catalog)["witness"] == {"v_disk": witness[0].key, "w_disk": witness[1].key}
 
 
 def test_pair_pass_matches_the_loop_oracle_on_a_raised_knob_catalog():
@@ -863,7 +874,7 @@ def test_pair_pass_flags_exactly_the_edges_the_oracle_finds(setup_g1n4):
     rows = disjointness_rows(catalog.disks, surface)
     flagged_per_table = []
     for table in tables:
-        claims, _ = scan(catalog, table, rows)
+        claims = scan(catalog, table, rows)
         flagged = {frozenset(v["disks"]) for v in claims["violations"]}
         assignment = {key: keys[sphere[x]] for key, x in zip(keys, table)}
         bad = {frozenset(edge) for edge in check_simplicial(VertexMap(k, k, assignment))}
@@ -964,8 +975,24 @@ def test_pair_scan_derives_nothing_again(setup_g1n4, monkeypatch):
     monkeypatch.setattr(disks_module.Meridian, "__init__", counting_meridian)
     monkeypatch.setattr(surface_module, "enumerate_arcs", counting_enumeration)
     monkeypatch.setattr(disks_module, "enumerate_arcs", counting_enumeration)
-    claims, witness = scan(catalog, images, disjointness_rows(catalog.disks, surface))
-    assert claims["passed"] and witness is not None and built == Counter()
+    claims = scan(catalog, images, disjointness_rows(catalog.disks, surface))
+    assert claims["passed"] and built == Counter()
+
+
+def test_pair_scan_keeps_no_copy_of_the_rows():
+    """One pass at g1 n16 allocates under a quarter of the rows' own size: it restricts each row in place."""
+    catalog = build_disk_catalog(build_tubed_surface(1, 17), CatalogConfig(arc_bound=3))
+    assert len(catalog.disks) == 1663
+    rows = disjointness_rows(catalog.disks, catalog.surface)
+    images, types = images_of(RetractionEngine(catalog)), types_of(catalog)
+    tracemalloc.start()
+    try:
+        claims = scan(catalog, images, rows, types)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert claims["passed"]
+    assert peak < sum(map(sys.getsizeof, rows)) / 4
 
 
 RAISED_BAND_AND_PARTNER_ARCS = [
@@ -1071,20 +1098,17 @@ def test_certify_checks_the_vertical_disk_the_sphere_picks(setup_g1n4, monkeypat
     """With the D0-E1 bit cleared, certify names that edge; no other vertical disk of region 1 stands in."""
     _, catalog, sphere, _, _ = setup_g1n4
     i, j = sphere[0], sphere[3]
-    real = retraction_module.disjointness_rows
-
-    def rows_without_the_edge(disks, surface):
-        rows = real(disks, surface)
-        rows[i] &= ~(1 << j)
-        rows[j] &= ~(1 << i)
-        return rows
-
-    monkeypatch.setattr(retraction_module, "disjointness_rows", rows_without_the_edge)
-    with pytest.raises(InvalidConfigError) as exc:
-        certify_catalog(catalog)
-    assert str(exc.value) == (
+    assert certify_error_without_the_edge(catalog, monkeypatch, i, j) == (
         f"sphere edge D0={catalog.disks[i].key} vs E1={catalog.disks[j].key} is not certified disjoint; "
         "the octahedron is not realized"
+    )
+
+
+def test_certify_checks_the_witness_edge_before_it_writes_the_witness(setup_g1n4, monkeypatch):
+    """With the E0-E1 bit cleared, certify names that edge: the V/W witness M(1), M(2) rests on it."""
+    _, catalog, sphere, _, _ = setup_g1n4
+    assert certify_error_without_the_edge(catalog, monkeypatch, sphere[1], sphere[3]) == (
+        "sphere edge E0=M(1) vs E1=M(2) is not certified disjoint; the octahedron is not realized"
     )
 
 
