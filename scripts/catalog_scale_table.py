@@ -11,6 +11,7 @@ For each row the script builds the catalog in this process and prints:
 - ``rows``: seconds for the pair pass's per-disk disjointness rows
   (``disks.disjointness_rows``) alone;
 - ``certify``: seconds for ``certify_catalog(..., max_simplices=10**7)``;
+  each time is the median of ``TIMING_RUNS`` runs;
 - the verdict, and the first 12 hex digits of the sha256 of the
   certificate's canonical JSON, to compare two checkouts byte for byte.
 
@@ -18,7 +19,7 @@ Each disjointness pass makes its own arc verdict and keeps nothing, so
 both columns include the arc searches they trigger.  The default rows are
 the raised-knob table of README.md; ``--rows`` picks some of them by
 position (1-based), and ``--src`` runs another checkout's sources, for a
-before/after table.  The genus-2 rows take tens of seconds each.
+before/after table.  The genus-2 rows take about half a minute each.
 
 Usage:
     python3 scripts/catalog_scale_table.py [--rows 1,2,5] [--src DIR]
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import statistics
 import sys
 import time
 
@@ -41,6 +43,18 @@ ROWS = (
     (1, 2, 8, ALL, 30, 30),
     (2, 3, 5, ALL, 20, 20),
 )
+# Runs per timed column; a single run varies by up to about a quarter.
+TIMING_RUNS = 3
+
+
+def median_seconds(run):
+    """The median wall seconds of ``TIMING_RUNS`` calls of ``run``, and the last call's result."""
+    times = []
+    for _ in range(TIMING_RUNS):
+        t0 = time.perf_counter()
+        result = run()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), result
 
 
 def main(argv=None) -> int:
@@ -66,12 +80,8 @@ def main(argv=None) -> int:
         surface = build_tubed_surface(g, n + 1)
         config = CatalogConfig(arc_bound=k, max_vd_arcs_per_region=v, max_band_arcs=b, max_partner_arcs=p)
         catalog = build_disk_catalog(surface, config)
-        t0 = time.perf_counter()
-        disjointness_rows(catalog.disks, surface)
-        rows_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        cert = certify_catalog(catalog, max_simplices=10**7)
-        certify_s = time.perf_counter() - t0
+        rows_s, _ = median_seconds(lambda: disjointness_rows(catalog.disks, surface))
+        certify_s, cert = median_seconds(lambda: certify_catalog(catalog, max_simplices=10**7))
         digest = hashlib.sha256(canonical_json(cert).encode("utf-8")).hexdigest()[:12]
         label = f"({g}, {n}, {k}, {'all' if v == ALL else v}, {b}, {p})"
         verdict = "PASSED" if cert["passed"] else "FAILED"

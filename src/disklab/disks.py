@@ -43,18 +43,28 @@ region has the base in its tube footprint, so the meridian term on that
 partner already fails, and a meridian partner has no arcs: no band meets a
 partner that the meridian terms have not already refuted, and the calculus
 has no band-versus-partner term.  Each term reads one part of each disk, so
-the verdict factorises.  :func:`disjointness_rows` masks the disks by
-footprint, by base, by (base, band) and by resolved partner, and builds
-every row as an AND of ORs over those masks; it asks the recursive calculus
-only for the small table of partners and vertical disks against each other.
-That table keeps the equal-key rule, so two band sums with the same partner,
-such as a shared ``B(i;self;β;1)``, have disjoint partners, as above.
+the verdict factorises.  Call a vertical disk its own *atom*, and a band
+sum's resolved partner ``R`` its atom.  :func:`disjointness_rows` masks the
+disks by footprint, by base, by (base, band) and by atom, and builds every
+row as an AND of ORs over those masks; it asks the recursive calculus only
+for the small table of atoms against each other.  That table keeps the
+equal-key rule, so two band sums with the same partner, such as a shared
+``B(i;self;β;1)``, have disjoint atoms, as above.
 
 Footprint rule: two disks whose tube footprints are disjoint (the ints
 ``footprint``, bit ``t`` for tube ``t``, have a zero AND) are disjoint.  The
 regions in which a disk carries arcs lie inside its tube footprint, and every
 term above holds on such a pair, so the table takes whole groups of disks
 with a footprint that misses the other's without asking the calculus.
+
+Nesting (lemma D): write ``C(g, m)`` for one config's catalog at genus ``g``
+with ``m`` tubes.  For ``2 <= m < N``, ``C(g, m)`` is the slice of
+``C(g, N)`` whose footprints lie in tubes ``1..m``, in the same order, with
+the same rows (restricted to the slice), images and ``type_at(d, m)``:
+:func:`build_disk_catalog` lists disks by tube, region or base, then by what
+does not read the tube count, and the calculus, the image and the type read
+only the disks and ``m``.  The exception is ``m = 1``: a one-tube catalog has
+no band sums, so at the default knobs ``C(1, 1)`` has 7 disks, its slice 15.
 
 ``catalog_to_json_obj`` is the only definition of ``disks.json``: the reader,
 :func:`catalog_from_json_obj`, rebuilds the catalog from the file's header
@@ -264,14 +274,13 @@ def _masks(values) -> dict:
 def disjointness_rows(disks, surface: TubedSurface) -> list:
     """Per disk of ``disks``, the bitset of the other disks certified disjoint from it.
 
-    Bit ``j`` of row ``i`` is :func:`disks_disjoint` on disks
-    ``i`` and ``j``, for every ``j != i``, read off the factorised calculus
-    of the module docstring.  Each term of a pair's verdict reads one part
-    of each disk: a footprint, a base, a (base, band) or a resolved partner.
-    Each of those parts partitions the disks, so a row is an AND of a few
-    masks, each an OR over one partition.  The calculus itself is asked only
-    about pairs of partners and vertical disks whose footprints overlap, once
-    per pair, with one :func:`~disklab.surface.arc_verdict` for the pass.
+    Bit ``j`` of row ``i`` is :func:`disks_disjoint` on disks ``i`` and
+    ``j``, for every ``j != i``, read off the factorised calculus of the
+    module docstring: a row is an AND of a few masks, each an OR over one
+    partition of the disks (by footprint, base, (base, band) or atom).  The
+    calculus itself is asked only about pairs of atoms whose footprints
+    overlap, once per pair, with one :func:`~disklab.surface.arc_verdict`
+    for the pass.
     """
     fps = [d.footprint for d in disks]
     by_footprint = _masks(fps)
@@ -290,9 +299,9 @@ def disjointness_rows(disks, surface: TubedSurface) -> list:
         misses[f] = everyone & ~hit
     same_key = _masks(d.key for d in disks)
     meridians = 0
-    # Footprint bits -> [union mask, {key: [disk, mask]}]: the vertical disks
-    # by themselves, and the band sums by resolved partner.
-    vertical_family, partner_family = {}, {}
+    # Atom footprint bits -> [union mask, {atom key: [atom, mask]}], over the
+    # vertical disks and band sums; each disk's bit is in its atom's mask.
+    family = {}
     bands_at = {}  # base -> band -> mask of band sums
     for k, d in enumerate(disks):
         bit = 1 << k
@@ -300,22 +309,21 @@ def disjointness_rows(disks, surface: TubedSurface) -> list:
             meridians |= bit
             continue
         if isinstance(d, VerticalDisk):
-            family, member = vertical_family, d
+            atom = d
         else:
             at_base = bands_at.setdefault(d.base, {})
             at_base[d.band] = at_base.get(d.band, 0) | bit
-            family, member = partner_family, d.resolved_partner
-        group = family.setdefault(member.footprint, [0, {}])
+            atom = d.resolved_partner
+        group = family.setdefault(atom.footprint, [0, {}])
         group[0] |= bit
-        group[1].setdefault(member.key, [member, 0])[1] |= bit
+        group[1].setdefault(atom.key, [atom, 0])[1] |= bit
     of_base = {i: sum(at_base.values()) for i, at_base in bands_at.items()}
-    bands = sum(of_base.values())
     arcs_ok = arc_verdict(surface.genus_base)
     verdicts = {}
 
-    def toward(x: Disk, family: dict) -> int:
-        # The family's disks that the calculus puts disjoint from x: whole
-        # footprint groups that miss x's footprint, one verdict per member of
+    def toward(x: Disk) -> int:
+        # The disks whose atom the calculus puts disjoint from x: whole
+        # footprint groups that miss x's footprint, one verdict per atom of
         # the others.
         fx = x.footprint
         out = 0
@@ -331,48 +339,29 @@ def disjointness_rows(disks, surface: TubedSurface) -> list:
                     out |= mask
         return out
 
-    atoms = {
-        y.key: y for family in (vertical_family, partner_family) for _, ys in family.values() for y, _ in ys.values()
+    # Per atom x: the disks whose atom is disjoint from x, less the band sums
+    # whose base meridian meets x.
+    to_atom = {
+        key: toward(x) & ~sum(mask for i, mask in of_base.items() if not _meridian_misses(i, x))
+        for _, members in family.values()
+        for key, (x, _) in members.items()
     }
-    # Per vertical disk or partner x: the vertical disks disjoint from it, and
-    # the band sums whose base meridian misses x and whose partner is
-    # disjoint from x.
-    to_verticals = {key: toward(x, vertical_family) for key, x in atoms.items()}
-    to_bands = {
-        key: toward(x, partner_family) & sum(mask for i, mask in of_base.items() if _meridian_misses(i, x))
-        for key, x in atoms.items()
-    }
-    # Per base i: the vertical disks off tube i, and the band sums whose
-    # partner the meridian of tube i misses.
-    off_base = {
-        i: (
-            sum(union for f, (union, _) in vertical_family.items() if not f >> i & 1),
-            sum(mask for _, ys in partner_family.values() for y, mask in ys.values() if _meridian_misses(i, y)),
-        )
-        for i in of_base
-    }
-    # Per (base, band): the band sums on another base or with a disjoint band.
-    band_ok = {
-        (i, band): bands & ~of_base[i]
-        | sum(mask for other, mask in at_base.items() if arcs_ok(band, other))
-        for i, at_base in bands_at.items()
-        for band in at_base
-    }
+    # Per (base i, band): the disks whose atom the meridian of tube i misses,
+    # less the band sums on base i whose band meets this one.
+    band_ok = {}
+    for i, at_base in bands_at.items():
+        off_i = sum(mask for _, members in family.values() for y, mask in members.values() if _meridian_misses(i, y))
+        for band in at_base:
+            band_ok[i, band] = off_i & ~sum(mask for other, mask in at_base.items() if not arcs_ok(band, other))
     rows = []
     for k, d in enumerate(disks):
         f = fps[k]
         if isinstance(d, Meridian):
             row = meridians | misses[f]
         elif isinstance(d, VerticalDisk):
-            row = meridians & misses[f] | to_verticals[d.key] | to_bands[d.key]
+            row = meridians & misses[f] | to_atom[d.key]
         else:
-            p = d.resolved_partner.key
-            vertical_ok, partner_ok = off_base[d.base]
-            row = (
-                meridians & misses[f]
-                | vertical_ok & to_verticals[p]
-                | partner_ok & band_ok[(d.base, d.band)] & to_bands[p]
-            )
+            row = meridians & misses[f] | to_atom[d.resolved_partner.key] & band_ok[d.base, d.band]
         rows.append((row | same_key[d.key]) & ~(1 << k))
     return rows
 

@@ -7,6 +7,8 @@ import pkgutil
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import disklab
 from disklab import disks
@@ -20,6 +22,7 @@ from disklab.disks import (
     VerticalDisk,
     build_disk_catalog,
     catalog_from_json_obj,
+    catalog_size,
     catalog_to_json_obj,
     config_from_json_obj,
     config_to_json_obj,
@@ -28,7 +31,7 @@ from disklab.disks import (
 )
 from disklab.errors import InvalidConfigError, MalformedFileError
 from disklab.flagcomplex import canonical_json
-from disklab.surface import SIDE_A, SIDE_B, build_tubed_surface, canonical_code
+from disklab.surface import SIDE_A, SIDE_B, build_tubed_surface, canonical_code, enumerate_arcs
 from oracles import (
     classify_type,
     disk_footprint,
@@ -299,6 +302,60 @@ def test_rows_on_band_sums_that_share_a_partner(f3):
     others = {(4, 8), (5, 8), (8, 9), (8, 11), (4, 11)} | {(i, 10) for i in range(10)} | {(10, 11)}
     assert found == banded | others
     assert all(rows[i] >> i & 1 == 0 for i in range(len(hand)))
+
+
+def first_row_fault(disks_, rows, arcs_ok):
+    """The first pair ``(i, j)``, ``i <= j``, at which the rows break the calculus, or None.
+
+    Bit ``j`` of row ``i`` and bit ``i`` of row ``j`` must both equal
+    :func:`disks_disjoint` on the two disks, and row ``i`` must not hold bit
+    ``i`` (reported as ``(i, i)``).
+    """
+    for i, a in enumerate(disks_):
+        if rows[i] >> i & 1:
+            return i, i
+        for j in range(i + 1, len(disks_)):
+            verdict = disks_disjoint(a, disks_[j], arcs_ok)
+            if bool(rows[i] >> j & 1) != verdict or bool(rows[j] >> i & 1) != verdict:
+                return i, j
+    return None
+
+
+@st.composite
+def small_catalogs(draw):
+    """A catalog of at most 200 disks: genus 1-3, 1-5 tubes, every config knob drawn."""
+    genus, tubes = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    config = CatalogConfig(
+        arc_bound=draw(st.integers(0, 4)),
+        bandsum_depth=draw(st.integers(0, 2)),
+        max_vd_arcs_per_region=draw(st.integers(0, 6)),
+        max_band_arcs=draw(st.integers(0, 6)),
+        max_partner_arcs=draw(st.integers(0, 6)),
+        copies=tuple(draw(st.sets(st.sampled_from((1, 2, 3, 4)), min_size=1))),
+    )
+    assume(catalog_size(tubes, len(enumerate_arcs(genus, config.arc_bound)), config) <= 200)
+    return build_disk_catalog(build_tubed_surface(genus, tubes), config)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_catalogs())
+def test_rows_are_the_calculus_on_every_pair(catalog):
+    rows = disks.disjointness_rows(catalog.disks, catalog.surface)
+    assert first_row_fault(catalog.disks, rows, memo_verdict(catalog.surface.genus_base)) is None
+
+
+def test_row_comparison_names_the_pair_of_a_rigged_row(cat2):
+    rows = disks.disjointness_rows(cat2.disks, cat2.surface)
+    assert first_row_fault(cat2.disks, rows, ARCS_G1) is None
+    i = len(rows) // 2
+    j = rows[i].bit_length() - 1
+    assert j > i and rows[j] >> i & 1
+    one_bit_cleared = [*rows]
+    one_bit_cleared[i] &= ~(1 << j)
+    assert first_row_fault(cat2.disks, one_bit_cleared, ARCS_G1) == (i, j)
+    own_bit_set = [*rows]
+    own_bit_set[i] |= 1 << i
+    assert first_row_fault(cat2.disks, own_bit_set, ARCS_G1) == (i, i)
 
 
 def carried_arcs(d) -> set:

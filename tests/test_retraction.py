@@ -815,6 +815,41 @@ def test_pair_pass_matches_the_loop_oracle(genus, n):
         assert certify_catalog(catalog)["witness"] == {"v_disk": witness[0].key, "w_disk": witness[1].key}
 
 
+@pytest.mark.parametrize(
+    ("genus", "tubes", "config"),
+    [
+        (1, 7, CatalogConfig(arc_bound=3)),
+        (2, 5, CatalogConfig(arc_bound=3)),
+        (3, 4, CatalogConfig(arc_bound=3)),
+        (1, 6, CatalogConfig(arc_bound=4, bandsum_depth=1, copies=(3,))),
+        (2, 4, CatalogConfig(3, 2, 10, 10, 10, (1, 2, 3))),
+    ],
+)
+def test_a_catalog_is_the_low_footprint_slice_of_a_larger_one(genus, tubes, config):
+    """Lemma D: for 2 <= m < N, C(g, m) is the slice of C(g, N) on tubes 1..m, rows, images and types kept.
+
+    At m = 1, its named exception, the catalog has no band sums and fewer
+    disks than the slice.
+    """
+    big = build_disk_catalog(build_tubed_surface(genus, tubes), config)
+    big_rows = disjointness_rows(big.disks, big.surface)
+    big_images = images_of(RetractionEngine(big))
+    for m in range(1, tubes):
+        small = build_disk_catalog(build_tubed_surface(genus, m), config)
+        at = [k for k, d in enumerate(big.disks) if d.footprint >> m + 1 == 0]
+        if m == 1:
+            assert small.band_sums() == [] and len(small.disks) < len(at)
+            continue
+        assert [big.disks[k].key for k in at] == [d.key for d in small.disks]
+        inside = sum(1 << k for k in at)
+        rows = disjointness_rows(small.disks, small.surface)
+        assert [sum(1 << at[j] for j in range(len(at)) if row >> j & 1) for row in rows] == [
+            big_rows[k] & inside for k in at
+        ]
+        assert [big_images[k] for k in at] == images_of(RetractionEngine(small))
+        assert [type_at(big.disks[k], m) for k in at] == types_of(small)
+
+
 def test_pair_pass_matches_the_loop_oracle_on_a_raised_knob_catalog():
     surface = build_tubed_surface(1, 3)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=5, max_vd_arcs_per_region=40))
@@ -1335,19 +1370,33 @@ def test_certify_checks_the_simplex_cap_before_any_work(monkeypatch):
     assert str(exc.value) == "resource cap max_simplices (10) exceeded: more than 10 simplices in dimension 1"
 
 
-def test_pair_pass_asks_the_calculus_about_partners_only(setup_g1n4, monkeypatch):
-    """Fewer calculus calls, recursion included, than there are catalog disks."""
-    surface, catalog, _, _, _ = setup_g1n4
-    calls = Counter()
+def test_pair_pass_asks_the_calculus_about_partners_only(monkeypatch):
+    """Fewer calculus calls, recursion included, than there are catalog disks: 216 at genus 1, n = 5.
+
+    Each top-level call is on two atoms (vertical disks or band sums'
+    resolved partners) whose footprints overlap, and no pair is asked twice.
+    """
+    surface = build_tubed_surface(1, 6)
+    catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
+    atoms = {d.key for d in catalog.vertical_disks()} | {d.resolved_partner.key for d in catalog.band_sums()}
+    top, depth, total = [], [0], [0]
     calculus = disks_module.disks_disjoint
 
-    def counting(a, b, arcs_ok):
-        calls[a.key, b.key] += 1
-        return calculus(a, b, arcs_ok)
+    def watched(a, b, arcs_ok):
+        total[0] += 1
+        if not depth[0]:
+            top.append((a, b))
+        depth[0] += 1
+        try:
+            return calculus(a, b, arcs_ok)
+        finally:
+            depth[0] -= 1
 
-    monkeypatch.setattr(disks_module, "disks_disjoint", counting)
+    monkeypatch.setattr(disks_module, "disks_disjoint", watched)
     disjointness_rows(catalog.disks, surface)
-    assert 0 < sum(calls.values()) < len(catalog.disks)
+    assert total[0] == 216 < len(catalog.disks)
+    assert all({a.key, b.key} <= atoms and a.footprint & b.footprint for a, b in top)
+    assert len({frozenset((a.key, b.key)) for a, b in top}) == len(top)
 
 
 @pytest.mark.parametrize(("genus", "n"), [(1, 4), (2, 3)])
