@@ -41,8 +41,8 @@ def main(argv=None) -> int:
         t0 = time.monotonic()
         profile = reduced_homology(sphere, d_max=n)
         elapsed = time.monotonic() - t0
-        betti = [rank for rank, _ in profile.entries]
-        torsion_free = all(tors == () for _, tors in profile.entries)
+        betti = [rank for rank, _ in profile]
+        torsion_free = all(tors == () for _, tors in profile)
         expected = [1 if k == n - 1 else 0 for k in range(n + 1)]
         row_ok = betti == expected and torsion_free
         ok = ok and row_ok

@@ -8,7 +8,9 @@ script takes the self time of every ``disklab`` module and of the standard
 modules in ``WATCHED``, and the time to import the subcommand's layers: the
 cumulative time of the ``disklab`` modules that the subcommand imports when
 it starts, after ``disklab.cli`` has loaded (``surface``, ``disks``,
-``retraction``, ``homology``; see ``disklab/cli.py``).  It also times each
+``retraction``, ``homology``; see ``disklab/cli.py``), and the cumulative
+time of ``site``, which every interpreter imports at start-up unless run
+with ``-S``.  It also times each
 process's total wall, spawn to exit, beside a ``python3 -c pass`` column: an
 interpreter that starts and stops with the same flags and environment, so
 the difference is what ``disklab`` itself costs.  It prints the median of
@@ -70,10 +72,10 @@ def subcommands(work: str) -> dict[str, list[str]]:
     }
 
 
-def import_log(stderr: str) -> tuple[dict[str, float], float]:
-    """Self seconds of each module, and cumulative seconds of the layers imported at top level."""
+def import_log(stderr: str) -> tuple[dict[str, float], float, float]:
+    """Self seconds of each module, cumulative seconds of the layers imported at top level, and of ``site``."""
     self_s: dict[str, float] = {}
-    layers_s = 0.0
+    layers_s = site_s = 0.0
     for line in stderr.splitlines():
         if not line.startswith("import time:") or "self [us]" in line:
             continue
@@ -83,7 +85,9 @@ def import_log(stderr: str) -> tuple[dict[str, float], float]:
         # A layer that ``cmd_*`` imports is logged at the top level, unindented.
         if module in LAYERS and name.startswith(" " + module):
             layers_s += int(cumulative) / 1e6
-    return self_s, layers_s
+        if name == " site":
+            site_s = int(cumulative) / 1e6
+    return self_s, layers_s, site_s
 
 
 def main(argv=None) -> int:
@@ -109,6 +113,7 @@ def main(argv=None) -> int:
         layers_s = {row: [] for row in rows}
         wall_s = {row: [] for row in rows}
         cached_s = {row: [] for row in rows}
+        site_s = {row: [] for row in rows}
 
         def run(row: str, env_: dict):
             """One child of ``row`` under ``env_``: (wall seconds, result), or ``None`` if it failed."""
@@ -132,7 +137,8 @@ def main(argv=None) -> int:
                     return 1
                 wall_s[row].append(timed[0])
                 cached_s[row].append(cached[0])
-                own, layers = import_log(timed[1].stderr)
+                own, layers, site = import_log(timed[1].stderr)
+                site_s[row].append(site)
                 for module, seconds in own.items():
                     self_s[row].setdefault(module, []).append(seconds)
                 if row != BASELINE:
@@ -149,6 +155,7 @@ def main(argv=None) -> int:
     print(f"{'':<28}" + " ".join(f"{row:>{width}}" for row in rows))
     print(line("total wall", wall_s))
     print(line("total wall, cached bytecode", cached_s))
+    print(line("site (cumulative)", site_s))
     print(line("layers (cumulative)", layers_s))
     for module in modules:
         print(line(f"{module} self", {row: self_s[row].get(module, []) for row in rows}))

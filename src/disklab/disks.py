@@ -447,15 +447,6 @@ class DiskCatalog(FrozenRecord):
     def __init__(self, surface: TubedSurface, config: CatalogConfig, disks: tuple, arcs: tuple):
         self._init(surface, config, disks, arcs)
 
-    def meridians(self):
-        return [d for d in self.disks if isinstance(d, Meridian)]
-
-    def vertical_disks(self):
-        return [d for d in self.disks if isinstance(d, VerticalDisk)]
-
-    def band_sums(self):
-        return [d for d in self.disks if isinstance(d, BandSum)]
-
 
 def catalog_size(tubes: int, arc_count: int, config: CatalogConfig) -> int:
     """The number of disks :func:`build_disk_catalog` lists, from its loop bounds alone.

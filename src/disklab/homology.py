@@ -46,13 +46,16 @@ them; the general chain complex, which checks any simplex lists for sorted
 ids, sizes, duplicates and missing faces, is kept in ``tests/oracles.py`` as
 the reference the tests compare against.
 
+A profile is plain data, a tuple of ``(rank, torsion)`` entries, and
+:func:`profile_rows` writes it as the JSON rows that ``homology.json`` and
+the certificate's homology section share.
+
 :func:`join_cycle` eliminates nothing: it writes the fundamental cycle of an
 octahedral sphere in closed form, for the homology section of ``certify``.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import combinations, product
 from math import gcd, lcm
 
@@ -168,37 +171,13 @@ def rank_and_torsion(columns: list[Column]) -> tuple[int, tuple[int, ...]]:
 # -- reduced homology from clique lists ----------------------------------------
 
 
-class HomologyProfile(namedtuple("HomologyProfile", ["entries"])):
-    """Per-dimension reduced homology: (betti rank, torsion coefficients).
-
-    ``entries`` is a tuple of ``(rank, torsion)`` pairs, one per dimension
-    from 0.  A named tuple rather than a dataclass: ``dataclasses`` imports
-    ``inspect``, and the ``homology`` subcommand needs neither.
-    """
-
-    __slots__ = ()
-
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"dimension": k, "betti": rank, "torsion": list(tors)}
-            for k, (rank, tors) in enumerate(self.entries)
-        ]
-
-    def describe(self, k: int) -> str:
-        rank, tors = self.entries[k]
-        parts = []
-        if rank == 1:
-            parts.append("Z")
-        elif rank > 1:
-            parts.append(f"Z^{rank}")
-        parts.extend(f"Z/{t}" for t in tors)
-        return " + ".join(parts) if parts else "0"
-
-
 def reduced_homology(
     c: FlagComplex, d_max: int, max_per_dim: int = DEFAULT_MAX_SIMPLICES
-) -> HomologyProfile:
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Reduced integer homology of a flag complex in dimensions 0..d_max, up to its first empty one.
+
+    The profile is a tuple of ``(rank, torsion)`` entries, one per dimension
+    from 0; ``torsion`` lists the coefficients greater than 1.
 
     The boundary columns come straight from :func:`flag_cliques`' lists,
     which need no check: every face of a clique is a clique listed one
@@ -229,7 +208,12 @@ def reduced_homology(
         ranks.append(rank)
         torsion.append(tors)
     entries = tuple((len(cliques[k]) - ranks[k] - ranks[k + 1], torsion[k + 1]) for k in range(stop))
-    return HomologyProfile(entries + ((0, ()),) * (stop <= d_max))
+    return entries + ((0, ()),) * (stop <= d_max)
+
+
+def profile_rows(entries) -> list[dict]:
+    """The JSON rows of a homology profile, one per ``(rank, torsion)`` entry from dimension 0."""
+    return [{"dimension": k, "betti": rank, "torsion": list(tors)} for k, (rank, tors) in enumerate(entries)]
 
 
 # -- the cross-polytope's fundamental cycle ------------------------------------

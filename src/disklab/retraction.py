@@ -141,7 +141,7 @@ from .disks import (
 )
 from .errors import InvalidConfigError, ResourceCapError
 from .flagcomplex import DEFAULT_MAX_SIMPLICES
-from .homology import join_cycle
+from .homology import join_cycle, profile_rows
 from .surface import build_tubed_surface, surface_to_json_obj, tube_side
 
 
@@ -404,7 +404,7 @@ def _homology_document(keys: list) -> dict:
     cycle = [[list(facet), c] for facet, c in join_cycle(list(zip(keys[::2], keys[1::2]))).items()]
     return {
         "dimension": n,
-        "profile": [{"dimension": k, "betti": int(k == n), "torsion": []} for k in range(n + 1)],
+        "profile": profile_rows([(int(k == n), ()) for k in range(n + 1)]),
         "generating_cycle": cycle,
         "image_cycle": cycle,
         "composite_is_identity": True,
@@ -502,6 +502,7 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
 
     surgeries, multi_arc = engine.surgery_counts()
     provenance = Counter(_provenance(d, t, m) for d, t in zip(catalog.disks, types))
+    variants = Counter(d.variant for d in catalog.disks)
 
     # A step that finds a counterexample sets ``first_violation`` and stops
     # the steps after it, so the homology section exists exactly when every
@@ -521,9 +522,9 @@ def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPL
         "surface": surface_to_json_obj(surface),
         "catalog": {
             "size": len(catalog.disks),
-            "meridians": len(catalog.meridians()),
-            "vertical_disks": len(catalog.vertical_disks()),
-            "band_sums": len(catalog.band_sums()),
+            "meridians": variants["meridian"],
+            "vertical_disks": variants["vertical"],
+            "band_sums": variants["bandsum"],
             "types": dict(sorted(Counter(types).items())),
             "arc_classes_per_region": {str(r): len(catalog.arcs) for r in range(1, m + 1)},
         },

@@ -30,6 +30,8 @@ whose two-code case is ``arcs_disjoint(genus, a, b)``.
 
 ``build_disk_catalog`` lists its disks in the order ``disk_sort_key``
 gives, which it once sorted by and now emits from its loops.
+A catalog is plain data: ``of_variant`` lists its meridians, vertical disks
+or band sums by their stored ``variant``.
 
 The pair pass reads its results off per-disk bitset rows, each an AND of
 masks; ``scan_pairs_by_loop`` is the loop it replaced, one calculus call per
@@ -107,7 +109,7 @@ from disklab.disks import (
 )
 from disklab.errors import InvalidConfigError
 from disklab.flagcomplex import DEFAULT_MAX_SIMPLICES, FlagComplex, complex_from_json_obj, flag_cliques
-from disklab.homology import Column, HomologyProfile, rank_and_torsion
+from disklab.homology import Column, profile_rows, rank_and_torsion
 from disklab.retraction import (
     CASE_OF_TYPES,
     RetractionEngine,
@@ -819,22 +821,20 @@ class ChainComplex:
     def torsion(self, k: int) -> tuple[int, ...]:
         return self._rank_torsion(k + 1)[1]
 
-    def profile(self, d_max: int) -> HomologyProfile:
+    def profile(self, d_max: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Dimensions 0..d_max, stopping at the first without cells, as ``reduced_homology`` does."""
         stop = next((k for k in range(d_max) if not self.n_cells(k)), d_max)
-        return HomologyProfile(
-            entries=tuple((self.betti_reduced(k), self.torsion(k)) for k in range(stop + 1))
-        )
+        return tuple((self.betti_reduced(k), self.torsion(k)) for k in range(stop + 1))
 
 
-def betti(profile: HomologyProfile, k: int) -> int:
+def betti(profile: tuple, k: int) -> int:
     """The reduced rank in dimension ``k``: 0 past the profile, which stops at an empty dimension."""
-    return profile.entries[k][0] if k < len(profile.entries) else 0
+    return profile[k][0] if k < len(profile) else 0
 
 
-def torsion(profile: HomologyProfile, k: int) -> tuple[int, ...]:
+def torsion(profile: tuple, k: int) -> tuple[int, ...]:
     """The torsion in dimension ``k``: none past the profile, which stops at an empty dimension."""
-    return profile.entries[k][1] if k < len(profile.entries) else ()
+    return profile[k][1] if k < len(profile) else ()
 
 
 def free_generator(cc: ChainComplex, k: int) -> dict[tuple[str, ...], int]:
@@ -959,7 +959,7 @@ def certify_homology_retraction(
     identity = image == cycle
     return {
         "dimension": n,
-        "profile": profile.to_json_obj(),
+        "profile": profile_rows(profile),
         "generating_cycle": [[list(s_), c] for s_, c in sorted(cycle.items())],
         "image_cycle": [[list(s_), c] for s_, c in sorted(image.items())],
         "composite_is_identity": identity,
@@ -1023,6 +1023,11 @@ def disk_sort_key(d: Disk):
     p = d.partner
     partner = (0, "") if p == SELF_PARTNER else (VARIANT_RANK[type(p)] + 1, p.key)
     return (2, d.base, *partner, len(d.band), d.band, d.copies)
+
+
+def of_variant(catalog, variant: str) -> list:
+    """The catalog's disks of one stored ``variant``, in catalog order."""
+    return [d for d in catalog.disks if d.variant == variant]
 
 
 # -- types and projection ----------------------------------------------------------

@@ -42,7 +42,16 @@ from disklab.flagcomplex import canonical_json
 from disklab.homology import reduced_homology
 from disklab.retraction import certify_minimality
 from disklab.surface import build_tubed_surface, opposite_side, tube_side
-from oracles import betti, classify_type, memo_verdict, octahedral_sphere, random_flag_complex, suspend, torsion
+from oracles import (
+    betti,
+    classify_type,
+    memo_verdict,
+    octahedral_sphere,
+    of_variant,
+    random_flag_complex,
+    suspend,
+    torsion,
+)
 
 INSTANCES = ((1, 1), (1, 2), (2, 1), (2, 2))
 CONFIG = CatalogConfig(arc_bound=3, bandsum_depth=2)
@@ -100,10 +109,10 @@ def test_criterion_3_one_tube_surface_is_strongly_irreducible():
         for arc_bound in (1, 2, 3, 4):
             surface = build_tubed_surface(genus, 1)
             catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=arc_bound))
-            assert catalog.band_sums() == []
+            assert of_variant(catalog, "bandsum") == []
             meridian = Meridian(1)
             v_side = opposite_side(tube_side(1))
-            verticals = catalog.vertical_disks()
+            verticals = of_variant(catalog, "vertical")
             assert verticals, (genus, arc_bound)
             for disk in verticals:
                 assert disk.side == v_side

@@ -315,6 +315,46 @@ def test_certify_from_build_reports_json_parse_location(tmp_path, capsys):
     assert "line 1 column" in stderr
 
 
+# Each case: the ``disks.json`` object, and the error that must follow its path.
+GOOD_CONFIG = {
+    "arc_bound": 1, "bandsum_depth": 0, "max_vd_arcs_per_region": 1,
+    "max_band_arcs": 0, "max_partner_arcs": 0, "copies": [1],
+}
+BAD_CATALOGS = {
+    "not-an-object": ([], ": disk catalog must be an object"),
+    "config-not-an-object": (
+        {"kind": "disk_catalog", "genus": 1, "tubes": 1, "config": []},
+        ".config: catalog config must be an object",
+    ),
+    "genus-not-positive": ({"kind": "disk_catalog", "genus": 0}, ".genus: genus must be a positive integer, got 0"),
+    "tubes-not-positive": (
+        {"kind": "disk_catalog", "genus": 1, "tubes": True}, ".tubes: tubes must be a positive integer, got True"
+    ),
+    "config-bad-value": (
+        {"kind": "disk_catalog", "genus": 1, "tubes": 1, "config": {**GOOD_CONFIG, "arc_bound": -1}},
+        ".config.arc_bound: arc_bound must be a nonnegative integer, got -1",
+    ),
+    "copies-not-a-list": (
+        {"kind": "disk_catalog", "genus": 1, "tubes": 1, "config": {**GOOD_CONFIG, "copies": 1}},
+        ".config.copies: copies must be a list",
+    ),
+    "unreadable": (None, ": cannot read file: "),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CATALOGS))
+def test_certify_from_build_rejects_a_bad_catalog_file_naming_its_location(case, tmp_path, capsys):
+    obj, where = BAD_CATALOGS[case]
+    build_dir = tmp_path / "build"
+    build_dir.mkdir()
+    path = build_dir / "disks.json"
+    if obj is not None:
+        path.write_text(json.dumps(obj))
+    code, stdout, stderr = run(["certify", "--from-build", str(build_dir), "--out", str(tmp_path / "out")], capsys)
+    assert (code, stdout) == (EXIT_CONFIG, "")
+    assert stderr.startswith(f"error: {path}{where}"), stderr
+
+
 def run_python(args, cwd):
     """``python3 ARGS`` in a fresh interpreter on the sources: (exit code, stdout, stderr).
 
@@ -757,6 +797,33 @@ def test_homology_rejects_a_repeated_edge(tmp_path, capsys):
     assert not (tmp_path / "h" / "homology.json").exists()
 
 
+# Each case: the file's text, and the error that must follow its path.
+BAD_COMPLEXES = {
+    "not-an-object": ("[]", ": expected a JSON object"),
+    "no-vertices": ('{"edges": []}', ": missing key 'vertices'"),
+    "no-edges": ('{"vertices": []}', ": missing key 'edges'"),
+    "vertices-not-a-list": ('{"vertices": {}, "edges": []}', ": vertices: expected a list"),
+    "edges-not-a-list": ('{"vertices": [], "edges": {}}', ": edges: expected a list"),
+    "vertex-without-id": (
+        '{"vertices": [{"label": "a"}], "edges": []}', ": vertices[0]: expected an object with an 'id' key"
+    ),
+    "edge-not-a-pair": ('{"vertices": [{"id": "a"}], "edges": [["a"]]}', ": edges[0]: expected a pair"),
+    "edge-not-strings": ('{"vertices": [{"id": "a"}], "edges": [["a", 1]]}', ": edges[0]: expected a pair"),
+    "unreadable": (None, ": cannot read file: "),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_COMPLEXES))
+def test_homology_rejects_a_bad_complex_file_naming_its_location(case, tmp_path, capsys):
+    text, where = BAD_COMPLEXES[case]
+    path = tmp_path / "complex.json"
+    if text is not None:
+        path.write_text(text)
+    code, stdout, stderr = run(["homology", str(path), "2"], capsys)
+    assert (code, stdout) == (EXIT_CONFIG, "")
+    assert stderr.startswith(f"error: {path}{where}"), stderr
+
+
 def test_homology_rejects_negative_dimension(octa_file, capsys):
     code, _, stderr = run(["homology", octa_file, "-1"], capsys)
     assert code == EXIT_CONFIG
@@ -1037,3 +1104,30 @@ def test_build_and_certify_load_no_typing(tmp_path):
 def test_failed_certificate_exit_code_is_distinct():
     # No shipped configuration fails, so pin the mapping directly.
     assert (EXIT_OK, EXIT_FAILED, EXIT_CONFIG, EXIT_CAP) == (0, 1, 2, 3)
+
+
+def test_a_claim_violation_fails_the_certificate_end_to_end(tmp_path, capsys, monkeypatch):
+    """Exit 1: a disk imaged to the antipode of a disk it is certified disjoint from.
+
+    At g1 n2 the vertical disk V(1;-1) lies off the sphere and is certified
+    disjoint from D0 = V(1;-2); both map to D0.  Flipping V(1;-1)'s image to
+    E0 makes that pair antipodal, so the claim tally records a violation and
+    the steps after it, the retraction check and the homology section, do not run.
+    """
+    image = retraction.RetractionEngine.image
+    monkeypatch.setattr(retraction.RetractionEngine, "image", lambda self, d: image(self, d) ^ (d.key == "V(1;-1)"))
+    detail = "disjoint disks V(1;-2) and V(1;-1) map to antipodal vertices D0 and E0 (case 6)"
+    cert = retraction.certify_minimality(1, 2, disks.CatalogConfig(arc_bound=3, bandsum_depth=2))
+    assert cert["passed"] is False
+    assert cert["first_violation"] == {"kind": "claim", "detail": detail}
+    assert not cert["claims"]["passed"] and cert["claims"]["violations"][0]["disks"] == ["V(1;-2)", "V(1;-1)"]
+    assert cert["homology"] is None
+    assert cert["retraction"]["check"] == {"ok": False, "report": []}
+    report = retraction.render_report(cert)
+    assert f"First violation (claim): {detail}" in report.splitlines()
+
+    code, stdout, stderr = run(["certify", "--genus", "1", "--tubes", "2", "--out", str(tmp_path)], capsys)
+    assert (code, stderr) == (EXIT_FAILED, "")
+    assert stdout.splitlines()[-1] == f"FAILED: {detail}"
+    assert (tmp_path / "certificate.json").read_text() == canonical_json(cert)
+    assert (tmp_path / "report.txt").read_text() == report

@@ -26,19 +26,31 @@ from disklab.disks import (
     catalog_to_json_obj,
     config_from_json_obj,
     config_to_json_obj,
+    disk_to_json_obj,
     disks_disjoint,
     validate_disk,
 )
 from disklab.errors import InvalidConfigError, MalformedFileError
-from disklab.flagcomplex import canonical_json
-from disklab.surface import SIDE_A, SIDE_B, build_tubed_surface, canonical_code, enumerate_arcs
+from disklab.flagcomplex import canonical_json, flag_cliques
+from disklab.homology import reduced_homology
+from disklab.surface import (
+    SIDE_A,
+    SIDE_B,
+    build_tubed_surface,
+    canonical_code,
+    enumerate_arcs,
+    opposite_side,
+    tube_side,
+)
 from oracles import (
     classify_type,
     disk_footprint,
     disk_regions,
     disks_disjoint_with_band_terms,
     meets_distinguished,
+    complex_of,
     memo_verdict,
+    of_variant,
     project_disk,
 )
 
@@ -231,7 +243,7 @@ def test_copies_never_change_a_verdict_but_by_key(genus, n):
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
     arcs_ok = memo_verdict(genus)
     checked = 0
-    for d in catalog.band_sums():
+    for d in of_variant(catalog, "bandsum"):
         for copies in {1, 2, d.copies + 2} - {d.copies}:
             twin = BandSum(d.base, d.partner, d.band, copies)
             validate_disk(twin, surface)
@@ -323,13 +335,19 @@ def first_row_fault(disks_, rows, arcs_ok):
 
 @st.composite
 def small_catalogs(draw):
-    """A catalog of at most 200 disks: genus 1-3, 1-5 tubes, every config knob drawn."""
-    genus, tubes = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    """A catalog of at most 200 disks: genus 1-3, 1-5 tubes, every config knob drawn.
+
+    Three draws in four lift each knob that gates band sums to at least 1
+    (two tubes, one arc, depth 1, one band arc), so most catalogs hold band
+    sums; the rest still reach one tube, arc bound 0, depth 0 and no bands.
+    """
+    lo = int(draw(st.integers(0, 3)) > 0)
+    genus, tubes = draw(st.integers(1, 3)), draw(st.integers(1 + lo, 5))
     config = CatalogConfig(
-        arc_bound=draw(st.integers(0, 4)),
-        bandsum_depth=draw(st.integers(0, 2)),
+        arc_bound=draw(st.integers(lo, 4)),
+        bandsum_depth=draw(st.integers(lo, 2)),
         max_vd_arcs_per_region=draw(st.integers(0, 6)),
-        max_band_arcs=draw(st.integers(0, 6)),
+        max_band_arcs=draw(st.integers(lo, 6)),
         max_partner_arcs=draw(st.integers(0, 6)),
         copies=tuple(draw(st.sets(st.sampled_from((1, 2, 3, 4)), min_size=1))),
     )
@@ -540,8 +558,8 @@ def test_f1_all_vertical_disks_meet_the_meridian():
         top = Meridian(1)
         for k in range(1, 5):
             catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=k))
-            assert catalog.band_sums() == []
-            verticals = catalog.vertical_disks()
+            assert of_variant(catalog, "bandsum") == []
+            verticals = of_variant(catalog, "vertical")
             assert verticals, (genus, k)
             for v in verticals:
                 assert not disks_disjoint(v, top, memo_verdict(genus)), v.key
@@ -585,7 +603,7 @@ def test_catalog_sorted_and_unique(cat2, cat3):
     for cat in (cat2, cat3):
         keys = [d.key for d in cat.disks]
         assert len(set(keys)) == len(keys)
-        assert cat.meridians()[0].key == "M(1)"
+        assert of_variant(cat, "meridian")[0].key == "M(1)"
 
 
 def test_catalog_contains_expected_families(cat3, f3):
@@ -606,15 +624,15 @@ def test_catalog_depth_and_copies_knobs(f2):
         d.variant == "bandsum" and isinstance(d.partner, BandSum) for d in shallow.disks
     )
     none = build_disk_catalog(f2, CatalogConfig(arc_bound=3, bandsum_depth=0))
-    assert none.band_sums() == []
+    assert of_variant(none, "bandsum") == []
     single = build_disk_catalog(f2, CatalogConfig(arc_bound=3, copies=(1,)))
-    assert all(d.copies == 1 for d in single.band_sums())
+    assert all(d.copies == 1 for d in of_variant(single, "bandsum"))
 
 
 def test_catalog_arc_classes_full_enumeration(cat2):
     # the catalog caps vertical disks at 6 per region but keeps all 13 classes
     assert len(cat2.arcs) == 13
-    assert len([d for d in cat2.vertical_disks() if d.region == 1]) == 6
+    assert len([d for d in of_variant(cat2, "vertical") if d.region == 1]) == 6
 
 
 def test_catalog_enumerates_arcs_once(monkeypatch, f3):
@@ -762,3 +780,48 @@ def test_catalog_json_tamper_detection(cat2):
     for mutate, location in at_the_field:
         assert expect(mutate, location) == location
 
+
+
+# -- library checks ------------------------------------------------------------------------
+
+
+def delete_a_field():
+    del Meridian(1).index
+
+
+# Each case: a call that must raise, and the class and message it raises.
+LIBRARY_CHECKS = {
+    "flag_cliques": (
+        lambda: flag_cliques(complex_of(["a"], []), -1), InvalidConfigError, "dimension bound must be >= 0, got -1"
+    ),
+    "reduced_homology": (
+        lambda: reduced_homology(complex_of(["a"], []), -1), InvalidConfigError, "d_max must be >= 0, got -1"
+    ),
+    "enumerate_arcs": (lambda: enumerate_arcs(1, -1), InvalidConfigError, "arc bound must be >= 0, got -1"),
+    "tube_side": (lambda: tube_side(0), InvalidConfigError, "tube index must be >= 1, got 0"),
+    "opposite_side": (lambda: opposite_side("C"), InvalidConfigError, "unknown side 'C'"),
+    "record-del": (delete_a_field, AttributeError, "cannot delete field 'index'"),
+    "VerticalDisk": (
+        lambda: VerticalDisk(0, (-2,)), InvalidConfigError, "region index must be a positive integer, got 0"
+    ),
+    "BandSum": (
+        lambda: BandSum(0, SELF_PARTNER, (-2,), 1), InvalidConfigError, "band-sum base must be a positive integer, got 0"
+    ),
+    "validate_disk-base": (
+        lambda: validate_disk(BandSum(3, SELF_PARTNER, (-2,), 1), build_tubed_surface(1, 2)),
+        InvalidConfigError,
+        "band-sum base 3 exceeds tube count 2",
+    ),
+    "validate_disk-non-disk": (
+        lambda: validate_disk("M(1)", build_tubed_surface(1, 2)), InvalidConfigError, "not a disk descriptor: 'M(1)'"
+    ),
+    "disk_to_json_obj": (lambda: disk_to_json_obj("M(1)"), InvalidConfigError, "not a disk descriptor: 'M(1)'"),
+}
+
+
+@pytest.mark.parametrize("case", list(LIBRARY_CHECKS))
+def test_library_checks_raise_their_message(case):
+    call, error, message = LIBRARY_CHECKS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from disklab import homology as homology_module
 from disklab.errors import InvalidConfigError
-from disklab.flagcomplex import FlagComplex, flag_cliques
+from disklab.cli import main
+from disklab.flagcomplex import FlagComplex, canonical_json, flag_cliques
 from disklab.homology import (
     Column,
-    HomologyProfile,
     join_cycle,
+    profile_rows,
     rank_and_torsion,
     reduced_homology,
 )
@@ -32,6 +33,7 @@ from oracles import (
     check_retraction,
     complete_graph,
     complex_of,
+    complex_to_json_obj,
     cycle_graph,
     edges,
     free_generator,
@@ -330,15 +332,13 @@ class TestChainComplex:
 
     def test_projective_plane_torsion(self):
         prof = projective_plane_complex().profile(2)
-        assert prof.entries == ((0, ()), (0, (2,)), (0, ()))
-        assert prof.describe(1) == "Z/2"
-        assert prof.describe(0) == "0"
+        assert prof == ((0, ()), (0, (2,)), (0, ()))
 
     def test_subdivided_projective_plane_torsion_through_the_flag_path(self):
         c = projective_plane_subdivision()
         assert (c.vertex_count(), c.edge_count()) == (31, 90)
         prof = reduced_homology(c, 2)
-        assert prof.entries == ((0, ()), (0, (2,)), (0, ()))
+        assert prof == ((0, ()), (0, (2,)), (0, ()))
         assert prof == projective_plane_complex().profile(2)
 
     def test_matches_the_chain_complex_oracle(self):
@@ -364,26 +364,32 @@ class TestChainComplex:
                 prof = reduced_homology(c, d_max)
                 assert len(calls) == min(d_max, top) + 2, (c, d_max)
                 # The profile stops at the first empty dimension, top + 1, whose entry is 0.
-                assert len(prof.entries) == min(d_max, top + 1) + 1, (c, d_max)
-                assert prof.entries[top + 1 :] == ((0, ()),) * (d_max > top), (c, d_max)
+                assert len(prof) == min(d_max, top + 1) + 1, (c, d_max)
+                assert prof[top + 1 :] == ((0, ()),) * (d_max > top), (c, d_max)
         # A single edge at the largest d_max the CLI admits: three calls and three dimensions.
         calls.clear()
         prof = reduced_homology(complete_graph(2), 999_999)
         assert calls == [2, 1, 0]
-        assert prof.entries == ((0, ()),) * 3
+        assert prof == ((0, ()),) * 3
         calls.clear()
-        assert reduced_homology(complex_of([], []), 3).entries == ((0, ()),)
+        assert reduced_homology(complex_of([], []), 3) == ((0, ()),)
         assert calls == [0]
 
     def test_profile_is_an_immutable_value(self):
-        prof = projective_plane_complex().profile(2)
-        assert prof == HomologyProfile(((0, ()), (0, (2,)), (0, ())))
-        assert prof != HomologyProfile(((0, ()), (0, ()), (0, ())))
-        assert hash(prof) == hash(HomologyProfile(prof.entries))
-        assert len(prof.entries) == 3 and torsion(prof, 1) == (2,) and betti(prof, 1) == 0
-        assert prof.to_json_obj()[1] == {"dimension": 1, "betti": 0, "torsion": [2]}
-        with pytest.raises(AttributeError):
-            prof.entries = ()
+        prof = reduced_homology(projective_plane_subdivision(), 2)
+        assert type(prof) is tuple and all(type(entry) is tuple for entry in prof)
+        assert prof == ((0, ()), (0, (2,)), (0, ()))
+        assert prof != ((0, ()), (0, ()), (0, ()))
+        assert hash(prof) == hash(((0, ()), (0, (2,)), (0, ())))
+        assert len(prof) == 3 and torsion(prof, 1) == (2,) and betti(prof, 1) == 0
+        assert profile_rows(prof) == [
+            {"dimension": 0, "betti": 0, "torsion": []},
+            {"dimension": 1, "betti": 0, "torsion": [2]},
+            {"dimension": 2, "betti": 0, "torsion": []},
+        ]
+        assert profile_rows(()) == []
+        with pytest.raises(TypeError):
+            prof[0] = (1, ())
         with pytest.raises(AttributeError):
             prof.extra = 1
 
@@ -403,10 +409,25 @@ class TestChainComplex:
             oracle = betti_numbers_rational(c, 3)
             assert [betti(prof, k) for k in range(4)] == oracle
 
-    def test_describe_formats(self):
-        prof = reduced_homology(cycle_graph(4), 1)
-        assert prof.describe(1) == "Z"
-        assert prof.describe(0) == "0"
+    def test_describe_formats(self, tmp_path, capsys):
+        """``disklab homology`` prints a rank as Z or Z^r, torsion as Z/t, joined by " + ", and 0 for neither."""
+        rp2 = projective_plane_subdivision()
+        # RP^2 beside a 4-cycle on fresh ids: H_0 = Z, H_1 = Z + Z/2.
+        rp2_and_circle = complex_of(
+            [*rp2.vertex_ids, "w0", "w1", "w2", "w3"],
+            [*edges(rp2), ("w0", "w1"), ("w1", "w2"), ("w2", "w3"), ("w0", "w3")],
+        )
+        cases = [
+            (cycle_graph(4), ["reduced H_0 = 0", "reduced H_1 = Z"]),
+            (complex_of(["a", "b", "c"], []), ["reduced H_0 = Z^2", "reduced H_1 = 0"]),
+            (rp2, ["reduced H_0 = 0", "reduced H_1 = Z/2"]),
+            (rp2_and_circle, ["reduced H_0 = Z", "reduced H_1 = Z + Z/2"]),
+        ]
+        for i, (c, expected) in enumerate(cases):
+            path = tmp_path / f"c{i}.json"
+            path.write_text(canonical_json(complex_to_json_obj(c)))
+            assert main(["homology", str(path), "1"]) == 0
+            assert capsys.readouterr().out.splitlines() == expected, i
 
 
 class TestSuspensionShift:
@@ -422,8 +443,8 @@ class TestSuspensionShift:
                 failures.append((seed, 0))
             # Suspension moves the first empty dimension up by one as well,
             # so the lifted profile is the base profile shifted, entry for entry.
-            if lifted.entries[1:] != base.entries:
-                failures.append((seed, lifted.entries, base.entries))
+            if lifted[1:] != base:
+                failures.append((seed, lifted, base))
         assert failures == []
 
     def test_shift_on_octahedra(self):

@@ -58,6 +58,7 @@ from oracles import (
     has_edge,
     meets_distinguished,
     memo_verdict,
+    of_variant,
     outermost_arcs,
     permutation_sign,
     scan_pairs_by_loop,
@@ -231,7 +232,7 @@ def test_base_level_is_total():
 def test_same_region_vertical_disks_share_images(setup_f3):
     _, catalog, _, engine = setup_f3
     by_region = {}
-    for v in catalog.vertical_disks():
+    for v in of_variant(catalog, "vertical"):
         by_region.setdefault(v.region, set()).add(engine.image(v))
     assert all(len(images) == 1 for images in by_region.values())
 
@@ -682,7 +683,7 @@ def test_certify_flags_an_image_outside_the_sphere(setup_g1n4):
     # The oracle flags the same disks when they go to another vertical disk of
     # region 1 instead, which meets E0 and misses every other sphere vertex,
     # like D0, so every pair still maps to an edge.
-    other = next(d.key for d in catalog.vertical_disks() if d.region == 1 and d.key != d0)
+    other = next(d.key for d in of_variant(catalog, "vertical") if d.region == 1 and d.key != d0)
     assignment = {key: other if v == 0 else keys[sphere[v]] for key, v in zip(keys, real)}
     assert oracle_retraction_report(catalog, pairs, sphere, assignment) == [
         f"image of {key!r} is {other!r}, outside the subcomplex" for key in sorted(moved)
@@ -838,7 +839,7 @@ def test_a_catalog_is_the_low_footprint_slice_of_a_larger_one(genus, tubes, conf
         small = build_disk_catalog(build_tubed_surface(genus, m), config)
         at = [k for k, d in enumerate(big.disks) if d.footprint >> m + 1 == 0]
         if m == 1:
-            assert small.band_sums() == [] and len(small.disks) < len(at)
+            assert of_variant(small, "bandsum") == [] and len(small.disks) < len(at)
             continue
         assert [big.disks[k].key for k in at] == [d.key for d in small.disks]
         inside = sum(1 << k for k in at)
@@ -856,7 +857,7 @@ def test_pair_pass_matches_the_loop_oracle_on_a_raised_knob_catalog():
     engine = RetractionEngine(catalog)
     rows = disjointness_rows(catalog.disks, surface)
     claims, witness = assert_scan_matches_the_loop(catalog, images_of(engine), rows)
-    assert len(catalog.vertical_disks()) > 3 * 6 and claims["pairs_checked"] > 0 and witness is not None
+    assert len(of_variant(catalog, "vertical")) > 3 * 6 and claims["pairs_checked"] > 0 and witness is not None
 
 
 def test_pair_pass_matches_the_loop_oracle_on_rigged_images(setup_g1n4):
@@ -951,8 +952,9 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
     # the removed arc-layer model, drawing views, surgery transcripts,
     # pass-through accessors, region records, validated/unvalidated type
     # and calculus twins, the sphere's elimination path, the general chain
-    # complex, the complex JSON writer, the complex's labels and edge list or
-    # a profile's per-dimension readers is left for the tests alone.
+    # complex, the complex JSON writer, the complex's labels and edge list,
+    # the homology profile's class or the catalog's per-variant filters is
+    # left for the tests alone.
     removed = (
         "check_simplicial", "check_retraction", "VertexMap", "catalog_complex",
         "PuncturedSurfaceModel", "build_punctured_model", "solo_drawings", "is_embeddable",
@@ -963,7 +965,7 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
         "certify_homology_retraction", "free_generator", "apply_chain_map", "permutation_sign",
         "disks_disjoint_unvalidated", "ChainComplex", "complex_to_json_obj", "SphereVertex", "SuspensionSphere",
         "disk_side", "disk_variant", "_VARIANT_RANK", "_footprint_bits", "_DiskRecord", "_disk_records",
-        "_disk_sort_key", "_clean_arc",
+        "_disk_sort_key", "_clean_arc", "HomologyProfile",
     )
     for name in ("errors", "surface", "flagcomplex", "homology", "disks", "retraction", "cli"):
         module = importlib.import_module(f"disklab.{name}")
@@ -975,9 +977,8 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
             "type_at", "_surfaces", "_types", "sphere", "_branches", "_images", "_image", "_surgery_image",
         ),
         FlagComplex: ("has_vertex", "has_edge", "label", "edges"),
-        homology_module.HomologyProfile: ("betti", "torsion", "d_max"),
         surface_module.FrozenRecord: ("_uncompared",),
-        disks_module.DiskCatalog: ("arc_classes",),
+        disks_module.DiskCatalog: ("arc_classes", "meridians", "vertical_disks", "band_sums"),
         **{cls: ("tube_footprint",) for cls in (Meridian, VerticalDisk, BandSum)},
     }
     for cls, names in removed_members.items():
@@ -989,6 +990,8 @@ def test_certify_builds_no_catalog_complex(setup_g1n4, monkeypatch):
         "__init__", "image", "surgery_counts",
     ]
     assert not any(hasattr(catalog.surface, member) for member in removed_members[surface_module.TubedSurface])
+    # A catalog is plain data: its four fields and the constructor.
+    assert [name for name, member in vars(disks_module.DiskCatalog).items() if callable(member)] == ["__init__"]
 
 
 def test_pair_scan_derives_nothing_again(setup_g1n4, monkeypatch):
@@ -1049,7 +1052,7 @@ def test_pair_pass_matches_the_loop_oracle_on_raised_band_and_partner_arcs(genus
     engine = RetractionEngine(catalog)
     rows = disjointness_rows(catalog.disks, surface)
     claims, _ = assert_scan_matches_the_loop(catalog, images_of(engine), rows)
-    assert claims["passed"] and len({d.resolved_partner.key for d in catalog.band_sums()}) > 10
+    assert claims["passed"] and len({d.resolved_partner.key for d in of_variant(catalog, "bandsum")}) > 10
 
 
 # Band sums with more copies, so longer remainder chains.
@@ -1378,7 +1381,8 @@ def test_pair_pass_asks_the_calculus_about_partners_only(monkeypatch):
     """
     surface = build_tubed_surface(1, 6)
     catalog = build_disk_catalog(surface, CatalogConfig(arc_bound=3))
-    atoms = {d.key for d in catalog.vertical_disks()} | {d.resolved_partner.key for d in catalog.band_sums()}
+    atoms = {d.key for d in of_variant(catalog, "vertical")}
+    atoms |= {d.resolved_partner.key for d in of_variant(catalog, "bandsum")}
     top, depth, total = [], [0], [0]
     calculus = disks_module.disks_disjoint
 
