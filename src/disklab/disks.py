@@ -638,10 +638,7 @@ def catalog_from_json_obj(obj, source: str = "disks") -> DiskCatalog:
     if type(tubes) is not int or tubes < 1:
         raise MalformedFileError(f"{source}.tubes", f"tubes must be a positive integer, got {_show(tubes)}")
     config = config_from_json_obj(obj.get("config"), source=f"{source}.config")
-    try:
-        rebuilt = build_disk_catalog(build_tubed_surface(genus, tubes), config)
-    except InvalidConfigError as exc:
-        raise MalformedFileError(source, str(exc)) from exc
+    rebuilt = build_disk_catalog(build_tubed_surface(genus, tubes), config)
     found = _first_difference(catalog_to_json_obj(rebuilt), obj, source)
     if found:
         raise MalformedFileError(*found)

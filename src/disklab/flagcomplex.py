@@ -73,7 +73,7 @@ def flag_cliques(
     sorted_adj = {v: c.neighbors(v) for v in verts}
     out: dict[int, list[tuple[str, ...]]] = {k: [] for k in range(d + 1)}
     out[0] = [(v,) for v in verts]
-    _cap_check(out[0], 0, max_per_dim)
+    _cap_check(len(out[0]), 0, max_per_dim)
     for k in range(1, d + 1):
         prev = out[k - 1]
         if not prev:
@@ -87,13 +87,14 @@ def flag_cliques(
                     continue
                 if all(w in adj[u] for u in clique[:-1]):
                     cur.append(clique + (w,))
-                    _cap_check(cur, k, max_per_dim)
+                    _cap_check(len(cur), k, max_per_dim)
         out[k] = cur
     return out
 
 
-def _cap_check(bucket: list, dim: int, max_per_dim: int) -> None:
-    if len(bucket) > max_per_dim:
+def _cap_check(count: int, dim: int, max_per_dim: int) -> None:
+    """Raise the simplex-cap error if ``count`` simplices in dimension ``dim`` exceed ``max_per_dim``."""
+    if count > max_per_dim:
         raise ResourceCapError(
             "max_simplices", f"more than {max_per_dim} simplices in dimension {dim}", max_per_dim
         )

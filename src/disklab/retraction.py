@@ -139,8 +139,8 @@ from .disks import (
     type_at,
     validate_disk,
 )
-from .errors import InvalidConfigError, ResourceCapError
-from .flagcomplex import DEFAULT_MAX_SIMPLICES
+from .errors import InvalidConfigError
+from .flagcomplex import DEFAULT_MAX_SIMPLICES, _cap_check
 from .homology import join_cycle, profile_rows
 from .surface import build_tubed_surface, surface_to_json_obj, tube_side
 
@@ -434,10 +434,7 @@ def check_simplex_cap(n: int, max_simplices: int) -> None:
     message is the one that enumerating them would give.
     """
     for k in range(n + 1):
-        if comb(n + 1, k + 1) << (k + 1) > max_simplices:
-            raise ResourceCapError(
-                "max_simplices", f"more than {max_simplices} simplices in dimension {k}", max_simplices
-            )
+        _cap_check(comb(n + 1, k + 1) << (k + 1), k, max_simplices)
 
 
 def certify_catalog(catalog: DiskCatalog, max_simplices: int = DEFAULT_MAX_SIMPLICES) -> dict:

@@ -7,9 +7,10 @@ point of the puncture boundary.  The resulting disk has boundary
 
 where the station segment carries every arc endpoint and side ``4h..4h+3``
 carries the identification word ``(pair 2h, +), (pair 2h+1, +),
-(pair 2h, -), (pair 2h+1, -)``.  Side ``(p, +)`` at parameter t is glued to
-side ``(p, -)`` at parameter 1-t, so the minus side lists its slots in the
-reverse of the plus-side order.
+(pair 2h, -), (pair 2h+1, -)``.  The word is no table: it is the rule by
+which :func:`_step` computes a letter's two sides.  Side ``(p, +)`` at
+parameter t is glued to side ``(p, -)`` at parameter 1-t, so the minus side
+lists its slots in the reverse of the plus-side order.
 
 An arc class is a reduced code: a tuple of signed crossings, entry ``x``
 crossing pair ``|x|-1`` arriving on the sign(x) side.  A drawing chooses
@@ -75,17 +76,6 @@ def opposite_side(side: str) -> str:
     raise InvalidConfigError(f"unknown side {side!r}")
 
 
-# -- the punctured block -----------------------------------------------------
-
-
-def side_word(genus: int) -> tuple[tuple[int, int], ...]:
-    """Identification word: for each handle h, sides (2h,+),(2h+1,+),(2h,-),(2h+1,-)."""
-    word: list[tuple[int, int]] = []
-    for h in range(genus):
-        word.extend([(2 * h, 1), (2 * h + 1, 1), (2 * h, -1), (2 * h + 1, -1)])
-    return tuple(word)
-
-
 # -- arc codes ----------------------------------------------------------------
 
 
@@ -137,14 +127,6 @@ def canonical_code(code: ArcCode) -> ArcCode:
 # before or after it.
 
 
-def _entries(code: ArcCode) -> list[tuple[int, int]]:
-    return [(abs(x) - 1, 1 if x > 0 else -1) for x in code]
-
-
-def _side_index(genus: int) -> dict[tuple[int, int], int]:
-    return {ps: i for i, ps in enumerate(side_word(genus))}
-
-
 def _chord(u: tuple, v: tuple) -> tuple:
     return (u, v) if u < v else (v, u)
 
@@ -172,16 +154,20 @@ def _blank(genus: int) -> tuple:
     return ((),) * (2 * genus), [], (0, 0)
 
 
-def _step(sidx: dict, drawing: tuple, p: int, s: int):
-    """Each child of an open drawing by one letter, arriving on side ``(p, s)``.
+def _step(drawing: tuple, x: int):
+    """Each child of an open drawing by the letter ``x``, arriving on side ``(p, s) = (|x| - 1, sign x)``.
 
     The letter's slot token takes each rank of :func:`_gaps` on pair p; a
     child is yielded when its new chord, from the free end to the arrival,
     crosses no chord drawn, and its free end is the exit on side ``(p, -s)``.
+    Both blocks are computed from the identification word's rule.
     """
     ranks, chords, free = drawing
+    p, s = abs(x) - 1, 1 if x > 0 else -1
     order = ranks[p]
-    arrive_block, exit_block = sidx[(p, s)] + 1, sidx[(p, -s)] + 1
+    # Handle p // 2 owns blocks 4 * (p // 2) + 1..4, as (p & ~1, +), (p | 1, +), (p & ~1, -), (p | 1, -).
+    arrive_block = 4 * (p >> 1) + (p & 1) + (1 if s > 0 else 3)
+    exit_block = arrive_block + 2 * s
     for j, r in enumerate(_gaps(order)):
         arrive = (arrive_block, r if s > 0 else -r)
         if not _crosses(chords, free, arrive):
@@ -195,20 +181,20 @@ def _closings(drawing: tuple, ends=(-1, 1)) -> list:
     return [r for r in ends if not _crosses(chords, free, (0, r))]
 
 
-def _closed(sidx: dict, drawing: tuple, letters: list, ends=(-1, 1)):
+def _closed(drawing: tuple, letters: ArcCode, ends=(-1, 1)):
     """Each crossing-free closing of ``drawing`` grown by ``letters``, as (end rank, open drawing).
 
-    Depth first over :func:`_step`, one letter a level, children in the
-    order it yields them; a leaf yields each end rank in ``ends`` that
-    :func:`_closings` allows, in that order.
+    Depth first over :func:`_step`, one signed letter of the code
+    ``letters`` a level, children in the order it yields them; a leaf
+    yields each end rank in ``ends`` that :func:`_closings` allows, in
+    that order.
     """
     if not letters:
         for end in _closings(drawing, ends):
             yield end, drawing
         return
-    p, s = letters[0]
-    for child in _step(sidx, drawing, p, s):
-        yield from _closed(sidx, child, letters[1:], ends)
+    for child in _step(drawing, letters[0]):
+        yield from _closed(child, letters[1:], ends)
 
 
 def _closed_drawings(genus: int, code: ArcCode) -> tuple:
@@ -217,28 +203,27 @@ def _closed_drawings(genus: int, code: ArcCode) -> tuple:
     An empty result means the code does not embed.
     """
     validate_code(code, genus)
-    return tuple(_closed(_side_index(genus), _blank(genus), _entries(code)))
+    return tuple(_closed(_blank(genus), code))
 
 
 # -- disjointness: the same step, two arcs ------------------------------------
 
 
-def _joint_drawing(genus: int, drawings: tuple, b: ArcCode) -> list | None:
+def _joint_drawing(drawings: tuple, b: ArcCode) -> list | None:
     """The chords of the first zero-crossing drawing of two arcs the search reaches, or ``None``.
 
     ``drawings`` are the first arc's crossing-free closed drawings
     (:func:`_closed_drawings`).  Each is fixed, with ``b``'s start token in
-    each of its station gaps, and ``b`` grows inside it by :func:`_closed`;
-    the first closing it yields, which puts ``b``'s end token in the first
-    station gap :func:`_closings` allows, is the witness.
+    each of its station gaps, and ``b`` grows inside it, letter by signed
+    letter, by :func:`_closed`; the first closing it yields, which puts
+    ``b``'s end token in the first station gap :func:`_closings` allows, is
+    the witness.
     """
-    sidx = _side_index(genus)
-    letters = _entries(b)
     for end, (ranks, chords, free) in drawings:
         closed = chords + [_chord(free, (0, end))]
         for start in _gaps(sorted((0, end))):
             grown = (ranks, closed, (0, start))
-            for last, (_ranks, joint, tail) in _closed(sidx, grown, letters, _gaps(sorted((0, end, start)))):
+            for last, (_ranks, joint, tail) in _closed(grown, b, _gaps(sorted((0, end, start)))):
                 return joint + [_chord(tail, (0, last))]
     return None
 
@@ -263,7 +248,7 @@ def arc_verdict(genus: int):
                     raise InvalidConfigError(
                         f"arc codes must be embeddable; got {ca!r} / {cb!r} with no embedded drawing"
                     )
-                decided[ca, cb] = _joint_drawing(genus, drawn[ca], cb) is not None
+                decided[ca, cb] = _joint_drawing(drawn[ca], cb) is not None
             decided[a, b] = ca == cb or decided[ca, cb]
         return decided[a, b]
 
@@ -309,19 +294,18 @@ def enumerate_arcs(genus: int, k: int) -> list[ArcCode]:
     # the cap's bit length passes the cap: the count stops there, whatever k.
     if candidate_count(genus, min(k, max_classes.bit_length() + 1)) > max_classes:
         raise ResourceCapError("max_arc_classes", f"genus {genus}, length bound {k}", max_classes)
-    # The tables below take time and memory linear in the genus.
+    # The letters and the blank drawing below take time and memory linear in the genus.
     if k == 0:
         return []
-    sidx = _side_index(genus)
-    letters = [(x, *_entries((x,))[0]) for x in range(-2 * genus, 2 * genus + 1) if x != 0]
+    letters = [x for x in range(-2 * genus, 2 * genus + 1) if x != 0]
     found: set[ArcCode] = set()
 
     def grow(word: ArcCode, drawings: list) -> None:
         leaf = len(word) + 1 == k
-        for x, p, s in letters:
+        for x in letters:
             if word and (word[-1] == -x or leaf and x > -word[0]):
                 continue
-            children = (child for drawing in drawings for child in _step(sidx, drawing, p, s))
+            children = (child for drawing in drawings for child in _step(drawing, x))
             if not leaf:
                 children = list(children)
                 if children:

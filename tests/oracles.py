@@ -12,7 +12,9 @@ grows one arc inside a drawing of the other; ``min_crossings`` is the
 exhaustive engine it replaced, which minimizes the crossing number over
 every merge of two embedded solo drawings.  It draws those from
 ``level_search_drawings``, the oracle's own search, never from the
-insertion step it is compared against.  ``has_crossing_free_merge`` asks
+insertion step it is compared against, and they read each letter's sides
+from the identification word ``side_word`` kept here as a table, never
+from the rule the step computes.  ``has_crossing_free_merge`` asks
 only whether that minimum is 0: it runs the same merges, drops each at its
 first crossing, and skips a pair of solo drawings whose first merge
 crosses on two chords with no block in common.  ``project_disk``
@@ -119,12 +121,9 @@ from disklab.retraction import (
 from disklab.surface import (
     ArcCode,
     TubedSurface,
-    _entries,
-    _side_index,
     arc_verdict,
     canonical_code,
     opposite_side,
-    side_word,
     tube_side,
     validate_code,
 )
@@ -321,6 +320,24 @@ def check_retraction(f: VertexMap, s: FlagComplex) -> tuple[bool, list[str]]:
 # -- arc enumeration -------------------------------------------------------------
 
 
+def side_word(genus: int) -> tuple[tuple[int, int], ...]:
+    """Identification word: for each handle h, sides (2h,+),(2h+1,+),(2h,-),(2h+1,-)."""
+    word: list[tuple[int, int]] = []
+    for h in range(genus):
+        word.extend([(2 * h, 1), (2 * h + 1, 1), (2 * h, -1), (2 * h + 1, -1)])
+    return tuple(word)
+
+
+def side_index(genus: int) -> dict[tuple[int, int], int]:
+    """Each side ``(p, s)`` of the word, mapped to its place in it."""
+    return {ps: i for i, ps in enumerate(side_word(genus))}
+
+
+def entries_of(code: ArcCode) -> list[tuple[int, int]]:
+    """Each letter ``x`` of ``code`` as the side ``(|x| - 1, sign x)`` it arrives on."""
+    return [(abs(x) - 1, 1 if x > 0 else -1) for x in code]
+
+
 def level_search_drawings(genus: int, code: ArcCode):
     """Yield every drawing of a single arc with zero self-crossings, in order.
 
@@ -336,9 +353,9 @@ def level_search_drawings(genus: int, code: ArcCode):
     last same-block tokens.
     """
     validate_code(code, genus)
-    entries = _entries(code)
+    entries = entries_of(code)
     n = len(entries)
-    sidx = _side_index(genus)
+    sidx = side_index(genus)
     # Tokens 0..n-1 are the crossings' slots; n and n + 1 are the endpoints.
     groups: dict[int, list[int]] = {}
     for idx, (p, _s) in enumerate(entries):
@@ -436,12 +453,12 @@ def chord_endpoints(genus: int, codes: dict[int, ArcCode]) -> dict[int, list[tup
     Points are ("st", (arc, 0|1)) for endpoints and (side_index, (arc, entry))
     for crossing slots.
     """
-    sidx = _side_index(genus)
+    sidx = side_index(genus)
     chords: dict[int, list[tuple[tuple, tuple]]] = {}
     for j, code in codes.items():
         pts: list[tuple[tuple, tuple]] = []
         prev: tuple = ("st", (j, 0))
-        for idx, (p, s) in enumerate(_entries(code)):
+        for idx, (p, s) in enumerate(entries_of(code)):
             pts.append((prev, (sidx[(p, s)], (j, idx))))
             prev = (sidx[(p, -s)], (j, idx))
         pts.append((prev, ("st", (j, 1))))

@@ -21,7 +21,6 @@ from disklab.surface import (
     SIDE_B,
     ArcCode,
     TubedSurface,
-    _entries,
     arc_verdict,
     build_tubed_surface,
     candidate_count,
@@ -29,7 +28,6 @@ from disklab.surface import (
     enumerate_arcs,
     opposite_side,
     reverse_code,
-    side_word,
     surface_to_json_obj,
     tube_side,
     validate_code,
@@ -40,10 +38,13 @@ from oracles import (
     canonical_reduced_codes,
     chord_endpoints,
     crossings,
+    entries_of,
     enumerate_arcs_by_filtering,
     has_crossing_free_merge,
     min_crossings,
     positions,
+    side_index,
+    side_word,
 )
 
 
@@ -58,7 +59,7 @@ def exhaustive_solo_drawings(genus: int, code: ArcCode) -> tuple:
     and keeps the drawings with zero self-crossings.  No pruning.
     """
     validate_code(code, genus)
-    entries = _entries(code)
+    entries = entries_of(code)
     by_pair: dict[int, list[tuple[int, int]]] = {}
     for idx, (p, _s) in enumerate(entries):
         by_pair.setdefault(p, []).append((0, idx))
@@ -88,7 +89,7 @@ def word_of(genus: int, drawing: tuple) -> ArcCode:
     """The word an open drawing was grown by, read off the blocks its chords join.
 
     Chord i runs from the exit side of letter i - 1 (the station for i = 0)
-    to the arrival side of letter i.
+    to the arrival side of letter i; the oracle's word names both.
     """
     side = side_word(genus)
     word, prev = [], 0
@@ -108,8 +109,8 @@ def solo_drawings(genus: int, code: ArcCode) -> tuple:
     rank, signed back to the plus side, orders that letter's slot token.  End
     rank 1 puts the end token after the start token at the station.
     """
-    sidx = surface._side_index(genus)
-    letters = _entries(code)
+    sidx = side_index(genus)
+    letters = entries_of(code)
     out = []
     for end, (_ranks, chords, _free) in surface._closed_drawings(genus, code):
         ranks = []
@@ -192,6 +193,19 @@ def test_model_word_structure():
     )
 
 
+@pytest.mark.parametrize("genus", [1, 2, 3, 4])
+def test_step_blocks_follow_the_word(genus):
+    # The step computes each letter's blocks; the oracle's word lists them.
+    word = side_word(genus)
+    for x in (x for x in range(-2 * genus, 2 * genus + 1) if x):
+        p, s = abs(x) - 1, 1 if x > 0 else -1
+        children = list(surface._step(surface._blank(genus), x))
+        assert children, x
+        for _ranks, chords, free in children:
+            assert [block for (block, _rank) in chords[-1]] == [0, 1 + word.index((p, s))], x
+            assert free[0] == 1 + word.index((p, -s)), x
+
+
 def test_model_validation():
     with pytest.raises(InvalidConfigError):
         enumerate_arcs(0, 1)
@@ -231,13 +245,13 @@ def test_reverse_and_canonical():
 
 
 def test_enumerate_empty_at_zero(monkeypatch):
-    # No table of the genus's size is built: at genus 10**9 each would take
-    # tens of gigabytes, so refusing them makes a regression fail at once.
+    # Nothing of the genus's size is built: at genus 10**9 the blank drawing
+    # or the letter list would take tens of gigabytes, so refusing the one
+    # and bounding the time makes a regression fail at once.
     def refuse(*args):
-        raise AssertionError("enumerate_arcs built a table of the genus's size at arc bound 0")
+        raise AssertionError("enumerate_arcs built a drawing of the genus's size at arc bound 0")
 
-    for table in ("_side_index", "_entries", "_blank"):
-        monkeypatch.setattr(surface, table, refuse)
+    monkeypatch.setattr(surface, "_blank", refuse)
     start = time.perf_counter()
     assert enumerate_arcs(1, 0) == [] and enumerate_arcs(10**9, 0) == []
     assert time.perf_counter() - start < 1.0
@@ -385,9 +399,9 @@ def test_side_word_alone_rejects_some_codes(monkeypatch, code, rejected_early):
     visited = []
     step = surface._step
 
-    def recording_step(sidx, drawing, p, s):
+    def recording_step(drawing, x):
         visited.append(drawing)
-        return step(sidx, drawing, p, s)
+        return step(drawing, x)
 
     monkeypatch.setattr(surface, "_step", recording_step)
     arcs = enumerate_arcs(1, len(code) + 1)
@@ -396,10 +410,9 @@ def test_side_word_alone_rejects_some_codes(monkeypatch, code, rejected_early):
     assert (code in words) is not rejected_early
     assert any(w[: len(code)] == code for w in words) is not rejected_early
     assert not is_embeddable(1, code) and canonical_code(code) not in arcs
-    sidx = surface._side_index(1)
     drawings = [surface._blank(1)]
-    for p, s in _entries(code):
-        drawings = [child for d in drawings for child in step(sidx, d, p, s)]
+    for x in code:
+        drawings = [child for d in drawings for child in step(d, x)]
     assert (drawings == []) is rejected_early
 
 
@@ -412,11 +425,11 @@ def test_enumerate_tries_one_orientation_of_each_longest_word(monkeypatch):
     last_letters = []
     step = surface._step
 
-    def recording_step(sidx, drawing, p, s):
+    def recording_step(drawing, x):
         word = word_of(genus, drawing)
         if len(word) == k - 1:
-            last_letters.append((word, s * (p + 1)))
-        return step(sidx, drawing, p, s)
+            last_letters.append((word, x))
+        return step(drawing, x)
 
     monkeypatch.setattr(surface, "_step", recording_step)
     arcs = enumerate_arcs(genus, k)
@@ -472,15 +485,15 @@ def test_disjointness_search_matches_crossing_oracle(genus, k):
 def test_every_disjoint_verdict_has_a_zero_crossing_drawing(genus, k):
     # The search's witness holds one chord per step of each arc, on the
     # blocks the codes visit, and no two of its chords interleave.
-    sidx = surface._side_index(genus)
+    sidx = side_index(genus)
 
     def blocks(code):
-        ends = [0] + [sidx[e] + 1 for p, s in _entries(code) for e in ((p, s), (p, -s))] + [0]
+        ends = [0] + [sidx[e] + 1 for p, s in entries_of(code) for e in ((p, s), (p, -s))] + [0]
         return sorted(tuple(sorted(ends[i : i + 2])) for i in range(0, len(ends), 2))
 
     arcs = enumerate_arcs(genus, k)
     for a, b in itertools.combinations(arcs, 2):
-        drawing = surface._joint_drawing(genus, surface._closed_drawings(genus, a), b)
+        drawing = surface._joint_drawing(surface._closed_drawings(genus, a), b)
         assert (drawing is not None) is arcs_disjoint(genus, a, b), (a, b)
         if drawing is None:
             continue
