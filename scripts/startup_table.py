@@ -11,9 +11,13 @@ it starts, after ``disklab.cli`` has loaded (``surface``, ``disks``,
 ``retraction``, ``homology``; see ``disklab/cli.py``), and the cumulative
 time of ``site``, which every interpreter imports at start-up unless run
 with ``-S``.  It also times each
-process's total wall, spawn to exit, beside a ``python3 -c pass`` column: an
-interpreter that starts and stops with the same flags and environment, so
-the difference is what ``disklab`` itself costs.  It prints the median of
+process's total wall, spawn to exit, beside a baseline column,
+``python3 -c "import os; os._exit(0)"``: an interpreter that starts and
+stops with the same flags and environment, so the difference is what
+``disklab`` itself costs.  The baseline ends through ``os._exit`` because
+every ``disklab`` process does (``disklab.cli.run``), so neither side pays
+for interpreter teardown; a ``python3 -c pass`` baseline would, and would
+understate that difference by about 10 ms.  It prints the median of
 each, in milliseconds; ``-`` marks a module the column does not load.
 
 The sources are copied to a temporary directory first, so no
@@ -53,7 +57,7 @@ SQUARE = {
 }
 
 
-BASELINE = "python3 -c pass"
+BASELINE = "python3 -c os._exit"
 
 
 def subcommands(work: str) -> dict[str, list[str]]:
@@ -68,7 +72,7 @@ def subcommands(work: str) -> dict[str, list[str]]:
         "homology": [
             "-m", "disklab", "homology", os.path.join(work, "square.json"), "2", "--out", os.path.join(work, "homology")
         ],
-        BASELINE: ["-c", "pass"],
+        BASELINE: ["-c", "import os; os._exit(0)"],
     }
 
 

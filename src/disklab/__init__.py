@@ -28,7 +28,12 @@ Public entry points live in the submodules:
   only ``errors`` and ``flagcomplex`` at start, and each subcommand imports
   the layers it runs (``build``: ``surface`` and ``disks``; ``certify``: all
   of them; ``homology``: ``homology`` only), because every run is a fresh
-  interpreter that pays for each module it compiles.
+  interpreter that pays for each module it compiles.  ``python3 -m disklab``
+  and the ``disklab`` script enter through ``cli.run()``, which calls
+  ``cli.main()``, flushes stdout and stderr and ends the process with
+  ``os._exit``, skipping interpreter teardown, ``atexit`` handlers and
+  finalizers; ``cli.main()`` is unchanged and returns the exit code to
+  in-process callers.
 """
 
 from disklab.errors import (

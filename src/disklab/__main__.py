@@ -1,8 +1,6 @@
 """Allow ``python3 -m disklab`` to run the command-line interface."""
 
-import sys
-
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -29,6 +29,17 @@ does not import is startup time saved.  Compiling from source on Python
 3.11, the layers of ``build`` take 9 ms to import and those of ``certify``
 14 ms (medians of 21 runs of ``scripts/startup_table.py`` on a 2-vCPU
 host); with ``dataclasses`` they took 41 and 66 ms.
+
+A process leaves through :func:`run`, the entry of ``python3 -m disklab`` and
+of the ``disklab`` script: it calls :func:`main`, flushes ``sys.stdout`` and
+``sys.stderr``, and ends with ``os._exit``, so it skips interpreter teardown
+(freeing every module and object, ``atexit`` handlers, finalizers), about
+10 ms of a small job.  Nothing is lost by that: every artifact is written
+and closed inside :func:`~disklab.flagcomplex.write_text_file` before
+:func:`main` returns, and disklab registers no ``atexit`` handler.  An
+argparse ``SystemExit`` or an uncaught exception passes through :func:`run`
+and leaves the normal way.  :func:`main` itself is unchanged: it returns the
+exit code to in-process callers (tests, scripts) and exits nothing.
 """
 
 from __future__ import annotations
@@ -280,5 +291,19 @@ def main(argv=None) -> int:
         return EXIT_CAP
 
 
+def run() -> None:
+    """Run :func:`main` on ``sys.argv`` and end the process with its exit code, skipping teardown.
+
+    Both standard streams are flushed first, since ``os._exit`` drops what
+    their buffers hold; a stream that is ``None`` (its descriptor was closed
+    at start) has nothing to flush.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

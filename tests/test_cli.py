@@ -1,8 +1,8 @@
 """Command-line interface: artifacts, exit codes, determinism.
 
 Most tests call ``main(argv)`` in-process so stdout/stderr are captured with
-capsys; one test runs ``python3 -m disklab`` as a real subprocess to pin the
-module entry point.
+capsys; the subprocess tests run ``python3 -m disklab`` to pin the module
+entry point, ``cli.run()``, and its exit through ``os._exit``.
 """
 
 from __future__ import annotations
@@ -1027,6 +1027,72 @@ def test_module_entry_point_runs_as_subprocess(tmp_path):
     assert result.returncode == EXIT_OK
     assert "PASSED" in result.stdout
     assert (tmp_path / "certificate.json").exists()
+
+
+# ``python3 -m disklab ARGV`` with both standard streams block-buffered:
+# stdout is a pipe and the child's environment drops PYTHONUNBUFFERED, and
+# stderr, which Python line-buffers by default, is rewrapped without line
+# buffering.  So a line reaches the parent only if cli.run() flushes its
+# stream before os._exit.
+BLOCK_BUFFERED_MAIN = (
+    "import io, runpy, sys\n"
+    "sys.stderr = io.TextIOWrapper(open(2, 'wb', closefd=False), encoding='utf-8')\n"
+    "runpy.run_module('disklab', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def run_block_buffered(argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)
+    result = subprocess.run(
+        [sys.executable, "-c", BLOCK_BUFFERED_MAIN, *argv], capture_output=True, text=True, env=env, cwd=cwd, timeout=60
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_certify_prints_every_line_and_writes_both_files_through_the_fast_exit(tmp_path):
+    code, stdout, stderr = run_block_buffered(["certify", "--genus", "1", "--tubes", "1", "--out", "c"], tmp_path)
+    assert (code, stderr) == (EXIT_OK, "")
+    lines = stdout.splitlines()
+    assert lines[:2] == [f"wrote {os.path.join('c', name)}" for name in ("certificate.json", "report.txt")]
+    assert len(lines) == 3 and lines[2].startswith("PASSED: ")
+    assert json.loads((tmp_path / "c" / "certificate.json").read_text())["passed"]
+    assert (tmp_path / "c" / "report.txt").read_text()
+
+
+FAST_EXIT_CASES = {
+    "bad-genus": (["certify", "--genus", "0", "--tubes", "1", "--out", "c"], EXIT_CONFIG),
+    # certificate.json is written and announced on stdout before report.txt fails.
+    "unwritable-report": (["certify", "--genus", "1", "--tubes", "1", "--out", "r"], EXIT_CONFIG),
+    "arc-cap": (["build", "--genus", "1", "--tubes", "1", "--arc-bound", "100000", "--out", "b"], EXIT_CAP),
+    "homology": (["homology", "octa2.json", "3"], EXIT_OK),
+}
+
+
+@pytest.mark.parametrize("case", FAST_EXIT_CASES)
+def test_every_exit_code_and_line_pass_through_the_fast_exit(case, octa_file, tmp_path, capsys, monkeypatch):
+    argv, expected = FAST_EXIT_CASES[case]
+    (tmp_path / "r" / "report.txt").mkdir(parents=True)  # a directory where the report should go
+    child = run_block_buffered(argv, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    in_process = run(argv, capsys)
+    assert in_process[0] == expected and (in_process[1] or in_process[2])
+    assert child == in_process
+
+
+def test_a_closed_stdout_still_exits_0(tmp_path):
+    # Python sets sys.stdout to None when descriptor 1 is closed at start;
+    # print() then writes nothing, and run() has nothing to flush.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    argv = ["-m", "disklab", "certify", "--genus", "1", "--tubes", "1", "--out", "c"]
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (EXIT_OK, "")
+    assert (tmp_path / "c" / "report.txt").exists()
 
 
 # Run ARGV through cli.main (or only import cli, without ARGV), then print the

@@ -247,11 +247,19 @@ def test_reverse_and_canonical():
 def test_enumerate_empty_at_zero(monkeypatch):
     # Nothing of the genus's size is built: at genus 10**9 the blank drawing
     # or the letter list would take tens of gigabytes, so refusing the one
-    # and bounding the time makes a regression fail at once.
+    # and any range of over a million items, and bounding the time, makes a
+    # regression fail at once.
     def refuse(*args):
         raise AssertionError("enumerate_arcs built a drawing of the genus's size at arc bound 0")
 
+    def bounded_range(*args):
+        items = range(*args)
+        if len(items) > 10**6:
+            raise AssertionError(f"enumerate_arcs asked for a range of {len(items)} items at arc bound 0")
+        return items
+
     monkeypatch.setattr(surface, "_blank", refuse)
+    monkeypatch.setattr(surface, "range", bounded_range, raising=False)
     start = time.perf_counter()
     assert enumerate_arcs(1, 0) == [] and enumerate_arcs(10**9, 0) == []
     assert time.perf_counter() - start < 1.0
